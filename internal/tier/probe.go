@@ -1,0 +1,79 @@
+package tier
+
+import (
+	"context"
+	"time"
+)
+
+// noteFailure counts one consecutive failure and ejects the replica at
+// the threshold.
+func (rt *Router) noteFailure(rep *replica) {
+	if int(rep.fails.Add(1)) >= rt.cfg.FailThreshold &&
+		rep.state.CompareAndSwap(int32(stateHealthy), int32(stateEjected)) {
+		rt.ejects.Add(1)
+	}
+}
+
+// probeLoop is the background health prober: it refreshes routable
+// replicas' admission stats, ejects on consecutive probe failures, and
+// re-probes ejected replicas with exponential backoff until they answer
+// /readyz again.
+func (rt *Router) probeLoop() {
+	defer rt.wg.Done()
+	backoff := make(map[string]int) // consecutive failed re-probes, per ejected replica
+	skip := make(map[string]int)    // prober ticks left before the next re-probe
+	tick := time.NewTicker(rt.cfg.ProbeInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-rt.done:
+			return
+		case <-tick.C:
+		}
+		for _, name := range rt.order {
+			rep := rt.reps[name]
+			ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
+			switch rep.getState() {
+			case stateEjected:
+				if skip[name] > 0 {
+					skip[name]--
+					break
+				}
+				if err := rep.probeReady(ctx, rt.client); err != nil {
+					backoff[name]++
+					n := backoff[name]
+					if n > 5 {
+						n = 5 // cap the re-probe gap at 32 ticks
+					}
+					skip[name] = 1<<n - 1
+					break
+				}
+				delete(backoff, name)
+				delete(skip, name)
+				rep.fails.Store(0)
+				rep.setState(stateHealthy)
+				rt.readmits.Add(1)
+			case stateHealthy:
+				if err := rep.probeStatz(ctx, rt.client); err != nil {
+					rt.noteFailure(rep)
+					break
+				}
+				rep.fails.Store(0)
+				rt.adoptBackend(rep)
+			}
+			cancel()
+		}
+	}
+}
+
+// adoptBackend fills the verdict-store namespace backend from the first
+// replica that reports one, when the config left it open. Only the prober
+// goroutine writes, so a plain store is race-free.
+func (rt *Router) adoptBackend(rep *replica) {
+	if *rt.backend.Load() != "" {
+		return
+	}
+	if b := *rep.backend.Load(); b != "" {
+		rt.backend.Store(&b)
+	}
+}

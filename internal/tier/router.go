@@ -370,79 +370,6 @@ func readErr(r io.Reader) string {
 	return "replica error"
 }
 
-// noteFailure counts one consecutive failure and ejects the replica at
-// the threshold.
-func (rt *Router) noteFailure(rep *replica) {
-	if int(rep.fails.Add(1)) >= rt.cfg.FailThreshold &&
-		rep.state.CompareAndSwap(int32(stateHealthy), int32(stateEjected)) {
-		rt.ejects.Add(1)
-	}
-}
-
-// probeLoop is the background health prober: it refreshes routable
-// replicas' admission stats, ejects on consecutive probe failures, and
-// re-probes ejected replicas with exponential backoff until they answer
-// /readyz again.
-func (rt *Router) probeLoop() {
-	defer rt.wg.Done()
-	backoff := make(map[string]int) // consecutive failed re-probes, per ejected replica
-	skip := make(map[string]int)    // prober ticks left before the next re-probe
-	tick := time.NewTicker(rt.cfg.ProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-rt.done:
-			return
-		case <-tick.C:
-		}
-		for _, name := range rt.order {
-			rep := rt.reps[name]
-			ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
-			switch rep.getState() {
-			case stateEjected:
-				if skip[name] > 0 {
-					skip[name]--
-					break
-				}
-				if err := rep.probeReady(ctx, rt.client); err != nil {
-					backoff[name]++
-					n := backoff[name]
-					if n > 5 {
-						n = 5 // cap the re-probe gap at 32 ticks
-					}
-					skip[name] = 1<<n - 1
-					break
-				}
-				delete(backoff, name)
-				delete(skip, name)
-				rep.fails.Store(0)
-				rep.setState(stateHealthy)
-				rt.readmits.Add(1)
-			case stateHealthy:
-				if err := rep.probeStatz(ctx, rt.client); err != nil {
-					rt.noteFailure(rep)
-					break
-				}
-				rep.fails.Store(0)
-				rt.adoptBackend(rep)
-			}
-			cancel()
-		}
-	}
-}
-
-// adoptBackend fills the verdict-store namespace backend from the first
-// replica that reports one, when the config left it open. Only the prober
-// goroutine writes, so a plain store is race-free.
-func (rt *Router) adoptBackend(rep *replica) {
-	if *rt.backend.Load() != "" {
-		return
-	}
-	if b := *rep.backend.Load(); b != "" {
-		rt.backend.Store(&b)
-	}
-}
-
 // backendLabel is the namespace backend currently in force.
 func (rt *Router) backendLabel() string { return *rt.backend.Load() }
 
@@ -728,208 +655,6 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, suggestResponse{Results: results, Trace: tr.Wire()})
-}
-
-// handleReload runs the rolling reload: one replica at a time is drained
-// (the ring stops routing to it, in-flight forwards finish), told to
-// POST /reload, health-gated on /readyz reporting the bumped generation,
-// and readmitted — the fleet never has more than one replica out of
-// rotation, and no in-flight request is dropped. Afterwards the verdict
-// store rolls to a new generation: verdicts from the old bundles cannot
-// replay against the new ones.
-func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
-	rt.reloadMu.Lock()
-	defer rt.reloadMu.Unlock()
-	type outcome struct {
-		Replica    string `json:"replica"`
-		Status     string `json:"status"`
-		Generation uint64 `json:"generation,omitempty"`
-		Error      string `json:"error,omitempty"`
-	}
-	outcomes := make([]outcome, 0, len(rt.order))
-	failed := 0
-	for _, name := range rt.order {
-		rep := rt.reps[name]
-		if rep.getState() == stateEjected {
-			outcomes = append(outcomes, outcome{Replica: name, Status: "skipped (ejected)"})
-			failed++
-			continue
-		}
-		oldGen := rep.generation.Load()
-		rep.setState(stateDraining)
-		err := rt.rollOne(r.Context(), rep, oldGen)
-		rep.setState(stateHealthy) // readmit even on failure: it still serves the old bundle
-		if err != nil {
-			outcomes = append(outcomes, outcome{Replica: name, Status: "failed", Error: err.Error()})
-			failed++
-			continue
-		}
-		outcomes = append(outcomes, outcome{Replica: name, Status: "reloaded", Generation: rep.generation.Load()})
-	}
-	rt.storeGen.Add(1)
-	rt.reloads.Add(1)
-	status := "reloaded"
-	code := http.StatusOK
-	if failed > 0 {
-		status = "partial"
-		if failed == len(rt.order) {
-			status = "failed"
-			code = http.StatusInternalServerError
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status": status, "replicas": outcomes, "store_generation": rt.storeGen.Load(),
-	})
-}
-
-// rollOne drains, reloads, and health-gates one replica.
-func (rt *Router) rollOne(ctx context.Context, rep *replica, oldGen uint64) error {
-	deadline := time.Now().Add(rt.cfg.DrainTimeout)
-	for rep.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("drain timeout with %d in flight", rep.inflight.Load())
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.name+"/reload", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("reload: %s", resp.Status)
-	}
-	// Health gate: readmit only after the replica reports ready on the NEW
-	// generation.
-	deadline = time.Now().Add(rt.cfg.DrainTimeout)
-	for {
-		if err := rep.probeStatz(ctx, rt.client); err == nil &&
-			rep.ready.Load() && rep.generation.Load() > oldGen {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("not ready on new generation after reload")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"status": "ok", "replicas": len(rt.order)})
-}
-
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
-	for _, rep := range rt.reps {
-		if rep.routable() {
-			healthy++
-		}
-	}
-	body := map[string]any{"ready": healthy > 0, "healthy": healthy, "replicas": len(rt.order)}
-	if healthy == 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(body)
-		return
-	}
-	writeJSON(w, body)
-}
-
-// tierStatz is the router's /statz body.
-type tierStatz struct {
-	Backend          string         `json:"backend"`
-	ModelID          string         `json:"model_id,omitempty"`
-	Forwards         uint64         `json:"forwards"`
-	ForwardErrs      uint64         `json:"forward_errors"`
-	Sheds            uint64         `json:"sheds"`
-	RateLimited      uint64         `json:"rate_limited"`
-	DeadlineExceeded uint64         `json:"deadline_exceeded"`
-	StoreHits        uint64         `json:"store_hits"`
-	StoreMisses      uint64         `json:"store_misses"`
-	StoreLen         int            `json:"store_len"`
-	StoreGen         uint64         `json:"store_generation"`
-	Ejects           uint64         `json:"ejects"`
-	Readmits         uint64         `json:"readmits"`
-	Reloads          uint64         `json:"reloads"`
-	Replicas         []replicaStatd `json:"replicas"`
-	// Latency carries the router's request-duration percentiles per HTTP
-	// path — the same histograms GET /metrics exposes.
-	Latency map[string]latencyStatz `json:"latency,omitempty"`
-}
-
-// latencyStatz is one path's request-duration summary in milliseconds.
-type latencyStatz struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-// replicaStatd is one replica's row in the router's /statz.
-type replicaStatd struct {
-	Name       string `json:"name"`
-	State      string `json:"state"`
-	InFlight   int64  `json:"in_flight"`
-	QueueDepth int64  `json:"queue_depth"`
-	Generation uint64 `json:"generation"`
-	Backend    string `json:"backend,omitempty"`
-	// StatzErrors counts failed health-poll /statz probes — previously
-	// silent transport or decode failures, surfaced per replica.
-	StatzErrors uint64 `json:"statz_errors"`
-	// P99Ms is the replica's own worst-path p99 request latency as last
-	// reported through its /statz poll; 0 until a poll carries one.
-	P99Ms float64 `json:"p99_ms,omitempty"`
-}
-
-func (rt *Router) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	st := tierStatz{
-		Backend: rt.backendLabel(), ModelID: rt.cfg.ModelID,
-		Forwards: rt.forwards.Load(), ForwardErrs: rt.forwardErrs.Load(),
-		Sheds: rt.sheds.Load(), RateLimited: rt.rateLimited.Load(),
-		DeadlineExceeded: rt.deadlineExp.Value(),
-		StoreHits:        rt.storeHits.Load(), StoreMisses: rt.storeMisses.Load(),
-		StoreLen: rt.store.Len(), StoreGen: rt.storeGen.Load(),
-		Ejects: rt.ejects.Load(), Readmits: rt.readmits.Load(),
-		Reloads: rt.reloads.Load(),
-		Latency: map[string]latencyStatz{},
-	}
-	for _, path := range []string{"/predict", "/suggest", "/scan"} {
-		h := obs.RequestHistogram(rt.reg, path)
-		if h.Count() > 0 {
-			st.Latency[path] = latencyStatz{
-				Count: h.Count(),
-				P50Ms: h.Quantile(0.50) * 1000, P90Ms: h.Quantile(0.90) * 1000,
-				P99Ms: h.Quantile(0.99) * 1000, MaxMs: h.Max() * 1000,
-			}
-		}
-	}
-	for _, name := range rt.order {
-		rep := rt.reps[name]
-		st.Replicas = append(st.Replicas, replicaStatd{
-			Name: name, State: rep.getState().String(),
-			InFlight: rep.inflight.Load(), QueueDepth: rep.queueDepth.Load(),
-			Generation: rep.generation.Load(), Backend: *rep.backend.Load(),
-			StatzErrors: rep.statzErrs.Load(),
-			P99Ms:       float64(rep.p99Micros.Load()) / 1000,
-		})
-	}
-	writeJSON(w, st)
 }
 
 // shedResponse is the router's saturation reply.
