@@ -24,10 +24,8 @@ import (
 	"time"
 
 	"pragformer/internal/advisor"
-	"pragformer/internal/core"
 	"pragformer/internal/obs"
 	"pragformer/internal/scan"
-	"pragformer/internal/tokenize"
 )
 
 func cmdScan(args []string) {
@@ -172,24 +170,5 @@ func scanModels(model, private, reduction, vocab string, seed int64, total, epoc
 	if vocab == "" {
 		return nil, fmt.Errorf("-vocab is required with -model")
 	}
-	v, err := tokenize.LoadVocabFile(vocab)
-	if err != nil {
-		return nil, err
-	}
-	m := &advisor.Models{Vocab: v}
-	if m.Directive, err = core.LoadClassifierFile(model); err != nil {
-		return nil, err
-	}
-	m.MaxLen = m.Directive.MaxSeqLen()
-	if private != "" {
-		if m.Private, err = core.LoadClassifierFile(private); err != nil {
-			return nil, err
-		}
-	}
-	if reduction != "" {
-		if m.Reduction, err = core.LoadClassifierFile(reduction); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return advisor.LoadModels(model, private, reduction, vocab)
 }

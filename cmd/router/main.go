@@ -35,13 +35,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"pragformer/internal/obs"
 	"pragformer/internal/tier"
 )
 
@@ -91,7 +91,7 @@ func main() {
 
 	handler := rt.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
@@ -125,19 +125,6 @@ loop:
 			break loop
 		}
 	}
-}
-
-// withPprof overlays the net/http/pprof handlers on the router's API —
-// only when -pprof was given, so profiling is never exposed by accident.
-func withPprof(next http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", next)
-	return mux
 }
 
 // splitReplicas parses the -replicas list, trimming blanks and trailing

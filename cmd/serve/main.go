@@ -38,16 +38,14 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"pragformer/internal/advisor"
-	"pragformer/internal/core"
+	"pragformer/internal/obs"
 	"pragformer/internal/serve"
-	"pragformer/internal/tokenize"
 )
 
 func main() {
@@ -117,7 +115,7 @@ func main() {
 
 	handler := engine.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
@@ -164,19 +162,6 @@ loop:
 		st.Suggest.Requests, st.Suggest.AvgBatch(), st.Suggest.CacheHits)
 }
 
-// withPprof overlays the net/http/pprof handlers on an API handler — only
-// when -pprof was given, so profiling is never exposed by accident.
-func withPprof(next http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", next)
-	return mux
-}
-
 // buildModels loads classifier files, or trains demo models when no
 // directive path is given.
 func buildModels(directive, private, reduction, vocabPath string,
@@ -187,26 +172,7 @@ func buildModels(directive, private, reduction, vocabPath string,
 	if vocabPath == "" {
 		return nil, fmt.Errorf("-vocab is required with -directive")
 	}
-	v, err := tokenize.LoadVocabFile(vocabPath)
-	if err != nil {
-		return nil, err
-	}
-	m := &advisor.Models{Vocab: v}
-	if m.Directive, err = core.LoadClassifierFile(directive); err != nil {
-		return nil, err
-	}
-	m.MaxLen = m.Directive.MaxSeqLen()
-	if private != "" {
-		if m.Private, err = core.LoadClassifierFile(private); err != nil {
-			return nil, err
-		}
-	}
-	if reduction != "" {
-		if m.Reduction, err = core.LoadClassifierFile(reduction); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return advisor.LoadModels(directive, private, reduction, vocabPath)
 }
 
 // trainDemo fits the three classifiers on a generated corpus through the

@@ -94,6 +94,33 @@ func (m *Models) EffectiveMaxLen() int {
 	return core.DefaultMaxLen
 }
 
+// LoadModels reads a bundle from artifacts written by `pragformer train`
+// or `pragformer quantize` (PFQNT files are detected by magic): the shared
+// vocabulary, the directive classifier, and the optional clause
+// classifiers (an empty path leaves that one nil).
+func LoadModels(directive, private, reduction, vocab string) (*Models, error) {
+	v, err := tokenize.LoadVocabFile(vocab)
+	if err != nil {
+		return nil, err
+	}
+	m := &Models{Vocab: v}
+	if m.Directive, err = core.LoadClassifierFile(directive); err != nil {
+		return nil, err
+	}
+	m.MaxLen = m.Directive.MaxSeqLen()
+	if private != "" {
+		if m.Private, err = core.LoadClassifierFile(private); err != nil {
+			return nil, err
+		}
+	}
+	if reduction != "" {
+		if m.Reduction, err = core.LoadClassifierFile(reduction); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
 // WithBackend returns a bundle whose classifiers all run on the named
 // compute backend. The empty name keeps the bundle as loaded.
 // core.BackendFloat64 requires every classifier to already be float64 (an

@@ -1,0 +1,237 @@
+// Package api is the HTTP/JSON contract cmd/serve and cmd/router both
+// speak: the request and response bodies of POST /predict, /suggest and
+// /scan, the error and load-shedding replies, the bounded body decode,
+// and the whole /scan handler. A replica renders these types, the router
+// decodes, merges and re-renders the same ones, so a field added here
+// reaches both sides or neither.
+//
+// The flat verdict itself is scan.Suggestion — already the report, cache
+// and store form — so a /suggest item IS a report verdict plus an error
+// slot, and the router stores what it decoded without a conversion.
+package api
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+
+	"pragformer/internal/advisor"
+	"pragformer/internal/obs"
+	"pragformer/internal/scan"
+)
+
+// Limits on outside input. One /scan request may not starve the engine:
+// payloads over MaxScanFiles files or MaxScanBytes total source are
+// rejected up front, and every POST body is cut off at MaxBodyBytes
+// before decoding (2x covers JSON escaping overhead), so the limits cap
+// memory, not just report shape.
+const (
+	MaxScanFiles = 512
+	MaxScanBytes = 8 << 20
+	MaxBodyBytes = 2 * MaxScanBytes
+)
+
+// PredictRequest is the /predict body. Results come back in the order
+// codes, code, ids.
+type PredictRequest struct {
+	Code  string   `json:"code,omitempty"`
+	Codes []string `json:"codes,omitempty"`
+	IDs   [][]int  `json:"ids,omitempty"`
+}
+
+// PredictResult is one /predict outcome.
+type PredictResult struct {
+	Probability float64 `json:"probability"`
+	Parallelize bool    `json:"parallelize"`
+	Error       string  `json:"error,omitempty"`
+}
+
+// PredictResponse is the /predict reply.
+type PredictResponse struct {
+	Results []PredictResult `json:"results"`
+	// Trace carries the spans of a traced request: the replica's own, and
+	// on the router's reply the merged fleet-wide trace.
+	Trace *obs.Wire `json:"trace,omitempty"`
+}
+
+// SuggestRequest is the /suggest body. Results come back in the order
+// codes, code.
+type SuggestRequest struct {
+	Code  string   `json:"code,omitempty"`
+	Codes []string `json:"codes,omitempty"`
+}
+
+// SuggestResult is one /suggest outcome: the flat verdict, or a per-item
+// error (unlexable snippet, shed, failed forward).
+type SuggestResult struct {
+	scan.Suggestion
+	Error string `json:"error,omitempty"`
+}
+
+// SuggestResponse is the /suggest reply.
+type SuggestResponse struct {
+	Results []SuggestResult `json:"results"`
+	Trace   *obs.Wire       `json:"trace,omitempty"`
+}
+
+// ScanRequest is the /scan body.
+type ScanRequest struct {
+	Files []ScanFile `json:"files"`
+	// Format selects the response rendering: "json" (default) or "sarif".
+	Format string `json:"format,omitempty"`
+	// Workers overrides the parse worker count (bounded to [1, 16]).
+	Workers int `json:"workers,omitempty"`
+	// IncludeAnnotated also advises loops that already carry a pragma.
+	IncludeAnnotated bool `json:"include_annotated,omitempty"`
+	// Stable strips run-dependent fields (probabilities, backend, cache
+	// counters) like `pragformer scan -stable` — what golden comparisons
+	// and the tier CI smoke diff against.
+	Stable bool `json:"stable,omitempty"`
+}
+
+// ScanFile is one in-memory source file.
+type ScanFile struct {
+	Path   string `json:"path"`
+	Source string `json:"source"`
+}
+
+// Latency is one path's request-duration summary in milliseconds, as
+// both /statz bodies report it.
+type Latency struct {
+	Count uint64  `json:"count"`
+	P50Ms float64 `json:"p50_ms"`
+	P90Ms float64 `json:"p90_ms"`
+	P99Ms float64 `json:"p99_ms"`
+	MaxMs float64 `json:"max_ms"`
+}
+
+// LatencyByPath summarizes the request-duration histograms the obs
+// middleware keeps for the POST routes — the same series /metrics
+// exposes. Paths that have seen no request are left out.
+func LatencyByPath(reg *obs.Registry) map[string]Latency {
+	out := map[string]Latency{}
+	for _, path := range []string{"/predict", "/suggest", "/scan"} {
+		if h := obs.RequestHistogram(reg, path); h.Count() > 0 {
+			out[path] = Latency{
+				Count: h.Count(),
+				P50Ms: h.Quantile(0.50) * 1000, P90Ms: h.Quantile(0.90) * 1000,
+				P99Ms: h.Quantile(0.99) * 1000, MaxMs: h.Max() * 1000,
+			}
+		}
+	}
+	return out
+}
+
+// WriteJSON answers with status and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// An encode error means the connection or the headers are gone;
+	// nothing useful is left to do.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// Error answers with status and {"error": msg}.
+func Error(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// Shed is the load-shedding reply: 429 with a Retry-After hint sized to
+// a couple of batching windows.
+func Shed(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", "1")
+	Error(w, http.StatusTooManyRequests, msg)
+}
+
+// DecodeBody decodes a POST body of at most MaxBodyBytes into v. On
+// failure it has answered — 413 for an oversized body, 400 for anything
+// else — and reports false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		Error(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		Error(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	}
+	return false
+}
+
+// ServeScan is POST /scan on both binaries: decode, enforce the limits,
+// run the scan pipeline, render JSON or SARIF. The caller supplies what
+// differs per side — base carries its default parse worker count, batch
+// size, backend label and verdict store, sg its inference path (the
+// engine's suggest batcher on a replica, the fleet fan-out on the
+// router). A trace is never attached: scan bytes are golden-compared.
+func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, sg advisor.Suggester) {
+	var req ScanRequest
+	if !DecodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Files) == 0 {
+		Error(w, http.StatusBadRequest, "no files in scan request")
+		return
+	}
+	if len(req.Files) > MaxScanFiles {
+		Error(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d files exceeds the per-request limit of %d", len(req.Files), MaxScanFiles))
+		return
+	}
+	total := 0
+	srcs := make([]scan.Source, len(req.Files))
+	for i, f := range req.Files {
+		if f.Path == "" {
+			Error(w, http.StatusBadRequest, fmt.Sprintf("file %d has no path", i))
+			return
+		}
+		total += len(f.Source)
+		srcs[i] = scan.Source{Path: f.Path, Data: []byte(f.Source)}
+	}
+	if total > MaxScanBytes {
+		Error(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d source bytes exceeds the per-request limit of %d", total, MaxScanBytes))
+		return
+	}
+	if req.Format != "" && req.Format != "json" && req.Format != "sarif" {
+		Error(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json|sarif)", req.Format))
+		return
+	}
+	cfg := base
+	if req.Workers >= 1 {
+		cfg.Workers = req.Workers
+	}
+	if cfg.Workers > 16 {
+		cfg.Workers = 16
+	}
+	cfg.IncludeAnnotated = req.IncludeAnnotated
+
+	rep, err := scan.Files(r.Context(), srcs, cfg, sg)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if r.Context().Err() != nil {
+			status = 499 // client closed request
+		}
+		Error(w, status, err.Error())
+		return
+	}
+	if req.Stable {
+		rep = rep.Stable()
+	}
+	var out []byte
+	if req.Format == "sarif" {
+		out, err = rep.SARIF()
+	} else {
+		out, err = rep.JSON()
+	}
+	if err != nil {
+		Error(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(out)
+}

@@ -109,8 +109,9 @@ type Occurrence struct {
 	Pragma string `json:"pragma,omitempty"`
 }
 
-// Suggestion is the advisor verdict for a unique loop, flattened to a
-// serializable form shared by the JSON report and the cache file.
+// Suggestion is the advisor verdict for a unique loop, flattened to the
+// one serializable form shared by the JSON report, the cache file, the
+// verdict stores and the /suggest wire item.
 type Suggestion struct {
 	Parallelize bool    `json:"parallelize"`
 	Probability float64 `json:"probability,omitempty"`
@@ -573,8 +574,8 @@ type Verdict struct {
 }
 
 // VerdictSuggester is the serving tier's entry point into the scan
-// pipeline: a suggester that returns verdicts already flattened to the
-// report form (the tier router decodes them from replica HTTP responses —
+// pipeline: a suggester that returns verdicts already in the report form
+// (the /suggest wire item the tier router decodes IS that form —
 // reconstructing advisor.Suggestion from the wire would be lossy).
 // suggestChunk prefers it over the advisor-native interfaces.
 type VerdictSuggester interface {
@@ -629,7 +630,7 @@ func suggestChunk(sg advisor.Suggester, chunk []*Loop) error {
 			l.Error = items[i].Err.Error()
 			continue
 		}
-		l.Suggestion = fromAdvisor(items[i].Suggestion)
+		l.Suggestion = FromAdvisor(items[i].Suggestion)
 	}
 	return nil
 }
@@ -765,8 +766,10 @@ func sortSkips(skips []Skip) {
 	})
 }
 
-// fromAdvisor flattens an advisor suggestion into the report form.
-func fromAdvisor(s *advisor.Suggestion) *Suggestion {
+// FromAdvisor flattens an advisor suggestion into the report form — the
+// one place a verdict changes shape. Scan reports, the verdict stores and
+// the /suggest wire item (api.SuggestResult) all carry its result.
+func FromAdvisor(s *advisor.Suggestion) *Suggestion {
 	if s == nil {
 		return nil
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pragformer/internal/api"
 )
 
 // Readiness, admission stats, and load shedding — the serving-tier
@@ -60,9 +62,9 @@ func TestHTTPStatzShape(t *testing.T) {
 
 	// Generate some traffic so the counters are non-trivial.
 	var out struct {
-		Results []predictResult `json:"results"`
+		Results []api.PredictResult `json:"results"`
 	}
-	req := predictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}
+	req := api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}
 	postJSON(t, srv.URL+"/predict", req, &out)
 	postJSON(t, srv.URL+"/predict", req, &out) // second: LRU hit
 
@@ -71,7 +73,7 @@ func TestHTTPStatzShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statzResponse
+	var st Statz
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +86,8 @@ func TestHTTPStatzShape(t *testing.T) {
 	if st.Predict.CacheHits != 1 {
 		t.Fatalf("predict cache hits = %d, want 1", st.Predict.CacheHits)
 	}
-	if st.Predict.HitRate <= 0 || st.Predict.HitRate > 1 {
-		t.Fatalf("hit rate = %v", st.Predict.HitRate)
+	if hr := st.Predict.HitRate(); hr <= 0 || hr > 1 {
+		t.Fatalf("hit rate = %v", hr)
 	}
 	if st.Draining || st.Reloading {
 		t.Fatalf("idle engine reports draining/reloading: %+v", st)
@@ -117,29 +119,34 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flood: many more concurrent requests than queue + batch can hold.
+	// When the scheduler happens to run the flood on one thread, callers
+	// and batcher take turns and nothing saturates; flood again.
 	const n = 32
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = e.Predict(context.Background(), ids)
-		}(i)
-	}
-	wg.Wait()
-	shed := 0
-	for _, err := range errs {
-		if errors.Is(err, ErrSaturated) {
-			shed++
-		} else if err != nil {
-			t.Fatalf("unexpected error: %v", err)
+	shed, total := 0, 0
+	for round := 0; round < 20 && shed == 0; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, errs[i] = e.Predict(context.Background(), ids)
+			}(i)
+		}
+		wg.Wait()
+		total += n
+		for _, err := range errs {
+			if errors.Is(err, ErrSaturated) {
+				shed++
+			} else if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
 		}
 	}
 	if shed == 0 {
 		t.Fatal("no request was shed at saturation")
 	}
-	if shed == n {
+	if shed == total {
 		t.Fatal("every request was shed; queue never admitted work")
 	}
 	if e.Stats().Predict.Sheds != uint64(shed) {
@@ -162,7 +169,7 @@ func TestHTTPShedIs429(t *testing.T) {
 	defer srv.Close()
 
 	// Saturate, then observe at least one whole-request 429.
-	req := predictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}
+	req := api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}
 	body, _ := json.Marshal(req)
 	var saw429 bool
 	var wg sync.WaitGroup

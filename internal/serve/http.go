@@ -1,19 +1,19 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 
-	"pragformer/internal/dep"
+	"pragformer/internal/api"
 	"pragformer/internal/obs"
+	"pragformer/internal/scan"
 	"pragformer/internal/tokenize"
 )
 
-// HTTP JSON API over the engine:
+// HTTP JSON API over the engine (bodies are the internal/api types):
 //
 //	POST /predict {"code": "..."} | {"codes": [...]} | {"ids": [[...]]}
 //	POST /suggest {"code": "..."} | {"codes": [...]}
@@ -29,65 +29,6 @@ import (
 // request itself fails only on malformed JSON or transport-level problems
 // — or saturation: when every item of a request was shed (Config.Shed),
 // the response is 429 with a Retry-After header instead of a result list.
-
-// predictRequest is the /predict body. Exactly one field population makes
-// sense: code, codes, or ids.
-type predictRequest struct {
-	Code  string   `json:"code,omitempty"`
-	Codes []string `json:"codes,omitempty"`
-	IDs   [][]int  `json:"ids,omitempty"`
-}
-
-// predictResult is one /predict outcome.
-type predictResult struct {
-	Probability float64 `json:"probability"`
-	Parallelize bool    `json:"parallelize"`
-	Error       string  `json:"error,omitempty"`
-}
-
-// suggestRequest is the /suggest body.
-type suggestRequest struct {
-	Code  string   `json:"code,omitempty"`
-	Codes []string `json:"codes,omitempty"`
-}
-
-// suggestResult is one /suggest outcome.
-type suggestResult struct {
-	Parallelize bool    `json:"parallelize"`
-	Probability float64 `json:"probability"`
-	Directive   string  `json:"directive,omitempty"`
-	// Tier grades the corroboration evidence; "disagree" marks
-	// model-positive / analysis-negative verdicts.
-	Tier    string   `json:"tier,omitempty"`
-	Witness []string `json:"witness,omitempty"`
-	// Races carries the structured race witnesses when the dependence
-	// analysis refuted the loop; Converted lists arrays it rescued via
-	// privatization or reduction recognition.
-	Races     []dep.Witness `json:"races,omitempty"`
-	Converted []string      `json:"converted,omitempty"`
-	// S2S carries the per-compiler corroboration trail.
-	S2S []suggestS2S `json:"s2s,omitempty"`
-	// Attributions carries the LIME token attribution computed for
-	// disagreeing verdicts, in token order.
-	Attributions []suggestAttribution `json:"attributions,omitempty"`
-	Notes        []string             `json:"notes,omitempty"`
-	Error        string               `json:"error,omitempty"`
-}
-
-// suggestS2S is one S2S compiler's verdict in a /suggest response.
-type suggestS2S struct {
-	Compiler     string `json:"compiler"`
-	Compiled     bool   `json:"compiled"`
-	Parallelized bool   `json:"parallelized,omitempty"`
-	Detail       string `json:"detail,omitempty"`
-}
-
-// suggestAttribution is one token's LIME weight in a /suggest response.
-type suggestAttribution struct {
-	Index  int     `json:"index"`
-	Token  string  `json:"token"`
-	Weight float64 `json:"weight,omitempty"`
-}
 
 // healthzResponse is the /healthz body. Backend and Generation surface the
 // compute backend and the serving model generation to probes, so a rollout
@@ -147,19 +88,18 @@ func (e *Engine) validateIDs(ids []int) error {
 }
 
 func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	var req api.PredictRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	codes := req.Codes
 	if req.Code != "" {
 		codes = append(codes, req.Code)
 	}
-	results := make([]predictResult, len(codes)+len(req.IDs))
+	results := make([]api.PredictResult, len(codes)+len(req.IDs))
 	var wg sync.WaitGroup
 	var sheds atomic.Int64
-	predictIDs := func(out *predictResult, ids []int) {
+	predictIDs := func(out *api.PredictResult, ids []int) {
 		defer wg.Done()
 		p, err := e.Predict(r.Context(), ids)
 		if err != nil {
@@ -191,14 +131,10 @@ func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if shedEntirely(int(sheds.Load()), len(results)) {
-		shedResponse(w)
+		api.Shed(w, shedMessage)
 		return
 	}
-	resp := map[string]any{"results": results}
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		resp["trace"] = tr.Wire()
-	}
-	writeJSON(w, resp)
+	api.WriteJSON(w, http.StatusOK, api.PredictResponse{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
 }
 
 // shedEntirely reports a request every item of which was refused for
@@ -206,29 +142,23 @@ func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 // outcomes keep the inline per-item error contract).
 func shedEntirely(sheds, total int) bool { return total > 0 && sheds == total }
 
-// shedResponse is the load-shedding reply: 429 with a Retry-After hint
-// sized to a couple of batching windows.
-func shedResponse(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests, "queue saturated, retry later")
-}
+const shedMessage = "queue saturated, retry later"
 
 func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req suggestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	var req api.SuggestRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	codes := req.Codes
 	if req.Code != "" {
 		codes = append(codes, req.Code)
 	}
-	results := make([]suggestResult, len(codes))
+	results := make([]api.SuggestResult, len(codes))
 	var wg sync.WaitGroup
 	var sheds atomic.Int64
 	for i, code := range codes {
 		wg.Add(1)
-		go func(out *suggestResult, code string) {
+		go func(out *api.SuggestResult, code string) {
 			defer wg.Done()
 			s, err := e.Suggest(r.Context(), code)
 			if err != nil {
@@ -238,37 +168,15 @@ func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
 				out.Error = err.Error()
 				return
 			}
-			out.Parallelize = s.Parallelize
-			out.Probability = s.Probability
-			out.Tier = s.Corroboration.Tier.String()
-			out.Witness = s.Corroboration.DepWitness
-			out.Races = s.Corroboration.Races
-			out.Converted = s.Corroboration.Converted
-			for _, v := range s.Corroboration.S2S {
-				out.S2S = append(out.S2S, suggestS2S{
-					Compiler: v.Compiler, Compiled: v.Compiled,
-					Parallelized: v.Parallelized, Detail: v.Detail})
-			}
-			for _, a := range s.Attributions {
-				out.Attributions = append(out.Attributions,
-					suggestAttribution{Index: a.Index, Token: a.Token, Weight: a.Weight})
-			}
-			out.Notes = s.Notes
-			if s.Directive != nil {
-				out.Directive = s.Directive.String()
-			}
+			out.Suggestion = *scan.FromAdvisor(s)
 		}(&results[i], code)
 	}
 	wg.Wait()
 	if shedEntirely(int(sheds.Load()), len(results)) {
-		shedResponse(w)
+		api.Shed(w, shedMessage)
 		return
 	}
-	resp := map[string]any{"results": results}
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		resp["trace"] = tr.Wire()
-	}
-	writeJSON(w, resp)
+	api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
 }
 
 // handleReload hot-swaps the served models from the configured source.
@@ -276,19 +184,19 @@ func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
 // atomic. 409 when the server has no reload source (demo mode).
 func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if e.cfg.Source == nil {
-		httpError(w, http.StatusConflict, "no reload source configured")
+		api.Error(w, http.StatusConflict, "no reload source configured")
 		return
 	}
 	if err := e.ReloadFromSource(); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		api.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"status": "reloaded", "reloads": e.reloads.Load()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "reloads": e.reloads.Load()})
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	st := e.Stats()
-	writeJSON(w, healthzResponse{Status: "ok", Backend: st.Backend, Generation: st.Generation, Stats: st})
+	api.WriteJSON(w, http.StatusOK, healthzResponse{Status: "ok", Backend: st.Backend, Generation: st.Generation, Stats: st})
 }
 
 // readyzResponse is the /readyz body: Ready false (with a 503) while the
@@ -305,108 +213,25 @@ type readyzResponse struct {
 func (e *Engine) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := e.Stats()
 	resp := readyzResponse{Ready: true, State: "ok", Backend: st.Backend, Generation: st.Generation}
+	status := http.StatusOK
 	switch {
 	case st.Draining:
-		resp.Ready, resp.State = false, "draining"
+		resp.Ready, resp.State, status = false, "draining", http.StatusServiceUnavailable
 	case st.Reloading:
-		resp.Ready, resp.State = false, "reloading"
+		resp.Ready, resp.State, status = false, "reloading", http.StatusServiceUnavailable
 	}
-	if !resp.Ready {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(resp)
-		return
-	}
-	writeJSON(w, resp)
+	api.WriteJSON(w, status, resp)
 }
 
-// statzResponse is the /statz body — the admission signal the tier router
-// polls: per-path queue depth and in-flight counts next to the monotonic
-// counters, plus derived rates probes would otherwise recompute.
-type statzResponse struct {
-	Backend    string    `json:"backend"`
-	Generation uint64    `json:"generation"`
-	Draining   bool      `json:"draining"`
-	Reloading  bool      `json:"reloading"`
-	Reloads    uint64    `json:"reloads"`
-	Predict    pathStatz `json:"predict"`
-	Suggest    pathStatz `json:"suggest"`
-	// Latency carries the request-duration percentiles per HTTP path —
-	// the same histograms /metrics exposes, folded into the poll the tier
-	// router already makes.
-	Latency map[string]latencyStatz `json:"latency,omitempty"`
-}
-
-type pathStatz struct {
-	Requests         uint64  `json:"requests"`
-	CacheHits        uint64  `json:"cache_hits"`
-	Batches          uint64  `json:"batches"`
-	Items            uint64  `json:"items"`
-	Sheds            uint64  `json:"sheds"`
-	DeadlineExceeded uint64  `json:"deadline_exceeded"`
-	QueueDepth       int     `json:"queue_depth"`
-	InFlight         int     `json:"in_flight"`
-	AvgBatch         float64 `json:"avg_batch"`
-	HitRate          float64 `json:"hit_rate"`
-}
-
-// latencyStatz is one path's request-duration summary in milliseconds.
-type latencyStatz struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-// latencyStatzFrom summarizes a request-duration histogram; zero when the
-// path has seen no requests.
-func latencyStatzFrom(h *obs.Histogram) latencyStatz {
-	return latencyStatz{
-		Count: h.Count(),
-		P50Ms: h.Quantile(0.50) * 1000,
-		P90Ms: h.Quantile(0.90) * 1000,
-		P99Ms: h.Quantile(0.99) * 1000,
-		MaxMs: h.Max() * 1000,
-	}
-}
-
-func toPathStatz(s PathStats) pathStatz {
-	return pathStatz{
-		Requests: s.Requests, CacheHits: s.CacheHits, Batches: s.Batches,
-		Items: s.Items, Sheds: s.Sheds, DeadlineExceeded: s.DeadlineExceeded,
-		QueueDepth: s.QueueDepth,
-		InFlight:   s.InFlight, AvgBatch: s.AvgBatch(), HitRate: s.HitRate(),
-	}
+// Statz is the /statz body — the admission signal the tier router polls
+// (its prober decodes this same type): per-path queue depth and in-flight
+// counts next to the monotonic counters and the derived rates, plus the
+// request-duration percentiles per HTTP path.
+type Statz struct {
+	Stats
+	Latency map[string]api.Latency `json:"latency,omitempty"`
 }
 
 func (e *Engine) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	st := e.Stats()
-	latency := map[string]latencyStatz{}
-	for _, path := range []string{"/predict", "/suggest", "/scan"} {
-		h := obs.RequestHistogram(e.reg, path)
-		if h.Count() > 0 {
-			latency[path] = latencyStatzFrom(h)
-		}
-	}
-	writeJSON(w, statzResponse{
-		Backend: st.Backend, Generation: st.Generation,
-		Draining: st.Draining, Reloading: st.Reloading, Reloads: st.Reloads,
-		Predict: toPathStatz(st.Predict), Suggest: toPathStatz(st.Suggest),
-		Latency: latency,
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing useful left to do.
-		_ = err
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	api.WriteJSON(w, http.StatusOK, Statz{Stats: e.Stats(), Latency: api.LatencyByPath(e.reg)})
 }

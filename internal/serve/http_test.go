@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"pragformer/internal/api"
 )
 
 // httpEngine spins up an engine plus httptest server around its Handler.
@@ -47,9 +49,9 @@ func postJSON(t *testing.T, url string, v, out any) int {
 func TestHTTPPredict(t *testing.T) {
 	e, srv := httpEngine(t)
 	var resp struct {
-		Results []predictResult `json:"results"`
+		Results []api.PredictResult `json:"results"`
 	}
-	req := predictRequest{Codes: []string{
+	req := api.PredictRequest{Codes: []string{
 		"for (i = 0; i < n; i++) a[i] = 0;",
 		"for (i = 0; i < `n`", // unlexable: inline error
 	}}
@@ -77,11 +79,11 @@ func TestHTTPPredict(t *testing.T) {
 func TestHTTPPredictIDs(t *testing.T) {
 	e, srv := httpEngine(t)
 	var resp struct {
-		Results []predictResult `json:"results"`
+		Results []api.PredictResult `json:"results"`
 	}
 	ids := []int{2, 5, 6, 7}
 	vocab := e.Models().Directive.VocabSize()
-	req := predictRequest{IDs: [][]int{ids, {}, {vocab}, {-1}}}
+	req := api.PredictRequest{IDs: [][]int{ids, {}, {vocab}, {-1}}}
 	if code := postJSON(t, srv.URL+"/predict", req, &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -101,10 +103,10 @@ func TestHTTPPredictIDs(t *testing.T) {
 func TestHTTPSuggest(t *testing.T) {
 	e, srv := httpEngine(t)
 	var resp struct {
-		Results []suggestResult `json:"results"`
+		Results []api.SuggestResult `json:"results"`
 	}
 	code := "for (i = 0; i < n; i++) a[i] = 0;"
-	if st := postJSON(t, srv.URL+"/suggest", suggestRequest{Code: code}, &resp); st != http.StatusOK {
+	if st := postJSON(t, srv.URL+"/suggest", api.SuggestRequest{Code: code}, &resp); st != http.StatusOK {
 		t.Fatalf("status %d", st)
 	}
 	if len(resp.Results) != 1 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pragformer/internal/api"
 	"pragformer/internal/obs"
 )
 
@@ -79,10 +80,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, srv := httpEngine(t)
 
 	var out struct {
-		Results []predictResult `json:"results"`
+		Results []api.PredictResult `json:"results"`
 	}
 	if code := postJSON(t, srv.URL+"/predict",
-		predictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}, &out); code != http.StatusOK {
+		api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}, &out); code != http.StatusOK {
 		t.Fatalf("predict status %d", code)
 	}
 
@@ -123,10 +124,10 @@ func TestStatzLatencyPercentiles(t *testing.T) {
 	_, srv := httpEngine(t)
 
 	var out struct {
-		Results []predictResult `json:"results"`
+		Results []api.PredictResult `json:"results"`
 	}
 	if code := postJSON(t, srv.URL+"/predict",
-		predictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}, &out); code != http.StatusOK {
+		api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}, &out); code != http.StatusOK {
 		t.Fatalf("predict status %d", code)
 	}
 

@@ -2,48 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
-
-// POST /scan: repo-scale scanning over the serving stack. The request
-// carries a multi-file payload; the scanner parses and dedupes the loops
-// server-side and drives the engine's suggest batcher, so scan inference
-// coalesces with live /suggest traffic and follows hot reloads and the
-// engine's backend selection. Limits keep one scan request from starving
-// the engine: payloads over maxScanFiles files or maxScanBytes total
-// source are rejected up front.
-
-const (
-	maxScanFiles = 512
-	maxScanBytes = 8 << 20
-)
-
-// scanRequest is the /scan body.
-type scanRequest struct {
-	Files []scanFile `json:"files"`
-	// Format selects the response rendering: "json" (default) or "sarif".
-	Format string `json:"format,omitempty"`
-	// Workers overrides the parse worker count (bounded to [1, 16]).
-	Workers int `json:"workers,omitempty"`
-	// IncludeAnnotated also advises loops that already carry a pragma.
-	IncludeAnnotated bool `json:"include_annotated,omitempty"`
-	// Stable strips run-dependent fields (probabilities, backend, cache
-	// counters) like `pragformer scan -stable` — what golden comparisons
-	// and the tier CI smoke diff against.
-	Stable bool `json:"stable,omitempty"`
-}
-
-// scanFile is one in-memory source file.
-type scanFile struct {
-	Path   string `json:"path"`
-	Source string `json:"source"`
-}
 
 // engineSuggester adapts the engine's context-ful batch path to the
 // scanner's advisor.Suggester dependency for one request.
@@ -56,85 +20,14 @@ func (s engineSuggester) SuggestBatch(codes []string) ([]advisor.BatchItem, erro
 	return s.e.SuggestBatch(s.ctx, codes)
 }
 
+// handleScan is POST /scan: repo-scale scanning over the serving stack.
+// The scanner parses and dedupes the loops server-side and drives the
+// engine's suggest batcher, so scan inference coalesces with live
+// /suggest traffic and follows hot reloads and the engine's backend
+// selection.
 func (e *Engine) handleScan(w http.ResponseWriter, r *http.Request) {
-	// Bound the body BEFORE decoding: the size limits below must cap
-	// memory, not just report shape. 2x covers JSON escaping overhead.
-	body := http.MaxBytesReader(w, r.Body, 2*maxScanBytes)
-	var req scanRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	if len(req.Files) == 0 {
-		httpError(w, http.StatusBadRequest, "no files in scan request")
-		return
-	}
-	if len(req.Files) > maxScanFiles {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d files exceeds the per-request limit of %d", len(req.Files), maxScanFiles))
-		return
-	}
-	total := 0
-	srcs := make([]scan.Source, len(req.Files))
-	for i, f := range req.Files {
-		if f.Path == "" {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("file %d has no path", i))
-			return
-		}
-		total += len(f.Source)
-		srcs[i] = scan.Source{Path: f.Path, Data: []byte(f.Source)}
-	}
-	if total > maxScanBytes {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d source bytes exceeds the per-request limit of %d", total, maxScanBytes))
-		return
-	}
-	if req.Format != "" && req.Format != "json" && req.Format != "sarif" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json|sarif)", req.Format))
-		return
-	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = 4
-	}
-	if workers > 16 {
-		workers = 16
-	}
-
-	cfg := scan.Config{
-		Workers:          workers,
-		BatchSize:        e.cfg.MaxBatch,
-		Backend:          e.Stats().Backend,
-		IncludeAnnotated: req.IncludeAnnotated,
-	}
-	rep, err := scan.Files(r.Context(), srcs, cfg, engineSuggester{e: e, ctx: r.Context()})
-	if err != nil {
-		status := http.StatusInternalServerError
-		if r.Context().Err() != nil {
-			status = 499 // client closed request
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	if req.Stable {
-		rep = rep.Stable()
-	}
-	var out []byte
-	if req.Format == "sarif" {
-		out, err = rep.SARIF()
-	} else {
-		out, err = rep.JSON()
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(out)
+	api.ServeScan(w, r, scan.Config{
+		BatchSize: e.cfg.MaxBatch,
+		Backend:   e.Stats().Backend,
+	}, engineSuggester{e: e, ctx: r.Context()})
 }

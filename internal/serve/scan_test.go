@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
 
@@ -21,7 +22,12 @@ const scanBody = `{"files": [
 
 func scanOnce(t *testing.T, e *Engine, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest("POST", "/scan", strings.NewReader(body))
+	return postOnce(t, e, "/scan", body)
+}
+
+func postOnce(t *testing.T, e *Engine, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
 	w := httptest.NewRecorder()
 	e.Handler().ServeHTTP(w, req)
 	return w
@@ -138,23 +144,28 @@ func TestHTTPScanRejects(t *testing.T) {
 	}
 	defer e.Close()
 
+	// One byte over the body cap, whatever the route makes of the field.
+	oversized := `{"code": "` + strings.Repeat("x", api.MaxBodyBytes) + `"}`
 	for _, tc := range []struct {
-		name, body string
-		status     int
+		name, path, body string
+		status           int
 	}{
-		{"malformed", `{"files": [`, http.StatusBadRequest},
-		{"empty", `{"files": []}`, http.StatusBadRequest},
-		{"no path", `{"files": [{"source": "int x;"}]}`, http.StatusBadRequest},
-		{"bad format", `{"files": [{"path": "a.c", "source": ""}], "format": "xml"}`, http.StatusBadRequest},
+		{"malformed", "/scan", `{"files": [`, http.StatusBadRequest},
+		{"empty", "/scan", `{"files": []}`, http.StatusBadRequest},
+		{"no path", "/scan", `{"files": [{"source": "int x;"}]}`, http.StatusBadRequest},
+		{"bad format", "/scan", `{"files": [{"path": "a.c", "source": ""}], "format": "xml"}`, http.StatusBadRequest},
+		{"oversized scan", "/scan", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized predict", "/predict", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized suggest", "/suggest", oversized, http.StatusRequestEntityTooLarge},
 	} {
-		if w := scanOnce(t, e, tc.body); w.Code != tc.status {
+		if w := postOnce(t, e, tc.path, tc.body); w.Code != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.status)
 		}
 	}
 
 	var b strings.Builder
 	b.WriteString(`{"files": [`)
-	for i := 0; i < maxScanFiles+1; i++ {
+	for i := 0; i < api.MaxScanFiles+1; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/api"
 	"pragformer/internal/core"
 	"pragformer/internal/serve"
 	"pragformer/internal/tokenize"
@@ -49,7 +50,7 @@ func benchBodies(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
 		code := fmt.Sprintf("for (i = 0; i < %d; i++) a[i] = a[i] + %d * b[i];", i+2, i+1)
-		buf, _ := json.Marshal(predictRequest{Code: code})
+		buf, _ := json.Marshal(api.PredictRequest{Code: code})
 		out[i] = buf
 	}
 	return out
@@ -122,7 +123,7 @@ func BenchmarkRouterWarmSuggest(b *testing.B) {
 		if !ok {
 			b.Fatal("bench snippet did not canonicalize")
 		}
-		buf, _ := json.Marshal(suggestRequest{Code: snip})
+		buf, _ := json.Marshal(api.SuggestRequest{Code: snip})
 		bodies[i] = buf
 	}
 	for _, body := range bodies { // cold pass

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"pragformer/internal/api"
 	"pragformer/internal/obs"
+	"pragformer/internal/serve"
 )
 
 // obsReplica is a fake replica that records the telemetry headers the
@@ -40,31 +42,31 @@ func newObsReplica(t *testing.T) *obsReplica {
 	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
 		f.predicts.Add(1)
 		wire := record(r)
-		var req predictRequest
+		var req api.PredictRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
-		results := make([]predictResult, len(req.Codes)+len(req.IDs))
+		results := make([]api.PredictResult, len(req.Codes)+len(req.IDs))
 		for i := range results {
-			results[i] = predictResult{Probability: 0.9, Parallelize: true}
+			results[i] = api.PredictResult{Probability: 0.9, Parallelize: true}
 		}
-		_ = json.NewEncoder(w).Encode(predictResponse{Results: results, Trace: wire})
+		_ = json.NewEncoder(w).Encode(api.PredictResponse{Results: results, Trace: wire})
 	})
 	mux.HandleFunc("POST /suggest", func(w http.ResponseWriter, r *http.Request) {
 		f.suggests.Add(1)
 		wire := record(r)
-		var req suggestRequest
+		var req api.SuggestRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		codes := req.Codes
 		if req.Code != "" {
 			codes = append(codes, req.Code)
 		}
-		results := make([]suggestResult, len(codes))
+		results := make([]api.SuggestResult, len(codes))
 		for i, c := range codes {
 			results[i] = fakeVerdict(c)
 		}
-		_ = json.NewEncoder(w).Encode(suggestResponse{Results: results, Trace: wire})
+		_ = json.NewEncoder(w).Encode(api.SuggestResponse{Results: results, Trace: wire})
 	})
 	mux.HandleFunc("GET /statz", func(w http.ResponseWriter, r *http.Request) {
-		var st replicaStatz
+		var st serve.Statz
 		st.Backend = "fake"
 		st.Generation = 1
 		_ = json.NewEncoder(w).Encode(st)
@@ -103,7 +105,7 @@ func TestTracePropagatedToReplica(t *testing.T) {
 	f := newObsReplica(t)
 	rt := obsRouter(t, f)
 
-	body, _ := json.Marshal(suggestRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = b[i];"}})
+	body, _ := json.Marshal(api.SuggestRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = b[i];"}})
 	req := httptest.NewRequest(http.MethodPost, "/suggest", strings.NewReader(string(body)))
 	req.Header.Set(obs.TraceHeader, "deadbeefdeadbeef")
 	rec := httptest.NewRecorder()
@@ -118,7 +120,7 @@ func TestTracePropagatedToReplica(t *testing.T) {
 		t.Fatalf("replica saw trace %q, want the client's id", got)
 	}
 
-	var resp suggestResponse
+	var resp api.SuggestResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestDeadlinePropagatedToReplica(t *testing.T) {
 	f := newObsReplica(t)
 	rt := obsRouter(t, f)
 
-	body, _ := json.Marshal(predictRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = 0;"}})
+	body, _ := json.Marshal(api.PredictRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = 0;"}})
 	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(string(body)))
 	req.Header.Set(obs.DeadlineHeader, "5000")
 	rec := httptest.NewRecorder()
@@ -168,7 +170,7 @@ func TestExpiredDeadlineShedsBeforeForward(t *testing.T) {
 	f := newObsReplica(t)
 	rt := obsRouter(t, f)
 
-	body, _ := json.Marshal(predictRequest{Codes: []string{"x"}})
+	body, _ := json.Marshal(api.PredictRequest{Codes: []string{"x"}})
 	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(string(body)))
 	req.Header.Set(obs.DeadlineHeader, "0")
 	rec := httptest.NewRecorder()
@@ -207,7 +209,7 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	f := newObsReplica(t)
 	rt := obsRouter(t, f)
 
-	body, _ := json.Marshal(predictRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = 0;"}})
+	body, _ := json.Marshal(api.PredictRequest{Codes: []string{"for (i = 0; i < n; i++) a[i] = 0;"}})
 	rec := postJSON(t, rt.Handler(), "/predict", json.RawMessage(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict status %d: %s", rec.Code, rec.Body.String())

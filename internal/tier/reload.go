@@ -2,11 +2,12 @@ package tier
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"pragformer/internal/api"
 )
 
 // handleReload runs the rolling reload: one replica at a time is drained
@@ -56,9 +57,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusInternalServerError
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	api.WriteJSON(w, code, map[string]any{
 		"status": status, "replicas": outcomes, "store_generation": rt.storeGen.Load(),
 	})
 }

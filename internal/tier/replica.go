@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+
+	"pragformer/internal/serve"
 )
 
 // replica is the router's view of one cmd/serve process: its health
@@ -78,28 +80,6 @@ func (r *replica) setState(s replicaState) { r.state.Store(int32(s)) }
 // routable reports whether the ring walk may hand this replica traffic.
 func (r *replica) routable() bool { return r.getState() == stateHealthy }
 
-// replicaStatz mirrors the serve /statz body (the fields the router
-// consumes; unknown fields are ignored).
-type replicaStatz struct {
-	Backend    string `json:"backend"`
-	Generation uint64 `json:"generation"`
-	Draining   bool   `json:"draining"`
-	Reloading  bool   `json:"reloading"`
-	Predict    struct {
-		QueueDepth int    `json:"queue_depth"`
-		InFlight   int    `json:"in_flight"`
-		Sheds      uint64 `json:"sheds"`
-	} `json:"predict"`
-	Suggest struct {
-		QueueDepth int    `json:"queue_depth"`
-		InFlight   int    `json:"in_flight"`
-		Sheds      uint64 `json:"sheds"`
-	} `json:"suggest"`
-	Latency map[string]struct {
-		P99Ms float64 `json:"p99_ms"`
-	} `json:"latency"`
-}
-
 // probeStatz polls GET /statz and refreshes the replica's admission
 // signals. It does not change the health state — the caller decides what
 // a success or failure means (ejection, readmission, backoff).
@@ -119,7 +99,7 @@ func (r *replica) probeStatz(ctx context.Context, client *http.Client) error {
 		r.statzErrs.Add(1)
 		return fmt.Errorf("statz: %s", resp.Status)
 	}
-	var st replicaStatz
+	var st serve.Statz
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		r.statzErrs.Add(1)
 		return err

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pragformer/internal/api"
 	"pragformer/internal/cast"
 	"pragformer/internal/cparse"
 	"pragformer/internal/obs"
@@ -116,6 +117,8 @@ func (c *Config) fillDefaults() {
 // errNoReplica reports that no routable replica could accept a request —
 // the router-level saturation signal, rendered as 429/503.
 var errNoReplica = errors.New("tier: no routable replica")
+
+const shedMessage = "no replica can accept the request, retry later"
 
 // Router fans requests across the replica fleet.
 type Router struct {
@@ -254,8 +257,7 @@ func (rt *Router) admitted(h http.HandlerFunc) http.HandlerFunc {
 		end()
 		if !ok {
 			rt.rateLimited.Add(1)
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, "client rate limit exceeded")
+			api.Shed(w, "client rate limit exceeded")
 			return
 		}
 		h(w, r)
@@ -415,38 +417,6 @@ func idsKey(ids []int) string {
 	return scan.HashSnippet(buf.String())
 }
 
-// ---- wire mirrors of the cmd/serve JSON API ----
-
-type predictRequest struct {
-	Code  string   `json:"code,omitempty"`
-	Codes []string `json:"codes,omitempty"`
-	IDs   [][]int  `json:"ids,omitempty"`
-}
-
-type predictResult struct {
-	Probability float64 `json:"probability"`
-	Parallelize bool    `json:"parallelize"`
-	Error       string  `json:"error,omitempty"`
-}
-
-type predictResponse struct {
-	Results []predictResult `json:"results"`
-	// Trace carries the replica-side spans when the forward was traced
-	// (merged router-side) — and, on the router's own response, the merged
-	// fleet-wide trace.
-	Trace *obs.Wire `json:"trace,omitempty"`
-}
-
-type suggestRequest struct {
-	Code  string   `json:"code,omitempty"`
-	Codes []string `json:"codes,omitempty"`
-}
-
-type suggestResponse struct {
-	Results []suggestResult `json:"results"`
-	Trace   *obs.Wire       `json:"trace,omitempty"`
-}
-
 // group is one replica's slice of a fanned-out request.
 type group struct {
 	rep     *replica
@@ -473,9 +443,8 @@ func (rt *Router) groupByKey(keys []string) []*group {
 }
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	var req api.PredictRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -494,7 +463,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := rt.groupByKey(keys)
 	endRoute()
-	results := make([]predictResult, len(keys))
+	results := make([]api.PredictResult, len(keys))
 	var wg sync.WaitGroup
 	var shed atomic.Int64
 	for _, g := range groups {
@@ -509,7 +478,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			sub := predictRequest{}
+			sub := api.PredictRequest{}
 			for _, i := range g.indices {
 				if i < len(codes) {
 					sub.Codes = append(sub.Codes, codes[i])
@@ -517,7 +486,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 					sub.IDs = append(sub.IDs, req.IDs[i-len(codes)])
 				}
 			}
-			var resp predictResponse
+			var resp api.PredictResponse
 			err := rt.forward(r.Context(), g.rep, "/predict", sub, &resp)
 			settleGroup(g, results, resp.Results, err, setPredictErr, &shed, &rt.sheds)
 			if err == nil {
@@ -527,10 +496,10 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if len(results) > 0 && int(shed.Load()) == len(results) {
-		shedResponse(w)
+		api.Shed(w, shedMessage)
 		return
 	}
-	writeJSON(w, predictResponse{Results: results, Trace: tr.Wire()})
+	api.WriteJSON(w, http.StatusOK, api.PredictResponse{Results: results, Trace: tr.Wire()})
 }
 
 // settleGroup copies one replica's results back into request order, or
@@ -556,13 +525,12 @@ func settleGroup[R any](g *group, out, in []R, err error, setErr func(*R, string
 	}
 }
 
-func setPredictErr(r *predictResult, msg string) { r.Error = msg }
-func setSuggestErr(r *suggestResult, msg string) { r.Error = msg }
+func setPredictErr(r *api.PredictResult, msg string) { r.Error = msg }
+func setSuggestErr(r *api.SuggestResult, msg string) { r.Error = msg }
 
 func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req suggestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	var req api.SuggestRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -570,7 +538,7 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if req.Code != "" {
 		codes = append(codes, req.Code)
 	}
-	results := make([]suggestResult, len(codes))
+	results := make([]api.SuggestResult, len(codes))
 	keys := make([]string, len(codes))
 	canon := make([]bool, len(codes)) // request text IS the canonical print
 	served := make([]bool, len(codes))
@@ -590,7 +558,7 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		endGet()
 		if hit {
 			rt.storeHits.Add(1)
-			results[i] = verdictToResult(s)
+			results[i].Suggestion = *s
 			served[i] = true
 		} else {
 			rt.storeMisses.Add(1)
@@ -626,11 +594,11 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			sub := suggestRequest{}
+			sub := api.SuggestRequest{}
 			for _, i := range g.indices {
 				sub.Codes = append(sub.Codes, codes[i])
 			}
-			var resp suggestResponse
+			var resp api.SuggestResponse
 			err := rt.forward(r.Context(), g.rep, "/suggest", sub, &resp)
 			settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, &rt.sheds)
 			if err != nil {
@@ -643,7 +611,7 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			endPut := tr.Start("store.put")
 			for k, i := range g.indices {
 				if k < len(resp.Results) && canon[i] && resp.Results[k].Error == "" {
-					rt.store.Put(rt.storeKey(keys[i]), resultToVerdict(&resp.Results[k]))
+					rt.store.Put(rt.storeKey(keys[i]), &resp.Results[k].Suggestion)
 				}
 			}
 			endPut()
@@ -651,25 +619,8 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if len(results) > 0 && int(shed.Load()) == len(results) {
-		shedResponse(w)
+		api.Shed(w, shedMessage)
 		return
 	}
-	writeJSON(w, suggestResponse{Results: results, Trace: tr.Wire()})
-}
-
-// shedResponse is the router's saturation reply.
-func shedResponse(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests, "no replica can accept the request, retry later")
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Results: results, Trace: tr.Wire()})
 }

@@ -7,13 +7,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/api"
+	"pragformer/internal/dep"
 	"pragformer/internal/scan"
+	"pragformer/internal/serve"
 )
 
 // fakeReplica is a scripted cmd/serve stand-in: deterministic verdicts,
@@ -33,15 +37,35 @@ type fakeReplica struct {
 }
 
 // fakeVerdict is the deterministic verdict the fake fleet returns; tests
-// compare against the same function.
-func fakeVerdict(code string) suggestResult {
-	return suggestResult{
+// compare against the same function. Every field is populated, so the
+// cold==warm byte comparisons cover the whole verdict through forward →
+// decode → store → reply.
+func fakeVerdict(code string) api.SuggestResult {
+	return api.SuggestResult{Suggestion: scan.Suggestion{
 		Parallelize: true,
 		Probability: 0.75,
-		Directive:   "#pragma omp parallel for",
-		Tier:        "corroborated",
-		Notes:       []string{"fake:" + scan.HashSnippet(code)[:8]},
-	}
+		Directive:   "#pragma omp parallel for private(t)",
+		Tier:        "disagree",
+		Witness:     []string{"loop-carried flow dependence on a"},
+		Races: []dep.Witness{{
+			Array: "a", Kind: "flow",
+			Source:   dep.Site{Expr: "a[i]", Write: true, Line: 2, Col: 2},
+			Sink:     dep.Site{Expr: "a[i - 1]", Line: 2, Col: 9},
+			Vector:   []string{"<", "="},
+			Distance: "(1, 0)",
+			Reason:   "strong SIV",
+		}},
+		Converted: []string{"private(t)"},
+		S2S: []scan.S2SVerdict{
+			{Compiler: "Cetus", Compiled: true, Parallelized: true},
+			{Compiler: "AutoPar", Detail: "frontend rejected the snippet"},
+		},
+		Attributions: []scan.Attribution{
+			{Index: 0, Token: "for", Weight: 0.25},
+			{Index: 1, Token: "("},
+		},
+		Notes: []string{"fake:" + scan.HashSnippet(code)[:8]},
+	}}
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
@@ -56,14 +80,14 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			f.violations.Add(1)
 		}
 		f.predicts.Add(1)
-		var req predictRequest
+		var req api.PredictRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		n := len(req.Codes) + len(req.IDs)
-		results := make([]predictResult, n)
+		results := make([]api.PredictResult, n)
 		for i := range results {
-			results[i] = predictResult{Probability: 0.9, Parallelize: true}
+			results[i] = api.PredictResult{Probability: 0.9, Parallelize: true}
 		}
-		_ = json.NewEncoder(w).Encode(predictResponse{Results: results})
+		_ = json.NewEncoder(w).Encode(api.PredictResponse{Results: results})
 	})
 	mux.HandleFunc("POST /suggest", func(w http.ResponseWriter, r *http.Request) {
 		if f.fail(w) {
@@ -73,17 +97,17 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			f.violations.Add(1)
 		}
 		f.suggests.Add(1)
-		var req suggestRequest
+		var req api.SuggestRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		codes := req.Codes
 		if req.Code != "" {
 			codes = append(codes, req.Code)
 		}
-		results := make([]suggestResult, len(codes))
+		results := make([]api.SuggestResult, len(codes))
 		for i, c := range codes {
 			results[i] = fakeVerdict(c)
 		}
-		_ = json.NewEncoder(w).Encode(suggestResponse{Results: results})
+		_ = json.NewEncoder(w).Encode(api.SuggestResponse{Results: results})
 	})
 	mux.HandleFunc("POST /reload", func(w http.ResponseWriter, r *http.Request) {
 		if f.fail(w) {
@@ -109,7 +133,7 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		if f.fail(w) {
 			return
 		}
-		var st replicaStatz
+		var st serve.Statz
 		st.Backend = "fake"
 		st.Generation = f.gen.Load()
 		st.Reloading = f.reloading.Load()
@@ -186,11 +210,11 @@ func TestRouterPredictFansOut(t *testing.T) {
 	h := rt.Handler()
 
 	codes := testCodes(32)
-	rec := postJSON(t, h, "/predict", predictRequest{Codes: codes, IDs: [][]int{{1, 2, 3}}})
+	rec := postJSON(t, h, "/predict", api.PredictRequest{Codes: codes, IDs: [][]int{{1, 2, 3}}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict: %d %s", rec.Code, rec.Body)
 	}
-	var resp predictResponse
+	var resp api.PredictResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +256,7 @@ func TestRouterShedsAtHardCap(t *testing.T) {
 	for _, rep := range rt.reps {
 		rep.inflight.Store(4)
 	}
-	rec := postJSON(t, rt.Handler(), "/predict", predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
+	rec := postJSON(t, rt.Handler(), "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated predict: %d %s, want 429", rec.Code, rec.Body)
 	}
@@ -246,7 +270,7 @@ func TestRouterShedsAtHardCap(t *testing.T) {
 	for _, rep := range rt.reps {
 		rep.inflight.Store(0)
 	}
-	rec = postJSON(t, rt.Handler(), "/predict", predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
+	rec = postJSON(t, rt.Handler(), "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-release predict: %d %s", rec.Code, rec.Body)
 	}
@@ -275,7 +299,7 @@ func TestRouterClientRateLimit(t *testing.T) {
 	rt := newTestRouter(t, Config{RatePerSec: 0.001, Burst: 2}, a)
 	h := rt.Handler()
 
-	body := predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"}
+	body := api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"}
 	for i := 0; i < 2; i++ {
 		if rec := postJSON(t, h, "/predict", body); rec.Code != http.StatusOK {
 			t.Fatalf("request %d within burst: %d %s", i, rec.Code, rec.Body)
@@ -308,7 +332,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	// Forward failures (500s) count toward ejection; the prober's failing
 	// statz probes count too. Either way the replica must leave rotation.
 	for i := 0; i < 3; i++ {
-		postJSON(t, h, "/predict", predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
+		postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	}
 	waitFor(t, "ejection", func() bool { return rt.reps[a.srv.URL].getState() == stateEjected })
 	if rt.ejects.Load() == 0 {
@@ -316,7 +340,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	}
 
 	// With the whole fleet ejected the router sheds and reports not ready.
-	rec := postJSON(t, h, "/predict", predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
+	rec := postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("predict with fleet ejected: %d, want 429", rec.Code)
 	}
@@ -333,7 +357,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	if rt.readmits.Load() == 0 {
 		t.Fatal("readmit counter not bumped")
 	}
-	rec = postJSON(t, h, "/predict", predictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
+	rec = postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-readmit predict: %d %s", rec.Code, rec.Body)
 	}
@@ -350,7 +374,7 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 		t.Fatal("snippet did not canonicalize")
 	}
 
-	rec := postJSON(t, h, "/suggest", suggestRequest{Code: canon})
+	rec := postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("suggest: %d %s", rec.Code, rec.Body)
 	}
@@ -363,7 +387,7 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	}
 
 	// Warm: the store answers, no new forward anywhere in the fleet.
-	rec2 := postJSON(t, h, "/suggest", suggestRequest{Code: canon})
+	rec2 := postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("warm suggest: %d %s", rec2.Code, rec2.Body)
 	}
@@ -380,7 +404,7 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	// A formatting variant of the same loop is served from the canonical
 	// verdict too (scan dedupe contract) — still no forward.
 	variant := "for (i=0;i<n;i++)    a[i] = i;"
-	rec3 := postJSON(t, h, "/suggest", suggestRequest{Code: variant})
+	rec3 := postJSON(t, h, "/suggest", api.SuggestRequest{Code: variant})
 	if rec3.Code != http.StatusOK {
 		t.Fatalf("variant suggest: %d %s", rec3.Code, rec3.Body)
 	}
@@ -400,7 +424,7 @@ func TestRouterSuggestNonCanonicalNotStored(t *testing.T) {
 	if !ok {
 		t.Fatal("variant did not canonicalize")
 	}
-	rec := postJSON(t, rt.Handler(), "/suggest", suggestRequest{Code: variant})
+	rec := postJSON(t, rt.Handler(), "/suggest", api.SuggestRequest{Code: variant})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("suggest: %d %s", rec.Code, rec.Body)
 	}
@@ -429,7 +453,7 @@ func TestRouterRollingReload(t *testing.T) {
 					return
 				default:
 				}
-				rec := postJSON(t, h, "/predict", predictRequest{Code: codes[(w+i)%len(codes)]})
+				rec := postJSON(t, h, "/predict", api.PredictRequest{Code: codes[(w+i)%len(codes)]})
 				if rec.Code != http.StatusOK {
 					failures.Add(1)
 				}
@@ -487,7 +511,7 @@ func TestRouterReloadRotatesStoreGeneration(t *testing.T) {
 	h := rt.Handler()
 
 	canon, _, _ := canonical("for (i = 0; i < n; i++) a[i] = i;")
-	postJSON(t, h, "/suggest", suggestRequest{Code: canon})
+	postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	cold := a.suggests.Load()
 
 	// After a rolling reload the old verdicts must not replay: the next
@@ -495,7 +519,7 @@ func TestRouterReloadRotatesStoreGeneration(t *testing.T) {
 	if rec := postJSON(t, h, "/reload", nil); rec.Code != http.StatusOK {
 		t.Fatalf("reload: %d %s", rec.Code, rec.Body)
 	}
-	postJSON(t, h, "/suggest", suggestRequest{Code: canon})
+	postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	if got := a.suggests.Load(); got != cold+1 {
 		t.Fatalf("post-reload suggest did not re-forward (%d -> %d)", cold, got)
 	}
@@ -513,7 +537,7 @@ func TestRouterScanReadThroughParity(t *testing.T) {
 		b[j] = 2 * j;
 }
 `
-	body := scanRequest{Files: []scanFile{{Path: "x.c", Source: src}}, Stable: true}
+	body := api.ScanRequest{Files: []api.ScanFile{{Path: "x.c", Source: src}}, Stable: true}
 	rec := postJSON(t, h, "/scan", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("scan: %d %s", rec.Code, rec.Body)
@@ -565,7 +589,36 @@ func (oracleSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 	out := make([]scan.Verdict, len(codes))
 	for i, c := range codes {
 		r := fakeVerdict(c)
-		out[i] = scan.Verdict{Suggestion: resultToVerdict(&r)}
+		out[i] = scan.Verdict{Suggestion: &r.Suggestion}
 	}
 	return out, nil
+}
+
+// The router is an untrusted-input boundary of its own: a malformed body
+// is 400 and a body over the cap is 413 on every POST route, before any
+// routing or forward.
+func TestRouterRejects(t *testing.T) {
+	a := newFakeReplica(t)
+	h := newTestRouter(t, Config{}, a).Handler()
+
+	oversized := `{"code": "` + strings.Repeat("x", api.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/predict", "/suggest", "/scan"} {
+		for _, tc := range []struct {
+			name, body string
+			status     int
+		}{
+			{"malformed", `{"codes": [`, http.StatusBadRequest},
+			{"oversized", oversized, http.StatusRequestEntityTooLarge},
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Errorf("%s %s: status %d, want %d", path, tc.name, rec.Code, tc.status)
+			}
+		}
+	}
+	if n := a.predicts.Load() + a.suggests.Load(); n != 0 {
+		t.Errorf("%d rejected requests reached a replica", n)
+	}
 }

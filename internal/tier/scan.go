@@ -2,13 +2,11 @@ package tier
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"pragformer/internal/advisor"
-	"pragformer/internal/dep"
+	"pragformer/internal/api"
 	"pragformer/internal/obs"
 	"pragformer/internal/scan"
 )
@@ -19,97 +17,8 @@ import (
 // content hash — the same key the replicas' own LRUs use. The scan
 // pipeline is reused wholesale via scan.Config.Store (the shared store
 // read-through) and scan.VerdictSuggester (the HTTP fan-out), so the
-// report bytes match a single replica's /scan output.
-
-// Limits mirror one replica's /scan: the router does the parsing here.
-const (
-	maxScanFiles = 512
-	maxScanBytes = 8 << 20
-)
-
-// suggestResult mirrors one /suggest outcome on the wire — the full
-// flattened verdict a replica renders, decoded losslessly back into the
-// report form.
-type suggestResult struct {
-	Parallelize  bool                 `json:"parallelize"`
-	Probability  float64              `json:"probability"`
-	Directive    string               `json:"directive,omitempty"`
-	Tier         string               `json:"tier,omitempty"`
-	Witness      []string             `json:"witness,omitempty"`
-	Races        []dep.Witness        `json:"races,omitempty"`
-	Converted    []string             `json:"converted,omitempty"`
-	S2S          []suggestS2S         `json:"s2s,omitempty"`
-	Attributions []suggestAttribution `json:"attributions,omitempty"`
-	Notes        []string             `json:"notes,omitempty"`
-	Error        string               `json:"error,omitempty"`
-}
-
-type suggestS2S struct {
-	Compiler     string `json:"compiler"`
-	Compiled     bool   `json:"compiled"`
-	Parallelized bool   `json:"parallelized,omitempty"`
-	Detail       string `json:"detail,omitempty"`
-}
-
-type suggestAttribution struct {
-	Index  int     `json:"index"`
-	Token  string  `json:"token"`
-	Weight float64 `json:"weight,omitempty"`
-}
-
-// resultToVerdict lifts a decoded /suggest result into the scan report
-// form — the shape the verdict store holds and scan reports render.
-func resultToVerdict(r *suggestResult) *scan.Suggestion {
-	s := &scan.Suggestion{
-		Parallelize: r.Parallelize,
-		Probability: r.Probability,
-		Directive:   r.Directive,
-		Tier:        r.Tier,
-		Witness:     r.Witness,
-		Races:       r.Races,
-		Converted:   r.Converted,
-		Notes:       r.Notes,
-	}
-	for _, v := range r.S2S {
-		s.S2S = append(s.S2S, scan.S2SVerdict{
-			Compiler: v.Compiler, Compiled: v.Compiled,
-			Parallelized: v.Parallelized, Detail: v.Detail,
-		})
-	}
-	for _, a := range r.Attributions {
-		s.Attributions = append(s.Attributions, scan.Attribution{
-			Index: a.Index, Token: a.Token, Weight: a.Weight,
-		})
-	}
-	return s
-}
-
-// verdictToResult renders a stored verdict back to the /suggest wire form
-// for read-through hits.
-func verdictToResult(s *scan.Suggestion) suggestResult {
-	r := suggestResult{
-		Parallelize: s.Parallelize,
-		Probability: s.Probability,
-		Directive:   s.Directive,
-		Tier:        s.Tier,
-		Witness:     s.Witness,
-		Races:       s.Races,
-		Converted:   s.Converted,
-		Notes:       s.Notes,
-	}
-	for _, v := range s.S2S {
-		r.S2S = append(r.S2S, suggestS2S{
-			Compiler: v.Compiler, Compiled: v.Compiled,
-			Parallelized: v.Parallelized, Detail: v.Detail,
-		})
-	}
-	for _, a := range s.Attributions {
-		r.Attributions = append(r.Attributions, suggestAttribution{
-			Index: a.Index, Token: a.Token, Weight: a.Weight,
-		})
-	}
-	return r
-}
+// report bytes match a single replica's /scan output; the handler body
+// itself is api.ServeScan, the same one a replica runs.
 
 // nsStore adapts the router's shared store to one scan run: it prefixes
 // keys with the verdict namespace (backend|model|generation) and counts
@@ -137,8 +46,8 @@ func (s nsStore) Len() int { return s.rt.store.Len() }
 // tierSuggester drives the scan pipeline's inference stage over the
 // fleet: each chunk of canonical snippets is routed by content hash and
 // forwarded as one /suggest per replica. It implements
-// scan.VerdictSuggester — replica responses decode straight to the
-// flattened report form, no advisor reconstruction.
+// scan.VerdictSuggester — the /suggest wire item is the report form, so
+// decoded replica results are handed to the pipeline as they are.
 type tierSuggester struct {
 	rt  *Router
 	ctx context.Context
@@ -170,11 +79,11 @@ func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 			}
 			continue
 		}
-		sub := suggestRequest{}
+		sub := api.SuggestRequest{}
 		for _, i := range g.indices {
 			sub.Codes = append(sub.Codes, codes[i])
 		}
-		var resp suggestResponse
+		var resp api.SuggestResponse
 		if err := t.rt.forward(t.ctx, g.rep, "/suggest", sub, &resp); err != nil {
 			for _, i := range g.indices {
 				verdicts[i].Err = err
@@ -191,103 +100,16 @@ func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 				verdicts[i].Err = errors.New(e)
 				continue
 			}
-			verdicts[i].Suggestion = resultToVerdict(&resp.Results[k])
+			verdicts[i].Suggestion = &resp.Results[k].Suggestion
 		}
 	}
 	return verdicts, nil
 }
 
-// scanRequest mirrors one replica's /scan body.
-type scanRequest struct {
-	Files            []scanFile `json:"files"`
-	Format           string     `json:"format,omitempty"`
-	Workers          int        `json:"workers,omitempty"`
-	IncludeAnnotated bool       `json:"include_annotated,omitempty"`
-	Stable           bool       `json:"stable,omitempty"`
-}
-
-type scanFile struct {
-	Path   string `json:"path"`
-	Source string `json:"source"`
-}
-
 func (rt *Router) handleScan(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 2*maxScanBytes)
-	var req scanRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	if len(req.Files) == 0 {
-		httpError(w, http.StatusBadRequest, "no files in scan request")
-		return
-	}
-	if len(req.Files) > maxScanFiles {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d files exceeds the per-request limit of %d", len(req.Files), maxScanFiles))
-		return
-	}
-	total := 0
-	srcs := make([]scan.Source, len(req.Files))
-	for i, f := range req.Files {
-		if f.Path == "" {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("file %d has no path", i))
-			return
-		}
-		total += len(f.Source)
-		srcs[i] = scan.Source{Path: f.Path, Data: []byte(f.Source)}
-	}
-	if total > maxScanBytes {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d source bytes exceeds the per-request limit of %d", total, maxScanBytes))
-		return
-	}
-	if req.Format != "" && req.Format != "json" && req.Format != "sarif" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json|sarif)", req.Format))
-		return
-	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = rt.cfg.ScanWorkers
-	}
-	if workers > 16 {
-		workers = 16
-	}
-
-	cfg := scan.Config{
-		Workers:          workers,
-		Backend:          rt.backendLabel(),
-		IncludeAnnotated: req.IncludeAnnotated,
-		Store:            nsStore{rt: rt},
-	}
-	rep, err := scan.Files(r.Context(), srcs, cfg, tierSuggester{rt: rt, ctx: r.Context()})
-	if err != nil {
-		status := http.StatusInternalServerError
-		if r.Context().Err() != nil {
-			status = 499 // client closed request
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	if req.Stable {
-		rep = rep.Stable()
-	}
-	var out []byte
-	if req.Format == "sarif" {
-		out, err = rep.SARIF()
-	} else {
-		out, err = rep.JSON()
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(out)
+	api.ServeScan(w, r, scan.Config{
+		Workers: rt.cfg.ScanWorkers,
+		Backend: rt.backendLabel(),
+		Store:   nsStore{rt: rt},
+	}, tierSuggester{rt: rt, ctx: r.Context()})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/api"
 	"pragformer/internal/serve"
 )
 
@@ -70,7 +71,7 @@ func TestTierScanGolden(t *testing.T) {
 			t.Cleanup(rt.Close)
 			h := rt.Handler()
 
-			body := scanRequest{Files: files, Stable: true}
+			body := api.ScanRequest{Files: files, Stable: true}
 			cold := postJSON(t, h, "/scan", body)
 			if cold.Code != 200 {
 				t.Fatalf("cold scan: %d %s", cold.Code, cold.Body)
@@ -93,7 +94,7 @@ func TestTierScanGolden(t *testing.T) {
 			}
 
 			// SARIF renders from the same verdicts: warm == cold.
-			sbody := scanRequest{Files: files, Format: "sarif"}
+			sbody := api.ScanRequest{Files: files, Format: "sarif"}
 			sc := postJSON(t, h, "/scan", sbody)
 			sw := postJSON(t, h, "/scan", sbody)
 			if sc.Code != 200 || sw.Code != 200 {
@@ -155,7 +156,7 @@ func TestTierRollingReloadLive(t *testing.T) {
 					return
 				default:
 				}
-				rec := postJSON(t, h, "/predict", predictRequest{Code: codes[(w+i)%len(codes)]})
+				rec := postJSON(t, h, "/predict", api.PredictRequest{Code: codes[(w+i)%len(codes)]})
 				if rec.Code != 200 {
 					mu.Lock()
 					failures++
@@ -177,10 +178,10 @@ func TestTierRollingReloadLive(t *testing.T) {
 
 // fixtureFiles loads examples/scantree the way scan.Dir's walker would:
 // every .c file, slash-relative paths.
-func fixtureFiles(t *testing.T) []scanFile {
+func fixtureFiles(t *testing.T) []api.ScanFile {
 	t.Helper()
 	root := filepath.Join("..", "..", "examples", "scantree")
-	var files []scanFile
+	var files []api.ScanFile
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -196,7 +197,7 @@ func fixtureFiles(t *testing.T) []scanFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, scanFile{Path: filepath.ToSlash(rel), Source: string(data)})
+		files = append(files, api.ScanFile{Path: filepath.ToSlash(rel), Source: string(data)})
 		return nil
 	})
 	if err != nil {

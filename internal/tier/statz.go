@@ -1,14 +1,13 @@
 package tier
 
 import (
-	"encoding/json"
 	"net/http"
 
-	"pragformer/internal/obs"
+	"pragformer/internal/api"
 )
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"status": "ok", "replicas": len(rt.order)})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "replicas": len(rt.order)})
 }
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -18,14 +17,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			healthy++
 		}
 	}
-	body := map[string]any{"ready": healthy > 0, "healthy": healthy, "replicas": len(rt.order)}
+	status := http.StatusOK
 	if healthy == 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(body)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, body)
+	api.WriteJSON(w, status, map[string]any{"ready": healthy > 0, "healthy": healthy, "replicas": len(rt.order)})
 }
 
 // tierStatz is the router's /statz body.
@@ -47,16 +43,7 @@ type tierStatz struct {
 	Replicas         []replicaStatd `json:"replicas"`
 	// Latency carries the router's request-duration percentiles per HTTP
 	// path — the same histograms GET /metrics exposes.
-	Latency map[string]latencyStatz `json:"latency,omitempty"`
-}
-
-// latencyStatz is one path's request-duration summary in milliseconds.
-type latencyStatz struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
+	Latency map[string]api.Latency `json:"latency,omitempty"`
 }
 
 // replicaStatd is one replica's row in the router's /statz.
@@ -85,17 +72,7 @@ func (rt *Router) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		StoreLen: rt.store.Len(), StoreGen: rt.storeGen.Load(),
 		Ejects: rt.ejects.Load(), Readmits: rt.readmits.Load(),
 		Reloads: rt.reloads.Load(),
-		Latency: map[string]latencyStatz{},
-	}
-	for _, path := range []string{"/predict", "/suggest", "/scan"} {
-		h := obs.RequestHistogram(rt.reg, path)
-		if h.Count() > 0 {
-			st.Latency[path] = latencyStatz{
-				Count: h.Count(),
-				P50Ms: h.Quantile(0.50) * 1000, P90Ms: h.Quantile(0.90) * 1000,
-				P99Ms: h.Quantile(0.99) * 1000, MaxMs: h.Max() * 1000,
-			}
-		}
+		Latency: api.LatencyByPath(rt.reg),
 	}
 	for _, name := range rt.order {
 		rep := rt.reps[name]
@@ -107,5 +84,5 @@ func (rt *Router) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			P99Ms:       float64(rep.p99Micros.Load()) / 1000,
 		})
 	}
-	writeJSON(w, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
