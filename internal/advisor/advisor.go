@@ -336,7 +336,8 @@ type BatchItem struct {
 // Snippet is one unit of advice: the source text plus, optionally, its
 // already-parsed loop. A nil Loop means "parse Code on demand" — the
 // single-snippet and HTTP paths; the scanner threads the loop it extracted
-// so corroboration never re-parses on the scan hot path.
+// so the dependence analysis does not parse it again (the S2S trio reads the
+// text and parses it once more, in its shared front end).
 type Snippet struct {
 	Code string
 	Loop *cast.For

@@ -445,6 +445,25 @@ func TestSnippetThreadingParity(t *testing.T) {
 	}
 }
 
+// TestTextPathParseBudget pins the front-end budget of a positive loop that
+// arrives as text (the serving path): one parse for the advisor's own
+// dependence analysis and one for the S2S trio's shared front end — where
+// the trio used to parse once per member, four in all.
+func TestTextPathParseBudget(t *testing.T) {
+	m := stubModels(t, nil) // nil wires the real ComPar trio
+	before := cparse.Parses()
+	s, err := m.Suggest("for (i = 0; i < n; i++) s[i] += a[i];")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Corroboration.S2S) != 3 {
+		t.Fatalf("S2S evidence %+v, want the three members", s.Corroboration.S2S)
+	}
+	if got := cparse.Parses() - before; got > 2 {
+		t.Errorf("a text-path Suggest of a positive loop parsed %d times, budget 2", got)
+	}
+}
+
 // TestAttributionDeterminism: attributions are seeded from the snippet
 // content, so two independent Models over the same vocabulary explain a
 // disagreement identically — the property the scan cache and the

@@ -1,24 +1,26 @@
 package cast
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Print renders the AST back to C source text. The output is parseable by
 // internal/cparse, which the corpus generator relies on: snippets are built
 // as ASTs and emitted through this printer, guaranteeing well-formed records.
 func Print(n Node) string {
-	var p printer
+	p := newPrinter()
 	p.node(n)
-	return strings.TrimRight(p.b.String(), "\n") + "\n"
+	return p.text(true)
 }
 
 // PrintExpr renders a single expression.
 func PrintExpr(e Expr) string {
-	var p printer
+	p := newPrinter()
 	p.expr(e, precLowest)
-	return p.b.String()
+	return p.text(false)
 }
 
 // Pos is a 1-based line/column position within a Print rendering.
@@ -33,18 +35,21 @@ type Pos struct {
 // canonical snippet, so positions agree across scan and serve entry points
 // regardless of where the loop sat in its original file.
 func PrintPositions(n Node, targets []Node) (string, map[Node]Pos) {
-	p := printer{want: map[Node]bool{}, marks: map[Node]Pos{}}
+	p := newPrinter()
+	p.want, p.marks = map[Node]bool{}, map[Node]Pos{}
 	for _, t := range targets {
 		if t != nil {
 			p.want[t] = true
 		}
 	}
 	p.node(n)
-	return strings.TrimRight(p.b.String(), "\n") + "\n", p.marks
+	return p.text(true), p.marks
 }
 
+// printer renders into a pooled buffer, so a rendering costs one allocation
+// — the returned string, at its final size — however long it grows.
 type printer struct {
-	b      strings.Builder
+	b      *bytes.Buffer
 	indent int
 
 	// Position tracking for PrintPositions; nil maps on plain Print.
@@ -54,12 +59,31 @@ type printer struct {
 	lineStart int // builder length just after the last newline
 }
 
+var printBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func newPrinter() printer { return printer{b: printBufs.Get().(*bytes.Buffer)} }
+
+// text returns the rendering and gives the buffer back; the printer is done.
+// endLine folds the trailing newlines into exactly one.
+func (p *printer) text(endLine bool) string {
+	out := p.b.Bytes()
+	if endLine {
+		out = append(bytes.TrimRight(out, "\n"), '\n')
+	}
+	s := string(out)
+	p.b.Reset()
+	printBufs.Put(p.b)
+	return s
+}
+
 func (p *printer) ws(s string) {
 	p.b.WriteString(s)
 }
 
 func (p *printer) begin() {
-	p.b.WriteString(strings.Repeat("    ", p.indent))
+	for i := 0; i < p.indent; i++ {
+		p.b.WriteString("    ")
+	}
 }
 
 func (p *printer) nl() {
@@ -145,9 +169,9 @@ func typeString(t *TypeSpec) string {
 }
 
 func declString(d *Decl) string {
-	var p printer
+	p := newPrinter()
 	p.decl(d)
-	return p.b.String()
+	return p.text(false)
 }
 
 // decl streams a declarator so expressions inside dims and initializers can
@@ -462,6 +486,6 @@ func (p *printer) expr(e Expr, parent int) {
 		}
 		p.b.WriteByte('}')
 	default:
-		fmt.Fprintf(&p.b, "/* unknown expr %T */", e)
+		fmt.Fprintf(p.b, "/* unknown expr %T */", e)
 	}
 }

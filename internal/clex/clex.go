@@ -8,6 +8,7 @@ package clex
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Kind classifies a lexical token.
@@ -89,15 +90,6 @@ var keywords = map[string]bool{
 // IsKeyword reports whether s is a reserved C keyword.
 func IsKeyword(s string) bool { return keywords[s] }
 
-// multi-character operators ordered longest first for maximal munch.
-var operators = []string{
-	"<<=", ">>=", "...",
-	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
-	"&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
-	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
-	"?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-}
-
 // Lexer scans C source text into tokens.
 type Lexer struct {
 	src  string
@@ -111,19 +103,35 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes src in one call. It is the convenience entry point used by
-// the parser and the model tokenizer.
+// Lex tokenizes src in one call and returns a slice the caller owns. The
+// tokens are scanned into a pooled scratch buffer and copied out, so the
+// result is one allocation of exactly the right size however long src is.
 func Lex(src string) ([]Token, error) {
-	lx := New(src)
-	var toks []Token
+	buf := scratch.Get().(*[]Token)
+	toks, err := Append((*buf)[:0], src)
+	out := make([]Token, len(toks))
+	copy(out, toks)
+	clear(toks) // the pool must not pin src through token texts
+	*buf = toks
+	scratch.Put(buf)
+	return out, err
+}
+
+var scratch = sync.Pool{New: func() any { return new([]Token) }}
+
+// Append tokenizes src onto dst and returns the extended slice — for callers
+// that reuse one token buffer across many sources (the parser). On error the
+// tokens scanned so far are returned with it.
+func Append(dst []Token, src string) ([]Token, error) {
+	lx := Lexer{src: src, line: 1, col: 1}
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return toks, err
+			return dst, err
 		}
-		toks = append(toks, t)
+		dst = append(dst, t)
 		if t.Kind == EOF {
-			return toks, nil
+			return dst, nil
 		}
 	}
 }
@@ -244,16 +252,49 @@ func (l *Lexer) Next() (Token, error) {
 	case c == '"':
 		return l.lexString(line, col)
 	default:
-		for _, op := range operators {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				for range op {
-					l.advance()
-				}
-				return Token{Kind: Punct, Text: op, Line: line, Col: col}, nil
-			}
+		n := l.operatorLen(c)
+		if n == 0 {
+			return Token{}, l.errorf("unexpected character %q", c)
 		}
-		return Token{}, l.errorf("unexpected character %q", c)
+		// Operators hold no newline, so the column alone moves.
+		op := l.src[l.pos : l.pos+n]
+		l.pos += n
+		l.col += n
+		return Token{Kind: Punct, Text: op, Line: line, Col: col}, nil
 	}
+}
+
+// operatorLen returns the length of the operator starting with c at the
+// current position, or 0 when there is none. It dispatches on c and keeps
+// maximal munch: every operator is one byte, that byte doubled, either form
+// followed by '=', or one of "->" and "...".
+func (l *Lexer) operatorLen(c byte) int {
+	c1, c2 := l.peekAt(1), l.peekAt(2)
+	switch c {
+	case '?', ':', ';', ',', '(', ')', '[', ']', '{', '}', '~':
+		return 1
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return 3
+		}
+		return 1
+	case '<', '>':
+		if c1 == c && c2 == '=' {
+			return 3
+		}
+		fallthrough
+	case '+', '-', '&', '|':
+		if c1 == c || (c == '-' && c1 == '>') {
+			return 2
+		}
+		fallthrough
+	case '*', '/', '%', '=', '!', '^':
+		if c1 == '=' {
+			return 2
+		}
+		return 1
+	}
+	return 0
 }
 
 // lexPreprocessor handles '#...' lines. `#pragma` lines become Pragma tokens;

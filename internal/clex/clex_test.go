@@ -323,3 +323,79 @@ func BenchmarkLex(b *testing.B) {
 		}
 	}
 }
+
+// operatorTable is the reference for operator lexing: every operator, longest
+// first, as the lexer scanned it by prefix before it dispatched on the first
+// byte.
+var operatorTable = []string{
+	"<<=", ">>=", "...",
+	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
+	"&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
+	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
+	"?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+}
+
+// TestOperatorMunchMatchesTable checks first-byte dispatch against the table
+// on every three-byte string over the operator alphabet: the first token is
+// the longest table entry that prefixes the input.
+func TestOperatorMunchMatchesTable(t *testing.T) {
+	const alphabet = "<>.-+=!&|*/%^~?:;,()[]{} a"
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			for _, c := range alphabet {
+				src := string([]rune{a, b, c})
+				var want string
+				for _, op := range operatorTable {
+					if strings.HasPrefix(src, op) {
+						want = op
+						break
+					}
+				}
+				if want == "" || strings.HasPrefix(src, "//") || strings.HasPrefix(src, "/*") {
+					continue // not an operator first, or a comment
+				}
+				tok, err := New(src).Next()
+				if err != nil || tok.Kind != Punct || tok.Text != want {
+					t.Fatalf("lexing %q: first token %v (err %v), want operator %q", src, tok, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLexAllocs gates Lex's storage: the caller's slice is allocated once,
+// at its final size, not grown by doubling.
+func TestLexAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	src := strings.Repeat("for (i = 0; i < n; i++) a[i] = b[i] + 1;\n", 12)
+	toks := mustLex(t, src)
+	if len(toks) < 300 {
+		t.Fatalf("fixture has %d tokens, want at least 300", len(toks))
+	}
+	if cap(toks) != len(toks) {
+		t.Errorf("Lex returned cap %d for %d tokens", cap(toks), len(toks))
+	}
+	if n := testing.AllocsPerRun(100, func() { mustLex(t, src) }); n > 2 {
+		t.Errorf("Lex allocates %.0f times on %d tokens, want at most 2", n, len(toks))
+	}
+}
+
+// TestLexResultIsTheCallers: two results never share storage, and Append
+// extends the caller's buffer in place.
+func TestLexResultIsTheCallers(t *testing.T) {
+	a := mustLex(t, "x = 1;")
+	b := mustLex(t, "y = 2;")
+	if a[0].Text != "x" || b[0].Text != "y" {
+		t.Fatalf("results alias: %v %v", a, b)
+	}
+	buf := make([]Token, 0, 16)
+	out, err := Append(buf, "x = 1;")
+	if err != nil || len(out) != 5 || &out[0] != &buf[:1][0] {
+		t.Errorf("Append did not fill the caller's buffer: %v, %v", out, err)
+	}
+	if _, err := Append(nil, "\"open"); err == nil {
+		t.Error("Append accepted an unterminated string")
+	}
+}

@@ -9,14 +9,17 @@ package cparse
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/clex"
 )
 
-// builtinTypes seeds the typedef table with names that real corpus code uses
-// without declaring (the paper's SPEC examples use ssize_t, IndexPacket...).
+// builtinTypes are typedef names that real corpus code uses without
+// declaring (the paper's SPEC examples use ssize_t, IndexPacket...). Read
+// only: a parse's own typedefs go in Parser.typedefs.
 var builtinTypes = map[string]bool{
 	"size_t": true, "ssize_t": true, "ptrdiff_t": true, "FILE": true,
 	"int8_t": true, "int16_t": true, "int32_t": true, "int64_t": true,
@@ -25,11 +28,118 @@ var builtinTypes = map[string]bool{
 	"bool": true, "uint": true, "ulong": true, "real_t": true,
 }
 
-// Parser parses a token stream into a cast.File.
+// Parser parses a token stream into a cast.File. Parsers are pooled: the
+// token buffer and the statement stack pass from one parse to the next,
+// everything else is per parse.
 type Parser struct {
 	toks     []clex.Token
 	pos      int
-	typedefs map[string]bool
+	typedefs map[string]bool // names this source typedef'd; nil until the first
+	slabs
+
+	// buf is what Parse and ParseRecover lex into: an AST keeps token texts
+	// (substrings of the source), never tokens.
+	buf []clex.Token
+	// stmts stacks the statements of the blocks being parsed, innermost
+	// last, so that a finished block copies out a slice of its exact size.
+	stmts []cast.Stmt
+}
+
+var parsers = sync.Pool{New: func() any { return new(Parser) }}
+
+// release returns p to the pool holding nothing of the parse behind it:
+// neither a token text, which would pin the source, nor a node.
+func (p *Parser) release() {
+	clear(p.buf)
+	clear(p.stmts[:cap(p.stmts)])
+	*p = Parser{buf: p.buf[:0], stmts: p.stmts[:0]}
+	parsers.Put(p)
+}
+
+// slabs backs the node kinds that make up most of a parse with one array
+// per kind instead of one allocation per node. Each array is sized from the
+// token stream (see start), so a small snippet pays for what it holds and
+// no more. A node keeps its slab alive: hold a parsed tree or drop it whole.
+type slabs struct {
+	idents    []cast.Ident
+	ints      []cast.IntLit
+	floats    []cast.FloatLit
+	binarys   []cast.BinaryOp
+	assigns   []cast.Assign
+	unarys    []cast.UnaryOp
+	arrays    []cast.ArrayRef
+	exprStmts []cast.ExprStmt
+	blocks    []cast.Block
+	fors      []cast.For
+}
+
+// put stores v in the next node of a slab, or in a fresh one when the bound
+// that sized the slab fell short (a backtracked region is parsed twice).
+func put[T any](slab *[]T, v T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, 1)
+	}
+	n := &(*slab)[0]
+	*slab = (*slab)[1:]
+	*n = v
+	return n
+}
+
+// start points p at toks, which end in EOF, and sizes the slabs by one pass
+// over them. Each count bounds its kind from above: a name or literal token
+// makes at most one node, `+ - * &` are binary after an operand and unary
+// otherwise, and of the two ';' in a for header at most one (the init) ends
+// an expression statement.
+func (p *Parser) start(toks []clex.Token) {
+	var kinds [clex.Pragma + 1]int
+	var fors, semis, blocks, arrays, assigns, binarys, unarys int
+	operand := false // the previous token ended an operand
+	for _, t := range toks {
+		kinds[t.Kind]++
+		ends := t.Kind != clex.Punct && t.Kind != clex.Keyword
+		switch t.Text {
+		case "for":
+			fors++
+		case ";":
+			semis++
+		case "{":
+			blocks++
+		case "[":
+			arrays++
+		case ")", "]":
+			ends = true
+		case "++", "--":
+			unarys++
+			ends = operand // postfix leaves an operand behind, prefix does not
+		case "!", "~":
+			unarys++
+		case "+", "-", "*", "&":
+			if operand {
+				binarys++
+			} else {
+				unarys++
+			}
+		default:
+			if assignOps[t.Text] {
+				assigns++
+			} else if _, ok := binaryPrec[t.Text]; ok {
+				binarys++
+			}
+		}
+		operand = ends
+	}
+	p.toks, p.slabs = toks, slabs{
+		idents:    make([]cast.Ident, kinds[clex.Ident]),
+		ints:      make([]cast.IntLit, kinds[clex.IntLit]),
+		floats:    make([]cast.FloatLit, kinds[clex.FloatLit]),
+		binarys:   make([]cast.BinaryOp, binarys),
+		assigns:   make([]cast.Assign, assigns),
+		unarys:    make([]cast.UnaryOp, unarys),
+		arrays:    make([]cast.ArrayRef, arrays),
+		exprStmts: make([]cast.ExprStmt, max(semis-fors, 0)),
+		blocks:    make([]cast.Block, blocks),
+		fors:      make([]cast.For, fors),
+	}
 }
 
 // parses counts Parse calls process-wide; see Parses.
@@ -43,15 +153,30 @@ func Parses() int64 { return parses.Load() }
 
 // Parse parses C source text into an AST.
 func Parse(src string) (*cast.File, error) {
-	parses.Add(1)
-	toks, err := clex.Lex(src)
-	if err != nil {
+	p := parsers.Get().(*Parser)
+	defer p.release()
+	var err error
+	if p.buf, err = clex.Append(p.buf, src); err != nil {
+		parses.Add(1)
 		return nil, err
 	}
-	p := &Parser{toks: toks, typedefs: map[string]bool{}}
-	for k := range builtinTypes {
-		p.typedefs[k] = true
+	return p.parse(p.buf)
+}
+
+// ParseTokens is Parse over a source the caller has already lexed: toks is a
+// complete clex.Lex result, read but not kept.
+func ParseTokens(toks []clex.Token) (*cast.File, error) {
+	p := parsers.Get().(*Parser)
+	defer p.release()
+	return p.parse(toks)
+}
+
+func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
+	parses.Add(1)
+	if len(toks) == 0 || toks[len(toks)-1].Kind != clex.EOF {
+		return nil, &Error{Line: 1, Col: 1, Msg: "token stream does not end in EOF"}
 	}
+	p.start(toks)
 	return p.parseFile()
 }
 
@@ -79,18 +204,17 @@ func ParseStmt(src string) (cast.Stmt, error) {
 // errs carries one structured error per failed region.
 func ParseRecover(src string) (*cast.File, []*Error) {
 	parses.Add(1)
-	toks, err := clex.Lex(src)
-	if err != nil {
+	p := parsers.Get().(*Parser)
+	defer p.release()
+	var err error
+	if p.buf, err = clex.Append(p.buf, src); err != nil {
 		e := &Error{Msg: err.Error()}
 		if line, col, ok := Position(err); ok {
 			e.Line, e.Col = line, col
 		}
 		return &cast.File{}, []*Error{e}
 	}
-	p := &Parser{toks: toks, typedefs: map[string]bool{}}
-	for k := range builtinTypes {
-		p.typedefs[k] = true
-	}
+	p.start(p.buf)
 	f := &cast.File{}
 	var errs []*Error
 	for p.cur().Kind != clex.EOF {
@@ -250,6 +374,11 @@ func (p *Parser) parseTopLevel() (cast.Node, error) {
 	return p.parseStatement()
 }
 
+// isTypedef reports whether name is a builtin or source-declared typedef.
+func (p *Parser) isTypedef(name string) bool {
+	return builtinTypes[name] || p.typedefs[name]
+}
+
 // startsDecl reports whether the current token can begin a declaration.
 func (p *Parser) startsDecl() bool {
 	t := p.cur()
@@ -265,7 +394,7 @@ func (p *Parser) startsDecl() bool {
 		return false
 	case clex.Ident:
 		// A typedef name followed by an identifier or '*' begins a decl.
-		if !p.typedefs[t.Text] {
+		if !p.isTypedef(t.Text) {
 			return false
 		}
 		n := p.peek()
@@ -346,7 +475,8 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 // parseTypeSpec parses qualifiers, struct/union tags, type names and
 // pointer stars.
 func (p *Parser) parseTypeSpec() (*cast.TypeSpec, error) {
-	ts := &cast.TypeSpec{}
+	b := new(typeSpecBuf)
+	ts := &b.TypeSpec
 	seenType := false
 	for {
 		t := p.cur()
@@ -366,14 +496,14 @@ func (p *Parser) parseTypeSpec() (*cast.TypeSpec, error) {
 				seenType = true
 				continue
 			case "int", "char", "float", "double", "long", "short", "signed", "unsigned", "void":
-				ts.Names = append(ts.Names, t.Text)
+				b.addName(t.Text)
 				p.next()
 				seenType = true
 				continue
 			}
 		}
-		if t.Kind == clex.Ident && !seenType && p.typedefs[t.Text] {
-			ts.Names = append(ts.Names, t.Text)
+		if t.Kind == clex.Ident && !seenType && p.isTypedef(t.Text) {
+			b.addName(t.Text)
 			p.next()
 			seenType = true
 			continue
@@ -382,7 +512,7 @@ func (p *Parser) parseTypeSpec() (*cast.TypeSpec, error) {
 	}
 	if !seenType && ts.Struct == "" {
 		if len(ts.Quals) > 0 {
-			ts.Names = append(ts.Names, "int") // e.g. `register i`
+			b.addName("int") // e.g. `register i`
 		} else {
 			return nil, p.errorf("expected type, got %q", p.cur().Text)
 		}
@@ -401,8 +531,10 @@ func (p *Parser) parseDeclLine() (*cast.DeclStmt, error) {
 		return nil, err
 	}
 	ds := &cast.DeclStmt{}
-	for {
-		d := &cast.Decl{Type: cloneTypeSpec(base), IsTypedef: isTypedef}
+	// The first declarator takes base itself (parseTypeSpec has eaten its
+	// stars, so it adds none) and each later one a copy.
+	for typ := base; ; typ = cloneTypeSpec(base) {
+		d := &cast.Decl{Type: typ, IsTypedef: isTypedef}
 		for p.accept("*") {
 			d.Type.Ptr++
 		}
@@ -433,6 +565,9 @@ func (p *Parser) parseDeclLine() (*cast.DeclStmt, error) {
 			d.Init = init
 		}
 		if isTypedef {
+			if p.typedefs == nil {
+				p.typedefs = map[string]bool{}
+			}
 			p.typedefs[d.Name] = true
 		}
 		ds.Decls = append(ds.Decls, d)
@@ -469,10 +604,27 @@ func (p *Parser) parseInitializer() (cast.Expr, error) {
 }
 
 func cloneTypeSpec(t *cast.TypeSpec) *cast.TypeSpec {
-	c := &cast.TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}
-	c.Quals = append(c.Quals, t.Quals...)
-	c.Names = append(c.Names, t.Names...)
-	return c
+	b := new(typeSpecBuf)
+	b.TypeSpec = cast.TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}
+	b.Quals = append(b.Quals, t.Quals...)
+	for _, n := range t.Names {
+		b.addName(n)
+	}
+	return &b.TypeSpec
+}
+
+// typeSpecBuf is a TypeSpec allocated together with room for the one or two
+// words nearly every type name has.
+type typeSpecBuf struct {
+	cast.TypeSpec
+	names [2]string
+}
+
+func (b *typeSpecBuf) addName(word string) {
+	if b.Names == nil {
+		b.Names = b.names[:0]
+	}
+	b.Names = append(b.Names, word)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,7 +635,8 @@ func (p *Parser) parseBlock() (*cast.Block, error) {
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	b := &cast.Block{}
+	b := put(&p.blocks, cast.Block{})
+	mark := len(p.stmts)
 	for p.cur().Text != "}" {
 		if p.cur().Kind == clex.EOF {
 			return nil, p.errorf("unexpected EOF in block")
@@ -492,9 +645,13 @@ func (p *Parser) parseBlock() (*cast.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.next() // }
+	if len(p.stmts) > mark {
+		b.Stmts = slices.Clone(p.stmts[mark:])
+		p.stmts = p.stmts[:mark]
+	}
 	return b, nil
 }
 
@@ -563,7 +720,7 @@ func (p *Parser) parseStatement() (cast.Stmt, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &cast.ExprStmt{X: e}, nil
+	return put(&p.exprStmts, cast.ExprStmt{X: e}), nil
 }
 
 func (p *Parser) parseFor() (cast.Stmt, error) {
@@ -571,7 +728,7 @@ func (p *Parser) parseFor() (cast.Stmt, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	f := &cast.For{Line: kw.Line, Col: kw.Col}
+	f := put(&p.fors, cast.For{Line: kw.Line, Col: kw.Col})
 	if p.cur().Text != ";" {
 		if p.startsDecl() {
 			ds, err := p.parseDeclLine() // consumes ';'
@@ -584,7 +741,7 @@ func (p *Parser) parseFor() (cast.Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.Init = &cast.ExprStmt{X: e}
+			f.Init = put(&p.exprStmts, cast.ExprStmt{X: e})
 			if err := p.expect(";"); err != nil {
 				return nil, err
 			}

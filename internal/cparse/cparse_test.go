@@ -256,6 +256,15 @@ func TestMultiDeclarator(t *testing.T) {
 	if len(ds.Decls[2].ArrayDims) != 1 {
 		t.Errorf("c dims = %d", len(ds.Decls[2].ArrayDims))
 	}
+	// The first declarator takes the base type itself and the rest copies:
+	// each has the words, and a later one's stars stay its own.
+	ds = mustParse(t, "unsigned long a, **b, c;").Items[0].(*cast.DeclStmt)
+	for i, want := range []int{0, 2, 0} {
+		d := ds.Decls[i]
+		if d.Type.Ptr != want || strings.Join(d.Type.Names, " ") != "unsigned long" {
+			t.Errorf("%s: type %v ptr %d, want unsigned long ptr %d", d.Name, d.Type.Names, d.Type.Ptr, want)
+		}
+	}
 }
 
 func TestSizeof(t *testing.T) {

@@ -66,7 +66,7 @@ func (p *Parser) parseBinaryRHS(lhs cast.Expr, minPrec int) (cast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lhs = &cast.Assign{Op: op, L: lhs, R: rhs}
+			lhs = put(&p.assigns, cast.Assign{Op: op, L: lhs, R: rhs})
 			continue
 		}
 		// Ternary (right associative).
@@ -115,7 +115,7 @@ func (p *Parser) parseBinaryRHS(lhs cast.Expr, minPrec int) (cast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &cast.BinaryOp{Op: op, L: lhs, R: rhs}
+		lhs = put(&p.binarys, cast.BinaryOp{Op: op, L: lhs, R: rhs})
 	}
 }
 
@@ -128,20 +128,14 @@ func (p *Parser) parseBinaryRHSAbove(lhs cast.Expr, prec int) (cast.Expr, error)
 func (p *Parser) parseUnary() (cast.Expr, error) {
 	t := p.cur()
 	switch {
-	case t.Text == "++" || t.Text == "--":
+	case t.Text == "++" || t.Text == "--" ||
+		t.Text == "+" || t.Text == "-" || t.Text == "!" || t.Text == "~" || t.Text == "*" || t.Text == "&":
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &cast.UnaryOp{Op: t.Text, X: x}, nil
-	case t.Text == "+" || t.Text == "-" || t.Text == "!" || t.Text == "~" || t.Text == "*" || t.Text == "&":
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &cast.UnaryOp{Op: t.Text, X: x}, nil
+		return put(&p.unarys, cast.UnaryOp{Op: t.Text, X: x}), nil
 	case t.Text == "sizeof":
 		p.next()
 		if p.cur().Text == "(" && p.isTypeStart(1) {
@@ -191,7 +185,7 @@ func (p *Parser) isTypeStart(off int) bool {
 		}
 		return false
 	}
-	if t.Kind == clex.Ident && p.typedefs[t.Text] {
+	if t.Kind == clex.Ident && p.isTypedef(t.Text) {
 		// `(size_t) x` is a cast; `(n) + 1` is not. Require ')' or '*' next.
 		n := p.at(off + 1)
 		return n.Text == ")" || n.Text == "*"
@@ -216,7 +210,7 @@ func (p *Parser) parsePostfix() (cast.Expr, error) {
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			x = &cast.ArrayRef{Arr: x, Index: idx}
+			x = put(&p.arrays, cast.ArrayRef{Arr: x, Index: idx})
 		case "(":
 			p.next()
 			call := &cast.FuncCall{Fun: x}
@@ -244,7 +238,7 @@ func (p *Parser) parsePostfix() (cast.Expr, error) {
 			x = &cast.Member{X: x, Field: p.next().Text, Arrow: t.Text == "->"}
 		case "++", "--":
 			p.next()
-			x = &cast.UnaryOp{Op: t.Text, X: x, Postfix: true}
+			x = put(&p.unarys, cast.UnaryOp{Op: t.Text, X: x, Postfix: true})
 		default:
 			return x, nil
 		}
@@ -259,13 +253,13 @@ func (p *Parser) parsePrimary() (cast.Expr, error) {
 			return nil, p.errorf("unexpected keyword %q in expression", t.Text)
 		}
 		p.next()
-		return &cast.Ident{Name: t.Text}, nil
+		return put(&p.idents, cast.Ident{Name: t.Text}), nil
 	case clex.IntLit:
 		p.next()
-		return &cast.IntLit{Text: t.Text}, nil
+		return put(&p.ints, cast.IntLit{Text: t.Text}), nil
 	case clex.FloatLit:
 		p.next()
-		return &cast.FloatLit{Text: t.Text}, nil
+		return put(&p.floats, cast.FloatLit{Text: t.Text}), nil
 	case clex.CharLit:
 		p.next()
 		return &cast.CharLit{Text: t.Text}, nil

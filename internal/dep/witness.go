@@ -227,5 +227,8 @@ func (a *Analysis) fillWitnessPositions(loop *cast.For) {
 		if p, ok := marks[w.dstNode]; ok && w.dstNode != nil {
 			w.Sink.Line, w.Sink.Col = p.Line, p.Col
 		}
+		// A witness outlives the analysis (reports and verdict stores keep
+		// it); it must not keep the loop's AST alive with it.
+		w.srcNode, w.dstNode = nil, nil
 	}
 }

@@ -3,7 +3,6 @@ package s2s
 import (
 	"fmt"
 
-	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -18,9 +17,11 @@ type AutoPar struct{}
 func (AutoPar) Name() string { return "AutoPar" }
 
 // Compile implements Compiler.
-func (c AutoPar) Compile(src string) (Result, error) {
-	src = stripPragmas(src)
-	if err := rejectTokens(src, c.Name(), map[string]bool{
+func (c AutoPar) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+
+func (c AutoPar) compile(u *unit) (Result, error) {
+	src := u.src
+	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 	}, true, true); err != nil {
 		return Result{}, err
@@ -28,11 +29,10 @@ func (c AutoPar) Compile(src string) (Result, error) {
 	if containsToken(src, "do") && containsToken(src, "while") && containsDoWhile(src) {
 		return Result{}, fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
 	}
-	loop, funcs, err := parseSnippet(src)
-	if err != nil {
+	if _, _, err := u.parse(); err != nil {
 		return Result{}, err
 	}
-	a := dep.AnalyzeLoop(loop, funcs)
+	a := u.analyze()
 	res := Result{Source: src, Reasons: a.Reasons}
 	if !a.Parallelizable {
 		return res, nil

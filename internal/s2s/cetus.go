@@ -1,7 +1,6 @@
 package s2s
 
 import (
-	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -30,18 +29,19 @@ func (Cetus) Name() string { return "Cetus" }
 const minCetusTrip = 4
 
 // Compile implements Compiler.
-func (c Cetus) Compile(src string) (Result, error) {
-	src = stripPragmas(src)
-	if err := rejectTokens(src, c.Name(), map[string]bool{
+func (c Cetus) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+
+func (c Cetus) compile(u *unit) (Result, error) {
+	src := u.src
+	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "union": true,
 	}, false, true); err != nil {
 		return Result{}, err
 	}
-	loop, funcs, err := parseSnippet(src)
-	if err != nil {
+	if _, _, err := u.parse(); err != nil {
 		return Result{}, err
 	}
-	a := dep.AnalyzeLoop(loop, funcs)
+	a := u.analyze()
 	res := Result{Source: src, Reasons: a.Reasons}
 	if !a.Parallelizable {
 		return res, nil

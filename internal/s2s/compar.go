@@ -31,14 +31,29 @@ type MemberVerdict struct {
 	Err      error
 }
 
+// unitCompiler is a member that compiles from a shared front end; its
+// Compile(src) is compile(newUnit(src)).
+type unitCompiler interface{ compile(*unit) (Result, error) }
+
 // CompileEach runs every member compiler and returns the per-member
 // verdicts in Members order — the evidence form the advisor attaches to
 // corroborated suggestions, where "which compiler parallelized" matters,
-// not just the combined best.
+// not just the combined best. The built-in members share one front end
+// (unit), so the snippet is lexed, parsed and analyzed once, not per member.
 func (c *ComPar) CompileEach(src string) []MemberVerdict {
 	out := make([]MemberVerdict, 0, len(c.Members))
+	var u *unit
 	for _, m := range c.Members {
-		res, err := m.Compile(src)
+		var res Result
+		var err error
+		if uc, ok := m.(unitCompiler); ok {
+			if u == nil {
+				u = newUnit(src)
+			}
+			res, err = uc.compile(u)
+		} else {
+			res, err = m.Compile(src)
+		}
 		out = append(out, MemberVerdict{Compiler: m.Name(), Result: res, Err: err})
 	}
 	return out

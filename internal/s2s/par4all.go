@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pragformer/internal/cast"
-	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -19,15 +18,17 @@ type Par4All struct{}
 func (Par4All) Name() string { return "Par4All" }
 
 // Compile implements Compiler.
-func (c Par4All) Compile(src string) (Result, error) {
-	src = stripPragmas(src)
-	if err := rejectTokens(src, c.Name(), map[string]bool{
+func (c Par4All) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+
+func (c Par4All) compile(u *unit) (Result, error) {
+	src := u.src
+	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 		"switch": true, "do": true, "while": true, "static": true,
 	}, true, true); err != nil {
 		return Result{}, err
 	}
-	loop, funcs, err := parseSnippet(src)
+	loop, funcs, err := u.parse()
 	if err != nil {
 		return Result{}, err
 	}
@@ -44,7 +45,9 @@ func (c Par4All) Compile(src string) (Result, error) {
 	if hasCall || len(funcs) > 0 {
 		return Result{}, fmt.Errorf("%w: Par4All: unresolved call in region", ErrParse)
 	}
-	a := dep.AnalyzeLoop(loop, nil)
+	// No call and no function body in sight: the shared analysis, run with
+	// the snippet's (empty) function table, is the one Par4All would run.
+	a := u.analyze()
 	res := Result{Source: src, Reasons: a.Reasons}
 	if !a.Parallelizable {
 		return res, nil

@@ -12,11 +12,13 @@ package s2s
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/clex"
 	"pragformer/internal/cparse"
+	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -44,8 +46,59 @@ type Compiler interface {
 // ErrParse marks hard parse/compile failures.
 var ErrParse = errors.New("s2s: compile failed")
 
+// unit is the front end of one snippet, shared by every member of one
+// CompileEach call. All three members read the same pragma-stripped text
+// under the same options, so it is lexed once, and parsed and put through
+// the plain dependence analysis at most once, when the first member to get
+// that far asks. A unit belongs to one call; ComPar itself holds no state.
+type unit struct {
+	src    string // pragma-stripped
+	toks   []clex.Token
+	lexErr error
+
+	parsed   bool
+	loop     *cast.For
+	funcs    map[string]*cast.FuncDef
+	parseErr error
+
+	analysis *dep.Analysis
+}
+
+func newUnit(src string) *unit {
+	u := &unit{src: stripPragmas(src)}
+	u.toks, u.lexErr = clex.Lex(u.src)
+	return u
+}
+
+// parse extracts the first loop and any function bodies present in the
+// snippet text itself. The paper notes S2S compilers suffer from "the lack
+// of association of functions, macros, and structure definitions" — they
+// only see what is in the segment.
+func (u *unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
+	if !u.parsed {
+		u.parsed = true
+		u.loop, u.funcs, u.parseErr = parseSnippet(u.toks)
+	}
+	return u.loop, u.funcs, u.parseErr
+}
+
+// analyze returns the plain dependence analysis of the parsed loop: the
+// caller's own copy of the header, with Reasons clipped, because every
+// member appends its verdict to them.
+func (u *unit) analyze() dep.Analysis {
+	if u.analysis == nil {
+		u.analysis = dep.AnalyzeLoop(u.loop, u.funcs)
+	}
+	a := *u.analysis
+	a.Reasons = slices.Clip(a.Reasons)
+	return a
+}
+
 // stripPragmas removes existing pragma lines so compilers judge bare code.
 func stripPragmas(src string) string {
+	if !strings.Contains(src, "#pragma") {
+		return src
+	}
 	var out []string
 	for _, line := range strings.Split(src, "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "#pragma") {
@@ -56,12 +109,8 @@ func stripPragmas(src string) string {
 	return strings.Join(out, "\n")
 }
 
-// parseSnippet parses a snippet and extracts the first loop and any function
-// bodies present in the snippet text itself. The paper notes S2S compilers
-// suffer from "the lack of association of functions, macros, and structure
-// definitions" — they only see what is in the segment.
-func parseSnippet(src string) (*cast.For, map[string]*cast.FuncDef, error) {
-	f, err := cparse.Parse(src)
+func parseSnippet(toks []clex.Token) (*cast.For, map[string]*cast.FuncDef, error) {
+	f, err := cparse.ParseTokens(toks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrParse, err)
 	}
@@ -113,11 +162,11 @@ func FirstLoop(f *cast.File) *cast.For {
 
 // rejectTokens scans the raw token stream for constructs a fragile frontend
 // chokes on and returns a hard error when one is found.
-func rejectTokens(src string, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
-	toks, err := clex.Lex(src)
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrParse, name, err)
+func rejectTokens(u *unit, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
+	if u.lexErr != nil {
+		return fmt.Errorf("%w: %s: %v", ErrParse, name, u.lexErr)
 	}
+	toks := u.toks
 	for i, t := range toks {
 		switch t.Kind {
 		case clex.Keyword:

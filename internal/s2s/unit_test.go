@@ -1,0 +1,167 @@
+package s2s
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"pragformer/internal/cast"
+	"pragformer/internal/corpus"
+	"pragformer/internal/cparse"
+)
+
+// equivalenceInputs is the bounded instance set the shared front end earns
+// its trust on: every corpus template at two seeds, every loop of the scan
+// fixture tree (canonical print, as the scanner hands it over) plus the raw
+// files, and the parser fuzzer's hand-picked seeds.
+func equivalenceInputs(t *testing.T) []string {
+	t.Helper()
+	var srcs []string
+	templates := map[string]bool{}
+	for _, seed := range []int64{1, 2} {
+		perSeed := map[string]bool{}
+		for _, r := range corpus.Generate(corpus.Config{Seed: seed, Total: 1500}).Records {
+			if !perSeed[r.Template] {
+				perSeed[r.Template] = true
+				templates[r.Template] = true
+				srcs = append(srcs, r.Code)
+			}
+		}
+	}
+	if len(templates) < 30 {
+		t.Fatalf("only %d corpus templates drawn; raise Total", len(templates))
+	}
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples", "scantree"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".c") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		srcs = append(srcs, string(data))
+		f, _ := cparse.ParseRecover(string(data))
+		for _, li := range cast.ExtractLoops(f) {
+			srcs = append(srcs, cast.Print(li.Loop))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(srcs,
+		"for (i = 0; i < n; i++) a[i] = b[i];",
+		"void f() { for (;;) {} }",
+		"int x = ;",
+		"#pragma omp parallel for\nfor (i = 0; i < n; i++) s += a[i];",
+		"int x = {1, {2}};",
+		"a->b.c[d](e, f)++;",
+		"x = (ssize_t) y;",
+		"do ; while (0);",
+		"for (i = 0; i < n; i++) s = s + a[i];",
+		"for (i = 0; i < 2; i++) a[i] = 0;",
+		"for (i = 0; i < n; i++) { t = a[i]; b[i] = t * t; }",
+		"for (i = 0; i < n; i++) a[i] = \"unterminated;",
+		"",
+	)
+}
+
+// sameVerdict compares a shared-front-end verdict with an independent
+// compile of the same member: directive, source, reasons and error text.
+func sameVerdict(t *testing.T, src string, v MemberVerdict, m Compiler) {
+	t.Helper()
+	res, err := m.Compile(src)
+	if (v.Err == nil) != (err == nil) || (err != nil && v.Err.Error() != err.Error()) {
+		t.Errorf("%s on %q: shared err %v, independent err %v", m.Name(), src, v.Err, err)
+		return
+	}
+	if !reflect.DeepEqual(v.Result, res) {
+		t.Errorf("%s on %q:\nshared      %+v\nindependent %+v", m.Name(), src, v.Result, res)
+	}
+}
+
+// TestCompileEachMatchesIndependentCompile is the equivalence the shared
+// front end rests on: whatever one lex, one parse and one analysis give the
+// three members is what each would have computed alone — also when eight
+// goroutines share one ComPar — and no member's Reasons alias another's.
+func TestCompileEachMatchesIndependentCompile(t *testing.T) {
+	c := NewComPar()
+	srcs := equivalenceInputs(t)
+	for _, src := range srcs {
+		vs := c.CompileEach(src)
+		for i, v := range vs {
+			sameVerdict(t, src, v, c.Members[i])
+		}
+		// Appending to one member's reasons must not show in another's.
+		before := make([][]string, len(vs))
+		for i, v := range vs {
+			before[i] = append([]string(nil), v.Result.Reasons...)
+		}
+		for i := range vs {
+			vs[i].Result.Reasons = append(vs[i].Result.Reasons, "mutated by "+vs[i].Compiler)
+		}
+		for i, v := range vs {
+			if got := v.Result.Reasons[:len(before[i])]; !reflect.DeepEqual(append([]string(nil), got...), before[i]) {
+				t.Errorf("%s reasons changed under another member's append: %v, had %v", v.Compiler, got, before[i])
+			}
+			if n := len(v.Result.Reasons); n != len(before[i])+1 || v.Result.Reasons[n-1] != "mutated by "+v.Compiler {
+				t.Errorf("%s reasons %v after its own append", v.Compiler, v.Result.Reasons)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range srcs {
+				src := srcs[(k+g*7)%len(srcs)]
+				for i, v := range c.CompileEach(src) {
+					sameVerdict(t, src, v, c.Members[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCompileEachAllocs gates the saving: one shared front end allocates
+// under 45 % of what the three members allocate compiling on their own.
+func TestCompileEachAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const src = `for (i = 1; i < n - 1; i++) {
+    t = 0.5 * (a[i - 1] + a[i + 1]);
+    b[i] = t + c[i] * 2.0;
+}
+`
+	c := NewComPar()
+	shared := testing.AllocsPerRun(100, func() { c.CompileEach(src) })
+	alone := testing.AllocsPerRun(100, func() {
+		for _, m := range c.Members {
+			if _, err := m.Compile(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("CompileEach %.0f allocs, three independent Compiles %.0f", shared, alone)
+	if shared > 0.45*alone {
+		t.Errorf("CompileEach allocates %.0f, over 45 %% of %.0f for three independent compiles", shared, alone)
+	}
+}
+
+// TestStripPragmasNoCopy pins the fast path: a snippet without a pragma
+// comes back as the same string, not a split-and-joined copy.
+func TestStripPragmasNoCopy(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { stripPragmas("for (i = 0; i < n; i++)\n    a[i] = 0;\n") }); n != 0 {
+		t.Errorf("stripPragmas allocates %.0f times on a snippet with no pragma", n)
+	}
+	if got := stripPragmas("  #pragma omp parallel for\nfor (;;) ;"); got != "for (;;) ;" {
+		t.Errorf("stripPragmas = %q", got)
+	}
+}

@@ -179,9 +179,10 @@ type Loop struct {
 
 	queued bool // already handed to the inference stage
 	// ast is the loop as parsed by the scan worker, threaded to the advisor
-	// so corroboration skips the second parse. Set once by the collector at
-	// creation, read by the inference stage — same handoff discipline as
-	// Snippet.
+	// so corroboration skips the second parse. Set by the collector when it
+	// queues the loop, cleared by the inference stage when the verdict lands:
+	// a store hit never has one and a finished Report holds none, so no
+	// report pins a file's parse.
 	ast *cast.For
 }
 
@@ -421,8 +422,9 @@ func run(
 			endAdvise := tr.Start("advise")
 			err := suggestChunk(sg, chunk)
 			endAdvise()
-			if err != nil {
-				for _, l := range chunk {
+			for _, l := range chunk {
+				l.ast = nil // the verdict has landed, whichever suggester gave it
+				if err != nil {
 					l.Error = err.Error()
 				}
 			}
@@ -482,7 +484,7 @@ collect:
 					dDedupe += time.Since(tDedupe)
 				}
 				if !seen {
-					l = &Loop{Hash: h, Snippet: ol.snippet, ast: ol.loop}
+					l = &Loop{Hash: h, Snippet: ol.snippet}
 					byHash[h] = l
 					loops = append(loops, l)
 					if hit, ok := store.Get(h); ok {
@@ -495,6 +497,9 @@ collect:
 				l.Occurrences = append(l.Occurrences, ol.occ)
 				advisable := ol.occ.Pragma == "" || cfg.IncludeAnnotated
 				if !l.queued && advisable {
+					// Any occurrence's parse will do: equal hashes mean
+					// equal canonical prints, which is all the advisor reads.
+					l.ast = ol.loop
 					if err := enqueue(l); err != nil {
 						collectErr = err
 						break collect

@@ -496,25 +496,51 @@ func TestScanCacheVersionMismatch(t *testing.T) {
 }
 
 // TestScanParsesOncePerFile is the no-reparse gate: the scanner threads
-// each loop's parsed AST into the advisor, so a whole scan performs
-// exactly one cparse.Parse per input file — corroboration must not parse
-// snippets a second time.
+// each loop's parsed AST into the advisor, so a whole scan performs exactly
+// one cparse.Parse per input file. With corroboration on, each positive
+// loop adds exactly one more — the S2S trio's shared front end — where it
+// used to add three. It is also the no-pinning gate: a finished report
+// holds no loop AST.
 func TestScanParsesOncePerFile(t *testing.T) {
 	v := tokenize.BuildVocab([][]string{{"for", "(", ";", ")", "i", "n", "s", "=", "+="}}, 1)
 	m, err := core.New(core.Config{Vocab: v.Size() + 16, MaxLen: 64, D: 16, Heads: 2, Layers: 1}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: true}
-
-	before := cparse.Parses()
-	rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
-	parses := cparse.Parses() - before
-	// Every file is parsed exactly once, including the broken one (its
-	// parse fails but still counts as a call).
-	want := int64(rep.Counters.Files + rep.Counters.Skipped)
-	if parses != want {
-		t.Errorf("scan performed %d parses for %d files — corroboration re-parsed snippets", parses, want)
+	for _, noCorroborate := range []bool{true, false} {
+		models := &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: noCorroborate}
+		before := cparse.Parses()
+		rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
+		parses := cparse.Parses() - before
+		// Every file is parsed exactly once, including the broken one (its
+		// parse fails but still counts as a call).
+		want := int64(rep.Counters.Files + rep.Counters.Skipped)
+		positives := 0
+		for i := range rep.Loops {
+			l := &rep.Loops[i]
+			if l.ast != nil {
+				t.Errorf("finished report pins the AST of loop %s", l.Hash[:8])
+			}
+			if l.Suggestion != nil && l.Suggestion.Parallelize {
+				positives++
+			}
+		}
+		if !noCorroborate {
+			if positives == 0 {
+				t.Fatal("fixture scan has no positive loop; the corroboration leg checks nothing")
+			}
+			want += int64(positives)
+		}
+		if parses != want {
+			t.Errorf("NoCorroborate=%v: scan performed %d parses, want %d (files + one per corroborated loop)",
+				noCorroborate, parses, want)
+		}
+	}
+	// A suggester that takes no AST must leave none behind either.
+	for _, l := range scanFixture(t, Config{}, &stubSuggester{}).Loops {
+		if l.ast != nil {
+			t.Errorf("string-only suggester: finished report pins the AST of loop %s", l.Hash[:8])
+		}
 	}
 }
 
