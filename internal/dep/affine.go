@@ -116,6 +116,11 @@ func (a Affine) key() string {
 	return b.String()
 }
 
+// parseIntLit reads a C integer literal, with or without a u/l suffix.
+func parseIntLit(text string) (int64, error) {
+	return strconv.ParseInt(strings.TrimRight(text, "uUlL"), 0, 64)
+}
+
 // ToAffine converts expression e into affine form over loopVar. Any
 // construct outside {+,-,*,parenthesization, integer literals, identifiers,
 // unary minus, casts} yields a non-affine result (OK == false), which the
@@ -123,7 +128,7 @@ func (a Affine) key() string {
 func ToAffine(e cast.Expr, loopVar string) Affine {
 	switch v := e.(type) {
 	case *cast.IntLit:
-		n, err := strconv.ParseInt(strings.TrimRight(v.Text, "uUlL"), 0, 64)
+		n, err := parseIntLit(v.Text)
 		if err != nil {
 			return Affine{}
 		}
@@ -183,65 +188,6 @@ func ToAffine(e cast.Expr, loopVar string) Affine {
 		return a
 	}
 	return Affine{}
-}
-
-// DepResult classifies the outcome of a pairwise subscript test.
-type DepResult int
-
-const (
-	// DepNone proves independence across iterations.
-	DepNone DepResult = iota
-	// DepSameIteration proves accesses only coincide within an iteration.
-	DepSameIteration
-	// DepCarried proves or fails to disprove a loop-carried dependence.
-	DepCarried
-	// DepUnknown is returned for non-affine subscripts; callers must be
-	// conservative.
-	DepUnknown
-)
-
-// TestPair applies the ZIV / strong-SIV / GCD hierarchy to a pair of
-// subscripts of the same array dimension.
-func TestPair(w, r Affine) DepResult {
-	if !w.OK || !r.OK {
-		return DepUnknown
-	}
-	// Symbolic parts must match for an exact test; differing symbols could
-	// still alias for some runtime values, so be conservative.
-	if !w.sameSymbols(r) {
-		if w.Coef == 0 && r.Coef == 0 {
-			return DepUnknown
-		}
-		return DepUnknown
-	}
-	diff := r.Const - w.Const
-	switch {
-	case w.Coef == 0 && r.Coef == 0:
-		// ZIV: both loop-invariant.
-		if diff == 0 {
-			return DepCarried // same cell touched every iteration
-		}
-		return DepNone
-	case w.Coef == r.Coef:
-		// Strong SIV: distance = diff / coef.
-		if diff%w.Coef != 0 {
-			return DepNone
-		}
-		if diff/w.Coef == 0 {
-			return DepSameIteration
-		}
-		return DepCarried
-	default:
-		// General SIV/MIV: GCD test on w.Coef*i1 - r.Coef*i2 = diff.
-		g := gcd64(abs64(w.Coef), abs64(r.Coef))
-		if g == 0 {
-			return DepUnknown
-		}
-		if diff%g != 0 {
-			return DepNone
-		}
-		return DepCarried
-	}
 }
 
 func gcd64(a, b int64) int64 {

@@ -30,11 +30,11 @@ func (r rng) addTerm(c, lo, hi int64) rng {
 
 func (r rng) contains(x int64) bool { return r.ok && x >= r.lo && x <= r.hi }
 
-// varBounds returns the inclusive range of values a nest variable takes,
-// available only when its header bounds are integer constants.
-func (ns *nestSpace) varBounds(v string) (lo, hi int64, ok bool) {
-	h, okH := ns.headers[v]
-	if !okH || !h.OK || !h.Lower.constOnly() || !h.Upper.constOnly() || h.Step == 0 {
+// varBounds returns the inclusive range of values the nest variable in slot
+// s takes, available only when its header bounds are integer constants.
+func (ns *nestSpace) varBounds(s int) (lo, hi int64, ok bool) {
+	h := ns.headers[s]
+	if !h.OK || !h.Lower.constOnly() || !h.Upper.constOnly() || h.Step == 0 {
 		return 0, 0, false
 	}
 	trip := h.TripCount()
@@ -49,13 +49,13 @@ func (ns *nestSpace) varBounds(v string) (lo, hi int64, ok bool) {
 	return first, last, true
 }
 
-// reachable reports whether value x is one of the values v steps through.
-func (ns *nestSpace) reachable(v string, x int64) bool {
-	h, okH := ns.headers[v]
-	if !okH || !h.OK || h.Step == 0 {
+// reachable reports whether value x is one of the values slot s steps through.
+func (ns *nestSpace) reachable(s int, x int64) bool {
+	h := ns.headers[s]
+	if !h.OK || h.Step == 0 {
 		return true // unknown stepping: assume reachable
 	}
-	lo, hi, ok := ns.varBounds(v)
+	lo, hi, ok := ns.varBounds(s)
 	if ok && (x < lo || x > hi) {
 		return false
 	}
@@ -65,15 +65,15 @@ func (ns *nestSpace) reachable(v string, x int64) bool {
 // banerjeeRefute computes the range of Σ cr_v·u_v − Σ cw_v·t_v over the
 // nest's constant bounds and reports true when delta falls outside it —
 // i.e. the collision equation has no solution at all.
-func (ns *nestSpace) banerjeeRefute(w, r NAffine, vars []string, delta int64) bool {
+func (ns *nestSpace) banerjeeRefute(w, r nAffine, vars []int, delta int64) bool {
 	acc := emptyRng()
-	for _, v := range vars {
-		lo, hi, ok := ns.varBounds(v)
+	for _, s := range vars {
+		lo, hi, ok := ns.varBounds(s)
 		if !ok {
 			return false // symbolic bounds: decline to refute
 		}
-		acc = acc.addTerm(r.Coefs[v].K, lo, hi)
-		acc = acc.addTerm(-w.Coefs[v].K, lo, hi)
+		acc = acc.addTerm(r.Coefs[s].K, lo, hi)
+		acc = acc.addTerm(-w.Coefs[s].K, lo, hi)
 	}
 	return !acc.contains(delta)
 }
@@ -81,7 +81,7 @@ func (ns *nestSpace) banerjeeRefute(w, r NAffine, vars []string, delta int64) bo
 // weakSIV handles a single variable with differing coefficients on the two
 // sides: GCD first, then Banerjee bounds, then the direction-constrained
 // variant that can pin the dependence to distance zero.
-func (ns *nestSpace) weakSIV(v string, cw, cr, delta int64) dimRel {
+func (ns *nestSpace) weakSIV(s int, cw, cr, delta int64) dimRel {
 	g := gcd64(abs64(cw), abs64(cr))
 	if g != 0 && delta%g != 0 {
 		return dimRel{none: true}
@@ -100,13 +100,13 @@ func (ns *nestSpace) weakSIV(v string, cw, cr, delta int64) dimRel {
 		if (sign*delta)%c != 0 {
 			return dimRel{none: true}
 		}
-		if !ns.reachable(v, sign*delta/c) {
+		if !ns.reachable(s, sign*delta/c) {
 			return dimRel{none: true}
 		}
 		return freeDim()
 	}
 
-	lo, hi, ok := ns.varBounds(v)
+	lo, hi, ok := ns.varBounds(s)
 	if !ok {
 		return freeDim()
 	}
@@ -115,13 +115,13 @@ func (ns *nestSpace) weakSIV(v string, cw, cr, delta int64) dimRel {
 		return dimRel{none: true}
 	}
 
-	h := ns.headers[v]
+	h := ns.headers[s]
 	stepAbs := abs64(h.Step)
 	span := hi - lo
 
 	// Direction '=': (cr−cw)·t = delta at a single t.
 	eqFeasible := false
-	if d := cr - cw; d != 0 && delta%d == 0 && ns.reachable(v, delta/d) {
+	if d := cr - cw; d != 0 && delta%d == 0 && ns.reachable(s, delta/d) {
 		eqFeasible = true
 	}
 
@@ -131,9 +131,7 @@ func (ns *nestSpace) weakSIV(v string, cw, cr, delta int64) dimRel {
 
 	switch {
 	case !posFeasible && !negFeasible && eqFeasible:
-		d := freeDim()
-		d.pin(v, 0)
-		return d
+		return pinned(s, 0)
 	case !posFeasible && !negFeasible && !eqFeasible:
 		return dimRel{none: true}
 	}
@@ -154,8 +152,8 @@ func (ns *nestSpace) crossFeasible(cw, cr, delta, lo, hi, eLo, eHi int64) bool {
 // outer variable of an MIV dimension: when a nonzero outer distance is
 // infeasible within the bounds, the dependence cannot be carried by the
 // outer loop even though inner levels stay unresolved.
-func (ns *nestSpace) banerjeePinOuter(w, r NAffine, vars []string, delta int64) (dimRel, bool) {
-	outer := ns.vars[0]
+func (ns *nestSpace) banerjeePinOuter(w, r nAffine, vars []int, delta int64) (dimRel, bool) {
+	const outer = 0
 	cwo, cro := w.Coefs[outer].K, r.Coefs[outer].K
 	if cwo == 0 && cro == 0 {
 		return dimRel{}, false
@@ -165,16 +163,16 @@ func (ns *nestSpace) banerjeePinOuter(w, r NAffine, vars []string, delta int64) 
 		return dimRel{}, false
 	}
 	rest := emptyRng()
-	for _, v := range vars {
-		if v == outer {
+	for _, s := range vars {
+		if s == outer {
 			continue
 		}
-		lo, hi, okV := ns.varBounds(v)
+		lo, hi, okV := ns.varBounds(s)
 		if !okV {
 			return dimRel{}, false
 		}
-		rest = rest.addTerm(r.Coefs[v].K, lo, hi)
-		rest = rest.addTerm(-w.Coefs[v].K, lo, hi)
+		rest = rest.addTerm(r.Coefs[s].K, lo, hi)
+		rest = rest.addTerm(-w.Coefs[s].K, lo, hi)
 	}
 	h := ns.headers[outer]
 	stepAbs := abs64(h.Step)
@@ -194,9 +192,7 @@ func (ns *nestSpace) banerjeePinOuter(w, r NAffine, vars []string, delta int64) 
 
 	switch {
 	case !posFeasible && !negFeasible && eqFeasible:
-		d := freeDim()
-		d.pin(outer, 0)
-		return d, true
+		return pinned(outer, 0), true
 	case !posFeasible && !negFeasible && !eqFeasible:
 		return dimRel{none: true}, true
 	}

@@ -133,4 +133,3 @@ func refersTo(e cast.Expr, name string) bool {
 	})
 	return found
 }
-

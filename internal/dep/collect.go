@@ -14,6 +14,7 @@ type collector struct {
 	declared map[string]bool // names declared inside the body (auto-private)
 
 	accesses     []access
+	subs         []cast.Expr // slab every access's subscript list is carved from
 	order        int
 	hasIO        bool
 	hasBreak     bool
@@ -26,20 +27,20 @@ type collector struct {
 	condDepth    int      // >0 while under an if/ternary condition's branches
 
 	// Loop-nest bookkeeping: normalized inner loop headers keyed by
-	// variable, in first-seen order, plus the chain of nest variables
-	// enclosing the current walk position (outermost inner loop first).
+	// variable, in first-seen order.
 	nestHeaders map[string]LoopHeader
 	nestSigs    map[string]string
 	nestOrder   []string
-	chain       []string
+}
+
+// reset drops everything one walk gathered and keeps the two slabs, zeroed.
+func (c *collector) reset() {
+	*c = collector{accesses: zero(c.accesses), subs: zero(c.subs)}
 }
 
 func (c *collector) record(a access) {
 	a.cond = c.condDepth > 0
 	a.order = c.order
-	if len(c.chain) > 0 {
-		a.chain = append([]string(nil), c.chain...)
-	}
 	c.order++
 	c.accesses = append(c.accesses, a)
 }
@@ -119,9 +120,7 @@ func (c *collector) stmt(s cast.Stmt) {
 			if v.Cond != nil {
 				c.exprSkipVar(v.Cond, h.Var)
 			}
-			c.chain = append(c.chain, h.Var)
 			c.stmt(v.Body)
-			c.chain = c.chain[:len(c.chain)-1]
 			return
 		}
 		// Unnormalized inner loop: treat header conservatively.
@@ -216,19 +215,20 @@ func (c *collector) expr(e cast.Expr, asWrite bool) {
 }
 
 // flattenRef collapses an ArrayRef chain to its base name and subscript
-// list, outermost subscript first. An empty base means the chain does not
-// bottom out in a plain identifier.
-func flattenRef(e cast.Expr) (base string, subs []cast.Expr) {
-	cur := e
-	for {
-		ar, ok := cur.(*cast.ArrayRef)
-		if !ok {
-			break
-		}
-		subs = append([]cast.Expr{ar.Index}, subs...)
-		cur = ar.Arr
+// list, outermost subscript first, on the subscript slab: the chain is
+// counted, then filled from the back. An empty base means the chain does
+// not bottom out in a plain identifier.
+func (c *collector) flattenRef(e cast.Expr) (base string, subs []cast.Expr) {
+	n := 0
+	for ar, ok := e.(*cast.ArrayRef); ok; ar, ok = ar.Arr.(*cast.ArrayRef) {
+		n++
 	}
-	return cast.RootIdent(cur), subs
+	subs = carve(&c.subs, n)
+	for ar, ok := e.(*cast.ArrayRef); ok; ar, ok = ar.Arr.(*cast.ArrayRef) {
+		n--
+		subs[n] = ar.Index
+	}
+	return cast.RootIdent(e), subs
 }
 
 // exprOp is expr with compound-assignment awareness: compound indicates the
@@ -276,8 +276,9 @@ func (c *collector) exprOp(e cast.Expr, asWrite, compound bool) {
 		// records with the operator so array-reduction recognition can lift
 		// a refuted histogram or in-place update into a reduction clause.
 		if ar, ok := v.L.(*cast.ArrayRef); ok {
-			if base, subs := flattenRef(ar); base != "" && !c.declared[base] && base != c.loopVar {
+			if base := cast.RootIdent(ar); base != "" && !c.declared[base] && base != c.loopVar {
 				if op, rhs, okShape := arrayAccumShape(v, base); okShape && !refersTo(rhs, base) {
+					_, subs := c.flattenRef(ar)
 					for _, s := range subs {
 						c.exprOp(s, false, false)
 					}
@@ -318,7 +319,7 @@ func (c *collector) exprOp(e cast.Expr, asWrite, compound bool) {
 		}
 		c.exprOp(v.X, asWrite, compound)
 	case *cast.ArrayRef:
-		base, subs := flattenRef(e)
+		base, subs := c.flattenRef(e)
 		for _, s := range subs {
 			c.exprOp(s, false, false)
 		}
@@ -380,10 +381,14 @@ func arrayAccumShape(v *cast.Assign, base string) (op string, rhs cast.Expr, ok 
 	case "+=", "-=", "*=", "&=", "|=", "^=":
 		return v.Op[:len(v.Op)-1], v.R, true
 	case "=":
-		self := cast.PrintExpr(v.L)
+		// The target is printed once, and only when an operand shares its base.
+		self := ""
 		isSelf := func(e cast.Expr) bool {
-			if b, _ := flattenRef(e); b != base {
+			if cast.RootIdent(e) != base {
 				return false
+			}
+			if self == "" {
+				self = cast.PrintExpr(v.L)
 			}
 			return cast.PrintExpr(e) == self
 		}
@@ -419,20 +424,24 @@ func arrayAccumShape(v *cast.Assign, base string) (op string, rhs cast.Expr, ok 
 // image->colormap[i].opacity pattern: the innermost ArrayRef subscripts
 // participate in dependence testing under the flattened name.
 func (c *collector) memberAccess(m *cast.Member, asWrite, compound bool, base string) {
-	// Collect subscripts found anywhere in the postfix chain.
-	var subs []cast.Expr
-	var walkPost func(e cast.Expr)
-	walkPost = func(e cast.Expr) {
-		switch v := e.(type) {
-		case *cast.ArrayRef:
-			walkPost(v.Arr)
-			subs = append(subs, v.Index)
-			c.exprOp(v.Index, false, false)
-		case *cast.Member:
-			walkPost(v.X)
+	// Collect subscripts found anywhere in the postfix chain, innermost
+	// first, on the subscript slab: counted, then filled from the back.
+	n := 0
+	for e := m.X; e != nil; e = postfixInner(e) {
+		if _, ok := e.(*cast.ArrayRef); ok {
+			n++
 		}
 	}
-	walkPost(m.X)
+	subs := carve(&c.subs, n)
+	for e := m.X; e != nil; e = postfixInner(e) {
+		if ar, ok := e.(*cast.ArrayRef); ok {
+			n--
+			subs[n] = ar.Index
+		}
+	}
+	for _, s := range subs {
+		c.exprOp(s, false, false)
+	}
 	name := base + "." + m.Field
 	if base == "" {
 		if asWrite {
@@ -444,7 +453,7 @@ func (c *collector) memberAccess(m *cast.Member, asWrite, compound bool, base st
 	// shared location every iteration; record it with an empty (non-nil)
 	// subscript vector so the array tests flag the output dependence rather
 	// than the scalar classifier treating it as privatizable.
-	if subs == nil {
+	if len(subs) == 0 {
 		subs = []cast.Expr{}
 	}
 	if asWrite {
@@ -455,6 +464,18 @@ func (c *collector) memberAccess(m *cast.Member, asWrite, compound bool, base st
 	} else {
 		c.record(access{name: name, subs: subs, node: m})
 	}
+}
+
+// postfixInner steps one link down a postfix chain of subscripts and member
+// selections; nil ends the chain.
+func postfixInner(e cast.Expr) cast.Expr {
+	switch v := e.(type) {
+	case *cast.ArrayRef:
+		return v.Arr
+	case *cast.Member:
+		return v.X
+	}
+	return nil
 }
 
 // writeTarget records a write to an lvalue expression.
@@ -500,15 +521,16 @@ func (c *collector) call(name string, args []cast.Expr) {
 // variable: body-declared locals and scalars written inside the body.
 // Subscript symbols drawn from this set cannot prove independence via
 // constant-difference arguments.
-func (c *collector) varyingNames(nestVars map[string]bool) map[string]bool {
+func (c *collector) varyingNames(ns *nestSpace) map[string]bool {
 	varying := map[string]bool{}
 	for name := range c.declared {
-		if !nestVars[name] && name != c.loopVar {
+		if ns.slot(name) < 0 {
 			varying[name] = true
 		}
 	}
-	for _, acc := range c.accesses {
-		if acc.write && acc.subs == nil && !nestVars[acc.name] && acc.name != c.loopVar {
+	for i := range c.accesses {
+		acc := &c.accesses[i]
+		if acc.write && acc.subs == nil && ns.slot(acc.name) < 0 {
 			varying[acc.name] = true
 		}
 	}

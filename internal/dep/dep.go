@@ -9,7 +9,6 @@ package dep
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"pragformer/internal/cast"
@@ -173,9 +172,10 @@ type access struct {
 	// node anchors the access to its AST expression for witness positions
 	// (nil for synthetic records such as inner-loop header writes).
 	node cast.Expr
-	// chain is the stack of enclosing inner-loop variables at record time,
-	// outermost first.
-	chain []string
+	// forms are the subscripts in nest-affine form and affine whether every
+	// one converted; filled by the array tests, for arrays that are written.
+	forms  []nAffine
+	affine bool
 }
 
 // AnalyzeLoop analyzes one for-loop with conversions disabled; it keeps the
@@ -190,6 +190,13 @@ func AnalyzeLoop(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
 
 // AnalyzeLoopOpts analyzes one for-loop under the given conversion options.
 func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	return ws.analyze(loop, funcs, opts)
+}
+
+// analyze is AnalyzeLoopOpts on this workspace, which must be clean.
+func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
 	a := &Analysis{}
 	a.Header = ParseHeader(loop)
 	if !a.Header.OK {
@@ -197,7 +204,8 @@ func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Option
 		return a
 	}
 
-	ctx := &collector{loopVar: a.Header.Var, funcs: funcs, declared: map[string]bool{}}
+	ctx := &ws.ctx
+	ctx.loopVar, ctx.funcs, ctx.declared = a.Header.Var, funcs, map[string]bool{}
 	if a.Header.DeclInline {
 		ctx.declared[a.Header.Var] = true
 	}
@@ -229,8 +237,8 @@ func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Option
 
 	// The nest iteration space covers the analyzed loop plus every
 	// normalized inner loop; all dependence math below runs over it.
-	ns := buildNest(a.Header, ctx)
-	a.NestDepth = len(ns.vars)
+	ws.ns.build(a.Header, ctx)
+	a.NestDepth = len(ws.ns.levels)
 
 	// Scalar classification.
 	okScalars := a.classifyScalars(ctx)
@@ -240,7 +248,7 @@ func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Option
 	}
 	// Array dependence tests over the nest, with privatization / reduction
 	// rescue passes when enabled.
-	if !a.testArraysNest(ctx, ns, opts) {
+	if !a.testArraysNest(ws, opts) {
 		a.fillWitnessPositions(loop)
 		return a
 	}
@@ -334,7 +342,7 @@ func ParseHeader(loop *cast.For) LoopHeader {
 			if !ok {
 				return LoopHeader{}
 			}
-			n, err := strconv.ParseInt(lit.Text, 0, 64)
+			n, err := parseIntLit(lit.Text)
 			if err != nil || n == 0 {
 				return LoopHeader{}
 			}

@@ -387,6 +387,29 @@ func TestHeaderForms(t *testing.T) {
 	}
 }
 
+// A step literal may carry an integer suffix in every spelling of the step.
+func TestHeaderSuffixedStep(t *testing.T) {
+	for _, c := range []struct {
+		post string
+		step int64
+	}{
+		{"i += 2", 2},
+		{"i += 2u", 2},
+		{"i += 1L", 1},
+		{"i -= 4UL", -4},
+		{"i = i + 2u", 2},
+	} {
+		loop, _ := parseLoop(t, "for (i = 0; i < n; "+c.post+") a[i] = 0;")
+		if h := ParseHeader(loop); !h.OK || h.Step != c.step {
+			t.Errorf("%s: OK = %v, step = %d; want step %d", c.post, h.OK, h.Step, c.step)
+		}
+	}
+	// The analysis keeps its verdict: a suffix is not a reason to bail out.
+	if a := analyze(t, "for (i = 0; i < n; i += 2u) a[i] = b[i];"); !a.Parallelizable {
+		t.Errorf("suffixed step not parallelizable: %v", a.Reasons)
+	}
+}
+
 func TestStructMemberLoop(t *testing.T) {
 	a := analyze(t, "for (i = 0; i < n; i++) image->colormap[i].opacity = (IndexPacket) i;")
 	if !a.Parallelizable {
@@ -536,52 +559,5 @@ func TestAffineForms(t *testing.T) {
 		if c.ok && (a.Coef != c.coef || a.Const != c.constant) {
 			t.Errorf("%q: got %d*i+%d want %d*i+%d", c.expr, a.Coef, a.Const, c.coef, c.constant)
 		}
-	}
-}
-
-func TestTestPair(t *testing.T) {
-	mk := func(coef, cst int64) Affine {
-		a := affineZero()
-		a.Coef, a.Const = coef, cst
-		return a
-	}
-	cases := []struct {
-		w, r Affine
-		want DepResult
-	}{
-		{mk(1, 0), mk(1, 0), DepSameIteration}, // a[i] vs a[i]
-		{mk(1, 0), mk(1, -1), DepCarried},      // a[i] vs a[i-1]
-		{mk(1, 0), mk(1, 1), DepCarried},       // a[i] vs a[i+1]
-		{mk(2, 0), mk(2, 1), DepNone},          // a[2i] vs a[2i+1]
-		{mk(0, 3), mk(0, 3), DepCarried},       // a[3] vs a[3]
-		{mk(0, 3), mk(0, 4), DepNone},          // a[3] vs a[4]
-		{mk(2, 0), mk(4, 1), DepNone},          // gcd 2 does not divide 1
-		{mk(2, 0), mk(4, 2), DepCarried},       // gcd divides difference
-		{Affine{}, mk(1, 0), DepUnknown},       // non-affine
-	}
-	for i, c := range cases {
-		if got := TestPair(c.w, c.r); got != c.want {
-			t.Errorf("case %d: got %v want %v", i, got, c.want)
-		}
-	}
-}
-
-func BenchmarkAnalyzeLoop(b *testing.B) {
-	src := "for (i = 0; i < n; i++) { for (j = 0; j < m; j++) { s = 0; s += A[i][j] * x[j]; y[i] = y[i] + s; } }"
-	f, err := cparse.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var loop *cast.For
-	cast.Walk(f, func(n cast.Node) bool {
-		if l, ok := n.(*cast.For); ok && loop == nil {
-			loop = l
-			return false
-		}
-		return true
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AnalyzeLoop(loop, nil)
 	}
 }

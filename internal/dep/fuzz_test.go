@@ -15,7 +15,19 @@ import (
 // input may panic it, and the analysis must be deterministic — the engine's
 // witnesses feed byte-stable scan reports, so two runs over the same loop
 // must serialize identically, under every conversion-option combination.
+// Between the two runs the recycled workspace serves another loop, a long
+// one and a short one in turn, so that whatever a release leaves behind, or
+// a slab that outgrew the input, would show in the second run.
 func FuzzAnalyze(f *testing.F) {
+	var between []*cast.For
+	for _, src := range []string{longLoop(), "for (i = 0; i < n; i++) a[i] = 0;"} {
+		file, err := cparse.Parse(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		between = append(between, cast.ExtractLoops(file)[0].Loop)
+	}
+	turn := 0
 	dir := filepath.Join("..", "..", "examples", "scantree")
 	_ = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".c") {
@@ -52,6 +64,8 @@ func FuzzAnalyze(f *testing.F) {
 		for _, li := range cast.ExtractLoops(file) {
 			for _, o := range opts {
 				a := AnalyzeLoopOpts(li.Loop, funcs, o)
+				AnalyzeLoopOpts(between[turn%len(between)], nil, o)
+				turn++
 				b := AnalyzeLoopOpts(li.Loop, funcs, o)
 				ja, err := json.Marshal(a)
 				if err != nil {

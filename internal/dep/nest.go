@@ -1,8 +1,7 @@
 package dep
 
 import (
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"pragformer/internal/cast"
@@ -15,173 +14,240 @@ import (
 // a dependence is carried by the *outer* loop (the one we would annotate) or
 // only by an inner level, where it cannot break a `parallel for`.
 
-// nestSpace is the iteration space of the analyzed loop nest. Level 0 is
-// the outer (annotated) loop; deeper levels are normalized inner loops in
-// first-seen order. Sibling loops reusing a variable with identical headers
-// merge into one level; conflicting reuses keep the level but lose bounds.
+// nestSpace is the iteration space of the analyzed loop nest. Slot 0 is the
+// outer (annotated) loop's variable; further slots are the variables of
+// normalized inner loops in first-seen order. Sibling loops reusing a
+// variable with identical headers merge into one slot; conflicting reuses
+// keep the slot but lose bounds. Every form below is dense over the slots:
+// nest depth is a handful, so a form is a few integers.
 type nestSpace struct {
-	vars    []string
-	level   map[string]int
-	headers map[string]LoopHeader
-	isVar   map[string]bool
+	vars    []string     // slot → variable name
+	headers []LoopHeader // slot → normalized header
+	// levels maps nest level → slot. It is the identity unless an inner loop
+	// reuses the analyzed loop's own variable: then both levels share slot 0.
+	levels  []int
 	varying map[string]bool // non-nest names that change between iterations
+
+	// Slabs the forms of one analysis are carved from (see workspace).
+	coefs []nvCoef
+	syms  []symTerm
+	// Distance vector of the access pair under test, one entry per slot.
+	dist  []int64
+	known []bool
 }
 
-func buildNest(h LoopHeader, ctx *collector) *nestSpace {
-	ns := &nestSpace{
-		vars:    append([]string{h.Var}, ctx.nestOrder...),
-		level:   map[string]int{},
-		headers: map[string]LoopHeader{h.Var: h},
-		isVar:   map[string]bool{},
+func (ns *nestSpace) build(h LoopHeader, ctx *collector) {
+	ns.vars = append(ns.vars, h.Var)
+	ns.headers = append(ns.headers, h)
+	ns.levels = append(ns.levels, 0)
+	for _, v := range ctx.nestOrder {
+		if v == h.Var {
+			// An inner loop over the analyzed loop's own variable: a second
+			// level of slot 0, which takes the inner header's bounds.
+			ns.headers[0] = ctx.nestHeaders[v]
+			ns.levels = append(ns.levels, 0)
+			continue
+		}
+		ns.levels = append(ns.levels, len(ns.vars))
+		ns.vars = append(ns.vars, v)
+		ns.headers = append(ns.headers, ctx.nestHeaders[v])
 	}
-	for v, hdr := range ctx.nestHeaders {
-		ns.headers[v] = hdr
-	}
-	for i, v := range ns.vars {
-		ns.level[v] = i
-		ns.isVar[v] = true
-	}
-	ns.varying = ctx.varyingNames(ns.isVar)
-	return ns
+	ns.varying = ctx.varyingNames(ns)
+	ns.dist = slices.Grow(ns.dist, len(ns.vars))[:len(ns.vars)]
+	ns.known = slices.Grow(ns.known, len(ns.vars))[:len(ns.vars)]
 }
+
+func (ns *nestSpace) reset() {
+	*ns = nestSpace{
+		vars: zero(ns.vars), headers: zero(ns.headers), levels: ns.levels[:0],
+		coefs: zero(ns.coefs), syms: zero(ns.syms),
+		dist: ns.dist[:0], known: ns.known[:0],
+	}
+}
+
+// slot returns the coefficient slot of a nest variable, -1 for other names.
+func (ns *nestSpace) slot(name string) int { return slices.Index(ns.vars, name) }
 
 // nvCoef is the coefficient of one nest variable inside a subscript: K when
 // Sym is empty, K*Sym otherwise (the `i*n + j` linearization shape). Bad
-// marks coefficients outside that single-term language.
+// marks coefficients outside that single-term language. The zero value is
+// "the variable does not occur".
 type nvCoef struct {
 	K   int64
 	Sym string
 	Bad bool
 }
 
-func (c nvCoef) zero() bool { return !c.Bad && c.K == 0 }
+// coef builds a well-formed coefficient; a zero one is the absent value.
+func coef(k int64, sym string) nvCoef {
+	if k == 0 {
+		return nvCoef{}
+	}
+	return nvCoef{K: k, Sym: sym}
+}
 
-// NAffine is a subscript over the whole nest:
+// symTerm is one symbolic addend K·Name of a subscript.
+type symTerm struct {
+	Name string
+	K    int64
+}
+
+// nAffine is a subscript over the whole nest:
 //
-//	Σ Coefs[v]·v + Σ Syms[s]·s + Const
+//	Σ Coefs[slot]·var + Σ Syms[i].K·Syms[i].Name + Const
 //
-// Varying marks forms referencing a symbol whose value may differ between
-// iterations (body-written scalars, body-declared locals); such symbols
-// cancel positionally but never prove independence across iterations.
-type NAffine struct {
-	Coefs   map[string]nvCoef
-	Syms    map[string]int64
+// Syms is sorted by name and holds no zero term, so equal symbolic parts are
+// equal slices. Varying marks forms referencing a symbol whose value may
+// differ between iterations (body-written scalars, body-declared locals);
+// such symbols cancel positionally but never prove independence across
+// iterations.
+type nAffine struct {
+	Coefs   []nvCoef
+	Syms    []symTerm
 	Const   int64
 	Varying bool
 	OK      bool
 }
 
-func (ns *nestSpace) nZero() NAffine {
-	return NAffine{Coefs: map[string]nvCoef{}, Syms: map[string]int64{}, OK: true}
+func (ns *nestSpace) nZero() nAffine {
+	return nAffine{Coefs: carve(&ns.coefs, len(ns.vars)), OK: true}
 }
 
-func (x NAffine) nAdd(y NAffine) NAffine {
-	if !x.OK || !y.OK {
-		return NAffine{}
-	}
-	r := NAffine{Coefs: map[string]nvCoef{}, Syms: map[string]int64{}, OK: true}
-	r.Const = x.Const + y.Const
-	r.Varying = x.Varying || y.Varying
-	for v, c := range x.Coefs {
-		r.Coefs[v] = c
-	}
-	for v, c := range y.Coefs {
-		prev, seen := r.Coefs[v]
-		switch {
-		case !seen:
-			r.Coefs[v] = c
-		case prev.Bad || c.Bad || prev.Sym != c.Sym:
-			r.Coefs[v] = nvCoef{Bad: true}
-		default:
-			r.Coefs[v] = nvCoef{K: prev.K + c.K, Sym: c.Sym}
-		}
-	}
-	for s, k := range x.Syms {
-		r.Syms[s] += k
-	}
-	for s, k := range y.Syms {
-		r.Syms[s] += k
-	}
-	r.trim()
+// nSym is the form 1·name.
+func (ns *nestSpace) nSym(name string, varying bool) nAffine {
+	r := ns.nZero()
+	r.Syms = carve(&ns.syms, 1)
+	r.Syms[0] = symTerm{Name: name, K: 1}
+	r.Varying = varying
 	return r
 }
 
-func (x NAffine) nNeg() NAffine { return x.nScale(-1) }
-
-func (x NAffine) nScale(c int64) NAffine {
-	if !x.OK {
-		return NAffine{}
+func (ns *nestSpace) nAdd(x, y nAffine) nAffine {
+	if !x.OK || !y.OK {
+		return nAffine{}
 	}
-	r := NAffine{Coefs: map[string]nvCoef{}, Syms: map[string]int64{}, OK: true, Varying: x.Varying}
+	r := ns.nZero()
+	r.Const = x.Const + y.Const
+	r.Varying = x.Varying || y.Varying
+	for s := range r.Coefs {
+		p, c := x.Coefs[s], y.Coefs[s]
+		switch {
+		case c == nvCoef{}:
+			r.Coefs[s] = p
+		case p == nvCoef{}:
+			r.Coefs[s] = c
+		case p.Bad || c.Bad || p.Sym != c.Sym:
+			r.Coefs[s] = nvCoef{Bad: true}
+		default:
+			r.Coefs[s] = coef(p.K+c.K, c.Sym)
+		}
+	}
+	// Merge the two sorted term lists, dropping terms that cancel.
+	r.Syms = carve(&ns.syms, len(x.Syms)+len(y.Syms))[:0]
+	xs, ys := x.Syms, y.Syms
+	for len(xs) > 0 && len(ys) > 0 {
+		switch cmp := strings.Compare(xs[0].Name, ys[0].Name); {
+		case cmp < 0:
+			r.Syms, xs = append(r.Syms, xs[0]), xs[1:]
+		case cmp > 0:
+			r.Syms, ys = append(r.Syms, ys[0]), ys[1:]
+		default:
+			if k := xs[0].K + ys[0].K; k != 0 {
+				r.Syms = append(r.Syms, symTerm{Name: xs[0].Name, K: k})
+			}
+			xs, ys = xs[1:], ys[1:]
+		}
+	}
+	r.Syms = append(append(r.Syms, xs...), ys...)
+	return r
+}
+
+func (ns *nestSpace) nNeg(x nAffine) nAffine { return ns.nScale(x, -1) }
+
+func (ns *nestSpace) nScale(x nAffine, c int64) nAffine {
+	if !x.OK {
+		return nAffine{}
+	}
+	r := ns.nZero()
+	r.Varying = x.Varying
 	r.Const = x.Const * c
-	for v, co := range x.Coefs {
+	for s, co := range x.Coefs {
 		if co.Bad {
-			r.Coefs[v] = co
+			r.Coefs[s] = co
 			continue
 		}
-		r.Coefs[v] = nvCoef{K: co.K * c, Sym: co.Sym}
+		r.Coefs[s] = coef(co.K*c, co.Sym)
 	}
-	for s, k := range x.Syms {
-		r.Syms[s] = k * c
+	r.Syms = carve(&ns.syms, len(x.Syms))[:0]
+	for _, t := range x.Syms {
+		if k := t.K * c; k != 0 {
+			r.Syms = append(r.Syms, symTerm{Name: t.Name, K: k})
+		}
 	}
-	r.trim()
 	return r
 }
 
 // nMulSym multiplies by a single invariant symbol.
-func (x NAffine) nMulSym(sym string, varying bool) NAffine {
+func (ns *nestSpace) nMulSym(x nAffine, sym string, varying bool) nAffine {
 	if !x.OK {
-		return NAffine{}
+		return nAffine{}
 	}
-	r := NAffine{Coefs: map[string]nvCoef{}, Syms: map[string]int64{}, OK: true, Varying: x.Varying || varying}
-	for v, co := range x.Coefs {
-		if co.Bad || co.Sym != "" {
-			r.Coefs[v] = nvCoef{Bad: true}
-			continue
+	r := ns.nZero()
+	r.Varying = x.Varying || varying
+	for s, co := range x.Coefs {
+		switch {
+		case co == nvCoef{}:
+		case co.Bad || co.Sym != "":
+			r.Coefs[s] = nvCoef{Bad: true}
+		default:
+			r.Coefs[s] = nvCoef{K: co.K, Sym: sym}
 		}
-		r.Coefs[v] = nvCoef{K: co.K, Sym: sym}
 	}
-	for s, k := range x.Syms {
-		parts := []string{s, sym}
-		sort.Strings(parts)
-		r.Syms[strings.Join(parts, "*")] += k
+	r.Syms = carve(&ns.syms, len(x.Syms)+1)[:0]
+	for _, t := range x.Syms {
+		name := t.Name + "*" + sym
+		if sym < t.Name {
+			name = sym + "*" + t.Name
+		}
+		r.Syms = addSym(r.Syms, name, t.K)
 	}
 	if x.Const != 0 {
-		r.Syms[sym] += x.Const
+		r.Syms = addSym(r.Syms, sym, x.Const)
 	}
-	r.trim()
 	return r
 }
 
-func (x *NAffine) trim() {
-	for v, c := range x.Coefs {
-		if c.zero() {
-			delete(x.Coefs, v)
-		}
+// addSym adds k·name into a sorted term list within its capacity.
+func addSym(terms []symTerm, name string, k int64) []symTerm {
+	i, found := slices.BinarySearchFunc(terms, name, func(t symTerm, n string) int {
+		return strings.Compare(t.Name, n)
+	})
+	switch {
+	case !found:
+		return slices.Insert(terms, i, symTerm{Name: name, K: k})
+	case terms[i].K+k == 0:
+		return slices.Delete(terms, i, i+1)
 	}
-	for s, k := range x.Syms {
-		if k == 0 {
-			delete(x.Syms, s)
-		}
-	}
+	terms[i].K += k
+	return terms
 }
 
 // invariant reports whether the form involves no nest variable.
-func (x NAffine) invariant() bool { return x.OK && len(x.Coefs) == 0 }
-
-func (x NAffine) sameSyms(y NAffine) bool {
-	if len(x.Syms) != len(y.Syms) {
+func (x nAffine) invariant() bool {
+	if !x.OK {
 		return false
 	}
-	for s, k := range x.Syms {
-		if y.Syms[s] != k {
+	for _, c := range x.Coefs {
+		if c != (nvCoef{}) {
 			return false
 		}
 	}
 	return true
 }
 
-// markVarying flags symbols whose underlying names are iteration-varying.
+func (x nAffine) sameSyms(y nAffine) bool { return slices.Equal(x.Syms, y.Syms) }
+
+// symVarying reports whether e mentions an iteration-varying name.
 func (ns *nestSpace) symVarying(e cast.Expr) bool {
 	varying := false
 	cast.Walk(e, func(n cast.Node) bool {
@@ -194,93 +260,89 @@ func (ns *nestSpace) symVarying(e cast.Expr) bool {
 	return varying
 }
 
+// form converts one subscript into nest-wide affine form and keeps only the
+// result on the slabs: the intermediates of affine's recursion are dropped.
+func (ns *nestSpace) form(e cast.Expr) nAffine {
+	coefMark, symMark := len(ns.coefs), len(ns.syms)
+	x := ns.affine(e)
+	x.Coefs = compact(&ns.coefs, coefMark, x.Coefs)
+	x.Syms = compact(&ns.syms, symMark, x.Syms)
+	return x
+}
+
 // affine converts a subscript expression into nest-wide affine form.
-func (ns *nestSpace) affine(e cast.Expr) NAffine {
+func (ns *nestSpace) affine(e cast.Expr) nAffine {
 	switch v := e.(type) {
 	case *cast.IntLit:
-		n, err := strconv.ParseInt(strings.TrimRight(v.Text, "uUlL"), 0, 64)
+		n, err := parseIntLit(v.Text)
 		if err != nil {
-			return NAffine{}
+			return nAffine{}
 		}
 		r := ns.nZero()
 		r.Const = n
 		return r
 	case *cast.Ident:
-		r := ns.nZero()
-		if ns.isVar[v.Name] {
-			r.Coefs[v.Name] = nvCoef{K: 1}
-		} else {
-			r.Syms[v.Name] = 1
-			r.Varying = ns.varying[v.Name]
+		if s := ns.slot(v.Name); s >= 0 {
+			r := ns.nZero()
+			r.Coefs[s] = nvCoef{K: 1}
+			return r
 		}
-		return r
+		return ns.nSym(v.Name, ns.varying[v.Name])
 	case *cast.BinaryOp:
 		l := ns.affine(v.L)
 		r := ns.affine(v.R)
 		switch v.Op {
 		case "+":
-			return l.nAdd(r)
+			return ns.nAdd(l, r)
 		case "-":
-			return l.nAdd(r.nNeg())
+			return ns.nAdd(l, ns.nNeg(r))
 		case "*":
 			if !l.OK || !r.OK {
-				return NAffine{}
+				return nAffine{}
 			}
 			if l.invariant() && len(l.Syms) == 0 {
-				return r.nScale(l.Const)
+				return ns.nScale(r, l.Const)
 			}
 			if r.invariant() && len(r.Syms) == 0 {
-				return l.nScale(r.Const)
+				return ns.nScale(l, r.Const)
 			}
 			// One side a single invariant symbol with unit coefficient and
 			// no constant: the `i*n` linearization shape.
 			if s, varying, ok := singleSym(l); ok {
-				return r.nMulSym(s, varying)
+				return ns.nMulSym(r, s, varying)
 			}
 			if s, varying, ok := singleSym(r); ok {
-				return l.nMulSym(s, varying)
+				return ns.nMulSym(l, s, varying)
 			}
-			return NAffine{}
+			return nAffine{}
 		}
-		return NAffine{}
+		return nAffine{}
 	case *cast.UnaryOp:
 		if v.Op == "-" && !v.Postfix {
-			return ns.affine(v.X).nNeg()
+			return ns.nNeg(ns.affine(v.X))
 		}
 		if v.Op == "+" && !v.Postfix {
 			return ns.affine(v.X)
 		}
-		return NAffine{}
+		return nAffine{}
 	case *cast.Cast:
 		return ns.affine(v.X)
 	case *cast.FuncCall:
 		if fn, ok := v.Fun.(*cast.Ident); ok && pureFuncs[fn.Name] {
-			r := ns.nZero()
-			r.Syms["call:"+cast.PrintExpr(v)] = 1
-			r.Varying = ns.symVarying(v)
-			return r
+			return ns.nSym("call:"+cast.PrintExpr(v), ns.symVarying(v))
 		}
-		return NAffine{}
+		return nAffine{}
 	case *cast.Member:
-		r := ns.nZero()
-		r.Syms["member:"+cast.PrintExpr(v)] = 1
-		r.Varying = ns.symVarying(v)
-		return r
+		return ns.nSym("member:"+cast.PrintExpr(v), ns.symVarying(v))
 	}
-	return NAffine{}
+	return nAffine{}
 }
 
-func singleSym(x NAffine) (sym string, varying bool, ok bool) {
-	if !x.invariant() || x.Const != 0 || len(x.Syms) != 1 {
+func singleSym(x nAffine) (sym string, varying bool, ok bool) {
+	if !x.invariant() || x.Const != 0 || len(x.Syms) != 1 || x.Syms[0].K != 1 {
 		return "", false, false
 	}
-	for s, k := range x.Syms {
-		if k != 1 {
-			return "", false, false
-		}
-		return s, x.Varying, true
-	}
-	return "", false, false
+	return x.Syms[0].Name, x.Varying, true
 }
 
 // ---------------------------------------------------------------------------
@@ -288,30 +350,33 @@ func singleSym(x NAffine) (sym string, varying bool, ok bool) {
 // ---------------------------------------------------------------------------
 
 // dimRel is what one subscript dimension says about the iteration distance
-// between two accesses: proof of independence, exact per-variable distances,
-// or nothing (a free dimension).
+// between two accesses: proof of independence, exact distances for up to two
+// variables (delinearization pins two, every other test one), or nothing (a
+// free dimension).
 type dimRel struct {
 	none bool
-	dist map[string]int64
+	n    int
+	slot [2]int
+	dist [2]int64
 }
 
 func freeDim() dimRel { return dimRel{} }
 
-func (d *dimRel) pin(v string, dist int64) {
-	if d.dist == nil {
-		d.dist = map[string]int64{}
-	}
-	d.dist[v] = dist
+func pinned(slot int, dist int64) dimRel {
+	return dimRel{n: 1, slot: [2]int{slot}, dist: [2]int64{dist}}
 }
 
-// pairRel merges the dimensions of one access pair.
+// pairRel merges the dimensions of one access pair: per slot, whether the
+// iteration distance is known and its value. The vectors are the nest
+// space's own and hold until the next pairTest.
 type pairRel struct {
-	none bool
-	dist map[string]int64
+	none  bool
+	dist  []int64
+	known []bool
 }
 
 // dimTest analyzes one subscript dimension of a write/other pair.
-func (ns *nestSpace) dimTest(w, r NAffine) dimRel {
+func (ns *nestSpace) dimTest(w, r nAffine) dimRel {
 	if !w.OK || !r.OK {
 		return freeDim()
 	}
@@ -322,17 +387,20 @@ func (ns *nestSpace) dimTest(w, r NAffine) dimRel {
 	}
 	delta := w.Const - r.Const // Σ cr·u − Σ cw·t = Δ at a collision
 
-	var vars []string
+	// The slots either side involves, once per nest level. Depth is a handful,
+	// so the list stays in this frame.
+	var buf [8]int
+	vars := buf[:0]
 	symbolic := false
-	for _, v := range ns.vars {
-		cw, cr := w.Coefs[v], r.Coefs[v]
-		if cw.zero() && cr.zero() && cw.Sym == "" && cr.Sym == "" && !cw.Bad && !cr.Bad {
+	for _, s := range ns.levels {
+		cw, cr := w.Coefs[s], r.Coefs[s]
+		if cw == (nvCoef{}) && cr == (nvCoef{}) {
 			continue
 		}
 		if cw.Bad || cr.Bad || cw.Sym != "" || cr.Sym != "" {
 			symbolic = true
 		}
-		vars = append(vars, v)
+		vars = append(vars, s)
 	}
 
 	if symbolic {
@@ -348,27 +416,18 @@ func (ns *nestSpace) dimTest(w, r NAffine) dimRel {
 	}
 
 	if len(vars) == 1 {
-		v := vars[0]
-		cw, cr := w.Coefs[v].K, r.Coefs[v].K
+		s := vars[0]
+		cw, cr := w.Coefs[s].K, r.Coefs[s].K
 		if cw == cr {
-			return ns.strongSIV(v, cw, delta)
+			return ns.strongSIV(s, cw, delta)
 		}
-		return ns.weakSIV(v, cw, cr, delta)
+		return ns.weakSIV(s, cw, cr, delta)
 	}
 
 	// MIV: GCD then Banerjee bounds over the whole box.
-	var coefs []int64
-	for _, v := range vars {
-		if k := w.Coefs[v].K; k != 0 {
-			coefs = append(coefs, k)
-		}
-		if k := r.Coefs[v].K; k != 0 {
-			coefs = append(coefs, k)
-		}
-	}
 	g := int64(0)
-	for _, c := range coefs {
-		g = gcd64(g, abs64(c))
+	for _, s := range vars {
+		g = gcd64(gcd64(g, abs64(w.Coefs[s].K)), abs64(r.Coefs[s].K))
 	}
 	if g != 0 && delta%g != 0 {
 		return dimRel{none: true}
@@ -385,17 +444,15 @@ func (ns *nestSpace) dimTest(w, r NAffine) dimRel {
 // strongSIV handles equal coefficients: an exact value distance, converted
 // to an iteration distance through the level's step, refuted when the step
 // cannot reach it or the trip count is too short.
-func (ns *nestSpace) strongSIV(v string, c, delta int64) dimRel {
+func (ns *nestSpace) strongSIV(s int, c, delta int64) dimRel {
 	if delta%c != 0 {
 		return dimRel{none: true}
 	}
 	dValue := delta / c
-	h, okH := ns.headers[v]
-	if !okH || !h.OK || h.Step == 0 {
+	h := ns.headers[s]
+	if !h.OK || h.Step == 0 {
 		if dValue == 0 {
-			d := freeDim()
-			d.pin(v, 0)
-			return d
+			return pinned(s, 0)
 		}
 		return freeDim()
 	}
@@ -406,21 +463,19 @@ func (ns *nestSpace) strongSIV(v string, c, delta int64) dimRel {
 	if trip := h.TripCount(); trip >= 0 && abs64(dIter) >= trip {
 		return dimRel{none: true} // distance exceeds the iteration range
 	}
-	d := freeDim()
-	d.pin(v, dIter)
-	return d
+	return pinned(s, dIter)
 }
 
 // delinearize recognizes the `base[i*n + j]` linearized-2D shape on both
 // sides: identical coefficients, a unit symbolic coefficient on the slower
 // variable matching the faster variable's exact [0, n) unit-step range, and
 // no residual constant. Such a dimension behaves like base[i][j].
-func (ns *nestSpace) delinearize(w, r NAffine, vars []string, delta int64) dimRel {
+func (ns *nestSpace) delinearize(w, r nAffine, vars []int, delta int64) dimRel {
 	if delta != 0 || len(vars) != 2 {
 		return freeDim()
 	}
-	for _, v := range vars {
-		if w.Coefs[v] != r.Coefs[v] || w.Coefs[v].Bad {
+	for _, s := range vars {
+		if w.Coefs[s] != r.Coefs[s] || w.Coefs[s].Bad {
 			return freeDim()
 		}
 	}
@@ -432,8 +487,8 @@ func (ns *nestSpace) delinearize(w, r NAffine, vars []string, delta int64) dimRe
 	if cs.Sym == "" || cs.K != 1 || cf.Sym != "" || cf.K != 1 {
 		return freeDim()
 	}
-	h, okH := ns.headers[fast]
-	if !okH || !h.OK || h.Step != 1 || h.Inclusive {
+	h := ns.headers[fast]
+	if !h.OK || h.Step != 1 || h.Inclusive {
 		return freeDim()
 	}
 	if !h.Lower.constOnly() || h.Lower.Const != 0 {
@@ -443,29 +498,28 @@ func (ns *nestSpace) delinearize(w, r NAffine, vars []string, delta int64) dimRe
 	if !up.OK || up.Coef != 0 || up.Const != 0 || len(up.SymCoefs) != 1 || up.SymCoefs[cs.Sym] != 1 {
 		return freeDim()
 	}
-	d := freeDim()
-	d.pin(slow, 0)
-	d.pin(fast, 0)
-	return d
+	return dimRel{n: 2, slot: [2]int{slow, fast}}
 }
 
 // pairTest merges all dimensions of one access pair into distance facts.
-func (ns *nestSpace) pairTest(w, r []NAffine) pairRel {
+func (ns *nestSpace) pairTest(w, r []nAffine) pairRel {
+	rel := pairRel{dist: ns.dist, known: ns.known}
+	clear(rel.known)
 	if len(w) != len(r) {
-		return pairRel{} // differing dimensionality: no information
+		return rel // differing dimensionality: no information
 	}
-	rel := pairRel{dist: map[string]int64{}}
 	for d := range w {
 		dr := ns.dimTest(w[d], r[d])
 		if dr.none {
 			return pairRel{none: true}
 		}
-		for v, dist := range dr.dist {
-			if prev, seen := rel.dist[v]; seen && prev != dist {
+		for i := 0; i < dr.n; i++ {
+			s, dist := dr.slot[i], dr.dist[i]
+			if rel.known[s] && rel.dist[s] != dist {
 				// Two dimensions demand different distances: unsatisfiable.
 				return pairRel{none: true}
 			}
-			rel.dist[v] = dist
+			rel.dist[s], rel.known[s] = dist, true
 		}
 	}
 	return rel

@@ -92,6 +92,19 @@ func TestNestSymbolicLowerBoundDistance(t *testing.T) {
 	}
 }
 
+// An inner loop reusing the analyzed loop's variable adds a level, not a
+// variable: the subscript then involves both levels, so no single-variable
+// distance is read off it.
+func TestNestReusedOuterVariable(t *testing.T) {
+	a := analyze(t, "for (i = 0; i < n; i++) { for (i = 0; i < 8; i++) a[i] = a[i + 1] + 1; }")
+	if a.Parallelizable || a.NestDepth != 2 || len(a.Witnesses) != 1 {
+		t.Fatalf("parallelizable %v, depth %d, witnesses %v", a.Parallelizable, a.NestDepth, a.Witnesses)
+	}
+	if w := a.Witnesses[0]; w.Kind != "anti" || w.Distance != "(*,*)" || strings.Join(w.Vector, "") != "**" {
+		t.Errorf("witness = %+v, want an anti dependence at (*,*)", w)
+	}
+}
+
 func TestNestDepthRecorded(t *testing.T) {
 	a := analyze(t, `for (i = 0; i < n; i++) for (j = 0; j < m; j++) b[i][j] = 0;`)
 	if a.NestDepth != 2 {

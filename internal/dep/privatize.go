@@ -1,7 +1,7 @@
 package dep
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"pragformer/internal/cast"
@@ -17,57 +17,42 @@ import (
 // attempted only after the race test refutes, so every conversion recorded
 // in Converted is a verdict the one-level engine would have gotten wrong.
 
-// arrAcc pairs an access with its nest-affine subscript vector.
-type arrAcc struct {
-	acc  access
-	subs []NAffine
-	ok   bool   // every subscript converted to affine form
-	key  string // printed subscript vector, for exact-match coverage checks
-}
-
 // testArraysNest runs the nested-loop dependence engine over array accesses.
 // It returns false when a loop-carried array dependence survives both the
 // distance-vector tests and the privatization/reduction rescues.
-func (a *Analysis) testArraysNest(ctx *collector, ns *nestSpace, opts Options) bool {
-	byName := map[string][]arrAcc{}
-	var names []string
-	for _, acc := range ctx.accesses {
-		if acc.subs == nil {
-			continue
+func (a *Analysis) testArraysNest(ws *workspace, opts Options) bool {
+	ns := &ws.ns
+	// Group the array accesses by name: a stable sort over pointers keeps the
+	// visit order within each array.
+	for i := range ws.ctx.accesses {
+		if acc := &ws.ctx.accesses[i]; acc.subs != nil {
+			ws.arrays = append(ws.arrays, acc)
 		}
-		aa := arrAcc{acc: acc, ok: true}
-		keys := make([]string, 0, len(acc.subs))
-		for _, s := range acc.subs {
-			na := ns.affine(s)
-			if !na.OK {
-				aa.ok = false
-			}
-			aa.subs = append(aa.subs, na)
-			keys = append(keys, cast.PrintExpr(s))
-		}
-		aa.key = strings.Join(keys, "][")
-		if _, seen := byName[acc.name]; !seen {
-			names = append(names, acc.name)
-		}
-		byName[acc.name] = append(byName[acc.name], aa)
 	}
-	sort.Strings(names)
+	slices.SortStableFunc(ws.arrays, func(x, y *access) int { return strings.Compare(x.name, y.name) })
 
 	ok := true
-	for _, name := range names {
-		accs := byName[name]
-		hasWrite := false
-		for _, aa := range accs {
-			if aa.acc.write {
-				hasWrite = true
-				break
-			}
+	for rest := ws.arrays; len(rest) > 0; {
+		name := rest[0].name
+		n := 1
+		for n < len(rest) && rest[n].name == name {
+			n++
 		}
-		if !hasWrite {
+		accs := rest[:n]
+		rest = rest[n:]
+		if !slices.ContainsFunc(accs, func(acc *access) bool { return acc.write }) {
 			continue // read-only array: safe
 		}
-		witnesses, reason := a.raceTest(name, accs, ns)
-		if len(witnesses) == 0 {
+		for _, acc := range accs {
+			acc.forms = carve(&ws.forms, len(acc.subs))
+			acc.affine = true
+			for d, s := range acc.subs {
+				acc.forms[d] = ns.form(s)
+				acc.affine = acc.affine && acc.forms[d].OK
+			}
+		}
+		witness, reason := ns.raceTest(name, accs)
+		if reason == "" {
 			continue
 		}
 		if opts.ArrayPrivatization && privatizable(name, accs, ns) {
@@ -84,7 +69,7 @@ func (a *Analysis) testArraysNest(ctx *collector, ns *nestSpace, opts Options) b
 				continue
 			}
 		}
-		a.Witnesses = append(a.Witnesses, witnesses...)
+		a.Witnesses = append(a.Witnesses, witness)
 		a.reason("%s", reason)
 		ok = false
 	}
@@ -92,50 +77,59 @@ func (a *Analysis) testArraysNest(ctx *collector, ns *nestSpace, opts Options) b
 }
 
 // raceTest tests every write of one array against every access and returns
-// the best witness for a surviving dependence (empty when independent).
-func (a *Analysis) raceTest(name string, accs []arrAcc, ns *nestSpace) ([]Witness, string) {
+// the best witness for a surviving dependence with the reason to report (an
+// empty reason when independent): the first pair that resolves the outer
+// direction, else the first surviving pair. A witness is built only for a
+// pair that becomes the best.
+func (ns *nestSpace) raceTest(name string, accs []*access) (best Witness, reason string) {
+	var firstWrite *access
 	for _, w := range accs {
-		if w.acc.write && !w.ok {
-			wit := ns.bailWitness(name, w.acc, w.acc, "non-affine subscript on a write")
-			return []Witness{wit}, "array " + name + " written with non-affine subscript"
+		if !w.write {
+			continue
+		}
+		if !w.affine {
+			return bailWitness(name, w, w, "non-affine subscript on a write"),
+				"array " + name + " written with non-affine subscript"
+		}
+		if firstWrite == nil {
+			firstWrite = w
 		}
 	}
-	var best *Witness
+	for _, r := range accs {
+		if !r.affine {
+			return bailWitness(name, firstWrite, r, "non-affine access conflicting with a write"),
+				"array " + name + " has a non-affine access conflicting with a write"
+		}
+	}
+	const outer = 0
+	found := false
+pairs:
 	for _, w := range accs {
-		if !w.acc.write {
+		if !w.write {
 			continue
 		}
 		for _, r := range accs {
-			if !r.ok {
-				wit := ns.bailWitness(name, w.acc, r.acc, "non-affine access conflicting with a write")
-				return []Witness{wit}, "array " + name + " has a non-affine access conflicting with a write"
-			}
-			rel := ns.pairTest(w.subs, r.subs)
+			rel := ns.pairTest(w.forms, r.forms)
 			if rel.none {
 				continue
 			}
-			if d, known := rel.dist[ns.vars[0]]; known && d == 0 {
+			if rel.known[outer] && rel.dist[outer] == 0 {
 				continue // loop-independent for the outer loop
 			}
-			wit := ns.buildWitness(name, w.acc, r.acc, rel)
-			if best == nil || (wit.concreteOuter(ns) && !best.concreteOuter(ns)) {
-				cp := wit
-				best = &cp
+			if found && !rel.known[outer] {
+				continue
+			}
+			best, found = ns.buildWitness(name, w, r, rel), true
+			if rel.known[outer] {
+				break pairs // nothing later can displace a resolved direction
 			}
 		}
 	}
-	if best == nil {
-		return nil, ""
+	if !found {
+		return Witness{}, ""
 	}
-	reason := "array " + name + " carries a loop dependence between accesses (" +
+	return best, "array " + name + " carries a loop dependence between accesses (" +
 		best.Kind + ", distance " + best.Distance + ")"
-	return []Witness{*best}, reason
-}
-
-// concreteOuter reports whether the witness resolved the outer-level
-// direction (its vector leads with something other than '*').
-func (w Witness) concreteOuter(ns *nestSpace) bool {
-	return len(w.Vector) > 0 && w.Vector[0] != "*"
 }
 
 // privatizable decides whether an array behaves as per-iteration scratch:
@@ -143,48 +137,73 @@ func (w Witness) concreteOuter(ns *nestSpace) bool {
 // inner levels; all accesses touch the same subscript vector; and the first
 // access each iteration is an unconditional plain write, so reads only ever
 // see values produced in the same outer iteration.
-func privatizable(name string, accs []arrAcc, ns *nestSpace) bool {
+func privatizable(name string, accs []*access, ns *nestSpace) bool {
 	if strings.Contains(name, ".") {
 		return false // struct member pseudo-arrays cannot take a clause
 	}
-	for _, aa := range accs {
-		if !aa.ok || aa.key != accs[0].key {
+	first := accs[0]
+	if !first.write || !first.plainWrite || first.accumOp != "" || first.cond {
+		return false
+	}
+	for _, acc := range accs {
+		if !acc.affine {
 			return false
 		}
-		for _, na := range aa.subs {
+		for _, na := range acc.forms {
 			if na.Varying {
 				return false
 			}
-			for v := range na.Coefs {
-				if v == ns.vars[0] {
+			for s, c := range na.Coefs {
+				if c == (nvCoef{}) {
+					continue
+				}
+				if s == 0 {
 					return false // subscript depends on the outer iteration
 				}
-				if h, okH := ns.headers[v]; !okH || !h.OK {
+				if !ns.headers[s].OK {
 					return false // ambiguous inner bounds: coverage unknown
 				}
 			}
 		}
 	}
-	first := accs[0].acc
-	return first.write && first.plainWrite && first.accumOp == "" && !first.cond
+	// Exact-match coverage: every access prints the same subscript vector.
+	key := subsKey(first)
+	for _, acc := range accs[1:] {
+		if subsKey(acc) != key {
+			return false
+		}
+	}
+	return true
+}
+
+// subsKey prints an access's subscript vector.
+func subsKey(acc *access) string {
+	var b strings.Builder
+	for i, s := range acc.subs {
+		if i > 0 {
+			b.WriteString("][")
+		}
+		b.WriteString(cast.PrintExpr(s))
+	}
+	return b.String()
 }
 
 // arrayReduction recognizes a consistent-operator accumulation: every write
 // is an accumulation with one operator and the array is never read outside
 // its own accumulations. The subscript may be arbitrary — histogram updates
 // through an index array are the canonical case.
-func arrayReduction(name string, accs []arrAcc) (string, bool) {
+func arrayReduction(name string, accs []*access) (string, bool) {
 	if strings.Contains(name, ".") {
 		return "", false
 	}
 	op := ""
-	for _, aa := range accs {
-		if aa.acc.accumOp == "" {
+	for _, acc := range accs {
+		if acc.accumOp == "" {
 			return "", false
 		}
 		if op == "" {
-			op = aa.acc.accumOp
-		} else if op != aa.acc.accumOp {
+			op = acc.accumOp
+		} else if op != acc.accumOp {
 			return "", false
 		}
 	}

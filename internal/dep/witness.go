@@ -51,55 +51,52 @@ func (w Witness) String() string {
 	return b.String()
 }
 
-// vectorOf builds direction and distance vectors over the nest levels from
-// the merged distance facts of a pair.
-func (ns *nestSpace) vectorOf(rel pairRel) (vec []string, dist string) {
-	var dparts []string
-	for _, v := range ns.vars {
-		d, known := rel.dist[v]
-		switch {
-		case !known:
-			vec = append(vec, "*")
-			dparts = append(dparts, "*")
-		case d == 0:
-			vec = append(vec, "=")
-			dparts = append(dparts, "0")
-		case d > 0:
-			vec = append(vec, "<")
-			dparts = append(dparts, strconv.FormatInt(d, 10))
-		default:
-			vec = append(vec, ">")
-			dparts = append(dparts, strconv.FormatInt(d, 10))
+// vectorOf builds fresh direction and distance vectors over the nest levels
+// from the merged distance facts of a pair. sign is -1 when source and sink
+// were swapped into lexicographically positive order, which flips every
+// distance.
+func (ns *nestSpace) vectorOf(rel pairRel, sign int64) (vec []string, dist string) {
+	vec = make([]string, len(ns.levels))
+	var b strings.Builder
+	b.WriteByte('(')
+	for l, s := range ns.levels {
+		if l > 0 {
+			b.WriteByte(',')
 		}
+		d := sign * rel.dist[s]
+		switch {
+		case !rel.known[s]:
+			vec[l] = "*"
+			b.WriteByte('*')
+			continue
+		case d == 0:
+			vec[l] = "="
+		case d > 0:
+			vec[l] = "<"
+		default:
+			vec[l] = ">"
+		}
+		b.WriteString(strconv.FormatInt(d, 10))
 	}
-	return vec, "(" + strings.Join(dparts, ",") + ")"
-}
-
-// negate flips a distance vector when source and sink are swapped into
-// lexicographically positive order.
-func negateVec(rel pairRel, ns *nestSpace) pairRel {
-	out := pairRel{dist: map[string]int64{}}
-	for v, d := range rel.dist {
-		out.dist[v] = -d
-	}
-	_ = ns
-	return out
+	b.WriteByte(')')
+	return vec, b.String()
 }
 
 // buildWitness assembles a witness for a refuting pair. w must be the write
 // access; other may be a read or another write.
-func (ns *nestSpace) buildWitness(name string, w, other access, rel pairRel) Witness {
-	outer := ns.vars[0]
-	d, known := rel.dist[outer]
+func (ns *nestSpace) buildWitness(name string, w, other *access, rel pairRel) Witness {
+	const outer = 0
+	d, known := rel.dist[outer], rel.known[outer]
 
 	src, dst := w, other
 	srcWrite, dstWrite := true, other.write || other.accumOp != ""
+	sign := int64(1)
 	// Normalize to a lexicographically positive vector: a negative outer
 	// distance means the "other" access's iteration precedes the write's.
 	if known && d < 0 {
 		src, dst = other, w
 		srcWrite, dstWrite = dstWrite, srcWrite
-		rel = negateVec(rel, ns)
+		sign = -1
 	} else if !known && other.order < w.order && !other.write {
 		// Unknown distance: use textual order to orient read-then-write.
 		src, dst = other, w
@@ -116,7 +113,7 @@ func (ns *nestSpace) buildWitness(name string, w, other access, rel pairRel) Wit
 		kind = "anti"
 	}
 
-	vec, dist := ns.vectorOf(rel)
+	vec, dist := ns.vectorOf(rel, sign)
 	return Witness{
 		Array:    name,
 		Kind:     kind,
@@ -131,7 +128,7 @@ func (ns *nestSpace) buildWitness(name string, w, other access, rel pairRel) Wit
 
 // bailWitness records an analysis bail-out (non-affine subscript or
 // mismatched dimensionality) with both sites but no vector.
-func (ns *nestSpace) bailWitness(name string, w, other access, reason string) Witness {
+func bailWitness(name string, w, other *access, reason string) Witness {
 	return Witness{
 		Array:   name,
 		Kind:    "unknown",
@@ -143,7 +140,7 @@ func (ns *nestSpace) bailWitness(name string, w, other access, reason string) Wi
 	}
 }
 
-func siteExpr(a access) string {
+func siteExpr(a *access) string {
 	if a.node != nil {
 		return cast.PrintExpr(a.node)
 	}
@@ -185,13 +182,13 @@ func (a *Analysis) scalarWitness(ctx *collector, name string) Witness {
 		Reason:   "scalar read-modify-write across iterations",
 	}
 	if wAcc != nil {
-		w.Source = Site{Expr: siteExpr(*wAcc), Write: true}
+		w.Source = Site{Expr: siteExpr(wAcc), Write: true}
 		w.srcNode = wAcc.node
 	} else {
 		w.Source = Site{Expr: name, Write: true}
 	}
 	if rAcc != nil {
-		w.Sink = Site{Expr: siteExpr(*rAcc)}
+		w.Sink = Site{Expr: siteExpr(rAcc)}
 		w.dstNode = rAcc.node
 	} else {
 		w.Sink = w.Source

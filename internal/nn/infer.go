@@ -211,7 +211,7 @@ func (b *EncoderBlock) InferBatch(x *tensor.Matrix, offs []int) *tensor.Matrix {
 	b.LN2.ApplyInto(n2, h)
 	hid := tensor.GetMatrixDirty(rows, b.FF.L1.W.W.Cols)
 	b.FF.L1.ApplyReLUInto(hid, n2) // fused bias+ReLU epilogue
-	f := n2 // n2 is dead after the first FFN layer
+	f := n2                        // n2 is dead after the first FFN layer
 	b.FF.L2.ApplyInto(f, hid)
 	tensor.PutMatrix(hid)
 

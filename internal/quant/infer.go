@@ -151,7 +151,7 @@ func (b *Block) InferBatch(x *tensor.Matrix, offs []int) *tensor.Matrix {
 	b.LN2.ApplyInto(n2, h)
 	hid := tensor.GetMatrixDirty(rows, b.FF1.Wq.Rows)
 	b.FF1.ApplyReLUInto(hid, n2) // fused dequant+bias+ReLU epilogue
-	f := n2 // n2 is dead after the first FFN layer
+	f := n2                      // n2 is dead after the first FFN layer
 	b.FF2.ApplyInto(f, hid)
 	tensor.PutMatrix(hid)
 

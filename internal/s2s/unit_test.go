@@ -130,7 +130,11 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 }
 
 // TestCompileEachAllocs gates the saving: one shared front end allocates
-// under 45 % of what the three members allocate compiling on their own.
+// under half of what the three members allocate compiling on their own, and
+// under 60 times at all. The ceiling is what holds the count: the leaner the
+// shared lex, parse and dependence analysis get, the less sharing them saves
+// in proportion (119 of 310 before the analysis had a workspace, 55 of 118
+// with it), so a ratio alone would count a leaner front end as a loss.
 func TestCompileEachAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -150,8 +154,8 @@ func TestCompileEachAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("CompileEach %.0f allocs, three independent Compiles %.0f", shared, alone)
-	if shared > 0.45*alone {
-		t.Errorf("CompileEach allocates %.0f, over 45 %% of %.0f for three independent compiles", shared, alone)
+	if shared > 0.5*alone || shared > 60 {
+		t.Errorf("CompileEach allocates %.0f, want under half of %.0f for three independent compiles and at most 60", shared, alone)
 	}
 }
 

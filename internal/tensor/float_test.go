@@ -110,7 +110,7 @@ func TestFloatKernelScalarSIMDAgree(t *testing.T) {
 			"MatMulBiasInto":     func(out *Matrix) { MatMulBiasInto(out, a, b, bias) },
 			"MatMulBiasReLUInto": func(out *Matrix) { MatMulBiasReLUInto(out, a, b, bias) },
 			"MatMulBTInto":       func(out *Matrix) { MatMulBTInto(out, a, bt) },
-			"MatMulATInto": func(out *Matrix) { MatMulATInto(out, transposeOf(a), b) },
+			"MatMulATInto":       func(out *Matrix) { MatMulATInto(out, transposeOf(a), b) },
 		}
 		for name, run := range runs {
 			simd := New(m, n)
