@@ -1,88 +1,38 @@
 package core
 
-import (
-	"pragformer/internal/tensor"
-)
+import "pragformer/internal/nn"
 
 // Batch-first inference. Predict remains the reference implementation — it
 // shares forwardCls with the training path, caches and all — while
-// PredictBatch* run the dedicated inference forwards from nn/infer.go over
-// a whole batch at once: no backprop caches, pooled intermediates, and a
-// [CLS]-pruned last block (only the classifier row of the final encoder
-// block, final layer norm, and head is ever computed — the rows that cannot
-// influence the output are skipped, which the parity tests confirm is
-// bit-exact). Sequences are stacked row-wise into one ragged matrix, so the
-// big matmuls cross tensor's parallel threshold and fan out across the
-// worker pool where B single-sequence products would not.
+// PredictBatch* run the one inference forward of nn/infer.go over float64
+// projections: no backprop caches, pooled intermediates, a [CLS]-pruned
+// last block, sequences stacked row-wise into one ragged matrix. The parity
+// tests confirm it is bit-identical to calling forwardCls (Predict /
+// PredictLabel / Loss) per sequence. The int8 backend runs the same forward
+// over quant's projections.
 //
 // All PredictBatch* methods are safe for concurrent use: the forward pass
 // only reads the weights.
 
-// PredictBatchProbs returns both class probabilities for every sequence,
-// bit-identical to calling forwardCls (Predict/Loss) per sequence.
+// classifier returns the model's inference view.
+func (m *PragFormer) classifier() nn.Classifier[*nn.EncoderBlock] {
+	return nn.Classifier[*nn.EncoderBlock]{
+		Tok: m.Emb.Tok.W, Pos: m.Emb.Pos.W, Blocks: m.Blocks,
+		FinalLN: m.FinalLN.InferView(), FC1: m.FC1, FC2: m.FC2, FCHidden: m.Cfg.FCHidden,
+	}
+}
+
+// PredictBatchProbs returns both class probabilities for every sequence.
 func (m *PragFormer) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
-	B := len(idsBatch)
-	out := make([][2]float64, B)
-	if B == 0 {
-		return out
-	}
-	seqs := make([][]int, B)
-	offs := make([]int, B+1)
-	for i, ids := range idsBatch {
-		if len(ids) == 0 {
-			panic("core: PredictBatch on empty id sequence")
-		}
-		if len(ids) > m.Cfg.MaxLen {
-			ids = ids[:m.Cfg.MaxLen]
-		}
-		seqs[i] = ids
-		offs[i+1] = offs[i] + len(ids)
-	}
-
-	x := tensor.GetMatrixDirty(offs[B], m.Cfg.D)
-	m.Emb.ForwardBatchInto(x, seqs)
-	for l := 0; l < len(m.Blocks)-1; l++ {
-		next := m.Blocks[l].InferBatch(x, offs)
-		tensor.PutMatrix(x)
-		x = next
-	}
-	cls := m.Blocks[len(m.Blocks)-1].InferCLS(x, offs)
-	tensor.PutMatrix(x)
-
-	hidden := tensor.GetMatrixDirty(B, m.Cfg.D)
-	m.FinalLN.ApplyInto(hidden, cls)
-	tensor.PutMatrix(cls)
-	h := tensor.GetMatrixDirty(B, m.Cfg.FCHidden)
-	m.FC1.ApplyReLUInto(h, hidden) // fused bias+ReLU epilogue
-	tensor.PutMatrix(hidden)
-	logits := tensor.GetMatrixDirty(B, 2)
-	m.FC2.ApplyInto(logits, h)
-	tensor.PutMatrix(h)
-	for i := 0; i < B; i++ {
-		tensor.SoftmaxVecInto(out[i][:], logits.Row(i))
-	}
-	tensor.PutMatrix(logits)
-	return out
+	return m.classifier().PredictBatchProbs(idsBatch)
 }
 
-// PredictBatch returns the positive-class probability for every sequence,
-// bit-identical to calling Predict on each.
+// PredictBatch returns the positive-class probability for every sequence.
 func (m *PragFormer) PredictBatch(idsBatch [][]int) []float64 {
-	probs := m.PredictBatchProbs(idsBatch)
-	out := make([]float64, len(probs))
-	for i, p := range probs {
-		out[i] = p[1]
-	}
-	return out
+	return m.classifier().PredictBatch(idsBatch)
 }
 
-// PredictLabelBatch applies the paper's 0.5 threshold to a whole batch,
-// bit-identical to calling PredictLabel on each sequence.
+// PredictLabelBatch applies the paper's 0.5 threshold to a whole batch.
 func (m *PragFormer) PredictLabelBatch(idsBatch [][]int) []bool {
-	probs := m.PredictBatchProbs(idsBatch)
-	out := make([]bool, len(probs))
-	for i, p := range probs {
-		out[i] = p[1] > 0.5
-	}
-	return out
+	return m.classifier().PredictLabelBatch(idsBatch)
 }

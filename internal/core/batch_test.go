@@ -221,8 +221,9 @@ func BenchmarkPredictSequential16(b *testing.B) {
 }
 
 // BenchmarkPredictBatch measures the same 16 snippets through one
-// PredictBatch call; the acceptance target is ≥2× the sequential baseline
-// (see BENCH_SERVE.json).
+// PredictBatch call, for measuring while working; the numbers of record are
+// core.predict_batch16_us and core.predict_allocs_per_call from
+// `bash bench/run.sh`.
 func BenchmarkPredictBatch(b *testing.B) {
 	m, batch := benchBatch(b)
 	b.ReportAllocs()

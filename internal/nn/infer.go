@@ -6,49 +6,46 @@ import (
 	"pragformer/internal/tensor"
 )
 
-// Inference-only batched forwards. The training forwards in nn.go and
-// attention.go return per-layer caches because Backward needs them; at
-// serving time those caches are pure overhead — per call they allocate a
-// dozen sequence-sized matrices that die immediately. The Apply*/Infer*
-// family below runs the identical arithmetic (bit-exact with the training
+// The inference forward — the only one in the repository. The training
+// forwards in nn.go and attention.go return per-layer caches because
+// Backward needs them; at serving time those caches are pure overhead. The
+// forward below runs the identical arithmetic (bit-exact with the training
 // forwards, which the core batch tests assert) over a *ragged batch* of
 // sequences stacked row-wise into one matrix, with every intermediate drawn
 // from the tensor buffer pool and no cache construction.
 //
+// What a weight format can change sits behind two interfaces: Projection
+// (*Linear in float64, quant.Linear in int8) and QKVProjection
+// (*MultiHeadAttention, quant.Attention). Everything else — embedding,
+// layer norm, attention scores and mixing, residuals, [CLS] pruning, the
+// head — is written once, against views (Norm, AttentionView, BlockView,
+// Classifier) a model builds per call: plain values holding slices and
+// pointer-typed interfaces, so building one allocates nothing.
+//
 // Ragged layout: B sequences of lengths T_0..T_{B-1} are stacked into a
 // (ΣT_i)×D matrix; offs has length B+1 and sequence i owns rows
-// [offs[i], offs[i+1]). Row-local ops (Linear, LayerNorm, ReLU) ignore the
-// boundaries; attention respects them, mixing rows only within a sequence.
-//
-// Stacking also feeds the parallel kernel layer better: one MatMul over
-// ΣT rows crosses tensor's parallel threshold where B separate T-row
-// products would not, so batches fan out across the worker pool on
-// multi-core hosts.
+// [offs[i], offs[i+1]). Row-local ops (projections, layer norm, ReLU)
+// ignore the boundaries; attention mixes rows only within a sequence. One
+// MatMul over ΣT rows also crosses tensor's parallel threshold where B
+// separate T-row products would not, so batches fan out across the worker
+// pool on multi-core hosts.
 
-// ForwardBatchInto embeds the ragged batch seqs into dst, which must have
-// ΣT_i rows. Positional embeddings restart at 0 for each sequence. dst is
-// fully assigned.
-func (e *Embedding) ForwardBatchInto(dst *tensor.Matrix, seqs [][]int) {
-	r := 0
-	for _, ids := range seqs {
-		for t, idx := range ids {
-			row := dst.Row(r)
-			copy(row, e.Tok.W.Row(idx))
-			tensor.Axpy(1, e.Pos.W.Row(t), row)
-			r++
-		}
-	}
+// Projection is one weight matmul with its bias, in whatever format the
+// weights are stored. Both methods fully assign dst, which must not alias x.
+type Projection interface {
+	// ApplyInto computes dst = x·W + b.
+	ApplyInto(dst, x *tensor.Matrix)
+	// ApplyReLUInto computes dst = max(0, x·W + b) — the FFN/classifier
+	// hidden-layer epilogue.
+	ApplyReLUInto(dst, x *tensor.Matrix)
 }
 
-// maxSeqLen returns the longest sequence length in a ragged batch layout.
-func maxSeqLen(offs []int) int {
-	maxT := 1 // never zero: scratch slicing needs a non-empty buffer
-	for s := 0; s+1 < len(offs); s++ {
-		if T := offs[s+1] - offs[s]; T > maxT {
-			maxT = T
-		}
-	}
-	return maxT
+// QKVProjection projects one attention input through the key and value
+// weights into k and v and, unless q is nil, through the query weights into
+// q. It is one call rather than three Projections so that a format which
+// transforms the input first (int8 quantizes it) does so once.
+type QKVProjection interface {
+	ApplyQKVInto(q, k, v, x *tensor.Matrix)
 }
 
 // ApplyInto computes dst = x·W + b without retaining a cache, via the same
@@ -60,18 +57,40 @@ func (l *Linear) ApplyInto(dst, x *tensor.Matrix) {
 
 // ApplyReLUInto computes dst = max(0, x·W + b) with the activation folded
 // into the kernel's store loop — the FFN/classifier hidden-layer epilogue.
-// Value-identical to ApplyInto followed by ReLUInPlace. dst must not alias
-// x; it is fully assigned.
+// Value-identical to ReLU over Forward. dst must not alias x; it is fully
+// assigned.
 func (l *Linear) ApplyReLUInto(dst, x *tensor.Matrix) {
 	tensor.MatMulBiasReLUInto(dst, x, l.W.W, l.B.W.Row(0))
 }
 
+// ApplyQKVInto runs the float64 query (when q is non-nil), key and value
+// projections of x (QKVProjection).
+func (m *MultiHeadAttention) ApplyQKVInto(q, k, v, x *tensor.Matrix) {
+	if q != nil {
+		m.WQ.ApplyInto(q, x)
+	}
+	m.WK.ApplyInto(k, x)
+	m.WV.ApplyInto(v, x)
+}
+
+// Norm is the inference view of a layer norm: the gain and bias rows and
+// the epsilon, wherever they are stored. Normalization is float64 in every
+// weight format.
+type Norm struct {
+	Gamma, Beta []float64
+	Eps         float64
+}
+
+// InferView returns the layer norm's inference view, aliasing its
+// parameters.
+func (ln *LayerNorm) InferView() Norm {
+	return Norm{Gamma: ln.Gamma.W.Row(0), Beta: ln.Beta.W.Row(0), Eps: ln.Eps}
+}
+
 // ApplyInto normalizes x row-wise into dst without retaining a cache,
-// mirroring Forward's arithmetic exactly. dst may alias x.
-func (ln *LayerNorm) ApplyInto(dst, x *tensor.Matrix) {
+// mirroring LayerNorm.Forward's arithmetic exactly. dst may alias x.
+func (n Norm) ApplyInto(dst, x *tensor.Matrix) {
 	d := x.Cols
-	g := ln.Gamma.W.Row(0)
-	b := ln.Beta.W.Row(0)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		mean := 0.0
@@ -85,60 +104,87 @@ func (ln *LayerNorm) ApplyInto(dst, x *tensor.Matrix) {
 			vr += dv * dv
 		}
 		vr /= float64(d)
-		inv := 1 / math.Sqrt(vr+ln.Eps)
-		tensor.NormScaleInto(dst.Row(i), row, mean, inv, g, b)
+		inv := 1 / math.Sqrt(vr+n.Eps)
+		tensor.NormScaleInto(dst.Row(i), row, mean, inv, n.Gamma, n.Beta)
 	}
 }
 
-// ReLUInPlace applies max(0, x) elementwise without recording a mask.
-func ReLUInPlace(x *tensor.Matrix) {
-	for i, v := range x.Data {
-		if v <= 0 {
-			x.Data[i] = 0
+// AttentionView is the inference view of multi-head self-attention: the
+// projections in their weight format, the score/softmax/mix arithmetic
+// here in float64.
+type AttentionView struct {
+	QKV    QKVProjection
+	WQ, WO Projection // WQ alone projects the [CLS] rows' queries
+	Heads  int
+}
+
+// maxSeqLen returns the longest sequence length in a ragged batch layout.
+func maxSeqLen(offs []int) int {
+	maxT := 1 // never zero: scratch slicing needs a non-empty buffer
+	for s := 0; s+1 < len(offs); s++ {
+		if T := offs[s+1] - offs[s]; T > maxT {
+			maxT = T
 		}
 	}
+	return maxT
 }
 
-// ApplyBatchInto computes self-attention over the ragged batch x into dst
-// (same shape), attending only within each sequence. dst is fully assigned.
-func (m *MultiHeadAttention) ApplyBatchInto(dst, x *tensor.Matrix, offs []int) {
-	dh := m.D / m.Heads
-	scale := 1 / math.Sqrt(float64(dh))
-	q := tensor.GetMatrixDirty(x.Rows, m.D)
-	k := tensor.GetMatrixDirty(x.Rows, m.D)
-	v := tensor.GetMatrixDirty(x.Rows, m.D)
-	m.WQ.ApplyInto(q, x)
-	m.WK.ApplyInto(k, x)
-	m.WV.ApplyInto(v, x)
-	// Dirty is safe: every row belongs to some non-empty sequence and the
-	// strided mix fully assigns those rows.
-	concat := tensor.GetMatrixDirty(x.Rows, m.D)
-
+// attendInto is the float64 half of attention — scores, softmax and value
+// mix, all heads of a sequence in one strided batched GEMM each — for every
+// sequence of the ragged batch. Keys and values of sequence s are rows
+// [offs[s], offs[s+1]) of k and v. With cls unset its queries are the same
+// rows of q and the result lands in those rows of concat; with cls set q
+// and concat hold one row per sequence, the [CLS] query, and scores is H×T
+// (Tq = 1 in the strided layout). Rows of concat belonging to an empty
+// sequence are left untouched.
+func (a AttentionView) attendInto(concat, q, k, v *tensor.Matrix, offs []int, cls bool) {
+	d := k.Cols
+	scale := 1 / math.Sqrt(float64(d/a.Heads))
 	// One score scratch sized for all heads of the longest sequence serves
-	// every sequence of the batch as an (H·T)×T view — per-sequence pool
+	// every sequence of the batch as an (H·Tq)×T view — per-sequence pool
 	// traffic for matrices too small to pool was the batch path's last
 	// allocation hot spot.
 	maxT := maxSeqLen(offs)
-	scoresBuf := tensor.GetVecDirty(m.Heads * maxT * maxT)
+	maxTq := maxT
+	if cls {
+		maxTq = 1
+	}
+	scoresBuf := tensor.GetVecDirty(a.Heads * maxTq * maxT)
 	for s := 0; s+1 < len(offs); s++ {
 		lo, hi := offs[s], offs[s+1]
 		T := hi - lo
 		if T == 0 {
 			continue
 		}
-		// All heads of the sequence in one strided batched GEMM each:
-		// scores, softmax over every head-row, then the value mix.
-		qs := tensor.Matrix{Rows: T, Cols: m.D, Data: q.Data[lo*m.D : hi*m.D]}
-		ks := tensor.Matrix{Rows: T, Cols: m.D, Data: k.Data[lo*m.D : hi*m.D]}
-		vs := tensor.Matrix{Rows: T, Cols: m.D, Data: v.Data[lo*m.D : hi*m.D]}
-		cs := tensor.Matrix{Rows: T, Cols: m.D, Data: concat.Data[lo*m.D : hi*m.D]}
-		scores := tensor.Matrix{Rows: m.Heads * T, Cols: T, Data: scoresBuf[:m.Heads*T*T]}
-		tensor.AttnScoresInto(&scores, &qs, &ks, m.Heads, scale)
+		qlo, qhi := lo, hi
+		if cls {
+			qlo, qhi = s, s+1
+		}
+		Tq := qhi - qlo
+		qs := tensor.Matrix{Rows: Tq, Cols: d, Data: q.Data[qlo*d : qhi*d]}
+		ks := tensor.Matrix{Rows: T, Cols: d, Data: k.Data[lo*d : hi*d]}
+		vs := tensor.Matrix{Rows: T, Cols: d, Data: v.Data[lo*d : hi*d]}
+		cs := tensor.Matrix{Rows: Tq, Cols: d, Data: concat.Data[qlo*d : qhi*d]}
+		scores := tensor.Matrix{Rows: a.Heads * Tq, Cols: T, Data: scoresBuf[:a.Heads*Tq*T]}
+		tensor.AttnScoresInto(&scores, &qs, &ks, a.Heads, scale)
 		tensor.RowSoftmax(&scores)
-		tensor.AttnMixInto(&cs, &scores, &vs, m.Heads)
+		tensor.AttnMixInto(&cs, &scores, &vs, a.Heads)
 	}
 	tensor.PutVec(scoresBuf)
-	m.WO.ApplyInto(dst, concat)
+}
+
+// ApplyBatchInto computes self-attention over the ragged batch x into dst
+// (same shape), attending only within each sequence. dst is fully assigned.
+func (a AttentionView) ApplyBatchInto(dst, x *tensor.Matrix, offs []int) {
+	q := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	k := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	v := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	a.QKV.ApplyQKVInto(q, k, v, x)
+	// Dirty is safe: every row belongs to some non-empty sequence and the
+	// strided mix fully assigns those rows.
+	concat := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	a.attendInto(concat, q, k, v, offs, false)
+	a.WO.ApplyInto(dst, concat)
 	tensor.PutMatrix(concat)
 	tensor.PutMatrix(v)
 	tensor.PutMatrix(k)
@@ -151,75 +197,57 @@ func (m *MultiHeadAttention) ApplyBatchInto(dst, x *tensor.Matrix, offs []int) {
 // still span every row, so the K/V projections remain full-width — the
 // savings are the Q and output projections and the (T²−T) score rows per
 // head. Bit-exact with row offs[s] of ApplyBatchInto's result.
-func (m *MultiHeadAttention) ApplyCLSInto(dst, x *tensor.Matrix, offs []int) {
+func (a AttentionView) ApplyCLSInto(dst, x *tensor.Matrix, offs []int) {
 	B := len(offs) - 1
-	dh := m.D / m.Heads
-	scale := 1 / math.Sqrt(float64(dh))
-	k := tensor.GetMatrixDirty(x.Rows, m.D)
-	v := tensor.GetMatrixDirty(x.Rows, m.D)
-	m.WK.ApplyInto(k, x)
-	m.WV.ApplyInto(v, x)
+	k := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	v := tensor.GetMatrixDirty(x.Rows, x.Cols)
+	a.QKV.ApplyQKVInto(nil, k, v, x)
 
-	xcls := tensor.GetMatrixDirty(B, m.D)
+	xcls := tensor.GetMatrixDirty(B, x.Cols)
 	for s := 0; s < B; s++ {
 		copy(xcls.Row(s), x.Row(offs[s]))
 	}
-	q := tensor.GetMatrixDirty(B, m.D)
-	m.WQ.ApplyInto(q, xcls)
+	q := tensor.GetMatrixDirty(B, x.Cols)
+	a.WQ.ApplyInto(q, xcls)
 	tensor.PutMatrix(xcls)
 
-	concat := tensor.GetMatrix(B, m.D) // zeroed: empty sequences keep zero rows
-	scoresBuf := tensor.GetVecDirty(m.Heads * maxSeqLen(offs))
-	for s := 0; s < B; s++ {
-		lo, hi := offs[s], offs[s+1]
-		T := hi - lo
-		if T == 0 {
-			continue
-		}
-		// One query row per head: scores is H×T (Tq = 1 in the strided
-		// batched layout), mixed into the single concat row.
-		qs := tensor.Matrix{Rows: 1, Cols: m.D, Data: q.Data[s*m.D : (s+1)*m.D]}
-		ks := tensor.Matrix{Rows: T, Cols: m.D, Data: k.Data[lo*m.D : hi*m.D]}
-		vs := tensor.Matrix{Rows: T, Cols: m.D, Data: v.Data[lo*m.D : hi*m.D]}
-		cs := tensor.Matrix{Rows: 1, Cols: m.D, Data: concat.Data[s*m.D : (s+1)*m.D]}
-		scores := tensor.Matrix{Rows: m.Heads, Cols: T, Data: scoresBuf[:m.Heads*T]}
-		tensor.AttnScoresInto(&scores, &qs, &ks, m.Heads, scale)
-		tensor.RowSoftmax(&scores)
-		tensor.AttnMixInto(&cs, &scores, &vs, m.Heads)
-	}
-	tensor.PutVec(scoresBuf)
-	m.WO.ApplyInto(dst, concat)
+	concat := tensor.GetMatrix(B, x.Cols) // zeroed: empty sequences keep zero rows
+	a.attendInto(concat, q, k, v, offs, true)
+	a.WO.ApplyInto(dst, concat)
 	tensor.PutMatrix(concat)
 	tensor.PutMatrix(v)
 	tensor.PutMatrix(k)
 	tensor.PutMatrix(q)
 }
 
+// BlockView is the inference view of one pre-norm encoder block.
+type BlockView struct {
+	LN1, LN2 Norm
+	Attn     AttentionView
+	FF1, FF2 Projection
+	FFHidden int // FF1's output width
+}
+
+// InferView returns the block's float64 inference view.
+func (b *EncoderBlock) InferView() BlockView {
+	return BlockView{
+		LN1: b.LN1.InferView(), LN2: b.LN2.InferView(),
+		Attn: AttentionView{QKV: b.Attn, WQ: b.Attn.WQ, WO: b.Attn.WO, Heads: b.Attn.Heads},
+		FF1:  b.FF.L1, FF2: b.FF.L2, FFHidden: b.FF.L1.W.W.Cols,
+	}
+}
+
 // InferBatch runs the encoder block over the ragged batch in eval mode
 // (dropout is the identity), returning a pooled matrix the caller must
 // release with tensor.PutMatrix. x is left intact.
-func (b *EncoderBlock) InferBatch(x *tensor.Matrix, offs []int) *tensor.Matrix {
-	rows, d := x.Rows, x.Cols
-	n1 := tensor.GetMatrixDirty(rows, d)
+func (b BlockView) InferBatch(x *tensor.Matrix, offs []int) *tensor.Matrix {
+	n1 := tensor.GetMatrixDirty(x.Rows, x.Cols)
 	b.LN1.ApplyInto(n1, x)
-	a := tensor.GetMatrixDirty(rows, d)
+	a := tensor.GetMatrixDirty(x.Rows, x.Cols)
 	b.Attn.ApplyBatchInto(a, n1, offs)
 	h := n1 // n1 is dead after attention; reuse it for the residual
 	tensor.AddInto(h, x, a)
-
-	n2 := a // a is dead after the residual
-	b.LN2.ApplyInto(n2, h)
-	hid := tensor.GetMatrixDirty(rows, b.FF.L1.W.W.Cols)
-	b.FF.L1.ApplyReLUInto(hid, n2) // fused bias+ReLU epilogue
-	f := n2                        // n2 is dead after the first FFN layer
-	b.FF.L2.ApplyInto(f, hid)
-	tensor.PutMatrix(hid)
-
-	out := tensor.GetMatrixDirty(rows, d)
-	tensor.AddInto(out, h, f)
-	tensor.PutMatrix(f)
-	tensor.PutMatrix(h)
-	return out
+	return b.feedForward(h, a)
 }
 
 // InferCLS runs the encoder block in eval mode computing only the [CLS]
@@ -227,16 +255,15 @@ func (b *EncoderBlock) InferBatch(x *tensor.Matrix, offs []int) *tensor.Matrix {
 // must release. Only valid as the *last* block of a classifier stack: rows
 // other than CLS are never produced, so a subsequent block's attention
 // would see garbage. Bit-exact with the CLS rows of InferBatch.
-func (b *EncoderBlock) InferCLS(x *tensor.Matrix, offs []int) *tensor.Matrix {
+func (b BlockView) InferCLS(x *tensor.Matrix, offs []int) *tensor.Matrix {
 	B := len(offs) - 1
-	d := x.Cols
-	n1 := tensor.GetMatrixDirty(x.Rows, d)
+	n1 := tensor.GetMatrixDirty(x.Rows, x.Cols)
 	b.LN1.ApplyInto(n1, x)
-	a := tensor.GetMatrixDirty(B, d)
+	a := tensor.GetMatrixDirty(B, x.Cols)
 	b.Attn.ApplyCLSInto(a, n1, offs)
 	tensor.PutMatrix(n1)
 
-	h := tensor.GetMatrixDirty(B, d)
+	h := tensor.GetMatrixDirty(B, x.Cols)
 	for s := 0; s < B; s++ {
 		xr := x.Row(offs[s])
 		ar := a.Row(s)
@@ -245,17 +272,132 @@ func (b *EncoderBlock) InferCLS(x *tensor.Matrix, offs []int) *tensor.Matrix {
 			hr[j] = xr[j] + ar[j]
 		}
 	}
-	n2 := a // a is dead after the residual
-	b.LN2.ApplyInto(n2, h)
-	hid := tensor.GetMatrixDirty(B, b.FF.L1.W.W.Cols)
-	b.FF.L1.ApplyReLUInto(hid, n2) // fused bias+ReLU epilogue
-	f := n2
-	b.FF.L2.ApplyInto(f, hid)
+	return b.feedForward(h, a)
+}
+
+// feedForward finishes a block from its post-attention residual stream h:
+// it returns h + FF2(relu(FF1(LN2(h)))) in a pooled matrix the caller must
+// release. It takes ownership of h and of scratch, a pooled matrix of h's
+// shape whose contents are dead, and releases both.
+func (b BlockView) feedForward(h, scratch *tensor.Matrix) *tensor.Matrix {
+	b.LN2.ApplyInto(scratch, h)
+	hid := tensor.GetMatrixDirty(h.Rows, b.FFHidden)
+	b.FF1.ApplyReLUInto(hid, scratch)
+	b.FF2.ApplyInto(scratch, hid) // the normed rows are dead after FF1
 	tensor.PutMatrix(hid)
 
-	out := tensor.GetMatrixDirty(B, d)
-	tensor.AddInto(out, h, f)
-	tensor.PutMatrix(f)
+	out := tensor.GetMatrixDirty(h.Rows, h.Cols)
+	tensor.AddInto(out, h, scratch)
+	tensor.PutMatrix(scratch)
 	tensor.PutMatrix(h)
 	return out
 }
+
+// Classifier is the inference view of a whole PragFormer: embedding tables,
+// encoder blocks of type B (anything that yields a BlockView), final layer
+// norm and the two-layer head. Its methods are the batch-first prediction
+// surface both backends expose; they only read the weights, so they are
+// safe for concurrent use.
+type Classifier[B interface{ InferView() BlockView }] struct {
+	Tok, Pos *tensor.Matrix // vocab×D token and maxLen×D positional tables
+	Blocks   []B
+	FinalLN  Norm
+	FC1, FC2 Projection
+	FCHidden int // FC1's output width
+}
+
+// EmbedBatchInto embeds the ragged batch seqs into dst, which must have
+// ΣT_i rows. Positional embeddings restart at 0 for each sequence. dst is
+// fully assigned.
+func (c Classifier[B]) EmbedBatchInto(dst *tensor.Matrix, seqs [][]int) {
+	r := 0
+	for _, ids := range seqs {
+		for t, idx := range ids {
+			row := dst.Row(r)
+			copy(row, c.Tok.Row(idx))
+			tensor.Axpy(1, c.Pos.Row(t), row)
+			r++
+		}
+	}
+}
+
+// PredictBatchProbs returns both class probabilities for every sequence:
+// sequences longer than the positional table are truncated to it, all
+// blocks but the last run full-width, and only the [CLS] row of the last
+// block, final layer norm and head is ever computed — the rows that cannot
+// influence the output are skipped. It panics on an empty sequence, which
+// has no [CLS] row to classify; callers fed from outside validate first.
+func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
+	n := len(idsBatch)
+	out := make([][2]float64, n)
+	if n == 0 {
+		return out
+	}
+	maxLen, d := c.Pos.Rows, c.Tok.Cols
+	seqs := make([][]int, n)
+	offs := make([]int, n+1)
+	for i, ids := range idsBatch {
+		if len(ids) == 0 {
+			panic("nn: PredictBatch on empty id sequence")
+		}
+		if len(ids) > maxLen {
+			ids = ids[:maxLen]
+		}
+		seqs[i] = ids
+		offs[i+1] = offs[i] + len(ids)
+	}
+
+	x := tensor.GetMatrixDirty(offs[n], d)
+	c.EmbedBatchInto(x, seqs)
+	last := len(c.Blocks) - 1
+	for _, b := range c.Blocks[:last] {
+		next := b.InferView().InferBatch(x, offs)
+		tensor.PutMatrix(x)
+		x = next
+	}
+	cls := c.Blocks[last].InferView().InferCLS(x, offs)
+	tensor.PutMatrix(x)
+
+	hidden := tensor.GetMatrixDirty(n, d)
+	c.FinalLN.ApplyInto(hidden, cls)
+	tensor.PutMatrix(cls)
+	h := tensor.GetMatrixDirty(n, c.FCHidden)
+	c.FC1.ApplyReLUInto(h, hidden)
+	tensor.PutMatrix(hidden)
+	logits := tensor.GetMatrixDirty(n, 2)
+	c.FC2.ApplyInto(logits, h)
+	tensor.PutMatrix(h)
+	for i := 0; i < n; i++ {
+		tensor.SoftmaxVecInto(out[i][:], logits.Row(i))
+	}
+	tensor.PutMatrix(logits)
+	return out
+}
+
+// PredictBatch returns the positive-class probability for every sequence.
+func (c Classifier[B]) PredictBatch(idsBatch [][]int) []float64 {
+	probs := c.PredictBatchProbs(idsBatch)
+	out := make([]float64, len(probs))
+	for i, p := range probs {
+		out[i] = p[1]
+	}
+	return out
+}
+
+// PredictLabelBatch applies the paper's 0.5 threshold to a whole batch.
+func (c Classifier[B]) PredictLabelBatch(idsBatch [][]int) []bool {
+	probs := c.PredictBatchProbs(idsBatch)
+	out := make([]bool, len(probs))
+	for i, p := range probs {
+		out[i] = p[1] > 0.5
+	}
+	return out
+}
+
+// Predict is the single-sequence wrapper over the batch path.
+func (c Classifier[B]) Predict(ids []int) float64 {
+	return c.PredictBatch([][]int{ids})[0]
+}
+
+// PredictLabel applies the 0.5 threshold to one sequence.
+func (c Classifier[B]) PredictLabel(ids []int) bool { return c.Predict(ids) > 0.5 }

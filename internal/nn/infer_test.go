@@ -41,18 +41,18 @@ func TestApplyIntoParity(t *testing.T) {
 	ln.Beta.W.Randn(rng, 1)
 	wantLN, _ := ln.Forward(x)
 	gotLN := tensor.New(7, 16)
-	ln.ApplyInto(gotLN, x)
-	sameData(t, "LayerNorm.ApplyInto", gotLN, wantLN)
+	ln.InferView().ApplyInto(gotLN, x)
+	sameData(t, "Norm.ApplyInto", gotLN, wantLN)
 
-	wantR, _ := ReLU(x)
-	gotR := x.Clone()
-	ReLUInPlace(gotR)
-	sameData(t, "ReLUInPlace", gotR, wantR)
+	wantR, _ := ReLU(want)
+	gotR := tensor.New(7, 12)
+	l.ApplyReLUInto(gotR, x)
+	sameData(t, "Linear.ApplyReLUInto", gotR, wantR)
 }
 
-// TestInferBatchParity runs a block over two stacked sequences and checks
-// the ragged-batch forward (and its CLS-pruned variant) against per-sequence
-// training forwards.
+// TestInferBatchParity runs a block's float64 inference view over two
+// stacked sequences and checks the ragged-batch forward (and its CLS-pruned
+// variant) against per-sequence training forwards.
 func TestInferBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const d, heads, ff = 16, 4, 32
@@ -68,7 +68,7 @@ func TestInferBatchParity(t *testing.T) {
 	wantA, _ := blk.Forward(xa, false, nil)
 	wantB, _ := blk.Forward(xb, false, nil)
 
-	out := blk.InferBatch(stacked, offs)
+	out := blk.InferView().InferBatch(stacked, offs)
 	defer tensor.PutMatrix(out)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < d; j++ {
@@ -85,7 +85,7 @@ func TestInferBatchParity(t *testing.T) {
 		}
 	}
 
-	cls := blk.InferCLS(stacked, offs)
+	cls := blk.InferView().InferCLS(stacked, offs)
 	defer tensor.PutMatrix(cls)
 	for j := 0; j < d; j++ {
 		if cls.At(0, j) != wantA.At(0, j) {

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"pragformer/internal/ckpt"
+	"pragformer/internal/nn"
 	"pragformer/internal/tensor"
 )
 
@@ -83,8 +84,8 @@ func (m *Model) walk(q func(name string, t *tensor.Int8Matrix), f func(name stri
 // newSkeleton allocates a model of the config's shapes with zeroed tensors,
 // the target Load copies a validated manifest into.
 func newSkeleton(cfg Config) *Model {
-	newLN := func(eps float64) *LayerNorm {
-		return &LayerNorm{Gamma: make([]float64, cfg.D), Beta: make([]float64, cfg.D), Eps: eps}
+	newLN := func() nn.Norm {
+		return nn.Norm{Gamma: make([]float64, cfg.D), Beta: make([]float64, cfg.D)}
 	}
 	newLin := func(in, out int) *Linear {
 		return &Linear{Wq: tensor.NewInt8(out, in), B: make([]float64, out)}
@@ -93,21 +94,20 @@ func newSkeleton(cfg Config) *Model {
 		Cfg:     cfg,
 		Tok:     tensor.New(cfg.Vocab, cfg.D),
 		Pos:     tensor.New(cfg.MaxLen, cfg.D),
-		FinalLN: newLN(0),
+		FinalLN: newLN(),
 		FC1:     newLin(cfg.D, cfg.FCHidden),
 		FC2:     newLin(cfg.FCHidden, 2),
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		m.Blocks = append(m.Blocks, &Block{
-			LN1: newLN(0),
-			LN2: newLN(0),
+			LN1: newLN(),
+			LN2: newLN(),
 			Attn: &Attention{
 				WQ:    newLin(cfg.D, cfg.D),
 				WK:    newLin(cfg.D, cfg.D),
 				WV:    newLin(cfg.D, cfg.D),
 				WO:    newLin(cfg.D, cfg.D),
 				Heads: cfg.Heads,
-				D:     cfg.D,
 			},
 			FF1: newLin(cfg.D, cfg.FFHidden),
 			FF2: newLin(cfg.FFHidden, cfg.D),
@@ -240,10 +240,10 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // layerNorms lists every layer norm in the model.
-func (m *Model) layerNorms() []*LayerNorm {
-	lns := []*LayerNorm{m.FinalLN}
+func (m *Model) layerNorms() []*nn.Norm {
+	lns := []*nn.Norm{&m.FinalLN}
 	for _, b := range m.Blocks {
-		lns = append(lns, b.LN1, b.LN2)
+		lns = append(lns, &b.LN1, &b.LN2)
 	}
 	return lns
 }

@@ -1,9 +1,11 @@
 // Package quant is the int8 quantized inference backend: a post-training,
 // per-channel symmetric quantization of PragFormer's linear and attention
-// weight matrices, a batch-first forward stack structurally identical to
-// the float64 one in nn/infer.go (so parity tests can diff the two layer by
-// layer), and a framed PFQNT artifact format for persisting quantized
-// bundles (artifact.go).
+// weight matrices, the int8 projections that plug those weights into the one
+// inference forward in nn/infer.go (Linear is an nn.Projection, Attention an
+// nn.QKVProjection), and a framed PFQNT artifact format for persisting
+// quantized bundles (artifact.go). The package holds no forward pass of its
+// own: the float64 and int8 backends run the same program over two weight
+// formats, which is what the per-layer parity tests in core compare.
 //
 // Scheme: each weight matrix is stored transposed (one output channel per
 // row) with one float32 scale per channel, scale_c = max_k |W[k][c]| / 127,
@@ -23,6 +25,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pragformer/internal/nn"
 	"pragformer/internal/tensor"
@@ -68,7 +71,7 @@ func QuantizeLinear(l *nn.Linear) *Linear {
 	in, out := w.Rows, w.Cols
 	q := &Linear{
 		Wq: tensor.NewInt8(out, in),
-		B:  append([]float64(nil), l.B.W.Row(0)...),
+		B:  slices.Clone(l.B.W.Row(0)),
 	}
 	for c := 0; c < out; c++ {
 		amax := 0.0
@@ -107,8 +110,8 @@ func (l *Linear) Dequantize() *tensor.Matrix {
 	return w
 }
 
-// ApplyInto mirrors nn.Linear.ApplyInto: dst = x·W + b, with x dynamically
-// quantized per row. The bias add rides in the kernel's fused epilogue
+// ApplyInto computes dst = x·W + b with x dynamically quantized per row
+// (nn.Projection). The bias add rides in the kernel's fused epilogue
 // (tensor.MatMulInt8BTFusedInto) instead of a separate output sweep. dst
 // must not alias x; it is fully assigned.
 func (l *Linear) ApplyInto(dst, x *tensor.Matrix) {
@@ -120,7 +123,7 @@ func (l *Linear) ApplyInto(dst, x *tensor.Matrix) {
 
 // ApplyReLUInto is ApplyInto with the ReLU activation also folded into the
 // kernel epilogue — the quantized FFN/classifier hidden-layer fast path,
-// value-identical to ApplyInto followed by nn.ReLUInPlace.
+// value-identical to ApplyInto followed by a ReLU.
 func (l *Linear) ApplyReLUInto(dst, x *tensor.Matrix) {
 	xq := tensor.GetInt8Matrix(x.Rows, x.Cols)
 	tensor.QuantizeRowsInto(xq, x)
@@ -129,74 +132,65 @@ func (l *Linear) ApplyReLUInto(dst, x *tensor.Matrix) {
 }
 
 // ApplyQuantizedInto runs the int8 kernel over an already-quantized input.
-// Attention quantizes its input once and shares it across the Q/K/V
-// projections — three matmuls for one quantization pass.
 func (l *Linear) ApplyQuantizedInto(dst *tensor.Matrix, xq *tensor.Int8Matrix) {
 	tensor.MatMulInt8BTFusedInto(dst, xq, l.Wq, l.B, false)
 }
 
-// LayerNorm carries the float layer-norm parameters; its arithmetic is the
-// float path's exactly (quantization never touches normalization).
-type LayerNorm struct {
-	Gamma, Beta []float64
-	Eps         float64
-}
-
-// FromLayerNorm copies a float layer norm.
-func FromLayerNorm(ln *nn.LayerNorm) *LayerNorm {
-	return &LayerNorm{
-		Gamma: append([]float64(nil), ln.Gamma.W.Row(0)...),
-		Beta:  append([]float64(nil), ln.Beta.W.Row(0)...),
-		Eps:   ln.Eps,
-	}
-}
-
-// ApplyInto normalizes x row-wise into dst, mirroring
-// nn.LayerNorm.ApplyInto bit for bit. dst may alias x.
-func (ln *LayerNorm) ApplyInto(dst, x *tensor.Matrix) {
-	d := x.Cols
-	gamma, beta := ln.Gamma[:d], ln.Beta[:d]
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)[:d]
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(d)
-		vr := 0.0
-		for _, v := range row {
-			dv := v - mean
-			vr += dv * dv
-		}
-		vr /= float64(d)
-		inv := 1 / math.Sqrt(vr+ln.Eps)
-		tensor.NormScaleInto(dst.Row(i)[:d], row, mean, inv, gamma, beta)
-	}
+// fromLayerNorm copies a float layer norm's parameters into an owned
+// inference view; normalization itself is nn.Norm.ApplyInto, the float
+// path's arithmetic exactly (quantization never touches it).
+func fromLayerNorm(ln *nn.LayerNorm) nn.Norm {
+	v := ln.InferView()
+	v.Gamma, v.Beta = slices.Clone(v.Gamma), slices.Clone(v.Beta)
+	return v
 }
 
 // Attention is the quantized multi-head self-attention: projections run
 // through int8 linears, score/softmax/value mixing stays float64.
 type Attention struct {
 	WQ, WK, WV, WO *Linear
-	Heads, D       int
+	Heads          int
+}
+
+// ApplyQKVInto quantizes the attention input once and shares it across the
+// query (when q is non-nil), key and value projections — three matmuls for
+// one quantization pass (nn.QKVProjection).
+func (a *Attention) ApplyQKVInto(q, k, v, x *tensor.Matrix) {
+	xq := tensor.GetInt8Matrix(x.Rows, x.Cols)
+	tensor.QuantizeRowsInto(xq, x)
+	if q != nil {
+		a.WQ.ApplyQuantizedInto(q, xq)
+	}
+	a.WK.ApplyQuantizedInto(k, xq)
+	a.WV.ApplyQuantizedInto(v, xq)
+	tensor.PutInt8Matrix(xq)
 }
 
 // Block is one quantized encoder block, shaped like nn.EncoderBlock.
 type Block struct {
-	LN1, LN2 *LayerNorm
+	LN1, LN2 nn.Norm
 	Attn     *Attention
 	FF1, FF2 *Linear
 }
 
+// InferView returns the block's int8 inference view.
+func (b *Block) InferView() nn.BlockView {
+	a := b.Attn
+	return nn.BlockView{
+		LN1: b.LN1, LN2: b.LN2,
+		Attn: nn.AttentionView{QKV: a, WQ: a.WQ, WO: a.WO, Heads: a.Heads},
+		FF1:  b.FF1, FF2: b.FF2, FFHidden: b.FF1.Wq.Rows,
+	}
+}
+
 // Model is the quantized PragFormer classifier: float embeddings and layer
-// norms, int8 linear/attention weights, and the batch-first forward stack
-// of infer.go.
+// norms, int8 linear/attention weights.
 type Model struct {
 	Cfg     Config
 	Tok     *tensor.Matrix // vocab × D token embeddings
 	Pos     *tensor.Matrix // maxLen × D positional embeddings
 	Blocks  []*Block
-	FinalLN *LayerNorm
+	FinalLN nn.Norm
 	FC1     *Linear
 	FC2     *Linear
 }
@@ -216,27 +210,57 @@ func FromNN(cfg Config, emb *nn.Embedding, blocks []*nn.EncoderBlock,
 		Cfg:     cfg,
 		Tok:     emb.Tok.W.Clone(),
 		Pos:     emb.Pos.W.Clone(),
-		FinalLN: FromLayerNorm(finalLN),
+		FinalLN: fromLayerNorm(finalLN),
 		FC1:     QuantizeLinear(fc1),
 		FC2:     QuantizeLinear(fc2),
 	}
 	for _, b := range blocks {
 		m.Blocks = append(m.Blocks, &Block{
-			LN1: FromLayerNorm(b.LN1),
-			LN2: FromLayerNorm(b.LN2),
+			LN1: fromLayerNorm(b.LN1),
+			LN2: fromLayerNorm(b.LN2),
 			Attn: &Attention{
 				WQ:    QuantizeLinear(b.Attn.WQ),
 				WK:    QuantizeLinear(b.Attn.WK),
 				WV:    QuantizeLinear(b.Attn.WV),
 				WO:    QuantizeLinear(b.Attn.WO),
 				Heads: b.Attn.Heads,
-				D:     b.Attn.D,
 			},
 			FF1: QuantizeLinear(b.FF.L1),
 			FF2: QuantizeLinear(b.FF.L2),
 		})
 	}
 	return m, nil
+}
+
+// Classifier returns the model's inference view: the one forward of
+// nn/infer.go over int8 projections. The core.Backend prediction methods
+// below delegate to it.
+func (m *Model) Classifier() nn.Classifier[*Block] {
+	return nn.Classifier[*Block]{
+		Tok: m.Tok, Pos: m.Pos, Blocks: m.Blocks,
+		FinalLN: m.FinalLN, FC1: m.FC1, FC2: m.FC2, FCHidden: m.Cfg.FCHidden,
+	}
+}
+
+// Predict returns the positive-class probability of one sequence.
+func (m *Model) Predict(ids []int) float64 { return m.Classifier().Predict(ids) }
+
+// PredictLabel applies the 0.5 threshold to one sequence.
+func (m *Model) PredictLabel(ids []int) bool { return m.Classifier().PredictLabel(ids) }
+
+// PredictBatch returns the positive-class probability for every sequence.
+func (m *Model) PredictBatch(idsBatch [][]int) []float64 {
+	return m.Classifier().PredictBatch(idsBatch)
+}
+
+// PredictBatchProbs returns both class probabilities for every sequence.
+func (m *Model) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
+	return m.Classifier().PredictBatchProbs(idsBatch)
+}
+
+// PredictLabelBatch applies the 0.5 threshold to a whole batch.
+func (m *Model) PredictLabelBatch(idsBatch [][]int) []bool {
+	return m.Classifier().PredictLabelBatch(idsBatch)
 }
 
 // BackendName identifies the compute backend (core.Backend).

@@ -40,6 +40,9 @@ import (
 // ErrClosed is returned by engine calls after Close.
 var ErrClosed = errors.New("serve: engine closed")
 
+// errEmptyIDs refuses an id sequence with no [CLS] row to classify.
+var errEmptyIDs = errors.New("empty id sequence")
+
 // ErrSaturated is returned (in shed mode) when the batcher queue is full:
 // the engine is refusing work it could only serve with collapsed latency.
 // HTTP layers translate it into 429 + Retry-After.
@@ -436,8 +439,13 @@ func idKey(ids []int) string {
 // encoded id sequence, coalescing concurrent callers into batched
 // forwards. ids is copied before it is enqueued: a caller that abandons a
 // queued request (ctx cancellation) may freely reuse its slice even though
-// a worker can still drain and cache the request later.
+// a worker can still drain and cache the request later. An empty sequence
+// is refused here: the forward panics on one, inside a batch worker, which
+// would take the process and every queued request down with it.
 func (e *Engine) Predict(ctx context.Context, ids []int) (float64, error) {
+	if len(ids) == 0 {
+		return 0, errEmptyIDs
+	}
 	owned := make([]int, len(ids))
 	copy(owned, ids)
 	return e.predict.do(ctx, owned, idKey(owned))

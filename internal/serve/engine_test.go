@@ -199,6 +199,32 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
+// TestEnginePredictEmptyIDs checks the library entry refuses an empty id
+// sequence before it reaches a batch worker — where the forward's panic
+// would kill the process — and that the engine keeps serving afterwards.
+func TestEnginePredictEmptyIDs(t *testing.T) {
+	models := testModels(t)
+	e, err := New(models, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	for _, ids := range [][]int{nil, {}} {
+		if _, err := e.Predict(context.Background(), ids); err == nil {
+			t.Errorf("Predict(%v) returned no error", ids)
+		}
+	}
+	ids := []int{tokenize.CLS, 5, 6}
+	got, err := e.Predict(context.Background(), ids)
+	if err != nil {
+		t.Fatalf("Predict after a refused empty sequence: %v", err)
+	}
+	if want := models.Directive.Predict(ids); got != want {
+		t.Errorf("Predict after a refused empty sequence = %v, want %v", got, want)
+	}
+}
+
 // TestEngineContextCancel checks a caller can abandon a request stuck in a
 // long batching window.
 func TestEngineContextCancel(t *testing.T) {

@@ -76,7 +76,7 @@ func (e *Engine) encode(code string) ([]int, error) {
 // the engine's in-batch clamping.)
 func (e *Engine) validateIDs(ids []int) error {
 	if len(ids) == 0 {
-		return fmt.Errorf("empty id sequence")
+		return errEmptyIDs
 	}
 	vocab := e.Models().Directive.VocabSize()
 	for _, id := range ids {
