@@ -380,12 +380,6 @@ func (m *Models) SuggestSnippets(snippets []Snippet) ([]BatchItem, error) {
 	return m.suggestSnippets(snippets, m.OnStage)
 }
 
-// SuggestSnippetsStaged is SuggestSnippets with a per-call stage-timing
-// hook (overriding Models.OnStage; nil disables).
-func (m *Models) SuggestSnippetsStaged(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error) {
-	return m.suggestSnippets(snippets, onStage)
-}
-
 func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error) {
 	if m.Directive == nil || m.Vocab == nil {
 		return nil, fmt.Errorf("advisor: directive model and vocabulary are required")
@@ -685,12 +679,6 @@ func analyzeSnippet(sn Snippet) *dep.Analysis {
 		ArrayPrivatization: true,
 		ArrayReductions:    true,
 	})
-}
-
-// analyze parses the snippet and runs the dependence analysis over its
-// target loop; nil when no loop is analyzable.
-func analyze(code string) *dep.Analysis {
-	return analyzeSnippet(Snippet{Code: code})
 }
 
 // Annotate returns the snippet with the suggested directive prepended, or

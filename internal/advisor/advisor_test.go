@@ -260,13 +260,13 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	if analyze("not c code {{{") != nil {
+	if analyzeSnippet(Snippet{Code: "not c code {{{"}) != nil {
 		t.Error("analyze should be nil on parse failure")
 	}
-	if analyze("x = 1;") != nil {
+	if analyzeSnippet(Snippet{Code: "x = 1;"}) != nil {
 		t.Error("analyze should be nil without a loop")
 	}
-	a := analyze("for (i = 0; i < n; i++) a[i] = 0;")
+	a := analyzeSnippet(Snippet{Code: "for (i = 0; i < n; i++) a[i] = 0;"})
 	if a == nil || !a.Parallelizable {
 		t.Error("simple loop should analyze parallelizable")
 	}

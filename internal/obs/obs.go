@@ -63,14 +63,6 @@ func (c *Counter) expose(w *strings.Builder, name, labels string) {
 	sampleLine(w, name, labels, "", fmt.Sprintf("%d", c.Value()))
 }
 
-// counterFunc exposes an externally owned monotonic counter (an existing
-// atomic the owning subsystem already maintains).
-type counterFunc struct{ fn func() uint64 }
-
-func (c counterFunc) expose(w *strings.Builder, name, labels string) {
-	sampleLine(w, name, labels, "", fmt.Sprintf("%d", c.fn()))
-}
-
 // gaugeFunc exposes a point-in-time value (queue depth, in-flight count).
 type gaugeFunc struct{ fn func() float64 }
 
@@ -142,11 +134,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		panic(fmt.Sprintf("obs: series %q %v is not a Counter", name, labels))
 	}
 	return c
-}
-
-// CounterFunc exposes an externally maintained monotonic counter.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	r.fam(name, help, "counter").add(labels, counterFunc{fn: fn})
 }
 
 // GaugeFunc exposes an externally computed point-in-time value.

@@ -80,7 +80,8 @@ func benchModels(tb testing.TB) *advisor.Models {
 // BenchmarkScanThroughput measures the full pipeline — walk, parse,
 // extract, dedupe, batched inference — over a 32-file synthetic tree with
 // a real (untrained) directive classifier. Reported loops/s is the
-// end-to-end scan rate; see BENCH_SCAN.json for the recorded snapshot.
+// end-to-end scan rate, for measuring while working; the number of record
+// is the harness's items_per_s on scan_cold (`bash bench/run.sh`).
 func BenchmarkScanThroughput(b *testing.B) {
 	root := benchTree(b, 32)
 	models := benchModels(b)

@@ -32,28 +32,27 @@ type cacheData struct {
 	Entries map[string]*Suggestion `json:"entries"`
 }
 
-// FileStore is a file-backed VerdictStore. Get/Put operate on the
-// in-memory entry set loaded at open; Flush persists the union of loaded
-// and freshly put verdicts.
+// FileStore is a file-backed VerdictStore: an unbounded MemStore (the file
+// describes one tree, which sizes it) loaded at open, plus Flush, which
+// persists the union of loaded and freshly put verdicts. Its contract is
+// Get, Put, Len and Flush; the rest of what the embedding promotes (Roll,
+// Gen, PutAt, Range) belongs to the generation-tagged stores — a file
+// cache has one generation, fixed by its header, and a Roll before a Flush
+// would rewrite the file empty.
 type FileStore struct {
+	*MemStore
 	path    string
 	backend string
 	modelID string
-	mem     *MemStore
 }
 
 var _ VerdictStore = (*FileStore)(nil)
 
 // OpenFileStore loads the cache at path. A missing file, an unreadable
 // file, a layout-version bump, or a backend/model mismatch all yield an
-// empty store — stale caches cost a re-scan, never a wrong report. An
-// empty path yields a store that Flush treats as a no-op (scan always has
-// a store to read through; only persistence is optional).
+// empty store — stale caches cost a re-scan, never a wrong report.
 func OpenFileStore(path, backend, modelID string) (*FileStore, error) {
-	fs := &FileStore{path: path, backend: backend, modelID: modelID, mem: NewMemStore()}
-	if path == "" {
-		return fs, nil
-	}
+	fs := &FileStore{MemStore: newMemStore(0), path: path, backend: backend, modelID: modelID}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -69,36 +68,15 @@ func OpenFileStore(path, backend, modelID string) (*FileStore, error) {
 		return fs, nil
 	}
 	for h, s := range cf.Entries {
-		fs.mem.Put(h, s)
+		fs.Put(h, s)
 	}
 	return fs, nil
 }
 
-// Get returns the stored verdict; the result is shared and must not be
-// mutated.
-func (fs *FileStore) Get(hash string) (*Suggestion, bool) { return fs.mem.Get(hash) }
-
-// Put stores a private copy of the verdict in memory; Flush persists it.
-func (fs *FileStore) Put(hash string, s *Suggestion) { fs.mem.Put(hash, s) }
-
-// Len reports the resident verdict count.
-func (fs *FileStore) Len() int { return fs.mem.Len() }
-
 // Flush atomically rewrites the cache file with every resident verdict.
-// A store opened with an empty path flushes nowhere.
 func (fs *FileStore) Flush() error {
-	if fs.path == "" {
-		return nil
-	}
-	entries := make(map[string]*Suggestion)
-	for i := range fs.mem.shards {
-		sh := &fs.mem.shards[i]
-		sh.mu.RLock()
-		for h, s := range sh.m {
-			entries[h] = s
-		}
-		sh.mu.RUnlock()
-	}
+	entries := make(map[string]*Suggestion, fs.Len())
+	fs.Range(func(h string, s *Suggestion) { entries[h] = s })
 	cf := cacheData{Version: cacheVersion, Backend: fs.backend, Model: fs.modelID, Entries: entries}
 	err := ckpt.WriteFileAtomic(fs.path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)

@@ -41,7 +41,9 @@ type Config struct {
 	// hashing scale with it; inference batching is independent.
 	Workers int
 	// BatchSize chunks unique snippets per Suggester call (default 16 —
-	// the serving engine's MaxBatch sweet spot, see BENCH_SERVE.json).
+	// the serving engine's MaxBatch; the harness reports the per-item cost
+	// at both ends as advisor.infer_b1_us_per_item and
+	// advisor.infer_us_per_item).
 	BatchSize int
 	// CachePath names the persistent content-hash cache file. Loops whose
 	// hash appears in the cache skip inference entirely; a scan rewrites
@@ -51,7 +53,8 @@ type Config struct {
 	// of a CachePath-backed FileStore — the serving tier hands every scan
 	// its shared fleet-wide store this way. The caller owns the store's
 	// (backend, model) namespace discipline; fresh verdicts are written
-	// back with Put. When Store is set, CachePath is ignored.
+	// back with Put. When Store is set, CachePath is ignored; with neither,
+	// the scan reads through and writes back to nothing.
 	Store VerdictStore
 	// Backend names the compute backend the suggester runs on; recorded in
 	// the report and the cache header (a cache written by one backend is
@@ -350,20 +353,17 @@ func run(
 	// call below is then a no-op, and the untraced path stays byte- and
 	// behavior-identical; timing never reaches the report or the store).
 	tr := obs.TraceFrom(ctx)
-	// Resolve the verdict store: an injected tier-wide store, or the
-	// per-scan file cache (empty CachePath = in-memory only, discarded).
+	// Resolve the verdict store: an injected one, else the CachePath file
+	// cache, else none — byHash already dedupes within the scan, so without
+	// a store there is nothing to read through or write back to.
 	store := cfg.Store
 	var fileStore *FileStore
-	if store == nil {
-		fs, err := OpenFileStore(cfg.CachePath, cfg.Backend, cfg.ModelID)
-		if err != nil {
+	if store == nil && cfg.CachePath != "" {
+		var err error
+		if fileStore, err = OpenFileStore(cfg.CachePath, cfg.Backend, cfg.ModelID); err != nil {
 			return nil, err
 		}
-		fileStore = fs
-		store = fs
-	}
-	if tr != nil {
-		store = tracedStore{inner: store, tr: tr}
+		store = fileStore
 	}
 
 	srcs := make(chan Source, cfg.Workers)
@@ -487,11 +487,16 @@ collect:
 					l = &Loop{Hash: h, Snippet: ol.snippet}
 					byHash[h] = l
 					loops = append(loops, l)
-					if hit, ok := store.Get(h); ok {
-						l.Suggestion = hit.clone()
-						l.FromCache = true
-						l.queued = true
-						rep.Counters.CacheHits++
+					if store != nil {
+						endGet := tr.Start("store.get")
+						hit, ok := store.Get(h)
+						endGet()
+						if ok {
+							l.Suggestion = hit.clone()
+							l.FromCache = true
+							l.queued = true
+							rep.Counters.CacheHits++
+						}
 					}
 				}
 				l.Occurrences = append(l.Occurrences, ol.occ)
@@ -539,8 +544,10 @@ collect:
 	// cached verdict off an annotated loop, which leaves the stored entry
 	// in place (the strip protects this report's bytes, not the store).
 	for _, l := range loops {
-		if l.Suggestion != nil && l.Error == "" && !l.FromCache {
+		if store != nil && l.Suggestion != nil && l.Error == "" && !l.FromCache {
+			endPut := tr.Start("store.put")
 			store.Put(l.Hash, l.Suggestion)
+			endPut()
 		}
 	}
 	if fileStore != nil {
@@ -550,26 +557,6 @@ collect:
 	}
 	return rep, nil
 }
-
-// tracedStore wraps a VerdictStore with store.get/store.put spans. Only
-// installed when the scan's context carries a trace, so the untraced path
-// never pays the clock reads.
-type tracedStore struct {
-	inner VerdictStore
-	tr    *obs.Trace
-}
-
-func (s tracedStore) Get(hash string) (*Suggestion, bool) {
-	defer s.tr.Start("store.get")()
-	return s.inner.Get(hash)
-}
-
-func (s tracedStore) Put(hash string, v *Suggestion) {
-	defer s.tr.Start("store.put")()
-	s.inner.Put(hash, v)
-}
-
-func (s tracedStore) Len() int { return s.inner.Len() }
 
 // Verdict is one snippet's outcome from a VerdictSuggester: either a
 // pre-flattened suggestion or a per-snippet error.

@@ -1,25 +1,19 @@
 package scan
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "pragformer/internal/lru"
 
 // VerdictStore is the loop-verdict cache abstraction the scan pipeline
 // reads through: content hash (HashSnippet of the canonically printed
-// loop) to flattened Suggestion. PR 5 introduced the per-process file
-// cache; the serving tier graduates it into a shared store the whole
-// replica fleet reads through — at fleet scale most traffic hits loops
-// someone already scanned, and a verdict computed on any replica should
-// be returned everywhere without another forward.
+// loop) to flattened Suggestion — at fleet scale most traffic hits loops
+// someone already scanned, and a verdict computed once should be returned
+// everywhere without another forward.
 //
-// Implementations: MemStore (sharded in-memory map — the router's
+// Implementations: MemStore (bounded, in memory — also the router's
 // tier-wide store) and FileStore (the persistent scan cache file).
 //
-// Callers own the namespace discipline: one store must only ever hold
-// verdicts of one (backend, model) pair, or the keys must encode that
-// pair. FileStore enforces it with its on-disk header; the router
-// prefixes keys with its fleet namespace.
+// One store only ever holds verdicts of one (backend, model) pair:
+// FileStore enforces it with its on-disk header, the router by rolling its
+// store's generation whenever the pair changes.
 type VerdictStore interface {
 	// Get returns the stored verdict. The returned Suggestion is shared —
 	// callers must treat it as immutable (clone before mutating).
@@ -27,79 +21,39 @@ type VerdictStore interface {
 	// Put stores a verdict. The store keeps its own copy, so the caller
 	// may keep mutating s afterwards.
 	Put(hash string, s *Suggestion)
-	// Len reports the resident verdict count.
-	Len() int
 }
 
-// memShards is the MemStore shard count (power of two). Sharding keeps
-// the router's hot read path from serializing on one mutex.
-const memShards = 16
+// memStoreCap bounds NewMemStore: past it the least recently used verdict
+// is evicted. DESIGN.md "Verdict store" has the measured bytes per verdict
+// and the heap ceiling this sets.
+const memStoreCap = 1 << 16
 
-// MemStore is a sharded in-memory VerdictStore, safe for concurrent use.
+// MemStore is the in-memory VerdictStore: an lru.Cache that keeps a
+// private copy of every verdict put into it. Get, Len, Gen, Roll and Range
+// are the cache's own.
 type MemStore struct {
-	shards [memShards]memShard
+	*lru.Cache[*Suggestion]
 }
 
-type memShard struct {
-	mu sync.RWMutex
-	m  map[string]*Suggestion
-}
+// NewMemStore returns an empty store bounded at memStoreCap verdicts.
+func NewMemStore() *MemStore { return newMemStore(memStoreCap) }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	s := &MemStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*Suggestion)
-	}
-	return s
-}
-
-func (s *MemStore) shard(hash string) *memShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(hash))
-	return &s.shards[h.Sum32()&(memShards-1)]
-}
-
-// Get returns the stored verdict; the result is shared and must not be
-// mutated.
-func (s *MemStore) Get(hash string) (*Suggestion, bool) {
-	sh := s.shard(hash)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v, ok := sh.m[hash]
-	return v, ok
+func newMemStore(capacity int) *MemStore {
+	return &MemStore{lru.New[*Suggestion](capacity)}
 }
 
 // Put stores a private copy of the verdict. Nil suggestions are ignored.
 func (s *MemStore) Put(hash string, v *Suggestion) {
-	if v == nil {
-		return
+	if v != nil {
+		s.Cache.Put(hash, v.clone())
 	}
-	c := v.clone()
-	sh := s.shard(hash)
-	sh.mu.Lock()
-	sh.m[hash] = c
-	sh.mu.Unlock()
 }
 
-// Len reports the resident verdict count across all shards.
-func (s *MemStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
-// Reset empties the store — the router rotates its store this way after a
-// rolling reload, so one model generation's verdicts never answer for the
-// next.
-func (s *MemStore) Reset() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		clear(s.shards[i].m)
-		s.shards[i].mu.Unlock()
+// PutAt is Put for a verdict computed under generation gen (read with Gen
+// before the computation started); it is dropped if the store has rolled
+// since.
+func (s *MemStore) PutAt(gen uint64, hash string, v *Suggestion) {
+	if v != nil {
+		s.Cache.PutAt(gen, hash, v.clone())
 	}
 }

@@ -1,12 +1,17 @@
 package scan
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/obs"
 )
 
 func TestMemStoreRoundTrip(t *testing.T) {
@@ -35,9 +40,110 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatal("nil Put changed the store")
 	}
-	s.Reset()
+	// Roll empties the store, and a verdict computed under the generation
+	// it closed is dropped without being copied in.
+	gen := s.Gen()
+	s.Roll()
 	if s.Len() != 0 {
-		t.Fatal("Reset left verdicts behind")
+		t.Fatal("Roll left verdicts behind")
+	}
+	s.PutAt(gen, "h1", v)
+	if _, ok := s.Get("h1"); ok {
+		t.Fatal("a verdict of the superseded generation was stored")
+	}
+	s.PutAt(s.Gen(), "h1", v)
+	if got, ok := s.Get("h1"); !ok || got == v {
+		t.Fatal("PutAt at the current generation must store a private copy")
+	}
+}
+
+// NewMemStore is bounded: one verdict past the capacity evicts the least
+// recently used one.
+func TestMemStoreBounded(t *testing.T) {
+	s := NewMemStore()
+	v := &Suggestion{}
+	for i := 0; i <= memStoreCap; i++ {
+		s.Put(strconv.Itoa(i), v)
+	}
+	if s.Len() != memStoreCap {
+		t.Fatalf("Len = %d after capacity+1 puts, want %d", s.Len(), memStoreCap)
+	}
+	if _, ok := s.Get("0"); ok {
+		t.Fatal("the oldest verdict was not evicted")
+	}
+}
+
+// A steady-state Put costs the clone and nothing per entry: 1 allocation
+// for a verdict with empty slices, what the sharded map store cost before
+// the stores were folded into lru.Cache.
+func TestMemStorePutAllocs(t *testing.T) {
+	s := NewMemStore()
+	v := &Suggestion{Probability: 0.25}
+	h := HashSnippet("for (;;) ;")
+	s.Put(h, v)
+	if n := testing.AllocsPerRun(1000, func() { s.Put(h, v) }); n > 1 {
+		t.Fatalf("steady-state Put allocates %v per call, want <= 1", n)
+	}
+}
+
+// A cache file written before the stores were folded into lru.Cache opens
+// warm, and flushing it unchanged reproduces it byte for byte — the
+// on-disk format (version 3) did not move.
+func TestFileStoreParentFormat(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "cache_v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "scan.cache")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileStore(path, "stub", "parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Len() == 0 {
+		t.Fatal("the recorded cache file opened cold")
+	}
+	if err := fs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("flush of an unchanged cache differs from the recorded file:\n%s", got)
+	}
+	// The file is warm for the scan that wrote it: no model call.
+	warm := &stubSuggester{}
+	rep := scanFixture(t, Config{CachePath: path, Backend: "stub", ModelID: "parent"}, warm)
+	if calls, _ := warm.counts(); calls != 0 || rep.Counters.CacheHits != fs.Len() {
+		t.Fatalf("warm scan made %d model calls, %d cache hits, want 0 and %d", calls, rep.Counters.CacheHits, fs.Len())
+	}
+}
+
+// Without a store or a cache path a scan reads through and writes back to
+// nothing: a traced run records no store span and reports no cache hit.
+func TestScanWithoutStoreTouchesNone(t *testing.T) {
+	tr := obs.NewTrace("")
+	rep, err := Files(obs.WithTrace(context.Background(), tr), []Source{{Path: "a.c", Data: []byte(
+		"void f(int *a, int n) { for (int i = 0; i < n; i++) a[i] += i; }\n")}}, Config{}, &stubSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters.Inferred != 1 || rep.Counters.CacheHits != 0 {
+		t.Fatalf("counters = %+v, want 1 inferred and 0 cache hits", rep.Counters)
+	}
+	advised := false
+	for _, st := range tr.Summary() {
+		if strings.HasPrefix(st.Name, "store.") {
+			t.Fatalf("a scan with no store recorded a %s span", st.Name)
+		}
+		advised = advised || st.Name == "advise"
+	}
+	if !advised {
+		t.Fatal("the scan was not traced at all")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pragformer/internal/lru"
 	"pragformer/internal/obs"
 )
 
@@ -21,9 +22,9 @@ import (
 // whose deadline expired while they sat in the queue — an expired call's
 // caller has already returned via ctx.Done, so running it would only burn
 // a forward. tr is the request trace (nil when untraced).
-type call[P any, K comparable, R any] struct {
+type call[P any, R any] struct {
 	payload  P
-	key      K
+	key      string
 	res      chan R // buffered(1): the worker never blocks delivering
 	ctx      context.Context
 	enqueued time.Time
@@ -36,66 +37,73 @@ type call[P any, K comparable, R any] struct {
 // on the model it started with while the next batch picks up the swap.
 // A run returns its results plus coarse stage timings (the advisor's
 // infer/corroborate split) that the worker folds into each call's trace.
-type runSet[P any, R any] struct {
-	gen  uint64
-	runs []func([]P) ([]R, []obs.Stage)
-}
-
-// batcherMetrics are the telemetry series one batcher records into. Any
-// field may be nil (the engine wires them; direct construction in tests
-// may not) — nil fields are skipped.
-type batcherMetrics struct {
-	queueWait *obs.Histogram // pf_batch_queue_wait_seconds
-	compute   *obs.Histogram // pf_batch_compute_seconds
-	deadline  *obs.Counter   // pf_deadline_exceeded_total
-}
+type runSet[P any, R any] []func([]P) ([]R, []obs.Stage)
 
 // batcher coalesces calls of one kind and fans batches across workers.
-type batcher[P any, K comparable, R any] struct {
-	queue    chan *call[P, K, R]
-	work     chan []*call[P, K, R]
-	cache    *lru[K, R]
+type batcher[P any, R any] struct {
+	queue    chan *call[P, R]
+	work     chan []*call[P, R]
+	cache    *lru.Cache[R]
 	cur      atomic.Pointer[runSet[P, R]]
 	maxBatch int
 	maxWait  time.Duration
 	shed     bool
 	done     chan struct{}
 	wg       *sync.WaitGroup
-	m        batcherMetrics
+	inflight atomic.Int64
 
-	requests         atomic.Uint64
-	cacheHits        atomic.Uint64
-	batches          atomic.Uint64
-	items            atomic.Uint64
-	sheds            atomic.Uint64
-	deadlineExceeded atomic.Uint64
-	inflight         atomic.Int64
+	// The registry series the batcher records into, and the only place its
+	// counts live: Stats, /statz and /metrics all read them.
+	queueWait *obs.Histogram // pf_batch_queue_wait_seconds
+	compute   *obs.Histogram // pf_batch_compute_seconds
+	requests  *obs.Counter   // pf_batcher_requests_total
+	cacheHits *obs.Counter   // pf_cache_hits_total
+	batches   *obs.Counter   // pf_batches_total
+	items     *obs.Counter   // pf_batch_items_total
+	sheds     *obs.Counter   // pf_sheds_total
+	deadline  *obs.Counter   // pf_deadline_exceeded_total
 }
 
 // newBatcher starts one dispatcher plus one worker per run function; all
-// goroutines exit when done closes. queueDepth caps the request queue —
-// the backpressure point: when shed is set, a full queue fails fast with
-// ErrSaturated instead of blocking the caller.
-func newBatcher[P any, K comparable, R any](
+// goroutines exit when done closes. Its series are registered in reg under
+// the label path. queueDepth caps the request queue — the backpressure
+// point: when shed is set, a full queue fails fast with ErrSaturated
+// instead of blocking the caller.
+func newBatcher[P any, R any](
+	reg *obs.Registry, path string,
 	maxBatch int, maxWait time.Duration, cacheSize, queueDepth int, shed bool,
-	runs []func([]P) ([]R, []obs.Stage), bm batcherMetrics,
-	done chan struct{}, wg *sync.WaitGroup,
-) *batcher[P, K, R] {
+	runs runSet[P, R], done chan struct{}, wg *sync.WaitGroup,
+) *batcher[P, R] {
 	if queueDepth <= 0 {
 		queueDepth = maxBatch * len(runs)
 	}
-	b := &batcher[P, K, R]{
-		queue:    make(chan *call[P, K, R], queueDepth),
-		work:     make(chan []*call[P, K, R]),
-		cache:    newLRU[K, R](cacheSize),
+	l := obs.Labels{"path": path}
+	b := &batcher[P, R]{
+		queue:    make(chan *call[P, R], queueDepth),
+		work:     make(chan []*call[P, R]),
+		cache:    lru.New[R](cacheSize),
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		shed:     shed,
 		done:     done,
 		wg:       wg,
-		m:        bm,
+		queueWait: reg.Histogram("pf_batch_queue_wait_seconds",
+			"Time a request waited in the batch queue before its forward, in seconds.", l, nil),
+		compute: reg.Histogram("pf_batch_compute_seconds",
+			"Batched forward compute time, in seconds.", l, nil),
+		deadline: reg.Counter("pf_deadline_exceeded_total",
+			"Requests shed because the client deadline had already expired.", l),
+		requests:  reg.Counter("pf_batcher_requests_total", "Requests accepted by the batcher.", l),
+		cacheHits: reg.Counter("pf_cache_hits_total", "Requests answered from the LRU without queueing.", l),
+		batches:   reg.Counter("pf_batches_total", "Coalesced batches executed.", l),
+		items:     reg.Counter("pf_batch_items_total", "Requests carried by executed batches.", l),
+		sheds:     reg.Counter("pf_sheds_total", "Requests refused at admission (queue saturated).", l),
 	}
-	b.cur.Store(&runSet[P, R]{runs: runs}) // generation 0, matching the cache
+	reg.GaugeFunc("pf_queue_depth", "Requests waiting in the batch queue right now.", l,
+		func() float64 { return float64(len(b.queue)) })
+	reg.GaugeFunc("pf_in_flight", "Admitted requests not yet answered.", l,
+		func() float64 { return float64(b.inflight.Load()) })
+	b.cur.Store(&runs)
 	wg.Add(1 + len(runs))
 	go b.dispatch()
 	for r := range runs {
@@ -104,27 +112,27 @@ func newBatcher[P any, K comparable, R any](
 	return b
 }
 
-// setRuns atomically swaps in a new generation of run functions and rolls
-// the cache. The slice length must equal the worker count fixed at
-// construction; callers serialize swaps (Engine.reloadMu).
-func (b *batcher[P, K, R]) setRuns(runs []func([]P) ([]R, []obs.Stage)) {
-	next := &runSet[P, R]{gen: b.cur.Load().gen + 1, runs: runs}
-	b.cur.Store(next)
-	b.cache.reset(next.gen)
+// setRuns atomically swaps in a new generation of run functions, then
+// rolls the cache — in that order, which worker relies on. The slice
+// length must equal the worker count fixed at construction; callers
+// serialize swaps (Engine.reloadMu).
+func (b *batcher[P, R]) setRuns(runs runSet[P, R]) {
+	b.cur.Store(&runs)
+	b.cache.Roll()
 }
 
 // dispatch coalesces queued calls into batches: the first call opens a
 // window that closes at MaxBatch calls or after MaxWait, whichever first.
-func (b *batcher[P, K, R]) dispatch() {
+func (b *batcher[P, R]) dispatch() {
 	defer b.wg.Done()
 	for {
-		var first *call[P, K, R]
+		var first *call[P, R]
 		select {
 		case first = <-b.queue:
 		case <-b.done:
 			return
 		}
-		batch := append(make([]*call[P, K, R], 0, b.maxBatch), first)
+		batch := append(make([]*call[P, R], 0, b.maxBatch), first)
 		timer := time.NewTimer(b.maxWait)
 	fill:
 		for len(batch) < b.maxBatch {
@@ -148,14 +156,15 @@ func (b *batcher[P, K, R]) dispatch() {
 }
 
 // worker executes batches with replica r's current run function and
-// delivers per-call results. The runSet is snapshotted once per batch:
-// results are cached under the snapshot's generation, so a batch that
-// raced a reload cannot write stale results into the fresh cache.
+// delivers per-call results. The cache generation is read before the
+// runSet is snapshotted, once per batch, and results are cached under it:
+// a batch that raced a reload either ran on the old runs and is dropped by
+// the roll, or read the new generation and so ran on the new runs.
 //
 // Calls whose context died in the queue are dropped before the forward —
 // their callers already returned, so computing for them is pure waste; a
 // deadline expiry is counted separately from other cancellations.
-func (b *batcher[P, K, R]) worker(r int) {
+func (b *batcher[P, R]) worker(r int) {
 	defer b.wg.Done()
 	for {
 		select {
@@ -164,42 +173,36 @@ func (b *batcher[P, K, R]) worker(r int) {
 			for _, c := range batch {
 				if err := c.ctx.Err(); err != nil {
 					if errors.Is(err, context.DeadlineExceeded) {
-						b.deadlineExceeded.Add(1)
-						if b.m.deadline != nil {
-							b.m.deadline.Inc()
-						}
+						b.deadline.Inc()
 					}
 					continue
 				}
 				qw := time.Since(c.enqueued)
-				if b.m.queueWait != nil {
-					b.m.queueWait.Observe(qw.Seconds())
-				}
+				b.queueWait.Observe(qw.Seconds())
 				c.tr.Add("queue-wait", c.enqueued, qw)
 				live = append(live, c)
 			}
 			if len(live) == 0 {
 				continue
 			}
-			rs := b.cur.Load()
+			gen := b.cache.Gen()
+			runs := *b.cur.Load()
 			payloads := make([]P, len(live))
 			for i, c := range live {
 				payloads[i] = c.payload
 			}
 			t0 := time.Now()
-			results, stages := rs.runs[r](payloads)
+			results, stages := runs[r](payloads)
 			dc := time.Since(t0)
-			if b.m.compute != nil {
-				b.m.compute.Observe(dc.Seconds())
-			}
-			b.batches.Add(1)
+			b.compute.Observe(dc.Seconds())
+			b.batches.Inc()
 			b.items.Add(uint64(len(live)))
 			for i, c := range live {
 				c.tr.Add("batch-compute", t0, dc)
 				for _, st := range stages {
 					c.tr.Add(st.Name, t0, st.Dur)
 				}
-				b.cache.put(c.key, results[i], rs.gen)
+				b.cache.PutAt(gen, c.key, results[i])
 				c.res <- results[i]
 			}
 		case <-b.done:
@@ -214,25 +217,22 @@ func (b *batcher[P, K, R]) worker(r int) {
 // callers (the HTTP layer, the tier router) translate it into 429 +
 // Retry-After instead of letting latency collapse under overload. A
 // context already past its deadline is shed before touching the queue.
-func (b *batcher[P, K, R]) do(ctx context.Context, payload P, key K) (R, error) {
+func (b *batcher[P, R]) do(ctx context.Context, payload P, key string) (R, error) {
 	var zero R
-	b.requests.Add(1)
+	b.requests.Inc()
 	if err := ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			b.deadlineExceeded.Add(1)
-			if b.m.deadline != nil {
-				b.m.deadline.Inc()
-			}
+			b.deadline.Inc()
 		}
 		return zero, err
 	}
-	if r, ok := b.cache.get(key); ok {
-		b.cacheHits.Add(1)
+	if r, ok := b.cache.Get(key); ok {
+		b.cacheHits.Inc()
 		return r, nil
 	}
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	c := &call[P, K, R]{
+	c := &call[P, R]{
 		payload: payload, key: key, res: make(chan R, 1),
 		ctx: ctx, enqueued: time.Now(), tr: obs.TraceFrom(ctx),
 	}
@@ -244,7 +244,7 @@ func (b *batcher[P, K, R]) do(ctx context.Context, payload P, key K) (R, error) 
 		case <-b.done:
 			return zero, ErrClosed
 		default:
-			b.sheds.Add(1)
+			b.sheds.Inc()
 			return zero, ErrSaturated
 		}
 	} else {
@@ -272,14 +272,14 @@ func (b *batcher[P, K, R]) do(ctx context.Context, payload P, key K) (R, error) 
 	}
 }
 
-func (b *batcher[P, K, R]) stats() PathStats {
+func (b *batcher[P, R]) stats() PathStats {
 	return PathStats{
-		Requests:         b.requests.Load(),
-		CacheHits:        b.cacheHits.Load(),
-		Batches:          b.batches.Load(),
-		Items:            b.items.Load(),
-		Sheds:            b.sheds.Load(),
-		DeadlineExceeded: b.deadlineExceeded.Load(),
+		Requests:         b.requests.Value(),
+		CacheHits:        b.cacheHits.Value(),
+		Batches:          b.batches.Value(),
+		Items:            b.items.Value(),
+		Sheds:            b.sheds.Value(),
+		DeadlineExceeded: b.deadline.Value(),
 		QueueDepth:       len(b.queue),
 		InFlight:         int(b.inflight.Load()),
 	}

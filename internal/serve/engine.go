@@ -34,6 +34,7 @@ import (
 	"pragformer/internal/advisor"
 	"pragformer/internal/core"
 	"pragformer/internal/obs"
+	"pragformer/internal/scan"
 	"pragformer/internal/tokenize"
 )
 
@@ -184,14 +185,6 @@ type Stats struct {
 	Suggest PathStats `json:"suggest"`
 }
 
-// suggestOut is the per-snippet suggest outcome carried through the
-// batcher (and cached — errors are deterministic, so caching them is
-// sound).
-type suggestOut struct {
-	s   *advisor.Suggestion
-	err error
-}
-
 // Engine is the serving front end over one advisor.Models bundle. The
 // bundle is held behind an atomic pointer so Reload can swap in a
 // retrained model without pausing traffic.
@@ -199,11 +192,13 @@ type Engine struct {
 	models  atomic.Pointer[advisor.Models]
 	cfg     Config
 	reg     *obs.Registry
-	predict *batcher[[]int, string, float64]
-	suggest *batcher[string, string, suggestOut]
+	predict *batcher[[]int, float64]
+	// suggest carries the flat verdict — a suggestion or a per-snippet
+	// error; both are cached (errors are deterministic).
+	suggest *batcher[string, scan.Verdict]
 
-	reloadMu sync.Mutex // serializes Reload swaps
-	reloads  atomic.Uint64
+	reloadMu sync.Mutex   // serializes Reload swaps
+	reloads  *obs.Counter // pf_reloads_total
 
 	// draining marks the engine as being taken out of rotation (process
 	// shutdown imminent); reloading marks a hot swap in progress. Both are
@@ -235,50 +230,21 @@ func New(models *advisor.Models, cfg Config) (*Engine, error) {
 	e.models.Store(models)
 
 	predictRuns, suggestRuns := e.buildRuns(models)
-	e.predict = newBatcher[[]int, string, float64](
+	e.predict = newBatcher(e.reg, "predict",
 		cfg.MaxBatch, cfg.MaxWait, cfg.CacheSize, cfg.QueueDepth, cfg.Shed,
-		predictRuns, e.batcherMetrics("predict"), e.done, &e.wg)
-	e.suggest = newBatcher[string, string, suggestOut](
+		predictRuns, e.done, &e.wg)
+	e.suggest = newBatcher(e.reg, "suggest",
 		cfg.MaxBatch, cfg.MaxWait, cfg.CacheSize, cfg.QueueDepth, cfg.Shed,
-		suggestRuns, e.batcherMetrics("suggest"), e.done, &e.wg)
-	regBatcher(e.reg, "predict", e.predict)
-	regBatcher(e.reg, "suggest", e.suggest)
-	e.reg.CounterFunc("pf_reloads_total", "Completed hot model swaps.", nil, e.reloads.Load)
+		suggestRuns, e.done, &e.wg)
+	e.reloads = e.reg.Counter("pf_reloads_total", "Completed hot model swaps.", nil)
 	e.reg.GaugeFunc("pf_model_generation", "Model generation currently serving.", nil,
-		func() float64 { return float64(e.predict.cur.Load().gen) })
+		func() float64 { return float64(e.predict.cache.Gen()) })
 	return e, nil
 }
 
 // Metrics exposes the engine's telemetry registry (the one GET /metrics
 // renders) so embedding binaries can add their own series.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
-// batcherMetrics builds one path's recorded-into telemetry series.
-func (e *Engine) batcherMetrics(path string) batcherMetrics {
-	l := obs.Labels{"path": path}
-	return batcherMetrics{
-		queueWait: e.reg.Histogram("pf_batch_queue_wait_seconds",
-			"Time a request waited in the batch queue before its forward, in seconds.", l, nil),
-		compute: e.reg.Histogram("pf_batch_compute_seconds",
-			"Batched forward compute time, in seconds.", l, nil),
-		deadline: e.reg.Counter("pf_deadline_exceeded_total",
-			"Requests shed because the client deadline had already expired.", l),
-	}
-}
-
-// regBatcher registers one batcher's counters and admission gauges.
-func regBatcher[P any, K comparable, R any](reg *obs.Registry, path string, b *batcher[P, K, R]) {
-	l := obs.Labels{"path": path}
-	reg.CounterFunc("pf_batcher_requests_total", "Requests accepted by the batcher.", l, b.requests.Load)
-	reg.CounterFunc("pf_cache_hits_total", "Requests answered from the LRU without queueing.", l, b.cacheHits.Load)
-	reg.CounterFunc("pf_batches_total", "Coalesced batches executed.", l, b.batches.Load)
-	reg.CounterFunc("pf_batch_items_total", "Requests carried by executed batches.", l, b.items.Load)
-	reg.CounterFunc("pf_sheds_total", "Requests refused at admission (queue saturated).", l, b.sheds.Load)
-	reg.GaugeFunc("pf_queue_depth", "Requests waiting in the batch queue right now.", l,
-		func() float64 { return float64(len(b.queue)) })
-	reg.GaugeFunc("pf_in_flight", "Admitted requests not yet answered.", l,
-		func() float64 { return float64(b.inflight.Load()) })
-}
 
 func validateModels(models *advisor.Models) error {
 	if models == nil || models.Directive == nil || models.Vocab == nil {
@@ -290,10 +256,10 @@ func validateModels(models *advisor.Models) error {
 // buildRuns constructs one generation of per-replica run functions over a
 // model bundle — the expensive part of a reload (replica deep copies),
 // done before anything is swapped.
-func (e *Engine) buildRuns(models *advisor.Models) ([]func([][]int) ([]float64, []obs.Stage), []func([]string) ([]suggestOut, []obs.Stage)) {
+func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runSet[string, scan.Verdict]) {
 	// Predict replicas: replica 0 serves from the bundle's model, the rest
 	// from deep copies, so Replicas batches can run truly concurrently.
-	predictRuns := make([]func([][]int) ([]float64, []obs.Stage), e.cfg.Replicas)
+	predictRuns := make(runSet[[]int, float64], e.cfg.Replicas)
 	directive := models.Directive
 	vocab := directive.VocabSize()
 	wrap := func(run func([][]int) []float64) func([][]int) ([]float64, []obs.Stage) {
@@ -326,8 +292,10 @@ func (e *Engine) buildRuns(models *advisor.Models) ([]func([][]int) ([]float64, 
 	// over its classifiers, so concurrency needs no replicas — the workers
 	// exist to let batches overlap. The per-batch stage hook splits the
 	// advisor's time into infer vs corroborate for the request trace and
-	// the pf_stage_duration_seconds histogram.
-	suggestRun := func(codes []string) ([]suggestOut, []obs.Stage) {
+	// the pf_stage_duration_seconds histogram. The verdict is flattened to
+	// its report form here, once, where it is computed: the cache, /suggest
+	// and /scan all carry that form.
+	suggestRun := func(codes []string) ([]scan.Verdict, []obs.Stage) {
 		var stages []obs.Stage
 		items, err := models.SuggestBatchStaged(codes, func(stage string, d time.Duration) {
 			stages = append(stages, obs.Stage{Name: stage, Dur: d})
@@ -335,19 +303,19 @@ func (e *Engine) buildRuns(models *advisor.Models) ([]func([][]int) ([]float64, 
 				"Advisor pipeline stage time per batch, in seconds.",
 				obs.Labels{"stage": stage}, nil).Observe(d.Seconds())
 		})
-		out := make([]suggestOut, len(codes))
+		out := make([]scan.Verdict, len(codes))
 		if err != nil {
 			for i := range out {
-				out[i] = suggestOut{err: err}
+				out[i].Err = err
 			}
 			return out, stages
 		}
 		for i, it := range items {
-			out[i] = suggestOut{s: it.Suggestion, err: it.Err}
+			out[i] = scan.Verdict{Suggestion: scan.FromAdvisor(it.Suggestion), Err: it.Err}
 		}
 		return out, stages
 	}
-	suggestRuns := make([]func([]string) ([]suggestOut, []obs.Stage), e.cfg.Replicas)
+	suggestRuns := make(runSet[string, scan.Verdict], e.cfg.Replicas)
 	for r := range suggestRuns {
 		suggestRuns[r] = suggestRun
 	}
@@ -398,7 +366,7 @@ func (e *Engine) Reload(models *advisor.Models) error {
 	e.models.Store(models)
 	e.predict.setRuns(predictRuns)
 	e.suggest.setRuns(suggestRuns)
-	e.reloads.Add(1)
+	e.reloads.Inc()
 	return nil
 }
 
@@ -452,35 +420,15 @@ func (e *Engine) Predict(ctx context.Context, ids []int) (float64, error) {
 }
 
 // Suggest runs the full advisor pipeline for one snippet, coalescing
-// concurrent callers into SuggestBatch calls. The returned Suggestion may
-// be shared with other callers (cache hits) and must not be mutated.
-func (e *Engine) Suggest(ctx context.Context, code string) (*advisor.Suggestion, error) {
-	out, err := e.suggest.do(ctx, code, code)
+// concurrent callers into SuggestBatch calls, and returns the verdict in
+// its flat report form. The returned Suggestion may be shared with other
+// callers (cache hits) and must not be mutated.
+func (e *Engine) Suggest(ctx context.Context, code string) (*scan.Suggestion, error) {
+	v, err := e.suggest.do(ctx, code, code)
 	if err != nil {
 		return nil, err
 	}
-	return out.s, out.err
-}
-
-// SuggestBatch fans a batch of snippets out through the suggest batcher
-// concurrently: the dispatcher coalesces them (together with any other
-// in-flight callers) into batched forwards, so a repo scan riding the
-// engine shares batches with live traffic instead of bypassing it.
-// Engine-level failures (cancellation, close) surface per item, matching
-// advisor.Models.SuggestBatch's per-item error contract.
-func (e *Engine) SuggestBatch(ctx context.Context, codes []string) ([]advisor.BatchItem, error) {
-	items := make([]advisor.BatchItem, len(codes))
-	var wg sync.WaitGroup
-	for i, code := range codes {
-		wg.Add(1)
-		go func(i int, code string) {
-			defer wg.Done()
-			s, err := e.Suggest(ctx, code)
-			items[i] = advisor.BatchItem{Suggestion: s, Err: err}
-		}(i, code)
-	}
-	wg.Wait()
-	return items, nil
+	return v.Suggestion, v.Err
 }
 
 // Models exposes the currently served bundle (the HTTP layer needs the
@@ -494,8 +442,8 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Predict:    e.predict.stats(),
 		Suggest:    e.suggest.stats(),
-		Reloads:    e.reloads.Load(),
-		Generation: e.predict.cur.Load().gen,
+		Reloads:    e.reloads.Value(),
+		Generation: e.predict.cache.Gen(),
 		Backend:    e.models.Load().Directive.BackendName(),
 		Draining:   e.draining.Load(),
 		Reloading:  e.reloading.Load(),

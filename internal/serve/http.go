@@ -9,7 +9,6 @@ import (
 
 	"pragformer/internal/api"
 	"pragformer/internal/obs"
-	"pragformer/internal/scan"
 	"pragformer/internal/tokenize"
 )
 
@@ -154,25 +153,18 @@ func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		codes = append(codes, req.Code)
 	}
 	results := make([]api.SuggestResult, len(codes))
-	var wg sync.WaitGroup
-	var sheds atomic.Int64
-	for i, code := range codes {
-		wg.Add(1)
-		go func(out *api.SuggestResult, code string) {
-			defer wg.Done()
-			s, err := e.Suggest(r.Context(), code)
-			if err != nil {
-				if errors.Is(err, ErrSaturated) {
-					sheds.Add(1)
-				}
-				out.Error = err.Error()
-				return
-			}
-			out.Suggestion = *scan.FromAdvisor(s)
-		}(&results[i], code)
+	sheds := 0
+	for i, v := range e.suggestAll(r.Context(), codes) {
+		if v.Err == nil {
+			results[i].Suggestion = *v.Suggestion
+			continue
+		}
+		if errors.Is(v.Err, ErrSaturated) {
+			sheds++
+		}
+		results[i].Error = v.Err.Error()
 	}
-	wg.Wait()
-	if shedEntirely(int(sheds.Load()), len(results)) {
+	if shedEntirely(sheds, len(results)) {
 		api.Shed(w, shedMessage)
 		return
 	}
@@ -191,7 +183,7 @@ func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 		api.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "reloads": e.reloads.Load()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "reloads": e.reloads.Value()})
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -2,22 +2,50 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http"
+	"sync"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
 
-// engineSuggester adapts the engine's context-ful batch path to the
-// scanner's advisor.Suggester dependency for one request.
+// engineSuggester is the scanner's suggester for one /scan request: a
+// scan.VerdictSuggester over the engine's suggest batcher.
 type engineSuggester struct {
 	e   *Engine
 	ctx context.Context
 }
 
-func (s engineSuggester) SuggestBatch(codes []string) ([]advisor.BatchItem, error) {
-	return s.e.SuggestBatch(s.ctx, codes)
+// SuggestBatch satisfies advisor.Suggester's method set; the scan
+// pipeline never calls it on a VerdictSuggester.
+func (s engineSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
+	return nil, errors.New("serve: SuggestBatch is not used; scan goes through SuggestVerdicts")
+}
+
+func (s engineSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
+	return s.e.suggestAll(s.ctx, codes), nil
+}
+
+// suggestAll fans snippets out through the suggest batcher concurrently:
+// the dispatcher coalesces them (together with any other in-flight
+// callers) into batched forwards, so one multi-item /suggest — or a repo
+// scan riding the engine — shares batches with live traffic instead of
+// bypassing it. Engine-level failures (saturation, cancellation, close)
+// surface per item.
+func (e *Engine) suggestAll(ctx context.Context, codes []string) []scan.Verdict {
+	verdicts := make([]scan.Verdict, len(codes))
+	var wg sync.WaitGroup
+	for i, code := range codes {
+		wg.Add(1)
+		go func(v *scan.Verdict, code string) {
+			defer wg.Done()
+			v.Suggestion, v.Err = e.Suggest(ctx, code)
+		}(&verdicts[i], code)
+	}
+	wg.Wait()
+	return verdicts
 }
 
 // handleScan is POST /scan: repo-scale scanning over the serving stack.

@@ -16,8 +16,9 @@ import (
 	"pragformer/internal/tokenize"
 )
 
-// Router-over-replicas vs one engine straight: BENCH_TIER.json snapshots
-// these. The model is the same untrained bundle the serve benchmarks use —
+// Router-over-replicas vs one engine straight, for measuring while working;
+// the numbers of record are the harness's tier.router_overhead_us and
+// latency_p50_ms on tier_suggest_hot (`bash bench/run.sh`). The model is the same untrained bundle the serve benchmarks use —
 // the tier adds routing, HTTP hops, and store lookups around identical
 // compute, so the interesting numbers are the overhead per request and the
 // warm-store path that answers with no forward at all.
@@ -136,7 +137,7 @@ func BenchmarkRouterWarmSuggest(b *testing.B) {
 	if rt.store.Len() == 0 {
 		b.Fatal("cold pass did not populate the store")
 	}
-	cold := rt.forwards.Load()
+	cold := rt.forwards.Value()
 
 	b.ReportAllocs()
 	b.SetParallelism(8)
@@ -158,7 +159,7 @@ func BenchmarkRouterWarmSuggest(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	if got := rt.forwards.Load(); got != cold {
+	if got := rt.forwards.Value(); got != cold {
 		b.Fatalf("warm bench forwarded (%d -> %d)", cold, got)
 	}
 }

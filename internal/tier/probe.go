@@ -10,7 +10,7 @@ import (
 func (rt *Router) noteFailure(rep *replica) {
 	if int(rep.fails.Add(1)) >= rt.cfg.FailThreshold &&
 		rep.state.CompareAndSwap(int32(stateHealthy), int32(stateEjected)) {
-		rt.ejects.Add(1)
+		rt.ejects.Inc()
 	}
 }
 
@@ -52,7 +52,7 @@ func (rt *Router) probeLoop() {
 				delete(skip, name)
 				rep.fails.Store(0)
 				rep.setState(stateHealthy)
-				rt.readmits.Add(1)
+				rt.readmits.Inc()
 			case stateHealthy:
 				if err := rep.probeStatz(ctx, rt.client); err != nil {
 					rt.noteFailure(rep)
@@ -66,8 +66,9 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// adoptBackend fills the verdict-store namespace backend from the first
-// replica that reports one, when the config left it open. Only the prober
+// adoptBackend names the store's backend after the first replica that
+// reports one, when the config left it open, and rolls the store: what it
+// held was computed before the fleet's backend was known. Only the prober
 // goroutine writes, so a plain store is race-free.
 func (rt *Router) adoptBackend(rep *replica) {
 	if *rt.backend.Load() != "" {
@@ -75,5 +76,6 @@ func (rt *Router) adoptBackend(rep *replica) {
 	}
 	if b := *rep.backend.Load(); b != "" {
 		rt.backend.Store(&b)
+		rt.store.Roll()
 	}
 }

@@ -15,8 +15,8 @@ import (
 // POST /reload, health-gated on /readyz reporting the bumped generation,
 // and readmitted — the fleet never has more than one replica out of
 // rotation, and no in-flight request is dropped. Afterwards the verdict
-// store rolls to a new generation: verdicts from the old bundles cannot
-// replay against the new ones.
+// store rolls: the old bundles' verdicts are freed, and one still being
+// computed by a forward that started before the roll is dropped on arrival.
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	rt.reloadMu.Lock()
 	defer rt.reloadMu.Unlock()
@@ -46,8 +46,8 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		outcomes = append(outcomes, outcome{Replica: name, Status: "reloaded", Generation: rep.generation.Load()})
 	}
-	rt.storeGen.Add(1)
-	rt.reloads.Add(1)
+	gen := rt.store.Roll()
+	rt.reloads.Inc()
 	status := "reloaded"
 	code := http.StatusOK
 	if failed > 0 {
@@ -58,7 +58,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	api.WriteJSON(w, code, map[string]any{
-		"status": status, "replicas": outcomes, "store_generation": rt.storeGen.Load(),
+		"status": status, "replicas": outcomes, "store_generation": gen,
 	})
 }
 

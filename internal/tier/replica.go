@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"pragformer/internal/obs"
 	"pragformer/internal/serve"
 )
 
@@ -51,10 +52,11 @@ type replica struct {
 	// fails counts consecutive forward/probe failures toward ejection.
 	fails atomic.Int32
 
-	// statzErrs counts failed /statz polls — before these were surfaced,
-	// a replica could fail every health poll for minutes (DNS, decode
-	// drift) with nothing visible until ejection.
-	statzErrs atomic.Uint64
+	// statzErrs counts failed /statz polls (pf_statz_errors_total, set by
+	// registerMetrics) — before these were surfaced, a replica could fail
+	// every health poll for minutes (DNS, decode drift) with nothing
+	// visible until ejection.
+	statzErrs *obs.Counter
 
 	// Signals from the last successful /statz poll.
 	generation atomic.Uint64
@@ -86,22 +88,22 @@ func (r *replica) routable() bool { return r.getState() == stateHealthy }
 func (r *replica) probeStatz(ctx context.Context, client *http.Client) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.name+"/statz", nil)
 	if err != nil {
-		r.statzErrs.Add(1)
+		r.statzErrs.Inc()
 		return err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		r.statzErrs.Add(1)
+		r.statzErrs.Inc()
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		r.statzErrs.Add(1)
+		r.statzErrs.Inc()
 		return fmt.Errorf("statz: %s", resp.Status)
 	}
 	var st serve.Statz
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		r.statzErrs.Add(1)
+		r.statzErrs.Inc()
 		return err
 	}
 	r.generation.Store(st.Generation)

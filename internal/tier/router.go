@@ -59,16 +59,15 @@ type Config struct {
 	// (RatePerSec <= 0 disables client rate limiting).
 	RatePerSec float64
 	Burst      int
-	// Backend/ModelID name the verdict namespace. Backend "" adopts the
-	// first backend a probe reports. Verdicts are stored under
-	// backend|model|generation|hash, so a fleet serving mixed models can
-	// never replay a verdict across bundles.
+	// Backend/ModelID name the one (backend, model) pair whose verdicts the
+	// store holds; both are reported by /statz. Backend "" adopts the first
+	// backend a probe reports (rolling the store: what was stored before
+	// belonged to no named backend). ModelID never changes under a running
+	// router; a new bundle arrives by POST /reload, which rolls the store.
 	Backend string
 	ModelID string
 	// ScanWorkers is the default parse worker count for /scan (0 = 4).
 	ScanWorkers int
-	// Store is the shared verdict store (nil = a fresh in-memory store).
-	Store scan.VerdictStore
 	// Client is the HTTP client for forwards and probes (nil = a client
 	// with a 30s timeout).
 	Client *http.Client
@@ -106,9 +105,6 @@ func (c *Config) fillDefaults() {
 	if c.ScanWorkers <= 0 {
 		c.ScanWorkers = 4
 	}
-	if c.Store == nil {
-		c.Store = scan.NewMemStore()
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -122,33 +118,34 @@ const shedMessage = "no replica can accept the request, retry later"
 
 // Router fans requests across the replica fleet.
 type Router struct {
-	cfg     Config
-	ring    *ring
-	reps    map[string]*replica
-	order   []string // config order, for display and rolling reload
-	store   scan.VerdictStore
+	cfg   Config
+	ring  *ring
+	reps  map[string]*replica
+	order []string // config order, for display and rolling reload
+	// store is the tier-wide verdict store, keyed by the bare content hash;
+	// its generation stands for the fleet's model bundle (a rolling reload
+	// rolls it). Requests go through pinStore.
+	store   *scan.MemStore
 	limiter *limiter
 	client  *http.Client
 	reg     *obs.Registry
-	// deadlineExp counts forwards abandoned because the client budget
-	// expired between admission and the forward itself (the middleware
-	// already sheds budgets that arrive expired).
-	deadlineExp *obs.Counter
 
 	backend atomic.Pointer[string] // adopted verdict-namespace backend
 
-	forwards    atomic.Uint64
-	forwardErrs atomic.Uint64
-	sheds       atomic.Uint64
-	rateLimited atomic.Uint64
-	storeHits   atomic.Uint64
-	storeMisses atomic.Uint64
-	ejects      atomic.Uint64
-	readmits    atomic.Uint64
-	reloads     atomic.Uint64
-	// storeGen names the verdict-store generation: rolled forward after a
-	// rolling reload so verdicts from the old bundle cannot replay.
-	storeGen atomic.Uint64
+	// Registry counters (registerMetrics): /statz and /metrics read the
+	// same values. deadlineExp counts forwards abandoned because the
+	// client budget expired between admission and the forward itself (the
+	// middleware already sheds budgets that arrive expired).
+	deadlineExp *obs.Counter
+	forwards    *obs.Counter
+	forwardErrs *obs.Counter
+	sheds       *obs.Counter
+	rateLimited *obs.Counter
+	storeHits   *obs.Counter
+	storeMisses *obs.Counter
+	ejects      *obs.Counter
+	readmits    *obs.Counter
+	reloads     *obs.Counter
 
 	reloadMu sync.Mutex // one rolling reload at a time
 
@@ -168,7 +165,7 @@ func New(cfg Config) (*Router, error) {
 		ring:    newRing(cfg.Replicas, cfg.VNodes),
 		reps:    make(map[string]*replica, len(cfg.Replicas)),
 		order:   append([]string(nil), cfg.Replicas...),
-		store:   cfg.Store,
+		store:   scan.NewMemStore(),
 		limiter: newLimiter(cfg.RatePerSec, cfg.Burst),
 		client:  cfg.Client,
 		reg:     cfg.Metrics,
@@ -195,31 +192,31 @@ func New(cfg Config) (*Router, error) {
 // renders).
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
-// registerMetrics wires the router counters and per-replica gauges into
-// the registry.
+// registerMetrics creates the router counters in the registry and wires
+// the store and per-replica gauges into it.
 func (rt *Router) registerMetrics() {
 	reg := rt.reg
 	rt.deadlineExp = reg.Counter("pf_deadline_exceeded_total",
 		"Requests shed because the client deadline had already expired.",
 		obs.Labels{"path": "forward"})
-	reg.CounterFunc("pf_forwards_total", "Forwards attempted to replicas.", nil, rt.forwards.Load)
-	reg.CounterFunc("pf_forward_errors_total", "Forwards that failed at transport or replica level.", nil, rt.forwardErrs.Load)
-	reg.CounterFunc("pf_sheds_total", "Request items shed with no routable replica.", nil, rt.sheds.Load)
-	reg.CounterFunc("pf_rate_limited_total", "Requests refused by the per-client token buckets.", nil, rt.rateLimited.Load)
-	reg.CounterFunc("pf_store_hits_total", "Verdict-store read-through hits.", nil, rt.storeHits.Load)
-	reg.CounterFunc("pf_store_misses_total", "Verdict-store read-through misses.", nil, rt.storeMisses.Load)
-	reg.CounterFunc("pf_ejects_total", "Replicas ejected after consecutive failures.", nil, rt.ejects.Load)
-	reg.CounterFunc("pf_readmits_total", "Ejected replicas readmitted after a healthy re-probe.", nil, rt.readmits.Load)
-	reg.CounterFunc("pf_reloads_total", "Completed rolling reloads.", nil, rt.reloads.Load)
+	rt.forwards = reg.Counter("pf_forwards_total", "Forwards attempted to replicas.", nil)
+	rt.forwardErrs = reg.Counter("pf_forward_errors_total", "Forwards that failed at transport or replica level.", nil)
+	rt.sheds = reg.Counter("pf_sheds_total", "Request items shed with no routable replica.", nil)
+	rt.rateLimited = reg.Counter("pf_rate_limited_total", "Requests refused by the per-client token buckets.", nil)
+	rt.storeHits = reg.Counter("pf_store_hits_total", "Verdict-store read-through hits.", nil)
+	rt.storeMisses = reg.Counter("pf_store_misses_total", "Verdict-store read-through misses.", nil)
+	rt.ejects = reg.Counter("pf_ejects_total", "Replicas ejected after consecutive failures.", nil)
+	rt.readmits = reg.Counter("pf_readmits_total", "Ejected replicas readmitted after a healthy re-probe.", nil)
+	rt.reloads = reg.Counter("pf_reloads_total", "Completed rolling reloads.", nil)
 	reg.GaugeFunc("pf_store_len", "Verdicts currently in the shared store.", nil,
 		func() float64 { return float64(rt.store.Len()) })
 	reg.GaugeFunc("pf_store_generation", "Verdict-store generation (rolled by reloads).", nil,
-		func() float64 { return float64(rt.storeGen.Load()) })
+		func() float64 { return float64(rt.store.Gen()) })
 	for _, name := range rt.order {
 		rep := rt.reps[name]
 		l := obs.Labels{"replica": name}
-		reg.CounterFunc("pf_statz_errors_total",
-			"Failed replica /statz probes (silent health-poll failures).", l, rep.statzErrs.Load)
+		rep.statzErrs = reg.Counter("pf_statz_errors_total",
+			"Failed replica /statz probes (silent health-poll failures).", l)
 		reg.GaugeFunc("pf_replica_in_flight", "Router-side in-flight forwards per replica.", l,
 			func() float64 { return float64(rep.inflight.Load()) })
 	}
@@ -256,7 +253,7 @@ func (rt *Router) admitted(h http.HandlerFunc) http.HandlerFunc {
 		ok := rt.limiter.allow(clientKey(r), time.Now())
 		end()
 		if !ok {
-			rt.rateLimited.Add(1)
+			rt.rateLimited.Inc()
 			api.Shed(w, "client rate limit exceeded")
 			return
 		}
@@ -322,7 +319,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 	}
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	rt.forwards.Add(1)
+	rt.forwards.Inc()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.name+path, bytes.NewReader(buf))
 	if err != nil {
 		return err
@@ -340,7 +337,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 		if ctx.Err() == nil {
 			rt.noteFailure(rep)
 		}
-		rt.forwardErrs.Add(1)
+		rt.forwardErrs.Inc()
 		return err
 	}
 	defer resp.Body.Close()
@@ -351,7 +348,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 		return errNoReplica
 	case resp.StatusCode >= 500:
 		rt.noteFailure(rep)
-		rt.forwardErrs.Add(1)
+		rt.forwardErrs.Inc()
 		return fmt.Errorf("tier: %s%s: %s", rep.name, path, readErr(resp.Body))
 	case resp.StatusCode != http.StatusOK:
 		rep.fails.Store(0)
@@ -374,12 +371,6 @@ func readErr(r io.Reader) string {
 
 // backendLabel is the namespace backend currently in force.
 func (rt *Router) backendLabel() string { return *rt.backend.Load() }
-
-// storeKey namespaces a loop hash: verdicts never replay across backends,
-// model bundles, or reload generations.
-func (rt *Router) storeKey(hash string) string {
-	return rt.backendLabel() + "|" + rt.cfg.ModelID + "|g" + fmt.Sprint(rt.storeGen.Load()) + "|" + hash
-}
 
 // canonical parses one snippet and returns its canonically printed target
 // loop plus the scan-compatible content hash; ok is false when the snippet
@@ -468,11 +459,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var shed atomic.Int64
 	for _, g := range groups {
 		if g.rep == nil {
-			for _, i := range g.indices {
-				results[i].Error = errNoReplica.Error()
-				shed.Add(1)
-			}
-			rt.sheds.Add(uint64(len(g.indices)))
+			settleGroup(g, results, nil, errNoReplica, setPredictErr, &shed, rt.sheds)
 			continue
 		}
 		wg.Add(1)
@@ -488,7 +475,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 			}
 			var resp api.PredictResponse
 			err := rt.forward(r.Context(), g.rep, "/predict", sub, &resp)
-			settleGroup(g, results, resp.Results, err, setPredictErr, &shed, &rt.sheds)
+			settleGroup(g, results, resp.Results, err, setPredictErr, &shed, rt.sheds)
 			if err == nil {
 				tr.Merge(resp.Trace)
 			}
@@ -505,13 +492,13 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 // settleGroup copies one replica's results back into request order, or
 // spreads the group-wide error over its items (a replica-side shed counts
 // toward the whole-request 429 decision).
-func settleGroup[R any](g *group, out, in []R, err error, setErr func(*R, string), shed *atomic.Int64, sheds *atomic.Uint64) {
+func settleGroup[R any](g *group, out, in []R, err error, setErr func(*R, string), shed *atomic.Int64, sheds *obs.Counter) {
 	if err != nil {
 		for _, i := range g.indices {
 			setErr(&out[i], err.Error())
 			if errors.Is(err, errNoReplica) {
 				shed.Add(1)
-				sheds.Add(1)
+				sheds.Inc()
 			}
 		}
 		return
@@ -539,56 +526,41 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		codes = append(codes, req.Code)
 	}
 	results := make([]api.SuggestResult, len(codes))
-	keys := make([]string, len(codes))
 	canon := make([]bool, len(codes)) // request text IS the canonical print
-	served := make([]bool, len(codes))
+	keys := make([]string, len(codes))
+	var pending []int      // request indices the store did not serve
+	var pendKeys []string  // and their keys, which is all that is routed
+	store := rt.pinStore() // before anything is routed
 	endRoute := tr.Start("route")
 	for i, code := range codes {
 		snip, h, ok := canonical(code)
 		if !ok {
-			keys[i] = scan.HashSnippet(code)
-			continue
+			h = scan.HashSnippet(code)
+		} else {
+			canon[i] = code == snip
+			// Read-through: a stored verdict for this canonical loop answers
+			// without a forward — the scan dedupe contract, fleet-wide.
+			endGet := tr.Start("store.get")
+			s, hit := store.Get(h)
+			endGet()
+			if hit {
+				results[i].Suggestion = *s
+				continue
+			}
 		}
 		keys[i] = h
-		canon[i] = code == snip
-		// Read-through: a stored verdict for this canonical loop answers
-		// without a forward — the scan dedupe contract, fleet-wide.
-		endGet := tr.Start("store.get")
-		s, hit := rt.store.Get(rt.storeKey(h))
-		endGet()
-		if hit {
-			rt.storeHits.Add(1)
-			results[i].Suggestion = *s
-			served[i] = true
-		} else {
-			rt.storeMisses.Add(1)
-		}
-	}
-	var pending []int
-	for i := range codes {
-		if !served[i] {
-			pending = append(pending, i)
-		}
+		pending, pendKeys = append(pending, i), append(pendKeys, h)
 	}
 	var wg sync.WaitGroup
 	var shed atomic.Int64
-	pendKeys := make([]string, len(pending))
-	for k, i := range pending {
-		pendKeys[k] = keys[i]
-	}
 	groups := rt.groupByKey(pendKeys)
 	endRoute()
 	for _, g := range groups {
-		mapped := &group{rep: g.rep}
-		for _, k := range g.indices {
-			mapped.indices = append(mapped.indices, pending[k])
+		for k, p := range g.indices {
+			g.indices[k] = pending[p] // back to request order
 		}
-		if mapped.rep == nil {
-			for _, i := range mapped.indices {
-				results[i].Error = errNoReplica.Error()
-				shed.Add(1)
-			}
-			rt.sheds.Add(uint64(len(mapped.indices)))
+		if g.rep == nil {
+			settleGroup(g, results, nil, errNoReplica, setSuggestErr, &shed, rt.sheds)
 			continue
 		}
 		wg.Add(1)
@@ -600,7 +572,7 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			}
 			var resp api.SuggestResponse
 			err := rt.forward(r.Context(), g.rep, "/suggest", sub, &resp)
-			settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, &rt.sheds)
+			settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, rt.sheds)
 			if err != nil {
 				return
 			}
@@ -611,11 +583,11 @@ func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			endPut := tr.Start("store.put")
 			for k, i := range g.indices {
 				if k < len(resp.Results) && canon[i] && resp.Results[k].Error == "" {
-					rt.store.Put(rt.storeKey(keys[i]), &resp.Results[k].Suggestion)
+					store.Put(keys[i], &resp.Results[k].Suggestion)
 				}
 			}
 			endPut()
-		}(mapped)
+		}(g)
 	}
 	wg.Wait()
 	if len(results) > 0 && int(shed.Load()) == len(results) {

@@ -32,6 +32,9 @@ type fakeReplica struct {
 	predicts   atomic.Int64
 	suggests   atomic.Int64
 	violations atomic.Int64 // traffic observed mid-reload
+	// midSuggest, when set, runs inside every /suggest handler — between
+	// the router sending a forward and receiving its reply.
+	midSuggest atomic.Pointer[func()]
 
 	srv *httptest.Server
 }
@@ -97,6 +100,9 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			f.violations.Add(1)
 		}
 		f.suggests.Add(1)
+		if hook := f.midSuggest.Load(); hook != nil {
+			(*hook)()
+		}
 		var req api.SuggestRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		codes := req.Codes
@@ -263,7 +269,7 @@ func TestRouterShedsAtHardCap(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if rt.sheds.Load() == 0 {
+	if rt.sheds.Value() == 0 {
 		t.Fatal("shed counter not bumped")
 	}
 	// Load released: traffic flows again.
@@ -309,8 +315,8 @@ func TestRouterClientRateLimit(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-burst request: %d, want 429", rec.Code)
 	}
-	if rt.rateLimited.Load() != 1 {
-		t.Fatalf("rateLimited = %d, want 1", rt.rateLimited.Load())
+	if rt.rateLimited.Value() != 1 {
+		t.Fatalf("rateLimited = %d, want 1", rt.rateLimited.Value())
 	}
 	// A different client identity has its own bucket.
 	buf, _ := json.Marshal(body)
@@ -335,7 +341,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 		postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	}
 	waitFor(t, "ejection", func() bool { return rt.reps[a.srv.URL].getState() == stateEjected })
-	if rt.ejects.Load() == 0 {
+	if rt.ejects.Value() == 0 {
 		t.Fatal("eject counter not bumped")
 	}
 
@@ -354,7 +360,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	// Recovery: the prober's backoff re-probe readmits it.
 	a.failing.Store(false)
 	waitFor(t, "readmission", func() bool { return rt.reps[a.srv.URL].getState() == stateHealthy })
-	if rt.readmits.Load() == 0 {
+	if rt.readmits.Value() == 0 {
 		t.Fatal("readmit counter not bumped")
 	}
 	rec = postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
@@ -382,7 +388,7 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	if cold == 0 {
 		t.Fatal("cold suggest did not forward")
 	}
-	if _, hit := rt.store.Get(rt.storeKey(hash)); !hit {
+	if _, hit := rt.store.Get(hash); !hit {
 		t.Fatal("canonical verdict not stored")
 	}
 
@@ -397,7 +403,7 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	if !bytes.Equal(rec.Body.Bytes(), rec2.Body.Bytes()) {
 		t.Fatalf("warm result differs from cold:\n%s\n%s", rec.Body, rec2.Body)
 	}
-	if rt.storeHits.Load() == 0 {
+	if rt.storeHits.Value() == 0 {
 		t.Fatal("store hit not counted")
 	}
 
@@ -410,6 +416,23 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	}
 	if got := a.suggests.Load() + b.suggests.Load(); got != cold {
 		t.Fatalf("variant suggest forwarded (%d -> %d)", cold, got)
+	}
+
+	// A request mixing a stored loop and a new one forwards only the new
+	// one, and both answers come back in request order.
+	fresh := "for (j = 0; j < m; j++)\n\tb[j] = 2 * j;\n"
+	rec4 := postJSON(t, h, "/suggest", api.SuggestRequest{Codes: []string{fresh, canon}})
+	var mixed api.SuggestResponse
+	if err := json.Unmarshal(rec4.Body.Bytes(), &mixed); err != nil || len(mixed.Results) != 2 {
+		t.Fatalf("mixed suggest: %v %s", err, rec4.Body)
+	}
+	if got := a.suggests.Load() + b.suggests.Load(); got != cold+1 {
+		t.Fatalf("mixed suggest made %d forwards, want 1", got-cold)
+	}
+	for i, code := range []string{fresh, canon} {
+		if want := fakeVerdict(code).Suggestion.Notes[0]; mixed.Results[i].Suggestion.Notes[0] != want {
+			t.Fatalf("mixed result %d is %q, want %q", i, mixed.Results[i].Suggestion.Notes[0], want)
+		}
 	}
 }
 
@@ -428,7 +451,7 @@ func TestRouterSuggestNonCanonicalNotStored(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("suggest: %d %s", rec.Code, rec.Body)
 	}
-	if _, hit := rt.store.Get(rt.storeKey(hash)); hit {
+	if _, hit := rt.store.Get(hash); hit {
 		t.Fatal("non-canonical request populated the canonical verdict slot")
 	}
 }
@@ -461,7 +484,7 @@ func TestRouterRollingReload(t *testing.T) {
 		}(w)
 	}
 
-	genBefore := rt.storeGen.Load()
+	genBefore := rt.store.Gen()
 	rec := postJSON(t, h, "/reload", nil)
 	close(stop)
 	wg.Wait()
@@ -513,15 +536,97 @@ func TestRouterReloadRotatesStoreGeneration(t *testing.T) {
 	canon, _, _ := canonical("for (i = 0; i < n; i++) a[i] = i;")
 	postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	cold := a.suggests.Load()
+	if n, gen := storeGauges(t, rt); n != 1 || gen != 0 {
+		t.Fatalf("before the reload: pf_store_len %v, store_generation %d, want 1 and 0", n, gen)
+	}
 
-	// After a rolling reload the old verdicts must not replay: the next
-	// identical suggest forwards again.
+	// After a rolling reload the old verdicts must not replay — they are
+	// gone, not merely unreachable — and the next identical suggest
+	// forwards again.
 	if rec := postJSON(t, h, "/reload", nil); rec.Code != http.StatusOK {
 		t.Fatalf("reload: %d %s", rec.Code, rec.Body)
+	}
+	if n, gen := storeGauges(t, rt); n != 0 || gen != 1 {
+		t.Fatalf("after the reload: pf_store_len %v, store_generation %d, want 0 and 1", n, gen)
 	}
 	postJSON(t, h, "/suggest", api.SuggestRequest{Code: canon})
 	if got := a.suggests.Load(); got != cold+1 {
 		t.Fatalf("post-reload suggest did not re-forward (%d -> %d)", cold, got)
+	}
+}
+
+// storeGauges reads the store's size off GET /metrics (pf_store_len) and
+// its generation off GET /statz (store_generation).
+func storeGauges(t *testing.T, rt *Router) (storeLen float64, gen uint64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	storeLen = -1
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "pf_store_len "); ok {
+			if _, err := fmt.Sscan(v, &storeLen); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if storeLen < 0 {
+		t.Fatal("pf_store_len missing from /metrics")
+	}
+	rec = httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var st tierStatz
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return storeLen, st.StoreGen
+}
+
+// A verdict whose forward was out while the store rolled came from the
+// superseded bundle: it answers the request that asked for it and is
+// stored nowhere, on /suggest and on /scan alike.
+func TestRouterDropsVerdictsThatStraddleARoll(t *testing.T) {
+	a := newFakeReplica(t)
+	rt := newTestRouter(t, Config{Backend: "fake"}, a)
+	h := rt.Handler()
+	roll := func() { rt.store.Roll() }
+
+	canon, hash, _ := canonical("for (i = 0; i < n; i++) a[i] = i;")
+	scanBody := api.ScanRequest{Files: []api.ScanFile{{Path: "x.c",
+		Source: "void f(int *b, int n) { for (int j = 0; j < n; j++) b[j] = 2 * j; }\n"}}}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/suggest", api.SuggestRequest{Code: canon}},
+		{"/scan", scanBody},
+	} {
+		a.midSuggest.Store(&roll)
+		before := a.suggests.Load()
+		if rec := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.path, rec.Code, rec.Body)
+		}
+		if got := a.suggests.Load(); got != before+1 {
+			t.Fatalf("%s: %d forwards, want 1", tc.path, got-before)
+		}
+		if n := rt.store.Len(); n != 0 {
+			t.Fatalf("%s: a verdict computed across the roll was stored (%d resident)", tc.path, n)
+		}
+		// With no roll in the way the same request forwards again — nothing
+		// was stored for it — and this time its verdict is kept.
+		a.midSuggest.Store(nil)
+		if rec := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s again: %d %s", tc.path, rec.Code, rec.Body)
+		}
+		if got := a.suggests.Load(); got != before+2 {
+			t.Fatalf("%s: the repeat did not forward again", tc.path)
+		}
+		if n := rt.store.Len(); n != 1 {
+			t.Fatalf("%s: %d verdicts resident after an undisturbed forward, want 1", tc.path, n)
+		}
+		rt.store.Roll()
+	}
+	if _, hit := rt.store.Get(hash); hit {
+		t.Fatal("store not empty after the final roll")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync/atomic"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/api"
@@ -20,28 +21,29 @@ import (
 // report bytes match a single replica's /scan output; the handler body
 // itself is api.ServeScan, the same one a replica runs.
 
-// nsStore adapts the router's shared store to one scan run: it prefixes
-// keys with the verdict namespace (backend|model|generation) and counts
-// hits/misses into the router's fleet-wide tallies.
-type nsStore struct {
-	rt *Router
+// pinnedStore is the router's store as one /suggest or /scan request sees
+// it: reads count into the fleet-wide hit/miss tallies, and puts are pinned
+// to the generation read when the request started (before anything was
+// routed), so a verdict whose forward straddled a reload is dropped
+// instead of being filed under the new bundle's generation.
+type pinnedStore struct {
+	rt  *Router
+	gen uint64
 }
 
-func (s nsStore) Get(hash string) (*scan.Suggestion, bool) {
-	v, ok := s.rt.store.Get(s.rt.storeKey(hash))
+func (rt *Router) pinStore() pinnedStore { return pinnedStore{rt: rt, gen: rt.store.Gen()} }
+
+func (s pinnedStore) Get(hash string) (*scan.Suggestion, bool) {
+	v, ok := s.rt.store.Get(hash)
 	if ok {
-		s.rt.storeHits.Add(1)
+		s.rt.storeHits.Inc()
 	} else {
-		s.rt.storeMisses.Add(1)
+		s.rt.storeMisses.Inc()
 	}
 	return v, ok
 }
 
-func (s nsStore) Put(hash string, v *scan.Suggestion) {
-	s.rt.store.Put(s.rt.storeKey(hash), v)
-}
-
-func (s nsStore) Len() int { return s.rt.store.Len() }
+func (s pinnedStore) Put(hash string, v *scan.Suggestion) { s.rt.store.PutAt(s.gen, hash, v) }
 
 // tierSuggester drives the scan pipeline's inference stage over the
 // fleet: each chunk of canonical snippets is routed by content hash and
@@ -71,36 +73,28 @@ func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 	endRoute := tr.Start("route")
 	groups := t.rt.groupByKey(keys)
 	endRoute()
+	// Settled exactly as a /suggest is, then handed over in report form.
+	results := make([]api.SuggestResult, len(codes))
+	var shed atomic.Int64
 	for _, g := range groups {
-		if g.rep == nil {
-			t.rt.sheds.Add(uint64(len(g.indices)))
-			for _, i := range g.indices {
-				verdicts[i].Err = errNoReplica
-			}
-			continue
-		}
-		sub := api.SuggestRequest{}
-		for _, i := range g.indices {
-			sub.Codes = append(sub.Codes, codes[i])
-		}
 		var resp api.SuggestResponse
-		if err := t.rt.forward(t.ctx, g.rep, "/suggest", sub, &resp); err != nil {
+		err := errNoReplica
+		if g.rep != nil {
+			sub := api.SuggestRequest{}
 			for _, i := range g.indices {
-				verdicts[i].Err = err
+				sub.Codes = append(sub.Codes, codes[i])
 			}
-			continue
+			if err = t.rt.forward(t.ctx, g.rep, "/suggest", sub, &resp); err == nil {
+				tr.Merge(resp.Trace)
+			}
 		}
-		tr.Merge(resp.Trace)
-		for k, i := range g.indices {
-			if k >= len(resp.Results) {
-				verdicts[i].Err = errors.New("tier: short replica response")
-				continue
-			}
-			if e := resp.Results[k].Error; e != "" {
-				verdicts[i].Err = errors.New(e)
-				continue
-			}
-			verdicts[i].Suggestion = &resp.Results[k].Suggestion
+		settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, t.rt.sheds)
+	}
+	for i := range results {
+		if e := results[i].Error; e != "" {
+			verdicts[i].Err = errors.New(e)
+		} else {
+			verdicts[i].Suggestion = &results[i].Suggestion
 		}
 	}
 	return verdicts, nil
@@ -110,6 +104,6 @@ func (rt *Router) handleScan(w http.ResponseWriter, r *http.Request) {
 	api.ServeScan(w, r, scan.Config{
 		Workers: rt.cfg.ScanWorkers,
 		Backend: rt.backendLabel(),
-		Store:   nsStore{rt: rt},
+		Store:   rt.pinStore(),
 	}, tierSuggester{rt: rt, ctx: r.Context()})
 }

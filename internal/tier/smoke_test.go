@@ -81,12 +81,12 @@ func TestTierScanGolden(t *testing.T) {
 			}
 
 			// Warm pass: the shared store answers every loop fleet-wide.
-			forwardsBefore := rt.forwards.Load()
+			forwardsBefore := rt.forwards.Value()
 			warm := postJSON(t, h, "/scan", body)
 			if warm.Code != 200 {
 				t.Fatalf("warm scan: %d %s", warm.Code, warm.Body)
 			}
-			if got := rt.forwards.Load(); got != forwardsBefore {
+			if got := rt.forwards.Value(); got != forwardsBefore {
 				t.Fatalf("warm scan forwarded (%d -> %d); store read-through broken", forwardsBefore, got)
 			}
 			if !bytes.Equal(warm.Body.Bytes(), golden) {
@@ -109,7 +109,9 @@ func TestTierScanGolden(t *testing.T) {
 
 // TestTierRollingReloadLive exercises the rolling reload against real
 // engines: file-backed replicas reload mid-traffic with zero dropped
-// requests. Gated with the smoke flag (it trains a demo model too).
+// requests, and the verdicts a scan left in the router's store are gone
+// once the fleet has rolled. Gated with the smoke flag (it trains a demo
+// model too).
 func TestTierRollingReloadLive(t *testing.T) {
 	if os.Getenv("PRAGFORMER_TIER_SMOKE") == "" {
 		t.Skip("set PRAGFORMER_TIER_SMOKE=1 to run the live rolling-reload smoke")
@@ -140,6 +142,15 @@ func TestTierRollingReloadLive(t *testing.T) {
 	}
 	t.Cleanup(rt.Close)
 	h := rt.Handler()
+
+	// Adopting the fleet's backend rolls the store once; scan after it.
+	waitFor(t, "backend adoption", func() bool { return rt.backendLabel() != "" })
+	if rec := postJSON(t, h, "/scan", api.ScanRequest{Files: fixtureFiles(t)}); rec.Code != 200 {
+		t.Fatalf("scan: %d %s", rec.Code, rec.Body)
+	}
+	if n, _ := storeGauges(t, rt); n < 1 {
+		t.Fatalf("pf_store_len = %v after a scan, want >= 1", n)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -173,6 +184,9 @@ func TestTierRollingReloadLive(t *testing.T) {
 	}
 	if failures != 0 {
 		t.Fatalf("%d requests failed during the live rolling reload", failures)
+	}
+	if n, _ := storeGauges(t, rt); n != 0 {
+		t.Fatalf("pf_store_len = %v after the roll, want 0", n)
 	}
 }
 

@@ -65,13 +65,13 @@ type replicaStatd struct {
 func (rt *Router) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	st := tierStatz{
 		Backend: rt.backendLabel(), ModelID: rt.cfg.ModelID,
-		Forwards: rt.forwards.Load(), ForwardErrs: rt.forwardErrs.Load(),
-		Sheds: rt.sheds.Load(), RateLimited: rt.rateLimited.Load(),
+		Forwards: rt.forwards.Value(), ForwardErrs: rt.forwardErrs.Value(),
+		Sheds: rt.sheds.Value(), RateLimited: rt.rateLimited.Value(),
 		DeadlineExceeded: rt.deadlineExp.Value(),
-		StoreHits:        rt.storeHits.Load(), StoreMisses: rt.storeMisses.Load(),
-		StoreLen: rt.store.Len(), StoreGen: rt.storeGen.Load(),
-		Ejects: rt.ejects.Load(), Readmits: rt.readmits.Load(),
-		Reloads: rt.reloads.Load(),
+		StoreHits:        rt.storeHits.Value(), StoreMisses: rt.storeMisses.Value(),
+		StoreLen: rt.store.Len(), StoreGen: rt.store.Gen(),
+		Ejects: rt.ejects.Value(), Readmits: rt.readmits.Value(),
+		Reloads: rt.reloads.Value(),
 		Latency: api.LatencyByPath(rt.reg),
 	}
 	for _, name := range rt.order {
@@ -80,7 +80,7 @@ func (rt *Router) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			Name: name, State: rep.getState().String(),
 			InFlight: rep.inflight.Load(), QueueDepth: rep.queueDepth.Load(),
 			Generation: rep.generation.Load(), Backend: *rep.backend.Load(),
-			StatzErrors: rep.statzErrs.Load(),
+			StatzErrors: rep.statzErrs.Value(),
 			P99Ms:       float64(rep.p99Micros.Load()) / 1000,
 		})
 	}
