@@ -106,7 +106,7 @@ func cmdScan(args []string) {
 			fmt.Fprintf(os.Stderr, "  %-12s %5d× %12s\n", st.Name, st.Count, st.Total.Round(time.Microsecond))
 		}
 		if d := tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "  (%d spans dropped past the %d-span cap)\n", d, 256)
+			fmt.Fprintf(os.Stderr, "  (%d spans dropped past the %d-span cap)\n", d, obs.MaxSpans)
 		}
 	}
 

@@ -62,12 +62,7 @@ func main() {
 			}
 			batch++
 			if batch == 16 {
-				for _, p := range params {
-					p.Grad.ScaleInPlace(1.0 / 16)
-				}
-				train.ClipGradNorm(params, 1)
-				opt.Step(params, 1)
-				train.ZeroGrads(params)
+				train.OptStep(opt, params, batch, 1, 1)
 				batch = 0
 			}
 		}

@@ -1,9 +1,9 @@
 // Package api is the HTTP/JSON contract cmd/serve and cmd/router both
 // speak: the request and response bodies of POST /predict, /suggest and
 // /scan, the error and load-shedding replies, the bounded body decode,
-// and the whole /scan handler. A replica renders these types, the router
-// decodes, merges and re-renders the same ones, so a field added here
-// reaches both sides or neither.
+// and the handler shell of each of the three routes. A replica renders
+// these types, the router decodes, merges and re-renders the same ones, so
+// a field added here reaches both sides or neither.
 //
 // The flat verdict itself is scan.Suggestion — already the report, cache
 // and store form — so a /suggest item IS a report verdict plus an error
@@ -11,6 +11,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,13 +48,17 @@ type PredictResult struct {
 	Error       string  `json:"error,omitempty"`
 }
 
-// PredictResponse is the /predict reply.
-type PredictResponse struct {
-	Results []PredictResult `json:"results"`
+// Response is the /predict and /suggest reply: one result per request
+// item, in request order.
+type Response[T any] struct {
+	Results []T `json:"results"`
 	// Trace carries the spans of a traced request: the replica's own, and
 	// on the router's reply the merged fleet-wide trace.
 	Trace *obs.Wire `json:"trace,omitempty"`
 }
+
+// PredictResponse is the /predict reply.
+type PredictResponse = Response[PredictResult]
 
 // SuggestRequest is the /suggest body. Results come back in the order
 // codes, code.
@@ -70,10 +75,7 @@ type SuggestResult struct {
 }
 
 // SuggestResponse is the /suggest reply.
-type SuggestResponse struct {
-	Results []SuggestResult `json:"results"`
-	Trace   *obs.Wire       `json:"trace,omitempty"`
-}
+type SuggestResponse = Response[SuggestResult]
 
 // ScanRequest is the /scan body.
 type ScanRequest struct {
@@ -160,6 +162,52 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		Error(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 	}
 	return false
+}
+
+// ServePredict is POST /predict on both binaries: decode, put the items in
+// reply order (codes, code, ids), answer, render. answer is what differs
+// per side — the engine's batcher on a replica, the fleet fan-out on the
+// router — and returns one result per item, codes first, plus how many of
+// them it refused for saturation; shedMsg is that side's 429 text.
+func ServePredict(w http.ResponseWriter, r *http.Request, shedMsg string,
+	answer func(ctx context.Context, codes []string, ids [][]int) (results []PredictResult, shed int)) {
+	var req PredictRequest
+	if !DecodeBody(w, r, &req) {
+		return
+	}
+	codes := req.Codes
+	if req.Code != "" {
+		codes = append(codes, req.Code)
+	}
+	results, shed := answer(r.Context(), codes, req.IDs)
+	respond(w, r, shedMsg, results, shed)
+}
+
+// ServeSuggest is POST /suggest on both binaries, as ServePredict is
+// /predict.
+func ServeSuggest(w http.ResponseWriter, r *http.Request, shedMsg string,
+	answer func(ctx context.Context, codes []string) (results []SuggestResult, shed int)) {
+	var req SuggestRequest
+	if !DecodeBody(w, r, &req) {
+		return
+	}
+	codes := req.Codes
+	if req.Code != "" {
+		codes = append(codes, req.Code)
+	}
+	results, shed := answer(r.Context(), codes)
+	respond(w, r, shedMsg, results, shed)
+}
+
+// respond renders an answered request. Only a request every item of which
+// was shed turns into a whole-request 429; mixed outcomes keep the inline
+// per-item error contract.
+func respond[T any](w http.ResponseWriter, r *http.Request, shedMsg string, results []T, shed int) {
+	if len(results) > 0 && shed == len(results) {
+		Shed(w, shedMsg)
+		return
+	}
+	WriteJSON(w, http.StatusOK, Response[T]{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
 }
 
 // ServeScan is POST /scan on both binaries: decode, enforce the limits,

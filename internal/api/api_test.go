@@ -1,14 +1,17 @@
 package api_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"pragformer/internal/api"
 	"pragformer/internal/dep"
+	"pragformer/internal/obs"
 	"pragformer/internal/scan"
 	"pragformer/internal/serve"
 )
@@ -102,5 +105,111 @@ func TestDecodeBody(t *testing.T) {
 		if w.Code != tc.status || ok != (tc.status == http.StatusOK) {
 			t.Errorf("%s: ok=%v status %d, want %d", tc.name, ok, w.Code, tc.status)
 		}
+	}
+}
+
+// TestServeShells drives the /predict and /suggest shells with stub answer
+// functions: what a replica and the router both inherit from them.
+func TestServeShells(t *testing.T) {
+	const shedMsg = "stub saturated"
+	var seen []string // the items of the last answered request, in answer order
+	// The stub sheds "shed", fails "bad" inline and answers anything else.
+	outcome := func(item string) (errMsg string, shed int) {
+		seen = append(seen, item)
+		switch item {
+		case "shed":
+			return "busy", 1
+		case "bad":
+			return "lex: unexpected character", 0
+		}
+		return "", 0
+	}
+	shells := map[string]http.HandlerFunc{
+		"/predict": func(w http.ResponseWriter, r *http.Request) {
+			api.ServePredict(w, r, shedMsg, func(_ context.Context, codes []string, ids [][]int) ([]api.PredictResult, int) {
+				results, shed := make([]api.PredictResult, 0, len(codes)+len(ids)), 0
+				for _, item := range append(slices.Clone(codes), make([]string, len(ids))...) {
+					msg, s := outcome(item)
+					results, shed = append(results, api.PredictResult{Probability: 0.75, Error: msg}), shed+s
+				}
+				return results, shed
+			})
+		},
+		"/suggest": func(w http.ResponseWriter, r *http.Request) {
+			api.ServeSuggest(w, r, shedMsg, func(_ context.Context, codes []string) ([]api.SuggestResult, int) {
+				results, shed := make([]api.SuggestResult, 0, len(codes)), 0
+				for _, item := range codes {
+					msg, s := outcome(item)
+					results, shed = append(results, api.SuggestResult{Error: msg}), shed+s
+				}
+				return results, shed
+			})
+		},
+	}
+	type reply struct {
+		Error   string `json:"error"`
+		Results []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+		Trace *obs.Wire `json:"trace"`
+	}
+	for path, shell := range shells {
+		post := func(body string, traced bool) (*httptest.ResponseRecorder, reply) {
+			t.Helper()
+			seen = nil
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+			if traced {
+				req = req.WithContext(obs.WithTrace(req.Context(), obs.NewTrace("cafe")))
+			}
+			rec := httptest.NewRecorder()
+			shell(rec, req)
+			var got reply
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s %s: body %q: %v", path, body, rec.Body, err)
+			}
+			return rec, got
+		}
+
+		// Every item shed: the whole request is a 429 in the caller's words.
+		rec, got := post(`{"code":"shed","codes":["shed","shed"]}`, false)
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" || got.Error != shedMsg {
+			t.Errorf("%s all shed: status %d, Retry-After %q, error %q", path, rec.Code, rec.Header().Get("Retry-After"), got.Error)
+		}
+
+		// Mixed: 200 with the errors inline, codes answered before code.
+		rec, got = post(`{"code":"bad","codes":["shed","fine"]}`, false)
+		if rec.Code != http.StatusOK || len(got.Results) != 3 ||
+			got.Results[0].Error != "busy" || got.Results[1].Error != "" || got.Results[2].Error != "lex: unexpected character" {
+			t.Errorf("%s mixed: status %d, body %s", path, rec.Code, rec.Body)
+		}
+		if !slices.Equal(seen, []string{"shed", "fine", "bad"}) {
+			t.Errorf("%s: items answered as %q, want codes before code", path, seen)
+		}
+		if got.Trace != nil || strings.Contains(rec.Body.String(), `"trace"`) {
+			t.Errorf("%s: untraced request answered with a trace: %s", path, rec.Body)
+		}
+
+		// No item at all is an empty 200, not a shed.
+		if rec, got = post(`{}`, false); rec.Code != http.StatusOK || got.Results == nil || len(got.Results) != 0 {
+			t.Errorf("%s empty: status %d, body %s", path, rec.Code, rec.Body)
+		}
+
+		if _, got = post(`{"code":"fine"}`, true); got.Trace == nil || got.Trace.ID != "cafe" {
+			t.Errorf("%s traced: trace %+v", path, got.Trace)
+		}
+
+		rec, _ = post(`{"code": "`+strings.Repeat("x", api.MaxBodyBytes)+`"}`, false)
+		if rec.Code != http.StatusRequestEntityTooLarge || seen != nil {
+			t.Errorf("%s oversize: status %d, %d items answered", path, rec.Code, len(seen))
+		}
+	}
+
+	// /predict alone takes raw ids; they are answered after code.
+	seen = nil
+	rec := httptest.NewRecorder()
+	shells["/predict"](rec, httptest.NewRequest(http.MethodPost, "/predict",
+		strings.NewReader(`{"ids":[[1,2]],"code":"b","codes":["a"]}`)))
+	if !slices.Equal(seen, []string{"a", "b", ""}) {
+		t.Errorf("/predict: items answered as %q, want codes, code, ids", seen)
 	}
 }

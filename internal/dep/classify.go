@@ -89,6 +89,15 @@ func soleKey(m map[string]bool) string {
 // `s = s - e`, and `s = fmax(s, e)` / `s = fmin(s, e)`. Returns the OpenMP
 // reduction operator and the accumulated (non-self) expression.
 func accumShape(v *cast.Assign, name string) (op string, rhs cast.Expr, ok bool) {
+	return accumShapeOf(v, func(e cast.Expr) bool {
+		id, isIdent := e.(*cast.Ident)
+		return isIdent && id.Name == name
+	})
+}
+
+// accumShapeOf is the reduction-shape recogniser behind accumShape and
+// arrayAccumShape; isSelf tells which operand is the assignment target.
+func accumShapeOf(v *cast.Assign, isSelf func(cast.Expr) bool) (op string, rhs cast.Expr, ok bool) {
 	switch v.Op {
 	case "+=", "-=", "*=", "&=", "|=", "^=":
 		return v.Op[:len(v.Op)-1], v.R, true
@@ -96,10 +105,10 @@ func accumShape(v *cast.Assign, name string) (op string, rhs cast.Expr, ok bool)
 		switch r := v.R.(type) {
 		case *cast.BinaryOp:
 			commutative := r.Op == "+" || r.Op == "*" || r.Op == "&" || r.Op == "|" || r.Op == "^"
-			if l, okL := r.L.(*cast.Ident); okL && l.Name == name && (commutative || r.Op == "-") {
+			if isSelf(r.L) && (commutative || r.Op == "-") {
 				return r.Op, r.R, true
 			}
-			if rr, okR := r.R.(*cast.Ident); okR && rr.Name == name && commutative {
+			if isSelf(r.R) && commutative {
 				return r.Op, r.L, true
 			}
 		case *cast.FuncCall:
@@ -109,10 +118,10 @@ func accumShape(v *cast.Assign, name string) (op string, rhs cast.Expr, ok bool)
 				if fn.Name == "fmin" {
 					redOp = "min"
 				}
-				if id, okA := r.Args[0].(*cast.Ident); okA && id.Name == name {
+				if isSelf(r.Args[0]) {
 					return redOp, r.Args[1], true
 				}
-				if id, okA := r.Args[1].(*cast.Ident); okA && id.Name == name {
+				if isSelf(r.Args[1]) {
 					return redOp, r.Args[0], true
 				}
 			}

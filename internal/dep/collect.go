@@ -377,47 +377,17 @@ func (c *collector) exprOp(e cast.Expr, asWrite, compound bool) {
 // (commutative op), and `a[e] = fmax(a[e], x)` / fmin. The self operand must
 // print identically to the assignment target.
 func arrayAccumShape(v *cast.Assign, base string) (op string, rhs cast.Expr, ok bool) {
-	switch v.Op {
-	case "+=", "-=", "*=", "&=", "|=", "^=":
-		return v.Op[:len(v.Op)-1], v.R, true
-	case "=":
-		// The target is printed once, and only when an operand shares its base.
-		self := ""
-		isSelf := func(e cast.Expr) bool {
-			if cast.RootIdent(e) != base {
-				return false
-			}
-			if self == "" {
-				self = cast.PrintExpr(v.L)
-			}
-			return cast.PrintExpr(e) == self
+	// The target is printed once, and only when an operand shares its base.
+	self := ""
+	return accumShapeOf(v, func(e cast.Expr) bool {
+		if cast.RootIdent(e) != base {
+			return false
 		}
-		switch r := v.R.(type) {
-		case *cast.BinaryOp:
-			commutative := r.Op == "+" || r.Op == "*" || r.Op == "&" || r.Op == "|" || r.Op == "^"
-			if isSelf(r.L) && (commutative || r.Op == "-") {
-				return r.Op, r.R, true
-			}
-			if isSelf(r.R) && commutative {
-				return r.Op, r.L, true
-			}
-		case *cast.FuncCall:
-			fn, okF := r.Fun.(*cast.Ident)
-			if okF && (fn.Name == "fmax" || fn.Name == "fmin") && len(r.Args) == 2 {
-				redOp := "max"
-				if fn.Name == "fmin" {
-					redOp = "min"
-				}
-				if isSelf(r.Args[0]) {
-					return redOp, r.Args[1], true
-				}
-				if isSelf(r.Args[1]) {
-					return redOp, r.Args[0], true
-				}
-			}
+		if self == "" {
+			self = cast.PrintExpr(v.L)
 		}
-	}
-	return "", nil, false
+		return cast.PrintExpr(e) == self
+	})
 }
 
 // memberAccess handles struct member reads/writes, including the

@@ -22,7 +22,6 @@ import (
 	"pragformer/internal/corpus"
 	"pragformer/internal/dataset"
 	"pragformer/internal/metrics"
-	"pragformer/internal/nn"
 	"pragformer/internal/s2s"
 	"pragformer/internal/tokenize"
 	"pragformer/internal/train"
@@ -417,26 +416,14 @@ func (p *Pipeline) pretrain(m *core.PragFormer, trainSet []train.Example, prm Pa
 			m.MLMLossAndBackward(ex.IDs, rng)
 			inBatch++
 			if inBatch == prm.Batch {
-				normalizeAndStep(opt, params, inBatch)
+				train.OptStep(opt, params, inBatch, 1, 1)
 				inBatch = 0
 			}
 		}
 		if inBatch > 0 {
-			normalizeAndStep(opt, params, inBatch)
+			train.OptStep(opt, params, inBatch, 1, 1)
 		}
 	}
-}
-
-// normalizeAndStep averages accumulated gradients over the batch, clips,
-// applies one optimizer step, and clears gradients.
-func normalizeAndStep(opt *train.AdamW, params []*nn.Param, n int) {
-	inv := 1 / float64(n)
-	for _, prm := range params {
-		prm.Grad.ScaleInPlace(inv)
-	}
-	train.ClipGradNorm(params, 1.0)
-	opt.Step(params, 1)
-	train.ZeroGrads(params)
 }
 
 // BoW returns the trained bag-of-words baseline for a task (Text repr).

@@ -20,10 +20,10 @@ const (
 	DeadlineHeader = "X-PF-Deadline-Ms"
 )
 
-// maxSpans caps one trace's span count; later spans are counted as
+// MaxSpans caps one trace's span count; later spans are counted as
 // dropped rather than growing without bound (a scan over a huge tree
 // records per-file parse spans).
-const maxSpans = 256
+const MaxSpans = 256
 
 // Span is one timed region inside a request: a name plus its offset from
 // the trace start and its duration.
@@ -79,7 +79,7 @@ func (t *Trace) Add(name string, start time.Time, d time.Duration) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= maxSpans {
+	if len(t.spans) >= MaxSpans {
 		t.dropped++
 		return
 	}
@@ -165,7 +165,7 @@ func (t *Trace) Merge(w *Wire) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range w.Spans {
-		if len(t.spans) >= maxSpans {
+		if len(t.spans) >= MaxSpans {
 			t.dropped++
 			continue
 		}

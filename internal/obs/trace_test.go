@@ -44,11 +44,11 @@ func TestTraceSpansAndSummary(t *testing.T) {
 
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("cap")
-	for i := 0; i < maxSpans+10; i++ {
+	for i := 0; i < MaxSpans+10; i++ {
 		tr.Observe("s", time.Microsecond)
 	}
-	if got := len(tr.Spans()); got != maxSpans {
-		t.Fatalf("got %d spans, want cap %d", got, maxSpans)
+	if got := len(tr.Spans()); got != MaxSpans {
+		t.Fatalf("got %d spans, want cap %d", got, MaxSpans)
 	}
 	if tr.Dropped() != 10 {
 		t.Fatalf("dropped = %d, want 10", tr.Dropped())

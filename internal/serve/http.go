@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,21 +87,25 @@ func (e *Engine) validateIDs(ids []int) error {
 	return nil
 }
 
+const shedMessage = "queue saturated, retry later"
+
 func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req api.PredictRequest
-	if !api.DecodeBody(w, r, &req) {
-		return
-	}
-	codes := req.Codes
-	if req.Code != "" {
-		codes = append(codes, req.Code)
-	}
-	results := make([]api.PredictResult, len(codes)+len(req.IDs))
+	api.ServePredict(w, r, shedMessage, e.answerPredict)
+}
+
+func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
+	api.ServeSuggest(w, r, shedMessage, e.answerSuggest)
+}
+
+// answerPredict fans every item into the predict batcher at once; shed
+// counts the items refused with ErrSaturated.
+func (e *Engine) answerPredict(ctx context.Context, codes []string, rawIDs [][]int) ([]api.PredictResult, int) {
+	results := make([]api.PredictResult, len(codes)+len(rawIDs))
 	var wg sync.WaitGroup
 	var sheds atomic.Int64
 	predictIDs := func(out *api.PredictResult, ids []int) {
 		defer wg.Done()
-		p, err := e.Predict(r.Context(), ids)
+		p, err := e.Predict(ctx, ids)
 		if err != nil {
 			if errors.Is(err, ErrSaturated) {
 				sheds.Add(1)
@@ -111,8 +116,15 @@ func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 		out.Probability = p
 		out.Parallelize = p > 0.5
 	}
-	for i, code := range codes {
-		ids, err := e.encode(code)
+	for i := range results {
+		var ids []int
+		var err error
+		if i < len(codes) {
+			ids, err = e.encode(codes[i])
+		} else {
+			ids = rawIDs[i-len(codes)]
+			err = e.validateIDs(ids)
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -120,41 +132,14 @@ func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go predictIDs(&results[i], ids)
 	}
-	for j, ids := range req.IDs {
-		if err := e.validateIDs(ids); err != nil {
-			results[len(codes)+j].Error = err.Error()
-			continue
-		}
-		wg.Add(1)
-		go predictIDs(&results[len(codes)+j], ids)
-	}
 	wg.Wait()
-	if shedEntirely(int(sheds.Load()), len(results)) {
-		api.Shed(w, shedMessage)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.PredictResponse{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
+	return results, int(sheds.Load())
 }
 
-// shedEntirely reports a request every item of which was refused for
-// saturation — the only case that turns into a whole-request 429 (mixed
-// outcomes keep the inline per-item error contract).
-func shedEntirely(sheds, total int) bool { return total > 0 && sheds == total }
-
-const shedMessage = "queue saturated, retry later"
-
-func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req api.SuggestRequest
-	if !api.DecodeBody(w, r, &req) {
-		return
-	}
-	codes := req.Codes
-	if req.Code != "" {
-		codes = append(codes, req.Code)
-	}
+func (e *Engine) answerSuggest(ctx context.Context, codes []string) ([]api.SuggestResult, int) {
 	results := make([]api.SuggestResult, len(codes))
 	sheds := 0
-	for i, v := range e.suggestAll(r.Context(), codes) {
+	for i, v := range e.suggestAll(ctx, codes) {
 		if v.Err == nil {
 			results[i].Suggestion = *v.Suggestion
 			continue
@@ -164,11 +149,7 @@ func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i].Error = v.Err.Error()
 	}
-	if shedEntirely(sheds, len(results)) {
-		api.Shed(w, shedMessage)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
+	return results, sheds
 }
 
 // handleReload hot-swaps the served models from the configured source.

@@ -414,14 +414,19 @@ type group struct {
 	indices []int
 }
 
-// groupByKey routes each key and buckets the indices per replica,
-// preserving request order inside each bucket. Unroutable indices land in
-// the nil-replica bucket.
-func (rt *Router) groupByKey(keys []string) []*group {
+// groupByKey routes item i of n by key(i) and buckets the indices per
+// replica, preserving request order inside each bucket. An item whose key
+// comes back with routed false needs no replica (it is already answered);
+// unroutable indices land in the nil-replica bucket.
+func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []*group {
 	var groups []*group
 	byRep := make(map[*replica]*group)
-	for i, key := range keys {
-		rep := rt.pick(key)
+	for i := 0; i < n; i++ {
+		k, routed := key(i)
+		if !routed {
+			continue
+		}
+		rep := rt.pick(k)
 		g := byRep[rep]
 		if g == nil {
 			g = &group{rep: rep}
@@ -433,60 +438,51 @@ func (rt *Router) groupByKey(keys []string) []*group {
 	return groups
 }
 
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req api.PredictRequest
-	if !api.DecodeBody(w, r, &req) {
-		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	codes := req.Codes
-	if req.Code != "" {
-		codes = append(codes, req.Code)
-	}
-	// Response order is codes then ids, matching one replica's contract.
+// fanOut is the router's one replica round, behind /predict, /suggest and
+// every /scan chunk. The items are codes then ids, in reply order: item i
+// is routed by key(i) unless that says it needs no replica, each replica's
+// share is forwarded to path concurrently, and its reply (or the share-wide
+// error) is settled into results in request order. A replica's trace is
+// merged into the request's; each, when set, then sees the share that
+// replica answered. Returns how many items were shed for want of a replica.
+func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string, ids [][]int, results []R,
+	key func(i int) (k string, routed bool), setErr func(*R, string), each func(indices []int, got []R)) int {
+	tr := obs.TraceFrom(ctx)
 	endRoute := tr.Start("route")
-	keys := make([]string, 0, len(codes)+len(req.IDs))
-	for _, code := range codes {
-		keys = append(keys, routeKey(code))
-	}
-	for _, ids := range req.IDs {
-		keys = append(keys, idsKey(ids))
-	}
-	groups := rt.groupByKey(keys)
+	groups := rt.groupByKey(len(results), key)
 	endRoute()
-	results := make([]api.PredictResult, len(keys))
 	var wg sync.WaitGroup
 	var shed atomic.Int64
 	for _, g := range groups {
-		if g.rep == nil {
-			settleGroup(g, results, nil, errNoReplica, setPredictErr, &shed, rt.sheds)
-			continue
-		}
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			sub := api.PredictRequest{}
-			for _, i := range g.indices {
-				if i < len(codes) {
-					sub.Codes = append(sub.Codes, codes[i])
-				} else {
-					sub.IDs = append(sub.IDs, req.IDs[i-len(codes)])
+			var resp api.Response[R]
+			err := errNoReplica
+			if g.rep != nil {
+				// A /suggest share is the same body without ids.
+				var sub api.PredictRequest
+				for _, i := range g.indices {
+					if i < len(codes) {
+						sub.Codes = append(sub.Codes, codes[i])
+					} else {
+						sub.IDs = append(sub.IDs, ids[i-len(codes)])
+					}
 				}
+				err = rt.forward(ctx, g.rep, path, sub, &resp)
 			}
-			var resp api.PredictResponse
-			err := rt.forward(r.Context(), g.rep, "/predict", sub, &resp)
-			settleGroup(g, results, resp.Results, err, setPredictErr, &shed, rt.sheds)
-			if err == nil {
-				tr.Merge(resp.Trace)
+			settleGroup(g, results, resp.Results, err, setErr, &shed, rt.sheds)
+			if err != nil {
+				return
+			}
+			tr.Merge(resp.Trace)
+			if each != nil {
+				each(g.indices, resp.Results)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(results) > 0 && int(shed.Load()) == len(results) {
-		api.Shed(w, shedMessage)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.PredictResponse{Results: results, Trace: tr.Wire()})
+	return int(shed.Load())
 }
 
 // settleGroup copies one replica's results back into request order, or
@@ -515,84 +511,60 @@ func settleGroup[R any](g *group, out, in []R, err error, setErr func(*R, string
 func setPredictErr(r *api.PredictResult, msg string) { r.Error = msg }
 func setSuggestErr(r *api.SuggestResult, msg string) { r.Error = msg }
 
+func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
+	api.ServePredict(w, r, shedMessage, rt.answerPredict)
+}
+
 func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req api.SuggestRequest
-	if !api.DecodeBody(w, r, &req) {
-		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	codes := req.Codes
-	if req.Code != "" {
-		codes = append(codes, req.Code)
-	}
+	api.ServeSuggest(w, r, shedMessage, rt.answerSuggest)
+}
+
+func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int) ([]api.PredictResult, int) {
+	results := make([]api.PredictResult, len(codes)+len(ids))
+	shed := fanOut(ctx, rt, "/predict", codes, ids, results, func(i int) (string, bool) {
+		if i < len(codes) {
+			return routeKey(codes[i]), true
+		}
+		return idsKey(ids[i-len(codes)]), true
+	}, setPredictErr, nil)
+	return results, shed
+}
+
+// answerSuggest is the store read-through around the fan-out: a stored
+// verdict for a snippet's canonical loop answers without a forward — the
+// scan dedupe contract, fleet-wide — and what the replicas answer for the
+// rest is stored on the way back.
+func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]api.SuggestResult, int) {
+	tr := obs.TraceFrom(ctx)
 	results := make([]api.SuggestResult, len(codes))
 	canon := make([]bool, len(codes)) // request text IS the canonical print
 	keys := make([]string, len(codes))
-	var pending []int      // request indices the store did not serve
-	var pendKeys []string  // and their keys, which is all that is routed
 	store := rt.pinStore() // before anything is routed
-	endRoute := tr.Start("route")
-	for i, code := range codes {
-		snip, h, ok := canonical(code)
+	shed := fanOut(ctx, rt, "/suggest", codes, nil, results, func(i int) (string, bool) {
+		snip, h, ok := canonical(codes[i])
 		if !ok {
-			h = scan.HashSnippet(code)
+			h = scan.HashSnippet(codes[i])
 		} else {
-			canon[i] = code == snip
-			// Read-through: a stored verdict for this canonical loop answers
-			// without a forward — the scan dedupe contract, fleet-wide.
+			canon[i] = codes[i] == snip
 			endGet := tr.Start("store.get")
 			s, hit := store.Get(h)
 			endGet()
 			if hit {
 				results[i].Suggestion = *s
-				continue
+				return "", false
 			}
 		}
 		keys[i] = h
-		pending, pendKeys = append(pending, i), append(pendKeys, h)
-	}
-	var wg sync.WaitGroup
-	var shed atomic.Int64
-	groups := rt.groupByKey(pendKeys)
-	endRoute()
-	for _, g := range groups {
-		for k, p := range g.indices {
-			g.indices[k] = pending[p] // back to request order
+		return h, true
+	}, setSuggestErr, func(indices []int, got []api.SuggestResult) {
+		// Only canonical-form requests populate the store, so a formatting
+		// variant can never poison the canonical loop's verdict slot.
+		defer tr.Start("store.put")()
+		for k, i := range indices {
+			if k < len(got) && canon[i] && got[k].Error == "" {
+				store.Put(keys[i], &got[k].Suggestion)
+			}
 		}
-		if g.rep == nil {
-			settleGroup(g, results, nil, errNoReplica, setSuggestErr, &shed, rt.sheds)
-			continue
-		}
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			sub := api.SuggestRequest{}
-			for _, i := range g.indices {
-				sub.Codes = append(sub.Codes, codes[i])
-			}
-			var resp api.SuggestResponse
-			err := rt.forward(r.Context(), g.rep, "/suggest", sub, &resp)
-			settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, rt.sheds)
-			if err != nil {
-				return
-			}
-			tr.Merge(resp.Trace)
-			// Populate the shared store — only for canonical-form requests,
-			// so a formatting variant can never poison the canonical loop's
-			// verdict slot.
-			endPut := tr.Start("store.put")
-			for k, i := range g.indices {
-				if k < len(resp.Results) && canon[i] && resp.Results[k].Error == "" {
-					store.Put(keys[i], &resp.Results[k].Suggestion)
-				}
-			}
-			endPut()
-		}(g)
-	}
-	wg.Wait()
-	if len(results) > 0 && int(shed.Load()) == len(results) {
-		api.Shed(w, shedMessage)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Results: results, Trace: tr.Wire()})
+	})
+	return results, shed
 }

@@ -681,6 +681,52 @@ func TestRouterScanReadThroughParity(t *testing.T) {
 	}
 }
 
+// A /scan chunk's per-replica shares ride the same fan-out a /suggest's
+// do: both replicas must be inside /suggest at the same moment. (They were
+// once forwarded one after the other — a chunk cost the sum of its
+// replicas' latencies, not the max.)
+func TestTierScanForwardsConcurrently(t *testing.T) {
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	h := newTestRouter(t, Config{Backend: "fake", ModelID: "m1"}, a, b).Handler()
+
+	// Each replica's first /suggest waits for the other's to arrive.
+	inA, inB := make(chan struct{}), make(chan struct{})
+	var alone atomic.Int64
+	meet := func(mine, other chan struct{}) *func() {
+		var once sync.Once
+		hook := func() {
+			once.Do(func() { close(mine) })
+			select {
+			case <-other:
+			case <-time.After(3 * time.Second):
+				alone.Add(1)
+			}
+		}
+		return &hook
+	}
+	a.midSuggest.Store(meet(inA, inB))
+	b.midSuggest.Store(meet(inB, inA))
+
+	// 16 distinct loops are one chunk; the ring splits them over both
+	// replicas (all 16 on one side has probability 2^-15).
+	var src strings.Builder
+	src.WriteString("void f(int *a, int n) {\n")
+	for k := 1; k <= 16; k++ {
+		fmt.Fprintf(&src, "\tfor (int i = 0; i < n; i++)\n\t\ta[i] = %d * i;\n", k)
+	}
+	src.WriteString("}\n")
+	rec := postJSON(t, h, "/scan", api.ScanRequest{Files: []api.ScanFile{{Path: "x.c", Source: src.String()}}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("scan: %d %s", rec.Code, rec.Body)
+	}
+	if a.suggests.Load() == 0 || b.suggests.Load() == 0 {
+		t.Fatalf("chunk not split across the fleet (%d / %d forwards)", a.suggests.Load(), b.suggests.Load())
+	}
+	if n := alone.Load(); n != 0 {
+		t.Fatalf("%d forwards sat in a replica without the other replica's share in flight", n)
+	}
+}
+
 // oracleSuggester drives scan.Files directly with the fake fleet's
 // verdict function (via the same VerdictSuggester entry point the tier
 // uses).

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync/atomic"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/api"
-	"pragformer/internal/obs"
 	"pragformer/internal/scan"
 )
 
@@ -62,34 +60,13 @@ func (t tierSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
 }
 
 func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
-	tr := obs.TraceFrom(t.ctx)
-	verdicts := make([]scan.Verdict, len(codes))
-	keys := make([]string, len(codes))
-	for i, code := range codes {
-		// Scan snippets are already canonical prints; their hash is the
-		// routing key AND the store key.
-		keys[i] = scan.HashSnippet(code)
-	}
-	endRoute := tr.Start("route")
-	groups := t.rt.groupByKey(keys)
-	endRoute()
 	// Settled exactly as a /suggest is, then handed over in report form.
+	// Scan snippets are already canonical prints; their hash is the routing
+	// key AND the store key.
 	results := make([]api.SuggestResult, len(codes))
-	var shed atomic.Int64
-	for _, g := range groups {
-		var resp api.SuggestResponse
-		err := errNoReplica
-		if g.rep != nil {
-			sub := api.SuggestRequest{}
-			for _, i := range g.indices {
-				sub.Codes = append(sub.Codes, codes[i])
-			}
-			if err = t.rt.forward(t.ctx, g.rep, "/suggest", sub, &resp); err == nil {
-				tr.Merge(resp.Trace)
-			}
-		}
-		settleGroup(g, results, resp.Results, err, setSuggestErr, &shed, t.rt.sheds)
-	}
+	fanOut(t.ctx, t.rt, "/suggest", codes, nil, results,
+		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr, nil)
+	verdicts := make([]scan.Verdict, len(codes))
 	for i := range results {
 		if e := results[i].Error; e != "" {
 			verdicts[i].Err = errors.New(e)

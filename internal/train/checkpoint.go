@@ -58,16 +58,6 @@ func Resume(m Model, trainSet, validSet []Example, cfg Config) (History, error) 
 	return run(m, trainSet, validSet, cfg, snap)
 }
 
-// run dispatches to the sequential or data-parallel loop.
-func run(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot) (History, error) {
-	if cfg.Workers > 1 {
-		if rm, ok := m.(Replicable); ok {
-			return runParallel(rm, trainSet, validSet, cfg, snap)
-		}
-	}
-	return runSequential(m, trainSet, validSet, cfg, snap)
-}
-
 // checkpointer carries the write-side state: the target path, the epoch
 // stride, and a copy of the best-epoch weights (model selection must
 // survive a restart even when the best epoch predates the crash).
@@ -85,7 +75,7 @@ func newCheckpointer(cfg Config) *checkpointer {
 	return &checkpointer{path: cfg.CheckpointPath, every: cfg.CheckpointEvery}
 }
 
-// restoreRun applies a snapshot to the trainer state shared by both loops:
+// restoreRun applies a snapshot to the trainer state:
 // weights, optimizer, shuffler, history, and best-weights tracking. The
 // shuffle stream is replayed rather than blindly restored — epoch N's
 // shuffle permutes the output of epoch N-1's, so the order slice must pass
@@ -143,7 +133,7 @@ func restoreRNGs(snap *ckpt.Snapshot, models []Model) {
 	}
 }
 
-// afterEpoch runs the end-of-epoch bookkeeping shared by both loops:
+// afterEpoch runs the end-of-epoch bookkeeping:
 // best-weights tracking, due checkpoint writes, and interrupt polling.
 // stop reports that the run should end now; err is ErrInterrupted and/or a
 // checkpoint write failure.

@@ -1,124 +1,43 @@
 package train
 
-import (
-	"math"
-	"sync"
+import "sync"
 
-	"pragformer/internal/ckpt"
-	"pragformer/internal/nn"
-)
-
-// Data-parallel training: the batch loop of Fit with each batch sharded
-// across W model replicas. Replica r owns a contiguous shard of the batch,
-// accumulates gradients locally, and after the barrier the primary sums
-// replica gradients in replica order (fixed reduction order), steps the
-// optimizer on the primary parameters only, and broadcasts the updated
-// weights back out. Optimizer state therefore lives only on the primary,
-// exactly as in the sequential path, and every floating-point reduction has
-// a schedule-independent association order — two runs with the same worker
-// count are bit-identical, and different worker counts agree up to
-// summation-order rounding (≪1e-9 on the scales this repo trains).
-
-// runParallel is the Workers>1 body of Run/Resume; cfg defaults are
-// already filled. snap, when non-nil, is a checkpoint to resume from: the
-// primary's weights and optimizer are restored before the replicas are
-// cloned (so the clones start from the restored weights), and every
-// replica's dropout stream is then rewound to its checkpointed position —
-// the pieces that make the resumed run bit-identical to an uninterrupted
-// one at the same (seed, W).
-func runParallel(m Replicable, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot) (History, error) {
-	// Replicas beyond the batch size (or dataset size) can never receive a
-	// shard, so clamping is free: it changes the replica count but not one
-	// bit of the result.
-	w := min(cfg.Workers, cfg.BatchSize)
-	if len(trainSet) > 0 {
-		w = min(w, len(trainSet))
+// forShards splits [0, n) into one contiguous shard per worker and calls
+// fn(r, lo, hi) for each non-empty one — inline at width 1, concurrently
+// otherwise, returning when all are done.
+func forShards(n, w int, fn func(r, lo, hi int)) {
+	if w == 1 {
+		fn(0, 0, n)
+		return
 	}
-
-	opt := NewAdamW(cfg.LR)
-	order := make([]int, len(trainSet))
-	for i := range order {
-		order[i] = i
-	}
-	rng := newShuffler(cfg.Seed)
-
-	st := &runState{bestLoss: math.Inf(1)}
-	ck := newCheckpointer(cfg)
-	if err := restoreRun(snap, cfg, w, m.Params(), opt, rng, order, st, ck); err != nil {
-		return History{}, err
-	}
-
-	replicas := make([]Model, w)
-	paramSets := make([][]*nn.Param, w)
-	replicas[0] = m
-	paramSets[0] = m.Params()
-	for r := 1; r < w; r++ {
-		replicas[r] = m.Replicate(cfg.Seed + int64(1000*r))
-		paramSets[r] = replicas[r].Params()
-	}
-	primary := paramSets[0]
-	restoreRNGs(snap, replicas)
-
-	shardLoss := make([]float64, w)
-	for epoch := st.epoch; epoch < cfg.Epochs; epoch++ {
-		rng.shuffle(order)
-		totalLoss := 0.0
-		for r := range paramSets {
-			ZeroGrads(paramSets[r])
-		}
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(order))
-			batch := order[start:end]
-			runShards(replicas, batch, trainSet, shardLoss)
-			for r := 1; r < w; r++ {
-				nn.AccumGrads(primary, paramSets[r])
-				ZeroGrads(paramSets[r])
-			}
-			for _, l := range shardLoss {
-				totalLoss += l
-			}
-			optStep(opt, primary, cfg, len(batch), &st.step)
-			for r := 1; r < w; r++ {
-				nn.CopyWeights(paramSets[r], primary)
-			}
-		}
-
-		stats := EpochStats{Epoch: epoch, TrainLoss: totalLoss / float64(max(1, len(trainSet)))}
-		stats.ValidLoss, stats.ValidAccuracy = evaluateModels(replicas, validSet)
-		finishEpoch(&st.h, &st.bestLoss, cfg, stats, w)
-		if stop, err := afterEpoch(ck, cfg, st, replicas, primary, opt, rng, epoch); stop || err != nil {
-			return st.h, err
-		}
-	}
-	ck.restoreBest(cfg, primary)
-	return st.h, nil
-}
-
-// runShards splits batch into one contiguous shard per replica and runs
-// LossAndBackward over each shard concurrently. shardLoss[r] receives the
-// in-shard loss sum, folded left-to-right so it is schedule-independent.
-func runShards(replicas []Model, batch []int, set []Example, shardLoss []float64) {
-	w := len(replicas)
-	per := (len(batch) + w - 1) / w
+	per := (n + w - 1) / w
 	var wg sync.WaitGroup
 	for r := 0; r < w; r++ {
-		shardLoss[r] = 0
-		lo := min(r*per, len(batch))
-		hi := min(lo+per, len(batch))
+		lo := min(r*per, n)
+		hi := min(lo+per, n)
 		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(r, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			sum := 0.0
-			for _, idx := range batch[lo:hi] {
-				sum += replicas[r].LossAndBackward(set[idx].IDs, set[idx].Label)
-			}
-			shardLoss[r] = sum
-		}(r, lo, hi)
+			fn(r, lo, hi)
+		}()
 	}
 	wg.Wait()
+}
+
+// runShards backpropagates batch, one shard per replica. lossSum[r] grows
+// by replica r's example losses, folded left to right so the sum is
+// schedule-independent.
+func runShards(replicas []Model, batch []int, set []Example, lossSum []float64) {
+	forShards(len(batch), len(replicas), func(r, lo, hi int) {
+		sum := lossSum[r]
+		for _, idx := range batch[lo:hi] {
+			sum += replicas[r].LossAndBackward(set[idx].IDs, set[idx].Label)
+		}
+		lossSum[r] = sum
+	})
 }
 
 // evaluateModels computes mean loss and accuracy over set, sharding the work
@@ -131,26 +50,11 @@ func evaluateModels(models []Model, set []Example) (loss, acc float64) {
 		return 0, 0
 	}
 	w := min(len(models), len(set))
-	if w == 1 {
-		return Evaluate(models[0], set)
-	}
-	per := (len(set) + w - 1) / w
 	losses := make([]float64, w)
 	correct := make([]int, w)
-	var wg sync.WaitGroup
-	for r := 0; r < w; r++ {
-		lo := min(r*per, len(set))
-		hi := min(lo+per, len(set))
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(r, lo, hi int) {
-			defer wg.Done()
-			losses[r], correct[r] = evalSums(models[r], set[lo:hi])
-		}(r, lo, hi)
-	}
-	wg.Wait()
+	forShards(len(set), w, func(r, lo, hi int) {
+		losses[r], correct[r] = evalSums(models[r], set[lo:hi])
+	})
 	n := 0
 	for r := 0; r < w; r++ {
 		loss += losses[r]
@@ -165,10 +69,7 @@ func evaluateModels(models []Model, set []Example) (loss, acc float64) {
 // safe for concurrent use — true for core.PragFormer, whose inference path
 // is read-only over the weights.
 func EvaluateParallel(m Model, set []Example, workers int) (loss, acc float64) {
-	if workers <= 1 || len(set) < 2 {
-		return Evaluate(m, set)
-	}
-	models := make([]Model, workers)
+	models := make([]Model, max(1, workers))
 	for i := range models {
 		models[i] = m
 	}

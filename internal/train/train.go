@@ -218,8 +218,8 @@ type Config struct {
 	Seed      int64
 	// Workers is the data-parallel width: each batch is sharded across this
 	// many model replicas whose gradients are all-reduced into the primary
-	// in fixed replica order. <=1 (or a non-Replicable model) trains
-	// sequentially on the exact code path the package started with.
+	// in fixed replica order. <=1 (or a non-Replicable model) is width 1:
+	// one model, every batch run inline on the calling goroutine.
 	Workers int
 	// Snapshot, when set, is called at each epoch end so callers can keep
 	// the best weights (model selection).
@@ -280,9 +280,9 @@ func Fit(m Model, trainSet, validSet []Example, cfg Config) History {
 	return h
 }
 
-// runState is the mutable cross-epoch trainer state shared by the
-// sequential and data-parallel loops — exactly what a checkpoint captures
-// (together with weights, optimizer moments, and RNG streams).
+// runState is the mutable cross-epoch trainer state — exactly what a
+// checkpoint captures (together with weights, optimizer moments, and RNG
+// streams).
 type runState struct {
 	h        History
 	bestLoss float64
@@ -290,11 +290,38 @@ type runState struct {
 	epoch    int // first epoch the loop runs (nonzero after a resume)
 }
 
-// runSequential is the Workers<=1 training loop; snap, when non-nil, is a
-// validated checkpoint to resume from.
-func runSequential(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot) (History, error) {
+// run is the training loop behind Run and Resume, over w model replicas;
+// cfg defaults are already filled. w is 1 unless cfg.Workers > 1 and the
+// model is Replicable. Replica r owns a contiguous shard of each batch and
+// accumulates gradients locally; after the barrier the primary sums
+// replica gradients in replica order, steps the optimizer on its own
+// parameters only, and broadcasts the updated weights back out. Optimizer
+// state therefore lives only on the primary and every floating-point
+// reduction has a schedule-independent order: two runs at the same width
+// are bit-identical, and different widths agree up to summation-order
+// rounding (≪1e-9 on the scales this repo trains).
+//
+// snap, when non-nil, is a validated checkpoint to resume from: the
+// primary's weights and optimizer are restored before the replicas are
+// cloned (so the clones start from the restored weights), and every
+// replica's dropout stream is then rewound to its checkpointed position —
+// the pieces that make the resumed run bit-identical to an uninterrupted
+// one at the same (seed, w).
+func run(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot) (History, error) {
+	w := 1
+	rm, replicable := m.(Replicable)
+	if replicable && cfg.Workers > 1 {
+		// Replicas beyond the batch size (or dataset size) can never receive
+		// a shard, so clamping is free: it changes the replica count but not
+		// one bit of the result.
+		w = min(cfg.Workers, cfg.BatchSize)
+		if len(trainSet) > 0 {
+			w = min(w, len(trainSet))
+		}
+	}
+
 	opt := NewAdamW(cfg.LR)
-	params := m.Params()
+	primary := m.Params()
 	order := make([]int, len(trainSet))
 	for i := range order {
 		order[i] = i
@@ -303,44 +330,59 @@ func runSequential(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt
 
 	st := &runState{bestLoss: math.Inf(1)}
 	ck := newCheckpointer(cfg)
-	if err := restoreRun(snap, cfg, 1, params, opt, rng, order, st, ck); err != nil {
+	if err := restoreRun(snap, cfg, w, primary, opt, rng, order, st, ck); err != nil {
 		return History{}, err
 	}
-	restoreRNGs(snap, []Model{m})
 
+	replicas := make([]Model, w)
+	paramSets := make([][]*nn.Param, w)
+	replicas[0], paramSets[0] = m, primary
+	for r := 1; r < w; r++ {
+		replicas[r] = rm.Replicate(cfg.Seed + int64(1000*r))
+		paramSets[r] = replicas[r].Params()
+	}
+	restoreRNGs(snap, replicas)
+
+	// lossSum[r] is replica r's loss over the epoch, folded one example at
+	// a time in example order — at width 1 the plain running sum.
+	lossSum := make([]float64, w)
 	for epoch := st.epoch; epoch < cfg.Epochs; epoch++ {
 		rng.shuffle(order)
-		totalLoss := 0.0
-		ZeroGrads(params)
-		inBatch := 0
-		for _, idx := range order {
-			ex := trainSet[idx]
-			totalLoss += m.LossAndBackward(ex.IDs, ex.Label)
-			inBatch++
-			if inBatch == cfg.BatchSize {
-				optStep(opt, params, cfg, inBatch, &st.step)
-				inBatch = 0
+		for r := range paramSets {
+			ZeroGrads(paramSets[r])
+			lossSum[r] = 0
+		}
+		for start := 0; start < len(order); start += cfg.BatchSize {
+			batch := order[start:min(start+cfg.BatchSize, len(order))]
+			runShards(replicas, batch, trainSet, lossSum)
+			for r := 1; r < w; r++ {
+				nn.AccumGrads(primary, paramSets[r])
+				ZeroGrads(paramSets[r])
+			}
+			OptStep(opt, primary, len(batch), cfg.ClipNorm, WarmupScale(st.step, cfg.Warmup))
+			st.step++
+			for r := 1; r < w; r++ {
+				nn.CopyWeights(paramSets[r], primary)
 			}
 		}
-		if inBatch > 0 {
-			optStep(opt, params, cfg, inBatch, &st.step)
+		totalLoss := lossSum[0]
+		for _, l := range lossSum[1:] {
+			totalLoss += l
 		}
 
 		stats := EpochStats{Epoch: epoch, TrainLoss: totalLoss / float64(max(1, len(trainSet)))}
-		stats.ValidLoss, stats.ValidAccuracy = Evaluate(m, validSet)
-		finishEpoch(&st.h, &st.bestLoss, cfg, stats, 1)
-		if stop, err := afterEpoch(ck, cfg, st, []Model{m}, params, opt, rng, epoch); stop || err != nil {
+		stats.ValidLoss, stats.ValidAccuracy = evaluateModels(replicas, validSet)
+		finishEpoch(&st.h, &st.bestLoss, cfg, stats, w)
+		if stop, err := afterEpoch(ck, cfg, st, replicas, primary, opt, rng, epoch); stop || err != nil {
 			return st.h, err
 		}
 	}
-	ck.restoreBest(cfg, params)
+	ck.restoreBest(cfg, primary)
 	return st.h, nil
 }
 
 // finishEpoch records one epoch's stats, applies the best-validation-loss
-// model-selection rule, and fires the Snapshot/Progress callbacks. Shared by
-// the sequential and data-parallel paths so the selection semantics cannot
-// silently diverge between them.
+// model-selection rule, and fires the Snapshot/Progress callbacks.
 func finishEpoch(h *History, bestLoss *float64, cfg Config, stats EpochStats, workers int) {
 	h.Epochs = append(h.Epochs, stats)
 	if stats.ValidLoss < *bestLoss {
@@ -360,17 +402,18 @@ func finishEpoch(h *History, bestLoss *float64, cfg Config, stats EpochStats, wo
 	}
 }
 
-// optStep normalizes accumulated gradients by batch size, clips, and steps.
-func optStep(opt *AdamW, params []*nn.Param, cfg Config, batch int, step *int) {
+// OptStep is one optimizer step over gradients accumulated from batch
+// examples: average them, clip to clipNorm (0 disables clipping), step at
+// lrScale times the base rate, and clear the gradients.
+func OptStep(opt *AdamW, params []*nn.Param, batch int, clipNorm, lrScale float64) {
 	inv := 1 / float64(batch)
 	for _, p := range params {
 		p.Grad.ScaleInPlace(inv)
 	}
-	if cfg.ClipNorm > 0 {
-		ClipGradNorm(params, cfg.ClipNorm)
+	if clipNorm > 0 {
+		ClipGradNorm(params, clipNorm)
 	}
-	opt.Step(params, WarmupScale(*step, cfg.Warmup))
-	*step++
+	opt.Step(params, lrScale)
 	ZeroGrads(params)
 }
 
@@ -391,15 +434,11 @@ const evalChunk = 64
 // model supports it (bit-identical to the per-example path: same
 // probabilities, same accumulation order).
 func Evaluate(m Model, set []Example) (loss, acc float64) {
-	if len(set) == 0 {
-		return 0, 0
-	}
-	lossSum, correct := evalSums(m, set)
-	return lossSum / float64(len(set)), float64(correct) / float64(len(set))
+	return evaluateModels([]Model{m}, set)
 }
 
-// evalSums returns the loss sum and correct count over set, the shared body
-// of Evaluate and the sharded evaluators in parallel.go.
+// evalSums returns the loss sum and correct count over set — one shard of
+// evaluateModels.
 func evalSums(m Model, set []Example) (lossSum float64, correct int) {
 	bp, ok := m.(BatchPredictor)
 	if !ok {
