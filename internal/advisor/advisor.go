@@ -16,7 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -623,23 +623,52 @@ func (m *Models) explainDisagreement(code string, toks []string) []lime.Attribut
 	if ex.Samples <= 0 {
 		ex.Samples = 120
 	}
-	predict := func(batch [][]string) []float64 {
-		ids := make([][]int, len(batch))
-		for i, ts := range batch {
-			ids[i] = m.Vocab.Encode(ts, maxLen)
+	attrs := ex.ExplainVariants(toks, func(v lime.Variants, labels []float64) {
+		m.variantLabels(toks, maxLen, v, labels)
+	}, 0)
+	slices.SortFunc(attrs, func(a, b lime.Attribution) int { return a.Index - b.Index })
+	return attrs
+}
+
+// limeChunk is how many perturbed variants one attribution forward carries:
+// the serving batch size (serve's MaxBatch, scan's BatchSize), so a chunk's
+// activations fit the buffers the tensor pool already holds, where one
+// forward over the whole perturbation set would grow the pool's matrices
+// past anything serving leaves there, every explanation anew.
+const limeChunk = 16
+
+// variantLabels fills labels[i] with the directive classifier's hard label
+// on variant i of toks. The tokens are encoded once; each variant's ids —
+// [CLS] and the ids at its kept positions, cut at maxLen, which is what
+// Vocab.Encode returns for the variant's tokens — are gathered into one
+// chunk-sized backing. Both backends classify a sequence independently of
+// its batch, so the chunked labels are those of one whole-set forward.
+func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, labels []float64) {
+	ids := m.Vocab.Encode(toks, len(toks)+1) // [CLS], then every token's id
+	flat := make([]int, limeChunk*min(len(ids), maxLen))
+	batch := make([][]int, 0, limeChunk)
+	for lo := 0; lo < v.Len(); lo += limeChunk {
+		hi := min(lo+limeChunk, v.Len())
+		batch = batch[:0]
+		n := 0
+		for i := lo; i < hi; i++ {
+			kept := v.Kept(i)
+			kept = kept[:min(len(kept), maxLen-1)]
+			seq := flat[n : n+1+len(kept)]
+			n += len(seq)
+			seq[0] = ids[0]
+			for k, p := range kept {
+				seq[1+k] = ids[1+p]
+			}
+			batch = append(batch, seq)
 		}
-		probs := m.Directive.PredictBatch(ids)
-		labels := make([]float64, len(probs))
-		for i, p := range probs {
+		for i, p := range m.Directive.PredictBatch(batch) {
+			labels[lo+i] = 0
 			if p > 0.5 {
-				labels[i] = 1
+				labels[lo+i] = 1
 			}
 		}
-		return labels
 	}
-	attrs := ex.ExplainBatch(toks, predict, 0)
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Index < attrs[j].Index })
-	return attrs
 }
 
 // limeSeed derives the attribution seed from the snippet text itself, so

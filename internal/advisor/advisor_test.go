@@ -8,6 +8,7 @@ import (
 	"pragformer/internal/corpus"
 	"pragformer/internal/cparse"
 	"pragformer/internal/dataset"
+	"pragformer/internal/lime"
 	"pragformer/internal/pragma"
 	"pragformer/internal/s2s"
 	"pragformer/internal/tokenize"
@@ -496,6 +497,68 @@ func TestAttributionDeterminism(t *testing.T) {
 		}
 		if len(s.Attributions) != 0 {
 			t.Errorf("NoExplain still produced attributions: %v", s.Attributions)
+		}
+	}
+}
+
+// TestVariantLabelsMatchWholeBatch: the attribution forward — tokens encoded
+// once, each variant's ids gathered from its kept positions, limeChunk
+// sequences per PredictBatch — labels every variant as re-encoding its
+// tokens and classifying the whole perturbation set in one batch does, on
+// float64 and on int8, for inputs below, at and beyond the encode cap.
+func TestVariantLabelsMatchWholeBatch(t *testing.T) {
+	float := models(t)
+	quant, err := float.WithBackend(core.BackendInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := "for (i = 0; i < n; i++) {"
+	for k := 0; k < 12; k++ {
+		long += " a[i] = a[i] + b[i] * c[i];"
+	}
+	long += " }"
+	for _, code := range []string{
+		"for (i = 0; i < n; i++) a[i] = 0;",
+		"for (i = 1; i < n; i++) { s[i] += s[i-1]; t = t + s[i] * w[i]; }",
+		long,
+	} {
+		toks, err := tokenize.Extract(code, tokenize.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Models{float, quant} {
+			maxLen := m.EffectiveMaxLen()
+			if code == long && len(toks) <= maxLen {
+				t.Fatalf("long snippet has %d tokens, want more than maxLen %d", len(toks), maxLen)
+			}
+			toks := toks[:min(len(toks), maxLen)]
+			ones := 0
+			lime.New(limeSeed(code)).ExplainVariants(toks, func(v lime.Variants, got []float64) {
+				m.variantLabels(toks, maxLen, v, got)
+				whole := make([][]int, v.Len())
+				for i := range whole {
+					var ts []string
+					for _, p := range v.Kept(i) {
+						ts = append(ts, toks[p])
+					}
+					whole[i] = m.Vocab.Encode(ts, maxLen)
+				}
+				for i, p := range m.Directive.PredictBatch(whole) {
+					want := 0.0
+					if p > 0.5 {
+						want = 1
+						ones++
+					}
+					if got[i] != want {
+						t.Errorf("%s, %d tokens: variant %d of %d labelled %v, whole-batch forward says %v (p = %v)",
+							m.Directive.BackendName(), len(toks), i, v.Len(), got[i], want, p)
+					}
+				}
+				if v.Len() <= limeChunk {
+					t.Errorf("%d variants never fill a chunk of %d", v.Len(), limeChunk)
+				}
+			}, 0)
+			t.Logf("%s, %d tokens: %d of the variants labelled 1", m.Directive.BackendName(), len(toks), ones)
 		}
 	}
 }

@@ -3,12 +3,21 @@
 // Figure 8: perturb the input by removing token subsets, query the model on
 // each perturbation, weight samples by locality, and fit a ridge-regression
 // surrogate whose coefficients attribute the prediction to tokens.
+//
+// There is one sampler and one fit, and they work on token positions:
+// ExplainVariants is the core, handing the model each perturbation as the
+// ascending list of positions it keeps (Variants). ExplainBatch and Explain
+// are adapters that spell the same lists out as token slices for models
+// that take strings. Everything but the result — the generator, the kept
+// lists, the weights and the normal equations — lives in one pooled
+// workspace per explanation (workspace.go), so the cost of an explanation
+// in allocations does not depend on the sample count.
 package lime
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Attribution is one token's contribution to the positive-class score.
@@ -35,6 +44,21 @@ func New(seed int64) *Explainer {
 	return &Explainer{Samples: 300, KernelWidth: 0.75, Ridge: 1e-3, Seed: seed}
 }
 
+// Variants is the perturbation set of one explanation in index form:
+// variant i keeps the token positions Kept(i), and variant 0 is the
+// unperturbed input. It is a view of the explanation's pooled workspace,
+// valid only until the predict call it was handed to returns.
+type Variants struct {
+	kept []int32 // every variant's kept positions, end to end
+	off  []int32 // variant i is kept[off[i]:off[i+1]]
+}
+
+// Len is the number of variants.
+func (v Variants) Len() int { return len(v.off) - 1 }
+
+// Kept returns the positions variant i keeps, ascending and never empty.
+func (v Variants) Kept(i int) []int32 { return v.kept[v.off[i]:v.off[i+1]] }
+
 // Explain attributes predict's positive-class probability on tokens to the
 // individual tokens, returning attributions sorted by |weight| descending,
 // truncated to topK (topK <= 0 returns all).
@@ -51,10 +75,39 @@ func (e *Explainer) Explain(tokens []string, predict func([]string) float64, top
 // ExplainBatch is Explain with a batched model: every perturbed variant is
 // collected first and predict is called exactly once over all of them, so a
 // backend with batched forwards (core.PredictBatch, the serving engine)
-// amortizes its per-call overhead across the whole perturbation set. The
-// sampling, weighting and fit are identical to Explain — for a given Seed
-// the two return the same attributions.
+// amortizes its per-call overhead across the whole perturbation set. It is
+// the string view of ExplainVariants — the same sampling, weighting and fit,
+// so for a given Seed the three entry points return the same attributions —
+// with variant 0 the caller's own tokens and the rest cut from one backing
+// array that is allocated per call and is the caller's to keep.
 func (e *Explainer) ExplainBatch(tokens []string, predict func([][]string) []float64, topK int) []Attribution {
+	return e.ExplainVariants(tokens, func(v Variants, y []float64) {
+		n := v.Len()
+		batch := make([][]string, n)
+		batch[0] = tokens
+		flat := make([]string, 0, len(v.kept)-len(tokens))
+		for i := 1; i < n; i++ {
+			lo := len(flat)
+			for _, p := range v.Kept(i) {
+				flat = append(flat, tokens[p])
+			}
+			batch[i] = flat[lo:len(flat):len(flat)]
+		}
+		out := predict(batch)
+		if len(out) != n {
+			panic(fmt.Sprintf("lime: predict returned %d scores for %d variants", len(out), n))
+		}
+		copy(y, out)
+	}, topK)
+}
+
+// ExplainVariants is the core every entry point runs: it draws the
+// perturbation set as kept-position lists, calls predict exactly once to
+// fill y[i] with the model's positive-class score on variant i (y has
+// v.Len() slots and, like v, belongs to the workspace), and fits the
+// surrogate from the lists. A model that takes ids gathers each variant
+// from the once-encoded input and never builds a token slice.
+func (e *Explainer) ExplainVariants(tokens []string, predict func(v Variants, y []float64), topK int) []Attribution {
 	T := len(tokens)
 	if T == 0 {
 		return nil
@@ -67,101 +120,31 @@ func (e *Explainer) ExplainBatch(tokens []string, predict func([][]string) []flo
 	if kw <= 0 {
 		kw = 0.75
 	}
-	rng := rand.New(rand.NewSource(e.Seed))
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
 
-	// Design matrix with intercept column 0.
-	X := make([][]float64, 0, nSamples+1)
-	w := make([]float64, 0, nSamples+1)
-	variants := make([][]string, 0, nSamples+1)
+	v := ws.sample(T, nSamples, kw, e.Seed)
+	ws.y = resize(ws.y, v.Len())
+	predict(v, ws.y)
+	beta := ws.fit(v, T, e.Ridge)
 
-	// Include the unperturbed instance with maximal weight.
-	full := make([]float64, T+1)
-	for i := range full {
-		full[i] = 1
-	}
-	X = append(X, full)
-	variants = append(variants, tokens)
-	w = append(w, 1)
-
-	for s := 0; s < nSamples; s++ {
-		mask := make([]float64, T+1)
-		mask[0] = 1 // intercept
-		kept := 0
-		// Sample the number of removals uniformly, then the positions.
-		nRemove := 1 + rng.Intn(T)
-		removed := map[int]bool{}
-		for len(removed) < nRemove {
-			removed[rng.Intn(T)] = true
-		}
-		variant := make([]string, 0, T-nRemove)
-		for i, tok := range tokens {
-			if removed[i] {
-				continue
-			}
-			mask[i+1] = 1
-			kept++
-			variant = append(variant, tok)
-		}
-		if kept == 0 {
-			continue
-		}
-		X = append(X, mask)
-		variants = append(variants, variant)
-		// Cosine distance between the mask and the all-ones vector is
-		// 1 - sqrt(kept/T); the kernel turns it into a locality weight.
-		d := 1 - math.Sqrt(float64(kept)/float64(T))
-		w = append(w, math.Exp(-(d*d)/(kw*kw)))
-	}
-
-	y := predict(variants)
-	beta := weightedRidge(X, y, w, e.Ridge)
 	attrs := make([]Attribution, T)
 	for i := 0; i < T; i++ {
 		attrs[i] = Attribution{Index: i, Token: tokens[i], Weight: beta[i+1]}
 	}
-	sort.Slice(attrs, func(a, b int) bool {
-		return math.Abs(attrs[a].Weight) > math.Abs(attrs[b].Weight)
+	slices.SortFunc(attrs, func(a, b Attribution) int {
+		switch wa, wb := math.Abs(a.Weight), math.Abs(b.Weight); {
+		case wa > wb:
+			return -1
+		case wb > wa:
+			return 1
+		}
+		return 0
 	})
 	if topK > 0 && topK < len(attrs) {
 		attrs = attrs[:topK]
 	}
 	return attrs
-}
-
-// weightedRidge solves (XᵀWX + λI)β = XᵀWy by Gaussian elimination with
-// partial pivoting. The intercept (column 0) is not regularized.
-func weightedRidge(X [][]float64, y, w []float64, lambda float64) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	d := len(X[0])
-	A := make([][]float64, d)
-	b := make([]float64, d)
-	for i := range A {
-		A[i] = make([]float64, d)
-	}
-	for s, row := range X {
-		ws := w[s]
-		for i := 0; i < d; i++ {
-			if row[i] == 0 {
-				continue
-			}
-			wi := ws * row[i]
-			b[i] += wi * y[s]
-			for j := i; j < d; j++ {
-				A[i][j] += wi * row[j]
-			}
-		}
-	}
-	for i := 0; i < d; i++ {
-		for j := 0; j < i; j++ {
-			A[i][j] = A[j][i]
-		}
-	}
-	for i := 1; i < d; i++ { // skip intercept
-		A[i][i] += lambda
-	}
-	return solve(A, b)
 }
 
 // solve performs in-place Gaussian elimination with partial pivoting.

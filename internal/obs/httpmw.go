@@ -19,6 +19,14 @@ func RequestHistogram(reg *Registry, path string) *Histogram {
 		Labels{"path": path}, nil)
 }
 
+// The wire names are not in canonical MIME form, so Header.Get would
+// re-canonicalize them, allocating, on every request; inbound lookups use
+// these, which Get recognizes as canonical and returns at once.
+var (
+	traceKey    = http.CanonicalHeaderKey(TraceHeader)
+	deadlineKey = http.CanonicalHeaderKey(DeadlineHeader)
+)
+
 // Middleware instruments HTTP routes: request-duration histograms, trace
 // minting/propagation via the X-PF-Trace header, and client deadline
 // enforcement via X-PF-Deadline-Ms (an already-expired budget is answered
@@ -76,7 +84,7 @@ func (m *Middleware) Wrap(path string, next http.HandlerFunc) http.HandlerFunc {
 		}
 
 		var tr *Trace
-		if id := r.Header.Get(TraceHeader); id != "" || m.traceAll {
+		if id := r.Header.Get(traceKey); id != "" || m.traceAll {
 			tr = NewTrace(id)
 			ctx = WithTrace(ctx, tr)
 			w.Header().Set(TraceHeader, tr.ID)
@@ -104,7 +112,7 @@ func (m *Middleware) Wrap(path string, next http.HandlerFunc) http.HandlerFunc {
 // deadlineMs parses the remaining-budget header; hasDeadline is false when
 // the header is absent.
 func deadlineMs(h http.Header) (ms int64, hasDeadline bool, err error) {
-	v := h.Get(DeadlineHeader)
+	v := h.Get(deadlineKey)
 	if v == "" {
 		return 0, false, nil
 	}

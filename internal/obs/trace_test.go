@@ -183,3 +183,24 @@ func TestSetDeadlineHeader(t *testing.T) {
 		t.Fatalf("deadline header = %q, want a positive remaining budget", v)
 	}
 }
+
+// The middleware reads both wire headers on every request of both
+// binaries; neither lookup may allocate, present or absent.
+func TestHeaderLookupsDoNotAllocate(t *testing.T) {
+	with := http.Header{}
+	with.Set(DeadlineHeader, "5000")
+	with.Set(TraceHeader, "cafe0123cafe0123")
+	for name, h := range map[string]http.Header{"present": with, "absent": {}} {
+		var ms int64
+		var id string
+		if n := testing.AllocsPerRun(100, func() {
+			ms, _, _ = deadlineMs(h)
+			id = h.Get(traceKey)
+		}); n != 0 {
+			t.Errorf("headers %s: %.0f allocations per request, want 0", name, n)
+		}
+		if name == "present" && (ms != 5000 || id != "cafe0123cafe0123") {
+			t.Errorf("looked up deadline %d and trace %q", ms, id)
+		}
+	}
+}

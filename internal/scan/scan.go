@@ -682,7 +682,9 @@ func parseSource(src Source, cfg Config, rel func(string) string) fileOut {
 // replica's caches hot for the loops routed to it.
 func HashSnippet(snippet string) string {
 	sum := sha256.Sum256([]byte(snippet))
-	return hex.EncodeToString(sum[:])
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // finalize orders the report deterministically (parse workers race on

@@ -533,26 +533,38 @@ func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int
 // answerSuggest is the store read-through around the fan-out: a stored
 // verdict for a snippet's canonical loop answers without a forward — the
 // scan dedupe contract, fleet-wide — and what the replicas answer for the
-// rest is stored on the way back.
+// rest is stored on the way back. Every stored key is the hash of a
+// canonical print and its verdict was computed for exactly that text, so
+// the request text's own hash is probed first and a hit there answers
+// without a parse; only a miss pays for canonical, and probes again when the
+// canonical print is a different text. Either way the item counts as one
+// store hit or one miss.
 func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]api.SuggestResult, int) {
 	tr := obs.TraceFrom(ctx)
 	results := make([]api.SuggestResult, len(codes))
 	canon := make([]bool, len(codes)) // request text IS the canonical print
 	keys := make([]string, len(codes))
 	store := rt.pinStore() // before anything is routed
+	get := func(h string) (*scan.Suggestion, bool) {
+		defer tr.Start("store.get")()
+		return store.probe(h)
+	}
 	shed := fanOut(ctx, rt, "/suggest", codes, nil, results, func(i int) (string, bool) {
-		snip, h, ok := canonical(codes[i])
-		if !ok {
-			h = scan.HashSnippet(codes[i])
-		} else {
-			canon[i] = codes[i] == snip
-			endGet := tr.Start("store.get")
-			s, hit := store.Get(h)
-			endGet()
-			if hit {
-				results[i].Suggestion = *s
-				return "", false
+		h := scan.HashSnippet(codes[i])
+		s, hit := get(h)
+		if !hit {
+			// An unparseable snippet still routes, by its raw-text hash.
+			if snip, ch, ok := canonical(codes[i]); ok {
+				if canon[i] = snip == codes[i]; !canon[i] {
+					h = ch
+					s, hit = get(h)
+				}
 			}
+		}
+		store.count(hit)
+		if hit {
+			results[i].Suggestion = *s
+			return "", false
 		}
 		keys[i] = h
 		return h, true

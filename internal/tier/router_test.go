@@ -436,6 +436,81 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 	}
 }
 
+// loopOfStatements is a canonical-form loop whose parse cost grows with n.
+func loopOfStatements(t *testing.T, n int) string {
+	t.Helper()
+	body := strings.Repeat(" a[i] = a[i] + b[i] * c[i];", n)
+	snip, _, ok := canonical("for (i = 0; i < n; i++) {" + body + " }")
+	if !ok {
+		t.Fatal("loop did not canonicalize")
+	}
+	return snip
+}
+
+// TestRouterSuggestHitAllocs gates the warm path of answerSuggest: a
+// request whose text is the stored canonical print is answered from its
+// own hash. A parse would allocate per token, so the gate is that a
+// 40-statement loop costs what a 1-statement loop costs, under a small
+// ceiling; a formatting variant of the same loops must parse and still hit,
+// through the canonical hash. Each item counts one hit however many probes
+// it took.
+func TestRouterSuggestHitAllocs(t *testing.T) {
+	a := newFakeReplica(t)
+	rt := newTestRouter(t, Config{Backend: "fake"}, a)
+	ctx := context.Background()
+	short, long := loopOfStatements(t, 1), loopOfStatements(t, 40)
+	rt.answerSuggest(ctx, []string{short, long}) // cold: forwards and stores
+	cold := a.suggests.Load()
+	if cold == 0 || rt.store.Len() != 2 {
+		t.Fatalf("set-up: %d forwards, %d verdicts resident", cold, rt.store.Len())
+	}
+
+	hits := rt.storeHits.Value()
+	variant := strings.ReplaceAll(long, " = ", "=") // same loop, other spacing
+	if variant == long {
+		t.Fatal("variant is the canonical text")
+	}
+	res, _ := rt.answerSuggest(ctx, []string{variant})
+	if got, want := res[0].Suggestion.Notes[0], fakeVerdict(long).Suggestion.Notes[0]; got != want {
+		t.Fatalf("formatting variant answered %q, want the canonical loop's %q", got, want)
+	}
+	if got := rt.storeHits.Value() - hits; got != 1 {
+		t.Fatalf("formatting variant counted %d store hits, want 1", got)
+	}
+	if got := a.suggests.Load(); got != cold {
+		t.Fatalf("formatting variant forwarded (%d -> %d)", cold, got)
+	}
+
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ceiling = 12
+	allocs := func(code string) float64 {
+		codes := []string{code}
+		return testing.AllocsPerRun(20, func() { rt.answerSuggest(ctx, codes) })
+	}
+	atShort, atLong, atVariant := allocs(short), allocs(long), allocs(variant)
+	t.Logf("allocations per warm answerSuggest: %.0f (1 statement), %.0f (40 statements), %.0f (40 statements, reformatted)",
+		atShort, atLong, atVariant)
+	if atShort != atLong || atLong > ceiling {
+		t.Errorf("canonical-text hit allocates %.0f times for a short loop and %.0f for a long one, want equal and at most %d: it parsed",
+			atShort, atLong, ceiling)
+	}
+	if atVariant <= atLong {
+		t.Errorf("a reformatted request allocates %.0f times, a canonical one %.0f: the gate cannot tell a parse", atVariant, atLong)
+	}
+	if got := a.suggests.Load(); got != cold {
+		t.Fatalf("warm requests forwarded (%d -> %d)", cold, got)
+	}
+
+	// A reload empties the store: the next identical request forwards again.
+	rt.store.Roll()
+	rt.answerSuggest(ctx, []string{long})
+	if got := a.suggests.Load(); got != cold+1 {
+		t.Fatalf("after a roll the same request made %d forwards, want 1", got-cold)
+	}
+}
+
 func TestRouterSuggestNonCanonicalNotStored(t *testing.T) {
 	a := newFakeReplica(t)
 	rt := newTestRouter(t, Config{Backend: "fake"}, a)

@@ -32,13 +32,22 @@ type pinnedStore struct {
 func (rt *Router) pinStore() pinnedStore { return pinnedStore{rt: rt, gen: rt.store.Gen()} }
 
 func (s pinnedStore) Get(hash string) (*scan.Suggestion, bool) {
-	v, ok := s.rt.store.Get(hash)
-	if ok {
+	v, ok := s.probe(hash)
+	s.count(ok)
+	return v, ok
+}
+
+// probe and count are Get in two steps for answerSuggest, where an item may
+// take two probes (its text's hash, then its canonical print's) and counts
+// as one hit or one miss.
+func (s pinnedStore) probe(hash string) (*scan.Suggestion, bool) { return s.rt.store.Get(hash) }
+
+func (s pinnedStore) count(hit bool) {
+	if hit {
 		s.rt.storeHits.Inc()
 	} else {
 		s.rt.storeMisses.Inc()
 	}
-	return v, ok
 }
 
 func (s pinnedStore) Put(hash string, v *scan.Suggestion) { s.rt.store.PutAt(s.gen, hash, v) }
