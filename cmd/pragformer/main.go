@@ -7,11 +7,6 @@
 //	pragformer predict -model model.gob -vocab vocab.txt file.c
 //	pragformer quantize -model model.gob -out model.pfq
 //	pragformer scan -dir src/ -model model.gob -vocab vocab.txt -format sarif
-//	pragformer bench-kernels
-//
-// Bench-kernels prints a scalar-vs-AVX2 ns/op table for the float64 and
-// int8 matmul kernels at 64³/128³/256³ (see internal/tensor), the quick
-// eyeball check for kernel regressions on a new host.
 //
 // Scan walks a C source tree, extracts every for-loop, dedupes by content
 // hash, batch-advises through the directive/clause classifiers, and emits
@@ -65,15 +60,13 @@ func main() {
 		cmdQuantize(os.Args[2:])
 	case "scan":
 		cmdScan(os.Args[2:])
-	case "bench-kernels":
-		cmdBenchKernels(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pragformer {train|eval|predict|quantize|scan|bench-kernels} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pragformer {train|eval|predict|quantize|scan} [flags]")
 	os.Exit(2)
 }
 

@@ -22,7 +22,6 @@ import (
 
 	"pragformer/internal/cast"
 	"pragformer/internal/core"
-	"pragformer/internal/cparse"
 	"pragformer/internal/dep"
 	"pragformer/internal/lime"
 	"pragformer/internal/pragma"
@@ -58,10 +57,6 @@ type Models struct {
 	// perturbation forwards dominate a disagreement's cost). Attributions
 	// are then always empty.
 	NoExplain bool
-	// LimeSamples overrides the perturbation sample count for disagreement
-	// attributions (default 120). Changing it changes attribution values, so
-	// every entry point over one tree must use the same setting.
-	LimeSamples int
 
 	// OnStage, when set, receives the coarse per-batch stage timings after
 	// every suggest call: "infer" (the batched classifier forwards) and
@@ -154,8 +149,7 @@ func (m *Models) WithBackend(name string) (*Models, error) {
 	out := &Models{
 		Vocab: m.Vocab, MaxLen: m.MaxLen,
 		ComPar: m.ComPar, NoCorroborate: m.NoCorroborate,
-		NoExplain: m.NoExplain, LimeSamples: m.LimeSamples,
-		OnStage: m.OnStage,
+		NoExplain: m.NoExplain, OnStage: m.OnStage,
 	}
 	var err error
 	if out.Directive, err = convert(m.Directive); err != nil {
@@ -335,9 +329,8 @@ type BatchItem struct {
 
 // Snippet is one unit of advice: the source text plus, optionally, its
 // already-parsed loop. A nil Loop means "parse Code on demand" — the
-// single-snippet and HTTP paths; the scanner threads the loop it extracted
-// so the dependence analysis does not parse it again (the S2S trio reads the
-// text and parses it once more, in its shared front end).
+// single-snippet and HTTP paths; the scanner threads the loop it extracted,
+// so neither the dependence analysis nor the S2S trio parses it again.
 type Snippet struct {
 	Code string
 	Loop *cast.For
@@ -375,7 +368,7 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 
 // SuggestSnippets is SuggestBatch over snippets that may carry their parsed
 // loop. Verdicts are identical either way — a threaded loop only skips the
-// re-parse inside the dependence analysis.
+// snippet's one parse.
 func (m *Models) SuggestSnippets(snippets []Snippet) ([]BatchItem, error) {
 	return m.suggestSnippets(snippets, m.OnStage)
 }
@@ -441,7 +434,7 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 			// refuted loop's race witnesses are a property of the code, not
 			// of the model's answer, and the scan report surfaces them.
 			tc := time.Now()
-			s.Corroboration.attach(analyzeSnippet(snippets[i]))
+			s.Corroboration.attach(s2s.NewUnit(snippets[i].Code, snippets[i].Loop).Analysis(conversions))
 			dCorroborate += time.Since(tc)
 		}
 	}
@@ -466,13 +459,20 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	return items, nil
 }
 
+// conversions is the advisor's option set, both conversions on: a loop whose
+// refuting dependence privatizes or reduces away is advisable, with the
+// rescued clause attached. The corpus labeler and the S2S members keep the
+// plain verdicts of the same engine pass.
+var conversions = dep.Options{ArrayPrivatization: true, ArrayReductions: true}
+
 // finish completes a positive suggestion: dependence analysis, clause
-// assembly, schedule hint, and corroboration grading. wantPrivate and
-// wantReduction carry the clause classifiers' verdicts (false when the
-// classifier is absent — the analysis then decides).
+// assembly, schedule hint, and corroboration grading, all over the snippet's
+// one s2s.Unit. wantPrivate and wantReduction carry the clause classifiers'
+// verdicts (false when the classifier is absent — the analysis then decides).
 func (m *Models) finish(s *Suggestion, sn Snippet, toks []string, wantPrivate, wantReduction bool) {
 	d := &pragma.Directive{ParallelFor: true}
-	analysis := analyzeSnippet(sn)
+	unit := s2s.NewUnit(sn.Code, sn.Loop)
+	analysis := unit.Analysis(conversions) // nil when no loop parses
 
 	if analysis != nil {
 		if m.Private == nil {
@@ -551,7 +551,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet, toks []string, wantPrivate, w
 		cor.Tier = TierModelOnly
 	}
 	if !m.NoCorroborate {
-		cor.S2S = m.compileEach(sn.Code)
+		cor.S2S = m.compileEach(unit, sn.Code)
 		if cor.Tier == TierAnalysisAgrees {
 			for _, v := range cor.S2S {
 				if v.Parallelized {
@@ -569,7 +569,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet, toks []string, wantPrivate, w
 // compileEach collects the per-compiler corroboration evidence. A ComPar
 // comparator is unwrapped into its member verdicts; any other Compiler
 // yields a single verdict under its own name.
-func (m *Models) compileEach(code string) []CompilerVerdict {
+func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
 	flatten := func(name string, res s2s.Result, err error) CompilerVerdict {
 		v := CompilerVerdict{Compiler: name}
 		if err != nil {
@@ -587,7 +587,7 @@ func (m *Models) compileEach(code string) []CompilerVerdict {
 	}
 	comp := m.comparator()
 	if cp, ok := comp.(*s2s.ComPar); ok {
-		vs := cp.CompileEach(code)
+		vs := cp.CompileUnit(unit)
 		out := make([]CompilerVerdict, len(vs))
 		for i, v := range vs {
 			out[i] = flatten(v.Compiler, v.Result, v.Err)
@@ -619,10 +619,7 @@ func (m *Models) explainDisagreement(code string, toks []string) []lime.Attribut
 		toks = toks[:maxLen]
 	}
 	ex := lime.New(limeSeed(code))
-	ex.Samples = m.LimeSamples
-	if ex.Samples <= 0 {
-		ex.Samples = 120
-	}
+	ex.Samples = limeSamples
 	attrs := ex.ExplainVariants(toks, func(v lime.Variants, labels []float64) {
 		m.variantLabels(toks, maxLen, v, labels)
 	}, 0)
@@ -636,6 +633,11 @@ func (m *Models) explainDisagreement(code string, toks []string) []lime.Attribut
 // forward over the whole perturbation set would grow the pool's matrices
 // past anything serving leaves there, every explanation anew.
 const limeChunk = 16
+
+// limeSamples is the perturbation sample count of a disagreement attribution.
+// It is a constant because attribution values depend on it: every entry point
+// over one tree explains a loop identically only at one setting.
+const limeSamples = 120
 
 // variantLabels fills labels[i] with the directive classifier's hard label
 // on variant i of toks. The tokens are encoded once; each variant's ids —
@@ -677,37 +679,6 @@ func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, label
 func limeSeed(code string) int64 {
 	sum := sha256.Sum256([]byte(code))
 	return int64(binary.BigEndian.Uint64(sum[:8]))
-}
-
-// analyzeSnippet runs the dependence analysis over the snippet's target
-// loop, parsing only when the caller did not thread one in; nil when no
-// loop is analyzable.
-func analyzeSnippet(sn Snippet) *dep.Analysis {
-	loop := sn.Loop
-	funcs := map[string]*cast.FuncDef{}
-	if loop == nil {
-		f, err := cparse.Parse(sn.Code)
-		if err != nil {
-			return nil
-		}
-		loop = s2s.FirstLoop(f)
-		for _, it := range f.Items {
-			if fd, ok := it.(*cast.FuncDef); ok {
-				funcs[fd.Name] = fd
-			}
-		}
-	}
-	if loop == nil {
-		return nil
-	}
-	// The advisor runs with the conversion passes on: a loop whose refuting
-	// dependence privatizes or reduces away is advisable, with the rescued
-	// clause attached. The corpus labeler and S2S baselines keep the plain
-	// AnalyzeLoop verdicts.
-	return dep.AnalyzeLoopOpts(loop, funcs, dep.Options{
-		ArrayPrivatization: true,
-		ArrayReductions:    true,
-	})
 }
 
 // Annotate returns the snippet with the suggested directive prepended, or

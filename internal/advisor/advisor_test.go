@@ -8,6 +8,7 @@ import (
 	"pragformer/internal/corpus"
 	"pragformer/internal/cparse"
 	"pragformer/internal/dataset"
+	"pragformer/internal/dep"
 	"pragformer/internal/lime"
 	"pragformer/internal/pragma"
 	"pragformer/internal/s2s"
@@ -261,13 +262,14 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	if analyzeSnippet(Snippet{Code: "not c code {{{"}) != nil {
+	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code, nil).Analysis(conversions) }
+	if analyze("not c code {{{") != nil {
 		t.Error("analyze should be nil on parse failure")
 	}
-	if analyzeSnippet(Snippet{Code: "x = 1;"}) != nil {
+	if analyze("x = 1;") != nil {
 		t.Error("analyze should be nil without a loop")
 	}
-	a := analyzeSnippet(Snippet{Code: "for (i = 0; i < n; i++) a[i] = 0;"})
+	a := analyze("for (i = 0; i < n; i++) a[i] = 0;")
 	if a == nil || !a.Parallelizable {
 		t.Error("simple loop should analyze parallelizable")
 	}
@@ -447,21 +449,29 @@ func TestSnippetThreadingParity(t *testing.T) {
 }
 
 // TestTextPathParseBudget pins the front-end budget of a positive loop that
-// arrives as text (the serving path): one parse for the advisor's own
-// dependence analysis and one for the S2S trio's shared front end — where
-// the trio used to parse once per member, four in all.
+// arrives as text (the serving path): one parse and one engine pass serve the
+// advisor's dependence evidence and all three S2S members — the conversion
+// the loop needs (h is an array reduction) is not a second pass.
 func TestTextPathParseBudget(t *testing.T) {
 	m := stubModels(t, nil) // nil wires the real ComPar trio
-	before := cparse.Parses()
-	s, err := m.Suggest("for (i = 0; i < n; i++) s[i] += a[i];")
+	parses, passes := cparse.Parses(), dep.Passes()
+	s, err := m.Suggest("for (i = 0; i < n; i++) h[b[i]] += a[i];")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Corroboration.S2S) != 3 {
-		t.Fatalf("S2S evidence %+v, want the three members", s.Corroboration.S2S)
+	if len(s.Corroboration.S2S) != 3 || len(s.Corroboration.Converted) != 1 {
+		t.Fatalf("corroboration %+v, want the three members and one converted array", s.Corroboration)
 	}
-	if got := cparse.Parses() - before; got > 2 {
-		t.Errorf("a text-path Suggest of a positive loop parsed %d times, budget 2", got)
+	for _, v := range s.Corroboration.S2S {
+		if !v.Compiled {
+			t.Errorf("%s did not reach the shared analysis: %s", v.Compiler, v.Detail)
+		}
+	}
+	if got := cparse.Parses() - parses; got != 1 {
+		t.Errorf("a text-path Suggest of a positive loop parsed %d times, budget 1", got)
+	}
+	if got := dep.Passes() - passes; got != 1 {
+		t.Errorf("a text-path Suggest of a positive loop ran %d engine passes, budget 1", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/pragma"
@@ -90,10 +91,15 @@ type Analysis struct {
 	Converted []string
 	// NestDepth is the number of analyzed nest levels, outer loop included.
 	NestDepth int
+
+	// refuted holds, for a plain analysis, one entry per array the race test
+	// refuted, in the order of their Witnesses and of the trailing Reasons:
+	// what Convert needs to derive the analysis under any Options.
+	refuted []refutedArray
 }
 
-// Options selects the optional conversion passes that run after a dependence
-// refutation. The zero value reproduces the plain dependence-test verdicts,
+// Options selects the conversions Convert applies to the arrays a plain
+// analysis refuted. The zero value keeps the plain dependence-test verdicts,
 // which is what the corpus labeler and the S2S baselines rely on.
 type Options struct {
 	// ArrayPrivatization lifts per-iteration scratch arrays into private
@@ -178,25 +184,34 @@ type access struct {
 	affine bool
 }
 
-// AnalyzeLoop analyzes one for-loop with conversions disabled; it keeps the
-// plain dependence-test verdicts the corpus labeler and S2S baselines use.
+// passes counts engine passes process-wide; see Passes.
+var passes atomic.Int64
+
+// Passes reports the cumulative number of engine passes in this process — a
+// test hook for the one-pass-per-advised-loop gates. Convert is not a pass.
+func Passes() int64 { return passes.Load() }
+
+// AnalyzeLoop runs the engine's one pass over a for-loop and returns the
+// plain dependence-test verdicts the corpus labeler and S2S baselines use;
+// Convert derives the analysis under any Options from it.
 // funcs maps function names to their definitions when bodies are available
 // (the corpus records include called function implementations, per the paper
 // §3.1); callers with no bodies pass nil and unknown calls are treated
 // conservatively.
 func AnalyzeLoop(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
-	return AnalyzeLoopOpts(loop, funcs, Options{})
-}
-
-// AnalyzeLoopOpts analyzes one for-loop under the given conversion options.
-func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
 	ws := workspaces.Get().(*workspace)
 	defer ws.release()
-	return ws.analyze(loop, funcs, opts)
+	return ws.analyze(loop, funcs)
 }
 
-// analyze is AnalyzeLoopOpts on this workspace, which must be clean.
-func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
+// AnalyzeLoopOpts is AnalyzeLoop followed by Convert.
+func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
+	return AnalyzeLoop(loop, funcs).Convert(opts)
+}
+
+// analyze is AnalyzeLoop on this workspace, which must be clean.
+func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
+	passes.Add(1)
 	a := &Analysis{}
 	a.Header = ParseHeader(loop)
 	if !a.Header.OK {
@@ -246,18 +261,22 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef, opt
 		a.fillWitnessPositions(loop)
 		return a
 	}
-	// Array dependence tests over the nest, with privatization / reduction
-	// rescue passes when enabled.
-	if !a.testArraysNest(ws, opts) {
+	// Array dependence tests over the nest.
+	if !a.testArraysNest(ws) {
 		a.fillWitnessPositions(loop)
 		return a
 	}
 
+	a.accept()
+	return a
+}
+
+// accept closes an analysis nothing refuted.
+func (a *Analysis) accept() {
 	sort.Strings(a.Private)
 	sort.Slice(a.Reductions, func(i, j int) bool { return a.Reductions[i].Vars[0] < a.Reductions[j].Vars[0] })
 	a.Parallelizable = true
 	a.reason("no loop-carried dependences detected")
-	return a
 }
 
 // ParseHeader normalizes a for-loop header.

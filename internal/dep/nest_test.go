@@ -1,6 +1,9 @@
 package dep
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -362,5 +365,96 @@ func TestWitnessStableAcrossRuns(t *testing.T) {
 				t.Fatalf("witness %d changed: %q vs %q", i, first.Witnesses[i], again.Witnesses[i])
 			}
 		}
+	}
+}
+
+// --- Conversion as a pass over the plain result --------------------------------
+
+// mixedLoop holds the three fates of a refuted array side by side: buf is
+// per-iteration scratch, hist a histogram accumulation, r a true recurrence.
+// The race test refutes them in name order — buf, hist, r — and j, k and t
+// are scalar privates: three of them, so the plain Private has a spare slot
+// that a conversion appending in place would write.
+const mixedLoop = `for (i = 1; i < n; i++) {
+    for (j = 0; j < m; j++) buf[j] = a[i][j] * 2;
+    for (j = 0; j < m; j++) c[i][j] = buf[j] + 1;
+    k = key[i];
+    t = w[i];
+    hist[k] += t;
+    %s
+}`
+
+const (
+	bufCarried  = "array buf carries a loop dependence between accesses (output, distance (*,0))"
+	bufPrivate  = "array buf privatized: each iteration writes it before any read"
+	histCarried = "array hist carries a loop dependence between accesses (output, distance (*,*))"
+	histReduced = "array hist recognized as a reduction(+) accumulation"
+	rCarried    = "array r carries a loop dependence between accesses (flow, distance (1,*))"
+)
+
+// TestConvertMixedLoop reads a conversion failure where the golden digest
+// only reports one: which names land where, and in what order the reasons
+// come, under each option set — all derived from one plain analysis that no
+// conversion modifies.
+func TestConvertMixedLoop(t *testing.T) {
+	loop, funcs := parseLoop(t, fmt.Sprintf(mixedLoop, "r[i] = r[i - 1] + 1;"))
+	plain := AnalyzeLoop(loop, funcs)
+	for _, c := range []struct {
+		opts                         Options
+		converted, private, reducing []string
+		witnesses, reasons           []string
+	}{
+		{Options{}, nil, []string{"j", "k", "t"}, nil,
+			[]string{"buf", "hist", "r"}, []string{bufCarried, histCarried, rCarried}},
+		{Options{ArrayPrivatization: true}, []string{"buf"}, []string{"j", "k", "t", "buf"}, nil,
+			[]string{"hist", "r"}, []string{bufPrivate, histCarried, rCarried}},
+		{Options{ArrayReductions: true}, []string{"hist"}, []string{"j", "k", "t"}, []string{"hist"},
+			[]string{"buf", "r"}, []string{bufCarried, histReduced, rCarried}},
+		{allConversions, []string{"buf", "hist"}, []string{"j", "k", "t", "buf"}, []string{"hist"},
+			[]string{"r"}, []string{bufPrivate, histReduced, rCarried}},
+	} {
+		got := plain.Convert(c.opts)
+		var reducing, witnesses []string
+		for _, r := range got.Reductions {
+			reducing = append(reducing, r.Vars...)
+		}
+		for _, w := range got.Witnesses {
+			witnesses = append(witnesses, w.Array)
+			if w.Source.Line == 0 || w.Sink.Line == 0 {
+				t.Errorf("%+v: witness on %s lost its position: %+v", c.opts, w.Array, w)
+			}
+		}
+		if got.Parallelizable ||
+			!slices.Equal(got.Converted, c.converted) || !slices.Equal(got.Private, c.private) ||
+			!slices.Equal(reducing, c.reducing) || !slices.Equal(witnesses, c.witnesses) ||
+			!slices.Equal(got.Reasons, c.reasons) {
+			t.Errorf("%+v:\n got converted %v private %v reductions %v witnesses %v\n reasons %q\nwant converted %v private %v reductions %v witnesses %v\n reasons %q",
+				c.opts, got.Converted, got.Private, reducing, witnesses, got.Reasons,
+				c.converted, c.private, c.reducing, c.witnesses, c.reasons)
+		}
+		// One pass then Convert is what AnalyzeLoopOpts returns, and every
+		// conversion left the plain analysis as a fresh pass writes it — up
+		// to the spare capacity of its slices, which an append through a
+		// shared backing array would have filled.
+		if alone := AnalyzeLoopOpts(loop, funcs, c.opts); !reflect.DeepEqual(got, alone) {
+			t.Errorf("%+v: Convert of a held analysis %+v, AnalyzeLoopOpts %+v", c.opts, got, alone)
+		}
+		fresh := AnalyzeLoop(loop, funcs)
+		if !reflect.DeepEqual(plain, fresh) ||
+			!slices.Equal(plain.Private[:cap(plain.Private)], fresh.Private[:cap(fresh.Private)]) ||
+			!slices.Equal(plain.Reasons[:cap(plain.Reasons)], fresh.Reasons[:cap(fresh.Reasons)]) {
+			t.Fatalf("Convert(%+v) modified the plain analysis: %+v, fresh %+v", c.opts, plain, fresh)
+		}
+	}
+
+	// With the recurrence gone both conversions together clear the loop, and
+	// only then are the clause lists sorted and the verdict reason appended.
+	got := analyzeOpts(t, fmt.Sprintf(mixedLoop, ""), allConversions)
+	if !got.Parallelizable || len(got.Witnesses) != 0 || !slices.Equal(got.Private, []string{"buf", "j", "k", "t"}) ||
+		!slices.Equal(got.Reasons, []string{bufPrivate, histReduced, "no loop-carried dependences detected"}) {
+		t.Errorf("recurrence-free loop under both conversions: %+v", got)
+	}
+	if one := analyzeOpts(t, fmt.Sprintf(mixedLoop, ""), Options{ArrayReductions: true}); one.Parallelizable {
+		t.Errorf("buf still carried, yet parallelizable: %+v", one)
 	}
 }

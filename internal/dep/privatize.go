@@ -14,13 +14,22 @@ import (
 // outer-invariant subscripts) privatizes away its cross-iteration output
 // dependence; a consistent-operator accumulation (`hist[e] += x`) becomes a
 // reduction clause even when the subscript itself is unanalyzable. Both are
-// attempted only after the race test refutes, so every conversion recorded
-// in Converted is a verdict the one-level engine would have gotten wrong.
+// decided only for arrays the race test refutes, so every conversion recorded
+// in Converted is a verdict the one-level engine would have gotten wrong. The
+// engine's pass records the two decisions beside the plain verdict; Convert
+// applies them.
+
+// refutedArray is one array the race test refuted, with what would rescue it.
+type refutedArray struct {
+	name        string
+	privatizing bool   // privatizable: a private clause lifts the dependence
+	reduceOp    string // arrayReduction's operator, "" when it is not one
+}
 
 // testArraysNest runs the nested-loop dependence engine over array accesses.
-// It returns false when a loop-carried array dependence survives both the
-// distance-vector tests and the privatization/reduction rescues.
-func (a *Analysis) testArraysNest(ws *workspace, opts Options) bool {
+// It returns false when a loop-carried array dependence survives the
+// distance-vector tests.
+func (a *Analysis) testArraysNest(ws *workspace) bool {
 	ns := &ws.ns
 	// Group the array accesses by name: a stable sort over pointers keeps the
 	// visit order within each array.
@@ -31,7 +40,6 @@ func (a *Analysis) testArraysNest(ws *workspace, opts Options) bool {
 	}
 	slices.SortStableFunc(ws.arrays, func(x, y *access) int { return strings.Compare(x.name, y.name) })
 
-	ok := true
 	for rest := ws.arrays; len(rest) > 0; {
 		name := rest[0].name
 		n := 1
@@ -55,25 +63,51 @@ func (a *Analysis) testArraysNest(ws *workspace, opts Options) bool {
 		if reason == "" {
 			continue
 		}
-		if opts.ArrayPrivatization && privatizable(name, accs, ns) {
-			a.Private = append(a.Private, name)
-			a.Converted = append(a.Converted, name)
-			a.reason("array %s privatized: each iteration writes it before any read", name)
-			continue
-		}
-		if opts.ArrayReductions {
-			if op, okRed := arrayReduction(name, accs); okRed {
-				a.Reductions = append(a.Reductions, pragma.Reduction{Op: op, Vars: []string{name}})
-				a.Converted = append(a.Converted, name)
-				a.reason("array %s recognized as a reduction(%s) accumulation", name, op)
-				continue
-			}
-		}
+		a.refuted = append(a.refuted, refutedArray{name, privatizable(name, accs, ns), arrayReduction(name, accs)})
 		a.Witnesses = append(a.Witnesses, witness)
 		a.reason("%s", reason)
-		ok = false
 	}
-	return ok
+	return len(a.refuted) == 0
+}
+
+// Convert derives from a plain analysis the one under opts: each refuted
+// array a conversion rescues trades its witness and reason for a clause, and
+// a loop left with no refutation becomes parallelizable. It is a function of
+// the plain result alone — a is never modified, and is returned as it is
+// when opts rescue nothing.
+func (a *Analysis) Convert(opts Options) *Analysis {
+	privatizes := func(r refutedArray) bool { return opts.ArrayPrivatization && r.privatizing }
+	reduces := func(r refutedArray) bool { return opts.ArrayReductions && r.reduceOp != "" }
+	if !slices.ContainsFunc(a.refuted, func(r refutedArray) bool { return privatizes(r) || reduces(r) }) {
+		return a
+	}
+	c := *a
+	c.refuted, c.Witnesses = nil, nil
+	c.Private = slices.Clone(a.Private)
+	c.Reductions = slices.Clone(a.Reductions)
+	// The array reasons are the last the pass wrote, one per refuted array;
+	// each is kept or replaced, and accept may add one.
+	tail := len(a.Reasons) - len(a.refuted)
+	c.Reasons = append(make([]string, 0, len(a.Reasons)+1), a.Reasons[:tail]...)
+	for k, r := range a.refuted {
+		switch {
+		case privatizes(r):
+			c.Private = append(c.Private, r.name)
+			c.Converted = append(c.Converted, r.name)
+			c.reason("array %s privatized: each iteration writes it before any read", r.name)
+		case reduces(r):
+			c.Reductions = append(c.Reductions, pragma.Reduction{Op: r.reduceOp, Vars: []string{r.name}})
+			c.Converted = append(c.Converted, r.name)
+			c.reason("array %s recognized as a reduction(%s) accumulation", r.name, r.reduceOp)
+		default:
+			c.Witnesses = append(c.Witnesses, a.Witnesses[k])
+			c.Reasons = append(c.Reasons, a.Reasons[tail+k])
+		}
+	}
+	if len(c.Witnesses) == 0 {
+		c.accept()
+	}
+	return &c
 }
 
 // raceTest tests every write of one array against every access and returns
@@ -188,24 +222,20 @@ func subsKey(acc *access) string {
 	return b.String()
 }
 
-// arrayReduction recognizes a consistent-operator accumulation: every write
-// is an accumulation with one operator and the array is never read outside
-// its own accumulations. The subscript may be arbitrary — histogram updates
+// arrayReduction recognizes a consistent-operator accumulation and returns
+// its operator, "" when the array is not one: every write is an accumulation
+// with one operator and the array is never read outside its own
+// accumulations. The subscript may be arbitrary — histogram updates
 // through an index array are the canonical case.
-func arrayReduction(name string, accs []*access) (string, bool) {
+func arrayReduction(name string, accs []*access) string {
 	if strings.Contains(name, ".") {
-		return "", false
+		return ""
 	}
-	op := ""
+	op := accs[0].accumOp
 	for _, acc := range accs {
-		if acc.accumOp == "" {
-			return "", false
-		}
-		if op == "" {
-			op = acc.accumOp
-		} else if op != acc.accumOp {
-			return "", false
+		if acc.accumOp != op {
+			return ""
 		}
 	}
-	return op, op != ""
+	return op
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// workspace is the scratch memory of one AnalyzeLoopOpts call: the access
+// workspace is the scratch memory of one engine pass: the access
 // list, the subscript and form slabs, the nest tables and the pair-local
 // distance vector all live here, so an analysis of any length allocates
 // for its result and little else. Workspaces are pooled.

@@ -91,7 +91,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	// capacity, not just to its length.
 	ws := new(workspace)
 	for _, l := range loops {
-		ws.analyze(l.loop, l.funcs, allConversions)
+		ws.analyze(l.loop, l.funcs)
 		ws.reset()
 	}
 	if cap(ws.ctx.accesses) == 0 || cap(ws.ctx.subs) == 0 || cap(ws.forms) == 0 || cap(ws.ns.coefs) == 0 || cap(ws.ns.syms) == 0 {

@@ -36,7 +36,7 @@ func TestQuantExperimentPrints(t *testing.T) {
 	if err := p.Run("quant", &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Quantized inference", "agreement", "speedup", "directive"} {
+	for _, want := range []string{"Quantized inference", "agreement", "directive"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("quant output missing %q:\n%s", want, buf.String())
 		}

@@ -2,6 +2,7 @@ package s2s
 
 import (
 	"fmt"
+	"strings"
 
 	"pragformer/internal/pragma"
 )
@@ -19,14 +20,14 @@ func (AutoPar) Name() string { return "AutoPar" }
 // Compile implements Compiler.
 func (c AutoPar) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
 
-func (c AutoPar) compile(u *unit) (Result, error) {
+func (c AutoPar) compile(u *Unit) (Result, error) {
 	src := u.src
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 	}, true, true); err != nil {
 		return Result{}, err
 	}
-	if containsToken(src, "do") && containsToken(src, "while") && containsDoWhile(src) {
+	if strings.Contains(src, "do") && strings.Contains(src, "while") && containsDoWhile(src) {
 		return Result{}, fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
 	}
 	if _, _, err := u.parse(); err != nil {

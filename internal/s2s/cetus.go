@@ -1,6 +1,8 @@
 package s2s
 
 import (
+	"strings"
+
 	"pragformer/internal/pragma"
 )
 
@@ -31,7 +33,7 @@ const minCetusTrip = 4
 // Compile implements Compiler.
 func (c Cetus) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
 
-func (c Cetus) compile(u *unit) (Result, error) {
+func (c Cetus) compile(u *Unit) (Result, error) {
 	src := u.src
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "union": true,
@@ -80,7 +82,7 @@ func compoundReductionOnly(src string, r pragma.Reduction) bool {
 		return false
 	}
 	for _, v := range r.Vars {
-		if !containsToken(src, v+" "+r.Op+"=") && !containsToken(src, v+" +=") {
+		if !strings.Contains(src, v+" "+r.Op+"=") && !strings.Contains(src, v+" +=") {
 			// Accept any compound op spelled with the variable.
 			if !compoundAssignPresent(src, v, r.Op) {
 				return false
@@ -94,10 +96,11 @@ func compoundReductionOnly(src string, r pragma.Reduction) bool {
 func compoundAssignPresent(src, v, op string) bool {
 	idx := 0
 	for {
-		j := indexFrom(src, v, idx)
+		j := strings.Index(src[idx:], v)
 		if j < 0 {
 			return false
 		}
+		j += idx
 		k := j + len(v)
 		for k < len(src) && (src[k] == ' ' || src[k] == '\t') {
 			k++
@@ -110,17 +113,6 @@ func compoundAssignPresent(src, v, op string) bool {
 		}
 		idx = j + 1
 	}
-}
-
-func containsToken(src, sub string) bool { return indexFrom(src, sub, 0) >= 0 }
-
-func indexFrom(s, sub string, from int) int {
-	for i := from; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 func identChar(c byte) bool {

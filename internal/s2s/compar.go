@@ -33,26 +33,26 @@ type MemberVerdict struct {
 
 // unitCompiler is a member that compiles from a shared front end; its
 // Compile(src) is compile(newUnit(src)).
-type unitCompiler interface{ compile(*unit) (Result, error) }
+type unitCompiler interface{ compile(*Unit) (Result, error) }
 
 // CompileEach runs every member compiler and returns the per-member
-// verdicts in Members order — the evidence form the advisor attaches to
-// corroborated suggestions, where "which compiler parallelized" matters,
-// not just the combined best. The built-in members share one front end
-// (unit), so the snippet is lexed, parsed and analyzed once, not per member.
-func (c *ComPar) CompileEach(src string) []MemberVerdict {
+// verdicts in Members order: CompileUnit over a unit built from the text.
+func (c *ComPar) CompileEach(src string) []MemberVerdict { return c.CompileUnit(newUnit(src)) }
+
+// CompileUnit is the evidence form the advisor attaches to corroborated
+// suggestions, where "which compiler parallelized" matters, not just the
+// combined best. The built-in members share the unit, so the snippet is
+// lexed, parsed and analyzed once, not per member — and not at all where the
+// unit's maker already did; any other member compiles the text on its own.
+func (c *ComPar) CompileUnit(u *Unit) []MemberVerdict {
 	out := make([]MemberVerdict, 0, len(c.Members))
-	var u *unit
 	for _, m := range c.Members {
 		var res Result
 		var err error
 		if uc, ok := m.(unitCompiler); ok {
-			if u == nil {
-				u = newUnit(src)
-			}
 			res, err = uc.compile(u)
 		} else {
-			res, err = m.Compile(src)
+			res, err = m.Compile(u.code)
 		}
 		out = append(out, MemberVerdict{Compiler: m.Name(), Result: res, Err: err})
 	}

@@ -20,7 +20,7 @@ func (Par4All) Name() string { return "Par4All" }
 // Compile implements Compiler.
 func (c Par4All) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
 
-func (c Par4All) compile(u *unit) (Result, error) {
+func (c Par4All) compile(u *Unit) (Result, error) {
 	src := u.src
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,

@@ -46,50 +46,95 @@ type Compiler interface {
 // ErrParse marks hard parse/compile failures.
 var ErrParse = errors.New("s2s: compile failed")
 
-// unit is the front end of one snippet, shared by every member of one
-// CompileEach call. All three members read the same pragma-stripped text
-// under the same options, so it is lexed once, and parsed and put through
-// the plain dependence analysis at most once, when the first member to get
-// that far asks. A unit belongs to one call; ComPar itself holds no state.
-type unit struct {
-	src    string // pragma-stripped
-	toks   []clex.Token
+// Unit is the one front end of a snippet: the advisor's dependence evidence
+// and every member of one CompileUnit call read it. The members' token and
+// text checks run over the pragma-stripped text, lexed once; the target loop
+// comes from whoever parsed it first — the scanner's file parse or NewUnit's
+// parse of a posted snippet, else the unit's own parse of its tokens, when
+// the first member to get that far asks — and goes through the dependence
+// engine once, every view deriving from that plain pass. A unit serves one
+// snippet on one goroutine; ComPar itself holds no state.
+type Unit struct {
+	code   string       // as given
+	src    string       // pragma-stripped
+	toks   []clex.Token // of src; with lexErr, nil until a member asks
 	lexErr error
 
-	parsed   bool
-	loop     *cast.For
+	given    bool      // NewUnit found the loop: Analysis has a subject
+	loop     *cast.For // with funcs and parseErr, nil until found or parsed
 	funcs    map[string]*cast.FuncDef
 	parseErr error
 
-	analysis *dep.Analysis
+	plain *dep.Analysis
 }
 
-func newUnit(src string) *unit {
-	u := &unit{src: stripPragmas(src)}
-	u.toks, u.lexErr = clex.Lex(u.src)
+// newUnit is the text-built unit behind Compile(src) and CompileEach(src).
+func newUnit(code string) *Unit { return &Unit{code: code, src: stripPragmas(code)} }
+
+// tokens lexes the stripped text when the first member asks.
+func (u *Unit) tokens() ([]clex.Token, error) {
+	if u.toks == nil && u.lexErr == nil {
+		u.toks, u.lexErr = clex.Lex(u.src)
+	}
+	return u.toks, u.lexErr
+}
+
+// NewUnit returns the unit of an advised snippet. loop is the snippet's
+// target loop when the caller already parsed it (the scanner threads each
+// file's loops); nil parses code as it stands, pragma lines included, so race
+// witnesses stay anchored to the canonical print of the text the caller
+// holds — a pragma is transparent to the analysis, so the members read the
+// same verdict. When code holds no loop that parses, Analysis is nil and the
+// members parse their stripped tokens themselves, for their own error text.
+func NewUnit(code string, loop *cast.For) *Unit {
+	u := newUnit(code)
+	var funcs map[string]*cast.FuncDef // a threaded loop brings no bodies
+	if loop == nil {
+		f, err := cparse.Parse(code)
+		if err != nil {
+			return u
+		}
+		if loop, funcs = target(f); loop == nil {
+			return u
+		}
+	}
+	u.given, u.loop, u.funcs = true, loop, funcs
 	return u
+}
+
+// Analysis returns the dependence analysis of the loop NewUnit found, under
+// opts; nil when it found none.
+func (u *Unit) Analysis(opts dep.Options) *dep.Analysis {
+	if !u.given {
+		return nil
+	}
+	return u.plainAnalysis().Convert(opts)
 }
 
 // parse extracts the first loop and any function bodies present in the
 // snippet text itself. The paper notes S2S compilers suffer from "the lack
 // of association of functions, macros, and structure definitions" — they
 // only see what is in the segment.
-func (u *unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
-	if !u.parsed {
-		u.parsed = true
-		u.loop, u.funcs, u.parseErr = parseSnippet(u.toks)
+func (u *Unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
+	if u.loop == nil && u.parseErr == nil {
+		u.loop, u.funcs, u.parseErr = parseSnippet(u.toks) // lexed: rejectTokens ran
 	}
 	return u.loop, u.funcs, u.parseErr
+}
+
+// plainAnalysis is the engine's one pass over the parsed loop.
+func (u *Unit) plainAnalysis() *dep.Analysis {
+	if u.plain == nil {
+		u.plain = dep.AnalyzeLoop(u.loop, u.funcs)
+	}
+	return u.plain
 }
 
 // analyze returns the plain dependence analysis of the parsed loop: the
 // caller's own copy of the header, with Reasons clipped, because every
 // member appends its verdict to them.
-func (u *unit) analyze() dep.Analysis {
-	if u.analysis == nil {
-		u.analysis = dep.AnalyzeLoop(u.loop, u.funcs)
-	}
-	a := *u.analysis
+func (u *Unit) analyze() dep.Analysis {
+	a := *u.plainAnalysis()
 	a.Reasons = slices.Clip(a.Reasons)
 	return a
 }
@@ -114,17 +159,23 @@ func parseSnippet(toks []clex.Token) (*cast.For, map[string]*cast.FuncDef, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrParse, err)
 	}
+	loop, funcs := target(f)
+	if loop == nil {
+		return nil, nil, fmt.Errorf("%w: no for-loop in snippet", ErrParse)
+	}
+	return loop, funcs, nil
+}
+
+// target returns a parsed snippet's target loop (nil when it holds none) and
+// the function bodies in sight of it.
+func target(f *cast.File) (*cast.For, map[string]*cast.FuncDef) {
 	funcs := map[string]*cast.FuncDef{}
 	for _, it := range f.Items {
 		if fd, ok := it.(*cast.FuncDef); ok {
 			funcs[fd.Name] = fd
 		}
 	}
-	loop := FirstLoop(f)
-	if loop == nil {
-		return nil, nil, fmt.Errorf("%w: no for-loop in snippet", ErrParse)
-	}
-	return loop, funcs, nil
+	return FirstLoop(f), funcs
 }
 
 // FirstLoop returns the snippet's target loop: the first for-loop outside
@@ -162,11 +213,11 @@ func FirstLoop(f *cast.File) *cast.For {
 
 // rejectTokens scans the raw token stream for constructs a fragile frontend
 // chokes on and returns a hard error when one is found.
-func rejectTokens(u *unit, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
-	if u.lexErr != nil {
-		return fmt.Errorf("%w: %s: %v", ErrParse, name, u.lexErr)
+func rejectTokens(u *Unit, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
+	toks, err := u.tokens()
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrParse, name, err)
 	}
-	toks := u.toks
 	for i, t := range toks {
 		switch t.Kind {
 		case clex.Keyword:

@@ -11,12 +11,16 @@ import (
 	"pragformer/internal/cast"
 	"pragformer/internal/corpus"
 	"pragformer/internal/cparse"
+	"pragformer/internal/dep"
 )
 
 // equivalenceInputs is the bounded instance set the shared front end earns
 // its trust on: every corpus template at two seeds, every loop of the scan
 // fixture tree (canonical print, as the scanner hands it over) plus the raw
-// files, and the parser fuzzer's hand-picked seeds.
+// files, the parser fuzzer's hand-picked seeds, and what separates the
+// advisor's view of a snippet from the members': pragma lines (which the
+// members strip and the advisor keeps) above the loop and inside its body,
+// function definitions beside the loop, and text that does not parse.
 func equivalenceInputs(t *testing.T) []string {
 	t.Helper()
 	var srcs []string
@@ -66,6 +70,16 @@ func equivalenceInputs(t *testing.T) []string {
 		"for (i = 0; i < n; i++) { t = a[i]; b[i] = t * t; }",
 		"for (i = 0; i < n; i++) a[i] = \"unterminated;",
 		"",
+		"#pragma omp parallel for private(t)\nfor (i = 1; i < n; i++) {\n    t = a[i - 1];\n    a[i] = t + 1;\n}",
+		"for (i = 0; i < n; i++) {\n    #pragma omp simd\n    for (j = 1; j < m; j++)\n        a[i][j] = a[i][j - 1] + b[j];\n}",
+		"for (i = 0; i < n; i++) {\n    s = 0;\n#pragma omp critical\n    h[k[i]] += w[i];\n    #pragma omp barrier\n}",
+		"#pragma omp parallel\n{\n#pragma omp for\nfor (i = 0; i < n; i++) tmp[0] = a[i], b[i] = tmp[0];\n}",
+		"double sq(double x) { return x * x; }\nfor (i = 0; i < n; i++) b[i] = sq(a[i]);",
+		"int g;\nvoid bump(int k) { g += k; }\n#pragma omp parallel for\nfor (i = 0; i < n; i++) bump(i);",
+		"void f(int n) { for (i = 1; i < n; i++) a[i] = a[i - 1]; }",
+		"#pragma omp parallel for\nfor (i = 0; i < n; i++ { a[i] = 0; }",
+		"for (i = 0; i < n; i++) {\n#pragma omp atomic\n    s += a[i]\n}",
+		"#pragma omp parallel for\nx = y;",
 	)
 }
 
@@ -83,17 +97,58 @@ func sameVerdict(t *testing.T, src string, v MemberVerdict, m Compiler) {
 	}
 }
 
+// sameAnalyses compares the dependence evidence two units hand the advisor,
+// witness positions included, under every option set — and, given the loop
+// and function table one of them was built over, with the engine run apart.
+func sameAnalyses(t *testing.T, src string, a, b *Unit) {
+	t.Helper()
+	for _, o := range []dep.Options{{}, {ArrayPrivatization: true}, {ArrayReductions: true}, {ArrayPrivatization: true, ArrayReductions: true}} {
+		ga, gb := a.Analysis(o), b.Analysis(o)
+		if !reflect.DeepEqual(ga, gb) {
+			t.Errorf("%+v on %q:\none unit   %+v\nthe other %+v", o, src, ga, gb)
+		}
+		if ga != nil {
+			if alone := dep.AnalyzeLoopOpts(a.loop, a.funcs, o); !reflect.DeepEqual(ga, alone) {
+				t.Errorf("%+v on %q:\nunit  %+v\nalone %+v", o, src, ga, alone)
+			}
+		}
+	}
+}
+
 // TestCompileEachMatchesIndependentCompile is the equivalence the shared
-// front end rests on: whatever one lex, one parse and one analysis give the
-// three members is what each would have computed alone — also when eight
-// goroutines share one ComPar — and no member's Reasons alias another's.
+// front end rests on: whatever one lex, one parse and one engine pass give
+// the advisor and the three members is what each would have computed alone —
+// whether the unit was built from the text (CompileEach), over the advisor's
+// parse of the text with its pragmas (NewUnit with no loop) or over a loop
+// the scanner threads with its canonical print, error text included; also
+// when eight goroutines share one ComPar — and no member's Reasons alias
+// another's.
 func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
+	threaded := 0
 	for _, src := range srcs {
 		vs := c.CompileEach(src)
 		for i, v := range vs {
 			sameVerdict(t, src, v, c.Members[i])
+		}
+		advised := NewUnit(src, nil)
+		advised.Analysis(dep.Options{}) // as the advisor does, before the members run
+		for i, v := range c.CompileUnit(advised) {
+			sameVerdict(t, src, v, c.Members[i])
+		}
+		f, _ := cparse.ParseRecover(src)
+		for _, li := range cast.ExtractLoops(f) {
+			code := cast.Print(li.Loop)
+			text, given := NewUnit(code, nil), NewUnit(code, li.Loop)
+			sameAnalyses(t, code, text, given)
+			for i, v := range c.CompileUnit(given) {
+				sameVerdict(t, code, v, c.Members[i])
+			}
+			for i, v := range c.CompileUnit(text) {
+				sameVerdict(t, code, v, c.Members[i])
+			}
+			threaded++
 		}
 		// Appending to one member's reasons must not show in another's.
 		before := make([][]string, len(vs))
@@ -111,6 +166,10 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 				t.Errorf("%s reasons %v after its own append", v.Compiler, v.Result.Reasons)
 			}
 		}
+	}
+
+	if threaded < 100 {
+		t.Fatalf("only %d loops went through a threaded unit", threaded)
 	}
 
 	var wg sync.WaitGroup

@@ -15,6 +15,7 @@ import (
 	"pragformer/internal/advisor"
 	"pragformer/internal/core"
 	"pragformer/internal/cparse"
+	"pragformer/internal/dep"
 	"pragformer/internal/lime"
 	"pragformer/internal/pragma"
 	"pragformer/internal/tokenize"
@@ -497,10 +498,11 @@ func TestScanCacheVersionMismatch(t *testing.T) {
 
 // TestScanParsesOncePerFile is the no-reparse gate: the scanner threads
 // each loop's parsed AST into the advisor, so a whole scan performs exactly
-// one cparse.Parse per input file. With corroboration on, each positive
-// loop adds exactly one more — the S2S trio's shared front end — where it
-// used to add three. It is also the no-pinning gate: a finished report
-// holds no loop AST.
+// one cparse.Parse per input file, with corroboration on or off — the S2S
+// trio reads the threaded loop too — and one dependence-engine pass per
+// advised loop, which serves the advisor's converted view and the trio's
+// plain one. It is also the no-pinning gate: a finished report holds no
+// loop AST.
 func TestScanParsesOncePerFile(t *testing.T) {
 	v := tokenize.BuildVocab([][]string{{"for", "(", ";", ")", "i", "n", "s", "=", "+="}}, 1)
 	m, err := core.New(core.Config{Vocab: v.Size() + 16, MaxLen: 64, D: 16, Heads: 2, Layers: 1}, 11)
@@ -509,31 +511,33 @@ func TestScanParsesOncePerFile(t *testing.T) {
 	}
 	for _, noCorroborate := range []bool{true, false} {
 		models := &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: noCorroborate}
-		before := cparse.Parses()
+		parses, passes := cparse.Parses(), dep.Passes()
 		rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
-		parses := cparse.Parses() - before
-		// Every file is parsed exactly once, including the broken one (its
-		// parse fails but still counts as a call).
-		want := int64(rep.Counters.Files + rep.Counters.Skipped)
-		positives := 0
+		parses, passes = cparse.Parses()-parses, dep.Passes()-passes
+		advised, positives := 0, 0
 		for i := range rep.Loops {
 			l := &rep.Loops[i]
 			if l.ast != nil {
 				t.Errorf("finished report pins the AST of loop %s", l.Hash[:8])
 			}
-			if l.Suggestion != nil && l.Suggestion.Parallelize {
-				positives++
+			if l.Suggestion != nil {
+				advised++
+				if l.Suggestion.Parallelize {
+					positives++
+				}
 			}
 		}
-		if !noCorroborate {
-			if positives == 0 {
-				t.Fatal("fixture scan has no positive loop; the corroboration leg checks nothing")
-			}
-			want += int64(positives)
+		if !noCorroborate && positives == 0 {
+			t.Fatal("fixture scan has no positive loop; the corroboration leg checks nothing")
 		}
-		if parses != want {
-			t.Errorf("NoCorroborate=%v: scan performed %d parses, want %d (files + one per corroborated loop)",
-				noCorroborate, parses, want)
+		// Every file is parsed exactly once, including the broken one (its
+		// parse fails but still counts as a call).
+		if want := int64(rep.Counters.Files + rep.Counters.Skipped); parses != want {
+			t.Errorf("NoCorroborate=%v: scan performed %d parses, want %d (one per file)", noCorroborate, parses, want)
+		}
+		if passes != int64(advised) {
+			t.Errorf("NoCorroborate=%v: scan ran %d dependence passes, want %d (one per advised loop, %d of them positive)",
+				noCorroborate, passes, advised, positives)
 		}
 	}
 	// A suggester that takes no AST must leave none behind either.

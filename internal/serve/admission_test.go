@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pragformer/internal/api"
+	"pragformer/internal/core"
 )
 
 // Readiness, admission stats, and load shedding — the serving-tier
@@ -154,11 +155,34 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 	}
 }
 
+// gatedBackend is a directive classifier whose forward waits for the test:
+// every PredictBatch announces itself on entered, then blocks until release
+// is closed.
+type gatedBackend struct {
+	core.Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedBackend) PredictBatch(idsBatch [][]int) []float64 {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Backend.PredictBatch(idsBatch)
+}
+
+// TestHTTPShedIs429: a request that finds the predict path full is answered
+// 429 with Retry-After. The gated backend holds the first request in the one
+// worker's forward, so nothing admitted after it can be answered before the
+// gate opens; behind the worker the path has room for two more (the batch in
+// the dispatcher's hand and QueueDepth 1), so of any three further requests
+// at least one is shed — on every run, whatever the scheduler does.
 func TestHTTPShedIs429(t *testing.T) {
 	models := testModels(t)
 	models.NoCorroborate = true
+	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
+	models.Directive = gate
 	e, err := New(models, Config{
-		MaxBatch: 1, MaxWait: 50 * time.Millisecond, Replicas: 1,
+		MaxBatch: 1, MaxWait: time.Millisecond, Replicas: 1,
 		QueueDepth: 1, Shed: true, CacheSize: -1,
 	})
 	if err != nil {
@@ -168,33 +192,63 @@ func TestHTTPShedIs429(t *testing.T) {
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()
 
-	// Saturate, then observe at least one whole-request 429.
-	req := api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"}
-	body, _ := json.Marshal(req)
-	var saw429 bool
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				mu.Lock()
-				saw429 = true
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After")
-				}
-				mu.Unlock()
-			}
-		}()
+	body, _ := json.Marshal(api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = 0;"})
+	const extra = 3
+	answers := make(chan *http.Response, 1+extra)
+	post := func() {
+		resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			answers <- nil
+			return
+		}
+		resp.Body.Close()
+		answers <- resp
 	}
-	wg.Wait()
-	if !saw429 {
-		t.Skip("saturation did not reproduce under this scheduler; engine-level shed covered by TestEngineShedsWhenSaturated")
+	go post()
+	<-gate.entered // the first request is in the forward and stays there
+	for i := 0; i < extra; i++ {
+		go post()
+	}
+
+	// Only a shed request can be answered while the gate is shut.
+	shed := 0
+	check := func(resp *http.Response) {
+		switch {
+		case resp == nil:
+		case resp.StatusCode == http.StatusTooManyRequests:
+			shed++
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+		case resp.StatusCode != http.StatusOK:
+			t.Errorf("request answered %d, want 200 or 429", resp.StatusCode)
+		}
+	}
+	select {
+	case resp := <-answers:
+		check(resp)
+		if shed != 1 {
+			t.Fatalf("a request was answered while the forward was held, and not with 429: %+v", resp)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no request was shed with the path full: %+v", e.Stats().Predict)
+	}
+
+	// Open the gate: every admitted request is answered 200.
+	close(gate.release)
+	go func() {
+		for range gate.entered {
+		}
+	}()
+	for i := 0; i < extra; i++ {
+		check(<-answers)
+	}
+	close(gate.entered)
+	if shed == 1+extra {
+		t.Error("every request was shed, the held one included")
+	}
+	if got := e.Stats().Predict.Sheds; got != uint64(shed) {
+		t.Errorf("sheds counter %d, %d requests answered 429", got, shed)
 	}
 }

@@ -58,8 +58,8 @@ func SIMDAvailable() bool { return useSIMD() }
 // returning whether SIMD kernels are active afterwards. Enabling is a no-op
 // when the hardware lacks AVX2 or PRAGFORMER_NOSIMD was set. It swaps the
 // kernel function pointers non-atomically, so it must not race in-flight
-// matmuls — it exists for the bench-kernels comparison driver and tests,
-// which toggle between timed sections on otherwise idle processes.
+// matmuls — it exists for the tests that compare the asm kernels with the
+// scalar ones, which toggle it with nothing else running.
 func SetSIMD(enabled bool) bool {
 	if enabled && !useSIMD() {
 		return false
