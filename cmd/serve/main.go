@@ -104,7 +104,7 @@ func main() {
 	engine, err := serve.New(models, serve.Config{
 		MaxBatch: *maxBatch, MaxWait: *maxWait, Replicas: *replicas,
 		CacheSize: *cacheSize, QueueDepth: *queueLen, Shed: *shed,
-		Seed: *seed, Source: source, Backend: *backend,
+		Source: source, Backend: *backend,
 		Trace: *trace, Logger: logger,
 	})
 	if err != nil {

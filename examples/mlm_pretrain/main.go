@@ -48,14 +48,15 @@ func main() {
 	}
 	fmt.Println("phase 1: masked-language-model pretraining")
 	opt := train.NewAdamW(1e-3)
-	params := pre.MLMParams()
+	head := pre.NewMLMHead(10) // lives for phase 1 only
+	params := pre.MLMParams(head)
 	rng := rand.New(rand.NewSource(10))
 	for epoch := 0; epoch < 2; epoch++ {
 		total, n := 0.0, 0
 		batch := 0
 		train.ZeroGrads(params)
 		for _, ex := range trainSet {
-			l, k := pre.MLMLossAndBackward(ex.IDs, rng)
+			l, k := pre.MLMLossAndBackward(head, ex.IDs, rng)
 			if k > 0 {
 				total += l
 				n++

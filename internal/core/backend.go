@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pragformer/internal/nn"
 	"pragformer/internal/quant"
 )
 
@@ -20,10 +21,9 @@ const (
 // produced by Quantize.
 //
 // Contract: every method must be safe for concurrent use — the serving
-// layer shares one Backend value across replica workers (float models are
-// additionally deep-copied per replica, but that is a locality
-// optimization, not a requirement). An implementation that mutates state
-// during inference does not satisfy this interface.
+// layer shares one Backend value, and so one set of weights, across all its
+// replica workers. An implementation that mutates state during inference
+// does not satisfy this interface.
 type Backend interface {
 	// BackendName identifies the compute backend ("float64" | "int8").
 	BackendName() string
@@ -45,6 +45,33 @@ var (
 	_ Backend = (*PragFormer)(nil)
 	_ Backend = (*quant.Model)(nil)
 )
+
+// WeightBytes is the size of the weights b's inference reads: the value of
+// the pf_model_weight_bytes gauge, and what a bundle's resident footprint is
+// held against (advisor.TestBundleFootprint).
+func WeightBytes(b Backend) int {
+	n := 0
+	switch m := b.(type) {
+	case *PragFormer:
+		for _, p := range m.Params() {
+			n += 8 * len(p.W.Data)
+		}
+	case *quant.Model:
+		linears, norms := []*quant.Linear{m.FC1, m.FC2}, []nn.Norm{m.FinalLN}
+		for _, blk := range m.Blocks {
+			linears = append(linears, blk.Attn.WQ, blk.Attn.WK, blk.Attn.WV, blk.Attn.WO, blk.FF1, blk.FF2)
+			norms = append(norms, blk.LN1, blk.LN2)
+		}
+		n = 8 * (len(m.Tok.Data) + len(m.Pos.Data))
+		for _, l := range linears {
+			n += len(l.Wq.Data) + 4*len(l.Wq.Scales) + 8*len(l.B)
+		}
+		for _, ln := range norms {
+			n += 8 * (len(ln.Gamma) + len(ln.Beta))
+		}
+	}
+	return n
+}
 
 // LoadClassifierFile reads one classifier artifact, sniffing the format: a
 // PFQNT file (written by `pragformer quantize`) loads as the int8 backend,

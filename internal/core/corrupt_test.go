@@ -7,6 +7,8 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,12 +17,22 @@ import (
 func wireFile(t *testing.T, m *PragFormer) modelFile {
 	t.Helper()
 	mf := modelFile{Version: modelFormatVersion, Cfg: m.Cfg}
-	for _, p := range m.allParams() {
+	for _, p := range m.Params() {
 		mf.Names = append(mf.Names, p.Name)
 		mf.Shapes = append(mf.Shapes, [2]int{p.W.Rows, p.W.Cols})
 		mf.Data = append(mf.Data, append([]float64(nil), p.W.Data...))
 	}
 	return mf
+}
+
+// toLegacy rewrites a current wire file into the version 0/1 layout, which
+// carried the pretraining head ahead of fc1/fc2.
+func toLegacy(mf *modelFile, version int) {
+	mf.Version = version
+	at, d, vocab := len(mf.Names)-4, mf.Cfg.D, mf.Cfg.Vocab
+	mf.Names = slices.Insert(mf.Names, at, "mlm.W", "mlm.b")
+	mf.Shapes = slices.Insert(mf.Shapes, at, [2]int{d, vocab}, [2]int{1, vocab})
+	mf.Data = slices.Insert(mf.Data, at, make([]float64, d*vocab), make([]float64, vocab))
 }
 
 func encodeWire(t *testing.T, mf modelFile) []byte {
@@ -32,6 +44,11 @@ func encodeWire(t *testing.T, mf modelFile) []byte {
 	return buf.Bytes()
 }
 
+// The config cases damage the header rather than the tensors: a Cfg that
+// implies terabytes must fail with an error naming what disagrees. Before
+// Cfg was held against the file's own tensors first, New(Cfg) ran out of
+// memory — fatal, not a panic — and took a serving replica down on POST
+// /reload. Every failed Load is also bounded in what it may allocate.
 func TestLoadRejectsCorruptModelFiles(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 17)
 
@@ -47,17 +64,50 @@ func TestLoadRejectsCorruptModelFiles(t *testing.T) {
 		{"wrong shape", func(mf *modelFile) { mf.Shapes[1] = [2]int{1, 1} }, "shape"},
 		{"truncated weight vector", func(mf *modelFile) { mf.Data[3] = mf.Data[3][:1] }, "truncated"},
 		{"newer format version", func(mf *modelFile) { mf.Version = modelFormatVersion + 7 }, "newer"},
+		{"too few tensors", func(mf *modelFile) {
+			mf.Names, mf.Shapes, mf.Data = mf.Names[:5], mf.Shapes[:5], mf.Data[:5]
+		}, "too few"},
+		{"too many tensors", func(mf *modelFile) {
+			mf.Names = append(mf.Names, "extra")
+			mf.Shapes = append(mf.Shapes, [2]int{1, 1})
+			mf.Data = append(mf.Data, []float64{0})
+		}, "tensors"},
+		{"config: huge vocab", func(mf *modelFile) { mf.Cfg.Vocab = 1 << 40 }, `"emb.tok" shape`},
+		{"config: huge vocab, version 1", func(mf *modelFile) { toLegacy(mf, 1); mf.Cfg.Vocab = 1 << 40 }, `"mlm.w" shape`},
+		{"config: huge max len", func(mf *modelFile) { mf.Cfg.MaxLen = 1 << 40 }, `"emb.pos" shape`},
+		{"config: huge layers", func(mf *modelFile) { mf.Cfg.Layers = 1 << 40 }, "name"},
+		{"config: huge d", func(mf *modelFile) { mf.Cfg.D = 1 << 40; mf.Cfg.Heads = 1 << 20 }, `"emb.tok" shape`},
+		{"config: huge ffn", func(mf *modelFile) { mf.Cfg.FFHidden = 1 << 40 }, "shape"},
+		{"config: huge dims, shapes agreeing", func(mf *modelFile) {
+			mf.Cfg.Vocab, mf.Cfg.D, mf.Cfg.Heads = 1<<32, 1<<32, 1
+			mf.Shapes[0] = [2]int{1 << 32, 1 << 32} // rows*cols wraps to 0
+			mf.Data[0] = nil
+		}, "truncated"},
+		{"config: negative max len", func(mf *modelFile) { mf.Cfg.MaxLen = -16 }, "invalid dims"},
+		{"config: negative ffn", func(mf *modelFile) { mf.Cfg.FFHidden = -16 }, "invalid dims"},
+		{"config: negative vocab", func(mf *modelFile) { mf.Cfg.Vocab = -50 }, "vocab"},
+		{"config and shape agree, data does not", func(mf *modelFile) {
+			mf.Cfg.MaxLen = 32
+			mf.Shapes[1] = [2]int{32, 8}
+		}, "truncated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mf := wireFile(t, m)
 			tc.mutate(&mf)
-			_, err := Load(bytes.NewReader(encodeWire(t, mf)))
+			raw := encodeWire(t, mf)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(raw))
+			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("corrupt model file loaded without error")
 			}
 			if !strings.Contains(strings.ToLower(err.Error()), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(8*len(raw)) {
+				t.Errorf("failed Load of a %d-byte file allocated %d bytes", len(raw), got)
 			}
 		})
 	}
@@ -82,7 +132,7 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 func TestLoadVersionZeroCompat(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 19)
 	mf := wireFile(t, m)
-	mf.Version = 0 // gob omits zero fields: byte-identical to the old format
+	toLegacy(&mf, 0) // gob omits zero fields: byte-identical to the old format
 	m2, err := Load(bytes.NewReader(encodeWire(t, mf)))
 	if err != nil {
 		t.Fatalf("version-0 file rejected: %v", err)

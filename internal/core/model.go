@@ -1,8 +1,9 @@
 // Package core implements PragFormer, the paper's primary contribution: a
 // transformer encoder over tokenized code snippets with a two-layer fully-
 // connected classification head (§4.1), trained with binary cross-entropy.
-// It also provides the masked-language-model pretraining head that stands in
-// for the DeepSCC/RoBERTa initialization (transfer learning at CPU scale),
+// It also provides the masked-language-model pretraining objective that
+// stands in for the DeepSCC/RoBERTa initialization (transfer learning at CPU
+// scale; its vocabulary head lives with the pretraining run, not the model),
 // and gob-based model persistence.
 package core
 
@@ -13,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 
 	"pragformer/internal/ckpt"
 	"pragformer/internal/nn"
@@ -53,7 +55,7 @@ func (c *Config) Validate() error {
 	if c.Vocab < tokenize.NumSpecials {
 		return fmt.Errorf("core: vocab %d too small", c.Vocab)
 	}
-	if c.D <= 0 || c.Heads <= 0 || c.Layers <= 0 {
+	if c.D <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.MaxLen < 0 || c.FFHidden < 0 || c.FCHidden < 0 {
 		return fmt.Errorf("core: invalid dims %+v", c)
 	}
 	if c.D%c.Heads != 0 {
@@ -70,7 +72,6 @@ type PragFormer struct {
 	FinalLN *nn.LayerNorm
 	FC1     *nn.Linear
 	FC2     *nn.Linear
-	MLMHead *nn.Linear // vocab projection for pretraining
 
 	rng *nn.RNG // dropout randomness (training only); serializable for resume
 }
@@ -87,24 +88,55 @@ func New(cfg Config, seed int64) (*PragFormer, error) {
 		FinalLN: nn.NewLayerNorm("final_ln", cfg.D),
 		FC1:     nn.NewLinear("fc1", cfg.D, cfg.FCHidden, rng),
 		FC2:     nn.NewLinear("fc2", cfg.FCHidden, 2, rng),
-		MLMHead: nn.NewLinear("mlm", cfg.D, cfg.Vocab, rng),
 		rng:     nn.NewRNG(seed + 1),
+	}
+	// The pretraining head's D×Vocab weights used to be drawn here (its bias
+	// drew nothing). The head now belongs to the pretraining run, but every
+	// block's initial weights — and so every golden — hang off this stream
+	// position: draw and drop them, ~3 ms for a demo-sized model.
+	for i := cfg.D * cfg.Vocab; i > 0; i-- {
+		rng.NormFloat64()
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		m.Blocks = append(m.Blocks, nn.NewEncoderBlock(
-			fmt.Sprintf("block%d", l), cfg.D, cfg.Heads, cfg.FFHidden, cfg.Dropout, rng))
+			blockName(l), cfg.D, cfg.Heads, cfg.FFHidden, cfg.Dropout, rng))
 	}
 	return m, nil
 }
 
-// Params returns the classifier parameters (excludes the MLM head).
-func (m *PragFormer) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, m.Emb.Params()...)
-	for _, b := range m.Blocks {
-		ps = append(ps, b.Params()...)
+func blockName(l int) string { return fmt.Sprintf("block%d", l) }
+
+// assemble builds the architecture a validated cfg describes with no storage
+// behind the weights (nn's nil-rng construction: shapes only) and hands each
+// component's parameters to bind, in Params order, as soon as it exists;
+// bind gives them storage. Clone binds copies of another model's weights,
+// Load a decoded file's tensors — so bind may fail, and runs per component:
+// the file is held against one component's shapes before cfg sizes the next.
+func assemble(cfg Config, seed int64, bind func([]*nn.Param) error) (*PragFormer, error) {
+	m := &PragFormer{Cfg: cfg, rng: nn.NewRNG(seed + 1)}
+	m.Emb = nn.NewEmbedding(cfg.Vocab, cfg.MaxLen, cfg.D, nil)
+	if err := bind(m.Emb.Params()); err != nil {
+		return nil, err
 	}
-	ps = append(ps, m.FinalLN.Params()...)
+	for l := 0; l < cfg.Layers; l++ {
+		b := nn.NewEncoderBlock(blockName(l), cfg.D, cfg.Heads, cfg.FFHidden, cfg.Dropout, nil)
+		if err := bind(b.Params()); err != nil {
+			return nil, err
+		}
+		m.Blocks = append(m.Blocks, b)
+	}
+	m.FinalLN = nn.NewLayerNorm("final_ln", cfg.D)
+	m.FC1 = nn.NewLinear("fc1", cfg.D, cfg.FCHidden, nil)
+	m.FC2 = nn.NewLinear("fc2", cfg.FCHidden, 2, nil)
+	if err := bind(slices.Concat(m.FinalLN.Params(), m.FC1.Params(), m.FC2.Params())); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Params returns the classifier parameters, in the Save/Load wire order.
+func (m *PragFormer) Params() []*nn.Param {
+	ps := m.EncoderParams()
 	ps = append(ps, m.FC1.Params()...)
 	ps = append(ps, m.FC2.Params()...)
 	return ps
@@ -122,27 +154,18 @@ func (m *PragFormer) EncoderParams() []*nn.Param {
 	return ps
 }
 
-// MLMParams returns encoder parameters plus the MLM head.
-func (m *PragFormer) MLMParams() []*nn.Param {
-	return append(m.EncoderParams(), m.MLMHead.Params()...)
-}
-
-// allParams returns every parameter tensor, in the Save/Load wire order.
-func (m *PragFormer) allParams() []*nn.Param {
-	return append(m.MLMParams(), m.FC1.W, m.FC1.B, m.FC2.W, m.FC2.B)
-}
-
 // Clone deep-copies the model: identical architecture and weights in fresh
-// buffers, with gradient accumulators zeroed and the dropout stream
-// reseeded from seed so each replica draws independent noise. New's random
-// initialization is overwritten by the copy — accepted dead work, since
-// cloning happens once per Fit, not per batch.
+// buffers, no gradient accumulators, and the dropout stream reseeded from
+// seed so each training replica draws independent noise.
 func (m *PragFormer) Clone(seed int64) *PragFormer {
-	c, err := New(m.Cfg, seed)
-	if err != nil {
-		panic(err) // m.Cfg was validated when m was built
-	}
-	nn.CopyWeights(c.allParams(), m.allParams())
+	src := m.Params()
+	c, _ := assemble(m.Cfg, seed, func(ps []*nn.Param) error { // cannot fail
+		for i, p := range ps {
+			p.W.Data = slices.Clone(src[i].W.Data)
+		}
+		src = src[len(ps):]
+		return nil
+	})
 	return c
 }
 
@@ -267,11 +290,23 @@ func (m *PragFormer) Loss(ids []int, label bool) float64 {
 // Masked language model pretraining (the DeepSCC stand-in)
 // ---------------------------------------------------------------------------
 
+// NewMLMHead builds the vocabulary projection pretraining trains on top of
+// m's encoder, from its own seeded stream. It belongs to the pretraining
+// run, not to the model: the caller drops it when the run ends.
+func (m *PragFormer) NewMLMHead(seed int64) *nn.Linear {
+	return nn.NewLinear("mlm", m.Cfg.D, m.Cfg.Vocab, rand.New(rand.NewSource(seed)))
+}
+
+// MLMParams returns what pretraining updates: the encoder plus head.
+func (m *PragFormer) MLMParams(head *nn.Linear) []*nn.Param {
+	return append(m.EncoderParams(), head.Params()...)
+}
+
 // MLMLossAndBackward applies the BERT-style masking recipe (15% of
 // positions: 80% [MASK], 10% random, 10% kept) and accumulates encoder and
-// MLM-head gradients. Returns the mean masked-token cross-entropy and the
+// head gradients. Returns the mean masked-token cross-entropy and the
 // number of masked positions.
-func (m *PragFormer) MLMLossAndBackward(ids []int, rng *rand.Rand) (float64, int) {
+func (m *PragFormer) MLMLossAndBackward(head *nn.Linear, ids []int, rng *rand.Rand) (float64, int) {
 	if len(ids) > m.Cfg.MaxLen {
 		ids = ids[:m.Cfg.MaxLen]
 	}
@@ -295,7 +330,7 @@ func (m *PragFormer) MLMLossAndBackward(ids []int, rng *rand.Rand) (float64, int
 	}
 
 	c := m.encode(masked, true)
-	logits, lc := m.MLMHead.Forward(c.hidden)
+	logits, lc := head.Forward(c.hidden)
 	dLogits := tensor.New(logits.Rows, logits.Cols)
 	total := 0.0
 	inv := 1 / float64(len(targets))
@@ -312,7 +347,7 @@ func (m *PragFormer) MLMLossAndBackward(ids []int, rng *rand.Rand) (float64, int
 			drow[j] *= inv
 		}
 	}
-	dHidden := m.MLMHead.Backward(lc, dLogits)
+	dHidden := head.Backward(lc, dLogits)
 	m.encodeBackward(c, dHidden)
 	return total * inv, len(targets)
 }
@@ -321,11 +356,13 @@ func (m *PragFormer) MLMLossAndBackward(ids []int, rng *rand.Rand) (float64, int
 // Persistence
 // ---------------------------------------------------------------------------
 
-// modelFormatVersion is the current gob wire-format version. Version 0 is
-// the historical format without the Version field (gob decodes a missing
-// field as zero, so version-0 files keep loading); bump this when the
-// layout changes incompatibly.
-const modelFormatVersion = 1
+// modelFormatVersion is the current gob wire-format version: the classifier
+// parameters in Params order. Versions 0 (the historical format without the
+// Version field — gob decodes a missing field as zero) and 1 additionally
+// carried the pretraining head, "mlm.W" and "mlm.b", ahead of the four
+// classifier-head tensors; Load still reads both. Bump this when the layout
+// changes incompatibly.
+const modelFormatVersion = 2
 
 // modelFile is the gob wire format.
 type modelFile struct {
@@ -336,10 +373,10 @@ type modelFile struct {
 	Data    [][]float64
 }
 
-// Save writes the model (including the MLM head) to w.
+// Save writes the model to w.
 func (m *PragFormer) Save(w io.Writer) error {
 	mf := modelFile{Version: modelFormatVersion, Cfg: m.Cfg}
-	for _, p := range m.allParams() {
+	for _, p := range m.Params() {
 		mf.Names = append(mf.Names, p.Name)
 		mf.Shapes = append(mf.Shapes, [2]int{p.W.Rows, p.W.Cols})
 		mf.Data = append(mf.Data, p.W.Data)
@@ -356,8 +393,11 @@ func (m *PragFormer) SaveFile(path string) error {
 
 // Load reads a model written by Save, validating the format version and
 // every tensor manifest entry so a truncated or hand-corrupted file fails
-// with a descriptive error instead of panicking or silently loading
-// partial weights.
+// with a descriptive error instead of panicking, exhausting memory or
+// silently loading partial weights. Cfg sizes nothing the file's own
+// tensors have not vouched for: the model is assembled shape-first, each
+// parameter is checked against its manifest entry, and the decoded slice
+// then becomes its storage — no second copy.
 func Load(r io.Reader) (*PragFormer, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
@@ -371,30 +411,57 @@ func Load(r io.Reader) (*PragFormer, error) {
 		return nil, fmt.Errorf("core: corrupt model file: %d names / %d shapes / %d data tensors",
 			len(mf.Names), len(mf.Shapes), len(mf.Data))
 	}
-	m, err := New(mf.Cfg, 0)
-	if err != nil {
+	if err := mf.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	params := m.allParams()
-	if len(params) != len(mf.Data) {
-		return nil, fmt.Errorf("core: model file has %d tensors, want %d", len(mf.Data), len(params))
-	}
-	for i, p := range params {
-		if p.Name != mf.Names[i] {
-			return nil, fmt.Errorf("core: tensor %d name %q, want %q", i, mf.Names[i], p.Name)
+	// adopt holds tensor i against the parameter Cfg implies and, when they
+	// agree, makes the decoded values the parameter's storage.
+	adopt := func(i int, p *nn.Param) error {
+		if i < 0 || i >= len(mf.Data) {
+			return fmt.Errorf("core: model file has %d tensors, too few for its config (no %q)", len(mf.Data), p.Name)
 		}
-		if p.W.Rows != mf.Shapes[i][0] || p.W.Cols != mf.Shapes[i][1] {
-			return nil, fmt.Errorf("core: tensor %q shape mismatch", p.Name)
+		if mf.Names[i] != p.Name {
+			return fmt.Errorf("core: tensor %d name %q, want %q", i, mf.Names[i], p.Name)
 		}
-		if len(mf.Data[i]) != p.W.Rows*p.W.Cols {
-			return nil, fmt.Errorf("core: tensor %q has %d values, want %d (truncated model file)",
-				p.Name, len(mf.Data[i]), p.W.Rows*p.W.Cols)
+		if mf.Shapes[i] != [2]int{p.W.Rows, p.W.Cols} {
+			return fmt.Errorf("core: tensor %q shape mismatch: file has %dx%d, config implies %dx%d",
+				p.Name, mf.Shapes[i][0], mf.Shapes[i][1], p.W.Rows, p.W.Cols)
+		}
+		// Divide rather than multiply: a corrupt config's product may wrap.
+		if n := len(mf.Data[i]); n%p.W.Cols != 0 || n/p.W.Cols != p.W.Rows {
+			return fmt.Errorf("core: tensor %q has %d values, want %dx%d (truncated model file)",
+				p.Name, n, p.W.Rows, p.W.Cols)
+		}
+		p.W.Data = mf.Data[i]
+		return nil
+	}
+	mlmAt := -1 // where a version 0/1 file keeps the pretraining head
+	if mf.Version < 2 {
+		// Checked like every other tensor, then dropped.
+		mlmAt = len(mf.Data) - 6
+		for k, p := range nn.NewLinear("mlm", mf.Cfg.D, mf.Cfg.Vocab, nil).Params() {
+			if err := adopt(mlmAt+k, p); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for i, p := range params {
-		copy(p.W.Data, mf.Data[i])
+	next := 0
+	m, err := assemble(mf.Cfg, 0, func(ps []*nn.Param) error {
+		for _, p := range ps {
+			if next == mlmAt {
+				next += 2
+			}
+			if err := adopt(next, p); err != nil {
+				return err
+			}
+			next++
+		}
+		return nil
+	})
+	if err == nil && next != len(mf.Data) {
+		return nil, fmt.Errorf("core: model file has %d tensors, want %d", len(mf.Data), next)
 	}
-	return m, nil
+	return m, err
 }
 
 // LoadFile reads a model from a file path.

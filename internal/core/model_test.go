@@ -123,6 +123,7 @@ func TestLossMatchesPrediction(t *testing.T) {
 
 func TestMLMPretrainingLearns(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 4)
+	head := m.NewMLMHead(4)
 	rng := rand.New(rand.NewSource(9))
 	seqs := [][]int{
 		{tokenize.CLS, 10, 11, 12, 13, 10, 11, 12, 13},
@@ -132,10 +133,10 @@ func TestMLMPretrainingLearns(t *testing.T) {
 		mrng := rand.New(rand.NewSource(42))
 		total, n := 0.0, 0
 		for _, s := range seqs {
-			for _, p := range m.MLMParams() {
+			for _, p := range m.MLMParams(head) {
 				p.ZeroGrad()
 			}
-			l, k := m.MLMLossAndBackward(s, mrng)
+			l, k := m.MLMLossAndBackward(head, s, mrng)
 			if k > 0 {
 				total += l
 				n++
@@ -146,13 +147,13 @@ func TestMLMPretrainingLearns(t *testing.T) {
 	before := measure()
 	lr := 0.05
 	for step := 0; step < 80; step++ {
-		for _, p := range m.MLMParams() {
+		for _, p := range m.MLMParams(head) {
 			p.ZeroGrad()
 		}
 		for _, s := range seqs {
-			m.MLMLossAndBackward(s, rng)
+			m.MLMLossAndBackward(head, s, rng)
 		}
-		for _, p := range m.MLMParams() {
+		for _, p := range m.MLMParams(head) {
 			for i := range p.W.Data {
 				p.W.Data[i] -= lr * p.Grad.Data[i]
 			}
@@ -167,7 +168,7 @@ func TestMLMPretrainingLearns(t *testing.T) {
 func TestMLMNoTargets(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 5)
 	// Sequence of length 1 ([CLS] only) can never mask anything.
-	l, n := m.MLMLossAndBackward([]int{tokenize.CLS}, rand.New(rand.NewSource(1)))
+	l, n := m.MLMLossAndBackward(m.NewMLMHead(5), []int{tokenize.CLS}, rand.New(rand.NewSource(1)))
 	if l != 0 || n != 0 {
 		t.Fatalf("l=%g n=%d", l, n)
 	}
@@ -259,7 +260,7 @@ func TestParamCounts(t *testing.T) {
 	if n := len(m.Params()); n != 40 {
 		t.Errorf("params = %d, want 40", n)
 	}
-	if n := len(m.MLMParams()); n != 38 {
+	if n := len(m.MLMParams(m.NewMLMHead(1))); n != 38 {
 		t.Errorf("mlm params = %d, want 38", n)
 	}
 	// No duplicates.

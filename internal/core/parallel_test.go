@@ -90,7 +90,7 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone(99)
-	mp, cp := m.allParams(), c.allParams()
+	mp, cp := m.Params(), c.Params()
 	for i := range mp {
 		for j, v := range mp[i].W.Data {
 			if cp[i].W.Data[j] != v {
@@ -116,9 +116,7 @@ func TestCloneIndependent(t *testing.T) {
 			t.Fatal("training the clone mutated the original")
 		}
 	}
-	for _, v := range m.FC1.W.Grad.Data {
-		if v != 0 {
-			t.Fatal("clone backward leaked gradients into the original")
-		}
+	if m.FC1.W.Grad != nil {
+		t.Fatal("clone backward leaked gradients into the original")
 	}
 }

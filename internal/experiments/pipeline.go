@@ -407,13 +407,16 @@ func (p *Pipeline) pretrain(m *core.PragFormer, trainSet []train.Example, prm Pa
 	}
 	p.progress("MLM pretraining on %d sequences × %d epochs", len(seqs), prm.PretrainEpochs)
 	opt := train.NewAdamW(prm.LR)
-	params := m.MLMParams()
+	// The vocabulary head and every gradient live for this run only.
+	head := m.NewMLMHead(seed + 78)
+	params := m.MLMParams(head)
+	defer train.ReleaseGrads(params)
 	rng := rand.New(rand.NewSource(seed + 77))
 	for epoch := 0; epoch < prm.PretrainEpochs; epoch++ {
 		inBatch := 0
 		train.ZeroGrads(params)
 		for _, ex := range seqs {
-			m.MLMLossAndBackward(ex.IDs, rng)
+			m.MLMLossAndBackward(head, ex.IDs, rng)
 			inBatch++
 			if inBatch == prm.Batch {
 				train.OptStep(opt, params, inBatch, 1, 1)

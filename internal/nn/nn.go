@@ -18,23 +18,44 @@ import (
 type Param struct {
 	Name string
 	W    *tensor.Matrix
+	// Grad exists only during a fit: nil until Gradient is first asked for
+	// it, nil again once the training loop returns (train.ReleaseGrads).
 	Grad *tensor.Matrix
 	// NoDecay excludes the parameter from AdamW weight decay (biases,
 	// layer-norm gains, embeddings).
 	NoDecay bool
 }
 
-// NewParam allocates a rows×cols parameter initialized N(0, std²).
+// NewParam allocates a rows×cols parameter initialized N(0, std²). A nil
+// rng — every constructor that takes one passes it down to here — builds
+// the shape alone: W.Data stays nil for a caller that brings the storage — a decoded model
+// file's tensors, a copy of another model's weights.
 func NewParam(name string, rows, cols int, rng *rand.Rand, std float64) *Param {
-	p := &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
+	if rng == nil {
+		return &Param{Name: name, W: &tensor.Matrix{Rows: rows, Cols: cols}}
+	}
+	p := &Param{Name: name, W: tensor.New(rows, cols)}
 	if std > 0 {
 		p.W.Randn(rng, std)
 	}
 	return p
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// Gradient returns the gradient accumulator, allocating it zeroed on first
+// use — numerically the accumulator an eager allocation would have been.
+func (p *Param) Gradient() *tensor.Matrix {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.W.Rows, p.W.Cols)
+	}
+	return p.Grad
+}
+
+// ZeroGrad clears the gradient accumulator; one not yet allocated is zero.
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Embedding
@@ -75,9 +96,10 @@ func (e *Embedding) Forward(ids []int) *tensor.Matrix {
 
 // Backward accumulates gradients for the embedded ids.
 func (e *Embedding) Backward(ids []int, dOut *tensor.Matrix) {
+	tok, pos := e.Tok.Gradient(), e.Pos.Gradient()
 	for t, idx := range ids {
-		tensor.Axpy(1, dOut.Row(t), e.Tok.Grad.Row(idx))
-		tensor.Axpy(1, dOut.Row(t), e.Pos.Grad.Row(t))
+		tensor.Axpy(1, dOut.Row(t), tok.Row(idx))
+		tensor.Axpy(1, dOut.Row(t), pos.Row(t))
 	}
 }
 
@@ -120,9 +142,9 @@ func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, *LinearCache) {
 func (l *Linear) Backward(c *LinearCache, dOut *tensor.Matrix) *tensor.Matrix {
 	dw := tensor.GetMatrixDirty(c.x.Cols, dOut.Cols) // MatMulATInto zeroes it
 	tensor.MatMulATInto(dw, c.x, dOut)
-	l.W.Grad.AddInPlace(dw)
+	l.W.Gradient().AddInPlace(dw)
 	tensor.PutMatrix(dw)
-	bg := l.B.Grad.Row(0)
+	bg := l.B.Gradient().Row(0)
 	for i := 0; i < dOut.Rows; i++ {
 		tensor.Axpy(1, dOut.Row(i), bg)
 	}
@@ -144,8 +166,8 @@ type LayerNorm struct {
 // NewLayerNorm builds a layer norm over dimension d.
 func NewLayerNorm(name string, d int) *LayerNorm {
 	ln := &LayerNorm{
-		Gamma: &Param{Name: name + ".g", W: tensor.New(1, d), Grad: tensor.New(1, d), NoDecay: true},
-		Beta:  &Param{Name: name + ".b", W: tensor.New(1, d), Grad: tensor.New(1, d), NoDecay: true},
+		Gamma: &Param{Name: name + ".g", W: tensor.New(1, d), NoDecay: true},
+		Beta:  &Param{Name: name + ".b", W: tensor.New(1, d), NoDecay: true},
 		Eps:   1e-5,
 	}
 	for i := range ln.Gamma.W.Data {
@@ -200,8 +222,8 @@ func (ln *LayerNorm) Backward(c *LayerNormCache, dOut *tensor.Matrix) *tensor.Ma
 	d := dOut.Cols
 	dx := tensor.New(dOut.Rows, d)
 	g := ln.Gamma.W.Row(0)
-	gg := ln.Gamma.Grad.Row(0)
-	bg := ln.Beta.Grad.Row(0)
+	gg := ln.Gamma.Gradient().Row(0)
+	bg := ln.Beta.Gradient().Row(0)
 	for i := 0; i < dOut.Rows; i++ {
 		drow := dOut.Row(i)
 		xh := c.xhat.Row(i)

@@ -277,7 +277,10 @@ func TestHeadsMustDivideDim(t *testing.T) {
 func TestParamZeroGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := NewParam("p", 2, 2, rng, 1)
-	p.Grad.Data[0] = 5
+	if p.ZeroGrad(); p.Grad != nil {
+		t.Fatal("zeroing an unallocated gradient allocated it")
+	}
+	p.Gradient().Data[0] = 5
 	p.ZeroGrad()
 	if p.Grad.Data[0] != 0 {
 		t.Fatal("ZeroGrad failed")

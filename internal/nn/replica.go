@@ -9,12 +9,16 @@ import "fmt"
 // AccumGrads and re-broadcasts updated weights with CopyWeights.
 
 // checkAligned panics unless dst and src are the same parameter list
-// shape-for-shape; misaligned replicas are a programmer error.
+// name-for-name and shape-for-shape; misaligned replicas are a programmer
+// error.
 func checkAligned(dst, src []*Param) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("nn: replica param count mismatch %d vs %d", len(dst), len(src)))
 	}
 	for i := range dst {
+		if dst[i].Name != src[i].Name {
+			panic(fmt.Sprintf("nn: replica param %d is %q vs %q", i, dst[i].Name, src[i].Name))
+		}
 		if dst[i].W.Rows != src[i].W.Rows || dst[i].W.Cols != src[i].W.Cols {
 			panic(fmt.Sprintf("nn: replica param %q shape mismatch %dx%d vs %dx%d",
 				dst[i].Name, dst[i].W.Rows, dst[i].W.Cols, src[i].W.Rows, src[i].W.Cols))
@@ -38,6 +42,6 @@ func CopyWeights(dst, src []*Param) {
 func AccumGrads(dst, src []*Param) {
 	checkAligned(dst, src)
 	for i := range dst {
-		dst[i].Grad.AddInPlace(src[i].Grad)
+		dst[i].Gradient().AddInPlace(src[i].Gradient())
 	}
 }

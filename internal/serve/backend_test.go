@@ -8,8 +8,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,5 +152,54 @@ func TestHealthzReportsBackendAndGeneration(t *testing.T) {
 	get()
 	if resp.Generation != 1 {
 		t.Fatalf("generation after reload = %d, want 1", resp.Generation)
+	}
+}
+
+// TestWeightGaugeFollowsReload reads pf_model_weight_bytes off an engine
+// that serves bundles as loaded: the directive series reports the serving
+// model's weight bytes, a reload to the int8 form of the same model zeroes
+// the float64 series and brings an int8 one, and that one reads smaller.
+func TestWeightGaugeFollowsReload(t *testing.T) {
+	models := testModels(t)
+	e, err := New(models, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	series := func(backend string) float64 { // -1 when the series is absent
+		t.Helper()
+		var buf strings.Builder
+		if err := e.Metrics().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		prefix := fmt.Sprintf(`pf_model_weight_bytes{backend=%q,classifier="directive"} `, backend)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		return -1
+	}
+	f64 := core.WeightBytes(models.Directive)
+	if got := series(core.BackendFloat64); got != float64(f64) || series(core.BackendInt8) != -1 {
+		t.Fatalf("float64 series = %v (want %d), int8 series = %v", got, f64, series(core.BackendInt8))
+	}
+	q, err := models.WithBackend(core.BackendInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reload(q); err != nil {
+		t.Fatal(err)
+	}
+	i8 := core.WeightBytes(q.Directive)
+	if got := series(core.BackendInt8); got != float64(i8) || series(core.BackendFloat64) != 0 {
+		t.Fatalf("after reload: int8 series = %v (want %d), float64 series = %v", got, i8, series(core.BackendFloat64))
+	}
+	if i8 <= 0 || i8 >= f64 {
+		t.Errorf("int8 weights are %d bytes against %d in float64", i8, f64)
 	}
 }

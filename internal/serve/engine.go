@@ -6,14 +6,14 @@
 // kind coalesces up to MaxBatch requests (or whatever arrived within
 // MaxWait of the first) into one batch and hands it to a replica worker,
 // so N near-simultaneous callers cost one batched forward instead of N
-// single ones. Batches in flight fan out across Replicas model replicas
-// (deep copies via core.PragFormer.Clone, the same mechanism
-// core.Replicate exposes to the trainer). An LRU cache keyed by the
-// encoded id sequence (predictions) or the raw snippet (suggestions)
+// single ones. Batches in flight fan out across Replicas workers that
+// share one set of weights: inference only reads them (the core.Backend
+// contract), so a replica is a goroutine, not a copy. An LRU cache keyed by
+// the encoded id sequence (predictions) or the raw snippet (suggestions)
 // short-circuits repeats before they reach the queue.
 //
 // The engine also supports hot model reload (Reload / POST /reload /
-// SIGHUP in cmd/serve): a freshly loaded artifact's replicas are built
+// SIGHUP in cmd/serve): a freshly loaded artifact's run functions are built
 // off-path, then atomically swapped in. In-flight batches finish on the
 // model they started with, queued and future requests run on the new one,
 // and the result caches roll to a new generation — no request is dropped
@@ -57,9 +57,9 @@ type Config struct {
 	// batch while more arrive (default 2ms). Latency floor under light
 	// load, amortization ceiling under heavy load.
 	MaxWait time.Duration
-	// Replicas is how many model replicas batches fan out across, i.e. how
-	// many batches can be in flight at once (default 1). Replica 0 is the
-	// caller's model; further replicas are deep copies.
+	// Replicas is how many workers batches fan out across, i.e. how many
+	// batches can be in flight at once (default 1). All of them read the
+	// caller's model; none copies it.
 	Replicas int
 	// CacheSize is the per-path LRU capacity in entries (default 1024;
 	// negative disables caching).
@@ -73,9 +73,6 @@ type Config struct {
 	// the tier router's admission signal. Off by default: library callers
 	// keep the backpressure-by-blocking contract.
 	Shed bool
-	// Seed derives replica clone seeds (inference never draws from them,
-	// but clones reseed their dropout streams).
-	Seed int64
 	// Backend selects the compute backend every served classifier runs on:
 	// core.BackendFloat64, core.BackendInt8, or empty to serve bundles as
 	// loaded. The selection is per engine and sticky: a hot reload converts
@@ -239,7 +236,35 @@ func New(models *advisor.Models, cfg Config) (*Engine, error) {
 	e.reloads = e.reg.Counter("pf_reloads_total", "Completed hot model swaps.", nil)
 	e.reg.GaugeFunc("pf_model_generation", "Model generation currently serving.", nil,
 		func() float64 { return float64(e.predict.cache.Gen()) })
+	e.weightGauges(models)
 	return e, nil
+}
+
+// classifiers names a bundle's classifiers, absent ones nil.
+func classifiers(m *advisor.Models) map[string]core.Backend {
+	return map[string]core.Backend{"directive": m.Directive, "private": m.Private, "reduction": m.Reduction}
+}
+
+// weightGauges registers pf_model_weight_bytes for each classifier of a
+// bundle (get-or-create). A series reads whichever bundle is serving at
+// scrape time, so a reload re-points it — to 0 if the classifier has moved
+// to another backend, for which the reload registers a new series.
+func (e *Engine) weightGauges(models *advisor.Models) {
+	bundle := classifiers(models)
+	for _, name := range []string{"directive", "private", "reduction"} {
+		b := bundle[name]
+		if b == nil {
+			continue
+		}
+		backend := b.BackendName()
+		e.reg.GaugeFunc("pf_model_weight_bytes", "Bytes of weights the serving classifier's inference reads.",
+			obs.Labels{"classifier": name, "backend": backend}, func() float64 {
+				if cur := classifiers(e.models.Load())[name]; cur != nil && cur.BackendName() == backend {
+					return float64(core.WeightBytes(cur))
+				}
+				return 0
+			})
+	}
 }
 
 // Metrics exposes the engine's telemetry registry (the one GET /metrics
@@ -254,43 +279,29 @@ func validateModels(models *advisor.Models) error {
 }
 
 // buildRuns constructs one generation of per-replica run functions over a
-// model bundle — the expensive part of a reload (replica deep copies),
-// done before anything is swapped.
+// model bundle, before anything is swapped. It copies nothing: every
+// replica of either path reads the bundle's one set of weights.
 func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runSet[string, scan.Verdict]) {
-	// Predict replicas: replica 0 serves from the bundle's model, the rest
-	// from deep copies, so Replicas batches can run truly concurrently.
-	predictRuns := make(runSet[[]int, float64], e.cfg.Replicas)
 	directive := models.Directive
 	vocab := directive.VocabSize()
-	wrap := func(run func([][]int) []float64) func([][]int) ([]float64, []obs.Stage) {
-		return func(batch [][]int) ([]float64, []obs.Stage) {
-			// Requests are validated against the bundle that was current
-			// when they arrived; a batch drained just after a reload may
-			// carry ids the new vocabulary cannot embed. Clamp them to
-			// [UNK] instead of letting the embedding lookup panic a
-			// worker mid-swap.
-			sanitizeIDs(batch, vocab)
-			t0 := time.Now()
-			out := run(batch)
-			return out, []obs.Stage{{Name: "infer", Dur: time.Since(t0)}}
-		}
+	predictRun := func(batch [][]int) ([]float64, []obs.Stage) {
+		// Requests are validated against the bundle that was current
+		// when they arrived; a batch drained just after a reload may
+		// carry ids the new vocabulary cannot embed. Clamp them to
+		// [UNK] instead of letting the embedding lookup panic a
+		// worker mid-swap.
+		sanitizeIDs(batch, vocab)
+		t0 := time.Now()
+		out := directive.PredictBatch(batch)
+		return out, []obs.Stage{{Name: "infer", Dur: time.Since(t0)}}
 	}
-	predictRuns[0] = wrap(directive.PredictBatch)
-	for r := 1; r < e.cfg.Replicas; r++ {
-		// Float models are deep-copied per replica; other backends (the
-		// quantized model) are immutable at inference time and shared —
-		// one of quantization's selling points is that replicas cost no
-		// extra memory.
-		replica := directive
-		if pf, ok := directive.(*core.PragFormer); ok {
-			replica = pf.Clone(e.cfg.Seed + int64(r))
-		}
-		predictRuns[r] = wrap(replica.PredictBatch)
+	predictRuns := make(runSet[[]int, float64], e.cfg.Replicas)
+	for r := range predictRuns {
+		predictRuns[r] = predictRun
 	}
 
-	// Suggest workers share the Models: the advisor pipeline is read-only
-	// over its classifiers, so concurrency needs no replicas — the workers
-	// exist to let batches overlap. The per-batch stage hook splits the
+	// Suggest workers share the Models the same way — the workers exist to
+	// let batches overlap. The per-batch stage hook splits the
 	// advisor's time into infer vs corroborate for the request trace and
 	// the pf_stage_duration_seconds histogram. The verdict is flattened to
 	// its report form here, once, where it is computed: the cache, /suggest
@@ -366,6 +377,7 @@ func (e *Engine) Reload(models *advisor.Models) error {
 	e.models.Store(models)
 	e.predict.setRuns(predictRuns)
 	e.suggest.setRuns(suggestRuns)
+	e.weightGauges(models)
 	e.reloads.Inc()
 	return nil
 }

@@ -271,3 +271,49 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 	})
 }
+
+// TestReplicasShareWeights runs 8 clients against Replicas: 4 on one
+// float64 model with the cache off, so every request is a forward on some
+// replica, and requires each answer to equal a serial PredictBatch on the
+// caller's model. It then moves one weight of that model (traffic quiesced)
+// and requires every replica to answer with it: a replica is a worker over
+// the caller's weights, not a copy of them. Under -race this is also the
+// proof that concurrent forwards only read.
+func TestReplicasShareWeights(t *testing.T) {
+	models := testModels(t)
+	e, err := New(models, Config{MaxBatch: 2, MaxWait: time.Millisecond, Replicas: 4, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	pool := randIDs(rand.New(rand.NewSource(17)), 24, 64, models.Directive.VocabSize())
+
+	hammer := func(phase string) {
+		t.Helper()
+		want := models.Directive.PredictBatch(pool)
+		const clients, perClient = 8, 12
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < perClient; r++ {
+					i := (c*perClient + r) % len(pool)
+					got, err := e.Predict(context.Background(), pool[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want[i] {
+						t.Errorf("%s, seq %d: engine %v != serial %v", phase, i, got, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	hammer("as built")
+	models.Directive.(*core.PragFormer).FC2.B.W.Data[1] += 0.5
+	hammer("after moving a weight of the caller's model")
+}

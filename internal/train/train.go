@@ -53,7 +53,7 @@ func (o *AdamW) Step(params []*nn.Param, lrScale float64) {
 		}
 		v := o.v[p]
 		w := p.W.Data
-		g := p.Grad.Data
+		g := p.Gradient().Data
 		for i := range w {
 			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g[i]
 			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g[i]*g[i]
@@ -117,7 +117,7 @@ func (o *AdamW) SetState(params []*nn.Param, step int, m, v [][]float64) error {
 func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Gradient().Data {
 			total += g * g
 		}
 	}
@@ -125,9 +125,7 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] *= scale
-			}
+			p.Grad.ScaleInPlace(scale)
 		}
 	}
 	return norm
@@ -137,6 +135,14 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 func ZeroGrads(params []*nn.Param) {
 	for _, p := range params {
 		p.ZeroGrad()
+	}
+}
+
+// ReleaseGrads drops all gradient accumulators: a training loop's last act,
+// so the trained model holds weights alone.
+func ReleaseGrads(params []*nn.Param) {
+	for _, p := range params {
+		p.Grad = nil
 	}
 }
 
@@ -342,6 +348,13 @@ func run(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot)
 		paramSets[r] = replicas[r].Params()
 	}
 	restoreRNGs(snap, replicas)
+	// Gradients live as long as this loop: however it ends, the model and
+	// every replica leave it without them.
+	defer func() {
+		for _, ps := range paramSets {
+			ReleaseGrads(ps)
+		}
+	}()
 
 	// lossSum[r] is replica r's loss over the epoch, folded one example at
 	// a time in example order — at width 1 the plain running sum.
@@ -408,7 +421,7 @@ func finishEpoch(h *History, bestLoss *float64, cfg Config, stats EpochStats, wo
 func OptStep(opt *AdamW, params []*nn.Param, batch int, clipNorm, lrScale float64) {
 	inv := 1 / float64(batch)
 	for _, p := range params {
-		p.Grad.ScaleInPlace(inv)
+		p.Gradient().ScaleInPlace(inv)
 	}
 	if clipNorm > 0 {
 		ClipGradNorm(params, clipNorm)
