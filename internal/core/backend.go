@@ -102,6 +102,12 @@ func (m *PragFormer) MaxSeqLen() int { return m.Cfg.MaxLen }
 // weight matrix, calibrated once from the weights at quantize time (see
 // internal/quant). The float model is left untouched; the returned bundle
 // is inference-only.
+//
+// The bundle shares m's float64 token and position tables — nearly all of
+// a demo-scale classifier — read-only, as /predict replicas share one set
+// of weights. A fit of m after Quantize therefore moves what the bundle
+// embeds while its int8 weights stay as calibrated: quantize again after
+// training m further. A bundle read back from a .pfq file owns its tables.
 func Quantize(m *PragFormer) (*quant.Model, error) {
 	q, err := quant.FromNN(quant.Config{
 		Vocab: m.Cfg.Vocab, MaxLen: m.Cfg.MaxLen, D: m.Cfg.D, Heads: m.Cfg.Heads,

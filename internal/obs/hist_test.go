@@ -144,3 +144,24 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatal("different labels returned the same histogram")
 	}
 }
+
+// A lookup of a series that exists builds nothing: it costs the label
+// string (and its key slice), not a histogram and its buckets — /statz
+// looks three histograms up on every poll.
+func TestRegistryLookupDoesNotConstruct(t *testing.T) {
+	reg := NewRegistry()
+	labels := Labels{"path": "/x"}
+	reg.Histogram("pf_dur_seconds", "h", labels, nil)
+	reg.Counter("pf_total", "c", labels)
+	n := testing.AllocsPerRun(100, func() {
+		reg.Histogram("pf_dur_seconds", "h", labels, nil)
+		reg.Counter("pf_total", "c", labels)
+	})
+	t.Logf("%.0f allocations per histogram and counter lookup", n)
+	// Two label renderings: a key slice, sort.Strings' boxing of it, and
+	// the string, each. Constructing the pair would add four: a histogram,
+	// its bounds, its buckets, and a counter.
+	if n > 6 {
+		t.Fatalf("a lookup of two existing series allocates %.0f times, want <= 6", n)
+	}
+}

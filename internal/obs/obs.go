@@ -111,15 +111,17 @@ func (r *Registry) fam(name, help, typ string) *family {
 	return f
 }
 
-// add registers m under labels unless the series already exists; the
-// existing series wins (get-or-create).
-func (f *family) add(labels Labels, m metric) metric {
+// add returns the series registered under labels, building it with mk
+// only when there is none yet (get-or-create): a lookup of an existing
+// series costs its label string and nothing else.
+func (f *family) add(labels Labels, mk func() metric) metric {
 	ls := formatLabels(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if existing, ok := f.series[ls]; ok {
 		return existing
 	}
+	m := mk()
 	f.series[ls] = m
 	f.order = append(f.order, ls)
 	return m
@@ -128,7 +130,7 @@ func (f *family) add(labels Labels, m metric) metric {
 // Counter returns the counter registered under (name, labels), creating it
 // on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	m := r.fam(name, help, "counter").add(labels, &Counter{})
+	m := r.fam(name, help, "counter").add(labels, func() metric { return &Counter{} })
 	c, ok := m.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("obs: series %q %v is not a Counter", name, labels))
@@ -138,14 +140,14 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 
 // GaugeFunc exposes an externally computed point-in-time value.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.fam(name, help, "gauge").add(labels, gaugeFunc{fn: fn})
+	r.fam(name, help, "gauge").add(labels, func() metric { return gaugeFunc{fn: fn} })
 }
 
 // Histogram returns the histogram registered under (name, labels),
 // creating it with the given bucket upper bounds on first use (nil =
 // DefBuckets).
 func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
-	m := r.fam(name, help, "histogram").add(labels, newHistogram(buckets))
+	m := r.fam(name, help, "histogram").add(labels, func() metric { return newHistogram(buckets) })
 	h, ok := m.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("obs: series %q %v is not a Histogram", name, labels))

@@ -197,7 +197,9 @@ type Model struct {
 
 // FromNN quantizes a float model given its pieces. core.Quantize is the
 // caller; it passes the classifier surface (the MLM pretraining head is
-// training-only and is not carried into the quantized bundle).
+// training-only and is not carried into the quantized bundle). The token
+// and position tables are not quantized and not copied: the returned model
+// reads emb's own matrices (core.Quantize states the rule that follows).
 func FromNN(cfg Config, emb *nn.Embedding, blocks []*nn.EncoderBlock,
 	finalLN *nn.LayerNorm, fc1, fc2 *nn.Linear) (*Model, error) {
 	if err := cfg.validate(); err != nil {
@@ -208,8 +210,8 @@ func FromNN(cfg Config, emb *nn.Embedding, blocks []*nn.EncoderBlock,
 	}
 	m := &Model{
 		Cfg:     cfg,
-		Tok:     emb.Tok.W.Clone(),
-		Pos:     emb.Pos.W.Clone(),
+		Tok:     emb.Tok.W,
+		Pos:     emb.Pos.W,
 		FinalLN: fromLayerNorm(finalLN),
 		FC1:     QuantizeLinear(fc1),
 		FC2:     QuantizeLinear(fc2),

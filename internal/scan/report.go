@@ -1,15 +1,47 @@
 package scan
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"sync"
+)
 
 // JSON renders the report as indented JSON with a trailing newline — the
-// `pragformer scan -format json` output.
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+// `pragformer scan -format json` output. It only reads the report (whose
+// verdicts may be a store's), and the bytes are the caller's own.
+func (r *Report) JSON() ([]byte, error) { return encodeIndented(r) }
+
+// indentEncoder is a json.Encoder at the report indent whose writer is
+// itself: what Encode writes lands in out, a fresh slice each time, while
+// the encoder's indent buffer stays with the pooled value. The bytes equal
+// json.MarshalIndent(v, "", "  ") plus a newline.
+type indentEncoder struct {
+	enc *json.Encoder
+	out []byte
+}
+
+func (e *indentEncoder) Write(p []byte) (int, error) {
+	e.out = append(e.out, p...)
+	return len(p), nil
+}
+
+var indentEncoders = sync.Pool{New: func() any {
+	e := new(indentEncoder)
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// encodeIndented is the one encoder behind Report.JSON and Report.SARIF.
+func encodeIndented(v any) ([]byte, error) {
+	e := indentEncoders.Get().(*indentEncoder)
+	err := e.enc.Encode(v)
+	out := e.out
+	e.out = nil
+	indentEncoders.Put(e)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return out, nil
 }
 
 // Stable returns a deep copy with every run-dependent field cleared: raw

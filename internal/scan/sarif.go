@@ -1,10 +1,9 @@
 package scan
 
 import (
-	"encoding/json"
-	"fmt"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"pragformer/internal/dep"
@@ -80,18 +79,35 @@ type sarifInvocation struct {
 }
 
 type sarifNotification struct {
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations,omitempty"`
+	Level     string           `json:"level"`
+	Message   sarifMessage     `json:"message"`
+	Locations [1]sarifLocation `json:"locations"`
 }
 
+// sarifResult holds everything by value — one location, typed fingerprints
+// and properties — so a result costs its message string and nothing else.
 type sarifResult struct {
 	RuleID              string            `json:"ruleId"`
 	Level               string            `json:"level"`
 	Message             sarifMessage      `json:"message"`
-	Locations           []sarifLocation   `json:"locations"`
-	PartialFingerprints map[string]string `json:"partialFingerprints,omitempty"`
-	Properties          map[string]any    `json:"properties,omitempty"`
+	Locations           [1]sarifLocation  `json:"locations"`
+	PartialFingerprints sarifFingerprints `json:"partialFingerprints"`
+	Properties          sarifProperties   `json:"properties,omitzero"`
+}
+
+type sarifFingerprints struct {
+	LoopHash string `json:"pragformer/loopHash"`
+}
+
+// sarifProperties is the evidence bag of PF1003 and PF1004 results. The
+// fields stand in key order — the order every SARIF log of a tree so far
+// was written in, which cross-scan diffs rely on — and the slices are the
+// verdict's own.
+type sarifProperties struct {
+	Attributions []Attribution `json:"attributions,omitempty"`
+	Races        []dep.Witness `json:"races,omitempty"`
+	Tier         string        `json:"tier,omitempty"`
+	Witness      []string      `json:"witness,omitempty"`
 }
 
 type sarifMessage struct {
@@ -104,7 +120,7 @@ type sarifLocation struct {
 
 type sarifPhysicalLocation struct {
 	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           *sarifRegion          `json:"region,omitempty"`
+	Region           sarifRegion           `json:"region,omitzero"`
 }
 
 type sarifArtifactLocation struct {
@@ -141,105 +157,52 @@ func (r *Report) SARIF() ([]byte, error) {
 	}
 	inv := sarifInvocation{ExecutionSuccessful: true}
 	for _, skip := range r.Skips {
-		n := sarifNotification{
-			Level:   "warning",
-			Message: sarifMessage{Text: fmt.Sprintf("file skipped: %s", skip.Reason)},
-		}
-		if skip.Line > 0 {
-			n.Locations = []sarifLocation{location(skip.File, skip.Line, skip.Col)}
-		} else {
-			n.Locations = []sarifLocation{{PhysicalLocation: sarifPhysicalLocation{
-				ArtifactLocation: sarifArtifactLocation{URI: skip.File}}}}
-		}
-		inv.Notifications = append(inv.Notifications, n)
+		inv.Notifications = append(inv.Notifications, sarifNotification{
+			Level:     "warning",
+			Message:   sarifMessage{Text: "file skipped: " + skip.Reason},
+			Locations: location(skip.File, skip.Line, skip.Col),
+		})
 	}
 	run.Invocations = []sarifInvocation{inv}
 
-	for _, l := range r.Loops {
+	for i := range r.Loops {
+		l := &r.Loops[i]
+		s := l.Suggestion
 		switch {
-		case l.Suggestion != nil && l.Suggestion.Parallelize && l.Suggestion.Tier == "disagree":
-			s := l.Suggestion
-			msg := fmt.Sprintf("review: model suggests `%s` but the dependence analysis disagrees", s.Directive)
+		case s != nil && s.Parallelize && s.Tier == "disagree":
+			top := topAttributions(s.Attributions, 3)
+			msg := "review: model suggests `" + s.Directive + "` but the dependence analysis disagrees"
 			if w := witnessSummary(s.Witness); w != "" {
-				msg += fmt.Sprintf(" (%s)", w)
+				msg += " (" + w + ")"
 			}
 			if v := raceVector(s.Races); v != "" {
-				msg += fmt.Sprintf("; distance vector %s", v)
+				msg += "; distance vector " + v
 			}
-			if toks := topTokens(s.Attributions, 3); len(toks) > 0 {
-				msg += fmt.Sprintf("; influential tokens: %s", strings.Join(toks, " "))
+			for k, a := range top {
+				if k == 0 {
+					msg += "; influential tokens:"
+				}
+				msg += " `" + a.Token + "`"
 			}
-			props := map[string]any{"tier": s.Tier}
-			if len(s.Witness) > 0 {
-				props["witness"] = s.Witness
-			}
-			if len(s.Races) > 0 {
-				props["races"] = s.Races
-			}
-			if top := topAttributions(s.Attributions, 3); len(top) > 0 {
-				props["attributions"] = top
-			}
-			for _, occ := range l.Occurrences {
-				run.Results = append(run.Results, sarifResult{
-					RuleID:              RuleDisagree,
-					Level:               "warning",
-					Message:             sarifMessage{Text: msg + occContext(occ)},
-					Locations:           []sarifLocation{location(occ.File, occ.Line, occ.Col)},
-					PartialFingerprints: map[string]string{"pragformer/loopHash": l.Hash},
-					Properties:          props,
-				})
-			}
-		case l.Suggestion != nil && l.Suggestion.Parallelize:
-			msg := fmt.Sprintf("suggest `%s` (%s)", l.Suggestion.Directive, l.Suggestion.Tier)
-			for _, occ := range l.Occurrences {
-				run.Results = append(run.Results, sarifResult{
-					RuleID:              RuleParallelize,
-					Level:               "note",
-					Message:             sarifMessage{Text: msg + occContext(occ)},
-					Locations:           []sarifLocation{location(occ.File, occ.Line, occ.Col)},
-					PartialFingerprints: map[string]string{"pragformer/loopHash": l.Hash},
-				})
-			}
+			run.add(l, RuleDisagree, "warning", msg, sarifProperties{
+				Attributions: top, Races: s.Races, Tier: s.Tier, Witness: s.Witness})
+		case s != nil && s.Parallelize:
+			run.add(l, RuleParallelize, "note", "suggest `"+s.Directive+"` ("+s.Tier+")", sarifProperties{})
 		case l.Annotated:
 			for _, occ := range l.Occurrences {
-				run.Results = append(run.Results, sarifResult{
-					RuleID:              RuleAnnotated,
-					Level:               "none",
-					Message:             sarifMessage{Text: fmt.Sprintf("loop already annotated: `#%s`", occ.Pragma)},
-					Locations:           []sarifLocation{location(occ.File, occ.Line, occ.Col)},
-					PartialFingerprints: map[string]string{"pragformer/loopHash": l.Hash},
-				})
+				run.Results = append(run.Results, l.result(occ, RuleAnnotated, "none",
+					"loop already annotated: `#"+occ.Pragma+"`", sarifProperties{}))
 			}
 		}
 		// Race witnesses are a property of the code, not of the model's
 		// verdict: every dep-refuted loop additionally surfaces as PF1004,
 		// whatever tier the suggestion landed on.
-		if l.Suggestion != nil && len(l.Suggestion.Races) > 0 {
-			s := l.Suggestion
-			msg := raceMessage(s.Races)
-			props := map[string]any{"races": s.Races}
-			if len(s.Witness) > 0 {
-				props["witness"] = s.Witness
-			}
-			for _, occ := range l.Occurrences {
-				run.Results = append(run.Results, sarifResult{
-					RuleID:              RuleRace,
-					Level:               "warning",
-					Message:             sarifMessage{Text: msg + occContext(occ)},
-					Locations:           []sarifLocation{location(occ.File, occ.Line, occ.Col)},
-					PartialFingerprints: map[string]string{"pragformer/loopHash": l.Hash},
-					Properties:          props,
-				})
-			}
+		if s != nil && len(s.Races) > 0 {
+			run.add(l, RuleRace, "warning", raceMessage(s.Races), sarifProperties{Races: s.Races, Witness: s.Witness})
 		}
 	}
 
-	log := sarifLog{Schema: sarifSchema, Version: sarifVersion, Runs: []sarifRun{run}}
-	b, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return encodeIndented(sarifLog{Schema: sarifSchema, Version: sarifVersion, Runs: []sarifRun{run}})
 }
 
 // raceVector picks the first concrete witness' distance vector for the
@@ -277,9 +240,9 @@ func topAttributions(attrs []Attribution, topK int) []Attribution {
 	if len(attrs) == 0 {
 		return nil
 	}
-	top := append([]Attribution(nil), attrs...)
-	sort.SliceStable(top, func(i, j int) bool {
-		return math.Abs(top[i].Weight) > math.Abs(top[j].Weight)
+	top := slices.Clone(attrs)
+	slices.SortStableFunc(top, func(a, b Attribution) int {
+		return cmp.Compare(math.Abs(b.Weight), math.Abs(a.Weight))
 	})
 	if topK > 0 && topK < len(top) {
 		top = top[:topK]
@@ -287,29 +250,37 @@ func topAttributions(attrs []Attribution, topK int) []Attribution {
 	return top
 }
 
-// topTokens renders the top attribution tokens for the message text.
-func topTokens(attrs []Attribution, topK int) []string {
-	top := topAttributions(attrs, topK)
-	out := make([]string, 0, len(top))
-	for _, a := range top {
-		out = append(out, "`"+a.Token+"`")
+// add appends one result per occurrence of l: msg, plus the enclosing
+// function where there is one, and props shared by all of them.
+func (run *sarifRun) add(l *Loop, rule, level, msg string, props sarifProperties) {
+	for _, occ := range l.Occurrences {
+		text := msg
+		if occ.Function != "" {
+			text += " in function " + occ.Function
+		}
+		run.Results = append(run.Results, l.result(occ, rule, level, text, props))
 	}
-	return out
 }
 
-func occContext(occ Occurrence) string {
-	if occ.Function == "" {
-		return ""
+func (l *Loop) result(occ Occurrence, rule, level, text string, props sarifProperties) sarifResult {
+	return sarifResult{
+		RuleID:              rule,
+		Level:               level,
+		Message:             sarifMessage{Text: text},
+		Locations:           location(occ.File, occ.Line, occ.Col),
+		PartialFingerprints: sarifFingerprints{LoopHash: l.Hash},
+		Properties:          props,
 	}
-	return fmt.Sprintf(" in function %s", occ.Function)
 }
 
-func location(file string, line, col int) sarifLocation {
+// location is the one-element locations array of a result or notification;
+// the region is left out when no line is known.
+func location(file string, line, col int) [1]sarifLocation {
 	loc := sarifLocation{PhysicalLocation: sarifPhysicalLocation{
 		ArtifactLocation: sarifArtifactLocation{URI: file},
 	}}
 	if line > 0 {
-		loc.PhysicalLocation.Region = &sarifRegion{StartLine: line, StartColumn: col}
+		loc.PhysicalLocation.Region = sarifRegion{StartLine: line, StartColumn: col}
 	}
-	return loc
+	return [1]sarifLocation{loc}
 }

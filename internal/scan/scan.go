@@ -16,6 +16,7 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -23,7 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -225,7 +226,10 @@ type Counters struct {
 	Inferred  int `json:"inferred"`
 }
 
-// Report is the scan outcome.
+// Report is the scan outcome. A loop's Suggestion may be shared with the
+// verdict store the scan read through and with other reports (a store hit
+// is not copied): read it freely, never write through it. Stable is the
+// view that owns its verdicts.
 type Report struct {
 	Tool     string   `json:"tool"`
 	Root     string   `json:"root,omitempty"`
@@ -492,7 +496,7 @@ collect:
 						hit, ok := store.Get(h)
 						endGet()
 						if ok {
-							l.Suggestion = hit.clone()
+							l.Suggestion = hit // shared with the store: see Report
 							l.FromCache = true
 							l.queued = true
 							rep.Counters.CacheHits++
@@ -691,16 +695,7 @@ func HashSnippet(snippet string) string {
 // discovery order) and settles per-loop flags and counters.
 func finalize(rep *Report, loops []*Loop, includeAnnotated bool) {
 	for _, l := range loops {
-		sort.Slice(l.Occurrences, func(i, j int) bool {
-			a, b := l.Occurrences[i], l.Occurrences[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Col < b.Col
-		})
+		slices.SortFunc(l.Occurrences, compareOccurrences)
 		annotated := true
 		for _, occ := range l.Occurrences {
 			if occ.Pragma == "" {
@@ -731,18 +726,8 @@ func finalize(rep *Report, loops []*Loop, includeAnnotated bool) {
 			rep.Counters.Converted++
 		}
 	}
-	sort.Slice(loops, func(i, j int) bool {
-		a, b := loops[i].Occurrences[0], loops[j].Occurrences[0]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return loops[i].Hash < loops[j].Hash
+	slices.SortFunc(loops, func(a, b *Loop) int {
+		return cmp.Or(compareOccurrences(a.Occurrences[0], b.Occurrences[0]), strings.Compare(a.Hash, b.Hash))
 	})
 	rep.Loops = make([]Loop, len(loops))
 	for i, l := range loops {
@@ -751,12 +736,14 @@ func finalize(rep *Report, loops []*Loop, includeAnnotated bool) {
 	sortSkips(rep.Skips)
 }
 
+// compareOccurrences orders sites by file, line and column.
+func compareOccurrences(a, b Occurrence) int {
+	return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col))
+}
+
 func sortSkips(skips []Skip) {
-	sort.Slice(skips, func(i, j int) bool {
-		if skips[i].File != skips[j].File {
-			return skips[i].File < skips[j].File
-		}
-		return skips[i].Line < skips[j].Line
+	slices.SortFunc(skips, func(a, b Skip) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line))
 	})
 }
 

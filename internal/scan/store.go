@@ -16,7 +16,9 @@ import "pragformer/internal/lru"
 // store's generation whenever the pair changes.
 type VerdictStore interface {
 	// Get returns the stored verdict. The returned Suggestion is shared —
-	// callers must treat it as immutable (clone before mutating).
+	// the store's own value, which a scan puts into its report as it is —
+	// so callers must treat it as immutable (copy before mutating, as
+	// Report.Stable does).
 	Get(hash string) (*Suggestion, bool)
 	// Put stores a verdict. The store keeps its own copy, so the caller
 	// may keep mutating s afterwards.

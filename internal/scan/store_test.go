@@ -211,3 +211,150 @@ type failingSuggester struct{}
 func (failingSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
 	panic("warm scan must not call the suggester")
 }
+
+// fixtureSources loads the fixture tree into memory, so a scan.Files over
+// it reads no file.
+func fixtureSources(t *testing.T) []Source {
+	t.Helper()
+	var srcs []Source
+	err := filepath.WalkDir(fixtureTree, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".c" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		srcs = append(srcs, Source{Path: path, Data: data})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcs
+}
+
+// TestWarmHitIsShared: a warm report carries the store's own verdicts, and
+// nothing a report is put through afterwards reaches back into the store —
+// Stable() zeroes its copy, finalize's strip of an annotated loop's cached
+// verdict drops the report's pointer only, and concurrent warm scans with
+// their encodes only ever read the shared values (the -race run is the
+// check of that last part).
+func TestWarmHitIsShared(t *testing.T) {
+	store := NewMemStore()
+	srcs := fixtureSources(t)
+	// Filled with the annotated loop advised too, so the plain warm scan
+	// below finds a stored verdict it has to strip.
+	fill, err := Files(context.Background(), srcs, Config{Store: store, IncludeAnnotated: true}, &stubSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != fill.Counters.Unique {
+		t.Fatalf("store holds %d verdicts after the fill, want %d", store.Len(), fill.Counters.Unique)
+	}
+	warm, err := Files(context.Background(), srcs, Config{Store: store}, failingSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, weighted, stripped := 0, 0, 0
+	for i := range warm.Loops {
+		l := &warm.Loops[i]
+		held, ok := store.Get(l.Hash)
+		if !ok {
+			t.Fatalf("loop %s is not in the store", l.Hash[:8])
+		}
+		if l.Annotated {
+			stripped++
+			if l.Suggestion != nil || l.FromCache {
+				t.Errorf("annotated loop %s kept its cached verdict", l.Hash[:8])
+			}
+			continue
+		}
+		if l.Suggestion != held {
+			t.Errorf("loop %s: the report holds a copy of the stored verdict, not the verdict", l.Hash[:8])
+		}
+		shared++
+	}
+	if shared == 0 || stripped != 1 {
+		t.Fatalf("shared = %d, stripped = %d: the fixture no longer covers both cases", shared, stripped)
+	}
+
+	stable := warm.Stable()
+	for i := range warm.Loops {
+		held, _ := store.Get(warm.Loops[i].Hash)
+		if held.Probability == 0 {
+			t.Errorf("loop %s: Stable() zeroed the stored probability", warm.Loops[i].Hash[:8])
+		}
+		for _, a := range held.Attributions {
+			if a.Weight == 0 {
+				t.Errorf("loop %s: Stable() zeroed a stored attribution weight", warm.Loops[i].Hash[:8])
+			}
+			weighted++
+		}
+		if s := stable.Loops[i].Suggestion; s != nil && (s == held || s.Probability != 0) {
+			t.Errorf("loop %s: the stable view is not a cleared copy", warm.Loops[i].Hash[:8])
+		}
+	}
+	if weighted == 0 {
+		t.Fatal("no stored verdict carries attributions: the fixture no longer covers the weights")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := Files(context.Background(), srcs, Config{Store: store}, failingSuggester{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, render := range []func() ([]byte, error){rep.JSON, rep.SARIF, rep.Stable().JSON} {
+				if _, err := render(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// warmScanAllocBudget bounds the allocations of a warm scan.Files plus both
+// encodes, per unique loop of the fixture tree: 38 at the change that
+// shared store hits and typed the SARIF values, 47 at its parent. The
+// fixture's loops sit one or two to a file and its stub verdicts are nearly
+// empty, so per-file costs (parse, goroutines, channels) weigh far more
+// here, and a verdict's copy far less, than on a real tree — scan_warm in
+// the harness is the number of record; the budget only has to tell the two
+// commits apart.
+const warmScanAllocBudget = 42
+
+func TestWarmScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	store := NewMemStore()
+	srcs := fixtureSources(t)
+	cfg := Config{Workers: 1, Store: store}
+	fill, err := Files(context.Background(), srcs, cfg, &stubSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		rep, err := Files(context.Background(), srcs, cfg, failingSuggester{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counters.Inferred != 0 {
+			t.Fatal("the scan was not warm")
+		}
+		if _, err := rep.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.SARIF(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perLoop := n / float64(fill.Counters.Unique)
+	t.Logf("%.0f allocations per warm scan and two encodes, %.1f per unique loop (%d loops)", n, perLoop, fill.Counters.Unique)
+	if perLoop > warmScanAllocBudget {
+		t.Fatalf("a warm scan allocates %.1f times per unique loop, budget %d", perLoop, warmScanAllocBudget)
+	}
+}

@@ -303,16 +303,21 @@ func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runS
 	// Suggest workers share the Models the same way — the workers exist to
 	// let batches overlap. The per-batch stage hook splits the
 	// advisor's time into infer vs corroborate for the request trace and
-	// the pf_stage_duration_seconds histogram. The verdict is flattened to
-	// its report form here, once, where it is computed: the cache, /suggest
-	// and /scan all carry that form.
+	// the pf_stage_duration_seconds histogram, whose two series are resolved
+	// here, once: a registry lookup per stage per batch would build a label
+	// map and string each time. The verdict is flattened to its report form
+	// here, once, where it is computed: the cache, /suggest and /scan all
+	// carry that form.
+	stageHists := map[string]*obs.Histogram{}
+	for _, stage := range []string{"infer", "corroborate"} {
+		stageHists[stage] = e.reg.Histogram("pf_stage_duration_seconds",
+			"Advisor pipeline stage time per batch, in seconds.", obs.Labels{"stage": stage}, nil)
+	}
 	suggestRun := func(codes []string) ([]scan.Verdict, []obs.Stage) {
 		var stages []obs.Stage
 		items, err := models.SuggestBatchStaged(codes, func(stage string, d time.Duration) {
 			stages = append(stages, obs.Stage{Name: stage, Dur: d})
-			e.reg.Histogram("pf_stage_duration_seconds",
-				"Advisor pipeline stage time per batch, in seconds.",
-				obs.Labels{"stage": stage}, nil).Observe(d.Seconds())
+			stageHists[stage].Observe(d.Seconds())
 		})
 		out := make([]scan.Verdict, len(codes))
 		if err != nil {

@@ -216,3 +216,42 @@ func TestTraceSpansInResponse(t *testing.T) {
 		t.Fatalf("untraced response leaked a trace field: %s", raw)
 	}
 }
+
+// TestStageHistogramsResolvedAtBuild: the advisor's two stage series are
+// there before any /suggest traffic, one batch moves each by one, and a
+// reload keeps observing into the same series.
+func TestStageHistogramsResolvedAtBuild(t *testing.T) {
+	models := testModels(t)
+	e, err := New(models, Config{MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var text strings.Builder
+	if err := e.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	hists := map[string]*obs.Histogram{}
+	for _, stage := range []string{"infer", "corroborate"} {
+		if want := `pf_stage_duration_seconds_count{stage="` + stage + `"} 0`; !strings.Contains(text.String(), want) {
+			t.Errorf("a fresh engine's /metrics is missing %q", want)
+		}
+		hists[stage] = e.Metrics().Histogram("pf_stage_duration_seconds", "", obs.Labels{"stage": stage}, nil)
+	}
+	suggest := func(code string, want uint64) {
+		t.Helper()
+		if _, err := e.Suggest(context.Background(), code); err != nil {
+			t.Fatal(err)
+		}
+		for stage, h := range hists {
+			if got := h.Count(); got != want {
+				t.Errorf("stage %s observed %d batches, want %d", stage, got, want)
+			}
+		}
+	}
+	suggest("for (i = 0; i < n; i++) a[i] = 0;", 1)
+	if err := e.Reload(testModelsSeed(t, 6)); err != nil {
+		t.Fatal(err)
+	}
+	suggest("for (i = 0; i < n; i++) a[i] = b[i];", 2)
+}
