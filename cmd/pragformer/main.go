@@ -116,11 +116,11 @@ func splitFor(c *corpus.Corpus, task dataset.Task, seed int64) dataset.Split {
 func encodeAll(ins []dataset.Instance, v *tokenize.Vocab, maxLen int) []train.Example {
 	out := make([]train.Example, len(ins))
 	for i, in := range ins {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+		ids, err := v.EncodeText(in.Rec.Code, maxLen)
 		if err != nil {
 			fatal(err)
 		}
-		out[i] = train.Example{IDs: v.Encode(toks, maxLen), Label: in.Label}
+		out[i] = train.Example{IDs: ids, Label: in.Label}
 	}
 	return out
 }
@@ -320,11 +320,11 @@ func cmdPredict(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	toks, err := tokenize.Extract(string(src), tokenize.Text)
+	ids, err := v.EncodeText(string(src), m.Cfg.MaxLen)
 	if err != nil {
 		fatal(err)
 	}
-	p := m.Predict(v.Encode(toks, m.Cfg.MaxLen))
+	p := m.Predict(ids)
 	verdict := "no OpenMP directive needed"
 	if p > 0.5 {
 		verdict = "suggest #pragma omp parallel for"

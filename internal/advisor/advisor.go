@@ -391,20 +391,18 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	maxLen := m.EffectiveMaxLen()
 	items := make([]BatchItem, len(snippets))
 
-	// Tokenize everything up front; the encodable snippets form the batch.
+	// Encode everything up front; the encodable snippets form the batch.
 	var (
-		idsBatch [][]int    // encoded id sequences, one per encodable snippet
-		tokBatch [][]string // raw tokens, reused by the LIME attribution
-		at       []int      // items index of each batch position
+		idsBatch [][]int // encoded id sequences, one per encodable snippet
+		at       []int   // items index of each batch position
 	)
 	for i, sn := range snippets {
-		toks, err := tokenize.Extract(sn.Code, tokenize.Text)
+		ids, err := m.Vocab.EncodeText(sn.Code, maxLen)
 		if err != nil {
 			items[i].Err = fmt.Errorf("advisor: %w", err)
 			continue
 		}
-		idsBatch = append(idsBatch, m.Vocab.Encode(toks, maxLen))
-		tokBatch = append(tokBatch, toks)
+		idsBatch = append(idsBatch, ids)
 		at = append(at, i)
 	}
 	if len(idsBatch) == 0 {
@@ -417,9 +415,8 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	probs := m.Directive.PredictBatch(idsBatch)
 	dInfer += time.Since(t0)
 	var (
-		posIDs  [][]int
-		posAt   []int // items index of each positive
-		posToks [][]string
+		posIDs [][]int
+		posAt  []int // items index of each positive
 	)
 	for j, i := range at {
 		s := &Suggestion{Probability: probs[j], Parallelize: probs[j] > 0.5}
@@ -427,7 +424,6 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 		if s.Parallelize {
 			posIDs = append(posIDs, idsBatch[j])
 			posAt = append(posAt, i)
-			posToks = append(posToks, tokBatch[j])
 		} else {
 			s.Notes = append(s.Notes, "directive classifier below threshold")
 			// Negative verdicts still carry the dependence evidence: a
@@ -453,7 +449,7 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	dInfer += time.Since(t0)
 	t0 = time.Now()
 	for k, i := range posAt {
-		m.finish(items[i].Suggestion, snippets[i], posToks[k], wantPrivate[k], wantReduction[k])
+		m.finish(items[i].Suggestion, snippets[i], wantPrivate[k], wantReduction[k])
 	}
 	dCorroborate += time.Since(t0)
 	return items, nil
@@ -469,7 +465,7 @@ var conversions = dep.Options{ArrayPrivatization: true, ArrayReductions: true}
 // assembly, schedule hint, and corroboration grading, all over the snippet's
 // one s2s.Unit. wantPrivate and wantReduction carry the clause classifiers'
 // verdicts (false when the classifier is absent — the analysis then decides).
-func (m *Models) finish(s *Suggestion, sn Snippet, toks []string, wantPrivate, wantReduction bool) {
+func (m *Models) finish(s *Suggestion, sn Snippet, wantPrivate, wantReduction bool) {
 	d := &pragma.Directive{ParallelFor: true}
 	unit := s2s.NewUnit(sn.Code, sn.Loop)
 	analysis := unit.Analysis(conversions) // nil when no loop parses
@@ -562,7 +558,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet, toks []string, wantPrivate, w
 		}
 	}
 	if cor.Tier == TierDisagree && !m.NoExplain {
-		s.Attributions = m.explainDisagreement(sn.Code, toks)
+		s.Attributions = m.explainDisagreement(sn.Code)
 	}
 }
 
@@ -610,8 +606,14 @@ func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
 //     while raw probabilities would differ between float64 and int8.
 //
 // Attributions are returned in token order covering every (truncated)
-// input token; consumers pick their own top-K by |weight|.
-func (m *Models) explainDisagreement(code string, toks []string) []lime.Attribution {
+// input token; consumers pick their own top-K by |weight|. This is the one
+// place an advised loop's token strings exist: the classifiers read ids
+// streamed from the text.
+func (m *Models) explainDisagreement(code string) []lime.Attribution {
+	toks, err := tokenize.Extract(code, tokenize.Text)
+	if err != nil {
+		return nil // unreachable: the snippet was encoded from the same text
+	}
 	maxLen := m.EffectiveMaxLen()
 	if len(toks) > maxLen {
 		// The classifier never sees past the encode cap, and the surrogate

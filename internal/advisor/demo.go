@@ -81,11 +81,11 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 		encode := func(ins []dataset.Instance) ([]train.Example, error) {
 			out := make([]train.Example, len(ins))
 			for i, in := range ins {
-				toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+				ids, err := v.EncodeText(in.Rec.Code, core.DefaultMaxLen)
 				if err != nil {
 					return nil, err
 				}
-				out[i] = train.Example{IDs: v.Encode(toks, core.DefaultMaxLen), Label: in.Label}
+				out[i] = train.Example{IDs: ids, Label: in.Label}
 			}
 			return out, nil
 		}

@@ -1,0 +1,128 @@
+package advisor
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"maps"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"pragformer/internal/cast"
+	"pragformer/internal/cparse"
+)
+
+// fixtureSnippets returns the unique loops of examples/scantree as the
+// scanner hands them over: canonical print plus the parsed loop, in WalkDir's
+// (lexical) file order and source order.
+func fixtureSnippets(t *testing.T) []Snippet {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples", "scantree"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".c") {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Snippet
+	seen := map[string]bool{}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := cparse.ParseRecover(string(data))
+		for _, li := range cast.ExtractLoops(f) {
+			if code := cast.Print(li.Loop); !seen[code] {
+				seen[code] = true
+				out = append(out, Snippet{Code: code, Loop: li.Loop})
+			}
+		}
+	}
+	if len(out) != 16 {
+		t.Fatalf("fixture tree holds %d unique loops, want 16", len(out))
+	}
+	return out
+}
+
+// TestSuggestBytesBudget gates what one advised loop allocates in bytes, on
+// the scanner's call shape: one SuggestSnippets batch of the fixture's 16
+// loops, ASTs threaded, the real S2S trio behind a classifier that likes
+// every loop — so tokenisation, dependence evidence, three member verdicts
+// and the LIME of every refuted loop are all in the figure, and no model
+// forward is. While every loop materialised its tokens, their strings and
+// the S2S unit's own copy, the batch read 11.1 KB per loop (11.6 when a
+// collection emptied the pools mid-measure); with ids streamed from the text
+// and the unit's buffer borrowed it reads 6.6 (7.0).
+func TestSuggestBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	m := stubModels(t, nil)
+	snippets := fixtureSnippets(t)
+	run := func() {
+		items, err := m.SuggestSnippets(snippets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range items {
+			if it.Err != nil {
+				t.Fatalf("loop %d: %v", i, it.Err)
+			}
+		}
+	}
+	run() // pools warm
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perLoop := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(snippets))
+	t.Logf("%.0f bytes per advised loop", perLoop)
+	const budget = 8800
+	if perLoop > budget {
+		t.Errorf("%.0f bytes per advised loop, budget %d", perLoop, budget)
+	}
+}
+
+// TestDisagreementAttributionsPinned holds the LIME attributions of the
+// fixture's disagreeing loops (the scan report's PF1003 results) to the
+// values the advisor produced while it still handed LIME the token strings
+// of the batch's one up-front Extract: the explanation now lexes the loop
+// again, on the disagreement alone, and must read the same tokens.
+func TestDisagreementAttributionsPinned(t *testing.T) {
+	// Loop (its place in fixtureSnippets) -> attribution count and the sha-256
+	// of every (index, token, weight bits) triple in order.
+	want := map[int]string{2: "64 357d920fefca0a95", 12: "27 789b3eff684c944d"}
+	m := models(t)
+	snippets := fixtureSnippets(t)
+	items, err := m.SuggestSnippets(snippets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]string{}
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatal(it.Err)
+		}
+		if it.Suggestion.Corroboration.Tier != TierDisagree {
+			continue
+		}
+		h := sha256.New()
+		for _, a := range it.Suggestion.Attributions {
+			fmt.Fprintf(h, "%d %q %x\n", a.Index, a.Token, math.Float64bits(a.Weight))
+		}
+		got[i] = fmt.Sprintf("%d %x", len(it.Suggestion.Attributions), h.Sum(nil)[:8])
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("disagreement attributions moved:\ngot  %v\nwant %v", got, want)
+	}
+}

@@ -107,17 +107,28 @@ func New(src string) *Lexer {
 // tokens are scanned into a pooled scratch buffer and copied out, so the
 // result is one allocation of exactly the right size however long src is.
 func Lex(src string) ([]Token, error) {
-	buf := scratch.Get().(*[]Token)
-	toks, err := Append((*buf)[:0], src)
-	out := make([]Token, len(toks))
-	copy(out, toks)
-	clear(toks) // the pool must not pin src through token texts
-	*buf = toks
-	scratch.Put(buf)
+	buf := Borrow()
+	defer Release(buf)
+	var err error
+	*buf, err = Append(*buf, src)
+	out := make([]Token, len(*buf))
+	copy(out, *buf)
 	return out, err
 }
 
 var scratch = sync.Pool{New: func() any { return new([]Token) }}
+
+// Borrow returns an empty pooled buffer to Append into, for a caller that
+// reads the tokens and lets them go; Release takes it back.
+func Borrow() *[]Token { return scratch.Get().(*[]Token) }
+
+// Release returns buf to the pool cleared: a pooled buffer must not pin a
+// source through its token texts.
+func Release(buf *[]Token) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	scratch.Put(buf)
+}
 
 // Append tokenizes src onto dst and returns the extended slice — for callers
 // that reuse one token buffer across many sources (the parser). On error the

@@ -236,6 +236,19 @@ func (p *Pipeline) Vocab(repr tokenize.Representation) *tokenize.Vocab {
 	return v
 }
 
+// ids encodes a record for the model. Text streams from the code straight to
+// ids; the parsed representations, and a record that does not lex, go through
+// Tokens and its fallback.
+func (p *Pipeline) ids(r *corpus.Record, repr tokenize.Representation, maxLen int) []int {
+	v := p.Vocab(repr)
+	if repr == tokenize.Text {
+		if ids, err := v.EncodeText(r.Code, maxLen); err == nil {
+			return ids
+		}
+	}
+	return v.Encode(p.Tokens(r, repr), maxLen)
+}
+
 // Examples encodes instances for the trainer.
 func (p *Pipeline) Examples(ins []dataset.Instance, repr tokenize.Representation) []train.Example {
 	return p.examplesWithLen(ins, repr, p.P.MaxLen)
@@ -244,10 +257,9 @@ func (p *Pipeline) Examples(ins []dataset.Instance, repr tokenize.Representation
 // examplesWithLen encodes instances with an explicit length cap (the seqlen
 // ablation varies it independently of the pipeline default).
 func (p *Pipeline) examplesWithLen(ins []dataset.Instance, repr tokenize.Representation, maxLen int) []train.Example {
-	v := p.Vocab(repr)
 	out := make([]train.Example, len(ins))
 	for i, in := range ins {
-		out[i] = train.Example{IDs: v.Encode(p.Tokens(in.Rec, repr), maxLen), Label: in.Label}
+		out[i] = train.Example{IDs: p.ids(in.Rec, repr, maxLen), Label: in.Label}
 	}
 	return out
 }
@@ -455,10 +467,9 @@ func (p *Pipeline) EvalModel(t *Trained, ins []dataset.Instance, repr tokenize.R
 // EvalBackend scores any inference backend (float64 or int8) on instances
 // through the batched forward path — the quant study compares the two.
 func (p *Pipeline) EvalBackend(b core.Backend, ins []dataset.Instance, repr tokenize.Representation) metrics.Confusion {
-	v := p.Vocab(repr)
 	ids := make([][]int, len(ins))
 	for i, in := range ins {
-		ids[i] = v.Encode(p.Tokens(in.Rec, repr), p.P.MaxLen)
+		ids[i] = p.ids(in.Rec, repr, p.P.MaxLen)
 	}
 	labels := predictLabels(b, ids)
 	var c metrics.Confusion

@@ -6,7 +6,7 @@ package pragma
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -86,44 +86,60 @@ func (d *Directive) String() string {
 	if d == nil {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteString("#pragma omp parallel for")
+	var stack [128]byte // most directives fit: the string is the one allocation
+	b := append(stack[:0], "#pragma omp parallel for"...)
 	if len(d.Private) > 0 {
-		vars := append([]string(nil), d.Private...)
-		sort.Strings(vars)
-		fmt.Fprintf(&b, " private(%s)", strings.Join(vars, ", "))
+		b = appendVars(append(b, " private("...), d.Private)
 	}
 	if len(d.FirstPrivate) > 0 {
-		vars := append([]string(nil), d.FirstPrivate...)
-		sort.Strings(vars)
-		fmt.Fprintf(&b, " firstprivate(%s)", strings.Join(vars, ", "))
+		b = appendVars(append(b, " firstprivate("...), d.FirstPrivate)
 	}
 	if len(d.Shared) > 0 {
-		vars := append([]string(nil), d.Shared...)
-		sort.Strings(vars)
-		fmt.Fprintf(&b, " shared(%s)", strings.Join(vars, ", "))
+		b = appendVars(append(b, " shared("...), d.Shared)
 	}
-	reds := append([]Reduction(nil), d.Reductions...)
-	sort.Slice(reds, func(i, j int) bool { return reds[i].Op < reds[j].Op })
+	reds := d.Reductions
+	byOp := func(a, b Reduction) int { return strings.Compare(a.Op, b.Op) }
+	if !slices.IsSortedFunc(reds, byOp) {
+		reds = slices.Clone(reds)
+		slices.SortStableFunc(reds, byOp)
+	}
 	for _, r := range reds {
-		vars := append([]string(nil), r.Vars...)
-		sort.Strings(vars)
-		fmt.Fprintf(&b, " reduction(%s:%s)", r.Op, strings.Join(vars, ", "))
+		b = append(b, " reduction("...)
+		b = append(b, r.Op...)
+		b = appendVars(append(b, ':'), r.Vars)
 	}
 	if d.Schedule != ScheduleNone {
+		b = append(b, " schedule("...)
+		b = append(b, d.Schedule.String()...)
 		if d.Chunk > 0 {
-			fmt.Fprintf(&b, " schedule(%s,%d)", d.Schedule, d.Chunk)
-		} else {
-			fmt.Fprintf(&b, " schedule(%s)", d.Schedule)
+			b = strconv.AppendInt(append(b, ','), int64(d.Chunk), 10)
 		}
+		b = append(b, ')')
 	}
 	if d.Collapse > 0 {
-		fmt.Fprintf(&b, " collapse(%d)", d.Collapse)
+		b = strconv.AppendInt(append(b, " collapse("...), int64(d.Collapse), 10)
+		b = append(b, ')')
 	}
 	if d.NoWait {
-		b.WriteString(" nowait")
+		b = append(b, " nowait"...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendVars appends vars in sorted order, comma-separated, and the clause's
+// closing parenthesis. A list already in order is read in place.
+func appendVars(b []byte, vars []string) []byte {
+	if !slices.IsSorted(vars) {
+		vars = slices.Clone(vars)
+		slices.Sort(vars)
+	}
+	for i, v := range vars {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, v...)
+	}
+	return append(b, ')')
 }
 
 // Parse parses a pragma line. Accepted spellings include a leading "#",

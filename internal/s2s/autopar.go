@@ -18,7 +18,7 @@ type AutoPar struct{}
 func (AutoPar) Name() string { return "AutoPar" }
 
 // Compile implements Compiler.
-func (c AutoPar) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+func (c AutoPar) Compile(src string) (Result, error) { return compileText(c, src) }
 
 func (c AutoPar) compile(u *Unit) (Result, error) {
 	src := u.src

@@ -31,7 +31,7 @@ func (Cetus) Name() string { return "Cetus" }
 const minCetusTrip = 4
 
 // Compile implements Compiler.
-func (c Cetus) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+func (c Cetus) Compile(src string) (Result, error) { return compileText(c, src) }
 
 func (c Cetus) compile(u *Unit) (Result, error) {
 	src := u.src

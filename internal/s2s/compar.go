@@ -32,7 +32,7 @@ type MemberVerdict struct {
 }
 
 // unitCompiler is a member that compiles from a shared front end; its
-// Compile(src) is compile(newUnit(src)).
+// Compile(src) is compileText(c, src).
 type unitCompiler interface{ compile(*Unit) (Result, error) }
 
 // CompileEach runs every member compiler and returns the per-member
@@ -45,6 +45,7 @@ func (c *ComPar) CompileEach(src string) []MemberVerdict { return c.CompileUnit(
 // lexed, parsed and analyzed once, not per member — and not at all where the
 // unit's maker already did; any other member compiles the text on its own.
 func (c *ComPar) CompileUnit(u *Unit) []MemberVerdict {
+	defer u.release()
 	out := make([]MemberVerdict, 0, len(c.Members))
 	for _, m := range c.Members {
 		var res Result

@@ -18,7 +18,7 @@ type Par4All struct{}
 func (Par4All) Name() string { return "Par4All" }
 
 // Compile implements Compiler.
-func (c Par4All) Compile(src string) (Result, error) { return c.compile(newUnit(src)) }
+func (c Par4All) Compile(src string) (Result, error) { return compileText(c, src) }
 
 func (c Par4All) compile(u *Unit) (Result, error) {
 	src := u.src

@@ -52,12 +52,14 @@ var ErrParse = errors.New("s2s: compile failed")
 // comes from whoever parsed it first — the scanner's file parse or NewUnit's
 // parse of a posted snippet, else the unit's own parse of its tokens, when
 // the first member to get that far asks — and goes through the dependence
-// engine once, every view deriving from that plain pass. A unit serves one
-// snippet on one goroutine; ComPar itself holds no state.
+// engine once, every view deriving from that plain pass. The token buffer is
+// borrowed from a pool for the span of one compile call — release hands it
+// back — while the loop and its analysis stay with the unit. A unit serves
+// one snippet on one goroutine; ComPar itself holds no state.
 type Unit struct {
-	code   string       // as given
-	src    string       // pragma-stripped
-	toks   []clex.Token // of src; with lexErr, nil until a member asks
+	code   string        // as given
+	src    string        // pragma-stripped
+	buf    *[]clex.Token // src's tokens, borrowed; with lexErr, nil until a member asks
 	lexErr error
 
 	given    bool      // NewUnit found the loop: Analysis has a subject
@@ -71,12 +73,31 @@ type Unit struct {
 // newUnit is the text-built unit behind Compile(src) and CompileEach(src).
 func newUnit(code string) *Unit { return &Unit{code: code, src: stripPragmas(code)} }
 
-// tokens lexes the stripped text when the first member asks.
+// tokens lexes the stripped text into a borrowed buffer when the first
+// member of a compile call asks.
 func (u *Unit) tokens() ([]clex.Token, error) {
-	if u.toks == nil && u.lexErr == nil {
-		u.toks, u.lexErr = clex.Lex(u.src)
+	if u.buf == nil {
+		u.buf = clex.Borrow()
+		*u.buf, u.lexErr = clex.Append(*u.buf, u.src)
 	}
-	return u.toks, u.lexErr
+	return *u.buf, u.lexErr
+}
+
+// release ends a compile call: the token buffer goes back cleared. A parsed
+// loop keeps token texts, never tokens, so what the unit found stays valid.
+func (u *Unit) release() {
+	if u.buf != nil {
+		clex.Release(u.buf)
+		u.buf, u.lexErr = nil, nil
+	}
+}
+
+// compileText is a member's Compile(src): compile over a unit of the text,
+// alive for that call.
+func compileText(c unitCompiler, src string) (Result, error) {
+	u := newUnit(src)
+	defer u.release()
+	return c.compile(u)
 }
 
 // NewUnit returns the unit of an advised snippet. loop is the snippet's
@@ -117,7 +138,7 @@ func (u *Unit) Analysis(opts dep.Options) *dep.Analysis {
 // only see what is in the segment.
 func (u *Unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
 	if u.loop == nil && u.parseErr == nil {
-		u.loop, u.funcs, u.parseErr = parseSnippet(u.toks) // lexed: rejectTokens ran
+		u.loop, u.funcs, u.parseErr = parseSnippet(*u.buf) // lexed: rejectTokens ran
 	}
 	return u.loop, u.funcs, u.parseErr
 }

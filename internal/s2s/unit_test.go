@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pragformer/internal/cast"
+	"pragformer/internal/clex"
 	"pragformer/internal/corpus"
 	"pragformer/internal/cparse"
 	"pragformer/internal/dep"
@@ -181,6 +182,54 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 				src := srcs[(k+g*7)%len(srcs)]
 				for i, v := range c.CompileEach(src) {
 					sameVerdict(t, src, v, c.Members[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestUnitBorrowsTokens holds the borrowed token buffer to what an owned
+// clex.Lex copy gave: every CompileUnit verdict is the member's own
+// Compile(src) verdict, from eight goroutines trading buffers through the
+// pool; a unit compiled a second time — its buffer long returned — answers
+// as it did the first; and a returned buffer holds no token, over its whole
+// capacity, so the pool pins no snippet.
+func TestUnitBorrowsTokens(t *testing.T) {
+	c := NewComPar()
+	srcs := equivalenceInputs(t)
+	for _, src := range srcs {
+		u := NewUnit(src, nil)
+		u.tokens() // borrow now, to watch the buffer across the release
+		buf := u.buf
+		first := c.CompileUnit(u)
+		if u.buf != nil {
+			t.Fatalf("%q: unit still holds its token buffer after CompileUnit", src)
+		}
+		for i, tok := range (*buf)[:cap(*buf)] {
+			if tok != (clex.Token{}) {
+				t.Fatalf("%q: released buffer still holds %v at %d of %d", src, tok, i, cap(*buf))
+			}
+		}
+		second := c.CompileUnit(u)
+		for i := range first {
+			sameVerdict(t, src, first[i], c.Members[i])
+			sameVerdict(t, src, second[i], c.Members[i])
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range srcs {
+				src := srcs[(k+g*5)%len(srcs)]
+				u := NewUnit(src, nil)
+				for round := 0; round < 2; round++ {
+					for i, v := range c.CompileUnit(u) {
+						sameVerdict(t, src, v, c.Members[i])
+					}
 				}
 			}
 		}(g)

@@ -10,7 +10,6 @@ import (
 
 	"pragformer/internal/api"
 	"pragformer/internal/obs"
-	"pragformer/internal/tokenize"
 )
 
 // HTTP JSON API over the engine (bodies are the internal/api types):
@@ -62,12 +61,8 @@ func (e *Engine) Handler() http.Handler {
 // encode tokenizes and encodes one snippet against the currently served
 // bundle.
 func (e *Engine) encode(code string) ([]int, error) {
-	toks, err := tokenize.Extract(code, tokenize.Text)
-	if err != nil {
-		return nil, err
-	}
 	models := e.Models()
-	return models.Vocab.Encode(toks, models.EffectiveMaxLen()), nil
+	return models.Vocab.EncodeText(code, models.EffectiveMaxLen())
 }
 
 // validateIDs rejects raw id sequences the model cannot embed — this is

@@ -103,14 +103,16 @@ func stripPragmaNodes(f *cast.File) {
 }
 
 // lexTokens returns the raw token texts, skipping pragmas (the label must
-// never leak into the model input).
+// never leak into the model input). The tokens themselves are borrowed.
 func lexTokens(code string) ([]string, error) {
-	toks, err := clex.Lex(code)
-	if err != nil {
+	buf := clex.Borrow()
+	defer clex.Release(buf)
+	var err error
+	if *buf, err = clex.Append(*buf, code); err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
+	out := make([]string, 0, len(*buf))
+	for _, t := range *buf {
 		if t.Kind == clex.EOF || t.Kind == clex.Pragma {
 			continue
 		}
@@ -203,6 +205,32 @@ func (v *Vocab) Encode(tokens []string, maxLen int) []int {
 		ids = append(ids, v.ID(tok))
 	}
 	return ids
+}
+
+// EncodeText is Encode over Extract(code, Text) in one streaming pass: each
+// token's text goes straight to its id, so neither the tokens nor their
+// strings are materialised. Storing stops at maxLen; lexing runs on to the
+// end, so a lexical error anywhere in code still fails it as Extract would.
+func (v *Vocab) EncodeText(code string, maxLen int) ([]int, error) {
+	if maxLen < 1 {
+		maxLen = 1
+	}
+	// A token is at least one byte, so len(code)+1 bounds the sequence.
+	ids := make([]int, 1, min(len(code)+1, maxLen))
+	ids[0] = CLS
+	lx := clex.New(code)
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == clex.EOF {
+			return ids, nil
+		}
+		if t.Kind != clex.Pragma && len(ids) < maxLen {
+			ids = append(ids, v.ID(t.Text))
+		}
+	}
 }
 
 // Decode maps ids back to token strings (diagnostics).
