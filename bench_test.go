@@ -134,6 +134,6 @@ func BenchmarkEndToEndPrediction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trained.Model.Predict(ids)
+		trained.Model.PredictBatch([][]int{ids})
 	}
 }

@@ -184,6 +184,7 @@ func cmdTrain(args []string) {
 		Workers:         *workers,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
+		RestoreBest:     true, // the artifact is the best epoch reported below
 		Progress:        func(s string) { fmt.Println(" ", s) },
 	}
 	if *ckptPath != "" {
@@ -324,7 +325,7 @@ func cmdPredict(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	p := m.Predict(ids)
+	p := m.PredictBatch([][]int{ids})[0]
 	verdict := "no OpenMP directive needed"
 	if p > 0.5 {
 		verdict = "suggest #pragma omp parallel for"

@@ -42,7 +42,7 @@ func TestQuantizeCLI(t *testing.T) {
 		for n := rng.Intn(30); n > 0; n-- {
 			ids = append(ids, 4+rng.Intn(100))
 		}
-		pf, pq := m.Predict(ids), q.Predict(ids)
+		pf, pq := m.PredictBatch([][]int{ids})[0], q.PredictBatch([][]int{ids})[0]
 		if d := pf - pq; d > 0.05 || d < -0.05 {
 			t.Errorf("seq %d: float %v vs quantized-artifact %v", i, pf, pq)
 		}

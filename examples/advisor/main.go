@@ -69,13 +69,21 @@ func main() {
 		if err != nil {
 			continue
 		}
-		logit := func(tokens []string) float64 {
-			pr := models.Directive.Predict(models.Vocab.Encode(tokens, models.MaxLen))
-			pr = math.Min(math.Max(pr, 1e-6), 1-1e-6)
-			return math.Log(pr / (1 - pr))
+		// Every perturbation in one batched forward, scored as log-odds.
+		logits := func(batch [][]string) []float64 {
+			ids := make([][]int, len(batch))
+			for i, tokens := range batch {
+				ids[i] = models.Vocab.Encode(tokens, models.MaxLen)
+			}
+			out := models.Directive.PredictBatch(ids)
+			for i, pr := range out {
+				pr = math.Min(math.Max(pr, 1e-6), 1-1e-6)
+				out[i] = math.Log(pr / (1 - pr))
+			}
+			return out
 		}
 		var parts []string
-		for _, a := range explainer.Explain(toks, logit, 4) {
+		for _, a := range explainer.ExplainBatch(toks, logits, 4) {
 			parts = append(parts, fmt.Sprintf("%s(%+.2f)", a.Token, a.Weight))
 		}
 		fmt.Printf("  LIME:       %s\n\n", strings.Join(parts, " "))

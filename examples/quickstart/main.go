@@ -61,7 +61,7 @@ func main() {
 	loss, acc := train.Evaluate(model, encode(split.Test))
 	fmt.Printf("test: loss %.3f accuracy %.3f\n", loss, acc)
 
-	// 5. Ask about new code.
+	// 5. Ask about new code (one snippet is a batch of one).
 	for _, snippet := range []string{
 		"for (i = 0; i < n; i++) out[i] = in[i] * 2.0 + src[i];",
 		"for (i = 1; i < n; i++) a[i] = a[i-1] * 2;",
@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		p := model.Predict(vocab.Encode(toks, 64))
+		p := model.PredictBatch([][]int{vocab.Encode(toks, 64)})[0]
 		fmt.Printf("p=%.2f  %s\n", p, snippet)
 	}
 }

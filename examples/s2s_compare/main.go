@@ -42,7 +42,7 @@ func agreementMatrix(model *core.PragFormer, vocab *tokenize.Vocab, records []*c
 		if err != nil {
 			continue
 		}
-		modelYes := model.Predict(vocab.Encode(toks, 64)) > 0.5
+		modelYes := model.PredictBatch([][]int{vocab.Encode(toks, 64)})[0] > 0.5
 
 		comparYes := false
 		res, err := compar.Compile(rec.Code)

@@ -437,19 +437,20 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	if len(posIDs) == 0 {
 		return items, nil
 	}
-	wantPrivate := make([]bool, len(posIDs))
-	wantReduction := make([]bool, len(posIDs))
+	var privateProbs, reductionProbs []float64 // nil when the classifier is absent
 	t0 = time.Now()
 	if m.Private != nil {
-		wantPrivate = m.Private.PredictLabelBatch(posIDs)
+		privateProbs = m.Private.PredictBatch(posIDs)
 	}
 	if m.Reduction != nil {
-		wantReduction = m.Reduction.PredictLabelBatch(posIDs)
+		reductionProbs = m.Reduction.PredictBatch(posIDs)
 	}
 	dInfer += time.Since(t0)
 	t0 = time.Now()
 	for k, i := range posAt {
-		m.finish(items[i].Suggestion, snippets[i], wantPrivate[k], wantReduction[k])
+		wantPrivate := privateProbs != nil && privateProbs[k] > 0.5
+		wantReduction := reductionProbs != nil && reductionProbs[k] > 0.5
+		m.finish(items[i].Suggestion, snippets[i], wantPrivate, wantReduction)
 	}
 	dCorroborate += time.Since(t0)
 	return items, nil

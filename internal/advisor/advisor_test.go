@@ -283,28 +283,10 @@ type yesBackend struct{}
 func (yesBackend) BackendName() string { return "stub" }
 func (yesBackend) VocabSize() int      { return 1 << 20 }
 func (yesBackend) MaxSeqLen() int      { return 64 }
-func (yesBackend) Predict([]int) float64 {
-	return 0.9
-}
-func (yesBackend) PredictLabel([]int) bool { return true }
 func (yesBackend) PredictBatch(idsBatch [][]int) []float64 {
 	out := make([]float64, len(idsBatch))
 	for i := range out {
 		out[i] = 0.9
-	}
-	return out
-}
-func (yesBackend) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
-	out := make([][2]float64, len(idsBatch))
-	for i := range out {
-		out[i] = [2]float64{0.1, 0.9}
-	}
-	return out
-}
-func (yesBackend) PredictLabelBatch(idsBatch [][]int) []bool {
-	out := make([]bool, len(idsBatch))
-	for i := range out {
-		out[i] = true
 	}
 	return out
 }

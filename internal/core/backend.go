@@ -32,12 +32,10 @@ type Backend interface {
 	VocabSize() int
 	// MaxSeqLen is the input position budget; longer sequences truncate.
 	MaxSeqLen() int
-
-	Predict(ids []int) float64
-	PredictLabel(ids []int) bool
+	// PredictBatch returns the positive-class probability of every sequence.
+	// It is the only way to ask a classifier: one sequence is a batch of one,
+	// and a verdict is the caller's threshold (the paper's is 0.5) over it.
 	PredictBatch(idsBatch [][]int) []float64
-	PredictBatchProbs(idsBatch [][]int) [][2]float64
-	PredictLabelBatch(idsBatch [][]int) []bool
 }
 
 // Both backends must satisfy the interface.

@@ -31,8 +31,12 @@ func raggedIDs(rng *rand.Rand, n, minLen, maxLen, vocab int) [][]int {
 	return out
 }
 
+// predictOne asks b about one sequence: a batch of one.
+func predictOne(b Backend, ids []int) float64 { return b.PredictBatch([][]int{ids})[0] }
+
 // TestPredictBatchParity asserts bit-exact agreement between PredictBatch
-// and looped Predict across batch sizes, ragged lengths, and layer counts.
+// and the training forward, forwardCls, looped per sequence, across batch
+// sizes, ragged lengths, and layer counts.
 func TestPredictBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, layers := range []int{1, 2} {
@@ -41,21 +45,17 @@ func TestPredictBatchParity(t *testing.T) {
 			batch := raggedIDs(rng, B, 1, 64, m.Cfg.Vocab)
 			got := m.PredictBatch(batch)
 			probs := m.PredictBatchProbs(batch)
-			labels := m.PredictLabelBatch(batch)
 			if len(got) != B {
 				t.Fatalf("layers=%d B=%d: got %d results", layers, B, len(got))
 			}
 			for i, ids := range batch {
-				want := m.Predict(ids)
+				want := m.forwardCls(ids, false).prob[1]
 				if got[i] != want {
 					t.Errorf("layers=%d B=%d seq %d (len %d): batch %v != single %v",
 						layers, B, i, len(ids), got[i], want)
 				}
 				if probs[i][1] != want {
 					t.Errorf("layers=%d B=%d seq %d: probs[1] %v != %v", layers, B, i, probs[i][1], want)
-				}
-				if labels[i] != m.PredictLabel(ids) {
-					t.Errorf("layers=%d B=%d seq %d: label mismatch", layers, B, i)
 				}
 			}
 		}
@@ -79,7 +79,7 @@ func TestPredictBatchProbsLoss(t *testing.T) {
 }
 
 // TestPredictBatchTruncation asserts over-long sequences are truncated to
-// MaxLen exactly as the single path does.
+// MaxLen exactly as the training forward does.
 func TestPredictBatchTruncation(t *testing.T) {
 	m := batchTestModel(t, 1, 16)
 	long := make([]int, 40)
@@ -88,7 +88,7 @@ func TestPredictBatchTruncation(t *testing.T) {
 		long[i] = 4 + i%100
 	}
 	got := m.PredictBatch([][]int{long})
-	if want := m.Predict(long); got[0] != want {
+	if want := m.forwardCls(long, false).prob[1]; got[0] != want {
 		t.Errorf("truncated batch %v != single %v", got[0], want)
 	}
 }
@@ -111,8 +111,8 @@ func TestPredictBatchEmpty(t *testing.T) {
 // degenerate ragged shapes: a lone [CLS] token (T=1, where a head's score
 // matrix is 1×1 and softmax is the identity), a batch of nothing but
 // single-token sequences, exact-MaxLen sequences, and over-length inputs
-// that truncate — each bit-identical to the single-sequence path, on both
-// backends.
+// that truncate — each bit-identical to the single-sequence path (the
+// training forward for float64, a batch of one for int8), on both backends.
 func TestPredictBatchRaggedEdges(t *testing.T) {
 	m := batchTestModel(t, 2, 16)
 	q, err := Quantize(m)
@@ -135,17 +135,19 @@ func TestPredictBatchRaggedEdges(t *testing.T) {
 		"exact MaxLen only": {full, full},
 	}
 	for name, batch := range batches {
-		for _, backend := range []Backend{m, q} {
-			probs := backend.PredictBatchProbs(batch)
+		single := map[Backend]func([]int) float64{
+			m: func(ids []int) float64 { return m.forwardCls(ids, false).prob[1] },
+			q: func(ids []int) float64 { return predictOne(q, ids) },
+		}
+		for backend, want := range single {
 			got := backend.PredictBatch(batch)
 			if len(got) != len(batch) {
 				t.Fatalf("%s/%s: %d results for %d sequences", name, backend.BackendName(), len(got), len(batch))
 			}
 			for i, ids := range batch {
-				want := backend.Predict(ids)
-				if got[i] != want || probs[i][1] != want {
-					t.Errorf("%s/%s seq %d: batch %v probs[1] %v != single %v",
-						name, backend.BackendName(), i, got[i], probs[i][1], want)
+				if w := want(ids); got[i] != w {
+					t.Errorf("%s/%s seq %d: batch %v != single %v",
+						name, backend.BackendName(), i, got[i], w)
 				}
 			}
 		}
@@ -208,14 +210,14 @@ func benchBatch(b *testing.B) (*PragFormer, [][]int) {
 }
 
 // BenchmarkPredictSequential16 is the baseline: 16 snippets through the
-// per-example Predict path.
+// per-example training forward, caches and all.
 func BenchmarkPredictSequential16(b *testing.B) {
 	m, batch := benchBatch(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, ids := range batch {
-			m.Predict(ids)
+			m.forwardCls(ids, false)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func TestLoadVersionZeroCompat(t *testing.T) {
 		t.Fatalf("version-0 file rejected: %v", err)
 	}
 	ids := []int{2, 9, 8, 7}
-	if m.Predict(ids) != m2.Predict(ids) {
+	if predictOne(m, ids) != predictOne(m2, ids) {
 		t.Fatal("version-0 load changed predictions")
 	}
 }

@@ -75,7 +75,7 @@ func TestLoadsV1File(t *testing.T) {
 		t.Errorf("version-1 weights digest %s, want %s", got, wantParams)
 	}
 	ids := []int{tokenize.CLS, 9, 8, 7, 31}
-	if got := math.Float64bits(m.Predict(ids)); got != 0x3fddc6050cf6a9f2 {
+	if got := math.Float64bits(predictOne(m, ids)); got != 0x3fddc6050cf6a9f2 {
 		t.Errorf("version-1 prediction bits %#x, want 0x3fddc6050cf6a9f2", got)
 	}
 
@@ -96,7 +96,7 @@ func TestLoadsV1File(t *testing.T) {
 	if !bytes.Equal(v2.Bytes(), again.Bytes()) {
 		t.Error("version-2 save -> load -> save is not byte-stable")
 	}
-	if m2.Predict(ids) != m.Predict(ids) {
+	if predictOne(m2, ids) != predictOne(m, ids) {
 		t.Error("version-2 round trip changed the prediction")
 	}
 }

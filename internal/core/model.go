@@ -223,7 +223,9 @@ type clsCache struct {
 	prob [2]float64
 }
 
-// forwardCls runs encoder + head, returning class probabilities.
+// forwardCls runs encoder + head, returning class probabilities: the
+// training forward, and the reference the batch parity tests hold the
+// inference forward (batch.go) to.
 func (m *PragFormer) forwardCls(ids []int, train bool) *clsCache {
 	c := &clsCache{enc: m.encode(ids, train)}
 	cls := tensor.FromSlice(1, m.Cfg.D, c.enc.hidden.Row(0)) // [CLS] pooling
@@ -239,15 +241,6 @@ func (m *PragFormer) forwardCls(ids []int, train bool) *clsCache {
 	c.prob = p
 	return c
 }
-
-// Predict returns the probability that the snippet is a positive example
-// (needs a directive / clause). Inputs are tokenize.Vocab-encoded ids.
-func (m *PragFormer) Predict(ids []int) float64 {
-	return m.forwardCls(ids, false).prob[1]
-}
-
-// PredictLabel applies the paper's 0.5 threshold.
-func (m *PragFormer) PredictLabel(ids []int) bool { return m.Predict(ids) > 0.5 }
 
 // LossAndBackward computes the binary cross-entropy loss (Eq. 1) for one
 // example and accumulates gradients for all classifier parameters.
@@ -274,16 +267,6 @@ func (m *PragFormer) LossAndBackward(ids []int, label bool) float64 {
 	copy(dHidden.Row(0), dCls.Row(0))
 	m.encodeBackward(c.enc, dHidden)
 	return loss
-}
-
-// Loss computes the BCE loss without touching gradients (validation).
-func (m *PragFormer) Loss(ids []int, label bool) float64 {
-	c := m.forwardCls(ids, false)
-	y := 0
-	if label {
-		y = 1
-	}
-	return -math.Log(math.Max(c.prob[y], 1e-12))
 }
 
 // ---------------------------------------------------------------------------

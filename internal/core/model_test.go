@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pragformer/internal/tokenize"
+	"pragformer/internal/train"
 )
 
 func tinyConfig() Config {
@@ -48,7 +49,7 @@ func TestConfigValidate(t *testing.T) {
 func TestPredictRange(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 1)
 	ids := []int{tokenize.CLS, 5, 6, 7}
-	p := m.Predict(ids)
+	p := predictOne(m, ids)
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		t.Fatalf("p = %g", p)
 	}
@@ -57,7 +58,7 @@ func TestPredictRange(t *testing.T) {
 func TestPredictDeterministic(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 1)
 	ids := []int{tokenize.CLS, 5, 6, 7, 8}
-	if m.Predict(ids) != m.Predict(ids) {
+	if predictOne(m, ids) != predictOne(m, ids) {
 		t.Fatal("eval-mode prediction not deterministic")
 	}
 }
@@ -68,11 +69,11 @@ func TestLongInputTruncated(t *testing.T) {
 	for i := range ids {
 		ids[i] = 4 + i%40
 	}
-	p := m.Predict(ids)
+	p := predictOne(m, ids)
 	if math.IsNaN(p) {
 		t.Fatal("NaN on long input")
 	}
-	if p != m.Predict(ids[:16]) {
+	if p != predictOne(m, ids[:16]) {
 		t.Error("truncation inconsistent")
 	}
 }
@@ -83,8 +84,9 @@ func TestTrainingReducesLoss(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 2)
 	posIDs := []int{tokenize.CLS, 10, 11, 12}
 	negIDs := []int{tokenize.CLS, 20, 21, 22}
+	set := []train.Example{{IDs: posIDs, Label: true}, {IDs: negIDs, Label: false}}
 
-	lossBefore := m.Loss(posIDs, true) + m.Loss(negIDs, false)
+	lossBefore, _ := train.Evaluate(m, set)
 	lr := 0.05
 	for step := 0; step < 60; step++ {
 		for _, p := range m.Params() {
@@ -98,21 +100,22 @@ func TestTrainingReducesLoss(t *testing.T) {
 			}
 		}
 	}
-	lossAfter := m.Loss(posIDs, true) + m.Loss(negIDs, false)
+	lossAfter, acc := train.Evaluate(m, set)
 	if lossAfter >= lossBefore {
 		t.Fatalf("loss did not decrease: %.4f → %.4f", lossBefore, lossAfter)
 	}
-	if !m.PredictLabel(posIDs) || m.PredictLabel(negIDs) {
-		t.Errorf("predictions not separated: pos=%.3f neg=%.3f", m.Predict(posIDs), m.Predict(negIDs))
+	if acc != 1 {
+		t.Errorf("predictions not separated: pos=%.3f neg=%.3f", predictOne(m, posIDs), predictOne(m, negIDs))
 	}
 }
 
 func TestLossMatchesPrediction(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 3)
 	ids := []int{tokenize.CLS, 7, 8}
-	p := m.Predict(ids)
-	lossPos := m.Loss(ids, true)
-	lossNeg := m.Loss(ids, false)
+	p := predictOne(m, ids)
+	// tinyConfig has no dropout, so the training forward's loss is -log of p.
+	lossPos := m.LossAndBackward(ids, true)
+	lossNeg := m.LossAndBackward(ids, false)
 	if math.Abs(lossPos+math.Log(p)) > 1e-9 {
 		t.Errorf("loss(+) = %g, -log(p) = %g", lossPos, -math.Log(p))
 	}
@@ -177,7 +180,7 @@ func TestMLMNoTargets(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := mustNew(t, tinyConfig(), 6)
 	ids := []int{tokenize.CLS, 9, 8, 7}
-	want := m.Predict(ids)
+	want := predictOne(m, ids)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -187,7 +190,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.Predict(ids); got != want {
+	if got := predictOne(m2, ids); got != want {
 		t.Fatalf("prediction after load = %g, want %g", got, want)
 	}
 }
@@ -203,7 +206,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []int{tokenize.CLS, 4, 5}
-	if m.Predict(ids) != m2.Predict(ids) {
+	if predictOne(m, ids) != predictOne(m2, ids) {
 		t.Fatal("file round trip changed predictions")
 	}
 }
@@ -225,11 +228,11 @@ func TestCopyEncoderFrom(t *testing.T) {
 			p.W.Data[i] += 0.1
 		}
 	}
-	before := fine.Predict(ids)
+	before := predictOne(fine, ids)
 	if err := fine.CopyEncoderFrom(pre); err != nil {
 		t.Fatal(err)
 	}
-	after := fine.Predict(ids)
+	after := predictOne(fine, ids)
 	if before == after {
 		t.Error("encoder copy had no effect")
 	}
@@ -301,7 +304,7 @@ func BenchmarkPredict(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Predict(ids)
+		predictOne(m, ids)
 	}
 }
 

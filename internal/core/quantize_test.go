@@ -106,8 +106,9 @@ func TestQuantizePerLayerParity(t *testing.T) {
 	}
 }
 
-// TestQuantPredictSingleMatchesBatch pins the B=1 wrappers to the batch
-// path bit-exactly, as the float backend does.
+// TestQuantPredictSingleMatchesBatch pins a sequence's int8 probability as
+// independent of its batch: a batch of one gives it bit-exactly, as the
+// float backend does.
 func TestQuantPredictSingleMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	m := batchTestModel(t, 2, 64)
@@ -117,13 +118,9 @@ func TestQuantPredictSingleMatchesBatch(t *testing.T) {
 	}
 	batch := raggedIDs(rng, 5, 2, 64, m.Cfg.Vocab)
 	probs := q.PredictBatch(batch)
-	labels := q.PredictLabelBatch(batch)
 	for i, ids := range batch {
-		if p := q.Predict(ids); p != probs[i] {
-			t.Errorf("seq %d: Predict %v != batch %v", i, p, probs[i])
-		}
-		if l := q.PredictLabel(ids); l != labels[i] {
-			t.Errorf("seq %d: PredictLabel mismatch", i)
+		if p := predictOne(q, ids); p != probs[i] {
+			t.Errorf("seq %d: batch of one %v != batch %v", i, p, probs[i])
 		}
 	}
 }
@@ -142,7 +139,7 @@ func TestQuantTruncation(t *testing.T) {
 		long[i] = 4 + i%100
 	}
 	short := long[:16]
-	if got, want := q.Predict(long), q.Predict(short); got != want {
+	if got, want := predictOne(q, long), predictOne(q, short); got != want {
 		t.Errorf("truncated predict %v != explicit %v", got, want)
 	}
 }

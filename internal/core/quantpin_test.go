@@ -87,13 +87,13 @@ func TestQuantPredictPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends := map[string]Backend{"quantized": q}
+		backends := map[string]*quant.Model{"quantized": q}
 		if pin.layers == 2 {
 			backends["loaded"] = loaded
 		}
 		batch := raggedIDs(rand.New(rand.NewSource(int64(100*pin.layers+pin.B))), pin.B, 1, 64, q.Cfg.Vocab)
 		for name, b := range backends {
-			for i, p := range b.PredictBatchProbs(batch) {
+			for i, p := range b.Classifier().PredictBatchProbs(batch) {
 				for c := 0; c < 2; c++ {
 					if got := strconv.FormatFloat(p[c], 'x', -1, 64); got != pin.want[2*i+c] {
 						t.Errorf("%s layers=%d B=%d seq %d class %d: %s, pinned %s",

@@ -64,3 +64,35 @@ func TestDurablePipelineRestoresFinishedModel(t *testing.T) {
 		t.Error("ablation variants share a checkpoint path")
 	}
 }
+
+// TestTrainModelCheckpointInvariant: a pipeline with and without
+// CheckpointDir trains the same model — one train.Run with RestoreBest on
+// either side — so weights and History are bit-identical, and both hold the
+// best validation epoch.
+func TestTrainModelCheckpointInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	prm := Params{
+		CorpusTotal: 300, D: 16, Heads: 2, Layers: 1, FFHidden: 32,
+		Epochs: 4, MaxLen: 48, Batch: 16, LR: 1e-2, Dropout: 0.05,
+	}
+	run := func(dir string) *Trained {
+		p := NewPipeline(Config{Mode: Fast, Seed: 9, CheckpointDir: dir})
+		p.P.CorpusTotal = prm.CorpusTotal
+		return p.trainModel(dataset.TaskDirective, tokenize.Text, prm, 9)
+	}
+	mem, disk := run(""), run(t.TempDir())
+	if mem.History.BestEpoch == len(mem.History.Epochs)-1 {
+		t.Fatalf("best epoch %d is the last: the run cannot tell selection from no selection", mem.History.BestEpoch)
+	}
+	if !reflect.DeepEqual(mem.History, disk.History) {
+		t.Errorf("histories differ:\nwithout checkpoint %+v\nwith checkpoint    %+v", mem.History, disk.History)
+	}
+	wd := disk.Model.Params()
+	for i, p := range mem.Model.Params() {
+		if !reflect.DeepEqual(p.W.Data, wd[i].W.Data) {
+			t.Fatalf("weights differ at tensor %d (%s)", i, p.Name)
+		}
+	}
+}

@@ -2,6 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +240,39 @@ func TestTable12Examples(t *testing.T) {
 	// pattern is the paper's clearest qualitative case.
 	if exs[1].Predicted {
 		t.Errorf("stderr dump predicted positive (p=%.2f)", exs[1].Prob)
+	}
+}
+
+// TestFigure8Pinned holds the Table 12 / Figure 8 study to the bits it had
+// while LIME asked the training forward about one perturbation at a time:
+// each example's probability, and a digest of every attribution (position,
+// token, weight bits), recorded at that commit with and without -tags
+// purego. One batched forward over all perturbations changes none of them.
+func TestFigure8Pinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("recorded on amd64; other compilers may fuse multiply-adds")
+	}
+	p := testPipeline(t)
+	wantProbs := []string{"0x1.a0a2d26fa5c49p-04", "0x1.cee445497564bp-05", "0x1.d79b22b927864p-06", "0x1.a4baff348b6afp-05"}
+	const wantAttrs = "1e1322ece837f2eccc060824e047a8e0bcea717c95baa268e9408b39696f7870"
+	exs := p.RunTable12Figure8()
+	if len(exs) != len(wantProbs) {
+		t.Fatalf("examples = %d, want %d", len(exs), len(wantProbs))
+	}
+	h := sha256.New()
+	var b [8]byte
+	for i, ex := range exs {
+		if got := strconv.FormatFloat(ex.Prob, 'x', -1, 64); got != wantProbs[i] {
+			t.Errorf("%s: p = %s, pinned %s", ex.Name, got, wantProbs[i])
+		}
+		for _, a := range ex.Top {
+			fmt.Fprintf(h, "%d %s ", a.Index, a.Token)
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.Weight))
+			h.Write(b[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantAttrs {
+		t.Errorf("attribution digest %s, pinned %s", got, wantAttrs)
 	}
 }
 

@@ -142,14 +142,22 @@ type PaperExample struct {
 func (p *Pipeline) RunTable12Figure8() []PaperExample {
 	trained := p.Model(dataset.TaskDirective, tokenize.Text)
 	v := p.Vocab(tokenize.Text)
-	predictTokens := func(tokens []string) float64 {
-		return trained.Model.Predict(v.Encode(tokens, p.P.MaxLen))
+	predict := func(batch [][]string) []float64 {
+		ids := make([][]int, len(batch))
+		for i, tokens := range batch {
+			ids[i] = v.Encode(tokens, p.P.MaxLen)
+		}
+		return trained.Model.PredictBatch(ids)
 	}
 	// LIME explains the log-odds rather than the probability: saturated
 	// predictions (p ≈ 0 or 1) leave no usable signal in probability space.
-	logitTokens := func(tokens []string) float64 {
-		pr := math.Min(math.Max(predictTokens(tokens), 1e-6), 1-1e-6)
-		return math.Log(pr / (1 - pr))
+	logits := func(batch [][]string) []float64 {
+		out := predict(batch)
+		for i, pr := range out {
+			pr = math.Min(math.Max(pr, 1e-6), 1-1e-6)
+			out[i] = math.Log(pr / (1 - pr))
+		}
+		return out
 	}
 
 	cases := []struct {
@@ -197,14 +205,14 @@ func (p *Pipeline) RunTable12Figure8() []PaperExample {
 		if err != nil {
 			continue
 		}
-		prob := predictTokens(toks)
+		prob := predict([][]string{toks})[0]
 		out = append(out, PaperExample{
 			Name:      c.name,
 			Code:      c.code,
 			TrueLabel: c.label,
 			Predicted: prob > 0.5,
 			Prob:      prob,
-			Top:       explainer.Explain(toks, logitTokens, 6),
+			Top:       explainer.ExplainBatch(toks, logits, 6),
 		})
 	}
 	return out

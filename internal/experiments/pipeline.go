@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,7 +16,6 @@ import (
 	"sort"
 
 	"pragformer/internal/bow"
-	"pragformer/internal/ckpt"
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
 	"pragformer/internal/dataset"
@@ -285,9 +283,10 @@ func (p *Pipeline) Model(task dataset.Task, repr tokenize.Representation) *Train
 }
 
 // trainModel runs the full recipe with explicit params (ablations reuse
-// it). With Config.CheckpointDir set, the run is durable: it checkpoints
-// every epoch, resumes a partial checkpoint bit-identically, and loads a
-// finished one outright.
+// it), keeping the weights of the best validation epoch (§5.1 model
+// selection). With Config.CheckpointDir set, the run is durable: it
+// checkpoints every epoch, resumes a partial checkpoint bit-identically,
+// and restores a finished one without training.
 func (p *Pipeline) trainModel(task dataset.Task, repr tokenize.Representation, prm Params, seed int64) *Trained {
 	v := p.Vocab(repr)
 	split := p.splitFor(task)
@@ -312,22 +311,25 @@ func (p *Pipeline) trainModel(task dataset.Task, repr tokenize.Representation, p
 		Warmup: len(trainSet) / max(1, prm.Batch), ClipNorm: 1.0, Seed: seed,
 		Workers:        p.Cfg.Workers,
 		CheckpointPath: ckPath,
-		RestoreBest:    true, // §5.1 model selection, from the checkpointer's copy
+		RestoreBest:    true, // §5.1 model selection
 		Progress:       func(s string) { p.progress("  %s", s) },
 	}
 
 	if ckPath != "" {
-		if snap, lerr := ckpt.LoadFile(ckPath); lerr == nil {
-			if t := p.fromCheckpoint(m, snap, trainSet, validSet, prm, tcfg, task, repr); t != nil {
-				return t
-			}
-			// The checkpoint did not match this run (stale file, changed
-			// knobs); fall through to a fresh model and a scratch run.
+		// A checkpoint's weights include MLM pretraining: resuming one skips
+		// it, and a finished one runs no epoch.
+		hist, err := train.Resume(m, trainSet, validSet, tcfg)
+		switch {
+		case err == nil:
+			p.progress("resumed (%s, %s) from checkpoint %s", task, repr, ckPath)
+			return &Trained{Model: m, History: hist}
+		case !errors.Is(err, os.ErrNotExist):
+			// A stale file or changed knobs; the failed Resume may have
+			// moved m's weights.
+			p.progress("checkpoint %s not resumable (%v); training from scratch", ckPath, err)
 			if m, err = core.New(cfg, seed); err != nil {
 				panic(err)
 			}
-		} else if !errors.Is(lerr, os.ErrNotExist) {
-			p.progress("checkpoint %s unreadable (%v); training from scratch", ckPath, lerr)
 		}
 	}
 
@@ -336,63 +338,9 @@ func (p *Pipeline) trainModel(task dataset.Task, repr tokenize.Representation, p
 	}
 	p.progress("training PragFormer (%s, %s): %d train / %d valid",
 		task, repr, len(trainSet), len(validSet))
-
-	if ckPath != "" {
-		hist, err := train.Run(m, trainSet, validSet, tcfg)
-		if err != nil {
-			panic(fmt.Errorf("experiments: durable training (%s, %s): %w", task, repr, err))
-		}
-		return &Trained{Model: m, History: hist}
-	}
-
-	// Non-durable path: keep the weights of the best validation epoch in
-	// memory (§5.1 model selection).
-	var bestBuf bytes.Buffer
-	bestLoss := -1.0
-	tcfg.Snapshot = func(epoch int, stats train.EpochStats) {
-		if bestLoss < 0 || stats.ValidLoss < bestLoss {
-			bestLoss = stats.ValidLoss
-			bestBuf.Reset()
-			if err := m.Save(&bestBuf); err != nil {
-				panic(err)
-			}
-		}
-	}
-	hist := train.Fit(m, trainSet, validSet, tcfg)
-	if bestBuf.Len() > 0 {
-		restored, err := core.Load(&bestBuf)
-		if err == nil {
-			m = restored
-		}
-	}
-	return &Trained{Model: m, History: hist}
-}
-
-// fromCheckpoint materializes a Trained from an existing checkpoint:
-// restoring a finished run outright, or resuming a partial one (skipping
-// MLM pretraining — the checkpointed weights already include it). Returns
-// nil when the checkpoint does not belong to this run, in which case the
-// caller trains from scratch.
-func (p *Pipeline) fromCheckpoint(m *core.PragFormer, snap *ckpt.Snapshot,
-	trainSet, validSet []train.Example, prm Params, tcfg train.Config,
-	task dataset.Task, repr tokenize.Representation) *Trained {
-	if snap.NextEpoch >= prm.Epochs {
-		w := snap.BestWeights
-		if len(w) == 0 {
-			w = snap.Weights
-		}
-		if err := snap.ApplyWeights(m.Params(), w); err != nil {
-			p.progress("checkpoint for (%s, %s) does not match this run (%v); retraining", task, repr, err)
-			return nil
-		}
-		p.progress("restored finished model (%s, %s) from checkpoint", task, repr)
-		return &Trained{Model: m, History: train.HistoryFromSnapshot(snap)}
-	}
-	p.progress("resuming training (%s, %s) at epoch %d/%d", task, repr, snap.NextEpoch, prm.Epochs)
-	hist, err := train.Resume(m, trainSet, validSet, tcfg)
+	hist, err := train.Run(m, trainSet, validSet, tcfg)
 	if err != nil {
-		p.progress("resume failed (%v); training from scratch", err)
-		return nil
+		panic(fmt.Errorf("experiments: training (%s, %s): %w", task, repr, err))
 	}
 	return &Trained{Model: m, History: hist}
 }
@@ -483,13 +431,14 @@ func (p *Pipeline) EvalBackend(b core.Backend, ins []dataset.Instance, repr toke
 // pooled activation matrices stay a bounded size on paper-scale test sets.
 const evalBatch = 64
 
-// predictLabels runs PredictLabelBatch in bounded chunks, preserving input
-// order.
+// predictLabels applies the paper's 0.5 threshold to PredictBatch run in
+// bounded chunks, preserving input order.
 func predictLabels(m core.Backend, ids [][]int) []bool {
 	out := make([]bool, 0, len(ids))
 	for start := 0; start < len(ids); start += evalBatch {
-		end := min(start+evalBatch, len(ids))
-		out = append(out, m.PredictLabelBatch(ids[start:end])...)
+		for _, p := range m.PredictBatch(ids[start:min(start+evalBatch, len(ids))]) {
+			out = append(out, p > 0.5)
+		}
 	}
 	return out
 }

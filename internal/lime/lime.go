@@ -6,9 +6,9 @@
 //
 // There is one sampler and one fit, and they work on token positions:
 // ExplainVariants is the core, handing the model each perturbation as the
-// ascending list of positions it keeps (Variants). ExplainBatch and Explain
-// are adapters that spell the same lists out as token slices for models
-// that take strings. Everything but the result — the generator, the kept
+// ascending list of positions it keeps (Variants). ExplainBatch is the
+// adapter that spells the same lists out as token slices for models that
+// take strings. Everything but the result — the generator, the kept
 // lists, the weights and the normal equations — lives in one pooled
 // workspace per explanation (workspace.go), so the cost of an explanation
 // in allocations does not depend on the sample count.
@@ -59,25 +59,14 @@ func (v Variants) Len() int { return len(v.off) - 1 }
 // Kept returns the positions variant i keeps, ascending and never empty.
 func (v Variants) Kept(i int) []int32 { return v.kept[v.off[i]:v.off[i+1]] }
 
-// Explain attributes predict's positive-class probability on tokens to the
+// ExplainBatch attributes predict's positive-class score on tokens to the
 // individual tokens, returning attributions sorted by |weight| descending,
-// truncated to topK (topK <= 0 returns all).
-func (e *Explainer) Explain(tokens []string, predict func([]string) float64, topK int) []Attribution {
-	return e.ExplainBatch(tokens, func(batch [][]string) []float64 {
-		out := make([]float64, len(batch))
-		for i, ts := range batch {
-			out[i] = predict(ts)
-		}
-		return out
-	}, topK)
-}
-
-// ExplainBatch is Explain with a batched model: every perturbed variant is
+// truncated to topK (topK <= 0 returns all). Every perturbed variant is
 // collected first and predict is called exactly once over all of them, so a
 // backend with batched forwards (core.PredictBatch, the serving engine)
 // amortizes its per-call overhead across the whole perturbation set. It is
 // the string view of ExplainVariants — the same sampling, weighting and fit,
-// so for a given Seed the three entry points return the same attributions —
+// so for a given Seed both entry points return the same attributions —
 // with variant 0 the caller's own tokens and the rest cut from one backing
 // array that is allocated per call and is the caller's to keep.
 func (e *Explainer) ExplainBatch(tokens []string, predict func([][]string) []float64, topK int) []Attribution {

@@ -34,7 +34,7 @@ func find(attrs []Attribution, token string) (Attribution, bool) {
 
 func TestExplainFindsPositiveDriver(t *testing.T) {
 	tokens := []string{"for", "(", "i", ")", "sum", "+=", "a"}
-	attrs := New(1).Explain(tokens, keywordModel, 0)
+	attrs := New(1).ExplainBatch(tokens, batched(keywordModel), 0)
 	a, ok := find(attrs, "sum")
 	if !ok {
 		t.Fatal("sum not attributed")
@@ -51,7 +51,7 @@ func TestExplainFindsPositiveDriver(t *testing.T) {
 func TestExplainFindsNegativeDrivers(t *testing.T) {
 	// The paper's example 2: fprintf/stderr drive the "no pragma" class.
 	tokens := []string{"for", "(", "i", ")", "fprintf", "(", "stderr", ")"}
-	attrs := New(2).Explain(tokens, keywordModel, 0)
+	attrs := New(2).ExplainBatch(tokens, batched(keywordModel), 0)
 	fp, ok := find(attrs, "fprintf")
 	if !ok || fp.Weight >= 0 {
 		t.Errorf("fprintf weight = %+v, want negative", fp)
@@ -69,22 +69,22 @@ func TestExplainFindsNegativeDrivers(t *testing.T) {
 
 func TestExplainTopK(t *testing.T) {
 	tokens := []string{"a", "b", "sum", "d", "e"}
-	attrs := New(3).Explain(tokens, keywordModel, 2)
+	attrs := New(3).ExplainBatch(tokens, batched(keywordModel), 2)
 	if len(attrs) != 2 {
 		t.Fatalf("topK = %d", len(attrs))
 	}
 }
 
 func TestExplainEmpty(t *testing.T) {
-	if attrs := New(1).Explain(nil, keywordModel, 5); attrs != nil {
+	if attrs := New(1).ExplainBatch(nil, batched(keywordModel), 5); attrs != nil {
 		t.Fatal("expected nil for empty input")
 	}
 }
 
 func TestExplainDeterministic(t *testing.T) {
 	tokens := []string{"x", "sum", "y", "fprintf"}
-	a1 := New(7).Explain(tokens, keywordModel, 0)
-	a2 := New(7).Explain(tokens, keywordModel, 0)
+	a1 := New(7).ExplainBatch(tokens, batched(keywordModel), 0)
+	a2 := New(7).ExplainBatch(tokens, batched(keywordModel), 0)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatal("explanations differ under equal seeds")
@@ -94,7 +94,7 @@ func TestExplainDeterministic(t *testing.T) {
 
 func TestExplainConstantModel(t *testing.T) {
 	tokens := []string{"a", "b", "c"}
-	attrs := New(1).Explain(tokens, func([]string) float64 { return 0.7 }, 0)
+	attrs := New(1).ExplainBatch(tokens, batched(func([]string) float64 { return 0.7 }), 0)
 	for _, a := range attrs {
 		if math.Abs(a.Weight) > 0.05 {
 			t.Errorf("constant model attributed weight %g to %q", a.Weight, a.Token)
@@ -105,7 +105,7 @@ func TestExplainConstantModel(t *testing.T) {
 func TestDuplicateTokensSeparatePositions(t *testing.T) {
 	// Position-level features: two "sum" occurrences get separate entries.
 	tokens := []string{"sum", "x", "sum"}
-	attrs := New(4).Explain(tokens, keywordModel, 0)
+	attrs := New(4).ExplainBatch(tokens, batched(keywordModel), 0)
 	count := 0
 	for _, a := range attrs {
 		if a.Token == "sum" {
@@ -433,6 +433,6 @@ func BenchmarkExplain(b *testing.B) {
 	e.Samples = 100
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Explain(tokens, keywordModel, 10)
+		e.ExplainBatch(tokens, batched(keywordModel), 10)
 	}
 }

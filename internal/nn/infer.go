@@ -383,21 +383,3 @@ func (c Classifier[B]) PredictBatch(idsBatch [][]int) []float64 {
 	}
 	return out
 }
-
-// PredictLabelBatch applies the paper's 0.5 threshold to a whole batch.
-func (c Classifier[B]) PredictLabelBatch(idsBatch [][]int) []bool {
-	probs := c.PredictBatchProbs(idsBatch)
-	out := make([]bool, len(probs))
-	for i, p := range probs {
-		out[i] = p[1] > 0.5
-	}
-	return out
-}
-
-// Predict is the single-sequence wrapper over the batch path.
-func (c Classifier[B]) Predict(ids []int) float64 {
-	return c.PredictBatch([][]int{ids})[0]
-}
-
-// PredictLabel applies the 0.5 threshold to one sequence.
-func (c Classifier[B]) PredictLabel(ids []int) bool { return c.Predict(ids) > 0.5 }

@@ -235,8 +235,7 @@ func FromNN(cfg Config, emb *nn.Embedding, blocks []*nn.EncoderBlock,
 }
 
 // Classifier returns the model's inference view: the one forward of
-// nn/infer.go over int8 projections. The core.Backend prediction methods
-// below delegate to it.
+// nn/infer.go over int8 projections. PredictBatch delegates to it.
 func (m *Model) Classifier() nn.Classifier[*Block] {
 	return nn.Classifier[*Block]{
 		Tok: m.Tok, Pos: m.Pos, Blocks: m.Blocks,
@@ -244,25 +243,10 @@ func (m *Model) Classifier() nn.Classifier[*Block] {
 	}
 }
 
-// Predict returns the positive-class probability of one sequence.
-func (m *Model) Predict(ids []int) float64 { return m.Classifier().Predict(ids) }
-
-// PredictLabel applies the 0.5 threshold to one sequence.
-func (m *Model) PredictLabel(ids []int) bool { return m.Classifier().PredictLabel(ids) }
-
-// PredictBatch returns the positive-class probability for every sequence.
+// PredictBatch returns the positive-class probability for every sequence
+// (core.Backend).
 func (m *Model) PredictBatch(idsBatch [][]int) []float64 {
 	return m.Classifier().PredictBatch(idsBatch)
-}
-
-// PredictBatchProbs returns both class probabilities for every sequence.
-func (m *Model) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
-	return m.Classifier().PredictBatchProbs(idsBatch)
-}
-
-// PredictLabelBatch applies the 0.5 threshold to a whole batch.
-func (m *Model) PredictLabelBatch(idsBatch [][]int) []bool {
-	return m.Classifier().PredictLabelBatch(idsBatch)
 }
 
 // BackendName identifies the compute backend (core.Backend).

@@ -49,7 +49,7 @@ func TestEngineInt8Backend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := q.Predict(ids); got != want {
+		if want := predictOne(q, ids); got != want {
 			t.Errorf("seq %d: engine %v != quantized model %v", i, got, want)
 		}
 	}
@@ -108,7 +108,7 @@ func TestReloadKeepsBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := qFresh.Predict(ids); got != want {
+	if want := predictOne(qFresh, ids); got != want {
 		t.Errorf("post-reload predict %v != re-quantized bundle %v", got, want)
 	}
 }

@@ -42,6 +42,10 @@ func randIDs(rng *rand.Rand, n, maxLen, vocab int) [][]int {
 	return out
 }
 
+// predictOne asks b directly about one sequence: the reference the engine's
+// answers are held to.
+func predictOne(b core.Backend, ids []int) float64 { return b.PredictBatch([][]int{ids})[0] }
+
 // TestEnginePredictParity hammers the engine from concurrent clients and
 // checks every answer bit-exactly against the direct single-model path.
 func TestEnginePredictParity(t *testing.T) {
@@ -55,7 +59,7 @@ func TestEnginePredictParity(t *testing.T) {
 	pool := randIDs(rand.New(rand.NewSource(13)), 30, 64, models.Directive.VocabSize())
 	want := make([]float64, len(pool))
 	for i, ids := range pool {
-		want[i] = models.Directive.Predict(ids)
+		want[i] = predictOne(models.Directive, ids)
 	}
 
 	const clients, perClient = 8, 20
@@ -220,7 +224,7 @@ func TestEnginePredictEmptyIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Predict after a refused empty sequence: %v", err)
 	}
-	if want := models.Directive.Predict(ids); got != want {
+	if want := predictOne(models.Directive, ids); got != want {
 		t.Errorf("Predict after a refused empty sequence = %v, want %v", got, want)
 	}
 }

@@ -65,7 +65,7 @@ func TestHTTPPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.Models().Directive.Predict(ids); resp.Results[0].Probability != want {
+	if want := predictOne(e.Models().Directive, ids); resp.Results[0].Probability != want {
 		t.Errorf("probability %v != direct %v", resp.Results[0].Probability, want)
 	}
 	if resp.Results[0].Error != "" {
@@ -87,7 +87,7 @@ func TestHTTPPredictIDs(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/predict", req, &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if want := e.Models().Directive.Predict(ids); resp.Results[0].Probability != want {
+	if want := predictOne(e.Models().Directive, ids); resp.Results[0].Probability != want {
 		t.Errorf("probability %v != direct %v", resp.Results[0].Probability, want)
 	}
 	if resp.Results[1].Error == "" {

@@ -44,8 +44,8 @@ func TestReloadDropsNoRequests(t *testing.T) {
 	wantOld := make(map[int]float64, len(pool))
 	wantNew := make(map[int]float64, len(pool))
 	for i, ids := range pool {
-		wantOld[i] = old.Directive.Predict(ids)
-		wantNew[i] = fresh.Directive.Predict(ids)
+		wantOld[i] = predictOne(old.Directive, ids)
+		wantNew[i] = predictOne(fresh.Directive, ids)
 		if wantOld[i] == wantNew[i] {
 			t.Fatalf("test bundles agree on input %d; swap would be unobservable", i)
 		}
@@ -123,7 +123,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := old.Directive.Predict(ids); p1 != want {
+	if want := predictOne(old.Directive, ids); p1 != want {
 		t.Fatalf("pre-swap predict %v, want %v", p1, want)
 	}
 	if err := e.Reload(fresh); err != nil {
@@ -133,7 +133,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fresh.Directive.Predict(ids); p2 != want {
+	if want := predictOne(fresh.Directive, ids); p2 != want {
 		t.Fatalf("post-swap predict %v, want %v (stale cache?)", p2, want)
 	}
 }

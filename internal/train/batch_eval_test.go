@@ -8,14 +8,12 @@ import (
 	"pragformer/internal/nn"
 )
 
-// refModel is a deterministic toy Model without the BatchPredictor
-// capability, standing in for third-party models on the fallback path.
+// refModel is a deterministic toy Model whose probability is a pure function
+// of each sequence, whatever batch carries it.
 type refModel struct{ bias float64 }
 
-func (r refModel) Params() []*nn.Param { return nil }
-func (r refModel) LossAndBackward(ids []int, label bool) float64 {
-	return r.Loss(ids, label)
-}
+func (r refModel) Params() []*nn.Param                 { return nil }
+func (r refModel) LossAndBackward([]int, bool) float64 { return 0 }
 func (r refModel) prob(ids []int) float64 {
 	s := r.bias
 	for _, id := range ids {
@@ -23,33 +21,22 @@ func (r refModel) prob(ids []int) float64 {
 	}
 	return 1 / (1 + math.Exp(-s+2))
 }
-func (r refModel) Loss(ids []int, label bool) float64 {
-	p := r.prob(ids)
-	if !label {
-		p = 1 - p
-	}
-	return -math.Log(math.Max(p, 1e-12))
-}
-func (r refModel) PredictLabel(ids []int) bool { return r.prob(ids) > 0.5 }
-
-// batchRefModel adds PredictBatchProbs to refModel, delegating to the same
-// per-example probabilities — so the batched and fallback evaluator paths
-// must agree bit-for-bit.
-type batchRefModel struct{ refModel }
-
-func (b batchRefModel) PredictBatchProbs(ids [][]int) [][2]float64 {
-	out := make([][2]float64, len(ids))
-	for i, seq := range ids {
-		p := b.prob(seq)
+func (r refModel) PredictBatchProbs(batch [][]int) [][2]float64 {
+	out := make([][2]float64, len(batch))
+	for i, ids := range batch {
+		p := r.prob(ids)
 		out[i] = [2]float64{1 - p, p}
 	}
 	return out
 }
 
-// TestEvaluateBatchParity checks the batched evaluator against the
-// per-example loop across set sizes spanning several evalChunk boundaries.
+// TestEvaluateBatchParity checks the batched evaluator against a
+// per-example loss and accuracy computed here, across set sizes spanning
+// several evalChunk boundaries: the chunking must neither drop, repeat nor
+// reorder an example's contribution.
 func TestEvaluateBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	m := refModel{bias: 0.4}
 	for _, n := range []int{0, 1, evalChunk - 1, evalChunk, evalChunk + 1, 3*evalChunk + 5} {
 		set := make([]Example, n)
 		for i := range set {
@@ -59,16 +46,31 @@ func TestEvaluateBatchParity(t *testing.T) {
 			}
 			set[i] = Example{IDs: ids, Label: rng.Intn(2) == 0}
 		}
-		m := refModel{bias: 0.4}
-		wantLoss, wantAcc := Evaluate(m, set)
-		gotLoss, gotAcc := Evaluate(batchRefModel{m}, set)
+		var wantLoss, wantAcc float64
+		if n > 0 {
+			correct := 0
+			for _, ex := range set {
+				p := m.prob(ex.IDs)
+				py := p
+				if !ex.Label {
+					py = 1 - p
+				}
+				wantLoss += -math.Log(math.Max(py, 1e-12))
+				if (p > 0.5) == ex.Label {
+					correct++
+				}
+			}
+			wantLoss /= float64(n)
+			wantAcc = float64(correct) / float64(n)
+		}
+		gotLoss, gotAcc := Evaluate(m, set)
 		if gotLoss != wantLoss || gotAcc != wantAcc {
-			t.Errorf("n=%d: batched Evaluate (%v, %v) != fallback (%v, %v)",
+			t.Errorf("n=%d: batched Evaluate (%v, %v) != per-example (%v, %v)",
 				n, gotLoss, gotAcc, wantLoss, wantAcc)
 		}
 		// The parallel evaluator shards but must keep the same totals up to
-		// reduction order; with identical shard sums it is exact.
-		pLoss, pAcc := EvaluateParallel(batchRefModel{m}, set, 3)
+		// reduction order.
+		pLoss, pAcc := EvaluateParallel(m, set, 3)
 		if math.Abs(pLoss-wantLoss) > 1e-12 || pAcc != wantAcc {
 			t.Errorf("n=%d: EvaluateParallel (%v, %v) != (%v, %v)", n, pLoss, pAcc, wantLoss, wantAcc)
 		}

@@ -45,7 +45,9 @@ func Run(m Model, trainSet, validSet []Example, cfg Config) (History, error) {
 // it captured. The model must be freshly constructed with the same
 // architecture and seed, and trainSet/validSet must be the identical
 // datasets — seed and worker-count mismatches are rejected outright, and a
-// diverging training set is caught by replaying the shuffle stream.
+// diverging training set is caught by replaying the shuffle stream. On a
+// finished checkpoint Resume runs no epoch: the model ends as the finished
+// run left it, RestoreBest included, with the run's History.
 func Resume(m Model, trainSet, validSet []Example, cfg Config) (History, error) {
 	cfg.fillDefaults()
 	if cfg.CheckpointPath == "" {
@@ -58,13 +60,11 @@ func Resume(m Model, trainSet, validSet []Example, cfg Config) (History, error) 
 	return run(m, trainSet, validSet, cfg, snap)
 }
 
-// checkpointer carries the write-side state: the target path, the epoch
-// stride, and a copy of the best-epoch weights (model selection must
-// survive a restart even when the best epoch predates the crash).
+// checkpointer carries the write-side state: the target path and the epoch
+// stride.
 type checkpointer struct {
 	path  string
 	every int
-	bestW [][]float64
 }
 
 // newCheckpointer returns nil when the config does not checkpoint.
@@ -83,7 +83,7 @@ func newCheckpointer(cfg Config) *checkpointer {
 // the snapshot, which catches resuming against a different training set.
 // A nil snap is a fresh run and restores nothing.
 func restoreRun(snap *ckpt.Snapshot, cfg Config, workers int,
-	params []*nn.Param, opt *AdamW, rng *shuffler, order []int, st *runState, ck *checkpointer) error {
+	params []*nn.Param, opt *AdamW, rng *shuffler, order []int, st *runState) error {
 	if snap == nil {
 		return nil
 	}
@@ -110,9 +110,7 @@ func restoreRun(snap *ckpt.Snapshot, cfg Config, workers int,
 	st.bestLoss = snap.BestLoss
 	st.step = snap.OptStep
 	st.epoch = snap.NextEpoch
-	if ck != nil {
-		ck.bestW = snap.BestWeights
-	}
+	st.bestW = snap.BestWeights
 	return nil
 }
 
@@ -139,8 +137,8 @@ func restoreRNGs(snap *ckpt.Snapshot, models []Model) {
 // checkpoint write failure.
 func afterEpoch(ck *checkpointer, cfg Config, st *runState, models []Model,
 	params []*nn.Param, opt *AdamW, rng *shuffler, epoch int) (stop bool, err error) {
-	if ck != nil && st.h.BestEpoch == epoch {
-		ck.bestW = ckpt.CopyWeights(params)
+	if (ck != nil || cfg.RestoreBest) && st.h.BestEpoch == epoch {
+		st.bestW = ckpt.CopyWeights(params)
 	}
 	interrupted := false
 	if cfg.Interrupt != nil {
@@ -169,13 +167,12 @@ func afterEpoch(ck *checkpointer, cfg Config, st *runState, models []Model,
 
 // restoreBest applies the tracked best-epoch weights to params at a
 // normal run completion when cfg.RestoreBest asks for model selection.
-// Nil-receiver safe (no checkpointing configured).
-func (ck *checkpointer) restoreBest(cfg Config, params []*nn.Param) {
-	if ck == nil || !cfg.RestoreBest || len(ck.bestW) != len(params) {
+func (st *runState) restoreBest(cfg Config, params []*nn.Param) {
+	if !cfg.RestoreBest || len(st.bestW) != len(params) {
 		return
 	}
 	for i, p := range params {
-		copy(p.W.Data, ck.bestW[i])
+		copy(p.W.Data, st.bestW[i])
 	}
 }
 
@@ -194,7 +191,7 @@ func (ck *checkpointer) write(cfg Config, st *runState, models []Model,
 	}
 	snap.OptStep, snap.OptM, snap.OptV = opt.State(params)
 	snap.CaptureParams(params)
-	snap.BestWeights = ck.bestW
+	snap.BestWeights = st.bestW
 	for _, m := range models {
 		rs, ok := m.(RNGStateful)
 		if !ok {
@@ -203,13 +200,6 @@ func (ck *checkpointer) write(cfg Config, st *runState, models []Model,
 		snap.RNG = append(snap.RNG, rs.RNGState())
 	}
 	return snap.SaveFile(ck.path)
-}
-
-// HistoryFromSnapshot reconstructs the learning curve a checkpoint
-// captured — the surface callers (internal/experiments) use to treat a
-// finished checkpoint as a completed training run.
-func HistoryFromSnapshot(s *ckpt.Snapshot) History {
-	return History{Epochs: statsOf(s.Epochs), BestEpoch: s.BestEpoch}
 }
 
 // recordsOf converts the in-memory learning curve to the wire mirror.

@@ -41,8 +41,7 @@ func runShards(replicas []Model, batch []int, set []Example, lossSum []float64) 
 }
 
 // evaluateModels computes mean loss and accuracy over set, sharding the work
-// across the given models. Each shard runs batch-first when its model
-// supports BatchPredictor. All models must hold identical weights (replicas
+// across the given models. All models must hold identical weights (replicas
 // after a broadcast); per-shard sums are reduced in shard order, so the
 // result is deterministic for a fixed model count.
 func evaluateModels(models []Model, set []Example) (loss, acc float64) {
@@ -65,9 +64,8 @@ func evaluateModels(models []Model, set []Example) (loss, acc float64) {
 
 // EvaluateParallel computes mean loss and accuracy with the set sharded
 // across workers goroutines that all call the same model concurrently. The
-// model's inference methods (Loss, PredictLabel, PredictBatchProbs) must be
-// safe for concurrent use — true for core.PragFormer, whose inference path
-// is read-only over the weights.
+// model's PredictBatchProbs must be safe for concurrent use — true for
+// core.PragFormer, whose inference path is read-only over the weights.
 func EvaluateParallel(m Model, set []Example, workers int) (loss, acc float64) {
 	models := make([]Model, max(1, workers))
 	for i := range models {

@@ -62,18 +62,13 @@ func (m *mlp) LossAndBackward(ids []int, label bool) float64 {
 	return -math.Log(math.Max(p[y], 1e-12))
 }
 
-func (m *mlp) Loss(ids []int, label bool) float64 {
-	p, _, _, _ := m.forward(ids)
-	y := 0
-	if label {
-		y = 1
+func (m *mlp) PredictBatchProbs(batch [][]int) [][2]float64 {
+	out := make([][2]float64, len(batch))
+	for i, ids := range batch {
+		p, _, _, _ := m.forward(ids)
+		out[i] = [2]float64{p[0], p[1]}
 	}
-	return -math.Log(math.Max(p[y], 1e-12))
-}
-
-func (m *mlp) PredictLabel(ids []int) bool {
-	p, _, _, _ := m.forward(ids)
-	return p[1] > 0.5
+	return out
 }
 
 // mlpData builds a deterministic synthetic set with both label classes.

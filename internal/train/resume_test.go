@@ -83,8 +83,9 @@ func testResumeParity(t *testing.T, workers int) {
 	stop := make(chan struct{})
 	cfg := resumeCfg(workers, path)
 	cfg.Interrupt = stop
-	cfg.Snapshot = func(epoch int, _ train.EpochStats) {
-		if epoch == 1 {
+	epochs := 0
+	cfg.Progress = func(string) { // one line per finished epoch
+		if epochs++; epochs == 2 {
 			close(stop)
 		}
 	}

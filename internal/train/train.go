@@ -197,12 +197,12 @@ type Example struct {
 }
 
 // Model is the trainable-classifier surface the trainer needs; implemented
-// by core.PragFormer.
+// by core.PragFormer. PredictBatchProbs is the validation forward: both
+// class probabilities for every sequence of a batch, touching no gradient.
 type Model interface {
 	Params() []*nn.Param
 	LossAndBackward(ids []int, label bool) float64
-	Loss(ids []int, label bool) float64
-	PredictLabel(ids []int) bool
+	PredictBatchProbs(ids [][]int) [][2]float64
 }
 
 // Replicable is the optional Model capability data-parallel training needs:
@@ -227,9 +227,6 @@ type Config struct {
 	// in fixed replica order. <=1 (or a non-Replicable model) is width 1:
 	// one model, every batch run inline on the calling goroutine.
 	Workers int
-	// Snapshot, when set, is called at each epoch end so callers can keep
-	// the best weights (model selection).
-	Snapshot func(epoch int, stats EpochStats)
 	// Progress, when set, receives one line per epoch.
 	Progress func(string)
 	// CheckpointPath, when set, makes Run/Resume write a crash-safe
@@ -239,11 +236,11 @@ type Config struct {
 	// CheckpointEvery is the epoch stride between checkpoint writes
 	// (default 1). The final epoch and an interrupt always checkpoint.
 	CheckpointEvery int
-	// RestoreBest, with CheckpointPath set, leaves the model holding the
-	// best-validation-epoch weights when Run/Resume complete normally
-	// (instead of the final epoch's) — the paper's model-selection rule
-	// applied from the checkpointer's in-memory copy, no file re-read.
-	// Interrupted runs are unaffected.
+	// RestoreBest leaves the model holding the best-validation-epoch weights
+	// when Run/Resume complete normally (instead of the final epoch's) — the
+	// paper's model-selection rule, applied from an in-memory copy of the
+	// best epoch's weights, the same copy a checkpoint carries. It needs no
+	// CheckpointPath. Interrupted runs are unaffected.
 	RestoreBest bool
 	// Interrupt, when non-nil, is polled at each epoch end; once it fires
 	// (closed or sent to), the run writes a final checkpoint if configured
@@ -294,6 +291,10 @@ type runState struct {
 	bestLoss float64
 	step     int // optimizer/warmup step counter
 	epoch    int // first epoch the loop runs (nonzero after a resume)
+	// bestW copies the best epoch's weights when a checkpoint or RestoreBest
+	// needs them: model selection must survive a restart even when the best
+	// epoch predates the crash.
+	bestW [][]float64
 }
 
 // run is the training loop behind Run and Resume, over w model replicas;
@@ -336,7 +337,7 @@ func run(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot)
 
 	st := &runState{bestLoss: math.Inf(1)}
 	ck := newCheckpointer(cfg)
-	if err := restoreRun(snap, cfg, w, primary, opt, rng, order, st, ck); err != nil {
+	if err := restoreRun(snap, cfg, w, primary, opt, rng, order, st); err != nil {
 		return History{}, err
 	}
 
@@ -390,20 +391,17 @@ func run(m Model, trainSet, validSet []Example, cfg Config, snap *ckpt.Snapshot)
 			return st.h, err
 		}
 	}
-	ck.restoreBest(cfg, primary)
+	st.restoreBest(cfg, primary)
 	return st.h, nil
 }
 
 // finishEpoch records one epoch's stats, applies the best-validation-loss
-// model-selection rule, and fires the Snapshot/Progress callbacks.
+// model-selection rule, and fires the Progress callback.
 func finishEpoch(h *History, bestLoss *float64, cfg Config, stats EpochStats, workers int) {
 	h.Epochs = append(h.Epochs, stats)
 	if stats.ValidLoss < *bestLoss {
 		*bestLoss = stats.ValidLoss
 		h.BestEpoch = stats.Epoch
-	}
-	if cfg.Snapshot != nil {
-		cfg.Snapshot(stats.Epoch, stats)
 	}
 	if cfg.Progress != nil {
 		tag := ""
@@ -430,39 +428,19 @@ func OptStep(opt *AdamW, params []*nn.Param, batch int, clipNorm, lrScale float6
 	ZeroGrads(params)
 }
 
-// BatchPredictor is the optional batch-inference capability of a Model:
-// class probabilities for a whole batch in one forward pass. Implemented by
-// core.PragFormer; Evaluate and its parallel variants use it to amortize
-// per-example forward overhead, falling back to Loss/PredictLabel loops for
-// models without it.
-type BatchPredictor interface {
-	PredictBatchProbs(ids [][]int) [][2]float64
-}
-
 // evalChunk bounds how many examples one batched forward stacks, keeping
 // the pooled activation matrices a bounded size on large validation sets.
 const evalChunk = 64
 
-// Evaluate computes mean loss and accuracy over a set, batch-first when the
-// model supports it (bit-identical to the per-example path: same
-// probabilities, same accumulation order).
+// Evaluate computes mean loss (the binary cross-entropy LossAndBackward
+// minimises) and accuracy at the 0.5 threshold over a set.
 func Evaluate(m Model, set []Example) (loss, acc float64) {
 	return evaluateModels([]Model{m}, set)
 }
 
 // evalSums returns the loss sum and correct count over set — one shard of
-// evaluateModels.
+// evaluateModels — folded in example order over batched forwards.
 func evalSums(m Model, set []Example) (lossSum float64, correct int) {
-	bp, ok := m.(BatchPredictor)
-	if !ok {
-		for _, ex := range set {
-			lossSum += m.Loss(ex.IDs, ex.Label)
-			if m.PredictLabel(ex.IDs) == ex.Label {
-				correct++
-			}
-		}
-		return lossSum, correct
-	}
 	ids := make([][]int, 0, evalChunk)
 	for start := 0; start < len(set); start += evalChunk {
 		chunk := set[start:min(start+evalChunk, len(set))]
@@ -470,14 +448,12 @@ func evalSums(m Model, set []Example) (lossSum float64, correct int) {
 		for _, ex := range chunk {
 			ids = append(ids, ex.IDs)
 		}
-		probs := bp.PredictBatchProbs(ids)
+		probs := m.PredictBatchProbs(ids)
 		for i, ex := range chunk {
 			y := 0
 			if ex.Label {
 				y = 1
 			}
-			// Same arithmetic as PragFormer.Loss / PredictLabel over
-			// bit-identical probabilities.
 			lossSum += -math.Log(math.Max(probs[i][y], 1e-12))
 			if (probs[i][1] > 0.5) == ex.Label {
 				correct++

@@ -3,6 +3,8 @@ package train
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,13 +33,6 @@ func (q *quadModel) LossAndBackward(ids []int, label bool) float64 {
 	q.w.Grad.Data[0] += 2 * d
 	return d * d
 }
-
-func (q *quadModel) Loss(ids []int, label bool) float64 {
-	d := q.w.W.Data[0] - q.target
-	return d * d
-}
-
-func (q *quadModel) PredictLabel(ids []int) bool { return q.w.W.Data[0] > q.target/2 }
 
 func TestAdamWConverges(t *testing.T) {
 	q := newQuad(3)
@@ -130,15 +125,14 @@ func (s *sepModel) LossAndBackward(ids []int, label bool) float64 {
 	return -(y*math.Log(math.Max(p, 1e-12)) + (1-y)*math.Log(math.Max(1-p, 1e-12)))
 }
 
-func (s *sepModel) Loss(ids []int, label bool) float64 {
-	p := 1 / (1 + math.Exp(-s.logit(ids)))
-	if label {
-		return -math.Log(math.Max(p, 1e-12))
+func (s *sepModel) PredictBatchProbs(batch [][]int) [][2]float64 {
+	out := make([][2]float64, len(batch))
+	for i, ids := range batch {
+		p := 1 / (1 + math.Exp(-s.logit(ids)))
+		out[i] = [2]float64{1 - p, p}
 	}
-	return -math.Log(math.Max(1-p, 1e-12))
+	return out
 }
-
-func (s *sepModel) PredictLabel(ids []int) bool { return s.logit(ids) > 0 }
 
 func makeSep() (*sepModel, []Example, []Example) {
 	m := &sepModel{w: &nn.Param{Name: "w", W: tensor.New(1, 2), Grad: tensor.New(1, 2)}}
@@ -233,13 +227,40 @@ func TestEvaluateEmpty(t *testing.T) {
 	}
 }
 
-func TestSnapshotCalled(t *testing.T) {
-	m, trainSet, validSet := makeSep()
-	var calls int
-	Fit(m, trainSet, validSet, Config{Epochs: 3, BatchSize: 8, LR: 0.05, Seed: 1,
-		Snapshot: func(epoch int, stats EpochStats) { calls++ }})
-	if calls != 3 {
-		t.Fatalf("snapshot calls = %d", calls)
+// TestRestoreBestWithoutCheckpoint: model selection needs no checkpoint. A
+// RestoreBest run without CheckpointPath ends on the weights and History of
+// one with it, and those weights are the best epoch's, not the last one's.
+func TestRestoreBestWithoutCheckpoint(t *testing.T) {
+	validSet := mlpData(20, 10, 2)
+	fit := func(cfg Config) (Model, History) {
+		m := newMLP(32, 64, 9)
+		h, err := Run(m, mlpData(60, 10, 1), validSet, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, h
+	}
+	cfg := Config{Epochs: 6, BatchSize: 8, LR: 5e-2, ClipNorm: 1, Seed: 4, RestoreBest: true}
+	mem, hMem := fit(cfg)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	disk, hDisk := fit(cfg)
+	cfg.CheckpointPath, cfg.RestoreBest = "", false
+	last, hLast := fit(cfg)
+
+	if hMem.BestEpoch == len(hMem.Epochs)-1 {
+		t.Fatalf("best epoch %d is the last: the run cannot tell selection from no selection", hMem.BestEpoch)
+	}
+	if !reflect.DeepEqual(hMem, hDisk) || !reflect.DeepEqual(hMem, hLast) {
+		t.Errorf("histories differ:\nno checkpoint %+v\ncheckpoint    %+v\nno selection  %+v", hMem, hDisk, hLast)
+	}
+	if got, want := weightsDigest(mem), weightsDigest(disk); got != want {
+		t.Errorf("weights without a checkpoint %s, with one %s", got, want)
+	}
+	if weightsDigest(mem) == weightsDigest(last) {
+		t.Error("RestoreBest left the last epoch's weights")
+	}
+	if loss, _ := Evaluate(mem, validSet); loss != hMem.Best().ValidLoss {
+		t.Errorf("restored weights score valid loss %v, the best epoch had %v", loss, hMem.Best().ValidLoss)
 	}
 }
 
