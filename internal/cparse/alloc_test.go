@@ -40,6 +40,87 @@ func TestParseAllocs(t *testing.T) {
 	}
 }
 
+// scantree reads every C source under examples/scantree, broken.c
+// included, in path order: real corpus shapes (nested loops, pragmas,
+// deliberately broken headers).
+func scantree(tb testing.TB) (names, srcs []string) {
+	tb.Helper()
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples", "scantree"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".c" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		names, srcs = append(names, path), append(srcs, string(data))
+		return err
+	})
+	if err != nil || len(srcs) < 10 {
+		tb.Fatalf("read %d fixtures: %v", len(srcs), err)
+	}
+	return names, srcs
+}
+
+// TestTreeReuse: a parse into slabs a released tree handed back is the parse
+// into fresh ones, for every ordered pair of fixtures, whether the first
+// tree is released before the second parse or while the second is held.
+func TestTreeReuse(t *testing.T) {
+	names, srcs := scantree(t)
+	for i, srcA := range srcs {
+		for j, srcB := range srcs {
+			a, b := names[i], names[j]
+			wantFile, wantErrs := ParseRecover(srcB)
+			first := ParseTree(srcA)
+			p := first.p
+			first.Release()
+			if !pinsNothing(p) {
+				t.Fatalf("a parser released after %s still holds a slot of it", a)
+			}
+			after := ParseTree(srcB)
+			held := ParseTree(srcA)
+			if !reflect.DeepEqual(after.File, wantFile) || !reflect.DeepEqual(after.Errs, wantErrs) {
+				t.Errorf("%s after releasing %s: tree differs from a fresh parse", b, a)
+			}
+			held.Release()
+			if !reflect.DeepEqual(after.File, wantFile) {
+				t.Errorf("%s: releasing %s while it was held changed it", b, a)
+			}
+			after.Release()
+		}
+	}
+}
+
+// pinsNothing reports whether every slot of p's slabs, token buffer and list
+// stacks is zero up to its capacity: a pooled parser pins no source text.
+func pinsNothing(p *Parser) bool {
+	s := reflect.ValueOf(&p.slabs).Elem()
+	bufs := []reflect.Value{reflect.ValueOf(p.buf), reflect.ValueOf(p.stmts), reflect.ValueOf(p.items), reflect.ValueOf(p.decls)}
+	for i := 0; i < s.NumField(); i++ {
+		bufs = append(bufs, s.Field(i).Field(0))
+	}
+	for _, b := range bufs {
+		b = b.Slice(0, b.Cap())
+		for j := 0; j < b.Len(); j++ {
+			if !b.Index(j).IsZero() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestParseTreeAllocs: in steady state a released tree's parser and slabs
+// serve the next parse, which then allocates next to nothing.
+func TestParseTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	src := readFixture(t, "stencil.c")
+	got := testing.AllocsPerRun(200, func() { ParseTree(src).Release() })
+	t.Logf("ParseTree(stencil.c)+Release: %.0f allocs", got)
+	if got > 3 {
+		t.Errorf("ParseTree(stencil.c)+Release allocates %.0f times, want at most 3", got)
+	}
+}
+
 // TestParseTokensMatchesParse: parsing a caller-lexed stream is parsing the
 // text, and a stream that is not a whole Lex result is an error, not a
 // panic.
@@ -76,11 +157,18 @@ func TestPooledParserCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// TestPutPastTheBound: a slab whose bound fell short still hands out nodes.
+// TestPutPastTheBound: a slab whose bound fell short still hands out nodes,
+// fresh ones outside the slab, and sizing it for the next parse zeroes the
+// slots it handed out without touching those.
 func TestPutPastTheBound(t *testing.T) {
-	slab := make([]cast.Ident, 1)
-	a, b := put(&slab, cast.Ident{Name: "a"}), put(&slab, cast.Ident{Name: "b"})
-	if a.Name != "a" || b.Name != "b" || a == b {
+	var s slab[cast.Ident]
+	s.size(1)
+	a, b := put(&s, cast.Ident{Name: "a"}), put(&s, cast.Ident{Name: "b"})
+	if a.Name != "a" || b.Name != "b" || a != &s.buf[0] || b == &s.buf[0] {
 		t.Errorf("put returned %+v and %+v", a, b)
+	}
+	s.size(1)
+	if a.Name != "" || b.Name != "b" || s.used != 0 {
+		t.Errorf("after size: slot %+v, past the bound %+v, %d used", a, b, s.used)
 	}
 }

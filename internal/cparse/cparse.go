@@ -9,7 +9,6 @@ package cparse
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,75 +27,170 @@ var builtinTypes = map[string]bool{
 	"bool": true, "uint": true, "ulong": true, "real_t": true,
 }
 
-// Parser parses a token stream into a cast.File. Parsers are pooled: the
-// token buffer and the statement stack pass from one parse to the next,
-// everything else is per parse.
+// Parser parses a token stream into a cast.File. Parsers are pooled with
+// their slabs: the nodes of a ParseTree live in them until Release, and the
+// token buffer and the list stacks pass from one parse to the next.
 type Parser struct {
 	toks     []clex.Token
 	pos      int
 	typedefs map[string]bool // names this source typedef'd; nil until the first
 	slabs
+	// spare holds the pooled slabs while a parse whose tree the caller keeps
+	// runs on fresh ones (see get).
+	spare slabs
 
 	// buf is what Parse and ParseRecover lex into: an AST keeps token texts
 	// (substrings of the source), never tokens.
 	buf []clex.Token
 	// stmts stacks the statements of the blocks being parsed, innermost
-	// last, so that a finished block copies out a slice of its exact size.
+	// last, items the file's, and decls the declarators or parameters of the
+	// list being parsed, so that a finished list is carved at its exact size.
 	stmts []cast.Stmt
+	items []cast.Node
+	decls []*cast.Decl
+
+	// tree is what ParseTree lends out, so that a tree costs no allocation.
+	tree Tree
 }
 
 var parsers = sync.Pool{New: func() any { return new(Parser) }}
 
+// get takes a pooled parser. A parse whose tree the caller keeps runs on
+// fresh slabs, which leave with the tree; the pooled ones wait in spare.
+func get(keep bool) *Parser {
+	p := parsers.Get().(*Parser)
+	if keep {
+		p.spare, p.slabs = p.slabs, slabs{}
+	}
+	return p
+}
+
 // release returns p to the pool holding nothing of the parse behind it:
-// neither a token text, which would pin the source, nor a node.
-func (p *Parser) release() {
-	clear(p.buf)
-	clear(p.stmts[:cap(p.stmts)])
-	*p = Parser{buf: p.buf[:0], stmts: p.stmts[:0]}
+// neither a token text, which would pin the source, nor a node. A released
+// tree's slabs are zeroed where the parse used them; a kept tree's stay
+// with it.
+func (p *Parser) release(keep bool) {
+	if keep {
+		p.slabs = p.spare
+	} else {
+		p.size(bounds{})
+	}
+	*p = Parser{slabs: p.slabs, buf: empty(p.buf), stmts: empty(p.stmts), items: empty(p.items), decls: empty(p.decls)}
 	parsers.Put(p)
 }
 
-// slabs backs the node kinds that make up most of a parse with one array
-// per kind instead of one allocation per node. Each array is sized from the
-// token stream (see start), so a small snippet pays for what it holds and
-// no more. A node keeps its slab alive: hold a parsed tree or drop it whole.
-type slabs struct {
-	idents    []cast.Ident
-	ints      []cast.IntLit
-	floats    []cast.FloatLit
-	binarys   []cast.BinaryOp
-	assigns   []cast.Assign
-	unarys    []cast.UnaryOp
-	arrays    []cast.ArrayRef
-	exprStmts []cast.ExprStmt
-	blocks    []cast.Block
-	fors      []cast.For
+func empty[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
-// put stores v in the next node of a slab, or in a fresh one when the bound
-// that sized the slab fell short (a backtracked region is parsed twice).
-func put[T any](slab *[]T, v T) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, 1)
+// slabs backs the node kinds that make up most of a parse, and the lists
+// that hold them, with one array per kind instead of one allocation per
+// node. Each array is sized from the token stream (see start), so a small
+// snippet pays for what it holds and no more, and a pooled array is reused
+// for as long as it is big enough.
+type slabs struct {
+	idents    slab[cast.Ident]
+	ints      slab[cast.IntLit]
+	floats    slab[cast.FloatLit]
+	binarys   slab[cast.BinaryOp]
+	assigns   slab[cast.Assign]
+	unarys    slab[cast.UnaryOp]
+	arrays    slab[cast.ArrayRef]
+	exprStmts slab[cast.ExprStmt]
+	blocks    slab[cast.Block]
+	fors      slab[cast.For]
+	files     slab[cast.File]
+	itemLists slab[cast.Node]
+	stmtLists slab[cast.Stmt]
+	typeSpecs slab[typeSpecBuf]
+	funcDefs  slab[cast.FuncDef]
+	declStmts slab[cast.DeclStmt]
+	declNodes slab[cast.Decl]
+	declLists slab[*cast.Decl]
+}
+
+// bounds holds one count per slab, in the order of the slabs fields.
+type bounds [18]int
+
+// size zeroes the slots the last parse used in every slab and makes room
+// for b's counts.
+func (s *slabs) size(b bounds) {
+	for i, k := range [...]interface{ size(int) }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
+		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
+		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists} {
+		k.size(b[i])
 	}
-	n := &(*slab)[0]
-	*slab = (*slab)[1:]
+}
+
+// slab is one kind's array: a parse hands its slots out in order.
+type slab[T any] struct {
+	buf  []T
+	used int
+}
+
+func (s *slab[T]) size(n int) {
+	clear(s.buf[:s.used])
+	s.used = 0
+	if cap(s.buf) < n {
+		s.buf = make([]T, n)
+	}
+	s.buf = s.buf[:n]
+}
+
+// carve hands out the slab's next k slots, capped so that an append through
+// the result cannot run into the next carve, or k fresh ones when the bound
+// that sized the slab fell short (a backtracked region is parsed twice).
+func carve[T any](s *slab[T], k int) []T {
+	if s.used+k > len(s.buf) {
+		return make([]T, k)
+	}
+	s.used += k
+	return s.buf[s.used-k : s.used : s.used]
+}
+
+// put stores v in the next slot of a slab.
+func put[T any](s *slab[T], v T) *T {
+	n := &carve(s, 1)[0]
 	*n = v
 	return n
+}
+
+// pop ends the list stacked above mark: it is carved out of s at its exact
+// size and its stack slots are zeroed. An empty list is nil, as append
+// leaves it.
+func pop[T any](s *slab[T], stack *[]T, mark int) []T {
+	list := (*stack)[mark:]
+	if len(list) == 0 {
+		return nil
+	}
+	out := carve(s, len(list))
+	copy(out, list)
+	clear(list)
+	*stack = (*stack)[:mark]
+	return out
 }
 
 // start points p at toks, which end in EOF, and sizes the slabs by one pass
 // over them. Each count bounds its kind from above: a name or literal token
 // makes at most one node, `+ - * &` are binary after an operand and unary
 // otherwise, and of the two ';' in a for header at most one (the init) ends
-// an expression statement.
+// an expression statement. A listed statement or item ends on its own ';'
+// outside a for header, '}' or pragma. A declaration, parameter, cast or
+// sizeof starts a run of type words, a ',' outside parentheses may start
+// another declarator, and a function definition has a body.
 func (p *Parser) start(toks []clex.Token) {
 	var kinds [clex.Pragma + 1]int
-	var fors, semis, blocks, arrays, assigns, binarys, unarys int
-	operand := false // the previous token ended an operand
+	var fors, semis, blocks, arrays, assigns, binarys, unarys, runs, commas, parens int
+	operand, inType := false, false // the previous token ended an operand, was a type word
 	for _, t := range toks {
 		kinds[t.Kind]++
 		ends := t.Kind != clex.Punct && t.Kind != clex.Keyword
+		typeWord := t.Kind == clex.Keyword && declWords[t.Text] || t.Kind == clex.Ident && builtinTypes[t.Text]
+		if typeWord && !inType {
+			runs++
+		}
+		inType = typeWord
 		switch t.Text {
 		case "for":
 			fors++
@@ -106,7 +200,16 @@ func (p *Parser) start(toks []clex.Token) {
 			blocks++
 		case "[":
 			arrays++
-		case ")", "]":
+		case "(":
+			parens++
+		case ",":
+			if parens == 0 {
+				commas++
+			}
+		case ")":
+			parens = max(parens-1, 0)
+			ends = true
+		case "]":
 			ends = true
 		case "++", "--":
 			unarys++
@@ -128,18 +231,10 @@ func (p *Parser) start(toks []clex.Token) {
 		}
 		operand = ends
 	}
-	p.toks, p.slabs = toks, slabs{
-		idents:    make([]cast.Ident, kinds[clex.Ident]),
-		ints:      make([]cast.IntLit, kinds[clex.IntLit]),
-		floats:    make([]cast.FloatLit, kinds[clex.FloatLit]),
-		binarys:   make([]cast.BinaryOp, binarys),
-		assigns:   make([]cast.Assign, assigns),
-		unarys:    make([]cast.UnaryOp, unarys),
-		arrays:    make([]cast.ArrayRef, arrays),
-		exprStmts: make([]cast.ExprStmt, max(semis-fors, 0)),
-		blocks:    make([]cast.Block, blocks),
-		fors:      make([]cast.For, fors),
-	}
+	listed := max(semis-2*fors, 0) + blocks + kinds[clex.Pragma]
+	p.toks = toks
+	p.size(bounds{kinds[clex.Ident], kinds[clex.IntLit], kinds[clex.FloatLit], binarys, assigns, unarys, arrays,
+		max(semis-fors, 0), blocks, fors, 1, listed, listed, runs + commas, min(runs, blocks), runs, runs + commas, runs + commas})
 }
 
 // parses counts Parse calls process-wide; see Parses.
@@ -153,8 +248,8 @@ func Parses() int64 { return parses.Load() }
 
 // Parse parses C source text into an AST.
 func Parse(src string) (*cast.File, error) {
-	p := parsers.Get().(*Parser)
-	defer p.release()
+	p := get(true)
+	defer p.release(true)
 	var err error
 	if p.buf, err = clex.Append(p.buf, src); err != nil {
 		parses.Add(1)
@@ -166,8 +261,8 @@ func Parse(src string) (*cast.File, error) {
 // ParseTokens is Parse over a source the caller has already lexed: toks is a
 // complete clex.Lex result, read but not kept.
 func ParseTokens(toks []clex.Token) (*cast.File, error) {
-	p := parsers.Get().(*Parser)
-	defer p.release()
+	p := get(true)
+	defer p.release(true)
 	return p.parse(toks)
 }
 
@@ -177,7 +272,8 @@ func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
 		return nil, &Error{Line: 1, Col: 1, Msg: "token stream does not end in EOF"}
 	}
 	p.start(toks)
-	return p.parseFile()
+	f, _, err := p.parseFile(true)
+	return f, err
 }
 
 // ParseStmt parses a single statement (e.g. one loop snippet).
@@ -203,9 +299,36 @@ func ParseStmt(src string) (cast.Stmt, error) {
 // other loop in the file. The returned file holds the items that did parse;
 // errs carries one structured error per failed region.
 func ParseRecover(src string) (*cast.File, []*Error) {
+	p := get(true)
+	defer p.release(true)
+	return p.parseRecover(src)
+}
+
+// Tree is a ParseRecover result whose nodes live in the slabs of the pooled
+// parser that made it, until Release hands them back. Nothing read out of
+// the tree may be used after that but strings, which never point into a
+// slab: token texts are substrings of the source.
+type Tree struct {
+	File *cast.File
+	Errs []*Error
+	p    *Parser
+}
+
+// ParseTree is ParseRecover into the pooled parser's own slabs, so that a
+// parse in steady state allocates next to nothing.
+func ParseTree(src string) *Tree {
+	p := get(false)
+	p.tree.File, p.tree.Errs = p.parseRecover(src)
+	p.tree.p = p
+	return &p.tree
+}
+
+// Release zeroes every slab slot the tree used and returns its parser to the
+// pool. Call it once, after the last read of a node.
+func (t *Tree) Release() { t.p.release(false) }
+
+func (p *Parser) parseRecover(src string) (*cast.File, []*Error) {
 	parses.Add(1)
-	p := parsers.Get().(*Parser)
-	defer p.release()
 	var err error
 	if p.buf, err = clex.Append(p.buf, src); err != nil {
 		e := &Error{Msg: err.Error()}
@@ -215,33 +338,7 @@ func ParseRecover(src string) (*cast.File, []*Error) {
 		return &cast.File{}, []*Error{e}
 	}
 	p.start(p.buf)
-	f := &cast.File{}
-	var errs []*Error
-	for p.cur().Kind != clex.EOF {
-		start := p.pos
-		n, err := p.parseTopLevel()
-		if err == nil {
-			if n != nil {
-				f.Items = append(f.Items, n)
-			}
-			// A parse that consumed nothing would loop forever; does not
-			// happen with the current grammar, but guard anyway.
-			if p.pos == start && n == nil {
-				p.next()
-			}
-			continue
-		}
-		e := &Error{Msg: err.Error()}
-		if line, col, ok := Position(err); ok {
-			e.Line, e.Col = line, col
-			e.Msg = errMessage(err)
-		}
-		errs = append(errs, e)
-		if p.pos == start {
-			p.next()
-		}
-		p.resync()
-	}
+	f, errs, _ := p.parseFile(false)
 	return f, errs
 }
 
@@ -333,18 +430,40 @@ func (p *Parser) errorf(format string, args ...any) error {
 	return &Error{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *Parser) parseFile() (*cast.File, error) {
-	f := &cast.File{}
+// parseFile parses top-level items up to EOF. strict stops at the first
+// error and returns it; otherwise each failed region is recorded and
+// skipped (see ParseRecover).
+func (p *Parser) parseFile(strict bool) (*cast.File, []*Error, error) {
+	var errs []*Error
 	for p.cur().Kind != clex.EOF {
+		start := p.pos
 		n, err := p.parseTopLevel()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			if n != nil {
+				p.items = append(p.items, n)
+			}
+			// A parse that consumed nothing would loop forever; does not
+			// happen with the current grammar, but guard anyway.
+			if p.pos == start && n == nil {
+				p.next()
+			}
+			continue
 		}
-		if n != nil {
-			f.Items = append(f.Items, n)
+		if strict {
+			return nil, nil, err
 		}
+		e := &Error{Msg: err.Error()}
+		if line, col, ok := Position(err); ok {
+			e.Line, e.Col = line, col
+			e.Msg = errMessage(err)
+		}
+		errs = append(errs, e)
+		if p.pos == start {
+			p.next()
+		}
+		p.resync()
 	}
-	return f, nil
+	return put(&p.files, cast.File{Items: pop(&p.itemLists, &p.items, 0)}), errs, nil
 }
 
 // parseTopLevel parses a function definition, declaration, or loose
@@ -379,19 +498,20 @@ func (p *Parser) isTypedef(name string) bool {
 	return builtinTypes[name] || p.typedefs[name]
 }
 
+// declWords are the keywords that can begin a declaration.
+var declWords = map[string]bool{
+	"int": true, "char": true, "float": true, "double": true, "long": true, "short": true, "signed": true,
+	"unsigned": true, "void": true, "const": true, "volatile": true, "static": true, "extern": true,
+	"register": true, "struct": true, "union": true, "enum": true, "typedef": true, "auto": true,
+	"inline": true, "restrict": true,
+}
+
 // startsDecl reports whether the current token can begin a declaration.
 func (p *Parser) startsDecl() bool {
 	t := p.cur()
 	switch t.Kind {
 	case clex.Keyword:
-		switch t.Text {
-		case "int", "char", "float", "double", "long", "short", "signed",
-			"unsigned", "void", "const", "volatile", "static", "extern",
-			"register", "struct", "union", "enum", "typedef", "auto",
-			"inline", "restrict":
-			return true
-		}
-		return false
+		return declWords[t.Text]
 	case clex.Ident:
 		// A typedef name followed by an identifier or '*' begins a decl.
 		if !p.isTypedef(t.Text) {
@@ -419,7 +539,7 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 	}
 	p.next() // name
 	p.next() // (
-	var params []*cast.Decl
+	mark := len(p.decls)
 	if !p.accept(")") {
 		for {
 			if p.cur().Text == "void" && p.peek().Text == ")" {
@@ -430,7 +550,7 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			pd := &cast.Decl{Type: pt}
+			pd := put(&p.declNodes, cast.Decl{Type: pt})
 			if p.cur().Kind == clex.Ident {
 				pd.Name = p.next().Text
 			}
@@ -449,7 +569,7 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 					return nil, false, err
 				}
 			}
-			params = append(params, pd)
+			p.decls = append(p.decls, pd)
 			if !p.accept(",") {
 				break
 			}
@@ -458,10 +578,11 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 			return nil, false, err
 		}
 	}
+	params := pop(&p.declLists, &p.decls, mark)
 	if p.cur().Text != "{" {
 		// Function prototype: treat as a no-body definition.
 		if p.accept(";") {
-			return &cast.FuncDef{ReturnType: ts, Name: name, Params: params, Body: &cast.Block{}}, true, nil
+			return put(&p.funcDefs, cast.FuncDef{ReturnType: ts, Name: name, Params: params, Body: &cast.Block{}}), true, nil
 		}
 		return nil, false, nil
 	}
@@ -469,13 +590,13 @@ func (p *Parser) tryFuncDef() (*cast.FuncDef, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return &cast.FuncDef{ReturnType: ts, Name: name, Params: params, Body: body}, true, nil
+	return put(&p.funcDefs, cast.FuncDef{ReturnType: ts, Name: name, Params: params, Body: body}), true, nil
 }
 
 // parseTypeSpec parses qualifiers, struct/union tags, type names and
 // pointer stars.
 func (p *Parser) parseTypeSpec() (*cast.TypeSpec, error) {
-	b := new(typeSpecBuf)
+	b := put(&p.typeSpecs, typeSpecBuf{})
 	ts := &b.TypeSpec
 	seenType := false
 	for {
@@ -530,11 +651,11 @@ func (p *Parser) parseDeclLine() (*cast.DeclStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &cast.DeclStmt{}
+	mark := len(p.decls)
 	// The first declarator takes base itself (parseTypeSpec has eaten its
 	// stars, so it adds none) and each later one a copy.
-	for typ := base; ; typ = cloneTypeSpec(base) {
-		d := &cast.Decl{Type: typ, IsTypedef: isTypedef}
+	for typ := base; ; typ = p.cloneTypeSpec(base) {
+		d := put(&p.declNodes, cast.Decl{Type: typ, IsTypedef: isTypedef})
 		for p.accept("*") {
 			d.Type.Ptr++
 		}
@@ -570,7 +691,7 @@ func (p *Parser) parseDeclLine() (*cast.DeclStmt, error) {
 			}
 			p.typedefs[d.Name] = true
 		}
-		ds.Decls = append(ds.Decls, d)
+		p.decls = append(p.decls, d)
 		if !p.accept(",") {
 			break
 		}
@@ -578,7 +699,7 @@ func (p *Parser) parseDeclLine() (*cast.DeclStmt, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return put(&p.declStmts, cast.DeclStmt{Decls: pop(&p.declLists, &p.decls, mark)}), nil
 }
 
 func (p *Parser) parseInitializer() (cast.Expr, error) {
@@ -603,9 +724,8 @@ func (p *Parser) parseInitializer() (cast.Expr, error) {
 	return p.parseExpr(precAssign)
 }
 
-func cloneTypeSpec(t *cast.TypeSpec) *cast.TypeSpec {
-	b := new(typeSpecBuf)
-	b.TypeSpec = cast.TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}
+func (p *Parser) cloneTypeSpec(t *cast.TypeSpec) *cast.TypeSpec {
+	b := put(&p.typeSpecs, typeSpecBuf{TypeSpec: cast.TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}})
 	b.Quals = append(b.Quals, t.Quals...)
 	for _, n := range t.Names {
 		b.addName(n)
@@ -635,7 +755,6 @@ func (p *Parser) parseBlock() (*cast.Block, error) {
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	b := put(&p.blocks, cast.Block{})
 	mark := len(p.stmts)
 	for p.cur().Text != "}" {
 		if p.cur().Kind == clex.EOF {
@@ -648,11 +767,7 @@ func (p *Parser) parseBlock() (*cast.Block, error) {
 		p.stmts = append(p.stmts, s)
 	}
 	p.next() // }
-	if len(p.stmts) > mark {
-		b.Stmts = slices.Clone(p.stmts[mark:])
-		p.stmts = p.stmts[:mark]
-	}
-	return b, nil
+	return put(&p.blocks, cast.Block{Stmts: pop(&p.stmtLists, &p.stmts, mark)}), nil
 }
 
 func (p *Parser) parseStatement() (cast.Stmt, error) {

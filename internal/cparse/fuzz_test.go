@@ -1,29 +1,11 @@
 package cparse
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"pragformer/internal/cast"
 )
-
-// seedScantree feeds every fixture under examples/scantree to the fuzzer —
-// real corpus shapes (nested loops, pragmas, deliberately broken headers)
-// anchor the mutation space far better than hand-picked literals alone.
-func seedScantree(f *testing.F) {
-	dir := filepath.Join("..", "..", "examples", "scantree")
-	_ = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".c") {
-			return nil
-		}
-		if data, err := os.ReadFile(path); err == nil {
-			f.Add(string(data))
-		}
-		return nil
-	})
-}
 
 // FuzzParse checks the parser's safety net: no input may panic or hang
 // either entry point, and on inputs the strict parser accepts, the
@@ -31,8 +13,13 @@ func seedScantree(f *testing.F) {
 // extracted from accepted inputs must survive a canonical print/re-parse
 // round trip — the scan pipeline hashes and re-parses printed snippets, so
 // a loop that prints unparseably would poison verdict dedup downstream.
+// Every input is also parsed into the slabs a released tree of a seed file
+// handed back, and must come out as the fresh parse did.
 func FuzzParse(f *testing.F) {
-	seedScantree(f)
+	_, seeds := scantree(f)
+	for _, src := range seeds {
+		f.Add(src)
+	}
 	for _, seed := range []string{
 		"for (i = 0; i < n; i++) a[i] = b[i];",
 		"void f() { for (;;) {} }",
@@ -54,6 +41,12 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("nil AST without error")
 		}
 		rec, errs := ParseRecover(src)
+		ParseTree(seeds[len(src)%len(seeds)]).Release()
+		reused := ParseTree(src)
+		if !reflect.DeepEqual(reused.File, rec) || !reflect.DeepEqual(reused.Errs, errs) {
+			t.Error("a parse into reused slabs differs from a fresh parse")
+		}
+		reused.Release()
 		if err == nil {
 			if len(errs) != 0 {
 				t.Errorf("Parse accepted input but ParseRecover reported %v", errs)

@@ -1,7 +1,6 @@
 package dep
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -43,12 +42,11 @@ func (w Witness) Concrete() bool { return w.Kind != "unknown" }
 
 // String renders a one-line summary used in human-readable reports.
 func (w Witness) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s dependence on %s: %s -> %s", w.Kind, w.Array, w.Source.Expr, w.Sink.Expr)
+	dist := ""
 	if w.Distance != "" {
-		fmt.Fprintf(&b, " distance %s", w.Distance)
+		dist = " distance "
 	}
-	return b.String()
+	return w.Kind + " dependence on " + w.Array + ": " + w.Source.Expr + " -> " + w.Sink.Expr + dist + w.Distance
 }
 
 // vectorOf builds fresh direction and distance vectors over the nest levels

@@ -216,13 +216,30 @@ func raceVector(races []dep.Witness) string {
 	return ""
 }
 
-// raceMessage summarizes the witnesses for a PF1004 result.
+// raceMessage summarizes the witnesses for a PF1004 result, each as
+// dep.Witness.String renders it, in one allocation.
 func raceMessage(races []dep.Witness) string {
-	parts := make([]string, 0, len(races))
+	const head, between, on, colon, arrow, distance = "potential loop-carried race: ", "; ", " dependence on ", ": ", " -> ", " distance "
+	n := len(head)
 	for _, w := range races {
-		parts = append(parts, w.String())
+		n += len(between+on+colon+arrow+distance) + len(w.Kind) + len(w.Array) + len(w.Source.Expr) + len(w.Sink.Expr) + len(w.Distance)
 	}
-	return "potential loop-carried race: " + strings.Join(parts, "; ")
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	for i, w := range races {
+		if i > 0 {
+			b.WriteString(between)
+		}
+		for _, s := range [...]string{w.Kind, on, w.Array, colon, w.Source.Expr, arrow, w.Sink.Expr} {
+			b.WriteString(s)
+		}
+		if w.Distance != "" {
+			b.WriteString(distance)
+			b.WriteString(w.Distance)
+		}
+	}
+	return b.String()
 }
 
 // witnessSummary picks the decisive dependence reason for the PF1003

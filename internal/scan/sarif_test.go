@@ -361,6 +361,19 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 }
 
+// TestRaceMessageAllocs: a PF1004 message with several witnesses is built in
+// one allocation (TestEncodersMatchReference holds its bytes).
+func TestRaceMessageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	races := encoderReports()["all rules"].Loops[1].Suggestion.Races
+	races = append(races, races...)
+	if n := testing.AllocsPerRun(20, func() { raceMessage(races) }); n != 1 {
+		t.Errorf("raceMessage over %d witnesses allocates %.0f times, want 1", len(races), n)
+	}
+}
+
 // TestEncodedBytesAreTheCallers: what JSON and SARIF return is never the
 // pooled encoder's memory — a later encode leaves earlier results alone.
 func TestEncodedBytesAreTheCallers(t *testing.T) {
@@ -482,7 +495,18 @@ func sarifReference(r *Report) ([]byte, error) {
 		// whatever tier the suggestion landed on.
 		if l.Suggestion != nil && len(l.Suggestion.Races) > 0 {
 			s := l.Suggestion
-			msg := raceMessage(s.Races)
+			parts := make([]string, 0, len(s.Races))
+			for _, w := range s.Races {
+				part := fmt.Sprintf("%s dependence on %s: %s -> %s", w.Kind, w.Array, w.Source.Expr, w.Sink.Expr)
+				if w.Distance != "" {
+					part += fmt.Sprintf(" distance %s", w.Distance)
+				}
+				if part != w.String() {
+					return nil, fmt.Errorf("Witness.String = %q, want %q", w.String(), part)
+				}
+				parts = append(parts, part)
+			}
+			msg := "potential loop-carried race: " + strings.Join(parts, "; ")
 			props := map[string]any{"races": s.Races}
 			if len(s.Witness) > 0 {
 				props["witness"] = s.Witness

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pragformer/internal/advisor"
@@ -183,11 +184,13 @@ type Loop struct {
 
 	queued bool // already handed to the inference stage
 	// ast is the loop as parsed by the scan worker, threaded to the advisor
-	// so corroboration skips the second parse. Set by the collector when it
-	// queues the loop, cleared by the inference stage when the verdict lands:
-	// a store hit never has one and a finished Report holds none, so no
-	// report pins a file's parse.
-	ast *cast.For
+	// so corroboration skips the second parse, and tree the file's parse it
+	// lives in. The collector sets both when it queues the loop; the
+	// inference stage clears them, dropping the loop's hold on the tree, when
+	// the verdict lands: a store hit never has one and a finished Report
+	// holds none.
+	ast  *cast.For
+	tree *parsed
 }
 
 // Skip reports one file the scan could not use, with the parse position
@@ -333,6 +336,26 @@ type fileOut struct {
 	loops  []occLoop
 	skips  []Skip
 	failed bool
+	tree   *parsed // nil when failed
+}
+
+// parsed is one file's parse tree, counted per reader: the collector holds
+// it until it has finished the file, and each loop it queues until that
+// loop's verdict lands. The last to drop it hands the tree's slabs back to
+// the parser pool. Nothing but strings outlives that: occurrences, canonical
+// prints and verdicts never point into a tree. A canceled scan may leave a
+// tree held; it falls to the garbage collector.
+type parsed struct {
+	tree *cparse.Tree
+	refs atomic.Int32
+}
+
+func (t *parsed) hold() { t.refs.Add(1) }
+
+func (t *parsed) drop() {
+	if t.refs.Add(-1) == 0 {
+		t.tree.Release()
+	}
 }
 
 // occLoop is one extracted loop occurrence with its canonical snippet and
@@ -427,7 +450,9 @@ func run(
 			err := suggestChunk(sg, chunk)
 			endAdvise()
 			for _, l := range chunk {
-				l.ast = nil // the verdict has landed, whichever suggester gave it
+				// The verdict has landed, whichever suggester gave it.
+				l.tree.drop()
+				l.ast, l.tree = nil, nil
 				if err != nil {
 					l.Error = err.Error()
 				}
@@ -508,13 +533,15 @@ collect:
 				if !l.queued && advisable {
 					// Any occurrence's parse will do: equal hashes mean
 					// equal canonical prints, which is all the advisor reads.
-					l.ast = ol.loop
+					l.ast, l.tree = ol.loop, fo.tree
+					fo.tree.hold()
 					if err := enqueue(l); err != nil {
 						collectErr = err
 						break collect
 					}
 				}
 			}
+			fo.tree.drop()
 		case <-ctx.Done():
 			collectErr = ctx.Err()
 			break collect
@@ -653,18 +680,20 @@ func parseSource(src Source, cfg Config, rel func(string) string) fileOut {
 	// region surfaces as a positioned skip. A file that yields nothing keeps
 	// the old whole-file-skip shape (first error only — the rest are usually
 	// cascade noise).
-	f, perrs := cparse.ParseRecover(string(data))
+	tree := cparse.ParseTree(string(data))
 	var skips []Skip
-	if len(f.Items) == 0 && len(perrs) > 0 {
-		pe := perrs[0]
+	if len(tree.File.Items) == 0 && len(tree.Errs) > 0 {
+		pe := tree.Errs[0]
+		tree.Release()
 		return fileOut{failed: true, skips: []Skip{
 			{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()}}}
 	}
-	for _, pe := range perrs {
+	for _, pe := range tree.Errs {
 		skips = append(skips, Skip{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()})
 	}
-	infos := cast.ExtractLoops(f)
-	out := fileOut{loops: make([]occLoop, 0, len(infos)), skips: skips}
+	infos := cast.ExtractLoops(tree.File)
+	out := fileOut{loops: make([]occLoop, 0, len(infos)), skips: skips, tree: &parsed{tree: tree}}
+	out.tree.hold()
 	for _, li := range infos {
 		out.loops = append(out.loops, occLoop{
 			snippet: cast.Print(li.Loop),

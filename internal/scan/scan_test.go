@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"pragformer/internal/advisor"
+	"pragformer/internal/cast"
 	"pragformer/internal/core"
 	"pragformer/internal/cparse"
 	"pragformer/internal/dep"
@@ -544,6 +546,67 @@ func TestScanParsesOncePerFile(t *testing.T) {
 	for _, l := range scanFixture(t, Config{}, &stubSuggester{}).Loops {
 		if l.ast != nil {
 			t.Errorf("string-only suggester: finished report pins the AST of loop %s", l.Hash[:8])
+		}
+	}
+}
+
+// printCheckSuggester is the stub model behind a SnippetSuggester that checks
+// every threaded loop against its snippet: a loop whose file's tree went
+// back to the parser pool before its verdict landed prints zeroed nodes, or
+// another file's, not the canonical text it was queued with.
+type printCheckSuggester struct {
+	stubSuggester
+	mu       sync.Mutex
+	threaded int
+	stale    []string
+}
+
+func (s *printCheckSuggester) SuggestSnippets(snippets []advisor.Snippet) ([]advisor.BatchItem, error) {
+	codes := make([]string, len(snippets))
+	for i, sn := range snippets {
+		codes[i] = sn.Code
+		printed := "<no loop>"
+		if sn.Loop != nil {
+			printed = cast.Print(sn.Loop)
+		}
+		s.mu.Lock()
+		s.threaded++
+		if printed != sn.Code {
+			s.stale = append(s.stale, printed)
+		}
+		s.mu.Unlock()
+	}
+	return s.SuggestBatch(codes)
+}
+
+// TestScanReleasesTreesAfterVerdicts: a cold scan hands each file's tree
+// back to the parser pool only once the last loop queued from it has its
+// verdict, while four workers keep parsing into whatever the pool hands
+// them. Generated files with several distinct loops each keep trees in
+// flight across chunks of one and of sixteen.
+func TestScanReleasesTreesAfterVerdicts(t *testing.T) {
+	srcs := fixtureSources(t)
+	for f := 0; f < 24; f++ {
+		var b strings.Builder
+		fmt.Fprintf(&b, "void k%d(double *a, double *b, int n) {\n    int i, j;\n", f)
+		for l := 0; l < 5; l++ {
+			fmt.Fprintf(&b, "    for (i = %d; i < n; i++) {\n        for (j = 0; j < n; j++) a[i * n + j] += b[j] * %d.%d;\n    }\n", l, f, l)
+		}
+		b.WriteString("}\n")
+		srcs = append(srcs, Source{Path: fmt.Sprintf("gen/k%d.c", f), Data: []byte(b.String())})
+	}
+	for _, batch := range []int{1, 16} {
+		sg := &printCheckSuggester{}
+		rep, err := Files(context.Background(), srcs, Config{Workers: 4, BatchSize: batch}, sg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sg.threaded != rep.Counters.Inferred || sg.threaded < 200 {
+			t.Fatalf("BatchSize %d: %d loops threaded, %d inferred", batch, sg.threaded, rep.Counters.Inferred)
+		}
+		if len(sg.stale) > 0 {
+			t.Errorf("BatchSize %d: %d of %d threaded loops no longer print as their snippet, first:\n%s",
+				batch, len(sg.stale), sg.threaded, sg.stale[0])
 		}
 	}
 }

@@ -374,13 +374,15 @@ func (rt *Router) backendLabel() string { return *rt.backend.Load() }
 
 // canonical parses one snippet and returns its canonically printed target
 // loop plus the scan-compatible content hash; ok is false when the snippet
-// has no parseable loop (such requests still route, by raw-text hash).
+// has no parseable loop (such requests still route, by raw-text hash). The
+// parse is dead once printed: its slabs go back to the parser pool.
 func canonical(code string) (snippet, hash string, ok bool) {
-	f, err := cparse.Parse(code)
-	if err != nil {
+	t := cparse.ParseTree(code)
+	defer t.Release()
+	if len(t.Errs) > 0 {
 		return "", "", false
 	}
-	loop := s2s.FirstLoop(f)
+	loop := s2s.FirstLoop(t.File)
 	if loop == nil {
 		return "", "", false
 	}

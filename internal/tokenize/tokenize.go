@@ -48,28 +48,23 @@ func Extract(code string, repr Representation) ([]string, error) {
 	switch repr {
 	case Text:
 		return lexTokens(code)
-	case RText:
-		f, err := cparse.Parse(code)
-		if err != nil {
-			return nil, err
+	case RText, AST, RAST:
+		// The tree is dead once rendered: its slabs go back to the parser
+		// pool. A parse with an error is rejected as a whole.
+		t := cparse.ParseTree(code)
+		defer t.Release()
+		if len(t.Errs) > 0 {
+			return nil, t.Errs[0]
 		}
-		cast.Rename(f)
-		return lexTokens(cast.Print(f))
-	case AST:
-		f, err := cparse.Parse(code)
-		if err != nil {
-			return nil, err
+		if repr == RText {
+			cast.Rename(t.File)
+			return lexTokens(cast.Print(t.File))
 		}
-		stripPragmaNodes(f)
-		return cast.SerializeTokens(f), nil
-	case RAST:
-		f, err := cparse.Parse(code)
-		if err != nil {
-			return nil, err
+		stripPragmaNodes(t.File)
+		if repr == RAST {
+			cast.Rename(t.File)
 		}
-		stripPragmaNodes(f)
-		cast.Rename(f)
-		return cast.SerializeTokens(f), nil
+		return cast.SerializeTokens(t.File), nil
 	}
 	return nil, fmt.Errorf("tokenize: unknown representation %d", repr)
 }
