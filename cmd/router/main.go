@@ -19,7 +19,9 @@
 // and re-probed with backoff until they answer again.
 //
 // Endpoints: POST /predict, /suggest, /scan, /reload; GET /healthz,
-// /readyz, /statz — the same surface as one replica.
+// /readyz, /statz, /metrics — the same surface as one replica. /statz and
+// /metrics render the router's own series, including each replica's
+// state, generation, in-flight forwards and failed /readyz probes.
 //
 // Example:
 //

@@ -23,9 +23,10 @@
 //	POST /suggest {"code": "..."} | {"codes": [...]}
 //	POST /scan    {"files": [{"path": "a.c", "source": "..."}], "format": "json"|"sarif"}
 //	POST /reload  (hot-swap models from the -directive/... paths)
-//	GET  /healthz (liveness)
-//	GET  /readyz  (readiness: 503 while draining or mid-reload)
-//	GET  /statz   (queue depth, in-flight, hit rates — the router's admission signal)
+//	GET  /healthz (liveness, backend and model generation)
+//	GET  /readyz  (readiness: 503 while draining or mid-reload — what the router probes)
+//	GET  /statz   (every /metrics series as one JSON object)
+//	GET  /metrics (Prometheus text)
 //
 // On SIGTERM/SIGINT the server flips /readyz to draining, then shuts down
 // gracefully under the -drain-timeout deadline.

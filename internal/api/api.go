@@ -1,7 +1,8 @@
 // Package api is the HTTP/JSON contract cmd/serve and cmd/router both
 // speak: the request and response bodies of POST /predict, /suggest and
-// /scan, the error and load-shedding replies, the bounded body decode,
-// and the handler shell of each of the three routes. A replica renders
+// /scan, the replica's readiness body, the error and load-shedding
+// replies, the bounded body decode, and the handler shell of each of the
+// three POST routes. A replica renders
 // these types, the router decodes, merges and re-renders the same ones, so
 // a field added here reaches both sides or neither.
 //
@@ -98,31 +99,13 @@ type ScanFile struct {
 	Source string `json:"source"`
 }
 
-// Latency is one path's request-duration summary in milliseconds, as
-// both /statz bodies report it.
-type Latency struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-// LatencyByPath summarizes the request-duration histograms the obs
-// middleware keeps for the POST routes — the same series /metrics
-// exposes. Paths that have seen no request are left out.
-func LatencyByPath(reg *obs.Registry) map[string]Latency {
-	out := map[string]Latency{}
-	for _, path := range []string{"/predict", "/suggest", "/scan"} {
-		if h := obs.RequestHistogram(reg, path); h.Count() > 0 {
-			out[path] = Latency{
-				Count: h.Count(),
-				P50Ms: h.Quantile(0.50) * 1000, P90Ms: h.Quantile(0.90) * 1000,
-				P99Ms: h.Quantile(0.99) * 1000, MaxMs: h.Max() * 1000,
-			}
-		}
-	}
-	return out
+// Readiness is a replica's GET /readyz body, answered 200 when Ready and
+// 503 otherwise, and everything the router's prober reads of a replica.
+type Readiness struct {
+	Ready      bool   `json:"ready"`
+	State      string `json:"state"` // "ok" | "draining" | "reloading"
+	Backend    string `json:"backend"`
+	Generation uint64 `json:"generation"`
 }
 
 // WriteJSON answers with status and v as the JSON body.

@@ -13,7 +13,6 @@ import (
 	"pragformer/internal/dep"
 	"pragformer/internal/obs"
 	"pragformer/internal/scan"
-	"pragformer/internal/serve"
 )
 
 // TestWireGolden pins the exact bytes of the shapes both binaries render.
@@ -45,8 +44,6 @@ func TestWireGolden(t *testing.T) {
 		},
 		Notes: []string{"private: t written before read"},
 	}}
-	busy := serve.PathStats{Requests: 8, CacheHits: 2, Batches: 2, Items: 6, Sheds: 1,
-		DeadlineExceeded: 1, QueueDepth: 3, InFlight: 4}
 	for _, tc := range []struct {
 		name string
 		v    any
@@ -62,12 +59,10 @@ func TestWireGolden(t *testing.T) {
 			`{"probability":0.75,"parallelize":true}`},
 		{"predict result, error", api.PredictResult{Error: "empty id sequence"},
 			`{"probability":0,"parallelize":false,"error":"empty id sequence"}`},
-		{"replica statz, every key", serve.Statz{
-			Stats:   serve.Stats{Backend: "int8", Generation: 2, Draining: true, Reloading: true, Reloads: 3, Predict: busy},
-			Latency: map[string]api.Latency{"/predict": {Count: 8, P50Ms: 0.5, P90Ms: 1, P99Ms: 2, MaxMs: 2.5}}},
-			`{"backend":"int8","generation":2,"draining":true,"reloading":true,"reloads":3,"predict":{"requests":8,"cache_hits":2,"batches":2,"items":6,"sheds":1,"deadline_exceeded":1,"queue_depth":3,"in_flight":4,"avg_batch":3,"hit_rate":0.25},"suggest":{"requests":0,"cache_hits":0,"batches":0,"items":0,"sheds":0,"deadline_exceeded":0,"queue_depth":0,"in_flight":0,"avg_batch":0,"hit_rate":0},"latency":{"/predict":{"count":8,"p50_ms":0.5,"p90_ms":1,"p99_ms":2,"max_ms":2.5}}}`},
-		{"replica statz, idle", serve.Statz{Latency: map[string]api.Latency{}},
-			`{"backend":"","generation":0,"draining":false,"reloading":false,"reloads":0,"predict":{"requests":0,"cache_hits":0,"batches":0,"items":0,"sheds":0,"deadline_exceeded":0,"queue_depth":0,"in_flight":0,"avg_batch":0,"hit_rate":0},"suggest":{"requests":0,"cache_hits":0,"batches":0,"items":0,"sheds":0,"deadline_exceeded":0,"queue_depth":0,"in_flight":0,"avg_batch":0,"hit_rate":0}}`},
+		// Generated from the replica's private /readyz struct this type
+		// replaced.
+		{"readiness", api.Readiness{State: "draining", Backend: "int8", Generation: 2},
+			`{"ready":false,"state":"draining","backend":"int8","generation":2}`},
 	} {
 		got, err := json.Marshal(tc.v)
 		if err != nil {
@@ -76,15 +71,6 @@ func TestWireGolden(t *testing.T) {
 		if string(got) != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
-	}
-
-	// What the router's prober reads back out of the replica statz body.
-	var st serve.Statz
-	if err := json.Unmarshal([]byte(`{"generation":2,"predict":{"queue_depth":3,"avg_batch":3},"latency":{"/scan":{"p99_ms":2}}}`), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Generation != 2 || st.Predict.QueueDepth != 3 || st.Latency["/scan"].P99Ms != 2 {
-		t.Errorf("statz decoded to %+v", st)
 	}
 }
 

@@ -130,6 +130,21 @@ func (h *Histogram) expose(w *strings.Builder, name, labels string) {
 	sampleLine(w, name, labels, "_count", strconv.FormatUint(h.count.Load(), 10))
 }
 
+// histSummary is a histogram's /statz value, in seconds.
+type histSummary struct {
+	Count uint64  `json:"count"`
+	Sum   float64 `json:"sum"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+	Max   float64 `json:"max"`
+}
+
+func (h *Histogram) value() any {
+	return histSummary{Count: h.Count(), Sum: h.Sum(),
+		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99), Max: h.Max()}
+}
+
 func joinLabels(a, b string) string {
 	if a == "" {
 		return b

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +134,101 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestWriteJSON pins the /statz rendering: one key per series, named as
+// /metrics names it (labels escaped the same way), a number for a counter
+// or gauge, and a summary in seconds for a histogram — zeros when it has
+// seen nothing.
+func TestWriteJSON(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("pf_test_total", "c", Labels{"path": "/predict", "kind": `a"b`}).Add(3)
+	reg.GaugeFunc("pf_test_depth", "g", nil, func() float64 { return 7.5 })
+	reg.Histogram("pf_test_seconds", "h", Labels{"stage": "infer"}, []float64{1, 2}).Observe(1.5)
+	reg.Histogram("pf_test_seconds", "h", Labels{"stage": "idle"}, []float64{1, 2})
+
+	var b strings.Builder
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
+		t.Fatalf("body %q: %v", b.String(), err)
+	}
+	summary := func(count, v float64) map[string]any {
+		return map[string]any{"count": count, "sum": v, "p50": v, "p90": v, "p99": v, "max": v}
+	}
+	want := map[string]any{
+		`pf_test_total{kind="a\"b",path="/predict"}`: 3.0,
+		"pf_test_depth":                  7.5,
+		`pf_test_seconds{stage="infer"}`: summary(1, 1.5),
+		`pf_test_seconds{stage="idle"}`:  summary(0, 0),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("WriteJSON = %v\nwant %v", got, want)
+	}
+}
+
+// TestWriteJSONConcurrentScrape scrapes while other goroutines register
+// and update series; run under -race in CI. Every scrape decodes, and the
+// last one reconciles: each label set's counter equals its histogram's
+// count, because every writer step moves both.
+func TestWriteJSONConcurrentScrape(t *testing.T) {
+	reg := NewRegistry()
+	scrape := func() map[string]any {
+		var b strings.Builder
+		if err := reg.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
+			t.Fatalf("body %q: %v", b.String(), err)
+		}
+		return got
+	}
+	const writers, steps = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				l := Labels{"g": strconv.Itoa(g), "i": strconv.Itoa(i % 8)}
+				reg.Counter("pf_c_total", "c", l).Inc()
+				reg.Histogram("pf_h_seconds", "h", l, nil).Observe(float64(i) * 1e-4)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		scrape()
+	}
+
+	got := scrape()
+	var total float64
+	for key, v := range got {
+		labels, ok := strings.CutPrefix(key, "pf_c_total")
+		if !ok {
+			continue
+		}
+		h, ok := got["pf_h_seconds"+labels].(map[string]any)
+		if !ok || h["count"] != v {
+			t.Errorf("%s = %v, histogram %v", key, v, got["pf_h_seconds"+labels])
+		}
+		total += v.(float64)
+	}
+	if len(got) != 2*writers*8 || total != writers*steps {
+		t.Fatalf("%d series counting %v steps, want %d counting %d", len(got), total, 2*writers*8, writers*steps)
+	}
+}
+
 // TestRegistryGetOrCreate pins the sharing contract: the same (name,
 // labels) from two call sites is one series.
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -146,8 +244,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 // A lookup of a series that exists builds nothing: it costs the label
-// string (and its key slice), not a histogram and its buckets — /statz
-// looks three histograms up on every poll.
+// string (and its key slice), not a histogram and its buckets.
 func TestRegistryLookupDoesNotConstruct(t *testing.T) {
 	reg := NewRegistry()
 	labels := Labels{"path": "/x"}

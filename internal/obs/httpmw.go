@@ -11,8 +11,7 @@ import (
 )
 
 // RequestHistogram is the canonical request-duration series for one HTTP
-// path — middleware records into it and /statz percentile views read from
-// it, sharing one histogram through the registry's get-or-create.
+// path, the one the middleware records into.
 func RequestHistogram(reg *Registry, path string) *Histogram {
 	return reg.Histogram("pf_request_duration_seconds",
 		"HTTP request duration in seconds, by path.",

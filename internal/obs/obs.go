@@ -1,9 +1,9 @@
 // Package obs is the serving stack's dependency-free runtime telemetry
 // layer: a metrics registry (atomic counters, gauges, fixed-bucket latency
 // histograms with p50/p90/p99/max and zero per-request allocation) with
-// Prometheus text exposition, request-scoped tracing (a trace ID minted at
-// the edge or accepted from the X-PF-Trace header, lightweight spans
-// recorded along every hop), and deadline propagation helpers
+// Prometheus text and JSON exposition, request-scoped tracing (a trace ID
+// minted at the edge or accepted from the X-PF-Trace header, lightweight
+// spans recorded along every hop), and deadline propagation helpers
 // (X-PF-Deadline-Ms carried router → replica → batcher so expired work is
 // shed before it wastes a forward).
 //
@@ -39,11 +39,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// metric is one registered series' exposition behavior.
+// metric is one registered series' rendering in both formats.
 type metric interface {
 	// expose writes the series' sample lines. name is the family name,
 	// labels the canonical inner label string ("" for none).
 	expose(w *strings.Builder, name, labels string)
+	// value is the series' GET /statz JSON value.
+	value() any
 }
 
 func sampleLine(w *strings.Builder, name, labels, suffix, value string) {
@@ -63,12 +65,16 @@ func (c *Counter) expose(w *strings.Builder, name, labels string) {
 	sampleLine(w, name, labels, "", fmt.Sprintf("%d", c.Value()))
 }
 
+func (c *Counter) value() any { return c.Value() }
+
 // gaugeFunc exposes a point-in-time value (queue depth, in-flight count).
 type gaugeFunc struct{ fn func() float64 }
 
 func (g gaugeFunc) expose(w *strings.Builder, name, labels string) {
 	sampleLine(w, name, labels, "", formatFloat(g.fn()))
 }
+
+func (g gaugeFunc) value() any { return g.fn() }
 
 // family is one metric name: its metadata plus every label combination
 // registered under it.
@@ -80,11 +86,11 @@ type family struct {
 	series map[string]metric
 }
 
-// Registry holds metric families and renders them in Prometheus text
-// format. All registration methods are get-or-create: asking for the same
-// (name, labels) twice returns the same series, so independent layers
-// (HTTP middleware, /statz views) can share one histogram without
-// coordination.
+// Registry holds metric families and renders them as Prometheus text
+// (GET /metrics) and as JSON (GET /statz). All registration methods are
+// get-or-create: asking for the same (name, labels) twice returns the same
+// series, so independent layers (HTTP middleware, tests) can share one
+// histogram without coordination.
 type Registry struct {
 	mu    sync.Mutex
 	fams  map[string]*family

@@ -21,13 +21,13 @@ import (
 func TestHTTPReadyzTracksDrainingAndReload(t *testing.T) {
 	e, srv := httpEngine(t)
 
-	get := func() (int, readyzResponse) {
+	get := func() (int, api.Readiness) {
 		resp, err := http.Get(srv.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var body readyzResponse
+		var body api.Readiness
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
@@ -58,6 +58,8 @@ func TestHTTPReadyzTracksDrainingAndReload(t *testing.T) {
 	}
 }
 
+// TestHTTPStatzShape reads the engine's counters off GET /statz, keyed as
+// /metrics names them, and checks they are the values Stats reports.
 func TestHTTPStatzShape(t *testing.T) {
 	e, srv := httpEngine(t)
 
@@ -69,32 +71,26 @@ func TestHTTPStatzShape(t *testing.T) {
 	postJSON(t, srv.URL+"/predict", req, &out)
 	postJSON(t, srv.URL+"/predict", req, &out) // second: LRU hit
 
-	resp, err := http.Get(srv.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	st := getStatz(t, srv.URL)
+	predict := e.Stats().Predict
+	for key, want := range map[string]float64{
+		`pf_batcher_requests_total{path="predict"}`: 2,
+		`pf_cache_hits_total{path="predict"}`:       1,
+		`pf_batches_total{path="predict"}`:          float64(predict.Batches),
+		`pf_queue_depth{path="predict"}`:            0,
+		`pf_in_flight{path="predict"}`:              0,
+		`pf_model_generation`:                       0,
+	} {
+		var got float64
+		if err := json.Unmarshal(st[key], &got); err != nil || got != want {
+			t.Errorf("statz %s = %s, want %v", key, st[key], want)
+		}
 	}
-	defer resp.Body.Close()
-	var st Statz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if predict.Requests != 2 || predict.CacheHits != 1 {
+		t.Errorf("Stats().Predict = %+v, want 2 requests and 1 cache hit", predict)
 	}
-	if st.Backend != e.Stats().Backend {
-		t.Fatalf("statz backend %q, engine %q", st.Backend, e.Stats().Backend)
-	}
-	if st.Predict.Requests != 2 {
-		t.Fatalf("predict requests = %d, want 2", st.Predict.Requests)
-	}
-	if st.Predict.CacheHits != 1 {
-		t.Fatalf("predict cache hits = %d, want 1", st.Predict.CacheHits)
-	}
-	if hr := st.Predict.HitRate(); hr <= 0 || hr > 1 {
-		t.Fatalf("hit rate = %v", hr)
-	}
-	if st.Draining || st.Reloading {
-		t.Fatalf("idle engine reports draining/reloading: %+v", st)
-	}
-	if st.Predict.QueueDepth != 0 || st.Predict.InFlight != 0 {
-		t.Fatalf("idle engine reports queued work: %+v", st.Predict)
+	if _, ok := st[`pf_model_weight_bytes{backend="`+e.Stats().Backend+`",classifier="directive"}`]; !ok {
+		t.Errorf("statz has no weight series for the serving backend %q", e.Stats().Backend)
 	}
 }
 

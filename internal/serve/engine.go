@@ -23,7 +23,6 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -113,25 +112,25 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// PathStats counts one request kind's traffic. QueueDepth and InFlight
-// are point-in-time admission signals (everything else is monotonic):
-// the tier router polls them through GET /statz to decide where the next
-// request can still land. The JSON tags are the /statz row.
+// PathStats counts one request kind's traffic: the same registry series
+// GET /metrics and GET /statz render, read for in-process callers.
+// QueueDepth and InFlight are point-in-time (everything else is
+// monotonic).
 type PathStats struct {
-	Requests  uint64 `json:"requests"`   // calls accepted
-	CacheHits uint64 `json:"cache_hits"` // answered from the LRU without queueing
-	Batches   uint64 `json:"batches"`    // coalesced batches executed
-	Items     uint64 `json:"items"`      // requests carried by those batches
-	Sheds     uint64 `json:"sheds"`      // requests refused with ErrSaturated (shed mode)
+	Requests  uint64 // calls accepted
+	CacheHits uint64 // answered from the LRU without queueing
+	Batches   uint64 // coalesced batches executed
+	Items     uint64 // requests carried by those batches
+	Sheds     uint64 // requests refused with ErrSaturated (shed mode)
 	// DeadlineExceeded counts requests dropped because their client
 	// deadline expired before the forward ran — at admission or while
 	// waiting in the batch queue.
-	DeadlineExceeded uint64 `json:"deadline_exceeded"`
+	DeadlineExceeded uint64
 	// QueueDepth is the number of requests waiting in the batcher queue
 	// right now; InFlight counts admitted requests not yet answered
 	// (queued or inside a running batch).
-	QueueDepth int `json:"queue_depth"`
-	InFlight   int `json:"in_flight"`
+	QueueDepth int
+	InFlight   int
 }
 
 // AvgBatch is the mean coalesced batch size.
@@ -142,44 +141,24 @@ func (s PathStats) AvgBatch() float64 {
 	return float64(s.Items) / float64(s.Batches)
 }
 
-// HitRate is the fraction of requests answered from the LRU.
-func (s PathStats) HitRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.Requests)
-}
-
-// MarshalJSON renders the counters plus the derived rates probes would
-// otherwise recompute.
-func (s PathStats) MarshalJSON() ([]byte, error) {
-	type counters PathStats // sheds the method set: no recursion
-	return json.Marshal(struct {
-		counters
-		AvgBatch float64 `json:"avg_batch"`
-		HitRate  float64 `json:"hit_rate"`
-	}{counters(s), s.AvgBatch(), s.HitRate()})
-}
-
-// Stats is a point-in-time snapshot of engine counters; in JSON, the
-// head of the /statz body.
+// Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
 	// Backend names the compute backend of the served directive classifier
 	// ("float64" | "int8").
-	Backend string `json:"backend"`
+	Backend string
 	// Generation is the model generation currently serving: 0 for the
 	// bundle the engine started with, bumped by every completed reload.
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Draining reports the engine is being taken out of rotation (set by
 	// SetDraining ahead of process shutdown); Reloading reports a hot swap
 	// is in progress. Both gate GET /readyz — the router routes neither
 	// new traffic nor health-probe credit to a draining replica.
-	Draining  bool `json:"draining"`
-	Reloading bool `json:"reloading"`
+	Draining  bool
+	Reloading bool
 	// Reloads counts completed hot model swaps.
-	Reloads uint64    `json:"reloads"`
-	Predict PathStats `json:"predict"`
-	Suggest PathStats `json:"suggest"`
+	Reloads uint64
+	Predict PathStats
+	Suggest PathStats
 }
 
 // Engine is the serving front end over one advisor.Models bundle. The

@@ -18,9 +18,10 @@ import (
 //	POST /suggest {"code": "..."} | {"codes": [...]}
 //	POST /scan    {"files": [{"path": "a.c", "source": "..."}], "format": "json"|"sarif"}
 //	POST /reload  (empty body — hot-swaps models from the configured source)
-//	GET  /healthz (liveness: the process is up and serving)
+//	GET  /healthz (liveness, plus the backend and model generation)
 //	GET  /readyz  (readiness: 503 while draining or mid-reload)
-//	GET  /statz   (admission signals: queue depth, in-flight, hit rates)
+//	GET  /statz   (the telemetry registry as JSON: the /metrics series)
+//	GET  /metrics (the telemetry registry as Prometheus text)
 //
 // Multi-item requests fan out concurrently into the engine, so one HTTP
 // batch coalesces into batched forwards the same way concurrent clients
@@ -37,7 +38,6 @@ type healthzResponse struct {
 	Status     string `json:"status"`
 	Backend    string `json:"backend"`
 	Generation uint64 `json:"generation"`
-	Stats      Stats  `json:"stats"`
 }
 
 // Handler returns the engine's HTTP API. The request-serving POST routes
@@ -53,7 +53,7 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("POST /reload", e.handleReload)
 	mux.HandleFunc("GET /healthz", e.handleHealthz)
 	mux.HandleFunc("GET /readyz", e.handleReadyz)
-	mux.HandleFunc("GET /statz", e.handleStatz)
+	mux.Handle("GET /statz", e.reg.JSONHandler())
 	mux.Handle("GET /metrics", e.reg.Handler())
 	return mux
 }
@@ -164,23 +164,16 @@ func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	st := e.Stats()
-	api.WriteJSON(w, http.StatusOK, healthzResponse{Status: "ok", Backend: st.Backend, Generation: st.Generation, Stats: st})
+	api.WriteJSON(w, http.StatusOK, healthzResponse{Status: "ok", Backend: st.Backend, Generation: st.Generation})
 }
 
-// readyzResponse is the /readyz body: Ready false (with a 503) while the
-// engine is draining toward shutdown or mid-reload. Liveness (/healthz)
-// stays 200 the whole time — the process is fine, it just should not
-// receive new traffic.
-type readyzResponse struct {
-	Ready      bool   `json:"ready"`
-	State      string `json:"state"` // "ok" | "draining" | "reloading"
-	Backend    string `json:"backend"`
-	Generation uint64 `json:"generation"`
-}
-
+// handleReadyz answers not ready (with a 503) while the engine is
+// draining toward shutdown or mid-reload. Liveness (/healthz) stays 200
+// the whole time — the process is fine, it just should not receive new
+// traffic.
 func (e *Engine) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := e.Stats()
-	resp := readyzResponse{Ready: true, State: "ok", Backend: st.Backend, Generation: st.Generation}
+	resp := api.Readiness{Ready: true, State: "ok", Backend: st.Backend, Generation: st.Generation}
 	status := http.StatusOK
 	switch {
 	case st.Draining:
@@ -189,17 +182,4 @@ func (e *Engine) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		resp.Ready, resp.State, status = false, "reloading", http.StatusServiceUnavailable
 	}
 	api.WriteJSON(w, status, resp)
-}
-
-// Statz is the /statz body — the admission signal the tier router polls
-// (its prober decodes this same type): per-path queue depth and in-flight
-// counts next to the monotonic counters and the derived rates, plus the
-// request-duration percentiles per HTTP path.
-type Statz struct {
-	Stats
-	Latency map[string]api.Latency `json:"latency,omitempty"`
-}
-
-func (e *Engine) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	api.WriteJSON(w, http.StatusOK, Statz{Stats: e.Stats(), Latency: api.LatencyByPath(e.reg)})
 }

@@ -46,6 +46,24 @@ func postJSON(t *testing.T, url string, v, out any) int {
 	return resp.StatusCode
 }
 
+// getStatz reads GET /statz: one value per registry series.
+func getStatz(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("statz: status %d, content type %q", resp.StatusCode, ct)
+	}
+	var st map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestHTTPPredict(t *testing.T) {
 	e, srv := httpEngine(t)
 	var resp struct {

@@ -118,8 +118,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatzLatencyPercentiles checks the /statz JSON carries the p50/p90/
-// p99 view of the same histogram /metrics exposes.
+// TestStatzLatencyPercentiles checks the /statz JSON carries the count,
+// sum and p50/p90/p99/max view of the same histogram /metrics exposes.
 func TestStatzLatencyPercentiles(t *testing.T) {
 	_, srv := httpEngine(t)
 
@@ -131,33 +131,20 @@ func TestStatzLatencyPercentiles(t *testing.T) {
 		t.Fatalf("predict status %d", code)
 	}
 
-	resp, err := http.Get(srv.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	st := getStatz(t, srv.URL)
+	var l struct {
+		Count              uint64
+		Sum, P50, P90, P99 float64
+		Max                float64
 	}
-	defer resp.Body.Close()
-	var st struct {
-		Latency map[string]struct {
-			Count uint64  `json:"count"`
-			P50Ms float64 `json:"p50_ms"`
-			P99Ms float64 `json:"p99_ms"`
-		} `json:"latency"`
-		Predict struct {
-			DeadlineExceeded *uint64 `json:"deadline_exceeded"`
-		} `json:"predict"`
+	if err := json.Unmarshal(st[`pf_request_duration_seconds{path="/predict"}`], &l); err != nil {
+		t.Fatalf("statz request duration for /predict: %v", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	l, ok := st.Latency["/predict"]
-	if !ok {
-		t.Fatalf("statz latency missing /predict: %+v", st.Latency)
-	}
-	if l.Count == 0 || l.P99Ms < l.P50Ms {
+	if l.Count != 1 || l.Sum <= 0 || l.P50 > l.P90 || l.P90 > l.P99 || l.P99 > l.Max {
 		t.Fatalf("implausible latency stats: %+v", l)
 	}
-	if st.Predict.DeadlineExceeded == nil {
-		t.Fatal("statz predict block missing deadline_exceeded")
+	if _, ok := st[`pf_deadline_exceeded_total{path="predict"}`]; !ok {
+		t.Fatal("statz missing the predict path's deadline_exceeded counter")
 	}
 }
 

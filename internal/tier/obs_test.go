@@ -12,7 +12,6 @@ import (
 
 	"pragformer/internal/api"
 	"pragformer/internal/obs"
-	"pragformer/internal/serve"
 )
 
 // obsReplica is a fake replica that records the telemetry headers the
@@ -65,14 +64,8 @@ func newObsReplica(t *testing.T) *obsReplica {
 		}
 		_ = json.NewEncoder(w).Encode(api.SuggestResponse{Results: results, Trace: wire})
 	})
-	mux.HandleFunc("GET /statz", func(w http.ResponseWriter, r *http.Request) {
-		var st serve.Statz
-		st.Backend = "fake"
-		st.Generation = 1
-		_ = json.NewEncoder(w).Encode(st)
-	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"ready": true})
+		writeReadiness(w, api.Readiness{Ready: true, State: "ok", Backend: "fake", Generation: 1})
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -192,14 +185,10 @@ func TestStatzErrorsSurfaced(t *testing.T) {
 
 	rt := newTestRouter(t, Config{Replicas: []string{deadURL}, ProbeInterval: 5 * time.Millisecond})
 
+	key := `pf_statz_errors_total{replica="` + deadURL + `"}`
 	waitFor(t, "statz errors to accumulate", func() bool {
-		rec := httptest.NewRecorder()
-		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
-		var st tierStatz
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			return false
-		}
-		return len(st.Replicas) == 1 && st.Replicas[0].StatzErrors > 0
+		var errs float64
+		return json.Unmarshal(statz(t, rt)[key], &errs) == nil && errs > 0
 	})
 }
 

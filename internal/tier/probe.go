@@ -14,10 +14,8 @@ func (rt *Router) noteFailure(rep *replica) {
 	}
 }
 
-// probeLoop is the background health prober: it refreshes routable
-// replicas' admission stats, ejects on consecutive probe failures, and
-// re-probes ejected replicas with exponential backoff until they answer
-// /readyz again.
+// probeLoop is the background health prober: every tick it probes the
+// fleet once (probeAll).
 func (rt *Router) probeLoop() {
 	defer rt.wg.Done()
 	backoff := make(map[string]int) // consecutive failed re-probes, per ejected replica
@@ -30,39 +28,47 @@ func (rt *Router) probeLoop() {
 			return
 		case <-tick.C:
 		}
-		for _, name := range rt.order {
-			rep := rt.reps[name]
-			ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
-			switch rep.getState() {
-			case stateEjected:
-				if skip[name] > 0 {
-					skip[name]--
-					break
-				}
-				if err := rep.probeReady(ctx, rt.client); err != nil {
-					backoff[name]++
-					n := backoff[name]
-					if n > 5 {
-						n = 5 // cap the re-probe gap at 32 ticks
-					}
-					skip[name] = 1<<n - 1
-					break
-				}
-				delete(backoff, name)
-				delete(skip, name)
-				rep.fails.Store(0)
-				rep.setState(stateHealthy)
-				rt.readmits.Inc()
-			case stateHealthy:
-				if err := rep.probeStatz(ctx, rt.client); err != nil {
-					rt.noteFailure(rep)
-					break
-				}
-				rep.fails.Store(0)
-				rt.adoptBackend(rep)
+		rt.probeAll(backoff, skip)
+	}
+}
+
+// probeAll is one prober tick: it refreshes routable replicas' readiness,
+// ejects on consecutive probe failures, and re-probes ejected replicas
+// with exponential backoff, readmitting one once it answers ready. backoff
+// and skip carry the re-probe schedule from tick to tick.
+func (rt *Router) probeAll(backoff, skip map[string]int) {
+	for _, name := range rt.order {
+		rep := rt.reps[name]
+		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
+		switch rep.getState() {
+		case stateEjected:
+			if skip[name] > 0 {
+				skip[name]--
+				break
 			}
-			cancel()
+			if err := rep.probe(ctx, rt.client); err != nil || !rep.ready.Load() {
+				backoff[name]++
+				n := backoff[name]
+				if n > 5 {
+					n = 5 // cap the re-probe gap at 32 ticks
+				}
+				skip[name] = 1<<n - 1
+				break
+			}
+			delete(backoff, name)
+			delete(skip, name)
+			rep.fails.Store(0)
+			rep.setState(stateHealthy)
+			rt.readmits.Inc()
+		case stateHealthy:
+			if err := rep.probe(ctx, rt.client); err != nil {
+				rt.noteFailure(rep)
+				break
+			}
+			rep.fails.Store(0)
+			rt.adoptBackend(rep)
 		}
+		cancel()
 	}
 }
 

@@ -92,7 +92,7 @@ func (rt *Router) rollOne(ctx context.Context, rep *replica, oldGen uint64) erro
 	// generation.
 	deadline = time.Now().Add(rt.cfg.DrainTimeout)
 	for {
-		if err := rep.probeStatz(ctx, rt.client); err == nil &&
+		if err := rep.probe(ctx, rt.client); err == nil &&
 			rep.ready.Load() && rep.generation.Load() > oldGen {
 			return nil
 		}

@@ -8,19 +8,20 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"pragformer/internal/api"
 	"pragformer/internal/obs"
-	"pragformer/internal/serve"
 )
 
 // replica is the router's view of one cmd/serve process: its health
 // state, the router-side in-flight count (the bounded-load signal), and
-// the last admission stats polled from GET /statz.
+// the readiness body last polled from GET /readyz.
 //
 // State machine: healthy ⇄ draining (rolling reload only) and healthy →
 // ejected (FailThreshold consecutive failures) → healthy (successful
 // re-probe). Draining replicas are skipped by the ring walk but still
 // finish their in-flight requests; ejected replicas receive no traffic
-// until a background probe readmits them.
+// until a background probe readmits them. The values are what
+// pf_replica_state reports.
 
 type replicaState int32
 
@@ -29,18 +30,6 @@ const (
 	stateDraining
 	stateEjected
 )
-
-func (s replicaState) String() string {
-	switch s {
-	case stateHealthy:
-		return "healthy"
-	case stateDraining:
-		return "draining"
-	case stateEjected:
-		return "ejected"
-	}
-	return "unknown"
-}
 
 type replica struct {
 	name  string // base URL, also the ring identity
@@ -52,20 +41,15 @@ type replica struct {
 	// fails counts consecutive forward/probe failures toward ejection.
 	fails atomic.Int32
 
-	// statzErrs counts failed /statz polls (pf_statz_errors_total, set by
-	// registerMetrics) — before these were surfaced, a replica could fail
-	// every health poll for minutes (DNS, decode drift) with nothing
-	// visible until ejection.
+	// statzErrs counts failed probes (pf_statz_errors_total, set by
+	// registerMetrics), so a replica failing every health poll is visible
+	// before it is ejected.
 	statzErrs *obs.Counter
 
-	// Signals from the last successful /statz poll.
+	// The readiness body of the last successful probe.
 	generation atomic.Uint64
-	queueDepth atomic.Int64 // predict + suggest queue depth
 	backend    atomic.Pointer[string]
 	ready      atomic.Bool
-	// p99Micros is the worst per-path p99 request latency the replica
-	// reported, in integer microseconds (atomic-friendly).
-	p99Micros atomic.Int64
 }
 
 func newReplica(name string) *replica {
@@ -82,49 +66,18 @@ func (r *replica) setState(s replicaState) { r.state.Store(int32(s)) }
 // routable reports whether the ring walk may hand this replica traffic.
 func (r *replica) routable() bool { return r.getState() == stateHealthy }
 
-// probeStatz polls GET /statz and refreshes the replica's admission
-// signals. It does not change the health state — the caller decides what
-// a success or failure means (ejection, readmission, backoff).
-func (r *replica) probeStatz(ctx context.Context, client *http.Client) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.name+"/statz", nil)
-	if err != nil {
-		r.statzErrs.Inc()
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		r.statzErrs.Inc()
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		r.statzErrs.Inc()
-		return fmt.Errorf("statz: %s", resp.Status)
-	}
-	var st serve.Statz
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		r.statzErrs.Inc()
-		return err
-	}
-	r.generation.Store(st.Generation)
-	r.queueDepth.Store(int64(st.Predict.QueueDepth + st.Suggest.QueueDepth))
-	b := st.Backend
-	r.backend.Store(&b)
-	r.ready.Store(!st.Draining && !st.Reloading)
-	var worst float64
-	for _, l := range st.Latency {
-		if l.P99Ms > worst {
-			worst = l.P99Ms
+// probe polls GET /readyz. A 200, or a 503 whose body decodes (a replica
+// draining or mid-reload), means the replica is alive: probe refreshes its
+// readiness, backend and generation from the body and returns nil.
+// Anything else is a failed probe, counted in pf_statz_errors_total. It
+// does not change the health state — the caller decides what an answer
+// means (ejection, readmission, backoff).
+func (r *replica) probe(ctx context.Context, client *http.Client) (err error) {
+	defer func() {
+		if err != nil {
+			r.statzErrs.Inc()
 		}
-	}
-	if worst > 0 {
-		r.p99Micros.Store(int64(worst * 1000))
-	}
-	return nil
-}
-
-// probeReady polls GET /readyz; nil means the replica reports ready.
-func (r *replica) probeReady(ctx context.Context, client *http.Client) error {
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.name+"/readyz", nil)
 	if err != nil {
 		return err
@@ -134,9 +87,15 @@ func (r *replica) probeReady(ctx context.Context, client *http.Client) error {
 		return err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		return fmt.Errorf("readyz: %s", resp.Status)
 	}
+	var rd api.Readiness
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rd); err != nil {
+		return fmt.Errorf("readyz: %s: %w", resp.Status, err)
+	}
+	r.generation.Store(rd.Generation)
+	r.backend.Store(&rd.Backend)
+	r.ready.Store(rd.Ready)
 	return nil
 }

@@ -60,7 +60,7 @@ type Config struct {
 	RatePerSec float64
 	Burst      int
 	// Backend/ModelID name the one (backend, model) pair whose verdicts the
-	// store holds; both are reported by /statz. Backend "" adopts the first
+	// store holds; both are reported by /healthz. Backend "" adopts the first
 	// backend a probe reports (rolling the store: what was stored before
 	// belonged to no named backend). ModelID never changes under a running
 	// router; a new bundle arrives by POST /reload, which rolls the store.
@@ -132,8 +132,8 @@ type Router struct {
 
 	backend atomic.Pointer[string] // adopted verdict-namespace backend
 
-	// Registry counters (registerMetrics): /statz and /metrics read the
-	// same values. deadlineExp counts forwards abandoned because the
+	// Registry counters (registerMetrics), which /statz and /metrics
+	// render. deadlineExp counts forwards abandoned because the
 	// client budget expired between admission and the forward itself (the
 	// middleware already sheds budgets that arrive expired).
 	deadlineExp *obs.Counter
@@ -216,9 +216,13 @@ func (rt *Router) registerMetrics() {
 		rep := rt.reps[name]
 		l := obs.Labels{"replica": name}
 		rep.statzErrs = reg.Counter("pf_statz_errors_total",
-			"Failed replica /statz probes (silent health-poll failures).", l)
+			"Failed replica /readyz probes: no answer, a status other than 200 or 503, or an undecodable body.", l)
 		reg.GaugeFunc("pf_replica_in_flight", "Router-side in-flight forwards per replica.", l,
 			func() float64 { return float64(rep.inflight.Load()) })
+		reg.GaugeFunc("pf_replica_state", "Replica health state: 0 healthy, 1 draining, 2 ejected.", l,
+			func() float64 { return float64(rep.getState()) })
+		reg.GaugeFunc("pf_replica_generation", "Model generation the replica's last successful probe reported.", l,
+			func() float64 { return float64(rep.generation.Load()) })
 	}
 }
 
@@ -241,9 +245,28 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /reload", rt.handleReload)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /statz", rt.handleStatz)
+	mux.Handle("GET /statz", rt.reg.JSONHandler())
 	mux.Handle("GET /metrics", rt.reg.Handler())
 	return mux
+}
+
+func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "replicas": len(rt.order),
+		"backend": rt.backendLabel(), "model_id": rt.cfg.ModelID})
+}
+
+func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	healthy := 0
+	for _, rep := range rt.reps {
+		if rep.routable() {
+			healthy++
+		}
+	}
+	status := http.StatusOK
+	if healthy == 0 {
+		status = http.StatusServiceUnavailable
+	}
+	api.WriteJSON(w, status, map[string]any{"ready": healthy > 0, "healthy": healthy, "replicas": len(rt.order)})
 }
 
 // admitted wraps a handler with the per-client token-bucket gate.

@@ -17,7 +17,6 @@ import (
 	"pragformer/internal/api"
 	"pragformer/internal/dep"
 	"pragformer/internal/scan"
-	"pragformer/internal/serve"
 )
 
 // fakeReplica is a scripted cmd/serve stand-in: deterministic verdicts,
@@ -129,25 +128,25 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		if f.fail(w) {
 			return
 		}
+		rd := api.Readiness{Ready: true, State: "ok", Backend: "fake", Generation: f.gen.Load()}
 		if f.reloading.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
+			rd.Ready, rd.State = false, "reloading"
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"ready": true})
-	})
-	mux.HandleFunc("GET /statz", func(w http.ResponseWriter, r *http.Request) {
-		if f.fail(w) {
-			return
-		}
-		var st serve.Statz
-		st.Backend = "fake"
-		st.Generation = f.gen.Load()
-		st.Reloading = f.reloading.Load()
-		_ = json.NewEncoder(w).Encode(st)
+		writeReadiness(w, rd)
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// writeReadiness answers GET /readyz as a replica does: the body, with a
+// 200 when ready and a 503 otherwise.
+func writeReadiness(w http.ResponseWriter, rd api.Readiness) {
+	status := http.StatusOK
+	if !rd.Ready {
+		status = http.StatusServiceUnavailable
+	}
+	api.WriteJSON(w, status, rd)
 }
 
 func (f *fakeReplica) fail(w http.ResponseWriter) bool {
@@ -336,7 +335,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 
 	a.failing.Store(true)
 	// Forward failures (500s) count toward ejection; the prober's failing
-	// statz probes count too. Either way the replica must leave rotation.
+	// readiness probes count too. Either way the replica must leave rotation.
 	for i := 0; i < 3; i++ {
 		postJSON(t, h, "/predict", api.PredictRequest{Code: "for (i = 0; i < n; i++) a[i] = i;"})
 	}
@@ -630,8 +629,8 @@ func TestRouterReloadRotatesStoreGeneration(t *testing.T) {
 	}
 }
 
-// storeGauges reads the store's size off GET /metrics (pf_store_len) and
-// its generation off GET /statz (store_generation).
+// storeGauges reads the store's size off GET /metrics and its generation
+// off GET /statz (pf_store_len, pf_store_generation).
 func storeGauges(t *testing.T, rt *Router) (storeLen float64, gen uint64) {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -647,13 +646,22 @@ func storeGauges(t *testing.T, rt *Router) (storeLen float64, gen uint64) {
 	if storeLen < 0 {
 		t.Fatal("pf_store_len missing from /metrics")
 	}
-	rec = httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
-	var st tierStatz
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(statz(t, rt)["pf_store_generation"], &gen); err != nil {
+		t.Fatalf("pf_store_generation: %v", err)
 	}
-	return storeLen, st.StoreGen
+	return storeLen, gen
+}
+
+// statz reads the router's GET /statz: one value per registry series.
+func statz(t *testing.T, rt *Router) map[string]json.RawMessage {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("statz %q: %v", rec.Body, err)
+	}
+	return st
 }
 
 // A verdict whose forward was out while the store rolled came from the
