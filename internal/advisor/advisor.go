@@ -430,7 +430,9 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 			// refuted loop's race witnesses are a property of the code, not
 			// of the model's answer, and the scan report surfaces them.
 			tc := time.Now()
-			s.Corroboration.attach(s2s.NewUnit(snippets[i].Code, snippets[i].Loop).Analysis(conversions))
+			unit := s2s.NewUnit(snippets[i].Code, snippets[i].Loop)
+			s.Corroboration.attach(unit.Analysis(conversions))
+			unit.Release()
 			dCorroborate += time.Since(tc)
 		}
 	}
@@ -469,6 +471,7 @@ var conversions = dep.Options{ArrayPrivatization: true, ArrayReductions: true}
 func (m *Models) finish(s *Suggestion, sn Snippet, wantPrivate, wantReduction bool) {
 	d := &pragma.Directive{ParallelFor: true}
 	unit := s2s.NewUnit(sn.Code, sn.Loop)
+	defer unit.Release()
 	analysis := unit.Analysis(conversions) // nil when no loop parses
 
 	if analysis != nil {

@@ -457,6 +457,29 @@ func TestTextPathParseBudget(t *testing.T) {
 	}
 }
 
+// TestTextPathReleasesAfterMembers: a posted snippet's parse goes back to
+// the parser pool only after the S2S members have read it. Par4All walks the
+// loop itself, for calls, so a parse released before the members compile
+// shows in its verdict on a loop with a call: it must decline the loop, as
+// its own Compile of the text does.
+func TestTextPathReleasesAfterMembers(t *testing.T) {
+	const code = "for (i = 0; i < n; i++) b[i] = sqrt(a[i]);"
+	s, err := stubModels(t, nil).Suggest(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := s2s.NewComPar().Members
+	if len(s.Corroboration.S2S) != len(members) {
+		t.Fatalf("S2S evidence %+v, want one verdict per member", s.Corroboration.S2S)
+	}
+	for i, v := range s.Corroboration.S2S {
+		res, err := members[i].Compile(code)
+		if v.Compiled != (err == nil) || v.Parallelized != (err == nil && res.Directive != nil) {
+			t.Errorf("%s: compiled %v, parallelized %v (%s); its own Compile: %+v, %v", v.Compiler, v.Compiled, v.Parallelized, v.Detail, res.Directive, err)
+		}
+	}
+}
+
 // TestAttributionDeterminism: attributions are seeded from the snippet
 // content, so two independent Models over the same vocabulary explain a
 // disagreement identically — the property the scan cache and the

@@ -66,8 +66,51 @@ func TestSuggestBytesBudget(t *testing.T) {
 	}
 	m := stubModels(t, nil)
 	snippets := fixtureSnippets(t)
+	perLoop := bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets) })
+	t.Logf("%.0f bytes per advised loop", perLoop)
+	const budget = 8800
+	if perLoop > budget {
+		t.Errorf("%.0f bytes per advised loop, budget %d", perLoop, budget)
+	}
+}
+
+// TestTextPathBytesBudget gates the posted snippet's path against the
+// scanner's: the fixture's 16 loops advised as text — each parsed by its S2S
+// unit, as a /suggest body is — cost at most 5 % more bytes per loop than
+// TestSuggestBytesBudget's threaded batch, which skips that parse. While
+// the unit kept its parse on fresh slabs the text path read 7.75 KB per
+// loop against 6.43 threaded; released to the parser pool at the end of
+// the loop's advice, the parse costs next to nothing.
+func TestTextPathBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	m := stubModels(t, nil)
+	snippets := fixtureSnippets(t)
+	codes := make([]string, len(snippets))
+	for i, sn := range snippets {
+		codes[i] = sn.Code
+	}
+	// The best of three on each side: a collection that empties the pools
+	// mid-measure lifts one reading by about as much as the margin.
+	threaded, text := math.Inf(1), math.Inf(1)
+	for range 3 {
+		threaded = min(threaded, bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets) }))
+		text = min(text, bytesPerLoop(t, len(codes), func() ([]BatchItem, error) { return m.SuggestBatchStaged(codes, nil) }))
+	}
+	t.Logf("%.0f bytes per loop advised as text, %.0f threaded", text, threaded)
+	if text > 1.05*threaded {
+		t.Errorf("%.0f bytes per loop advised as text, over 1.05 x %.0f threaded", text, threaded)
+	}
+}
+
+// bytesPerLoop is what one loop of a batch of n costs in bytes, over 20
+// rounds of advise after one to warm the pools; advise must answer every
+// loop.
+func bytesPerLoop(t *testing.T, n int, advise func() ([]BatchItem, error)) float64 {
+	t.Helper()
 	run := func() {
-		items, err := m.SuggestSnippets(snippets)
+		items, err := advise()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +128,7 @@ func TestSuggestBytesBudget(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perLoop := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(snippets))
-	t.Logf("%.0f bytes per advised loop", perLoop)
-	const budget = 8800
-	if perLoop > budget {
-		t.Errorf("%.0f bytes per advised loop, budget %d", perLoop, budget)
-	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*n)
 }
 
 // TestDisagreementAttributionsPinned holds the LIME attributions of the

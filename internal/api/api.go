@@ -12,11 +12,14 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/obs"
@@ -129,11 +132,36 @@ func Shed(w http.ResponseWriter, msg string) {
 	Error(w, http.StatusTooManyRequests, msg)
 }
 
-// DecodeBody decodes a POST body of at most MaxBodyBytes into v. On
-// failure it has answered — 413 for an oversized body, 400 for anything
-// else — and reports false.
+// readBufs lends ReadJSON its read buffers. A buffer grown past
+// maxPooledRead (a large /scan body) goes to the collector instead, so the
+// pool never pins one.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 1 << 20
+
+// ReadJSON reads r to its end into a pooled buffer and unmarshals the whole
+// of it into v: an empty body, a truncated value and bytes after the value
+// are all errors. The buffer goes back to the pool on return; v keeps
+// nothing of it, because json.Unmarshal copies every string it stores.
+func ReadJSON(r io.Reader, v any) error {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			buf.Reset()
+			readBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), v)
+}
+
+// DecodeBody decodes a POST body of at most MaxBodyBytes into v with
+// ReadJSON. On failure it has answered — 413 for an oversized body, 400 for
+// anything else — and reports false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	err := ReadJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
 	if err == nil {
 		return true
 	}

@@ -94,6 +94,43 @@ func TestDecodeBody(t *testing.T) {
 	}
 }
 
+// TestDecodeBodyErrors pins the reply to each body DecodeBody refuses. A
+// body is read whole and unmarshalled as one value, so bytes after the
+// value are refused too: a second object once got a 200 that answered the
+// first alone. An empty and a truncated body read "EOF" and "unexpected
+// EOF" while the body was decoded as a stream.
+func TestDecodeBodyErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		reply      string
+	}{
+		{"empty", ``, http.StatusBadRequest,
+			`{"error":"bad request: unexpected end of JSON input"}`},
+		{"truncated", `{"code": "a`, http.StatusBadRequest,
+			`{"error":"bad request: unexpected end of JSON input"}`},
+		{"trailing bytes", `{"code":"a"}{"code":"b"}`, http.StatusBadRequest,
+			`{"error":"bad request: invalid character '{' after top-level value"}`},
+		{"oversized", `{"code": "` + strings.Repeat("x", api.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge,
+			`{"error":"request body exceeds 16777216 bytes"}`},
+	} {
+		w := httptest.NewRecorder()
+		var req api.SuggestRequest
+		if api.DecodeBody(w, httptest.NewRequest(http.MethodPost, "/suggest", strings.NewReader(tc.body)), &req) {
+			t.Errorf("%s: accepted as %+v", tc.name, req)
+			continue
+		}
+		if got := strings.TrimSuffix(w.Body.String(), "\n"); w.Code != tc.status || got != tc.reply {
+			t.Errorf("%s: %d %s, want %d %s", tc.name, w.Code, got, tc.status, tc.reply)
+		}
+	}
+	// Whitespace after the value is not trailing data.
+	var req api.SuggestRequest
+	if w := httptest.NewRecorder(); !api.DecodeBody(w, httptest.NewRequest(http.MethodPost, "/suggest", strings.NewReader("{\"code\":\"a\"}\n")), &req) || req.Code != "a" {
+		t.Errorf("a body ending in a newline: %d %s", w.Code, w.Body)
+	}
+}
+
 // TestServeShells drives the /predict and /suggest shells with stub answer
 // functions: what a replica and the router both inherit from them.
 func TestServeShells(t *testing.T) {

@@ -45,7 +45,7 @@ func (c *ComPar) CompileEach(src string) []MemberVerdict { return c.CompileUnit(
 // lexed, parsed and analyzed once, not per member — and not at all where the
 // unit's maker already did; any other member compiles the text on its own.
 func (c *ComPar) CompileUnit(u *Unit) []MemberVerdict {
-	defer u.release()
+	defer u.releaseTokens()
 	out := make([]MemberVerdict, 0, len(c.Members))
 	for _, m := range c.Members {
 		var res Result

@@ -53,8 +53,9 @@ var ErrParse = errors.New("s2s: compile failed")
 // parse of a posted snippet, else the unit's own parse of its tokens, when
 // the first member to get that far asks — and goes through the dependence
 // engine once, every view deriving from that plain pass. The token buffer is
-// borrowed from a pool for the span of one compile call — release hands it
-// back — while the loop and its analysis stay with the unit. A unit serves
+// borrowed from a pool for the span of one compile call — releaseTokens
+// hands it back — while the loop and its analysis stay with the unit; the
+// slabs of NewUnit's own parse are borrowed until Release. A unit serves
 // one snippet on one goroutine; ComPar itself holds no state.
 type Unit struct {
 	code   string        // as given
@@ -66,6 +67,7 @@ type Unit struct {
 	loop     *cast.For // with funcs and parseErr, nil until found or parsed
 	funcs    map[string]*cast.FuncDef
 	parseErr error
+	tree     *cparse.Tree // NewUnit's parse, whose slabs hold loop until Release
 
 	plain *dep.Analysis
 }
@@ -83,9 +85,10 @@ func (u *Unit) tokens() ([]clex.Token, error) {
 	return *u.buf, u.lexErr
 }
 
-// release ends a compile call: the token buffer goes back cleared. A parsed
-// loop keeps token texts, never tokens, so what the unit found stays valid.
-func (u *Unit) release() {
+// releaseTokens ends a compile call: the token buffer goes back cleared. A
+// parsed loop keeps token texts, never tokens, so what the unit found stays
+// valid.
+func (u *Unit) releaseTokens() {
 	if u.buf != nil {
 		clex.Release(u.buf)
 		u.buf, u.lexErr = nil, nil
@@ -96,7 +99,7 @@ func (u *Unit) release() {
 // alive for that call.
 func compileText(c unitCompiler, src string) (Result, error) {
 	u := newUnit(src)
-	defer u.release()
+	defer u.releaseTokens()
 	return c.compile(u)
 }
 
@@ -105,22 +108,35 @@ func compileText(c unitCompiler, src string) (Result, error) {
 // file's loops); nil parses code as it stands, pragma lines included, so race
 // witnesses stay anchored to the canonical print of the text the caller
 // holds — a pragma is transparent to the analysis, so the members read the
-// same verdict. When code holds no loop that parses, Analysis is nil and the
-// members parse their stripped tokens themselves, for their own error text.
+// same verdict. That parse lives in the pooled parser's slabs until Release.
+// When code holds no loop that parses, Analysis is nil and the members parse
+// their stripped tokens themselves, for their own error text.
 func NewUnit(code string, loop *cast.For) *Unit {
 	u := newUnit(code)
-	var funcs map[string]*cast.FuncDef // a threaded loop brings no bodies
-	if loop == nil {
-		f, err := cparse.Parse(code)
-		if err != nil {
-			return u
-		}
-		if loop, funcs = target(f); loop == nil {
+	if loop != nil {
+		u.given, u.loop = true, loop // a threaded loop brings no bodies
+		return u
+	}
+	t := cparse.ParseTree(code)
+	if len(t.Errs) == 0 { // a recovering parse with no error is the strict parse
+		if loop, funcs := target(t.File); loop != nil {
+			u.given, u.loop, u.funcs, u.tree = true, loop, funcs, t
 			return u
 		}
 	}
-	u.given, u.loop, u.funcs = true, loop, funcs
+	t.Release()
 	return u
+}
+
+// Release hands the slabs of NewUnit's own parse back to the parser pool;
+// call it once, after the unit's last read. What the unit handed out —
+// analyses with their witnesses, member results — holds only strings and
+// stays valid. A threaded loop is its parser's to release, not the unit's.
+func (u *Unit) Release() {
+	if u.tree != nil {
+		u.tree.Release()
+		u.tree = nil
+	}
 }
 
 // Analysis returns the dependence analysis of the loop NewUnit found, under
@@ -188,11 +204,15 @@ func parseSnippet(toks []clex.Token) (*cast.For, map[string]*cast.FuncDef, error
 }
 
 // target returns a parsed snippet's target loop (nil when it holds none) and
-// the function bodies in sight of it.
+// the function bodies in sight of it, nil when there are none — as a
+// threaded loop brings none.
 func target(f *cast.File) (*cast.For, map[string]*cast.FuncDef) {
-	funcs := map[string]*cast.FuncDef{}
+	var funcs map[string]*cast.FuncDef
 	for _, it := range f.Items {
 		if fd, ok := it.(*cast.FuncDef); ok {
+			if funcs == nil {
+				funcs = map[string]*cast.FuncDef{}
+			}
 			funcs[fd.Name] = fd
 		}
 	}

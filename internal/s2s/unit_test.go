@@ -103,7 +103,7 @@ func sameVerdict(t *testing.T, src string, v MemberVerdict, m Compiler) {
 // and function table one of them was built over, with the engine run apart.
 func sameAnalyses(t *testing.T, src string, a, b *Unit) {
 	t.Helper()
-	for _, o := range []dep.Options{{}, {ArrayPrivatization: true}, {ArrayReductions: true}, {ArrayPrivatization: true, ArrayReductions: true}} {
+	for _, o := range optionSets {
 		ga, gb := a.Analysis(o), b.Analysis(o)
 		if !reflect.DeepEqual(ga, gb) {
 			t.Errorf("%+v on %q:\none unit   %+v\nthe other %+v", o, src, ga, gb)
@@ -231,6 +231,71 @@ func TestUnitBorrowsTokens(t *testing.T) {
 						sameVerdict(t, src, v, c.Members[i])
 					}
 				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// optionSets are the four dep.Options a unit's Analysis can be asked under.
+var optionSets = []dep.Options{{}, {ArrayPrivatization: true}, {ArrayReductions: true}, {ArrayPrivatization: true, ArrayReductions: true}}
+
+// keptUnit is a text unit over a strict cparse.Parse, whose fresh slabs
+// leave with the tree and are never reused: the reference a released parse
+// is held to.
+func keptUnit(code string) *Unit {
+	u := newUnit(code)
+	if f, err := cparse.Parse(code); err == nil {
+		if loop, funcs := target(f); loop != nil {
+			u.given, u.loop, u.funcs = true, loop, funcs
+		}
+	}
+	return u
+}
+
+// TestUnitReleaseReuse holds a text unit whose parse went back to the
+// parser pool to what it answered while the parse was live: for every
+// equivalence input, its Analysis under each option set and its CompileUnit
+// verdicts — taken before Release, as the advisor takes them — equal those
+// of a kept-parse unit after the released slabs have served the next
+// input's parse, which is still live while they are compared. Eight
+// goroutines trade parsers through the pool at once (run under -race too).
+func TestUnitReleaseReuse(t *testing.T) {
+	c := NewComPar()
+	srcs := equivalenceInputs(t)
+	check := func(src, next string) {
+		u := NewUnit(src, nil)
+		analyses := make([]*dep.Analysis, len(optionSets))
+		for i, o := range optionSets {
+			analyses[i] = u.Analysis(o)
+		}
+		verdicts := c.CompileUnit(u)
+		u.Release()
+
+		reuse := cparse.ParseTree(next)
+		defer reuse.Release()
+		ref := keptUnit(src)
+		for i, o := range optionSets {
+			if want := ref.Analysis(o); !reflect.DeepEqual(analyses[i], want) {
+				t.Errorf("%+v on %q after release:\ngot  %+v\nkept %+v", o, src, analyses[i], want)
+			}
+		}
+		if want := c.CompileUnit(ref); !reflect.DeepEqual(verdicts, want) {
+			t.Errorf("%q after release:\ngot  %+v\nkept %+v", src, verdicts, want)
+		}
+	}
+	for k, src := range srcs {
+		check(src, srcs[(k+1)%len(srcs)])
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range srcs {
+				i := (k + g*3) % len(srcs)
+				check(srcs[i], srcs[(i+1)%len(srcs)])
 			}
 		}(g)
 	}

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Int8 quantized kernels. The serving stack quantizes weight matrices once
@@ -280,16 +279,23 @@ func int8DotRows1(o []float64, arow []int8, s float32, b *Int8Matrix, K, N int) 
 // int8 buffer pool (activation quantization scratch)
 // ---------------------------------------------------------------------------
 
-var int8Pool sync.Pool
+// int8Pools are classed by the capacity of Data, as the float64 pools are
+// (see classPools); Scales is kept with its header and grows only when a
+// request has more rows than it held.
+var int8Pools classPools
 
 // GetInt8Matrix returns an uninitialized rows×cols Int8Matrix backed by
 // pooled storage, for callers that fully assign it (QuantizeRowsInto).
 // Release with PutInt8Matrix.
 func GetInt8Matrix(rows, cols int) *Int8Matrix {
 	n := rows * cols
-	m, _ := int8Pool.Get().(*Int8Matrix)
-	if m == nil || cap(m.Data) < n || cap(m.Scales) < rows {
-		m = &Int8Matrix{Data: make([]int8, n), Scales: make([]float32, rows)}
+	k := getClass(n)
+	m, _ := int8Pools[k].Get().(*Int8Matrix)
+	if m == nil {
+		m = &Int8Matrix{Data: make([]int8, 0, 1<<k)}
+	}
+	if cap(m.Scales) < rows {
+		m.Scales = make([]float32, rows)
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:n]
@@ -300,8 +306,7 @@ func GetInt8Matrix(rows, cols int) *Int8Matrix {
 // PutInt8Matrix recycles a matrix obtained from GetInt8Matrix. The matrix
 // must not be used afterwards.
 func PutInt8Matrix(m *Int8Matrix) {
-	if cap(m.Data) < minPooledCap {
-		return
+	if k := putClass(cap(m.Data)); k >= 0 {
+		int8Pools[k].Put(m)
 	}
-	int8Pool.Put(m)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -11,8 +12,8 @@ import (
 //     replacing the per-call goroutine spawning the package started with
 //     (one training step issues hundreds of parallel matmuls, so spawn
 //     overhead was paid hundreds of times per step), and
-//   - a []float64 buffer pool that backs scratch matrices and softmax
-//     outputs in the matmul/backprop hot path.
+//   - []float64 buffer pools, by size class, that back scratch matrices
+//     and softmax outputs in the matmul/backprop hot path.
 //
 // The worker pool is lazily started on the first parallel call and sized by
 // GOMAXPROCS at that moment; later calls grow it if GOMAXPROCS was raised.
@@ -67,19 +68,44 @@ func poolWorker(ch chan poolTask) {
 func PoolWorkers() int { return int(poolSize.Load()) }
 
 // ---------------------------------------------------------------------------
-// []float64 buffer pool
+// []float64 buffer pools
 // ---------------------------------------------------------------------------
 
-// vecPool holds recycled buffers boxed in *[]float64; boxPool holds the
+// The buffer pools are split by power-of-two size class: class k holds
+// buffers whose capacity is at least 1<<k. A Get looks only in the class of
+// its size rounded up, so whatever it finds fits, and a miss allocates the
+// class's full capacity, so the buffer it makes serves every later request
+// of that class. A Put files a buffer under the largest class its capacity
+// covers. One size-agnostic pool would hand a forward's small softmax
+// buffer to its next matrix-sized Get, fail the fit and allocate anyway.
+type classPools [bits.UintSize]sync.Pool
+
+// minPooledCap is the smallest class: smaller requests are served from it,
+// and smaller buffers (made outside the pool) are never filed.
+const minPooledCap = 64
+
+// getClass is the class a request for n elements looks in.
+func getClass(n int) int { return bits.Len(uint(max(n, minPooledCap) - 1)) }
+
+// putClass is the class a buffer of capacity c files under, -1 when c is
+// below minPooledCap.
+func putClass(c int) int {
+	if c < minPooledCap {
+		return -1
+	}
+	return bits.Len(uint(c)) - 1
+}
+
+// vecPools hold recycled buffers boxed in *[]float64; boxPool holds the
 // empty boxes those buffers arrived in. Recycling the boxes matters as much
-// as recycling the buffers: `vecPool.Put(&v)` with a fresh box allocates a
+// as recycling the buffers: `vecPools[k].Put(&v)` with a fresh box allocates a
 // slice header on every release, which the allocation profile showed was
 // the single largest allocation source in the batched forward path —
 // PutVec itself. With the box round-trip, the steady-state Get/Put cycle
-// touches the allocator only on genuine capacity misses.
+// touches the allocator only when a class runs dry.
 var (
-	vecPool sync.Pool // *[]float64, len 0, reusable capacity
-	boxPool sync.Pool // *[]float64, nil slice: an empty box awaiting reuse
+	vecPools classPools // *[]float64, len 0, capacity of the class
+	boxPool  sync.Pool  // *[]float64, nil slice: an empty box awaiting reuse
 )
 
 // GetVec returns a zeroed []float64 of length n, reusing pooled capacity
@@ -94,46 +120,36 @@ func GetVec(n int) []float64 {
 // GetVecDirty is GetVec without the clear, for callers that fully assign
 // the buffer before reading it — skipping one O(n) memory pass per use.
 func GetVecDirty(n int) []float64 {
-	if p, _ := vecPool.Get().(*[]float64); p != nil {
-		if cap(*p) >= n {
-			v := (*p)[:n]
-			*p = nil
-			boxPool.Put(p)
-			return v
-		}
-		// Too small for this caller but fine for another size class —
-		// return it rather than letting the GC eat a reusable buffer.
-		vecPool.Put(p)
+	k := getClass(n)
+	if p, _ := vecPools[k].Get().(*[]float64); p != nil {
+		v := (*p)[:n]
+		*p = nil
+		boxPool.Put(p)
+		return v
 	}
-	return make([]float64, n)
+	return make([]float64, n, 1<<k)
 }
-
-// minPooledCap keeps tiny buffers out of the pool: the pool is a LIFO, so a
-// just-Put 2-element softmax output would be the first candidate for the
-// next matrix-sized Get, fail its capacity check, and turn the pool into a
-// miss machine. Small buffers are cheap to allocate; let the GC have them.
-const minPooledCap = 64
 
 // PutVec recycles a buffer obtained from GetVec (or any slice the caller no
 // longer references — the pool only cares about capacity). Buffers smaller
 // than minPooledCap are dropped.
 func PutVec(v []float64) {
-	if cap(v) < minPooledCap {
+	k := putClass(cap(v))
+	if k < 0 {
 		return
 	}
-	v = v[:0]
 	p, _ := boxPool.Get().(*[]float64)
 	if p == nil {
 		p = new([]float64)
 	}
-	*p = v
-	vecPool.Put(p)
+	*p = v[:0]
+	vecPools[k].Put(p)
 }
 
-// matrixPool recycles whole *Matrix values — header and backing storage
+// matrixPools recycle whole *Matrix values — header and backing storage
 // together — so the hot forward/backward paths pay no allocation for either
 // on the steady-state Get/Put cycle.
-var matrixPool sync.Pool
+var matrixPools classPools
 
 // GetMatrix returns a zeroed rows×cols matrix backed by pooled storage.
 // Release it with PutMatrix when its lifetime ends; matrices that escape
@@ -146,17 +162,12 @@ func GetMatrix(rows, cols int) *Matrix {
 
 // GetMatrixDirty is GetMatrix without the clear, for outputs every element
 // of which is assigned before being read (MatMulATInto, attention dAttn).
-// A pooled matrix whose storage is too small for this shape keeps its
-// header and reallocates only the data, so sizes grow monotonically toward
-// the largest working-set shapes instead of thrashing the pool.
 func GetMatrixDirty(rows, cols int) *Matrix {
 	n := rows * cols
-	m, _ := matrixPool.Get().(*Matrix)
+	k := getClass(n)
+	m, _ := matrixPools[k].Get().(*Matrix)
 	if m == nil {
-		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
-	}
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<k)}
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
@@ -169,9 +180,10 @@ func GetMatrixDirty(rows, cols int) *Matrix {
 // a double-put (len already zero) is a no-op instead of inserting the same
 // matrix into the pool twice.
 func PutMatrix(m *Matrix) {
-	if cap(m.Data) < minPooledCap || len(m.Data) == 0 {
+	k := putClass(cap(m.Data))
+	if k < 0 || len(m.Data) == 0 {
 		return
 	}
 	m.Data = m.Data[:0]
-	matrixPool.Put(m)
+	matrixPools[k].Put(m)
 }

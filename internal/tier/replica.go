@@ -2,7 +2,6 @@ package tier
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -91,7 +90,7 @@ func (r *replica) probe(ctx context.Context, client *http.Client) (err error) {
 		return fmt.Errorf("readyz: %s", resp.Status)
 	}
 	var rd api.Readiness
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rd); err != nil {
+	if err := api.ReadJSON(io.LimitReader(resp.Body, 1<<16), &rd); err != nil {
 		return fmt.Errorf("readyz: %s: %w", resp.Status, err)
 	}
 	r.generation.Store(rd.Generation)

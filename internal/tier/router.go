@@ -378,7 +378,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 		return fmt.Errorf("tier: %s%s: %s", rep.name, path, readErr(resp.Body))
 	}
 	rep.fails.Store(0)
-	return json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out)
+	return api.ReadJSON(io.LimitReader(resp.Body, 64<<20), out)
 }
 
 // readErr extracts the {"error": ...} body of a failed forward.
@@ -386,7 +386,7 @@ func readErr(r io.Reader) string {
 	var e struct {
 		Error string `json:"error"`
 	}
-	if json.NewDecoder(io.LimitReader(r, 1<<16)).Decode(&e) == nil && e.Error != "" {
+	if api.ReadJSON(io.LimitReader(r, 1<<16), &e) == nil && e.Error != "" {
 		return e.Error
 	}
 	return "replica error"
