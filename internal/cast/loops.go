@@ -26,16 +26,21 @@ type LoopInfo struct {
 // ExtractLoops returns every for-loop in f in source order, outer loops
 // before the loops nested inside them.
 func ExtractLoops(f *File) []LoopInfo {
-	var out []LoopInfo
+	return AppendLoops(nil, f)
+}
+
+// AppendLoops appends ExtractLoops(f) to dst and returns the extended
+// slice, so a caller scanning many files can reuse one backing array.
+func AppendLoops(dst []LoopInfo, f *File) []LoopInfo {
 	for _, it := range f.Items {
 		switch v := it.(type) {
 		case *FuncDef:
-			collectLoops(v.Body, v.Name, 0, "", &out)
+			collectLoops(v.Body, v.Name, 0, "", &dst)
 		case Stmt:
-			collectLoops(v, "", 0, "", &out)
+			collectLoops(v, "", 0, "", &dst)
 		}
 	}
-	return out
+	return dst
 }
 
 // collectLoops appends the for-loops under s. pragma carries the text of a

@@ -16,6 +16,16 @@ func Print(n Node) string {
 	return p.text(true)
 }
 
+// AppendPrint appends exactly what Print renders to dst and returns the
+// extended slice; it allocates only when dst has to grow.
+func AppendPrint(dst []byte, n Node) []byte {
+	p := newPrinter()
+	p.node(n)
+	dst = append(dst, p.rendering(true)...)
+	p.release()
+	return dst
+}
+
 // PrintExpr renders a single expression.
 func PrintExpr(e Expr) string {
 	p := newPrinter()
@@ -64,16 +74,26 @@ var printBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func newPrinter() printer { return printer{b: printBufs.Get().(*bytes.Buffer)} }
 
 // text returns the rendering and gives the buffer back; the printer is done.
-// endLine folds the trailing newlines into exactly one.
 func (p *printer) text(endLine bool) string {
+	s := string(p.rendering(endLine))
+	p.release()
+	return s
+}
+
+// rendering returns the printed bytes, valid until release. endLine folds
+// the trailing newlines into exactly one.
+func (p *printer) rendering(endLine bool) []byte {
 	out := p.b.Bytes()
 	if endLine {
 		out = append(bytes.TrimRight(out, "\n"), '\n')
 	}
-	s := string(out)
+	return out
+}
+
+// release gives the buffer back; the printer is done.
+func (p *printer) release() {
 	p.b.Reset()
 	printBufs.Put(p.b)
-	return s
 }
 
 func (p *printer) ws(s string) {

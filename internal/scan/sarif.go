@@ -184,10 +184,10 @@ func (r *Report) SARIF() ([]byte, error) {
 				}
 				msg += " `" + a.Token + "`"
 			}
-			run.add(l, RuleDisagree, "warning", msg, sarifProperties{
-				Attributions: top, Races: s.Races, Tier: s.Tier, Witness: s.Witness})
+			run.add(l, RuleDisagree, "warning", sarifProperties{
+				Attributions: top, Races: s.Races, Tier: s.Tier, Witness: s.Witness}, msg)
 		case s != nil && s.Parallelize:
-			run.add(l, RuleParallelize, "note", "suggest `"+s.Directive+"` ("+s.Tier+")", sarifProperties{})
+			run.add(l, RuleParallelize, "note", sarifProperties{}, "suggest `", s.Directive, "` (", s.Tier, ")")
 		case l.Annotated:
 			for _, occ := range l.Occurrences {
 				run.Results = append(run.Results, l.result(occ, RuleAnnotated, "none",
@@ -198,7 +198,7 @@ func (r *Report) SARIF() ([]byte, error) {
 		// verdict: every dep-refuted loop additionally surfaces as PF1004,
 		// whatever tier the suggestion landed on.
 		if s != nil && len(s.Races) > 0 {
-			run.add(l, RuleRace, "warning", raceMessage(s.Races), sarifProperties{Races: s.Races, Witness: s.Witness})
+			run.add(l, RuleRace, "warning", sarifProperties{Races: s.Races, Witness: s.Witness}, raceMessage(s.Races))
 		}
 	}
 
@@ -267,16 +267,48 @@ func topAttributions(attrs []Attribution, topK int) []Attribution {
 	return top
 }
 
-// add appends one result per occurrence of l: msg, plus the enclosing
-// function where there is one, and props shared by all of them.
-func (run *sarifRun) add(l *Loop, rule, level, msg string, props sarifProperties) {
+// add appends one result per occurrence of l, with props shared by all of
+// them. The message is msg's parts joined, plus the enclosing function where
+// there is one; each text is built in one allocation, and the text without
+// a function once per loop.
+func (run *sarifRun) add(l *Loop, rule, level string, props sarifProperties, msg ...string) {
+	var bare string
 	for _, occ := range l.Occurrences {
-		text := msg
+		text := bare
 		if occ.Function != "" {
-			text += " in function " + occ.Function
+			text = message(msg, occ.Function)
+		} else if text == "" {
+			text = message(msg, "")
+			bare = text
 		}
 		run.Results = append(run.Results, l.result(occ, rule, level, text, props))
 	}
+}
+
+// message joins parts and, when fn is set, " in function " fn. A lone part
+// without a function is returned as it is.
+func message(parts []string, fn string) string {
+	const in = " in function "
+	if len(parts) == 1 && fn == "" {
+		return parts[0]
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if fn != "" {
+		n += len(in) + len(fn)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range parts {
+		b.WriteString(p)
+	}
+	if fn != "" {
+		b.WriteString(in)
+		b.WriteString(fn)
+	}
+	return b.String()
 }
 
 func (l *Loop) result(occ Occurrence, rule, level, text string, props sarifProperties) sarifResult {

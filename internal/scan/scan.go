@@ -20,7 +20,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -358,13 +360,29 @@ func (t *parsed) drop() {
 	}
 }
 
-// occLoop is one extracted loop occurrence with its canonical snippet and
-// parsed form.
+// occLoop is one extracted loop occurrence with its canonical snippet, its
+// content hash and its parsed form. The snippet is a substring of the one
+// string holding all of its file's prints, the hash of the one holding all
+// of their hashes.
 type occLoop struct {
 	snippet string
+	hash    string
 	loop    *cast.For
 	occ     Occurrence
 }
+
+// parseScratch is one parse worker's reusable memory: a file's extracted
+// loops, and their canonical prints back to back with the offset each ends
+// at. Nothing in it outlives the file it served — the prints are copied out
+// into the file's snippet string, and the extracted loops, which point into
+// the file's tree, are cleared.
+type parseScratch struct {
+	infos []cast.LoopInfo
+	text  []byte
+	ends  []int
+}
+
+var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
 
 // run wires the bounded pipeline: produce → parse workers → collector,
 // with a side inference goroutine consuming chunks of unique snippets.
@@ -414,9 +432,11 @@ func run(
 		parseWG.Add(1)
 		go func() {
 			defer parseWG.Done()
+			scratch := parseScratches.Get().(*parseScratch)
+			defer parseScratches.Put(scratch)
 			for src := range srcs {
 				endParse := tr.Start("parse")
-				fo := parseSource(src, cfg, rel)
+				fo := parseSource(src, cfg, rel, scratch)
 				endParse()
 				select {
 				case outs <- fo:
@@ -464,6 +484,11 @@ func run(
 	rep := &Report{Tool: "pragformer scan", Backend: cfg.Backend}
 	byHash := map[string]*Loop{}
 	var loops []*Loop
+	// A unique loop and its first occurrence are carved from chunks. The
+	// occurrence slice has capacity one, so a second occurrence moves the
+	// loop's slice out of its chunk, as an append to a nil slice would.
+	var loopChunk []Loop
+	var occChunk []Occurrence
 	var pending []*Loop
 	flush := func() error {
 		if len(pending) == 0 {
@@ -507,13 +532,18 @@ collect:
 				if tr != nil {
 					tDedupe = time.Now()
 				}
-				h := HashSnippet(ol.snippet)
+				h := ol.hash
 				l, seen := byHash[h]
 				if tr != nil {
 					dDedupe += time.Since(tDedupe)
 				}
-				if !seen {
-					l = &Loop{Hash: h, Snippet: ol.snippet}
+				if seen {
+					l.Occurrences = append(l.Occurrences, ol.occ)
+				} else {
+					l = &carve(&loopChunk)[0]
+					l.Hash, l.Snippet = h, ol.snippet
+					l.Occurrences = carve(&occChunk)
+					l.Occurrences[0] = ol.occ
 					byHash[h] = l
 					loops = append(loops, l)
 					if store != nil {
@@ -528,7 +558,6 @@ collect:
 						}
 					}
 				}
-				l.Occurrences = append(l.Occurrences, ol.occ)
 				advisable := ol.occ.Pragma == "" || cfg.IncludeAnnotated
 				if !l.queued && advisable {
 					// Any occurrence's parse will do: equal hashes mean
@@ -659,21 +688,20 @@ func suggestChunk(sg advisor.Suggester, chunk []*Loop) error {
 }
 
 // parseSource reads (if needed) and parses one file, extracting its loops.
-func parseSource(src Source, cfg Config, rel func(string) string) fileOut {
+// Each loop is printed into the worker's scratch and hashed off its byte
+// range there; the file's snippets then come from one string and its hashes
+// from another. The hashes stand apart so that a verdict store's key holds
+// only its file's digests alive, not its printed loops.
+func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScratch) fileOut {
 	name := rel(src.Path)
 	data := src.Data
 	if data == nil {
-		info, err := os.Stat(src.Path)
-		if err != nil {
+		var err error
+		if data, err = readSource(src.Path, cfg.MaxFileBytes); err != nil {
 			return fileOut{failed: true, skips: []Skip{{File: name, Reason: err.Error()}}}
 		}
-		if info.Size() > cfg.MaxFileBytes {
-			return fileOut{failed: true, skips: []Skip{{File: name,
-				Reason: fmt.Sprintf("file too large (%d bytes > %d)", info.Size(), cfg.MaxFileBytes)}}}
-		}
-		if data, err = os.ReadFile(src.Path); err != nil {
-			return fileOut{failed: true, skips: []Skip{{File: name, Reason: err.Error()}}}
-		}
+	} else if size := int64(len(data)); size > cfg.MaxFileBytes {
+		return fileOut{failed: true, skips: []Skip{{File: name, Reason: tooLarge(size, cfg.MaxFileBytes)}}}
 	}
 	// The recovering parser keeps going past a broken region, so a file with
 	// one malformed function still contributes its other loops; each broken
@@ -691,21 +719,107 @@ func parseSource(src Source, cfg Config, rel func(string) string) fileOut {
 	for _, pe := range tree.Errs {
 		skips = append(skips, Skip{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()})
 	}
-	infos := cast.ExtractLoops(tree.File)
-	out := fileOut{loops: make([]occLoop, 0, len(infos)), skips: skips, tree: &parsed{tree: tree}}
+	out := fileOut{skips: skips, tree: &parsed{tree: tree}}
 	out.tree.hold()
-	for _, li := range infos {
-		out.loops = append(out.loops, occLoop{
-			snippet: cast.Print(li.Loop),
+	sc.infos = cast.AppendLoops(sc.infos[:0], tree.File)
+	defer clear(sc.infos) // the scratch keeps no node of a tree headed back to the parser pool
+	if len(sc.infos) == 0 {
+		return out
+	}
+	var hashes strings.Builder
+	hashes.Grow(hashLen * len(sc.infos))
+	sc.text, sc.ends = sc.text[:0], sc.ends[:0]
+	for _, li := range sc.infos {
+		start := len(sc.text)
+		sc.text = cast.AppendPrint(sc.text, li.Loop)
+		sc.ends = append(sc.ends, len(sc.text))
+		d := digest(sc.text[start:])
+		hashes.Write(d[:])
+	}
+	text, hashText := string(sc.text), hashes.String()
+	out.loops = make([]occLoop, len(sc.infos))
+	start := 0
+	for i, li := range sc.infos {
+		end := sc.ends[i]
+		out.loops[i] = occLoop{
+			snippet: text[start:end],
+			hash:    hashText[i*hashLen : (i+1)*hashLen],
 			loop:    li.Loop,
 			occ: Occurrence{
 				File: name, Line: li.Loop.Line, Col: li.Loop.Col,
 				Function: li.Function, Depth: li.Depth, Pragma: li.Pragma,
 			},
-		})
+		}
+		start = end
 	}
 	return out
 }
+
+// readSource reads the file at path. One open serves the size check and the
+// read, and the read stops one byte past limit, so a file that grew past
+// limit after the Stat is refused too, not read whole.
+func readSource(path string, limit int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() > limit {
+		return nil, errors.New(tooLarge(info.Size(), limit))
+	}
+	return readAtMost(f, info.Size(), limit)
+}
+
+// readAtMost reads r to its end into one buffer sized for size bytes plus
+// the one that shows EOF, and fails once it holds more than limit bytes.
+func readAtMost(r io.Reader, size, limit int64) ([]byte, error) {
+	data := make([]byte, 0, size+1)
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		end := cap(data)
+		if int64(end) > limit {
+			end = int(limit) + 1
+		}
+		n, err := r.Read(data[len(data):end])
+		data = data[:len(data)+n]
+		if int64(len(data)) > limit {
+			return nil, fmt.Errorf("file too large (grew past %d bytes while read)", limit)
+		}
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// tooLarge is the skip reason of a file over Config.MaxFileBytes, on disk
+// or in memory.
+func tooLarge(size, limit int64) string {
+	return fmt.Sprintf("file too large (%d bytes > %d)", size, limit)
+}
+
+// carve returns the next element of *chunk as a slice of length and
+// capacity one, starting a new chunk when the last is used up.
+func carve[T any](chunk *[]T) []T {
+	const chunkLen = 64
+	if len(*chunk) == 0 {
+		*chunk = make([]T, chunkLen)
+	}
+	one := (*chunk)[:1:1]
+	*chunk = (*chunk)[1:]
+	return one
+}
+
+// hashLen is the length of a HashSnippet hash: a hex sha-256.
+const hashLen = 2 * sha256.Size
 
 // HashSnippet is the normalized content hash over a canonically printed
 // loop: parsing and re-printing canonicalizes formatting, so the hash
@@ -714,10 +828,16 @@ func parseSource(src Source, cfg Config, rel func(string) string) fileOut {
 // consistent-hash routing key — one hash function end to end keeps each
 // replica's caches hot for the loops routed to it.
 func HashSnippet(snippet string) string {
-	sum := sha256.Sum256([]byte(snippet))
-	var digits [2 * sha256.Size]byte
+	d := digest([]byte(snippet))
+	return string(d[:])
+}
+
+// digest is HashSnippet over a print's bytes, before it is a string.
+func digest(b []byte) [hashLen]byte {
+	sum := sha256.Sum256(b)
+	var digits [hashLen]byte
 	hex.Encode(digits[:], sum[:])
-	return string(digits[:])
+	return digits
 }
 
 // finalize orders the report deterministically (parse workers race on

@@ -317,15 +317,18 @@ func TestWarmHitIsShared(t *testing.T) {
 }
 
 // warmScanAllocBudget bounds the allocations of a warm scan.Files plus both
-// encodes, per unique loop of the fixture tree: 14.1 once a file's parse
-// tree went back to the parser pool after its last loop, plus 15 %; 38.2
-// before that, 47 before store hits were shared and the SARIF values typed.
+// encodes, per unique loop of the fixture tree: 9.1 once a parse worker
+// printed and hashed a file's loops into one snippet string and one hash
+// string and the collector carved loops and occurrences from chunks, plus
+// 15 %; 14.1 before that, once a file's parse tree went back to the parser
+// pool after its last loop; 38.2 before that, 47 before store hits were
+// shared and the SARIF values typed.
 // The fixture's loops sit one or two to a file and its stub verdicts are
 // nearly empty, so per-file costs (parse, goroutines, channels) weigh far
 // more here, and a verdict's copy far less, than on a real tree — scan_warm
 // in the harness is the number of record; the budget only has to tell the
 // commits apart.
-const warmScanAllocBudget = 16.2
+const warmScanAllocBudget = 10.5
 
 func TestWarmScanAllocs(t *testing.T) {
 	if raceEnabled {
