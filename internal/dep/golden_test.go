@@ -23,10 +23,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/analysis_golden.txt")
 
+// allOptions are the two option sets production uses: the plain verdicts of
+// the corpus labeler and the S2S members, and the advisor's both-on set.
 var allOptions = []dep.Options{
 	{},
-	{ArrayPrivatization: true},
-	{ArrayReductions: true},
 	{ArrayPrivatization: true, ArrayReductions: true},
 }
 
