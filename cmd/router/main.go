@@ -61,7 +61,6 @@ func main() {
 		failThr  = flag.Int("fail-threshold", 3, "consecutive failures before ejecting a replica")
 		backend  = flag.String("backend", "", "verdict-store namespace backend (empty adopts the fleet's reported backend)")
 		modelID  = flag.String("model-id", "", "verdict-store namespace model id (set when replicas serve pinned artifacts)")
-		workers  = flag.Int("scan-workers", 4, "default parse workers for /scan")
 		trace    = flag.Bool("trace", false, "trace every request (spans in responses + one structured log line each); without it only requests carrying X-PF-Trace are traced")
 		pprofOn  = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints (off by default)")
 	)
@@ -82,8 +81,7 @@ func main() {
 		MaxInFlight: *maxInfl, FailThreshold: *failThr,
 		ProbeInterval: *probeInt, DrainTimeout: *drainTO,
 		RatePerSec: *rate, Burst: *burst,
-		Backend: *backend, ModelID: *modelID, ScanWorkers: *workers,
-		Trace: *trace, Logger: logger,
+		Backend: *backend, ModelID: *modelID, Logger: logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "router:", err)

@@ -105,8 +105,7 @@ func main() {
 	engine, err := serve.New(models, serve.Config{
 		MaxBatch: *maxBatch, MaxWait: *maxWait, Replicas: *replicas,
 		CacheSize: *cacheSize, QueueDepth: *queueLen, Shed: *shed,
-		Source: source, Backend: *backend,
-		Trace: *trace, Logger: logger,
+		Source: source, Backend: *backend, Logger: logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)

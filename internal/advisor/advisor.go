@@ -431,7 +431,7 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 			// of the model's answer, and the scan report surfaces them.
 			tc := time.Now()
 			unit := s2s.NewUnit(snippets[i].Code, snippets[i].Loop)
-			s.Corroboration.attach(unit.Analysis(conversions))
+			s.Corroboration.attach(unit.Analysis())
 			unit.Release()
 			dCorroborate += time.Since(tc)
 		}
@@ -458,12 +458,6 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	return items, nil
 }
 
-// conversions is the advisor's option set, both conversions on: a loop whose
-// refuting dependence privatizes or reduces away is advisable, with the
-// rescued clause attached. The corpus labeler and the S2S members keep the
-// plain verdicts of the same engine pass.
-var conversions = dep.Options{ArrayPrivatization: true, ArrayReductions: true}
-
 // finish completes a positive suggestion: dependence analysis, clause
 // assembly, schedule hint, and corroboration grading, all over the snippet's
 // one s2s.Unit. wantPrivate and wantReduction carry the clause classifiers'
@@ -472,7 +466,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet, wantPrivate, wantReduction bo
 	d := &pragma.Directive{ParallelFor: true}
 	unit := s2s.NewUnit(sn.Code, sn.Loop)
 	defer unit.Release()
-	analysis := unit.Analysis(conversions) // nil when no loop parses
+	analysis := unit.Analysis() // nil when no loop parses
 
 	if analysis != nil {
 		if m.Private == nil {

@@ -262,7 +262,7 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code, nil).Analysis(conversions) }
+	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code, nil).Analysis() }
 	if analyze("not c code {{{") != nil {
 		t.Error("analyze should be nil on parse failure")
 	}

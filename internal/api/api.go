@@ -86,8 +86,6 @@ type ScanRequest struct {
 	Files []ScanFile `json:"files"`
 	// Format selects the response rendering: "json" (default) or "sarif".
 	Format string `json:"format,omitempty"`
-	// Workers overrides the parse worker count (bounded to [1, 16]).
-	Workers int `json:"workers,omitempty"`
 	// IncludeAnnotated also advises loops that already carry a pragma.
 	IncludeAnnotated bool `json:"include_annotated,omitempty"`
 	// Stable strips run-dependent fields (probabilities, backend, cache
@@ -223,10 +221,10 @@ func respond[T any](w http.ResponseWriter, r *http.Request, shedMsg string, resu
 
 // ServeScan is POST /scan on both binaries: decode, enforce the limits,
 // run the scan pipeline, render JSON or SARIF. The caller supplies what
-// differs per side — base carries its default parse worker count, batch
-// size, backend label and verdict store, sg its inference path (the
-// engine's suggest batcher on a replica, the fleet fan-out on the
-// router). A trace is never attached: scan bytes are golden-compared.
+// differs per side — base carries its batch size, backend label and verdict
+// store (parse workers take scan's default), sg its inference path (the
+// engine's suggest batcher on a replica, the fleet fan-out on the router).
+// A trace is never attached: scan bytes are golden-compared.
 func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, sg advisor.Suggester) {
 	var req ScanRequest
 	if !DecodeBody(w, r, &req) {
@@ -261,12 +259,6 @@ func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, sg advi
 		return
 	}
 	cfg := base
-	if req.Workers >= 1 {
-		cfg.Workers = req.Workers
-	}
-	if cfg.Workers > 16 {
-		cfg.Workers = 16
-	}
 	cfg.IncludeAnnotated = req.IncludeAnnotated
 
 	rep, err := scan.Files(r.Context(), srcs, cfg, sg)

@@ -8,6 +8,7 @@ package bow
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"pragformer/internal/tokenize"
 )
@@ -24,27 +25,44 @@ func New(v *tokenize.Vocab) *Model {
 	return &Model{Vocab: v, Weights: make([]float64, v.Size())}
 }
 
-// Featurize builds the count vector for a token sequence.
-func (m *Model) Featurize(tokens []string) map[int]float64 {
-	counts := map[int]float64{}
-	for _, tok := range tokens {
-		counts[m.Vocab.ID(tok)]++
+// feature is one vocabulary id's count in a token sequence.
+type feature struct {
+	id    int
+	count float64
+}
+
+// featurize builds the sparse count vector of a token sequence in ascending
+// id order. Float addition is order-dependent, so every sum over the vector
+// must run in one order for training and prediction to be bit-reproducible.
+func (m *Model) featurize(tokens []string) []feature {
+	ids := make([]int, len(tokens))
+	for i, tok := range tokens {
+		ids[i] = m.Vocab.ID(tok)
 	}
-	return counts
+	slices.Sort(ids)
+	var feats []feature
+	for _, id := range ids {
+		if n := len(feats); n > 0 && feats[n-1].id == id {
+			feats[n-1].count++
+		} else {
+			feats = append(feats, feature{id, 1})
+		}
+	}
+	return feats
 }
 
 // score computes the pre-sigmoid logit for sparse features.
-func (m *Model) score(feats map[int]float64) float64 {
+func (m *Model) score(feats []feature) float64 {
 	s := m.Bias
-	for id, c := range feats {
-		s += m.Weights[id] * c
+	for _, f := range feats {
+		s += m.Weights[f.id] * f.count
 	}
 	return s
 }
 
 // Predict returns the positive-class probability.
 func (m *Model) Predict(tokens []string) float64 {
-	return sigmoid(m.score(m.Featurize(tokens)))
+	return sigmoid(m.score(m.featurize(tokens)))
 }
 
 // PredictLabel applies the 0.5 threshold.
@@ -73,9 +91,9 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) []float64 {
 		cfg.LR = 0.05
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	feats := make([]map[int]float64, len(examples))
+	feats := make([][]feature, len(examples))
 	for i, ex := range examples {
-		feats[i] = m.Featurize(ex.Tokens)
+		feats[i] = m.featurize(ex.Tokens)
 	}
 	order := make([]int, len(examples))
 	for i := range order {
@@ -94,8 +112,8 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) []float64 {
 			p := sigmoid(m.score(f))
 			total += bceLoss(p, y)
 			g := p - y
-			for id, c := range f {
-				m.Weights[id] -= cfg.LR * (g*c + cfg.L2*m.Weights[id])
+			for _, ft := range f {
+				m.Weights[ft.id] -= cfg.LR * (g*ft.count + cfg.L2*m.Weights[ft.id])
 			}
 			m.Bias -= cfg.LR * g
 		}

@@ -1,7 +1,9 @@
 package bow
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -59,12 +61,10 @@ func TestOrderInvariance(t *testing.T) {
 
 func TestFeaturizeCounts(t *testing.T) {
 	m := New(vocabFor([][]string{{"x", "y"}}))
-	f := m.Featurize([]string{"x", "x", "y", "unk1", "unk2"})
-	if f[m.Vocab.ID("x")] != 2 || f[m.Vocab.ID("y")] != 1 {
-		t.Fatalf("f = %v", f)
-	}
-	if f[tokenize.UNK] != 2 {
-		t.Errorf("unk count = %g", f[tokenize.UNK])
+	f := m.featurize([]string{"x", "y", "unk1", "x", "unk2"})
+	want := []feature{{tokenize.UNK, 2}, {m.Vocab.ID("x"), 2}, {m.Vocab.ID("y"), 1}}
+	if fmt.Sprint(f) != fmt.Sprint(want) {
+		t.Fatalf("features %v, want %v in ascending id order", f, want)
 	}
 }
 
@@ -83,6 +83,55 @@ func TestDeterministicTraining(t *testing.T) {
 	for i := range m1.Weights {
 		if m1.Weights[i] != m2.Weights[i] {
 			t.Fatal("training not deterministic")
+		}
+	}
+}
+
+// TestTrainDeterministic trains on one many-token set several times in one
+// process: weights, bias, losses and predictions must be bit-equal. Float
+// addition is order-dependent, so a logit summed in map iteration order
+// drifts between runs on features this dense.
+func TestTrainDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	words := make([]string, 60)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", i)
+	}
+	var examples []Example
+	var seqs [][]string
+	for i := 0; i < 300; i++ {
+		toks := make([]string, 20+rng.Intn(40))
+		for j := range toks {
+			toks[j] = words[rng.Intn(len(words))]
+		}
+		examples = append(examples, Example{Tokens: toks, Label: rng.Intn(3) > 0})
+		seqs = append(seqs, toks)
+	}
+	v := vocabFor(seqs)
+	train := func() (*Model, []float64) {
+		m := New(v)
+		return m, m.Train(examples, TrainConfig{Epochs: 8, LR: 0.1, L2: 1e-5, Seed: 11})
+	}
+	ref, refLosses := train()
+	for run := 1; run < 6; run++ {
+		m, losses := train()
+		for i := range ref.Weights {
+			if math.Float64bits(m.Weights[i]) != math.Float64bits(ref.Weights[i]) {
+				t.Fatalf("run %d: weight %d is %v, first run %v", run, i, m.Weights[i], ref.Weights[i])
+			}
+		}
+		if math.Float64bits(m.Bias) != math.Float64bits(ref.Bias) {
+			t.Fatalf("run %d: bias %v, first run %v", run, m.Bias, ref.Bias)
+		}
+		for i := range refLosses {
+			if math.Float64bits(losses[i]) != math.Float64bits(refLosses[i]) {
+				t.Fatalf("run %d: epoch %d loss %v, first run %v", run, i, losses[i], refLosses[i])
+			}
+		}
+		for _, ex := range examples {
+			if p, want := m.Predict(ex.Tokens), ref.Predict(ex.Tokens); math.Float64bits(p) != math.Float64bits(want) {
+				t.Fatalf("run %d: Predict %v, first run %v", run, p, want)
+			}
 		}
 	}
 }

@@ -39,9 +39,6 @@ func sampleLoops(tb testing.TB, n int) []sampleLoop {
 	return out
 }
 
-// The advisor's option set: both conversion passes on.
-var advisorOptions = dep.Options{ArrayPrivatization: true, ArrayReductions: true}
-
 func byLines(a, b sampleLoop) int { return cmp.Compare(a.lines, b.lines) }
 
 // TestAnalyzeAllocs gates what one analysis allocates once its workspace is
@@ -58,7 +55,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 		longestCeiling = 120
 	)
 	allocs := func(s sampleLoop) float64 {
-		return testing.AllocsPerRun(5, func() { dep.AnalyzeLoopOpts(s.loop, s.funcs, advisorOptions) })
+		return testing.AllocsPerRun(5, func() { dep.AnalyzeLoop(s.loop, s.funcs).Convert() })
 	}
 	sample := sampleLoops(t, 500)
 	total := 0.0
@@ -92,7 +89,7 @@ func BenchmarkAnalyzeLoop(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dep.AnalyzeLoopOpts(c.loop.loop, c.loop.funcs, advisorOptions)
+				dep.AnalyzeLoop(c.loop.loop, c.loop.funcs).Convert()
 			}
 		})
 	}

@@ -86,28 +86,15 @@ type Analysis struct {
 	// to the canonical snippet text, and the direction/distance vector.
 	Witnesses []Witness
 	// Converted lists arrays whose refuting dependence was rescued by
-	// privatization or reduction recognition (only under Options enabling
-	// those conversions).
+	// privatization or reduction recognition (only on a Convert result).
 	Converted []string
 	// NestDepth is the number of analyzed nest levels, outer loop included.
 	NestDepth int
 
 	// refuted holds, for a plain analysis, one entry per array the race test
 	// refuted, in the order of their Witnesses and of the trailing Reasons:
-	// what Convert needs to derive the analysis under any Options.
+	// what Convert needs to derive the converted analysis.
 	refuted []refutedArray
-}
-
-// Options selects the conversions Convert applies to the arrays a plain
-// analysis refuted. The zero value keeps the plain dependence-test verdicts,
-// which is what the corpus labeler and the S2S baselines rely on.
-type Options struct {
-	// ArrayPrivatization lifts per-iteration scratch arrays into private
-	// clauses instead of refuting on their output dependence.
-	ArrayPrivatization bool
-	// ArrayReductions lifts consistent-operator array accumulations
-	// (histograms, in-place updates) into reduction clauses.
-	ArrayReductions bool
 }
 
 // Reason records a single explanation string.
@@ -193,7 +180,7 @@ func Passes() int64 { return passes.Load() }
 
 // AnalyzeLoop runs the engine's one pass over a for-loop and returns the
 // plain dependence-test verdicts the corpus labeler and S2S baselines use;
-// Convert derives the analysis under any Options from it.
+// Convert derives the advisor's converted analysis from it.
 // funcs maps function names to their definitions when bodies are available
 // (the corpus records include called function implementations, per the paper
 // §3.1); callers with no bodies pass nil and unknown calls are treated
@@ -202,11 +189,6 @@ func AnalyzeLoop(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
 	ws := workspaces.Get().(*workspace)
 	defer ws.release()
 	return ws.analyze(loop, funcs)
-}
-
-// AnalyzeLoopOpts is AnalyzeLoop followed by Convert.
-func AnalyzeLoopOpts(loop *cast.For, funcs map[string]*cast.FuncDef, opts Options) *Analysis {
-	return AnalyzeLoop(loop, funcs).Convert(opts)
 }
 
 // analyze is AnalyzeLoop on this workspace, which must be clean.

@@ -14,7 +14,7 @@ import (
 // FuzzAnalyze drives the dependence engine over arbitrary parsed loops: no
 // input may panic it, and the analysis must be deterministic — the engine's
 // witnesses feed byte-stable scan reports, so two runs over the same loop
-// must serialize identically, under every conversion-option combination.
+// must serialize identically, plain and converted.
 // Between the two runs the recycled workspace serves another loop, a long
 // one and a short one in turn, so that whatever a release leaves behind, or
 // a slab that outgrew the input, would show in the second run.
@@ -55,25 +55,26 @@ func FuzzAnalyze(f *testing.F) {
 				funcs[fd.Name] = fd
 			}
 		}
-		opts := []Options{
-			{},
-			{ArrayPrivatization: true},
-			{ArrayReductions: true},
-			{ArrayPrivatization: true, ArrayReductions: true},
+		analyze := func(loop *cast.For, funcs map[string]*cast.FuncDef, converted bool) *Analysis {
+			a := AnalyzeLoop(loop, funcs)
+			if converted {
+				a = a.Convert()
+			}
+			return a
 		}
 		for _, li := range cast.ExtractLoops(file) {
-			for _, o := range opts {
-				a := AnalyzeLoopOpts(li.Loop, funcs, o)
-				AnalyzeLoopOpts(between[turn%len(between)], nil, o)
+			for _, converted := range []bool{false, true} {
+				a := analyze(li.Loop, funcs, converted)
+				analyze(between[turn%len(between)], nil, converted)
 				turn++
-				b := AnalyzeLoopOpts(li.Loop, funcs, o)
+				b := analyze(li.Loop, funcs, converted)
 				ja, err := json.Marshal(a)
 				if err != nil {
 					t.Fatalf("analysis does not serialize: %v", err)
 				}
 				jb, _ := json.Marshal(b)
 				if string(ja) != string(jb) {
-					t.Errorf("analysis is nondeterministic under %+v:\n%s\n%s", o, ja, jb)
+					t.Errorf("analysis is nondeterministic (converted %v):\n%s\n%s", converted, ja, jb)
 				}
 			}
 		}

@@ -23,13 +23,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/analysis_golden.txt")
 
-// allOptions are the two option sets production uses: the plain verdicts of
-// the corpus labeler and the S2S members, and the advisor's both-on set.
-var allOptions = []dep.Options{
-	{},
-	{ArrayPrivatization: true, ArrayReductions: true},
-}
-
 // unitLoops is every for-loop of one source text (nested ones included)
 // with the function bodies the text defines.
 type unitLoops struct {
@@ -88,7 +81,7 @@ func scantreeUnits(tb testing.TB) []unitLoops {
 
 // TestAnalysisGolden pins the engine's whole output: a digest over the JSON
 // of every analysis of every loop the generators and the scan fixture hold,
-// under each option set, with and without function bodies. The digest is
+// plain and converted, with and without function bodies. The digest is
 // recorded at the commit before a rewrite and must not move across it.
 func TestAnalysisGolden(t *testing.T) {
 	var units []unitLoops
@@ -103,9 +96,13 @@ func TestAnalysisGolden(t *testing.T) {
 	count := 0
 	for _, u := range units {
 		for _, loop := range u.loops {
-			for _, o := range allOptions {
+			for _, converted := range []bool{false, true} {
 				for _, funcs := range []map[string]*cast.FuncDef{u.funcs, nil} {
-					b, err := json.Marshal(dep.AnalyzeLoopOpts(loop, funcs, o))
+					a := dep.AnalyzeLoop(loop, funcs)
+					if converted {
+						a = a.Convert()
+					}
+					b, err := json.Marshal(a)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -11,13 +11,11 @@ import (
 	"pragformer/internal/pragma"
 )
 
-func analyzeOpts(t *testing.T, src string, opts Options) *Analysis {
+func analyzeConverted(t *testing.T, src string) *Analysis {
 	t.Helper()
 	loop, funcs := parseLoop(t, src)
-	return AnalyzeLoopOpts(loop, funcs, opts)
+	return AnalyzeLoop(loop, funcs).Convert()
 }
-
-var allConversions = Options{ArrayPrivatization: true, ArrayReductions: true}
 
 // --- Direction/distance vectors over the nest ---------------------------------
 
@@ -201,7 +199,7 @@ func TestArrayPrivatization(t *testing.T) {
 		t.Fatalf("scratch array must refute without privatization: %v", base.Reasons)
 	}
 	// Conversions on: t becomes private and the loop parallelizes.
-	a := analyzeOpts(t, privSrc, allConversions)
+	a := analyzeConverted(t, privSrc)
 	if !a.Parallelizable {
 		t.Fatalf("privatization failed: %v", a.Reasons)
 	}
@@ -231,7 +229,7 @@ for (i = 0; i < n; i++) {
     for (j = 0; j < 4; j++) t[j] = a[i][j];
     for (j = 0; j < 8; j++) b[i][j] = t[j];
 }`
-	a := analyzeOpts(t, src, allConversions)
+	a := analyzeConverted(t, src)
 	if a.Parallelizable {
 		t.Fatalf("conflicting inner headers wrongly privatized: %v", a.Reasons)
 	}
@@ -243,7 +241,7 @@ for (i = 0; i < n; i++) {
     for (j = 0; j < 8; j++) b[i][j] = t[j];
     for (j = 0; j < 8; j++) t[j] = a[i][j];
 }`
-	a := analyzeOpts(t, src, allConversions)
+	a := analyzeConverted(t, src)
 	if a.Parallelizable {
 		t.Fatalf("read-before-write scratch wrongly privatized: %v", a.Reasons)
 	}
@@ -258,7 +256,7 @@ func TestArrayReductionHistogram(t *testing.T) {
 	if !strings.Contains(strings.Join(base.Reasons, " "), "non-affine subscript") {
 		t.Errorf("reasons: %v", base.Reasons)
 	}
-	a := analyzeOpts(t, src, allConversions)
+	a := analyzeConverted(t, src)
 	if !a.Parallelizable {
 		t.Fatalf("array reduction failed: %v", a.Reasons)
 	}
@@ -283,7 +281,7 @@ for (i = 0; i < n; i++) {
     hist[b[i]] += 1;
     hist[c[i]] *= 2;
 }`
-	a := analyzeOpts(t, src, allConversions)
+	a := analyzeConverted(t, src)
 	if a.Parallelizable {
 		t.Fatalf("mixed-operator accumulation wrongly converted: %v", a.Reasons)
 	}
@@ -295,7 +293,7 @@ for (i = 0; i < n; i++) {
     hist[b[i]] += 1;
     s = s + hist[i];
 }`
-	a := analyzeOpts(t, src, allConversions)
+	a := analyzeConverted(t, src)
 	if a.Parallelizable {
 		t.Fatalf("accumulated array with outside read wrongly converted: %v", a.Reasons)
 	}
@@ -394,26 +392,25 @@ const (
 
 // TestConvertMixedLoop reads a conversion failure where the golden digest
 // only reports one: which names land where, and in what order the reasons
-// come, under each option set — all derived from one plain analysis that no
-// conversion modifies.
+// come, plain and converted — the converted view derived from one plain
+// analysis that the conversion does not modify.
 func TestConvertMixedLoop(t *testing.T) {
 	loop, funcs := parseLoop(t, fmt.Sprintf(mixedLoop, "r[i] = r[i - 1] + 1;"))
 	plain := AnalyzeLoop(loop, funcs)
 	for _, c := range []struct {
-		opts                         Options
-		converted, private, reducing []string
-		witnesses, reasons           []string
+		converted                  bool
+		rescued, private, reducing []string
+		witnesses, reasons         []string
 	}{
-		{Options{}, nil, []string{"j", "k", "t"}, nil,
+		{false, nil, []string{"j", "k", "t"}, nil,
 			[]string{"buf", "hist", "r"}, []string{bufCarried, histCarried, rCarried}},
-		{Options{ArrayPrivatization: true}, []string{"buf"}, []string{"j", "k", "t", "buf"}, nil,
-			[]string{"hist", "r"}, []string{bufPrivate, histCarried, rCarried}},
-		{Options{ArrayReductions: true}, []string{"hist"}, []string{"j", "k", "t"}, []string{"hist"},
-			[]string{"buf", "r"}, []string{bufCarried, histReduced, rCarried}},
-		{allConversions, []string{"buf", "hist"}, []string{"j", "k", "t", "buf"}, []string{"hist"},
+		{true, []string{"buf", "hist"}, []string{"j", "k", "t", "buf"}, []string{"hist"},
 			[]string{"r"}, []string{bufPrivate, histReduced, rCarried}},
 	} {
-		got := plain.Convert(c.opts)
+		got := plain
+		if c.converted {
+			got = plain.Convert()
+		}
 		var reducing, witnesses []string
 		for _, r := range got.Reductions {
 			reducing = append(reducing, r.Vars...)
@@ -421,40 +418,40 @@ func TestConvertMixedLoop(t *testing.T) {
 		for _, w := range got.Witnesses {
 			witnesses = append(witnesses, w.Array)
 			if w.Source.Line == 0 || w.Sink.Line == 0 {
-				t.Errorf("%+v: witness on %s lost its position: %+v", c.opts, w.Array, w)
+				t.Errorf("converted %v: witness on %s lost its position: %+v", c.converted, w.Array, w)
 			}
 		}
 		if got.Parallelizable ||
-			!slices.Equal(got.Converted, c.converted) || !slices.Equal(got.Private, c.private) ||
+			!slices.Equal(got.Converted, c.rescued) || !slices.Equal(got.Private, c.private) ||
 			!slices.Equal(reducing, c.reducing) || !slices.Equal(witnesses, c.witnesses) ||
 			!slices.Equal(got.Reasons, c.reasons) {
-			t.Errorf("%+v:\n got converted %v private %v reductions %v witnesses %v\n reasons %q\nwant converted %v private %v reductions %v witnesses %v\n reasons %q",
-				c.opts, got.Converted, got.Private, reducing, witnesses, got.Reasons,
-				c.converted, c.private, c.reducing, c.witnesses, c.reasons)
+			t.Errorf("converted %v:\n got converted %v private %v reductions %v witnesses %v\n reasons %q\nwant converted %v private %v reductions %v witnesses %v\n reasons %q",
+				c.converted, got.Converted, got.Private, reducing, witnesses, got.Reasons,
+				c.rescued, c.private, c.reducing, c.witnesses, c.reasons)
 		}
-		// One pass then Convert is what AnalyzeLoopOpts returns, and every
-		// conversion left the plain analysis as a fresh pass writes it — up
-		// to the spare capacity of its slices, which an append through a
-		// shared backing array would have filled.
-		if alone := AnalyzeLoopOpts(loop, funcs, c.opts); !reflect.DeepEqual(got, alone) {
-			t.Errorf("%+v: Convert of a held analysis %+v, AnalyzeLoopOpts %+v", c.opts, got, alone)
+		// Convert of a held analysis is Convert of a fresh pass, and it left
+		// the plain analysis as a fresh pass writes it — up to the spare
+		// capacity of its slices, which an append through a shared backing
+		// array would have filled.
+		if held, alone := plain.Convert(), AnalyzeLoop(loop, funcs).Convert(); !reflect.DeepEqual(held, alone) {
+			t.Errorf("Convert of a held analysis %+v, of a fresh pass %+v", held, alone)
 		}
 		fresh := AnalyzeLoop(loop, funcs)
 		if !reflect.DeepEqual(plain, fresh) ||
 			!slices.Equal(plain.Private[:cap(plain.Private)], fresh.Private[:cap(fresh.Private)]) ||
 			!slices.Equal(plain.Reasons[:cap(plain.Reasons)], fresh.Reasons[:cap(fresh.Reasons)]) {
-			t.Fatalf("Convert(%+v) modified the plain analysis: %+v, fresh %+v", c.opts, plain, fresh)
+			t.Fatalf("Convert modified the plain analysis: %+v, fresh %+v", plain, fresh)
 		}
 	}
 
-	// With the recurrence gone both conversions together clear the loop, and
-	// only then are the clause lists sorted and the verdict reason appended.
-	got := analyzeOpts(t, fmt.Sprintf(mixedLoop, ""), allConversions)
+	// With the recurrence gone the conversions clear the loop, and only then
+	// are the clause lists sorted and the verdict reason appended.
+	got := analyzeConverted(t, fmt.Sprintf(mixedLoop, ""))
 	if !got.Parallelizable || len(got.Witnesses) != 0 || !slices.Equal(got.Private, []string{"buf", "j", "k", "t"}) ||
 		!slices.Equal(got.Reasons, []string{bufPrivate, histReduced, "no loop-carried dependences detected"}) {
-		t.Errorf("recurrence-free loop under both conversions: %+v", got)
+		t.Errorf("recurrence-free loop converted: %+v", got)
 	}
-	if one := analyzeOpts(t, fmt.Sprintf(mixedLoop, ""), Options{ArrayReductions: true}); one.Parallelizable {
-		t.Errorf("buf still carried, yet parallelizable: %+v", one)
+	if one := analyze(t, fmt.Sprintf(mixedLoop, "")); one.Parallelizable {
+		t.Errorf("buf and hist still carried in the plain analysis, yet parallelizable: %+v", one)
 	}
 }

@@ -70,15 +70,14 @@ func (a *Analysis) testArraysNest(ws *workspace) bool {
 	return len(a.refuted) == 0
 }
 
-// Convert derives from a plain analysis the one under opts: each refuted
-// array a conversion rescues trades its witness and reason for a clause, and
-// a loop left with no refutation becomes parallelizable. It is a function of
-// the plain result alone — a is never modified, and is returned as it is
-// when opts rescue nothing.
-func (a *Analysis) Convert(opts Options) *Analysis {
-	privatizes := func(r refutedArray) bool { return opts.ArrayPrivatization && r.privatizing }
-	reduces := func(r refutedArray) bool { return opts.ArrayReductions && r.reduceOp != "" }
-	if !slices.ContainsFunc(a.refuted, func(r refutedArray) bool { return privatizes(r) || reduces(r) }) {
+// Convert derives from a plain analysis the advisor's, both conversions
+// applied: each refuted array that privatizes or reduces away trades its
+// witness and reason for a clause — privatization first — and a loop left
+// with no refutation becomes parallelizable. It is a function of the plain
+// result alone — a is never modified, and is returned as it is when nothing
+// is rescued.
+func (a *Analysis) Convert() *Analysis {
+	if !slices.ContainsFunc(a.refuted, func(r refutedArray) bool { return r.privatizing || r.reduceOp != "" }) {
 		return a
 	}
 	c := *a
@@ -91,11 +90,11 @@ func (a *Analysis) Convert(opts Options) *Analysis {
 	c.Reasons = append(make([]string, 0, len(a.Reasons)+1), a.Reasons[:tail]...)
 	for k, r := range a.refuted {
 		switch {
-		case privatizes(r):
+		case r.privatizing:
 			c.Private = append(c.Private, r.name)
 			c.Converted = append(c.Converted, r.name)
 			c.reason("array %s privatized: each iteration writes it before any read", r.name)
-		case reduces(r):
+		case r.reduceOp != "":
 			c.Reductions = append(c.Reductions, pragma.Reduction{Op: r.reduceOp, Vars: []string{r.name}})
 			c.Converted = append(c.Converted, r.name)
 			c.reason("array %s recognized as a reduction(%s) accumulation", r.name, r.reduceOp)

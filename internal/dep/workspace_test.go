@@ -56,20 +56,20 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	// A result owns its memory: analysing a long unrelated loop through the
 	// recycled workspace leaves it untouched, and the same loop analysed
 	// again afterwards reads the same.
-	first := AnalyzeLoopOpts(short.loop, short.funcs, allConversions)
+	first := AnalyzeLoop(short.loop, short.funcs).Convert()
 	want := analysisJSON(t, first)
-	AnalyzeLoopOpts(long.loop, long.funcs, allConversions)
+	AnalyzeLoop(long.loop, long.funcs).Convert()
 	if got := analysisJSON(t, first); got != want {
 		t.Errorf("a later analysis rewrote an earlier result:\n got %s\nwant %s", got, want)
 	}
-	if got := analysisJSON(t, AnalyzeLoopOpts(short.loop, short.funcs, allConversions)); got != want {
+	if got := analysisJSON(t, AnalyzeLoop(short.loop, short.funcs).Convert()); got != want {
 		t.Errorf("analysis after a long one differs:\n got %s\nwant %s", got, want)
 	}
 
 	// Concurrent analyses share nothing but the pool.
 	sequential := make([]string, len(loops))
 	for i, l := range loops {
-		sequential[i] = analysisJSON(t, AnalyzeLoopOpts(l.loop, l.funcs, allConversions))
+		sequential[i] = analysisJSON(t, AnalyzeLoop(l.loop, l.funcs).Convert())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -78,7 +78,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 40; n++ {
 				i := (g + n) % len(loops)
-				b, err := json.Marshal(AnalyzeLoopOpts(loops[i].loop, loops[i].funcs, allConversions))
+				b, err := json.Marshal(AnalyzeLoop(loops[i].loop, loops[i].funcs).Convert())
 				if err != nil || string(b) != sequential[i] {
 					t.Errorf("goroutine %d, loop %d: got %s (%v)\nwant %s", g, i, b, err, sequential[i])
 				}

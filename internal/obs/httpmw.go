@@ -31,16 +31,15 @@ var (
 // enforcement via X-PF-Deadline-Ms (an already-expired budget is answered
 // 504 before the handler runs).
 type Middleware struct {
-	reg      *Registry
-	traceAll bool
-	logger   *slog.Logger
+	reg    *Registry
+	logger *slog.Logger
 }
 
-// NewMiddleware builds a middleware over reg. traceAll traces every
-// request (otherwise only those carrying TraceHeader); logger, when
-// non-nil, receives one structured line per traced request.
-func NewMiddleware(reg *Registry, traceAll bool, logger *slog.Logger) *Middleware {
-	return &Middleware{reg: reg, traceAll: traceAll, logger: logger}
+// NewMiddleware builds a middleware over reg. A nil logger traces only the
+// requests carrying TraceHeader; a non-nil one traces every request and
+// receives one structured line per request.
+func NewMiddleware(reg *Registry, logger *slog.Logger) *Middleware {
+	return &Middleware{reg: reg, logger: logger}
 }
 
 // statusWriter captures the response status for the per-request log line.
@@ -83,7 +82,7 @@ func (m *Middleware) Wrap(path string, next http.HandlerFunc) http.HandlerFunc {
 		}
 
 		var tr *Trace
-		if id := r.Header.Get(traceKey); id != "" || m.traceAll {
+		if id := r.Header.Get(traceKey); id != "" || m.logger != nil {
 			tr = NewTrace(id)
 			ctx = WithTrace(ctx, tr)
 			w.Header().Set(TraceHeader, tr.ID)

@@ -80,7 +80,7 @@ func TestWireRoundTripAndMerge(t *testing.T) {
 
 func TestMiddlewareTraceHeaderEcho(t *testing.T) {
 	reg := NewRegistry()
-	mw := NewMiddleware(reg, false, nil)
+	mw := NewMiddleware(reg, nil)
 	var sawTrace *Trace
 	h := mw.Wrap("/predict", func(w http.ResponseWriter, r *http.Request) {
 		sawTrace = TraceFrom(r.Context())
@@ -111,14 +111,14 @@ func TestMiddlewareTraceHeaderEcho(t *testing.T) {
 func TestMiddlewareTraceAllMints(t *testing.T) {
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewTextHandler(logBuf, nil))
-	mw := NewMiddleware(NewRegistry(), true, logger)
+	mw := NewMiddleware(NewRegistry(), logger)
 	h := mw.Wrap("/suggest", func(w http.ResponseWriter, r *http.Request) {
 		TraceFrom(r.Context()).Observe("infer", time.Millisecond)
 	})
 	rec := httptest.NewRecorder()
 	h(rec, httptest.NewRequest(http.MethodPost, "/suggest", nil))
 	if rec.Header().Get(TraceHeader) == "" {
-		t.Fatal("trace-all did not mint an ID")
+		t.Fatal("a logging middleware did not mint an ID")
 	}
 	if !strings.Contains(logBuf.String(), "infer") {
 		t.Fatalf("log line missing stage summary: %s", logBuf.String())
@@ -127,7 +127,7 @@ func TestMiddlewareTraceAllMints(t *testing.T) {
 
 func TestMiddlewareDeadline(t *testing.T) {
 	reg := NewRegistry()
-	mw := NewMiddleware(reg, false, nil)
+	mw := NewMiddleware(reg, nil)
 	ran := false
 	var hadDeadline bool
 	h := mw.Wrap("/predict", func(w http.ResponseWriter, r *http.Request) {

@@ -12,12 +12,12 @@ import (
 // managed to compile the examples successfully").
 type ComPar struct {
 	// Members are the combined compilers; NewComPar wires the default trio.
-	Members []Compiler
+	Members []member
 }
 
 // NewComPar returns the default ComPar configuration.
 func NewComPar() *ComPar {
-	return &ComPar{Members: []Compiler{Par4All{}, AutoPar{}, Cetus{}}}
+	return &ComPar{Members: []member{Par4All{}, AutoPar{}, Cetus{}}}
 }
 
 // Name implements Compiler.
@@ -31,9 +31,12 @@ type MemberVerdict struct {
 	Err      error
 }
 
-// unitCompiler is a member that compiles from a shared front end; its
-// Compile(src) is compileText(c, src).
-type unitCompiler interface{ compile(*Unit) (Result, error) }
+// member is a compiler ComPar combines: one that compiles from a shared
+// front end, its Compile(src) being compileText(m, src).
+type member interface {
+	Compiler
+	compile(*Unit) (Result, error)
+}
 
 // CompileEach runs every member compiler and returns the per-member
 // verdicts in Members order: CompileUnit over a unit built from the text.
@@ -41,20 +44,14 @@ func (c *ComPar) CompileEach(src string) []MemberVerdict { return c.CompileUnit(
 
 // CompileUnit is the evidence form the advisor attaches to corroborated
 // suggestions, where "which compiler parallelized" matters, not just the
-// combined best. The built-in members share the unit, so the snippet is
-// lexed, parsed and analyzed once, not per member — and not at all where the
-// unit's maker already did; any other member compiles the text on its own.
+// combined best. The members share the unit, so the snippet is lexed, parsed
+// and analyzed once, not per member — and not at all where the unit's maker
+// already did.
 func (c *ComPar) CompileUnit(u *Unit) []MemberVerdict {
 	defer u.releaseTokens()
 	out := make([]MemberVerdict, 0, len(c.Members))
 	for _, m := range c.Members {
-		var res Result
-		var err error
-		if uc, ok := m.(unitCompiler); ok {
-			res, err = uc.compile(u)
-		} else {
-			res, err = m.Compile(u.code)
-		}
+		res, err := m.compile(u)
 		out = append(out, MemberVerdict{Compiler: m.Name(), Result: res, Err: err})
 	}
 	return out

@@ -97,7 +97,7 @@ func (u *Unit) releaseTokens() {
 
 // compileText is a member's Compile(src): compile over a unit of the text,
 // alive for that call.
-func compileText(c unitCompiler, src string) (Result, error) {
+func compileText(c member, src string) (Result, error) {
 	u := newUnit(src)
 	defer u.releaseTokens()
 	return c.compile(u)
@@ -139,13 +139,13 @@ func (u *Unit) Release() {
 	}
 }
 
-// Analysis returns the dependence analysis of the loop NewUnit found, under
-// opts; nil when it found none.
-func (u *Unit) Analysis(opts dep.Options) *dep.Analysis {
+// Analysis returns the converted dependence analysis of the loop NewUnit
+// found — the advisor's view; nil when it found none.
+func (u *Unit) Analysis() *dep.Analysis {
 	if !u.given {
 		return nil
 	}
-	return u.plainAnalysis().Convert(opts)
+	return u.plainAnalysis().Convert()
 }
 
 // parse extracts the first loop and any function bodies present in the

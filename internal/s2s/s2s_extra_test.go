@@ -138,7 +138,7 @@ func TestAutoParTinyLoopStillAnnotated(t *testing.T) {
 }
 
 func TestComParMembersConfigurable(t *testing.T) {
-	c := &ComPar{Members: []Compiler{Cetus{}}}
+	c := &ComPar{Members: []member{Cetus{}}}
 	res, err := c.Compile("for (i = 0; i < n; i++) a[i] = b[i];")
 	if err != nil {
 		t.Fatal(err)

@@ -98,20 +98,29 @@ func sameVerdict(t *testing.T, src string, v MemberVerdict, m Compiler) {
 	}
 }
 
-// sameAnalyses compares the dependence evidence two units hand the advisor,
-// witness positions included, under every option set — and, given the loop
-// and function table one of them was built over, with the engine run apart.
+// views is a unit's dependence evidence: the plain analysis the members
+// read and the converted one the advisor reads; nil when NewUnit found no
+// loop.
+func views(u *Unit) []*dep.Analysis {
+	if !u.given {
+		return nil
+	}
+	return []*dep.Analysis{u.plainAnalysis(), u.Analysis()}
+}
+
+// sameAnalyses compares the dependence evidence two units hand the advisor
+// and the members, witness positions included — and, given the loop and
+// function table one of them was built over, with the engine run apart.
 func sameAnalyses(t *testing.T, src string, a, b *Unit) {
 	t.Helper()
-	for _, o := range optionSets {
-		ga, gb := a.Analysis(o), b.Analysis(o)
-		if !reflect.DeepEqual(ga, gb) {
-			t.Errorf("%+v on %q:\none unit   %+v\nthe other %+v", o, src, ga, gb)
-		}
-		if ga != nil {
-			if alone := dep.AnalyzeLoopOpts(a.loop, a.funcs, o); !reflect.DeepEqual(ga, alone) {
-				t.Errorf("%+v on %q:\nunit  %+v\nalone %+v", o, src, ga, alone)
-			}
+	va, vb := views(a), views(b)
+	if !reflect.DeepEqual(va, vb) {
+		t.Errorf("on %q:\none unit   %+v\nthe other %+v", src, va, vb)
+	}
+	if va != nil {
+		plain := dep.AnalyzeLoop(a.loop, a.funcs)
+		if alone := []*dep.Analysis{plain, plain.Convert()}; !reflect.DeepEqual(va, alone) {
+			t.Errorf("on %q:\nunit  %+v\nalone %+v", src, va, alone)
 		}
 	}
 }
@@ -134,7 +143,7 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 			sameVerdict(t, src, v, c.Members[i])
 		}
 		advised := NewUnit(src, nil)
-		advised.Analysis(dep.Options{}) // as the advisor does, before the members run
+		advised.Analysis() // as the advisor does, before the members run
 		for i, v := range c.CompileUnit(advised) {
 			sameVerdict(t, src, v, c.Members[i])
 		}
@@ -237,9 +246,6 @@ func TestUnitBorrowsTokens(t *testing.T) {
 	wg.Wait()
 }
 
-// optionSets are the four dep.Options a unit's Analysis can be asked under.
-var optionSets = []dep.Options{{}, {ArrayPrivatization: true}, {ArrayReductions: true}, {ArrayPrivatization: true, ArrayReductions: true}}
-
 // keptUnit is a text unit over a strict cparse.Parse, whose fresh slabs
 // leave with the tree and are never reused: the reference a released parse
 // is held to.
@@ -255,7 +261,7 @@ func keptUnit(code string) *Unit {
 
 // TestUnitReleaseReuse holds a text unit whose parse went back to the
 // parser pool to what it answered while the parse was live: for every
-// equivalence input, its Analysis under each option set and its CompileUnit
+// equivalence input, its plain and converted analyses and its CompileUnit
 // verdicts — taken before Release, as the advisor takes them — equal those
 // of a kept-parse unit after the released slabs have served the next
 // input's parse, which is still live while they are compared. Eight
@@ -265,20 +271,15 @@ func TestUnitReleaseReuse(t *testing.T) {
 	srcs := equivalenceInputs(t)
 	check := func(src, next string) {
 		u := NewUnit(src, nil)
-		analyses := make([]*dep.Analysis, len(optionSets))
-		for i, o := range optionSets {
-			analyses[i] = u.Analysis(o)
-		}
+		analyses := views(u)
 		verdicts := c.CompileUnit(u)
 		u.Release()
 
 		reuse := cparse.ParseTree(next)
 		defer reuse.Release()
 		ref := keptUnit(src)
-		for i, o := range optionSets {
-			if want := ref.Analysis(o); !reflect.DeepEqual(analyses[i], want) {
-				t.Errorf("%+v on %q after release:\ngot  %+v\nkept %+v", o, src, analyses[i], want)
-			}
+		if want := views(ref); !reflect.DeepEqual(analyses, want) {
+			t.Errorf("%q after release:\ngot  %+v\nkept %+v", src, analyses, want)
 		}
 		if want := c.CompileUnit(ref); !reflect.DeepEqual(verdicts, want) {
 			t.Errorf("%q after release:\ngot  %+v\nkept %+v", src, verdicts, want)

@@ -70,8 +70,6 @@ type Config struct {
 	// never replayed against another — a stale cache costs a re-scan,
 	// never a wrong report.
 	ModelID string
-	// Exts lists the file extensions to scan (default [".c"]).
-	Exts []string
 	// MaxFileBytes skips files larger than this (default 1 MiB).
 	MaxFileBytes int64
 	// IncludeAnnotated also advises loops every occurrence of which
@@ -86,9 +84,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
-	}
-	if len(c.Exts) == 0 {
-		c.Exts = []string{".c"}
 	}
 	if c.MaxFileBytes <= 0 {
 		c.MaxFileBytes = 1 << 20
@@ -244,7 +239,7 @@ type Report struct {
 	Skips    []Skip   `json:"skips,omitempty"`
 }
 
-// Dir scans the C files under root. Unreadable or unparseable files are
+// Dir scans the .c files under root. Unreadable or unparseable files are
 // skipped and counted; the returned error is reserved for setup problems
 // (bad root, cache I/O) and context cancellation.
 func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*Report, error) {
@@ -280,15 +275,7 @@ func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*R
 				}
 				return nil
 			}
-			ext := filepath.Ext(path)
-			match := false
-			for _, want := range cfg.Exts {
-				if ext == want {
-					match = true
-					break
-				}
-			}
-			if !match {
+			if filepath.Ext(path) != ".c" {
 				return nil
 			}
 			select {

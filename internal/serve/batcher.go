@@ -12,11 +12,11 @@ import (
 )
 
 // The batcher is the engine's composable coalescing unit: one dispatcher
-// goroutine collects calls of one kind into batches, a worker per replica
-// run function executes them, and an LRU short-circuits repeats. The
-// serving tier's router composes the same signals the batcher exports —
-// queue depth, in-flight count, shed counter — into fleet-wide admission
-// control.
+// goroutine collects calls of one kind into batches, Replicas workers
+// execute them with the current run function, and an LRU short-circuits
+// repeats. The serving tier's router composes the same signals the batcher
+// exports — queue depth, in-flight count, shed counter — into fleet-wide
+// admission control.
 
 // call is one queued request. ctx and enqueued let the worker shed calls
 // whose deadline expired while they sat in the queue — an expired call's
@@ -31,20 +31,21 @@ type call[P any, R any] struct {
 	tr       *obs.Trace
 }
 
-// runSet is one immutable generation of per-replica run functions. A hot
-// reload publishes a fresh runSet through the batcher's atomic pointer;
-// workers snapshot the set once per batch, so an in-flight batch finishes
-// on the model it started with while the next batch picks up the swap.
-// A run returns its results plus coarse stage timings (the advisor's
-// infer/corroborate split) that the worker folds into each call's trace.
-type runSet[P any, R any] []func([]P) ([]R, []obs.Stage)
+// runFunc is one model generation's batch function, shared by every worker:
+// the replicas read one set of weights. A hot reload publishes a fresh one
+// through the batcher's atomic pointer; workers load it once per batch, so
+// an in-flight batch finishes on the model it started with while the next
+// batch picks up the swap. It returns its results plus coarse stage timings
+// (the advisor's infer/corroborate split) that the worker folds into each
+// call's trace.
+type runFunc[P any, R any] func([]P) ([]R, []obs.Stage)
 
 // batcher coalesces calls of one kind and fans batches across workers.
 type batcher[P any, R any] struct {
 	queue    chan *call[P, R]
 	work     chan []*call[P, R]
 	cache    *lru.Cache[R]
-	cur      atomic.Pointer[runSet[P, R]]
+	run      atomic.Pointer[runFunc[P, R]]
 	maxBatch int
 	maxWait  time.Duration
 	shed     bool
@@ -64,27 +65,25 @@ type batcher[P any, R any] struct {
 	deadline  *obs.Counter   // pf_deadline_exceeded_total
 }
 
-// newBatcher starts one dispatcher plus one worker per run function; all
-// goroutines exit when done closes. Its series are registered in reg under
-// the label path. queueDepth caps the request queue — the backpressure
-// point: when shed is set, a full queue fails fast with ErrSaturated
-// instead of blocking the caller.
-func newBatcher[P any, R any](
-	reg *obs.Registry, path string,
-	maxBatch int, maxWait time.Duration, cacheSize, queueDepth int, shed bool,
-	runs runSet[P, R], done chan struct{}, wg *sync.WaitGroup,
-) *batcher[P, R] {
+// newBatcher starts one dispatcher plus cfg.Replicas workers over run; all
+// goroutines exit when done closes. cfg must have its defaults filled. Its
+// series are registered in reg under the label path. cfg.QueueDepth caps
+// the request queue — the backpressure point: with cfg.Shed, a full queue
+// fails fast with ErrSaturated instead of blocking the caller.
+func newBatcher[P any, R any](reg *obs.Registry, path string, cfg Config,
+	run runFunc[P, R], done chan struct{}, wg *sync.WaitGroup) *batcher[P, R] {
+	queueDepth := cfg.QueueDepth
 	if queueDepth <= 0 {
-		queueDepth = maxBatch * len(runs)
+		queueDepth = cfg.MaxBatch * cfg.Replicas
 	}
 	l := obs.Labels{"path": path}
 	b := &batcher[P, R]{
 		queue:    make(chan *call[P, R], queueDepth),
 		work:     make(chan []*call[P, R]),
-		cache:    lru.New[R](cacheSize),
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		shed:     shed,
+		cache:    lru.New[R](cfg.CacheSize),
+		maxBatch: cfg.MaxBatch,
+		maxWait:  cfg.MaxWait,
+		shed:     cfg.Shed,
 		done:     done,
 		wg:       wg,
 		queueWait: reg.Histogram("pf_batch_queue_wait_seconds",
@@ -103,21 +102,20 @@ func newBatcher[P any, R any](
 		func() float64 { return float64(len(b.queue)) })
 	reg.GaugeFunc("pf_in_flight", "Admitted requests not yet answered.", l,
 		func() float64 { return float64(b.inflight.Load()) })
-	b.cur.Store(&runs)
-	wg.Add(1 + len(runs))
+	b.run.Store(&run)
+	wg.Add(1 + cfg.Replicas)
 	go b.dispatch()
-	for r := range runs {
-		go b.worker(r)
+	for range cfg.Replicas {
+		go b.worker()
 	}
 	return b
 }
 
-// setRuns atomically swaps in a new generation of run functions, then
-// rolls the cache — in that order, which worker relies on. The slice
-// length must equal the worker count fixed at construction; callers
-// serialize swaps (Engine.reloadMu).
-func (b *batcher[P, R]) setRuns(runs runSet[P, R]) {
-	b.cur.Store(&runs)
+// setRun atomically swaps in a new generation's run function, then rolls
+// the cache — in that order, which worker relies on. Callers serialize
+// swaps (Engine.reloadMu).
+func (b *batcher[P, R]) setRun(run runFunc[P, R]) {
+	b.run.Store(&run)
 	b.cache.Roll()
 }
 
@@ -155,16 +153,16 @@ func (b *batcher[P, R]) dispatch() {
 	}
 }
 
-// worker executes batches with replica r's current run function and
-// delivers per-call results. The cache generation is read before the
-// runSet is snapshotted, once per batch, and results are cached under it:
-// a batch that raced a reload either ran on the old runs and is dropped by
-// the roll, or read the new generation and so ran on the new runs.
+// worker executes batches with the current run function and delivers
+// per-call results. The cache generation is read before the run is loaded,
+// once per batch, and results are cached under it: a batch that raced a
+// reload either ran on the old run and is dropped by the roll, or read the
+// new generation and so ran on the new run.
 //
 // Calls whose context died in the queue are dropped before the forward —
 // their callers already returned, so computing for them is pure waste; a
 // deadline expiry is counted separately from other cancellations.
-func (b *batcher[P, R]) worker(r int) {
+func (b *batcher[P, R]) worker() {
 	defer b.wg.Done()
 	for {
 		select {
@@ -186,13 +184,13 @@ func (b *batcher[P, R]) worker(r int) {
 				continue
 			}
 			gen := b.cache.Gen()
-			runs := *b.cur.Load()
+			run := *b.run.Load()
 			payloads := make([]P, len(live))
 			for i, c := range live {
 				payloads[i] = c.payload
 			}
 			t0 := time.Now()
-			results, stages := runs[r](payloads)
+			results, stages := run(payloads)
 			dc := time.Since(t0)
 			b.compute.Observe(dc.Seconds())
 			b.batches.Inc()

@@ -85,15 +85,9 @@ type Config struct {
 	// only the final swap is atomic. Nil disables source-driven reloads;
 	// Reload with an explicit bundle always works.
 	Source func() (*advisor.Models, error)
-	// Metrics is the telemetry registry the engine records into (request
-	// histograms, batcher counters, stage timings) and that GET /metrics
-	// exposes. Nil gets a private registry, so embedded engines and tests
-	// never cross-wire series.
-	Metrics *obs.Registry
-	// Trace makes the HTTP layer trace every request, not just those
-	// carrying the X-PF-Trace header.
-	Trace bool
-	// Logger, when set, receives one structured line per traced request.
+	// Logger, when set, makes the HTTP layer trace every request, not just
+	// those carrying the X-PF-Trace header, and receives one structured line
+	// per request.
 	Logger *slog.Logger
 }
 
@@ -199,19 +193,12 @@ func New(models *advisor.Models, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := &Engine{cfg: cfg, reg: cfg.Metrics, done: make(chan struct{})}
-	if e.reg == nil {
-		e.reg = obs.NewRegistry()
-	}
+	e := &Engine{cfg: cfg, reg: obs.NewRegistry(), done: make(chan struct{})}
 	e.models.Store(models)
 
-	predictRuns, suggestRuns := e.buildRuns(models)
-	e.predict = newBatcher(e.reg, "predict",
-		cfg.MaxBatch, cfg.MaxWait, cfg.CacheSize, cfg.QueueDepth, cfg.Shed,
-		predictRuns, e.done, &e.wg)
-	e.suggest = newBatcher(e.reg, "suggest",
-		cfg.MaxBatch, cfg.MaxWait, cfg.CacheSize, cfg.QueueDepth, cfg.Shed,
-		suggestRuns, e.done, &e.wg)
+	predictRun, suggestRun := e.buildRuns(models)
+	e.predict = newBatcher(e.reg, "predict", cfg, predictRun, e.done, &e.wg)
+	e.suggest = newBatcher(e.reg, "suggest", cfg, suggestRun, e.done, &e.wg)
 	e.reloads = e.reg.Counter("pf_reloads_total", "Completed hot model swaps.", nil)
 	e.reg.GaugeFunc("pf_model_generation", "Model generation currently serving.", nil,
 		func() float64 { return float64(e.predict.cache.Gen()) })
@@ -247,7 +234,8 @@ func (e *Engine) weightGauges(models *advisor.Models) {
 }
 
 // Metrics exposes the engine's telemetry registry (the one GET /metrics
-// renders) so embedding binaries can add their own series.
+// renders) so embedding binaries can add their own series. Every engine
+// has its own, so embedded engines and tests never cross-wire series.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 func validateModels(models *advisor.Models) error {
@@ -257,10 +245,10 @@ func validateModels(models *advisor.Models) error {
 	return nil
 }
 
-// buildRuns constructs one generation of per-replica run functions over a
-// model bundle, before anything is swapped. It copies nothing: every
-// replica of either path reads the bundle's one set of weights.
-func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runSet[string, scan.Verdict]) {
+// buildRuns constructs one generation's run function per path over a model
+// bundle, before anything is swapped. It copies nothing: every replica of
+// either path reads the bundle's one set of weights.
+func (e *Engine) buildRuns(models *advisor.Models) (runFunc[[]int, float64], runFunc[string, scan.Verdict]) {
 	directive := models.Directive
 	vocab := directive.VocabSize()
 	predictRun := func(batch [][]int) ([]float64, []obs.Stage) {
@@ -273,10 +261,6 @@ func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runS
 		t0 := time.Now()
 		out := directive.PredictBatch(batch)
 		return out, []obs.Stage{{Name: "infer", Dur: time.Since(t0)}}
-	}
-	predictRuns := make(runSet[[]int, float64], e.cfg.Replicas)
-	for r := range predictRuns {
-		predictRuns[r] = predictRun
 	}
 
 	// Suggest workers share the Models the same way — the workers exist to
@@ -310,11 +294,7 @@ func (e *Engine) buildRuns(models *advisor.Models) (runSet[[]int, float64], runS
 		}
 		return out, stages
 	}
-	suggestRuns := make(runSet[string, scan.Verdict], e.cfg.Replicas)
-	for r := range suggestRuns {
-		suggestRuns[r] = suggestRun
-	}
-	return predictRuns, suggestRuns
+	return predictRun, suggestRun
 }
 
 // sanitizeIDs clamps out-of-vocabulary ids to [UNK] in place.
@@ -328,9 +308,9 @@ func sanitizeIDs(batch [][]int, vocab int) {
 	}
 }
 
-// Reload atomically swaps the served model bundle: replicas for the new
-// bundle are built first (off-path), then the bundle pointer and both
-// batchers' run sets are published and the result caches rolled. In-flight
+// Reload atomically swaps the served model bundle: the run functions for
+// the new bundle are built first (off-path), then the bundle pointer and
+// both batchers' runs are published and the result caches rolled. In-flight
 // and queued requests are never dropped — batches already handed to a
 // worker finish on the generation they loaded, everything later runs on
 // the new models.
@@ -357,10 +337,10 @@ func (e *Engine) Reload(models *advisor.Models) error {
 	// until the fresh generation is serving.
 	e.reloading.Store(true)
 	defer e.reloading.Store(false)
-	predictRuns, suggestRuns := e.buildRuns(models)
+	predictRun, suggestRun := e.buildRuns(models)
 	e.models.Store(models)
-	e.predict.setRuns(predictRuns)
-	e.suggest.setRuns(suggestRuns)
+	e.predict.setRun(predictRun)
+	e.suggest.setRun(suggestRun)
 	e.weightGauges(models)
 	e.reloads.Inc()
 	return nil

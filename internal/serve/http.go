@@ -45,7 +45,7 @@ type healthzResponse struct {
 // minting/propagation via X-PF-Trace, and X-PF-Deadline-Ms enforcement
 // (an expired budget is shed with 504 before any work).
 func (e *Engine) Handler() http.Handler {
-	mw := obs.NewMiddleware(e.reg, e.cfg.Trace, e.cfg.Logger)
+	mw := obs.NewMiddleware(e.reg, e.cfg.Logger)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", mw.Wrap("/predict", e.handlePredict))
 	mux.HandleFunc("POST /suggest", mw.Wrap("/suggest", e.handleSuggest))

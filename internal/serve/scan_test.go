@@ -109,6 +109,13 @@ func TestHTTPScanParity(t *testing.T) {
 	if got := rep.Loops[0].Suggestion.Probability; got != direct.Probability {
 		t.Errorf("scan probability %v != direct %v", got, direct.Probability)
 	}
+
+	// A client that still sends the retired "workers" field gets the same
+	// report: the decode ignores it.
+	old := scanOnce(t, e, strings.Replace(scanBody, `]}`, `], "workers": 3}`, 1))
+	if old.Code != http.StatusOK || old.Body.String() != w.Body.String() {
+		t.Errorf("with \"workers\": status %d, body\n%s\nwithout:\n%s", old.Code, old.Body, w.Body)
+	}
 }
 
 func TestHTTPScanSARIF(t *testing.T) {

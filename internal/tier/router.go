@@ -66,20 +66,13 @@ type Config struct {
 	// router; a new bundle arrives by POST /reload, which rolls the store.
 	Backend string
 	ModelID string
-	// ScanWorkers is the default parse worker count for /scan (0 = 4).
-	ScanWorkers int
 	// Client is the HTTP client for forwards and probes (nil = a client
 	// with a 30s timeout).
 	Client *http.Client
-	// Metrics is the telemetry registry GET /metrics exposes; nil gets a
-	// private registry so embedded routers and tests never cross-wire
-	// series.
-	Metrics *obs.Registry
-	// Trace makes the router trace every request, not just those carrying
-	// the X-PF-Trace header. Traces propagate to replicas over fan-out
-	// forwards and replica spans are merged into the response.
-	Trace bool
-	// Logger, when set, receives one structured line per traced request.
+	// Logger, when set, makes the router trace every request, not just those
+	// carrying the X-PF-Trace header, and receives one structured line per
+	// request. Traces propagate to replicas over fan-out forwards and
+	// replica spans are merged into the response.
 	Logger *slog.Logger
 }
 
@@ -101,9 +94,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.ScanWorkers <= 0 {
-		c.ScanWorkers = 4
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -168,11 +158,8 @@ func New(cfg Config) (*Router, error) {
 		store:   scan.NewMemStore(),
 		limiter: newLimiter(cfg.RatePerSec, cfg.Burst),
 		client:  cfg.Client,
-		reg:     cfg.Metrics,
+		reg:     obs.NewRegistry(),
 		done:    make(chan struct{}),
-	}
-	if rt.reg == nil {
-		rt.reg = obs.NewRegistry()
 	}
 	b := cfg.Backend
 	rt.backend.Store(&b)
@@ -189,7 +176,8 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Metrics exposes the router's telemetry registry (the one GET /metrics
-// renders).
+// renders). Every router has its own, so embedded routers and tests never
+// cross-wire series.
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
 // registerMetrics creates the router counters in the registry and wires
@@ -237,7 +225,7 @@ func (rt *Router) Close() {
 // under the obs middleware (duration histograms, X-PF-Trace propagation,
 // X-PF-Deadline-Ms enforcement), then the token-bucket gate.
 func (rt *Router) Handler() http.Handler {
-	mw := obs.NewMiddleware(rt.reg, rt.cfg.Trace, rt.cfg.Logger)
+	mw := obs.NewMiddleware(rt.reg, rt.cfg.Logger)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", mw.Wrap("/predict", rt.admitted(rt.handlePredict)))
 	mux.HandleFunc("POST /suggest", mw.Wrap("/suggest", rt.admitted(rt.handleSuggest)))

@@ -88,7 +88,6 @@ func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 
 func (rt *Router) handleScan(w http.ResponseWriter, r *http.Request) {
 	api.ServeScan(w, r, scan.Config{
-		Workers: rt.cfg.ScanWorkers,
 		Backend: rt.backendLabel(),
 		Store:   rt.pinStore(),
 	}, tierSuggester{rt: rt, ctx: r.Context()})
