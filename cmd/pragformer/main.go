@@ -9,7 +9,8 @@
 //	pragformer scan -dir src/ -model model.gob -vocab vocab.txt -format sarif
 //
 // Scan walks a C source tree, extracts every for-loop, dedupes by content
-// hash, batch-advises through the directive/clause classifiers, and emits
+// hash, batch-advises through the directive classifier and the dependence
+// analysis (which supplies every clause), and emits
 // a JSON or SARIF 2.1.0 report (see internal/scan and DESIGN.md).
 //
 // Quantize converts a trained float artifact into the int8 inference

@@ -5,7 +5,7 @@ package main
 //	pragformer scan -dir src/ -model dir.gob -vocab vocab.txt -format sarif
 //	pragformer scan -dir src/ -backend int8 -cache .pragformer-scan
 //
-// With no -model the three demo classifiers are trained at startup on a
+// With no -model the demo directive classifier is trained at startup on a
 // generated corpus (deterministic at a fixed -seed — the CI golden diff
 // depends on it). -cache makes re-scans incremental: loops whose content
 // hash is cached never reach the model. -stable strips run-dependent
@@ -34,9 +34,7 @@ func cmdScan(args []string) {
 		dir        = fs.String("dir", ".", "root of the C source tree to scan")
 		format     = fs.String("format", "json", "report format: json|sarif")
 		outPath    = fs.String("out", "", "write the report here (default stdout)")
-		modelPath  = fs.String("model", "", "directive model path (empty: self-train demo classifiers)")
-		privPath   = fs.String("private", "", "private-clause model path (optional)")
-		redPath    = fs.String("reduction", "", "reduction-clause model path (optional)")
+		modelPath  = fs.String("model", "", "directive model path (empty: self-train the demo classifier)")
 		vocabPath  = fs.String("vocab", "", "vocabulary path (required with -model)")
 		backend    = fs.String("backend", "", "compute backend: float64|int8 (empty serves artifacts as loaded)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel parse workers")
@@ -47,7 +45,7 @@ func cmdScan(args []string) {
 		noCompar   = fs.Bool("no-compar", false, "skip S2S corroboration")
 		seed       = fs.Int64("seed", 1, "demo training seed")
 		demoTotal  = fs.Int("train-total", 1000, "demo mode: generated corpus size")
-		demoEpochs = fs.Int("train-epochs", 5, "demo mode: training epochs per classifier")
+		demoEpochs = fs.Int("train-epochs", 5, "demo mode: training epochs")
 		verbose    = fs.Bool("v", false, "print a per-stage timing summary (walk/parse/dedupe/infer/corroborate) to stderr")
 	)
 	_ = fs.Parse(args)
@@ -55,11 +53,11 @@ func cmdScan(args []string) {
 		fatal(fmt.Errorf("unknown format %q (json|sarif)", *format))
 	}
 
-	modelID, err := scanModelID(*modelPath, *privPath, *redPath, *vocabPath, *seed, *demoTotal, *demoEpochs)
+	modelID, err := scanModelID(*modelPath, *vocabPath, *seed, *demoTotal, *demoEpochs)
 	if err != nil {
 		fatal(err)
 	}
-	models, err := scanModels(*modelPath, *privPath, *redPath, *vocabPath, *seed, *demoTotal, *demoEpochs)
+	models, err := scanModels(*modelPath, *vocabPath, *seed, *demoTotal, *demoEpochs)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,12 +135,12 @@ func cmdScan(args []string) {
 // content hash of the loaded artifacts, or the demo-training config
 // (demo runs are deterministic, so equal config means equal models).
 // Verdicts cached under one fingerprint are never replayed under another.
-func scanModelID(model, private, reduction, vocab string, seed int64, total, epochs int) (string, error) {
+func scanModelID(model, vocab string, seed int64, total, epochs int) (string, error) {
 	if model == "" {
 		return fmt.Sprintf("demo:seed=%d,total=%d,epochs=%d", seed, total, epochs), nil
 	}
 	h := sha256.New()
-	for _, p := range []string{model, private, reduction, vocab} {
+	for _, p := range []string{model, vocab} {
 		if p == "" {
 			continue
 		}
@@ -156,11 +154,11 @@ func scanModelID(model, private, reduction, vocab string, seed int64, total, epo
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)[:8]), nil
 }
 
-// scanModels loads classifier artifacts (PFQNT sniffed like cmd/serve), or
-// trains the demo bundle when no directive model is given.
-func scanModels(model, private, reduction, vocab string, seed int64, total, epochs int) (*advisor.Models, error) {
+// scanModels loads the classifier artifacts (PFQNT sniffed like cmd/serve),
+// or trains the demo bundle when no directive model is given.
+func scanModels(model, vocab string, seed int64, total, epochs int) (*advisor.Models, error) {
 	if model == "" {
-		fmt.Fprintf(os.Stderr, "no -model given; training demo classifiers (corpus %d, %d epochs, seed %d)\n",
+		fmt.Fprintf(os.Stderr, "no -model given; training the demo classifier (corpus %d, %d epochs, seed %d)\n",
 			total, epochs, seed)
 		return advisor.TrainDemo(advisor.DemoConfig{
 			Seed: seed, Total: total, Epochs: epochs,
@@ -170,5 +168,5 @@ func scanModels(model, private, reduction, vocab string, seed int64, total, epoc
 	if vocab == "" {
 		return nil, fmt.Errorf("-vocab is required with -model")
 	}
-	return advisor.LoadModels(model, private, reduction, vocab)
+	return advisor.LoadModels(model, vocab)
 }

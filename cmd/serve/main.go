@@ -1,10 +1,12 @@
 // Command serve runs the PragFormer advisor as an HTTP JSON service over
 // the micro-batching inference engine in internal/serve.
 //
-// Models are either loaded from files written by `pragformer train` or
-// `pragformer quantize` (-directive/-private/-reduction plus -vocab; PFQNT
-// artifacts are detected by magic) or, when -directive is empty, trained at
-// startup on a generated Open-OMP corpus — the zero-setup demo mode.
+// The directive classifier is either loaded from files written by
+// `pragformer train` or `pragformer quantize` (-directive plus -vocab;
+// PFQNT artifacts are detected by magic) or, when -directive is empty,
+// trained at startup on a generated Open-OMP corpus — the zero-setup demo
+// mode. Clauses come from the dependence analysis, so no clause classifier
+// is served.
 //
 // -backend selects the compute backend: float64 (the training-grade
 // reference), int8 (quantizes float artifacts at load time and on every
@@ -22,7 +24,7 @@
 //	POST /predict {"code": "..."} | {"codes": [...]} | {"ids": [[...]]}
 //	POST /suggest {"code": "..."} | {"codes": [...]}
 //	POST /scan    {"files": [{"path": "a.c", "source": "..."}], "format": "json"|"sarif"}
-//	POST /reload  (hot-swap models from the -directive/... paths)
+//	POST /reload  (hot-swap the model from the -directive/-vocab paths)
 //	GET  /healthz (liveness, backend and model generation)
 //	GET  /readyz  (readiness: 503 while draining or mid-reload — what the router probes)
 //	GET  /statz   (every /metrics series as one JSON object)
@@ -53,8 +55,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		directive = flag.String("directive", "", "directive model path (empty: self-train a demo model)")
-		private   = flag.String("private", "", "private-clause model path (optional)")
-		reduction = flag.String("reduction", "", "reduction-clause model path (optional)")
 		vocabPath = flag.String("vocab", "", "vocabulary path (required with -directive)")
 		maxBatch  = flag.Int("max-batch", 16, "max coalesced batch size")
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time to hold a batch open")
@@ -67,15 +67,14 @@ func main() {
 		noCompar  = flag.Bool("no-compar", false, "skip S2S corroboration in /suggest")
 		seed      = flag.Int64("seed", 1, "seed for demo training and replica cloning")
 		total     = flag.Int("train-total", 1000, "demo mode: generated corpus size")
-		epochs    = flag.Int("train-epochs", 5, "demo mode: training epochs per classifier")
+		epochs    = flag.Int("train-epochs", 5, "demo mode: training epochs")
 		workers   = flag.Int("train-workers", 1, "demo mode: data-parallel training workers")
 		trace     = flag.Bool("trace", false, "trace every request (spans in responses + one structured log line each); without it only requests carrying X-PF-Trace are traced")
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints (off by default)")
 	)
 	flag.Parse()
 
-	models, err := buildModels(*directive, *private, *reduction, *vocabPath,
-		*seed, *total, *epochs, *workers)
+	models, err := buildModels(*directive, *vocabPath, *seed, *total, *epochs, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
@@ -88,8 +87,7 @@ func main() {
 	var source func() (*advisor.Models, error)
 	if *directive != "" {
 		source = func() (*advisor.Models, error) {
-			ms, err := buildModels(*directive, *private, *reduction, *vocabPath,
-				*seed, *total, *epochs, *workers)
+			ms, err := buildModels(*directive, *vocabPath, *seed, *total, *epochs, *workers)
 			if err != nil {
 				return nil, err
 			}
@@ -162,24 +160,23 @@ loop:
 		st.Suggest.Requests, st.Suggest.AvgBatch(), st.Suggest.CacheHits)
 }
 
-// buildModels loads classifier files, or trains demo models when no
+// buildModels loads the classifier files, or trains the demo model when no
 // directive path is given.
-func buildModels(directive, private, reduction, vocabPath string,
-	seed int64, total, epochs, workers int) (*advisor.Models, error) {
+func buildModels(directive, vocabPath string, seed int64, total, epochs, workers int) (*advisor.Models, error) {
 	if directive == "" {
 		return trainDemo(seed, total, epochs, workers)
 	}
 	if vocabPath == "" {
 		return nil, fmt.Errorf("-vocab is required with -directive")
 	}
-	return advisor.LoadModels(directive, private, reduction, vocabPath)
+	return advisor.LoadModels(directive, vocabPath)
 }
 
-// trainDemo fits the three classifiers on a generated corpus through the
-// shared advisor.TrainDemo recipe (also behind `pragformer scan`'s demo
-// mode), sharing one vocabulary.
+// trainDemo fits the directive classifier on a generated corpus through
+// the shared advisor.TrainDemo recipe (also behind `pragformer scan`'s demo
+// mode).
 func trainDemo(seed int64, total, epochs, workers int) (*advisor.Models, error) {
-	fmt.Printf("no -directive model given; training demo classifiers (corpus %d, %d epochs)\n", total, epochs)
+	fmt.Printf("no -directive model given; training the demo classifier (corpus %d, %d epochs)\n", total, epochs)
 	return advisor.TrainDemo(advisor.DemoConfig{
 		Seed: seed, Total: total, Epochs: epochs, Workers: workers,
 		Progress: func(s string) { fmt.Println(" ", s) },

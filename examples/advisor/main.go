@@ -61,9 +61,6 @@ func main() {
 			verdict = "add " + s.Directive.String()
 		}
 		fmt.Printf("  PragFormer: p=%.2f → %s [%s]\n", s.Probability, verdict, s.Corroboration.Tier)
-		for _, note := range s.Notes {
-			fmt.Printf("  note:       %s\n", note)
-		}
 
 		toks, err := tokenize.Extract(src, tokenize.Text)
 		if err != nil {
@@ -91,8 +88,8 @@ func main() {
 }
 
 // trainAdvisor fits a small directive classifier on a generated corpus and
-// wraps it in the advisor bundle (clause classifiers omitted: the
-// dependence analysis decides clauses on its own).
+// wraps it in the advisor bundle (the dependence analysis supplies the
+// clauses).
 func trainAdvisor() *advisor.Models {
 	c := corpus.Generate(corpus.Config{Seed: 2, Total: 1000})
 	split := dataset.Directive(c, dataset.Options{Seed: 2})

@@ -1,8 +1,9 @@
 // Generate: the paper's §6 end-goal — produce entire OpenMP directives.
-// Three PragFormer classifiers (directive / private / reduction) gate the
-// decision, the dependence analysis supplies clause variables, and ComPar
-// corroboration grades the verdict tier, exactly the combined workflow the paper
-// proposes ("in cases both the model and the S2S compilers agree on a
+// The PragFormer directive classifier decides whether a loop gets one, the
+// dependence analysis that agrees with it supplies the whole directive
+// (every private and reduction clause its verdict depends on), and ComPar
+// corroboration grades the verdict tier, exactly the combined workflow the
+// paper proposes ("in cases both the model and the S2S compilers agree on a
 // directive, it will remain").
 package main
 
@@ -42,19 +43,16 @@ func main() {
 			fmt.Println(src)
 			fmt.Printf("  left serial (p=%.2f)\n", s.Probability)
 		}
-		for _, n := range s.Notes {
-			fmt.Println("  note:", n)
-		}
 	}
 }
 
-// buildModels trains the three classifiers on a generated corpus.
+// buildModels trains the directive classifier on a generated corpus.
 func buildModels() *advisor.Models {
-	fmt.Println("training directive / private / reduction classifiers...")
+	fmt.Println("training the directive classifier...")
 	c := corpus.Generate(corpus.Config{Seed: 8, Total: 800})
-	dirSplit := dataset.Directive(c, dataset.Options{Seed: 8})
+	split := dataset.Directive(c, dataset.Options{Seed: 8})
 	var seqs [][]string
-	for _, in := range dirSplit.Train {
+	for _, in := range split.Train {
 		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
 		if err != nil {
 			panic(err)
@@ -63,37 +61,21 @@ func buildModels() *advisor.Models {
 	}
 	vocab := tokenize.BuildVocab(seqs, 1)
 
-	fit := func(task dataset.Task) *core.PragFormer {
-		var split dataset.Split
-		if task == dataset.TaskDirective {
-			split = dirSplit
-		} else {
-			split = dataset.Clause(c, task, dataset.Options{Seed: 8, Balance: true})
+	encode := func(ins []dataset.Instance) []train.Example {
+		out := make([]train.Example, len(ins))
+		for i, in := range ins {
+			toks, _ := tokenize.Extract(in.Rec.Code, tokenize.Text)
+			out[i] = train.Example{IDs: vocab.Encode(toks, 64), Label: in.Label}
 		}
-		encode := func(ins []dataset.Instance) []train.Example {
-			out := make([]train.Example, len(ins))
-			for i, in := range ins {
-				toks, _ := tokenize.Extract(in.Rec.Code, tokenize.Text)
-				out[i] = train.Example{IDs: vocab.Encode(toks, 64), Label: in.Label}
-			}
-			return out
-		}
-		model, err := core.New(core.Config{Vocab: vocab.Size(), MaxLen: 64, D: 32, Heads: 4, Layers: 1}, int64(20+task))
-		if err != nil {
-			panic(err)
-		}
-		h := train.Fit(model, encode(split.Train), encode(split.Valid), train.Config{
-			Epochs: 4, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1, Seed: int64(task),
-		})
-		fmt.Printf("  %s classifier: valid accuracy %.3f\n", task, h.Best().ValidAccuracy)
-		return model
+		return out
 	}
-
-	return &advisor.Models{
-		Directive: fit(dataset.TaskDirective),
-		Private:   fit(dataset.TaskPrivate),
-		Reduction: fit(dataset.TaskReduction),
-		Vocab:     vocab,
-		MaxLen:    64,
+	model, err := core.New(core.Config{Vocab: vocab.Size(), MaxLen: 64, D: 32, Heads: 4, Layers: 1}, 20)
+	if err != nil {
+		panic(err)
 	}
+	h := train.Fit(model, encode(split.Train), encode(split.Valid), train.Config{
+		Epochs: 4, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
+	})
+	fmt.Printf("  directive classifier: valid accuracy %.3f\n", h.Best().ValidAccuracy)
+	return &advisor.Models{Directive: model, Vocab: vocab, MaxLen: 64}
 }

@@ -1,15 +1,16 @@
 // Package advisor composes the paper's pieces into the full pipeline its
-// §6 sketches: generating entire OpenMP directives. The three PragFormer
-// classifiers decide *whether* a directive and which clause kinds are
-// needed; the dependence analysis supplies the *variable names* for the
-// clauses; and, following the paper's ComPar-combination proposal, an S2S
-// result can be used to corroborate the suggestion.
+// §6 sketches: generating entire OpenMP directives. The PragFormer
+// directive classifier decides *whether* a loop gets a directive; the
+// dependence analysis that agrees with it supplies the whole directive,
+// every clause its parallel verdict depends on; and, following the paper's
+// ComPar-combination proposal, an S2S result can be used to corroborate
+// the suggestion.
 //
 // The pipeline is batch-first: SuggestBatch tokenizes every snippet, then
-// runs each classifier exactly once over the whole batch through
-// core.PredictBatch (three batched forwards instead of 3·N single ones),
-// while the per-snippet dependence analysis and corroboration stay
-// per-item. Suggest is the single-snippet convenience wrapper.
+// runs the classifier exactly once over the whole batch through
+// core.PredictBatch (one batched forward instead of N single ones), while
+// the per-snippet dependence analysis and corroboration stay per-item.
+// Suggest is the single-snippet convenience wrapper.
 package advisor
 
 import (
@@ -29,19 +30,16 @@ import (
 	"pragformer/internal/tokenize"
 )
 
-// Models bundles the three task classifiers with their shared vocabulary.
-// The classifiers are core.Backend values, so a bundle can run on the
-// float64 reference backend, the int8 quantized backend, or a mix (e.g. a
-// quantized directive classifier next to float clause classifiers) —
-// WithBackend converts a whole bundle. Private and Reduction may be nil, in
-// which case clause decisions fall back to the dependence analysis alone.
-// The zero MaxLen means core.DefaultMaxLen. Models is safe for concurrent
-// use by multiple goroutines once constructed: suggestions only read the
-// classifiers.
+// Models bundles the directive classifier with its vocabulary. The
+// classifier is a core.Backend, so a bundle can run on the float64
+// reference backend or the int8 quantized backend — WithBackend converts
+// it. The paper's private and reduction classifiers are not part of a
+// bundle: the analysis names every clause, so they are trained and scored
+// in the experiments (Tables 9–10) only. The zero MaxLen means
+// core.DefaultMaxLen. Models is safe for concurrent use by multiple
+// goroutines once constructed: suggestions only read the classifier.
 type Models struct {
 	Directive core.Backend
-	Private   core.Backend
-	Reduction core.Backend
 	Vocab     *tokenize.Vocab
 	MaxLen    int
 
@@ -90,10 +88,9 @@ func (m *Models) EffectiveMaxLen() int {
 }
 
 // LoadModels reads a bundle from artifacts written by `pragformer train`
-// or `pragformer quantize` (PFQNT files are detected by magic): the shared
-// vocabulary, the directive classifier, and the optional clause
-// classifiers (an empty path leaves that one nil).
-func LoadModels(directive, private, reduction, vocab string) (*Models, error) {
+// or `pragformer quantize` (PFQNT files are detected by magic): the
+// vocabulary and the directive classifier.
+func LoadModels(directive, vocab string) (*Models, error) {
 	v, err := tokenize.LoadVocabFile(vocab)
 	if err != nil {
 		return nil, err
@@ -103,65 +100,46 @@ func LoadModels(directive, private, reduction, vocab string) (*Models, error) {
 		return nil, err
 	}
 	m.MaxLen = m.Directive.MaxSeqLen()
-	if private != "" {
-		if m.Private, err = core.LoadClassifierFile(private); err != nil {
-			return nil, err
-		}
-	}
-	if reduction != "" {
-		if m.Reduction, err = core.LoadClassifierFile(reduction); err != nil {
-			return nil, err
-		}
-	}
 	return m, nil
 }
 
-// WithBackend returns a bundle whose classifiers all run on the named
-// compute backend. The empty name keeps the bundle as loaded.
-// core.BackendFloat64 requires every classifier to already be float64 (an
-// int8 artifact cannot be dequantized back into a training-grade model).
-// core.BackendInt8 quantizes float classifiers in place of deep conversion
-// — already-quantized ones pass through. The receiver is never mutated;
-// converted bundles share the vocabulary and corroboration settings.
+// WithBackend returns a bundle whose classifier runs on the named compute
+// backend. The empty name keeps the bundle as loaded. core.BackendFloat64
+// requires the classifier to already be float64 (an int8 artifact cannot be
+// dequantized back into a training-grade model). core.BackendInt8 quantizes
+// a float classifier in place of deep conversion — an already-quantized one
+// passes through. The receiver is never mutated; the converted bundle
+// shares the vocabulary and corroboration settings.
 func (m *Models) WithBackend(name string) (*Models, error) {
 	if name == "" {
 		return m, nil
 	}
-	convert := func(b core.Backend) (core.Backend, error) {
-		if b == nil || b.BackendName() == name {
-			return b, nil
-		}
+	d := m.Directive
+	if d != nil && d.BackendName() != name {
 		switch name {
 		case core.BackendFloat64:
 			return nil, fmt.Errorf("advisor: cannot serve an %s classifier on the %s backend",
-				b.BackendName(), name)
+				d.BackendName(), name)
 		case core.BackendInt8:
-			pf, ok := b.(*core.PragFormer)
+			pf, ok := d.(*core.PragFormer)
 			if !ok {
-				return nil, fmt.Errorf("advisor: cannot quantize a %s classifier", b.BackendName())
+				return nil, fmt.Errorf("advisor: cannot quantize a %s classifier", d.BackendName())
 			}
-			return core.Quantize(pf)
+			q, err := core.Quantize(pf)
+			if err != nil {
+				return nil, err
+			}
+			d = q
 		default:
 			return nil, fmt.Errorf("advisor: unknown backend %q (%s|%s)",
 				name, core.BackendFloat64, core.BackendInt8)
 		}
 	}
-	out := &Models{
-		Vocab: m.Vocab, MaxLen: m.MaxLen,
+	return &Models{
+		Directive: d, Vocab: m.Vocab, MaxLen: m.MaxLen,
 		ComPar: m.ComPar, NoCorroborate: m.NoCorroborate,
 		NoExplain: m.NoExplain, OnStage: m.OnStage,
-	}
-	var err error
-	if out.Directive, err = convert(m.Directive); err != nil {
-		return nil, err
-	}
-	if out.Private, err = convert(m.Private); err != nil {
-		return nil, err
-	}
-	if out.Reduction, err = convert(m.Reduction); err != nil {
-		return nil, err
-	}
-	return out, nil
+	}, nil
 }
 
 // Suggester is the batch-suggestion capability consumers program against:
@@ -302,7 +280,9 @@ type Suggestion struct {
 	Parallelize bool
 	// Probability is the directive classifier's positive probability.
 	Probability float64
-	// Directive is the generated pragma (nil when Parallelize is false).
+	// Directive is the generated pragma (nil when Parallelize is false):
+	// the agreeing analysis' own directive, or the bare `parallel for` when
+	// no analysis supports one.
 	Directive *pragma.Directive
 	// Corroboration is the evidence behind a positive verdict.
 	Corroboration Corroboration
@@ -313,8 +293,6 @@ type Suggestion struct {
 	// hash, so agreeing backends produce identical attributions. Entries
 	// are in token order, one per (truncated) input token.
 	Attributions []lime.Attribution
-	// Notes explains the clause decisions.
-	Notes []string
 }
 
 // Tier is shorthand for s.Corroboration.Tier.
@@ -377,7 +355,7 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 	if m.Directive == nil || m.Vocab == nil {
 		return nil, fmt.Errorf("advisor: directive model and vocabulary are required")
 	}
-	// Stage accounting: "infer" sums the batched classifier forwards,
+	// Stage accounting: "infer" is the batched classifier forward,
 	// "corroborate" the per-item dependence/S2S/LIME work. Both are emitted
 	// exactly once per call (possibly zero) so span presence is
 	// deterministic.
@@ -409,140 +387,46 @@ func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.D
 		return items, nil
 	}
 
-	// One batched forward for the directive verdicts, then one per clause
-	// classifier over the positive subset only.
 	t0 := time.Now()
 	probs := m.Directive.PredictBatch(idsBatch)
-	dInfer += time.Since(t0)
-	var (
-		posIDs [][]int
-		posAt  []int // items index of each positive
-	)
+	dInfer = time.Since(t0)
+	t0 = time.Now()
 	for j, i := range at {
 		s := &Suggestion{Probability: probs[j], Parallelize: probs[j] > 0.5}
 		items[i].Suggestion = s
-		if s.Parallelize {
-			posIDs = append(posIDs, idsBatch[j])
-			posAt = append(posAt, i)
-		} else {
-			s.Notes = append(s.Notes, "directive classifier below threshold")
-			// Negative verdicts still carry the dependence evidence: a
-			// refuted loop's race witnesses are a property of the code, not
-			// of the model's answer, and the scan report surfaces them.
-			tc := time.Now()
-			unit := s2s.NewUnit(snippets[i].Code, snippets[i].Loop)
-			s.Corroboration.attach(unit.Analysis())
-			unit.Release()
-			dCorroborate += time.Since(tc)
-		}
+		m.finish(s, snippets[i])
 	}
-	if len(posIDs) == 0 {
-		return items, nil
-	}
-	var privateProbs, reductionProbs []float64 // nil when the classifier is absent
-	t0 = time.Now()
-	if m.Private != nil {
-		privateProbs = m.Private.PredictBatch(posIDs)
-	}
-	if m.Reduction != nil {
-		reductionProbs = m.Reduction.PredictBatch(posIDs)
-	}
-	dInfer += time.Since(t0)
-	t0 = time.Now()
-	for k, i := range posAt {
-		wantPrivate := privateProbs != nil && privateProbs[k] > 0.5
-		wantReduction := reductionProbs != nil && reductionProbs[k] > 0.5
-		m.finish(items[i].Suggestion, snippets[i], wantPrivate, wantReduction)
-	}
-	dCorroborate += time.Since(t0)
+	dCorroborate = time.Since(t0)
 	return items, nil
 }
 
-// finish completes a positive suggestion: dependence analysis, clause
-// assembly, schedule hint, and corroboration grading, all over the snippet's
-// one s2s.Unit. wantPrivate and wantReduction carry the clause classifiers'
-// verdicts (false when the classifier is absent — the analysis then decides).
-func (m *Models) finish(s *Suggestion, sn Snippet, wantPrivate, wantReduction bool) {
-	d := &pragma.Directive{ParallelFor: true}
+// finish completes a suggestion over the snippet's one s2s.Unit. Every
+// verdict carries the dependence evidence: a refuted loop's race witnesses
+// are a property of the code, not of the model's answer, and the scan
+// report surfaces them. A positive also gets its directive and its
+// corroboration grade.
+func (m *Models) finish(s *Suggestion, sn Snippet) {
 	unit := s2s.NewUnit(sn.Code, sn.Loop)
 	defer unit.Release()
 	analysis := unit.Analysis() // nil when no loop parses
-
-	if analysis != nil {
-		if m.Private == nil {
-			wantPrivate = len(analysis.Private) > 0
-		}
-		if m.Reduction == nil {
-			wantReduction = len(analysis.Reductions) > 0
-		}
-	}
-
-	// Clause variables come from the analysis; the classifiers gate them
-	// (the classifier can also rescue clauses the analysis missed when the
-	// loop text alone was insufficient — then we note the gap).
-	if wantPrivate {
-		if analysis != nil && len(analysis.Private) > 0 {
-			d.Private = append(d.Private, analysis.Private...)
-			s.Notes = append(s.Notes, fmt.Sprintf("private variables from analysis: %v", analysis.Private))
-		} else {
-			s.Notes = append(s.Notes, "private clause predicted but no candidate variables found")
-		}
-	}
-	if wantReduction {
-		if analysis != nil && len(analysis.Reductions) > 0 {
-			d.Reductions = append(d.Reductions, analysis.Reductions...)
-			s.Notes = append(s.Notes, "reduction clause from analysis")
-		} else {
-			s.Notes = append(s.Notes, "reduction clause predicted but no accumulation pattern found")
-		}
-	}
-	// Conversion-rescued arrays are load-bearing: the parallel verdict is
-	// only sound with their clauses attached, so they bypass the clause
-	// classifiers' gating.
-	if analysis != nil && len(analysis.Converted) > 0 {
-		conv := map[string]bool{}
-		for _, c := range analysis.Converted {
-			conv[c] = true
-		}
-		have := map[string]bool{}
-		for _, p := range d.Private {
-			have[p] = true
-		}
-		for _, p := range analysis.Private {
-			if conv[p] && !have[p] {
-				d.Private = append(d.Private, p)
-			}
-		}
-		haveRed := map[string]bool{}
-		for _, r := range d.Reductions {
-			haveRed[r.Vars[0]] = true
-		}
-		for _, r := range analysis.Reductions {
-			if conv[r.Vars[0]] && !haveRed[r.Vars[0]] {
-				d.Reductions = append(d.Reductions, r)
-			}
-		}
-		s.Notes = append(s.Notes, fmt.Sprintf("conversion clauses attached: %v", analysis.Converted))
-	}
-	if analysis != nil && analysis.Unbalanced {
-		d.Schedule = pragma.ScheduleDynamic
-		s.Notes = append(s.Notes, "unbalanced body: schedule(dynamic)")
-	}
-	s.Directive = d
-
-	// Corroboration grading. Unlike the old ratchet-up confidence ladder, a
-	// dependence-analysis disagreement is terminal: a successful S2S compile
-	// must not overwrite "the analysis found a carried dependence" — that is
-	// exactly the disagreement the paper mines.
 	cor := &s.Corroboration
 	cor.attach(analysis)
+	if !s.Parallelize {
+		return
+	}
+	// An agreeing analysis supplies the directive: its parallel verdict is
+	// sound only with every clause it names. Any other positive gets the
+	// bare pragma, since no analysis supports a clause on it. A
+	// disagreement is terminal: a successful S2S compile must not overwrite
+	// "the analysis found a carried dependence" — that is exactly the
+	// disagreement the paper mines.
 	switch {
 	case cor.DepRan && cor.DepAgrees:
-		cor.Tier = TierAnalysisAgrees
+		cor.Tier, s.Directive = TierAnalysisAgrees, analysis.Directive()
 	case cor.DepRan:
-		cor.Tier = TierDisagree
+		cor.Tier, s.Directive = TierDisagree, &pragma.Directive{ParallelFor: true}
 	default:
-		cor.Tier = TierModelOnly
+		cor.Tier, s.Directive = TierModelOnly, &pragma.Directive{ParallelFor: true}
 	}
 	if !m.NoCorroborate {
 		cor.S2S = m.compileEach(unit, sn.Code)
@@ -605,7 +489,7 @@ func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
 //
 // Attributions are returned in token order covering every (truncated)
 // input token; consumers pick their own top-K by |weight|. This is the one
-// place an advised loop's token strings exist: the classifiers read ids
+// place an advised loop's token strings exist: the classifier reads ids
 // streamed from the text.
 func (m *Models) explainDisagreement(code string) []lime.Attribution {
 	toks, err := tokenize.Extract(code, tokenize.Text)

@@ -1,9 +1,13 @@
 package advisor
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pragformer/internal/cast"
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
 	"pragformer/internal/cparse"
@@ -16,15 +20,10 @@ import (
 	"pragformer/internal/train"
 )
 
-// trainTask fits one small classifier for a task over a shared corpus.
-func trainTask(t *testing.T, c *corpus.Corpus, task dataset.Task, v *tokenize.Vocab) *core.PragFormer {
+// trainDirective fits one small directive classifier over a corpus.
+func trainDirective(t *testing.T, c *corpus.Corpus, v *tokenize.Vocab) *core.PragFormer {
 	t.Helper()
-	var split dataset.Split
-	if task == dataset.TaskDirective {
-		split = dataset.Directive(c, dataset.Options{Seed: 1})
-	} else {
-		split = dataset.Clause(c, task, dataset.Options{Seed: 1, Balance: true})
-	}
+	split := dataset.Directive(c, dataset.Options{Seed: 1})
 	encode := func(ins []dataset.Instance) []train.Example {
 		out := make([]train.Example, len(ins))
 		for i, in := range ins {
@@ -36,17 +35,17 @@ func trainTask(t *testing.T, c *corpus.Corpus, task dataset.Task, v *tokenize.Vo
 		}
 		return out
 	}
-	m, err := core.New(core.Config{Vocab: v.Size(), MaxLen: 64, D: 32, Heads: 4, Layers: 1}, int64(10+task))
+	m, err := core.New(core.Config{Vocab: v.Size(), MaxLen: 64, D: 32, Heads: 4, Layers: 1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	train.Fit(m, encode(split.Train), encode(split.Valid), train.Config{
-		Epochs: 4, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1, Seed: int64(task),
+		Epochs: 4, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
 	})
 	return m
 }
 
-// sharedModels trains the three classifiers once for the package.
+// sharedModels trains the directive classifier once for the package.
 var sharedModels *Models
 
 func models(t *testing.T) *Models {
@@ -68,13 +67,7 @@ func models(t *testing.T) *Models {
 		seqs = append(seqs, toks)
 	}
 	v := tokenize.BuildVocab(seqs, 1)
-	sharedModels = &Models{
-		Directive: trainTask(t, c, dataset.TaskDirective, v),
-		Private:   trainTask(t, c, dataset.TaskPrivate, v),
-		Reduction: trainTask(t, c, dataset.TaskReduction, v),
-		Vocab:     v,
-		MaxLen:    64,
-	}
+	sharedModels = &Models{Directive: trainDirective(t, c, v), Vocab: v, MaxLen: 64}
 	return sharedModels
 }
 
@@ -85,7 +78,7 @@ func TestSuggestReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.Parallelize {
-		t.Fatalf("reduction loop not parallelized (p=%.2f, notes %v)", s.Probability, s.Notes)
+		t.Fatalf("reduction loop not parallelized (p=%.2f, tier %v)", s.Probability, s.Tier())
 	}
 	if s.Directive == nil || !s.Directive.HasReduction() {
 		t.Errorf("directive = %v, want reduction clause", s.Directive)
@@ -199,9 +192,6 @@ func TestSuggestBatchMatchesSuggest(t *testing.T) {
 		} else if got.Directive != nil && got.Directive.String() != want.Directive.String() {
 			t.Errorf("snippet %d: directive %q != %q", i, got.Directive, want.Directive)
 		}
-		if strings.Join(got.Notes, "|") != strings.Join(want.Notes, "|") {
-			t.Errorf("snippet %d: notes %v != %v", i, got.Notes, want.Notes)
-		}
 	}
 }
 
@@ -219,8 +209,7 @@ func TestSuggestBatchEmpty(t *testing.T) {
 func TestNoCorroborate(t *testing.T) {
 	base := models(t)
 	m := &Models{
-		Directive: base.Directive, Private: base.Private, Reduction: base.Reduction,
-		Vocab: base.Vocab, MaxLen: base.MaxLen,
+		Directive: base.Directive, Vocab: base.Vocab, MaxLen: base.MaxLen,
 		NoCorroborate: true,
 		ComPar:        panicCompiler{},
 	}
@@ -386,6 +375,79 @@ func TestTierLadder(t *testing.T) {
 	if s.Corroboration.Tier != TierModelOnly || s.Corroboration.DepRan {
 		t.Errorf("corroboration = %+v, want model-only with DepRan false", s.Corroboration)
 	}
+}
+
+// TestDirectiveIsTheAnalysis: a positive the dependence analysis agrees
+// with is emitted as exactly the directive that analysis supports — every
+// private and reduction clause its parallel verdict depends on, nothing
+// added and nothing dropped. The classifier says yes to every loop: the
+// corpus at two seeds, the scan fixture tree, and two loops whose bare
+// `parallel for` would be a data race.
+func TestDirectiveIsTheAnalysis(t *testing.T) {
+	codes := []string{
+		"for (i = 0; i < n; i++) { t = a[i] * 2; b[i] = t + 1; }", // needs private(t)
+		"for (i = 0; i < n; i++) s += a[i];",                      // needs reduction(+:s)
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, r := range corpus.Generate(corpus.Config{Seed: seed}).Records {
+			codes = append(codes, r.Code)
+		}
+	}
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples", "scantree"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".c" {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		f, err := cparse.Parse(string(src))
+		if err != nil {
+			return nil // broken.c: the scan skips it too
+		}
+		for _, li := range cast.ExtractLoops(f) {
+			codes = append(codes, cast.Print(li.Loop))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := stubModels(t, nil) // nil wires the real ComPar trio
+	m.NoExplain = true
+	agreeing, failing := 0, 0
+	for lo := 0; lo < len(codes); lo += 256 {
+		chunk := codes[lo:min(lo+256, len(codes))]
+		items, err := m.SuggestBatch(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range items {
+			if it.Err != nil {
+				t.Fatalf("%q: %v", chunk[i], it.Err)
+			}
+			if it.Suggestion.Tier() < TierAnalysisAgrees {
+				if lo+i < 2 {
+					t.Fatalf("%q: tier %v, want an agreeing verdict", chunk[i], it.Suggestion.Tier())
+				}
+				continue
+			}
+			agreeing++
+			unit := s2s.NewUnit(chunk[i], nil)
+			want := unit.Analysis().Directive().String()
+			unit.Release()
+			if got := it.Suggestion.Directive.String(); got != want {
+				if failing++; failing <= 10 {
+					t.Errorf("%q: emitted %q, the analysis supports %q", chunk[i], got, want)
+				}
+			}
+		}
+	}
+	if failing > 0 {
+		t.Errorf("%d of %d agreeing verdicts are not the analysis' directive", failing, agreeing)
+	}
+	t.Logf("%d loops, %d agreeing", len(codes), agreeing)
 }
 
 // TestSnippetThreadingParity pins SuggestSnippets with a pre-parsed loop to

@@ -10,8 +10,8 @@ import (
 	"pragformer/internal/train"
 )
 
-// DemoConfig sizes the zero-setup demo bundle: three classifiers fitted at
-// startup on a generated Open-OMP corpus, sharing one vocabulary. Both
+// DemoConfig sizes the zero-setup demo bundle: the directive classifier
+// fitted at startup on a generated Open-OMP corpus, with its vocabulary. Both
 // cmd/serve (no -directive artifact) and `pragformer scan` (no -model)
 // train through this path, so their demo models are identical at equal
 // settings — the scan CI smoke relies on that determinism.
@@ -21,16 +21,16 @@ type DemoConfig struct {
 	Seed int64
 	// Total is the generated corpus size (default 1000).
 	Total int
-	// Epochs trains each classifier this long (default 5).
+	// Epochs trains the classifier this long (default 5).
 	Epochs int
 	// Workers is the data-parallel training worker count. Note that worker
 	// counts change the all-reduce summation order, so only Workers <= 1 is
 	// bit-reproducible across machines.
 	Workers int
-	// D, Heads, Layers size the classifiers (defaults 32, 4, 1 — the demo
+	// D, Heads, Layers size the classifier (defaults 32, 4, 1 — the demo
 	// scale served by cmd/serve since PR 2).
 	D, Heads, Layers int
-	// Progress receives one line per fitted classifier; nil discards.
+	// Progress receives the fitted classifier's line; nil discards.
 	Progress func(string)
 }
 
@@ -52,8 +52,8 @@ func (c *DemoConfig) fillDefaults() {
 	}
 }
 
-// TrainDemo fits the directive/private/reduction classifiers on a
-// generated corpus and bundles them with the shared vocabulary.
+// TrainDemo fits the directive classifier on a generated corpus and
+// bundles it with its vocabulary.
 func TrainDemo(cfg DemoConfig) (*Models, error) {
 	cfg.fillDefaults()
 	progress := cfg.Progress
@@ -61,10 +61,10 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 		progress = func(string) {}
 	}
 	c := corpus.Generate(corpus.Config{Seed: cfg.Seed, Total: cfg.Total})
-	dirSplit := dataset.Directive(c, dataset.Options{Seed: cfg.Seed})
+	split := dataset.Directive(c, dataset.Options{Seed: cfg.Seed})
 
 	var seqs [][]string
-	for _, in := range dirSplit.Train {
+	for _, in := range split.Train {
 		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
 		if err != nil {
 			return nil, err
@@ -73,55 +73,37 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	}
 	v := tokenize.BuildVocab(seqs, 1)
 
-	fit := func(task dataset.Task, taskSeed int64) (*core.PragFormer, error) {
-		split := dirSplit
-		if task != dataset.TaskDirective {
-			split = dataset.Clause(c, task, dataset.Options{Seed: cfg.Seed, Balance: true})
-		}
-		encode := func(ins []dataset.Instance) ([]train.Example, error) {
-			out := make([]train.Example, len(ins))
-			for i, in := range ins {
-				ids, err := v.EncodeText(in.Rec.Code, core.DefaultMaxLen)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = train.Example{IDs: ids, Label: in.Label}
+	encode := func(ins []dataset.Instance) ([]train.Example, error) {
+		out := make([]train.Example, len(ins))
+		for i, in := range ins {
+			ids, err := v.EncodeText(in.Rec.Code, core.DefaultMaxLen)
+			if err != nil {
+				return nil, err
 			}
-			return out, nil
+			out[i] = train.Example{IDs: ids, Label: in.Label}
 		}
-		m, err := core.New(core.Config{
-			Vocab: v.Size(), D: cfg.D, Heads: cfg.Heads, Layers: cfg.Layers,
-		}, taskSeed)
-		if err != nil {
-			return nil, err
-		}
-		trainSet, err := encode(split.Train)
-		if err != nil {
-			return nil, err
-		}
-		validSet, err := encode(split.Valid)
-		if err != nil {
-			return nil, err
-		}
-		hist := train.Fit(m, trainSet, validSet, train.Config{
-			Epochs: cfg.Epochs, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
-			Seed: taskSeed, Workers: cfg.Workers,
-		})
-		// The demo keeps the last epoch's weights: report their accuracy.
-		progress(fmt.Sprintf("%s: valid accuracy %.3f", task, hist.Epochs[len(hist.Epochs)-1].ValidAccuracy))
-		return m, nil
+		return out, nil
 	}
-
-	models := &Models{Vocab: v, MaxLen: core.DefaultMaxLen}
-	var err error
-	if models.Directive, err = fit(dataset.TaskDirective, cfg.Seed+10); err != nil {
+	seed := cfg.Seed + 10
+	m, err := core.New(core.Config{
+		Vocab: v.Size(), D: cfg.D, Heads: cfg.Heads, Layers: cfg.Layers,
+	}, seed)
+	if err != nil {
 		return nil, err
 	}
-	if models.Private, err = fit(dataset.TaskPrivate, cfg.Seed+11); err != nil {
+	trainSet, err := encode(split.Train)
+	if err != nil {
 		return nil, err
 	}
-	if models.Reduction, err = fit(dataset.TaskReduction, cfg.Seed+12); err != nil {
+	validSet, err := encode(split.Valid)
+	if err != nil {
 		return nil, err
 	}
-	return models, nil
+	hist := train.Fit(m, trainSet, validSet, train.Config{
+		Epochs: cfg.Epochs, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
+		Seed: seed, Workers: cfg.Workers,
+	})
+	// The demo keeps the last epoch's weights: report their accuracy.
+	progress(fmt.Sprintf("%s: valid accuracy %.3f", dataset.TaskDirective, hist.Epochs[len(hist.Epochs)-1].ValidAccuracy))
+	return &Models{Directive: m, Vocab: v, MaxLen: core.DefaultMaxLen}, nil
 }

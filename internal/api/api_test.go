@@ -42,7 +42,6 @@ func TestWireGolden(t *testing.T) {
 			{Index: 0, Token: "for", Weight: 0.25},
 			{Index: 1, Token: "("},
 		},
-		Notes: []string{"private: t written before read"},
 	}}
 	for _, tc := range []struct {
 		name string
@@ -50,7 +49,7 @@ func TestWireGolden(t *testing.T) {
 		want string
 	}{
 		{"suggest result, every field", full,
-			`{"parallelize":true,"probability":0.875,"directive":"#pragma omp parallel for private(t) reduction(+: sum)","tier":"disagree","witness":["loop-carried flow dependence on a"],"races":[{"array":"a","kind":"flow","source":{"expr":"a[i]","write":true,"line":2,"col":3},"sink":{"expr":"a[i - 1]","write":false,"line":2,"col":10},"vector":["\u003c"],"distance":"(1)","reason":"strong SIV"}],"converted":["private(t)"],"s2s":[{"compiler":"Cetus","compiled":true,"parallelized":true},{"compiler":"AutoPar","compiled":false,"detail":"frontend rejected the snippet"}],"attributions":[{"index":0,"token":"for","weight":0.25},{"index":1,"token":"("}],"notes":["private: t written before read"]}`},
+			`{"parallelize":true,"probability":0.875,"directive":"#pragma omp parallel for private(t) reduction(+: sum)","tier":"disagree","witness":["loop-carried flow dependence on a"],"races":[{"array":"a","kind":"flow","source":{"expr":"a[i]","write":true,"line":2,"col":3},"sink":{"expr":"a[i - 1]","write":false,"line":2,"col":10},"vector":["\u003c"],"distance":"(1)","reason":"strong SIV"}],"converted":["private(t)"],"s2s":[{"compiler":"Cetus","compiled":true,"parallelized":true},{"compiler":"AutoPar","compiled":false,"detail":"frontend rejected the snippet"}],"attributions":[{"index":0,"token":"for","weight":0.25},{"index":1,"token":"("}]}`},
 		// The one permitted difference from the replaced structs: an error
 		// item no longer carries a meaningless "probability":0.
 		{"suggest result, error", api.SuggestResult{Error: "lex: unexpected character"},

@@ -212,10 +212,11 @@ func Generate(cfg Config) *Corpus {
 
 // labelSnippet computes the ground-truth directive for a snippet: nil when
 // the dependence analysis finds the loop serial, when it is unprofitable
-// (constant trip count under profitabilityTrip), and otherwise the clause
-// set a careful developer would write — private/reduction from the analysis
-// (without the redundant loop-variable private) plus schedule(dynamic) for
-// unbalanced bodies.
+// (constant trip count under profitabilityTrip), and otherwise the
+// analysis' own directive (dep.Analysis.Directive): the clause set a careful
+// developer would write — private/reduction from the analysis (without the
+// redundant loop-variable private) plus schedule(dynamic) for unbalanced
+// bodies.
 func labelSnippet(s *snippet) (*pragma.Directive, *dep.Analysis) {
 	a := dep.AnalyzeLoop(s.loop, s.funcs)
 	if !a.Parallelizable {
@@ -224,13 +225,7 @@ func labelSnippet(s *snippet) (*pragma.Directive, *dep.Analysis) {
 	if tc := a.Header.TripCount(); tc >= 0 && tc < profitabilityTrip {
 		return nil, a
 	}
-	d := &pragma.Directive{ParallelFor: true}
-	d.Private = append(d.Private, a.Private...)
-	d.Reductions = append(d.Reductions, a.Reductions...)
-	if a.Unbalanced {
-		d.Schedule = pragma.ScheduleDynamic
-	}
-	return d, a
+	return a.Directive(), a
 }
 
 // renderSnippet prints the snippet's code text.

@@ -63,9 +63,6 @@ type Analysis struct {
 	// in each iteration, declared outside the loop). Inner loop variables
 	// declared outside land here, matching the paper's private(j) examples.
 	Private []string
-	// FirstPrivate lists scalars read before assignment but then
-	// overwritten; kept separate for directive generation fidelity.
-	FirstPrivate []string
 	// Reductions lists recognized reduction idioms.
 	Reductions []pragma.Reduction
 	// Unbalanced is set when the body's cost is iteration-dependent
@@ -103,18 +100,19 @@ func (a *Analysis) reason(format string, args ...any) {
 }
 
 // Directive builds the OpenMP directive this analysis supports, or nil when
-// the loop is not parallelizable.
+// the loop is not parallelizable: every private and reduction clause the
+// parallel verdict depends on, plus schedule(dynamic) for an unbalanced
+// body. It is the one builder of a directive from an analysis — the corpus
+// labels and the advisor's suggestions both print it.
 func (a *Analysis) Directive() *pragma.Directive {
 	if !a.Parallelizable {
 		return nil
 	}
 	d := &pragma.Directive{ParallelFor: true}
 	d.Private = append(d.Private, a.Private...)
-	d.FirstPrivate = append(d.FirstPrivate, a.FirstPrivate...)
 	d.Reductions = append(d.Reductions, a.Reductions...)
 	if a.Unbalanced {
 		d.Schedule = pragma.ScheduleDynamic
-		d.Chunk = 4
 	}
 	return d
 }

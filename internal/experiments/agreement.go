@@ -53,9 +53,10 @@ type AgreementTable struct {
 }
 
 // AdvisorModels bundles the pipeline's trained Text-representation
-// directive classifier into an advisor the way cmd/pragformer would,
-// minus the clause models (the tier ladder only consumes the RQ1
-// verdict). LIME is disabled: this study tabulates tiers, not tokens.
+// directive classifier into an advisor the way cmd/pragformer would. The
+// pipeline's clause models stay out of it, as they stay out of every
+// served bundle: the analysis names the clauses. LIME is disabled: this
+// study tabulates tiers, not tokens.
 func (p *Pipeline) AdvisorModels() *advisor.Models {
 	t := p.Model(dataset.TaskDirective, tokenize.Text)
 	return &advisor.Models{

@@ -20,10 +20,12 @@ import (
 
 // cacheVersion guards the on-disk layout. v2 added the tier, witness, S2S
 // and attribution evidence to Suggestion; v3 added the structured race
-// witnesses and conversion lists. Older entries predate those fields, so
-// replaying them would make a warm scan's bytes diverge from a cold scan's
-// — bump on every Suggestion field change.
-const cacheVersion = 3
+// witnesses and conversion lists; v4 dropped the notes, and its agreeing
+// verdicts carry the analysis' own directive, where a v3 entry may lack a
+// clause the verdict depends on. Older entries differ from what the code
+// now computes, so replaying them would make a warm scan's bytes diverge
+// from a cold scan's — bump on every Suggestion field change.
+const cacheVersion = 4
 
 type cacheData struct {
 	Version int                    `json:"version"`

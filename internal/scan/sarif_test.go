@@ -262,8 +262,8 @@ func encoderReports() map[string]*Report {
 		Loops: []Loop{
 			{Hash: hash('1'), Snippet: "for (;;) x += 1;" + nasty, Occurrences: sites, FromCache: true, Suggestion: &Suggestion{
 				Parallelize: true, Probability: 0.75, Directive: "pragma omp parallel for reduction(+:x)" + nasty,
-				Tier: "analysis-agrees", Notes: []string{nasty},
-				S2S: []S2SVerdict{{Compiler: "cetus", Compiled: true, Parallelized: true, Detail: nasty}},
+				Tier: "analysis-agrees",
+				S2S:  []S2SVerdict{{Compiler: "cetus", Compiled: true, Parallelized: true, Detail: nasty}},
 			}},
 			{Hash: hash('2'), Snippet: "for (;;) a[i] = a[i - 1];", Occurrences: sites[:2], Suggestion: &Suggestion{
 				Parallelize: true, Probability: 0.9, Directive: "pragma omp parallel for" + nasty, Tier: "disagree",

@@ -139,7 +139,6 @@ type Suggestion struct {
 	// Attributions is the LIME token attribution attached to disagreeing
 	// verdicts, in token order.
 	Attributions []Attribution `json:"attributions,omitempty"`
-	Notes        []string      `json:"notes,omitempty"`
 }
 
 // S2SVerdict is one S2S compiler's corroboration outcome.
@@ -909,7 +908,6 @@ func FromAdvisor(s *advisor.Suggestion) *Suggestion {
 			Index: a.Index, Token: a.Token, Weight: a.Weight,
 		})
 	}
-	out.Notes = append(out.Notes, s.Notes...)
 	if s.Directive != nil {
 		out.Directive = s.Directive.String()
 	}
@@ -926,6 +924,5 @@ func (s *Suggestion) clone() *Suggestion {
 	c.Converted = append([]string(nil), s.Converted...)
 	c.S2S = append([]S2SVerdict(nil), s.S2S...)
 	c.Attributions = append([]Attribution(nil), s.Attributions...)
-	c.Notes = append([]string(nil), s.Notes...)
 	return &c
 }

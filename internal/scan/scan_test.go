@@ -64,7 +64,6 @@ func (s *stubSuggester) SuggestBatch(codes []string) ([]advisor.BatchItem, error
 			sg.Parallelize = true
 			sg.Probability = 0.75
 			sg.Directive = &pragma.Directive{ParallelFor: true}
-			sg.Notes = []string{"stub verdict"}
 			if strings.Contains(code, "i - 1") {
 				sg.Corroboration = advisor.Corroboration{
 					Tier: advisor.TierDisagree, DepRan: true,

@@ -86,15 +86,31 @@ func TestMemStorePutAllocs(t *testing.T) {
 	}
 }
 
-// A cache file written before the stores were folded into lru.Cache opens
-// warm, and flushing it unchanged reproduces it byte for byte — the
-// on-disk format (version 3) did not move.
+// A version 3 cache file opens cold: its agreeing verdicts may lack a
+// clause the analysis requires, and its entries carry the dropped notes. A
+// version 4 file opens warm, and flushing it unchanged reproduces it byte
+// for byte — the on-disk format did not move otherwise.
 func TestFileStoreParentFormat(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "cache_v3.json"))
+	old, err := os.ReadFile(filepath.Join("testdata", "cache_v3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "scan.cache")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := OpenFileStore(path, "stub", "parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3.Len() != 0 {
+		t.Fatalf("a version 3 cache file opened with %d verdicts, want cold", v3.Len())
+	}
+
+	want, err := os.ReadFile(filepath.Join("testdata", "cache_v4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}

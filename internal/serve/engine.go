@@ -182,8 +182,7 @@ type Engine struct {
 }
 
 // New builds and starts an engine. The directive classifier and vocabulary
-// are required; clause classifiers are optional, exactly as for
-// advisor.Suggest.
+// are required, exactly as for advisor.Suggest.
 func New(models *advisor.Models, cfg Config) (*Engine, error) {
 	if err := validateModels(models); err != nil {
 		return nil, err
@@ -202,35 +201,23 @@ func New(models *advisor.Models, cfg Config) (*Engine, error) {
 	e.reloads = e.reg.Counter("pf_reloads_total", "Completed hot model swaps.", nil)
 	e.reg.GaugeFunc("pf_model_generation", "Model generation currently serving.", nil,
 		func() float64 { return float64(e.predict.cache.Gen()) })
-	e.weightGauges(models)
+	e.weightGauge(models)
 	return e, nil
 }
 
-// classifiers names a bundle's classifiers, absent ones nil.
-func classifiers(m *advisor.Models) map[string]core.Backend {
-	return map[string]core.Backend{"directive": m.Directive, "private": m.Private, "reduction": m.Reduction}
-}
-
-// weightGauges registers pf_model_weight_bytes for each classifier of a
-// bundle (get-or-create). A series reads whichever bundle is serving at
-// scrape time, so a reload re-points it — to 0 if the classifier has moved
-// to another backend, for which the reload registers a new series.
-func (e *Engine) weightGauges(models *advisor.Models) {
-	bundle := classifiers(models)
-	for _, name := range []string{"directive", "private", "reduction"} {
-		b := bundle[name]
-		if b == nil {
-			continue
-		}
-		backend := b.BackendName()
-		e.reg.GaugeFunc("pf_model_weight_bytes", "Bytes of weights the serving classifier's inference reads.",
-			obs.Labels{"classifier": name, "backend": backend}, func() float64 {
-				if cur := classifiers(e.models.Load())[name]; cur != nil && cur.BackendName() == backend {
-					return float64(core.WeightBytes(cur))
-				}
-				return 0
-			})
-	}
+// weightGauge registers pf_model_weight_bytes for a bundle's directive
+// classifier (get-or-create). The series reads whichever bundle is serving
+// at scrape time, so a reload re-points it — to 0 if the classifier has
+// moved to another backend, for which the reload registers a new series.
+func (e *Engine) weightGauge(models *advisor.Models) {
+	backend := models.Directive.BackendName()
+	e.reg.GaugeFunc("pf_model_weight_bytes", "Bytes of weights the serving classifier's inference reads.",
+		obs.Labels{"classifier": "directive", "backend": backend}, func() float64 {
+			if cur := e.models.Load().Directive; cur.BackendName() == backend {
+				return float64(core.WeightBytes(cur))
+			}
+			return 0
+		})
 }
 
 // Metrics exposes the engine's telemetry registry (the one GET /metrics
@@ -319,7 +306,7 @@ func (e *Engine) Reload(models *advisor.Models) error {
 		return err
 	}
 	// The engine's backend selection outlives any one bundle: convert the
-	// incoming models (quantizing float classifiers on an int8 engine)
+	// incoming models (quantizing a float classifier on an int8 engine)
 	// before anything is swapped.
 	models, err := models.WithBackend(e.cfg.Backend)
 	if err != nil {
@@ -341,7 +328,7 @@ func (e *Engine) Reload(models *advisor.Models) error {
 	e.models.Store(models)
 	e.predict.setRun(predictRun)
 	e.suggest.setRun(suggestRun)
-	e.weightGauges(models)
+	e.weightGauge(models)
 	e.reloads.Inc()
 	return nil
 }

@@ -48,7 +48,8 @@ func fakeVerdict(code string) api.SuggestResult {
 		Probability: 0.75,
 		Directive:   "#pragma omp parallel for private(t)",
 		Tier:        "disagree",
-		Witness:     []string{"loop-carried flow dependence on a"},
+		// The witness tags the verdict with the loop it answers.
+		Witness: []string{"fake:" + scan.HashSnippet(code)[:8]},
 		Races: []dep.Witness{{
 			Array: "a", Kind: "flow",
 			Source:   dep.Site{Expr: "a[i]", Write: true, Line: 2, Col: 2},
@@ -66,7 +67,6 @@ func fakeVerdict(code string) api.SuggestResult {
 			{Index: 0, Token: "for", Weight: 0.25},
 			{Index: 1, Token: "("},
 		},
-		Notes: []string{"fake:" + scan.HashSnippet(code)[:8]},
 	}}
 }
 
@@ -429,8 +429,8 @@ func TestRouterSuggestReadThrough(t *testing.T) {
 		t.Fatalf("mixed suggest made %d forwards, want 1", got-cold)
 	}
 	for i, code := range []string{fresh, canon} {
-		if want := fakeVerdict(code).Suggestion.Notes[0]; mixed.Results[i].Suggestion.Notes[0] != want {
-			t.Fatalf("mixed result %d is %q, want %q", i, mixed.Results[i].Suggestion.Notes[0], want)
+		if want := fakeVerdict(code).Suggestion.Witness[0]; mixed.Results[i].Suggestion.Witness[0] != want {
+			t.Fatalf("mixed result %d is %q, want %q", i, mixed.Results[i].Suggestion.Witness[0], want)
 		}
 	}
 }
@@ -470,7 +470,7 @@ func TestRouterSuggestHitAllocs(t *testing.T) {
 		t.Fatal("variant is the canonical text")
 	}
 	res, _ := rt.answerSuggest(ctx, []string{variant})
-	if got, want := res[0].Suggestion.Notes[0], fakeVerdict(long).Suggestion.Notes[0]; got != want {
+	if got, want := res[0].Suggestion.Witness[0], fakeVerdict(long).Suggestion.Witness[0]; got != want {
 		t.Fatalf("formatting variant answered %q, want the canonical loop's %q", got, want)
 	}
 	if got := rt.storeHits.Value() - hits; got != 1 {
