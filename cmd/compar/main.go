@@ -64,7 +64,7 @@ func main() {
 	if res.Directive == nil {
 		fmt.Printf("// %s: no directive inserted\n", c.Name())
 	}
-	fmt.Print(res.Source)
+	fmt.Print(res.Source())
 	if *verbose {
 		for _, r := range res.Reasons {
 			fmt.Fprintf(os.Stderr, "// reason: %s\n", r)

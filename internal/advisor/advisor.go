@@ -220,17 +220,18 @@ func ParseTier(s string) Tier {
 }
 
 // CompilerVerdict is one S2S compiler's outcome on a snippet, kept as
-// corroboration evidence.
+// corroboration evidence. It is also the scan report's and the wire's S2S
+// item (scan.S2SVerdict), its fields in key order.
 type CompilerVerdict struct {
 	// Compiler is the member name (Par4All, AutoPar, Cetus — or the
 	// combined compiler's name when Models.ComPar is not a *s2s.ComPar).
-	Compiler string
+	Compiler string `json:"compiler"`
 	// Compiled is false when the compiler's frontend rejected the snippet.
-	Parallelized bool
-	Compiled     bool
+	Compiled     bool `json:"compiled"`
+	Parallelized bool `json:"parallelized,omitempty"`
 	// Detail carries the compile error or the decisive reason the compiler
 	// declined to parallelize.
-	Detail string
+	Detail string `json:"detail,omitempty"`
 }
 
 // Corroboration is the structured evidence behind a positive suggestion:
@@ -262,16 +263,18 @@ type Corroboration struct {
 	S2S []CompilerVerdict
 }
 
-// attach copies a dependence analysis' evidence into the corroboration.
+// attach takes a dependence analysis' evidence into the corroboration. The
+// slices are the analysis' own, not copies: nothing writes to an analysis
+// once it is built (the S2S members append to a clipped copy of its
+// Reasons), and from here on the verdict, its report form and any store it
+// lands in share them read-only.
 func (c *Corroboration) attach(analysis *dep.Analysis) {
 	if analysis == nil || !analysis.Header.OK {
 		return
 	}
 	c.DepRan = true
 	c.DepAgrees = analysis.Parallelizable
-	c.DepWitness = append(c.DepWitness, analysis.Reasons...)
-	c.Races = append(c.Races, analysis.Witnesses...)
-	c.Converted = append(c.Converted, analysis.Converted...)
+	c.DepWitness, c.Races, c.Converted = analysis.Reasons, analysis.Witnesses, analysis.Converted
 }
 
 // Suggestion is the advisor's output for one snippet.
@@ -523,6 +526,17 @@ const limeChunk = 16
 // over one tree explains a loop identically only at one setting.
 const limeSamples = 120
 
+// labelScratch is variantLabels' reusable memory: the once-encoded ids, the
+// gathered sequences of one chunk and the batch of them. Nothing in it
+// outlives the explanation it served — the classifier reads a batch and
+// keeps none of it.
+type labelScratch struct {
+	ids, flat []int
+	batch     [][]int
+}
+
+var labelScratches = sync.Pool{New: func() any { return new(labelScratch) }}
+
 // variantLabels fills labels[i] with the directive classifier's hard label
 // on variant i of toks. The tokens are encoded once; each variant's ids —
 // [CLS] and the ids at its kept positions, cut at maxLen, which is what
@@ -530,9 +544,16 @@ const limeSamples = 120
 // chunk-sized backing. Both backends classify a sequence independently of
 // its batch, so the chunked labels are those of one whole-set forward.
 func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, labels []float64) {
-	ids := m.Vocab.Encode(toks, len(toks)+1) // [CLS], then every token's id
-	flat := make([]int, limeChunk*min(len(ids), maxLen))
-	batch := make([][]int, 0, limeChunk)
+	sc := labelScratches.Get().(*labelScratch)
+	defer labelScratches.Put(sc)
+	ids := append(sc.ids[:0], tokenize.CLS) // [CLS], then every token's id
+	for _, tok := range toks {
+		ids = append(ids, m.Vocab.ID(tok))
+	}
+	if size := limeChunk * min(len(ids), maxLen); cap(sc.flat) < size {
+		sc.flat = make([]int, size)
+	}
+	flat, batch := sc.flat[:cap(sc.flat)], sc.batch
 	for lo := 0; lo < v.Len(); lo += limeChunk {
 		hi := min(lo+limeChunk, v.Len())
 		batch = batch[:0]
@@ -555,14 +576,32 @@ func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, label
 			}
 		}
 	}
+	sc.ids, sc.batch = ids, batch
 }
 
 // limeSeed derives the attribution seed from the snippet text itself, so
 // every entry point (CLI, HTTP, direct advisor) and every backend explains
 // a given loop identically.
 func limeSeed(code string) int64 {
-	sum := sha256.Sum256([]byte(code))
+	sum := SnippetSum(code)
 	return int64(binary.BigEndian.Uint64(sum[:8]))
+}
+
+// SnippetSum is the sha-256 of a snippet's text, a string or the bytes it
+// is printed in. The text goes to the hash through a fixed chunk on the
+// stack, so a snippet of any length is hashed without a copy of it on the
+// heap. scan.HashSnippet, the key of every verdict store and of the tier's
+// routing, is its hex form.
+func SnippetSum[T string | []byte](text T) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var chunk [512]byte
+	for len(text) > 0 {
+		n := copy(chunk[:], text)
+		h.Write(chunk[:n])
+		text = text[n:]
+	}
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Annotate returns the snippet with the suggested directive prepended, or

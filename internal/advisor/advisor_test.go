@@ -4,6 +4,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -448,6 +449,60 @@ func TestDirectiveIsTheAnalysis(t *testing.T) {
 		t.Errorf("%d of %d agreeing verdicts are not the analysis' directive", failing, agreeing)
 	}
 	t.Logf("%d loops, %d agreeing", len(codes), agreeing)
+}
+
+// TestEvidenceIsTheAnalysis: a verdict's dependence evidence is the
+// analysis' own slices, shared, not copied, and the S2S members run over the
+// same unit after it is attached. Every verdict must still carry exactly
+// what a fresh analysis of its loop says, so a member that wrote into the
+// evidence it shares fails here. The classifier says yes to every loop, so
+// every member runs: the corpus at one seed and the scan fixture tree, loops
+// threaded as the scanner threads them.
+func TestEvidenceIsTheAnalysis(t *testing.T) {
+	snippets := fixtureSnippets(t)
+	for _, r := range corpus.Generate(corpus.Config{Seed: 1}).Records {
+		f, err := cparse.Parse(r.Code)
+		if err != nil {
+			continue
+		}
+		if loop := s2s.FirstLoop(f); loop != nil {
+			snippets = append(snippets, Snippet{Code: r.Code, Loop: loop})
+		}
+	}
+	m := stubModels(t, nil) // nil wires the real ComPar trio
+	m.NoExplain = true
+	items, err := m.SuggestSnippets(snippets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	witnessed, converted := 0, 0
+	for i, it := range items {
+		if it.Err != nil {
+			continue // unlexable for the stub vocabulary's tokenizer: no verdict
+		}
+		cor := it.Suggestion.Corroboration
+		if len(cor.S2S) == 0 {
+			t.Fatalf("%q: no S2S verdict, so no member ran after the evidence was attached", snippets[i].Code)
+		}
+		fresh := dep.AnalyzeLoop(snippets[i].Loop, nil).Convert()
+		if !fresh.Header.OK {
+			if cor.DepRan || cor.DepWitness != nil || cor.Races != nil || cor.Converted != nil {
+				t.Errorf("%q: evidence %+v for a loop the analysis cannot run on", snippets[i].Code, cor)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(cor.DepWitness, fresh.Reasons) || !reflect.DeepEqual(cor.Races, fresh.Witnesses) ||
+			!reflect.DeepEqual(cor.Converted, fresh.Converted) {
+			t.Errorf("%q: evidence\n%q %+v %q\nis not the analysis'\n%q %+v %q", snippets[i].Code,
+				cor.DepWitness, cor.Races, cor.Converted, fresh.Reasons, fresh.Witnesses, fresh.Converted)
+		}
+		witnessed += min(len(cor.Races), 1)
+		converted += min(len(cor.Converted), 1)
+	}
+	if witnessed == 0 || converted == 0 {
+		t.Fatalf("%d verdicts with race witnesses, %d with conversions: the inputs no longer cover the evidence", witnessed, converted)
+	}
+	t.Logf("%d loops, %d witnessed, %d converted", len(snippets), witnessed, converted)
 }
 
 // TestSnippetThreadingParity pins SuggestSnippets with a pre-parsed loop to

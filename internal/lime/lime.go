@@ -20,11 +20,13 @@ import (
 	"slices"
 )
 
-// Attribution is one token's contribution to the positive-class score.
+// Attribution is one token's contribution to the positive-class score. It
+// is also the scan report's and the wire's attribution item, under these
+// keys.
 type Attribution struct {
-	Index  int     // token position in the input
-	Token  string  // token text
-	Weight float64 // surrogate coefficient; positive pushes toward class 1
+	Index  int     `json:"index"`            // token position in the input
+	Token  string  `json:"token"`            // token text
+	Weight float64 `json:"weight,omitempty"` // surrogate coefficient; positive pushes toward class 1
 }
 
 // Explainer configures the LIME procedure.

@@ -34,7 +34,7 @@ func (c AutoPar) compile(u *Unit) (Result, error) {
 		return Result{}, err
 	}
 	a := u.analyze()
-	res := Result{Source: src, Reasons: a.Reasons}
+	res := Result{Reasons: a.Reasons, src: src}
 	if !a.Parallelizable {
 		return res, nil
 	}
@@ -46,7 +46,6 @@ func (c AutoPar) compile(u *Unit) (Result, error) {
 	d.Private = append(d.Private, a.Header.Var)
 	d.Private = append(d.Private, a.Private...)
 	res.Directive = d
-	res.Source = annotate(d, src)
 	return res, nil
 }
 

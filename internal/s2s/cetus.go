@@ -44,7 +44,7 @@ func (c Cetus) compile(u *Unit) (Result, error) {
 		return Result{}, err
 	}
 	a := u.analyze()
-	res := Result{Source: src, Reasons: a.Reasons}
+	res := Result{Reasons: a.Reasons, src: src}
 	if !a.Parallelizable {
 		return res, nil
 	}
@@ -70,7 +70,6 @@ func (c Cetus) compile(u *Unit) (Result, error) {
 	// static schedule is kept (printed explicitly like Cetus does).
 	d.Schedule = pragma.ScheduleStatic
 	res.Directive = d
-	res.Source = annotate(d, src)
 	return res, nil
 }
 

@@ -21,7 +21,6 @@ func (Par4All) Name() string { return "Par4All" }
 func (c Par4All) Compile(src string) (Result, error) { return compileText(c, src) }
 
 func (c Par4All) compile(u *Unit) (Result, error) {
-	src := u.src
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 		"switch": true, "do": true, "while": true, "static": true,
@@ -48,7 +47,7 @@ func (c Par4All) compile(u *Unit) (Result, error) {
 	// No call and no function body in sight: the shared analysis, run with
 	// the snippet's (empty) function table, is the one Par4All would run.
 	a := u.analyze()
-	res := Result{Source: src, Reasons: a.Reasons}
+	res := Result{Reasons: a.Reasons, src: u.src}
 	if !a.Parallelizable {
 		return res, nil
 	}
@@ -59,6 +58,5 @@ func (c Par4All) compile(u *Unit) (Result, error) {
 	}
 	d := &pragma.Directive{ParallelFor: true}
 	res.Directive = d
-	res.Source = annotate(d, src)
 	return res, nil
 }

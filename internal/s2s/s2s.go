@@ -27,10 +27,20 @@ type Result struct {
 	// Directive is the inserted OpenMP directive, or nil when the compiler
 	// decided not to parallelize.
 	Directive *pragma.Directive
-	// Source is the annotated source text (directive line + original code).
-	Source string
 	// Reasons carries the compiler's explanation, for diagnostics.
 	Reasons []string
+
+	src string // the pragma-stripped source the compiler judged
+}
+
+// Source returns the annotated source text: the directive line, when there
+// is one, above the pragma-stripped code. It is rendered on each call; the
+// advisor reads only the directive and the reasons.
+func (r Result) Source() string {
+	if r.Directive == nil {
+		return r.src
+	}
+	return r.Directive.String() + "\n" + r.src
 }
 
 // Compiler is a source-to-source auto-parallelizer.
@@ -310,12 +320,4 @@ func looksLikeMacro(s string) bool {
 var nonStandardTypes = map[string]bool{
 	"ssize_t": true, "IndexPacket": true, "PixelPacket": true,
 	"MagickBooleanType": true, "real_t": true,
-}
-
-// annotate renders the directive above the stripped source.
-func annotate(d *pragma.Directive, src string) string {
-	if d == nil {
-		return src
-	}
-	return d.String() + "\n" + src
 }

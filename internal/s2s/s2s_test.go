@@ -26,8 +26,8 @@ func TestCetusSimpleLoop(t *testing.T) {
 	if !strings.Contains(res.Directive.String(), "private(i)") {
 		t.Errorf("directive = %q, want explicit private(i)", res.Directive)
 	}
-	if !strings.Contains(res.Source, "#pragma omp parallel for") {
-		t.Errorf("source not annotated:\n%s", res.Source)
+	if !strings.Contains(res.Source(), "#pragma omp parallel for") {
+		t.Errorf("source not annotated:\n%s", res.Source())
 	}
 }
 
@@ -110,8 +110,8 @@ func TestCetusDeclinesUnknownCalls(t *testing.T) {
 
 func TestCetusStripsExistingPragma(t *testing.T) {
 	res := compile(t, Cetus{}, "#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = 0;")
-	if strings.Count(res.Source, "#pragma") != 1 {
-		t.Errorf("source = %q", res.Source)
+	if strings.Count(res.Source(), "#pragma") != 1 {
+		t.Errorf("source = %q", res.Source())
 	}
 }
 

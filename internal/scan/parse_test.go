@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,6 +123,39 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHashSnippetAllocs: HashSnippet hashes a string through a stack chunk,
+// so its one allocation is the result, and it is digest over the same
+// bytes (the parse workers' hash) and the hex sha-256 — for every fixture
+// loop, and for all of them end to end, a text that spans several chunks.
+func TestHashSnippetAllocs(t *testing.T) {
+	rep, err := Files(context.Background(), fixtureSources(t), Config{}, &stubSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all strings.Builder
+	texts := []string{""}
+	for _, l := range rep.Loops {
+		texts = append(texts, l.Snippet)
+		all.WriteString(l.Snippet)
+	}
+	texts = append(texts, all.String())
+	for _, s := range texts {
+		d, want := digest([]byte(s)), fmt.Sprintf("%x", sha256.Sum256([]byte(s)))
+		if got := HashSnippet(s); got != string(d[:]) || got != want {
+			t.Errorf("HashSnippet of a %d-byte text is %s, its digest %s, the hex sha-256 %s", len(s), got, d, want)
+		}
+		if raceEnabled {
+			continue // the race detector allocates on its own
+		}
+		if n := testing.AllocsPerRun(100, func() { HashSnippet(s) }); n != 1 {
+			t.Errorf("HashSnippet of a %d-byte text allocates %v times, want 1", len(s), n)
+		}
+	}
+	if all.Len() <= 2*512 {
+		t.Fatalf("the fixture's loops end to end are %d bytes: no text spans three chunks", all.Len())
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"pragformer/internal/cast"
 	"pragformer/internal/cparse"
 	"pragformer/internal/dep"
+	"pragformer/internal/lime"
 	"pragformer/internal/obs"
 )
 
@@ -141,23 +142,16 @@ type Suggestion struct {
 	Attributions []Attribution `json:"attributions,omitempty"`
 }
 
-// S2SVerdict is one S2S compiler's corroboration outcome.
-type S2SVerdict struct {
-	Compiler     string `json:"compiler"`
-	Compiled     bool   `json:"compiled"`
-	Parallelized bool   `json:"parallelized,omitempty"`
-	Detail       string `json:"detail,omitempty"`
-}
+// S2SVerdict is one S2S compiler's corroboration outcome: the advisor's
+// own evidence item, which carries the wire's keys.
+type S2SVerdict = advisor.CompilerVerdict
 
 // Attribution is one token's LIME weight toward the model's positive
-// verdict. Weight is run-independent for agreeing backends (the advisor
-// fits hard labels) but still numeric evidence — Stable() zeroes it so the
-// cross-backend golden gate stays label-only.
-type Attribution struct {
-	Index  int     `json:"index"`
-	Token  string  `json:"token"`
-	Weight float64 `json:"weight,omitempty"`
-}
+// verdict: the explainer's own item, which carries the wire's keys. Weight
+// is run-independent for agreeing backends (the advisor fits hard labels)
+// but still numeric evidence — Stable() zeroes it so the cross-backend
+// golden gate stays label-only.
+type Attribution = lime.Attribution
 
 // Loop is one unique loop (by normalized content hash) with every site it
 // occurs at. The verdict is shared across occurrences: inferred once,
@@ -225,10 +219,11 @@ type Counters struct {
 	Inferred  int `json:"inferred"`
 }
 
-// Report is the scan outcome. A loop's Suggestion may be shared with the
-// verdict store the scan read through and with other reports (a store hit
-// is not copied): read it freely, never write through it. Stable is the
-// view that owns its verdicts.
+// Report is the scan outcome. A loop's Suggestion is shared with the
+// verdict store the scan read through or wrote back to, and with other
+// reports: neither a store hit nor a fresh verdict is copied, and a fresh
+// verdict's evidence slices are the advisor's. Read it freely, never write
+// through it. Stable is the view that owns its verdicts.
 type Report struct {
 	Tool     string   `json:"tool"`
 	Root     string   `json:"root,omitempty"`
@@ -812,16 +807,16 @@ const hashLen = 2 * sha256.Size
 // collapses occurrences that differ only in whitespace or brace style.
 // It is the key of every VerdictStore and the serving tier's
 // consistent-hash routing key — one hash function end to end keeps each
-// replica's caches hot for the loops routed to it.
+// replica's caches hot for the loops routed to it. The snippet is hashed
+// without a copy of it (advisor.SnippetSum): one allocation, the result.
 func HashSnippet(snippet string) string {
-	d := digest([]byte(snippet))
+	d := digest(snippet)
 	return string(d[:])
 }
 
-// digest is HashSnippet over a print's bytes, before it is a string.
-func digest(b []byte) [hashLen]byte {
-	sum := sha256.Sum256(b)
-	var digits [hashLen]byte
+// digest is HashSnippet before it is a string, also over a print's bytes.
+func digest[T string | []byte](text T) (digits [hashLen]byte) {
+	sum := advisor.SnippetSum(text)
 	hex.Encode(digits[:], sum[:])
 	return digits
 }
@@ -884,29 +879,22 @@ func sortSkips(skips []Skip) {
 
 // FromAdvisor flattens an advisor suggestion into the report form — the
 // one place a verdict changes shape. Scan reports, the verdict stores and
-// the /suggest wire item (api.SuggestResult) all carry its result.
+// the /suggest wire item (api.SuggestResult) all carry its result. The
+// evidence slices are the suggestion's own: a verdict is built once and
+// only read after.
 func FromAdvisor(s *advisor.Suggestion) *Suggestion {
 	if s == nil {
 		return nil
 	}
 	out := &Suggestion{
-		Parallelize: s.Parallelize,
-		Probability: s.Probability,
-		Tier:        s.Corroboration.Tier.String(),
-	}
-	out.Witness = append(out.Witness, s.Corroboration.DepWitness...)
-	out.Races = append(out.Races, s.Corroboration.Races...)
-	out.Converted = append(out.Converted, s.Corroboration.Converted...)
-	for _, v := range s.Corroboration.S2S {
-		out.S2S = append(out.S2S, S2SVerdict{
-			Compiler: v.Compiler, Compiled: v.Compiled,
-			Parallelized: v.Parallelized, Detail: v.Detail,
-		})
-	}
-	for _, a := range s.Attributions {
-		out.Attributions = append(out.Attributions, Attribution{
-			Index: a.Index, Token: a.Token, Weight: a.Weight,
-		})
+		Parallelize:  s.Parallelize,
+		Probability:  s.Probability,
+		Tier:         s.Corroboration.Tier.String(),
+		Witness:      s.Corroboration.DepWitness,
+		Races:        s.Corroboration.Races,
+		Converted:    s.Corroboration.Converted,
+		S2S:          s.Corroboration.S2S,
+		Attributions: s.Attributions,
 	}
 	if s.Directive != nil {
 		out.Directive = s.Directive.String()
@@ -914,15 +902,13 @@ func FromAdvisor(s *advisor.Suggestion) *Suggestion {
 	return out
 }
 
+// clone is the deep copy Report.Stable clears its run-dependent fields in.
 func (s *Suggestion) clone() *Suggestion {
-	if s == nil {
-		return nil
-	}
 	c := *s
-	c.Witness = append([]string(nil), s.Witness...)
-	c.Races = append([]dep.Witness(nil), s.Races...)
-	c.Converted = append([]string(nil), s.Converted...)
-	c.S2S = append([]S2SVerdict(nil), s.S2S...)
-	c.Attributions = append([]Attribution(nil), s.Attributions...)
+	c.Witness = slices.Clone(s.Witness)
+	c.Races = slices.Clone(s.Races)
+	c.Converted = slices.Clone(s.Converted)
+	c.S2S = slices.Clone(s.S2S)
+	c.Attributions = slices.Clone(s.Attributions)
 	return &c
 }

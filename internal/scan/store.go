@@ -20,8 +20,9 @@ type VerdictStore interface {
 	// so callers must treat it as immutable (copy before mutating, as
 	// Report.Stable does).
 	Get(hash string) (*Suggestion, bool)
-	// Put stores a verdict. The store keeps its own copy, so the caller
-	// may keep mutating s afterwards.
+	// Put stores a verdict and takes ownership of it: the store keeps s
+	// itself, so neither the caller nor anyone it shares s with may write
+	// to it afterwards.
 	Put(hash string, s *Suggestion)
 }
 
@@ -30,9 +31,9 @@ type VerdictStore interface {
 // and the heap ceiling this sets.
 const memStoreCap = 1 << 16
 
-// MemStore is the in-memory VerdictStore: an lru.Cache that keeps a
-// private copy of every verdict put into it. Get, Len, Gen, Roll and Range
-// are the cache's own.
+// MemStore is the in-memory VerdictStore: an lru.Cache of the verdicts put
+// into it, each held as it was put. Get, Len, Gen, Roll and Range are the
+// cache's own.
 type MemStore struct {
 	*lru.Cache[*Suggestion]
 }
@@ -44,10 +45,11 @@ func newMemStore(capacity int) *MemStore {
 	return &MemStore{lru.New[*Suggestion](capacity)}
 }
 
-// Put stores a private copy of the verdict. Nil suggestions are ignored.
+// Put stores the verdict, taking ownership of it. Nil suggestions are
+// ignored.
 func (s *MemStore) Put(hash string, v *Suggestion) {
 	if v != nil {
-		s.Cache.Put(hash, v.clone())
+		s.Cache.Put(hash, v)
 	}
 }
 
@@ -56,6 +58,6 @@ func (s *MemStore) Put(hash string, v *Suggestion) {
 // since.
 func (s *MemStore) PutAt(gen uint64, hash string, v *Suggestion) {
 	if v != nil {
-		s.Cache.PutAt(gen, hash, v.clone())
+		s.Cache.PutAt(gen, hash, v)
 	}
 }

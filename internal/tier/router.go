@@ -583,11 +583,14 @@ func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]api.Sugg
 		return h, true
 	}, setSuggestErr, func(indices []int, got []api.SuggestResult) {
 		// Only canonical-form requests populate the store, so a formatting
-		// variant can never poison the canonical loop's verdict slot.
+		// variant can never poison the canonical loop's verdict slot. The
+		// store owns what it is given: a copy of the verdict, whose slices it
+		// shares with the answer, not a pointer into the reply's array.
 		defer tr.Start("store.put")()
 		for k, i := range indices {
 			if k < len(got) && canon[i] && got[k].Error == "" {
-				store.Put(keys[i], &got[k].Suggestion)
+				s := got[k].Suggestion
+				store.Put(keys[i], &s)
 			}
 		}
 	})
