@@ -1,7 +1,6 @@
 package dep
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -94,26 +93,6 @@ func (a Affine) sameSymbols(b Affine) bool {
 		}
 	}
 	return true
-}
-
-// key returns a deterministic string for the symbolic part, for map keys.
-func (a Affine) key() string {
-	if len(a.SymCoefs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(a.SymCoefs))
-	for k := range a.SymCoefs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('*')
-		b.WriteString(strconv.FormatInt(a.SymCoefs[k], 10))
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // parseIntLit reads a C integer literal, with or without a u/l suffix.

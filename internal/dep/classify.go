@@ -1,87 +1,99 @@
 package dep
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/pragma"
 )
 
+// scalarInfo tallies the accesses of one scalar.
+type scalarInfo struct {
+	name              string
+	reads             int
+	writes            int
+	accums            int
+	op                string // operator of the first accumulation
+	mixed             bool   // a later accumulation used another operator
+	firstIsPlainWrite bool   // first access is an unconditional `x = ...`
+}
+
+// scalarTable is the workspace slab classifyScalars tallies into: one entry
+// per scalar, found by name through at.
+type scalarTable struct {
+	infos []scalarInfo
+	at    map[string]int
+}
+
+func (t *scalarTable) reset() {
+	clear(t.at)
+	t.infos = zero(t.infos)
+}
+
 // classifyScalars partitions scalar accesses into private / reduction /
-// carried classes. It returns false (and records a reason) when a scalar
-// carries a dependence that blocks parallelization.
-func (a *Analysis) classifyScalars(ctx *collector) bool {
-	type scalarInfo struct {
-		reads             int
-		writes            int
-		accums            int
-		accumOps          map[string]bool
-		firstSeen         bool
-		firstIsPlainWrite bool // first access is an unconditional `x = ...`
+// carried classes, tallying on t, which is empty. It returns false (and
+// records a reason) when a scalar carries a dependence that blocks
+// parallelization.
+func (a *Analysis) classifyScalars(ctx *collector, t *scalarTable) bool {
+	if t.at == nil {
+		t.at = map[string]int{}
 	}
-	infos := map[string]*scalarInfo{}
-	var names []string
-	for _, acc := range ctx.accesses {
+	for i := range ctx.accesses {
+		acc := &ctx.accesses[i]
 		if acc.subs != nil {
 			continue
 		}
-		info := infos[acc.name]
-		if info == nil {
-			info = &scalarInfo{accumOps: map[string]bool{}}
-			infos[acc.name] = info
-			names = append(names, acc.name)
+		k, seen := t.at[acc.name]
+		if !seen {
+			k = len(t.infos)
+			t.at[acc.name] = k
+			t.infos = append(t.infos, scalarInfo{
+				name:              acc.name,
+				firstIsPlainWrite: acc.write && acc.plainWrite && acc.accumOp == "" && !acc.cond,
+			})
 		}
-		if !info.firstSeen {
-			info.firstSeen = true
-			info.firstIsPlainWrite = acc.write && acc.plainWrite && acc.accumOp == "" && !acc.cond
-		}
-		if acc.write {
-			info.writes++
-			if acc.accumOp != "" {
-				info.accums++
-				info.accumOps[acc.accumOp] = true
-			}
-		} else {
+		info := &t.infos[k]
+		if !acc.write {
 			info.reads++
+			continue
+		}
+		info.writes++
+		if acc.accumOp != "" {
+			info.accums++
+			if info.op == "" {
+				info.op = acc.accumOp
+			} else if info.op != acc.accumOp {
+				info.mixed = true
+			}
 		}
 	}
-	sort.Strings(names)
+	slices.SortFunc(t.infos, func(x, y scalarInfo) int { return strings.Compare(x.name, y.name) })
 
-	for _, name := range names {
-		info := infos[name]
+	for i := range t.infos {
+		info := &t.infos[i]
 		if info.writes == 0 {
 			continue // read-only scalar: shared, safe
 		}
 		// Reduction idiom: every write is an accumulation with one
 		// consistent operator and the scalar is never read outside the
 		// accumulations (those self-reads are not recorded as reads).
-		if len(info.accumOps) == 1 && info.writes == info.accums && info.reads == 0 {
-			op := soleKey(info.accumOps)
-			a.Reductions = append(a.Reductions, pragma.Reduction{Op: op, Vars: []string{name}})
+		if info.op != "" && !info.mixed && info.writes == info.accums && info.reads == 0 {
+			a.Reductions = append(a.Reductions, pragma.Reduction{Op: info.op, Vars: []string{info.name}})
 			continue
 		}
 		// Private idiom: the first access in each iteration is an
 		// unconditional plain write, so the iteration fully defines the
 		// scalar before any use (covers `s = 0; s += ...; c[i][j] = s`).
 		if info.firstIsPlainWrite {
-			a.Private = append(a.Private, name)
+			a.Private = append(a.Private, info.name)
 			continue
 		}
-		a.Witnesses = append(a.Witnesses, a.scalarWitness(ctx, name))
-		a.reason("scalar %s carries a loop dependence (read-modify-write across iterations)", name)
+		a.Witnesses = append(a.Witnesses, a.scalarWitness(ctx, info.name))
+		a.reason("scalar %s carries a loop dependence (read-modify-write across iterations)", info.name)
 		return false
 	}
-
-	sort.Strings(a.Private)
-	sort.Slice(a.Reductions, func(i, j int) bool { return a.Reductions[i].Vars[0] < a.Reductions[j].Vars[0] })
-	return true
-}
-
-func soleKey(m map[string]bool) string {
-	for k := range m {
-		return k
-	}
-	return ""
+	return true // Private and Reductions are in name order
 }
 
 // accumShape recognizes reduction-shaped assignments to scalar `name`:

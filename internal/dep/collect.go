@@ -1,13 +1,15 @@
 package dep
 
 import (
-	"fmt"
 	"sort"
 
 	"pragformer/internal/cast"
 )
 
-// collector walks a loop body gathering accesses and side-effect facts.
+// collector walks a loop body gathering accesses and side-effect facts. Its
+// name tables and slices are workspace memory, kept across analyses and
+// cleared by reset; only unknownCalls is handed to the result, so it starts
+// nil every time.
 type collector struct {
 	loopVar  string
 	funcs    map[string]*cast.FuncDef
@@ -23,19 +25,36 @@ type collector struct {
 	impureCall   string
 	unknownCalls []string
 	unknownSeen  map[string]bool
-	innerVars    []string // inner loop variables (for private classification)
-	condDepth    int      // >0 while under an if/ternary condition's branches
+	condDepth    int // >0 while under an if/ternary condition's branches
 
 	// Loop-nest bookkeeping: normalized inner loop headers keyed by
 	// variable, in first-seen order.
 	nestHeaders map[string]LoopHeader
-	nestSigs    map[string]string
 	nestOrder   []string
 }
 
-// reset drops everything one walk gathered and keeps the two slabs, zeroed.
+// reset drops everything one walk gathered and keeps the slabs and name
+// tables, cleared.
 func (c *collector) reset() {
-	*c = collector{accesses: zero(c.accesses), subs: zero(c.subs)}
+	clear(c.declared)
+	clear(c.unknownSeen)
+	clear(c.nestHeaders)
+	*c = collector{
+		declared: c.declared, unknownSeen: c.unknownSeen, nestHeaders: c.nestHeaders,
+		accesses: zero(c.accesses), subs: zero(c.subs), nestOrder: zero(c.nestOrder),
+	}
+}
+
+// begin readies a clean collector for a walk of the body of the loop
+// headed by h.
+func (c *collector) begin(h LoopHeader, funcs map[string]*cast.FuncDef) {
+	c.loopVar, c.funcs = h.Var, funcs
+	if c.declared == nil {
+		c.declared = map[string]bool{}
+	}
+	if h.DeclInline {
+		c.declared[h.Var] = true
+	}
 }
 
 func (c *collector) record(a access) {
@@ -45,32 +64,34 @@ func (c *collector) record(a access) {
 	c.accesses = append(c.accesses, a)
 }
 
-// headerSig fingerprints a normalized header so identical sibling loops over
-// the same variable merge into one nest level while conflicting reuses of a
-// variable demote its bounds to unknown.
-func headerSig(h LoopHeader) string {
-	return fmt.Sprintf("%d|%d|%s#%d|%d|%s#%d|%v", h.Lower.Coef, h.Lower.Const, h.Lower.key(),
-		h.Upper.Coef, h.Upper.Const, h.Upper.key(), h.Step, h.Inclusive)
+// sameHeader reports whether two normalized headers over one variable
+// iterate alike, so that identical sibling loops merge into one nest level
+// while conflicting reuses of a variable demote its bounds to unknown.
+func sameHeader(x, y LoopHeader) bool {
+	return sameBound(x.Lower, y.Lower) && sameBound(x.Upper, y.Upper) &&
+		x.Step == y.Step && x.Inclusive == y.Inclusive
+}
+
+func sameBound(x, y Affine) bool {
+	return x.Coef == y.Coef && x.Const == y.Const && x.sameSymbols(y)
 }
 
 // enterNest registers a normalized inner loop header as a nest level.
 func (c *collector) enterNest(h LoopHeader) {
 	if c.nestHeaders == nil {
 		c.nestHeaders = map[string]LoopHeader{}
-		c.nestSigs = map[string]string{}
 	}
-	sig := headerSig(h)
 	if prev, seen := c.nestHeaders[h.Var]; seen {
-		if c.nestSigs[h.Var] != sig {
-			// Conflicting headers for one variable: keep the level but drop
-			// its bounds so distance math stays conservative.
+		// A conflicting header for a variable already seen: keep the level
+		// but drop its bounds so distance math stays conservative. The
+		// first header stays the one compared against.
+		if !sameHeader(prev, h) {
 			prev.OK = false
 			c.nestHeaders[h.Var] = prev
 		}
 		return
 	}
 	c.nestHeaders[h.Var] = h
-	c.nestSigs[h.Var] = sig
 	c.nestOrder = append(c.nestOrder, h.Var)
 }
 
@@ -103,7 +124,6 @@ func (c *collector) stmt(s cast.Stmt) {
 			if h.DeclInline {
 				c.declared[h.Var] = true
 			} else {
-				c.innerVars = append(c.innerVars, h.Var)
 				// The header writes then reads the inner variable.
 				c.record(access{name: h.Var, write: true, plainWrite: true})
 				c.record(access{name: h.Var})
@@ -486,23 +506,21 @@ func (c *collector) call(name string, args []cast.Expr) {
 	}
 }
 
-// varyingNames returns the set of identifiers whose value may change from
-// iteration to iteration of the analyzed loop without being a nest
-// variable: body-declared locals and scalars written inside the body.
-// Subscript symbols drawn from this set cannot prove independence via
-// constant-difference arguments.
-func (c *collector) varyingNames(ns *nestSpace) map[string]bool {
-	varying := map[string]bool{}
+// varyingNames fills ns.varying, which is empty, with the identifiers whose
+// value may change from iteration to iteration of the analyzed loop without
+// being a nest variable: body-declared locals and scalars written inside
+// the body. Subscript symbols drawn from this set cannot prove independence
+// via constant-difference arguments.
+func (c *collector) varyingNames(ns *nestSpace) {
 	for name := range c.declared {
 		if ns.slot(name) < 0 {
-			varying[name] = true
+			ns.varying[name] = true
 		}
 	}
 	for i := range c.accesses {
 		acc := &c.accesses[i]
 		if acc.write && acc.subs == nil && ns.slot(acc.name) < 0 {
-			varying[acc.name] = true
+			ns.varying[acc.name] = true
 		}
 	}
-	return varying
 }

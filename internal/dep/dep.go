@@ -8,7 +8,7 @@ package dep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -94,8 +94,13 @@ type Analysis struct {
 	refuted []refutedArray
 }
 
-// Reason records a single explanation string.
+// reason records a single explanation string; a message without arguments
+// is recorded as it is.
 func (a *Analysis) reason(format string, args ...any) {
+	if len(args) == 0 {
+		a.Reasons = append(a.Reasons, format)
+		return
+	}
 	a.Reasons = append(a.Reasons, fmt.Sprintf(format, args...))
 }
 
@@ -200,10 +205,7 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 	}
 
 	ctx := &ws.ctx
-	ctx.loopVar, ctx.funcs, ctx.declared = a.Header.Var, funcs, map[string]bool{}
-	if a.Header.DeclInline {
-		ctx.declared[a.Header.Var] = true
-	}
+	ctx.begin(a.Header, funcs)
 	ctx.stmt(loop.Body)
 
 	if ctx.hasBreak {
@@ -236,7 +238,7 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 	a.NestDepth = len(ws.ns.levels)
 
 	// Scalar classification.
-	okScalars := a.classifyScalars(ctx)
+	okScalars := a.classifyScalars(ctx, &ws.scalars)
 	if !okScalars {
 		a.fillWitnessPositions(loop)
 		return a
@@ -253,8 +255,8 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 
 // accept closes an analysis nothing refuted.
 func (a *Analysis) accept() {
-	sort.Strings(a.Private)
-	sort.Slice(a.Reductions, func(i, j int) bool { return a.Reductions[i].Vars[0] < a.Reductions[j].Vars[0] })
+	slices.Sort(a.Private)
+	slices.SortFunc(a.Reductions, func(x, y pragma.Reduction) int { return strings.Compare(x.Vars[0], y.Vars[0]) })
 	a.Parallelizable = true
 	a.reason("no loop-carried dependences detected")
 }

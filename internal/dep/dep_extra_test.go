@@ -144,21 +144,35 @@ func TestAffineOpsAlgebra(t *testing.T) {
 	}
 }
 
-func TestAffineKeyDeterministic(t *testing.T) {
-	a := affineZero()
-	a.SymCoefs["n"] = 1
-	a.SymCoefs["m"] = 2
-	if a.key() != a.key() {
-		t.Error("key not deterministic")
+// TestSameHeader pins when two inner loops over one variable are one nest
+// level: the bounds' integer parts and symbolic terms, whatever order the
+// symbols were met in, then the step and the inclusivity must all agree.
+func TestSameHeader(t *testing.T) {
+	header := func(src string) LoopHeader {
+		loop, _ := parseLoop(t, src+" a[j] = 0;")
+		h := ParseHeader(loop)
+		if !h.OK {
+			t.Fatalf("%s does not normalize", src)
+		}
+		return h
 	}
-	b := affineZero()
-	b.SymCoefs["m"] = 2
-	b.SymCoefs["n"] = 1
-	if a.key() != b.key() {
-		t.Error("key order-dependent")
+	base := header("for (j = 0; j < n + 2 * m; j++)")
+	if !sameHeader(base, header("for (j = 0; j < 2 * m + n; j++)")) {
+		t.Error("symbol order separates equal headers")
 	}
-	if affineZero().key() != "" {
-		t.Error("empty symbolic key should be empty string")
+	for _, src := range []string{
+		"for (j = 1; j < n + 2 * m; j++)",     // lower constant
+		"for (j = k; j < n + 2 * m; j++)",     // lower symbol
+		"for (j = 0; j < n + 2 * m + 1; j++)", // upper constant
+		"for (j = 0; j < n + m; j++)",         // symbol coefficient
+		"for (j = 0; j < n + 2 * k; j++)",     // symbol name
+		"for (j = 0; j < n; j++)",             // symbol count
+		"for (j = 0; j < n + 2 * m; j += 2)",  // step
+		"for (j = 0; j <= n + 2 * m; j++)",    // inclusive bound
+	} {
+		if other := header(src); sameHeader(base, other) || sameHeader(other, base) {
+			t.Errorf("%s reads as the same header as %v", src, base)
+		}
 	}
 }
 

@@ -15,12 +15,14 @@ import (
 // input may panic it, and the analysis must be deterministic — the engine's
 // witnesses feed byte-stable scan reports, so two runs over the same loop
 // must serialize identically, plain and converted.
-// Between the two runs the recycled workspace serves another loop, a long
-// one and a short one in turn, so that whatever a release leaves behind, or
-// a slab that outgrew the input, would show in the second run.
+// Between the two runs the recycled workspace serves another loop — a long
+// one, a short one, one with a body-local name and one that reuses an inner
+// variable with two headers, in turn — so that whatever a release leaves
+// behind in a slab or a name table, or a slab that outgrew the input, would
+// show in the second run.
 func FuzzAnalyze(f *testing.F) {
 	var between []*cast.For
-	for _, src := range []string{longLoop(), "for (i = 0; i < n; i++) a[i] = 0;"} {
+	for _, src := range []string{longLoop(), "for (i = 0; i < n; i++) a[i] = 0;", bodyLocalLoop, conflictingInnerLoop} {
 		file, err := cparse.Parse(src)
 		if err != nil {
 			f.Fatal(err)

@@ -52,15 +52,19 @@ func (ns *nestSpace) build(h LoopHeader, ctx *collector) {
 		ns.vars = append(ns.vars, v)
 		ns.headers = append(ns.headers, ctx.nestHeaders[v])
 	}
-	ns.varying = ctx.varyingNames(ns)
+	if ns.varying == nil {
+		ns.varying = map[string]bool{}
+	}
+	ctx.varyingNames(ns)
 	ns.dist = slices.Grow(ns.dist, len(ns.vars))[:len(ns.vars)]
 	ns.known = slices.Grow(ns.known, len(ns.vars))[:len(ns.vars)]
 }
 
 func (ns *nestSpace) reset() {
+	clear(ns.varying)
 	*ns = nestSpace{
 		vars: zero(ns.vars), headers: zero(ns.headers), levels: ns.levels[:0],
-		coefs: zero(ns.coefs), syms: zero(ns.syms),
+		varying: ns.varying, coefs: zero(ns.coefs), syms: zero(ns.syms),
 		dist: ns.dist[:0], known: ns.known[:0],
 	}
 }

@@ -65,7 +65,7 @@ func (a *Analysis) testArraysNest(ws *workspace) bool {
 		}
 		a.refuted = append(a.refuted, refutedArray{name, privatizable(name, accs, ns), arrayReduction(name, accs)})
 		a.Witnesses = append(a.Witnesses, witness)
-		a.reason("%s", reason)
+		a.Reasons = append(a.Reasons, reason)
 	}
 	return len(a.refuted) == 0
 }

@@ -6,18 +6,24 @@ import (
 )
 
 // workspace is the scratch memory of one engine pass: the access
-// list, the subscript and form slabs, the nest tables and the pair-local
-// distance vector all live here, so an analysis of any length allocates
-// for its result and little else. Workspaces are pooled.
+// list, the subscript and form slabs, the nest tables, the pair-local
+// distance vector, the scalar table and the name tables (body-local names,
+// unknown callees seen, inner headers by variable, iteration-varying names,
+// scalar index) all live here, so an analysis of any length allocates for
+// its result, the affine forms of its loop headers and the print that
+// anchors its witnesses. Workspaces are pooled;
+// release clears every table and keeps it for the next analysis.
 //
 // Ownership rule: nothing reachable from a returned *Analysis points into a
 // workspace. Reasons, Witnesses (sites and vectors), Private, Reductions,
-// UnknownCalls and Converted are built fresh.
+// UnknownCalls and Converted are built fresh, and so is the Header, whose
+// map-backed Affine bounds are part of the result.
 type workspace struct {
-	ctx    collector
-	ns     nestSpace
-	arrays []*access // array accesses grouped by name, visit order within one
-	forms  []nAffine // subscript forms, carved per tested access
+	ctx     collector
+	ns      nestSpace
+	scalars scalarTable
+	arrays  []*access // array accesses grouped by name, visit order within one
+	forms   []nAffine // subscript forms, carved per tested access
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -28,12 +34,14 @@ func (ws *workspace) release() {
 	workspaces.Put(ws)
 }
 
-// reset leaves every slab empty and clean. A pooled workspace must pin
-// nothing of the parse it last served: every slot that can hold an AST
-// pointer or a string is cleared, not just truncated.
+// reset leaves every slab and table empty and clean. A pooled workspace
+// must pin nothing of the parse it last served: every slot that can hold an
+// AST pointer or a string is cleared, not just truncated, and every table
+// is cleared, so no name of one loop is seen by the next.
 func (ws *workspace) reset() {
 	ws.ctx.reset()
 	ws.ns.reset()
+	ws.scalars.reset()
 	ws.arrays = zero(ws.arrays)
 	ws.forms = zero(ws.forms)
 }
