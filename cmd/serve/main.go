@@ -57,7 +57,7 @@ func main() {
 		directive = flag.String("directive", "", "directive model path (empty: self-train a demo model)")
 		vocabPath = flag.String("vocab", "", "vocabulary path (required with -directive)")
 		maxBatch  = flag.Int("max-batch", 16, "max coalesced batch size")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time to hold a batch open")
+		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time a batch keeps growing while every worker is busy")
 		replicas  = flag.Int("replicas", 1, "model replicas (concurrent batches in flight)")
 		backend   = flag.String("backend", "", "compute backend: float64|int8 (empty serves artifacts as loaded; int8 quantizes float artifacts at load and on every reload)")
 		cacheSize = flag.Int("cache", 1024, "LRU result cache entries (negative disables)")

@@ -3,12 +3,14 @@
 // /scan, the replica's readiness body, the error and load-shedding
 // replies, the bounded body decode, and the handler shell of each of the
 // three POST routes. A replica renders
-// these types, the router decodes, merges and re-renders the same ones, so
-// a field added here reaches both sides or neither.
+// these types, the router decodes, merges and re-renders the same ones —
+// except /suggest results, which it relays as the replica's bytes — so a
+// field added here reaches both sides or neither.
 //
 // The flat verdict itself is scan.Suggestion — already the report, cache
 // and store form — so a /suggest item IS a report verdict plus an error
-// slot, and the router stores what it decoded without a conversion.
+// slot, and the router's /scan stores what it decoded without a
+// conversion.
 package api
 
 import (
@@ -109,13 +111,38 @@ type Readiness struct {
 	Generation uint64 `json:"generation"`
 }
 
+// jsonContentType is every JSON reply's Content-Type value, one slice
+// shared by all of them: a server only reads the headers it writes.
+var jsonContentType = []string{"application/json"}
+
+// encodeBuf is a buffer with a JSON encoder writing into it.
+type encodeBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+// encodeBufs lends WriteJSON its encoders. As with readBufs, a buffer grown
+// past maxPooledRead goes to the collector.
+var encodeBufs = sync.Pool{New: func() any {
+	b := new(encodeBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
+
 // WriteJSON answers with status and v as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	// An encode error means the connection or the headers are gone;
-	// nothing useful is left to do.
-	_ = json.NewEncoder(w).Encode(v)
+	b := encodeBufs.Get().(*encodeBuf)
+	// An encode or write error means v cannot be rendered or the connection
+	// is gone; nothing useful is left to do.
+	if b.enc.Encode(v) == nil {
+		_, _ = w.Write(b.Bytes())
+	}
+	if b.Cap() <= maxPooledRead {
+		b.Reset()
+		encodeBufs.Put(b)
+	}
 }
 
 // Error answers with status and {"error": msg}.
@@ -193,9 +220,10 @@ func ServePredict(w http.ResponseWriter, r *http.Request, shedMsg string,
 }
 
 // ServeSuggest is POST /suggest on both binaries, as ServePredict is
-// /predict.
-func ServeSuggest(w http.ResponseWriter, r *http.Request, shedMsg string,
-	answer func(ctx context.Context, codes []string) (results []SuggestResult, shed int)) {
+// /predict. T is what a result is held as: a SuggestResult on a replica,
+// the replica's rendered bytes of one on the router.
+func ServeSuggest[T any](w http.ResponseWriter, r *http.Request, shedMsg string,
+	answer func(ctx context.Context, codes []string) (results []T, shed int)) {
 	var req SuggestRequest
 	if !DecodeBody(w, r, &req) {
 		return

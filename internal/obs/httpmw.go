@@ -88,22 +88,27 @@ func (m *Middleware) Wrap(path string, next http.HandlerFunc) http.HandlerFunc {
 			w.Header().Set(TraceHeader, tr.ID)
 		}
 
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next(sw, r.WithContext(ctx))
-
-		if tr != nil && m.logger != nil {
-			attrs := []slog.Attr{
-				slog.String("trace", tr.ID),
-				slog.String("path", path),
-				slog.Int("status", sw.status),
-				slog.Duration("dur", time.Since(start)),
-			}
-			for _, st := range tr.Summary() {
-				attrs = append(attrs, slog.Group(st.Name,
-					slog.Int("count", st.Count), slog.Duration("total", st.Total)))
-			}
-			m.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+		if ctx != r.Context() {
+			r = r.WithContext(ctx)
 		}
+		if m.logger == nil {
+			next(w, r)
+			return
+		}
+		// Only a logged request needs its status captured.
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		next(sw, r)
+		attrs := []slog.Attr{
+			slog.String("trace", tr.ID),
+			slog.String("path", path),
+			slog.Int("status", sw.status),
+			slog.Duration("dur", time.Since(start)),
+		}
+		for _, st := range tr.Summary() {
+			attrs = append(attrs, slog.Group(st.Name,
+				slog.Int("count", st.Count), slog.Duration("total", st.Total)))
+		}
+		m.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	}
 }
 

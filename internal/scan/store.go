@@ -8,8 +8,9 @@ import "pragformer/internal/lru"
 // someone already scanned, and a verdict computed once should be returned
 // everywhere without another forward.
 //
-// Implementations: MemStore (bounded, in memory — also the router's
-// tier-wide store) and FileStore (the persistent scan cache file).
+// Implementations: MemStore (bounded, in memory), FileStore (the
+// persistent scan cache file) and the tier router's store, whose entries
+// also hold a verdict's /suggest wire bytes.
 //
 // One store only ever holds verdicts of one (backend, model) pair:
 // FileStore enforces it with its on-disk header, the router by rolling its

@@ -119,8 +119,11 @@ func (b *batcher[P, R]) setRun(run runFunc[P, R]) {
 	b.cache.Roll()
 }
 
-// dispatch coalesces queued calls into batches: the first call opens a
-// window that closes at MaxBatch calls or after MaxWait, whichever first.
+// dispatch coalesces queued calls into batches. A call that finds a worker
+// idle leaves at once, with whatever else is already queued, so an idle
+// engine arms no timer. Only while every worker is busy does the batch grow
+// behind them: it leaves with the first worker to free up, and stops
+// growing at MaxBatch calls or MaxWait after it opened, whichever first.
 func (b *batcher[P, R]) dispatch() {
 	defer b.wg.Done()
 	for {
@@ -131,24 +134,46 @@ func (b *batcher[P, R]) dispatch() {
 			return
 		}
 		batch := append(make([]*call[P, R], 0, b.maxBatch), first)
-		timer := time.NewTimer(b.maxWait)
-	fill:
+	queued:
 		for len(batch) < b.maxBatch {
 			select {
 			case c := <-b.queue:
 				batch = append(batch, c)
-			case <-timer.C:
-				break fill
-			case <-b.done:
-				timer.Stop()
-				return
+			default:
+				break queued
 			}
 		}
-		timer.Stop()
 		select {
 		case b.work <- batch:
-		case <-b.done:
+			continue
+		default:
+		}
+		if !b.await(batch) {
 			return
+		}
+	}
+}
+
+// await holds a batch while every worker is busy, adding calls as they
+// arrive until the window closes, and hands it to the first worker to free
+// up. It reports false when the engine closed first.
+func (b *batcher[P, R]) await(batch []*call[P, R]) bool {
+	timer := time.NewTimer(b.maxWait)
+	defer timer.Stop()
+	queue, window := b.queue, timer.C
+	for {
+		if len(batch) == b.maxBatch {
+			queue = nil
+		}
+		select {
+		case b.work <- batch:
+			return true
+		case c := <-queue:
+			batch = append(batch, c)
+		case <-window:
+			queue, window = nil, nil
+		case <-b.done:
+			return false
 		}
 	}
 }

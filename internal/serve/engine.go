@@ -3,10 +3,11 @@
 // in http.go that cmd/serve exposes.
 //
 // Concurrent callers enqueue requests; a dispatcher goroutine per request
-// kind coalesces up to MaxBatch requests (or whatever arrived within
-// MaxWait of the first) into one batch and hands it to a replica worker,
-// so N near-simultaneous callers cost one batched forward instead of N
-// single ones. Batches in flight fan out across Replicas workers that
+// kind hands them to a replica worker at once when one is idle, and
+// otherwise coalesces up to MaxBatch of them (or whatever arrived within
+// MaxWait of the first) into one batch behind the busy workers, so N
+// near-simultaneous callers cost one batched forward instead of N single
+// ones. Batches in flight fan out across Replicas workers that
 // share one set of weights: inference only reads them (the core.Backend
 // contract), so a replica is a goroutine, not a copy. An LRU cache keyed by
 // the encoded id sequence (predictions) or the raw snippet (suggestions)
@@ -52,9 +53,9 @@ var ErrSaturated = errors.New("serve: queue saturated")
 type Config struct {
 	// MaxBatch is the largest coalesced batch (default 16).
 	MaxBatch int
-	// MaxWait bounds how long the dispatcher holds the first request of a
-	// batch while more arrive (default 2ms). Latency floor under light
-	// load, amortization ceiling under heavy load.
+	// MaxWait caps how long a batch keeps growing behind busy workers
+	// (default 2ms): under load, the longest the first request of a batch
+	// waits for company. A request that finds a worker idle never waits.
 	MaxWait time.Duration
 	// Replicas is how many workers batches fan out across, i.e. how many
 	// batches can be in flight at once (default 1). All of them read the

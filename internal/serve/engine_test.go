@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/core"
+	"pragformer/internal/obs"
 	"pragformer/internal/tokenize"
 )
 
@@ -99,8 +101,8 @@ func TestEnginePredictParity(t *testing.T) {
 	}
 }
 
-// TestEngineCoalesces opens a wide batching window and checks that
-// near-simultaneous requests share batches.
+// TestEngineCoalesces queues requests behind a busy worker and checks that
+// they share batches.
 func TestEngineCoalesces(t *testing.T) {
 	models := testModels(t)
 	e, err := New(models, Config{MaxBatch: 16, MaxWait: 200 * time.Millisecond, CacheSize: -1})
@@ -108,10 +110,11 @@ func TestEngineCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	release, started := holdPredict(e)
 
 	pool := randIDs(rand.New(rand.NewSource(14)), 6, 32, models.Directive.VocabSize())
 	var wg sync.WaitGroup
-	for _, ids := range pool {
+	for i, ids := range pool {
 		wg.Add(1)
 		go func(ids []int) {
 			defer wg.Done()
@@ -119,7 +122,12 @@ func TestEngineCoalesces(t *testing.T) {
 				t.Error(err)
 			}
 		}(ids)
+		if i == 0 {
+			<-started // the worker is busy with the first request
+		}
 	}
+	waitQueued(t, e, len(pool))
+	close(release)
 	wg.Wait()
 	s := e.Stats().Predict
 	if s.Batches >= uint64(len(pool)) {
@@ -127,6 +135,105 @@ func TestEngineCoalesces(t *testing.T) {
 	}
 	if s.AvgBatch() < 2 {
 		t.Errorf("avg batch %v, want >= 2", s.AvgBatch())
+	}
+}
+
+// holdPredict makes every predict batch of e wait until release is closed,
+// then run on e's model as before. started receives each batch's size as
+// its worker picks it up; its buffer holds more batches than any test
+// runs, so a worker never blocks reporting one.
+func holdPredict(e *Engine) (release chan struct{}, started chan int) {
+	release, started = make(chan struct{}), make(chan int, 64)
+	run := *e.predict.run.Load()
+	e.predict.setRun(func(batch [][]int) ([]float64, []obs.Stage) {
+		started <- len(batch)
+		<-release
+		return run(batch)
+	})
+	return release, started
+}
+
+// waitQueued waits until n predict requests are in flight, then a moment
+// longer: a request counts as in flight just before do sends it to the
+// queue, and the dispatcher takes it from there into the waiting batch.
+// Neither step is observable from outside the batcher.
+func waitQueued(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().Predict.InFlight < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests in flight, want %d", e.Stats().Predict.InFlight, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+}
+
+// TestIdleDispatchDoesNotWait: a request that finds the worker idle is
+// forwarded at once, however wide the batching window.
+func TestIdleDispatchDoesNotWait(t *testing.T) {
+	models := testModels(t)
+	e, err := New(models, Config{MaxWait: 10 * time.Second, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := e.Predict(ctx, []int{tokenize.CLS, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a lone request on an idle engine took %v: it sat out the batching window", d)
+	}
+}
+
+// TestBusyWorkerCoalesces holds the one worker on a first request and
+// queues more behind it: once released, up to MaxBatch of them leave as one
+// batch, and MaxBatch splits a longer queue.
+func TestBusyWorkerCoalesces(t *testing.T) {
+	models := testModels(t)
+	pool := randIDs(rand.New(rand.NewSource(15)), 10, 32, models.Directive.VocabSize())
+	for _, tc := range []struct {
+		maxBatch, queued int
+		want             []int
+	}{
+		{maxBatch: 8, queued: 8, want: []int{1, 8}},
+		{maxBatch: 8, queued: 5, want: []int{1, 5}},
+		{maxBatch: 4, queued: 10, want: []int{1, 4, 4, 2}},
+	} {
+		e, err := New(models, Config{MaxBatch: tc.maxBatch, MaxWait: 10 * time.Second, CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release, started := holdPredict(e)
+		var got []int
+		var wg sync.WaitGroup
+		for i := 0; i <= tc.queued; i++ {
+			wg.Add(1)
+			go func(ids []int) {
+				defer wg.Done()
+				if _, err := e.Predict(context.Background(), ids); err != nil {
+					t.Error(err)
+				}
+			}(pool[i%len(pool)])
+			if i == 0 {
+				got = append(got, <-started)
+			}
+		}
+		waitQueued(t, e, tc.queued+1)
+		close(release)
+		wg.Wait()
+		e.Close()
+		close(started)
+		for n := range started {
+			got = append(got, n)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("MaxBatch %d, %d queued behind a busy worker: batches of %v, want %v",
+				tc.maxBatch, tc.queued, got, tc.want)
+		}
 	}
 }
 
@@ -230,7 +337,7 @@ func TestEnginePredictEmptyIDs(t *testing.T) {
 }
 
 // TestEngineContextCancel checks a caller can abandon a request stuck in a
-// long batching window.
+// long batching window behind a busy worker.
 func TestEngineContextCancel(t *testing.T) {
 	models := testModels(t)
 	e, err := New(models, Config{MaxBatch: 64, MaxWait: 10 * time.Second})
@@ -238,6 +345,10 @@ func TestEngineContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	release, started := holdPredict(e)
+	defer close(release)
+	go e.Predict(context.Background(), []int{tokenize.CLS, 7, 8})
+	<-started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -252,7 +363,8 @@ func TestEngineContextCancel(t *testing.T) {
 }
 
 // BenchmarkServeThroughput measures coalesced predict throughput with
-// concurrent clients and the cache disabled (so every op pays a forward).
+// concurrent clients and the cache disabled (so every op pays a forward),
+// and reports the mean batch those clients coalesced into.
 func BenchmarkServeThroughput(b *testing.B) {
 	models := testModels(b)
 	e, err := New(models, Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheSize: -1})
@@ -274,6 +386,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 		}
 	})
+	b.ReportMetric(e.Stats().Predict.AvgBatch(), "items/batch")
 }
 
 // TestReplicasShareWeights runs 8 clients against Replicas: 4 on one

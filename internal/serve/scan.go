@@ -33,9 +33,13 @@ func (s engineSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error)
 // callers) into batched forwards, so one multi-item /suggest — or a repo
 // scan riding the engine — shares batches with live traffic instead of
 // bypassing it. Engine-level failures (saturation, cancellation, close)
-// surface per item.
+// surface per item. A single snippet is answered on the caller's goroutine.
 func (e *Engine) suggestAll(ctx context.Context, codes []string) []scan.Verdict {
 	verdicts := make([]scan.Verdict, len(codes))
+	if len(codes) == 1 {
+		verdicts[0].Suggestion, verdicts[0].Err = e.Suggest(ctx, codes[0])
+		return verdicts
+	}
 	var wg sync.WaitGroup
 	for i, code := range codes {
 		wg.Add(1)

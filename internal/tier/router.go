@@ -22,6 +22,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"pragformer/internal/api"
 	"pragformer/internal/cast"
 	"pragformer/internal/cparse"
+	"pragformer/internal/lru"
 	"pragformer/internal/obs"
 	"pragformer/internal/s2s"
 	"pragformer/internal/scan"
@@ -67,7 +69,8 @@ type Config struct {
 	Backend string
 	ModelID string
 	// Client is the HTTP client for forwards and probes (nil = a client
-	// with a 30s timeout).
+	// with a 30s timeout). A forward goes straight through its Transport,
+	// bounded by its Timeout.
 	Client *http.Client
 	// Logger, when set, makes the router trace every request, not just those
 	// carrying the X-PF-Trace header, and receives one structured line per
@@ -115,10 +118,12 @@ type Router struct {
 	// store is the tier-wide verdict store, keyed by the bare content hash;
 	// its generation stands for the fleet's model bundle (a rolling reload
 	// rolls it). Requests go through pinStore.
-	store   *scan.MemStore
+	store   *lru.Cache[*verdict]
 	limiter *limiter
 	client  *http.Client
-	reg     *obs.Registry
+	// transport is client's Transport: what every forward goes through.
+	transport http.RoundTripper
+	reg       *obs.Registry
 
 	backend atomic.Pointer[string] // adopted verdict-namespace backend
 
@@ -151,15 +156,19 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("tier: no replicas configured")
 	}
 	rt := &Router{
-		cfg:     cfg,
-		ring:    newRing(cfg.Replicas, cfg.VNodes),
-		reps:    make(map[string]*replica, len(cfg.Replicas)),
-		order:   append([]string(nil), cfg.Replicas...),
-		store:   scan.NewMemStore(),
-		limiter: newLimiter(cfg.RatePerSec, cfg.Burst),
-		client:  cfg.Client,
-		reg:     obs.NewRegistry(),
-		done:    make(chan struct{}),
+		cfg:       cfg,
+		ring:      newRing(cfg.Replicas, cfg.VNodes),
+		reps:      make(map[string]*replica, len(cfg.Replicas)),
+		order:     append([]string(nil), cfg.Replicas...),
+		store:     lru.New[*verdict](storeCap),
+		limiter:   newLimiter(cfg.RatePerSec, cfg.Burst),
+		client:    cfg.Client,
+		transport: cfg.Client.Transport,
+		reg:       obs.NewRegistry(),
+		done:      make(chan struct{}),
+	}
+	if rt.transport == nil {
+		rt.transport = http.DefaultTransport
 	}
 	b := cfg.Backend
 	rt.backend.Store(&b)
@@ -309,10 +318,17 @@ func (rt *Router) pick(key string) *replica {
 	return best
 }
 
+// forwardHeader is the header of every untraced forward without a
+// deadline, one map shared by all of them: a RoundTripper does not modify
+// the request.
+var forwardHeader = http.Header{"Content-Type": {"application/json"}}
+
 // forward POSTs body to rep and decodes the reply into out, carrying the
 // bounded-load in-flight accounting and the ejection failure counting.
 // A replica-side 429 propagates as serve.ErrSaturated-alike shedding but
-// does NOT count toward ejection — a saturated replica is healthy.
+// does NOT count toward ejection — a saturated replica is healthy. The
+// request goes straight to the client's Transport, under the client's
+// Timeout.
 func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, out any) error {
 	// A budget that expired while the request sat in admission or an
 	// earlier group's shadow is shed here, before marshal and transport.
@@ -331,16 +347,26 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	rt.forwards.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.name+path, bytes.NewReader(buf))
+	header := forwardHeader
+	if _, hasDeadline := ctx.Deadline(); tr != nil || hasDeadline {
+		header = forwardHeader.Clone()
+		if tr != nil {
+			header.Set(obs.TraceHeader, tr.ID)
+		}
+		obs.SetDeadlineHeader(ctx, header)
+	}
+	sendCtx := ctx
+	if rt.client.Timeout > 0 {
+		var cancel context.CancelFunc
+		sendCtx, cancel = context.WithTimeout(ctx, rt.client.Timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(sendCtx, http.MethodPost, rep.name+path, bytes.NewReader(buf))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID)
-	}
-	obs.SetDeadlineHeader(ctx, req.Header)
-	resp, err := rt.client.Do(req)
+	req.Header = header
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		// Transport failure: connection refused, timeout — the ejection
 		// signal. Context cancellation is the client's doing, not the
@@ -349,7 +375,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 			rt.noteFailure(rep)
 		}
 		rt.forwardErrs.Inc()
-		return err
+		return &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err}
 	}
 	defer resp.Body.Close()
 	switch {
@@ -430,23 +456,24 @@ type group struct {
 // groupByKey routes item i of n by key(i) and buckets the indices per
 // replica, preserving request order inside each bucket. An item whose key
 // comes back with routed false needs no replica (it is already answered);
-// unroutable indices land in the nil-replica bucket.
-func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []*group {
-	var groups []*group
-	byRep := make(map[*replica]*group)
+// unroutable indices land in the nil-replica bucket. There are at most as
+// many buckets as replicas, so a bucket is found by a scan.
+func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []group {
+	var groups []group
 	for i := 0; i < n; i++ {
 		k, routed := key(i)
 		if !routed {
 			continue
 		}
 		rep := rt.pick(k)
-		g := byRep[rep]
-		if g == nil {
-			g = &group{rep: rep}
-			byRep[rep] = g
-			groups = append(groups, g)
+		j := 0
+		for j < len(groups) && groups[j].rep != rep {
+			j++
 		}
-		g.indices = append(g.indices, i)
+		if j == len(groups) {
+			groups = append(groups, group{rep: rep})
+		}
+		groups[j].indices = append(groups[j].indices, i)
 	}
 	return groups
 }
@@ -457,42 +484,53 @@ func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []*
 // share is forwarded to path concurrently, and its reply (or the share-wide
 // error) is settled into results in request order. A replica's trace is
 // merged into the request's; each, when set, then sees the share that
-// replica answered. Returns how many items were shed for want of a replica.
+// replica answered. The last share is forwarded on the caller's goroutine.
+// Returns how many items were shed for want of a replica.
 func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string, ids [][]int, results []R,
 	key func(i int) (k string, routed bool), setErr func(*R, string), each func(indices []int, got []R)) int {
 	tr := obs.TraceFrom(ctx)
 	endRoute := tr.Start("route")
 	groups := rt.groupByKey(len(results), key)
 	endRoute()
+	if len(groups) == 0 {
+		return 0
+	}
 	var wg sync.WaitGroup
 	var shed atomic.Int64
-	for _, g := range groups {
+	share := func(g *group) {
+		var resp api.Response[R]
+		err := errNoReplica
+		if g.rep != nil {
+			// A /suggest share is the same body without ids.
+			var sub api.PredictRequest
+			for _, i := range g.indices {
+				if i < len(codes) {
+					sub.Codes = append(sub.Codes, codes[i])
+				} else {
+					sub.IDs = append(sub.IDs, ids[i-len(codes)])
+				}
+			}
+			err = rt.forward(ctx, g.rep, path, sub, &resp)
+		}
+		settleGroup(g, results, resp.Results, err, setErr, &shed, rt.sheds)
+		if err != nil {
+			return
+		}
+		tr.Merge(resp.Trace)
+		if each != nil {
+			each(g.indices, resp.Results)
+		}
+	}
+	for k := range groups {
+		if k == len(groups)-1 {
+			share(&groups[k])
+			break
+		}
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			var resp api.Response[R]
-			err := errNoReplica
-			if g.rep != nil {
-				// A /suggest share is the same body without ids.
-				var sub api.PredictRequest
-				for _, i := range g.indices {
-					if i < len(codes) {
-						sub.Codes = append(sub.Codes, codes[i])
-					} else {
-						sub.IDs = append(sub.IDs, ids[i-len(codes)])
-					}
-				}
-				err = rt.forward(ctx, g.rep, path, sub, &resp)
-			}
-			settleGroup(g, results, resp.Results, err, setErr, &shed, rt.sheds)
-			if err != nil {
-				return
-			}
-			tr.Merge(resp.Trace)
-			if each != nil {
-				each(g.indices, resp.Results)
-			}
-		}(g)
+			share(g)
+		}(&groups[k])
 	}
 	wg.Wait()
 	return int(shed.Load())
@@ -524,6 +562,11 @@ func settleGroup[R any](g *group, out, in []R, err error, setErr func(*R, string
 func setPredictErr(r *api.PredictResult, msg string) { r.Error = msg }
 func setSuggestErr(r *api.SuggestResult, msg string) { r.Error = msg }
 
+// setRelayErr renders an error item as a replica would.
+func setRelayErr(r *json.RawMessage, msg string) {
+	*r, _ = json.Marshal(api.SuggestResult{Error: msg})
+}
+
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	api.ServePredict(w, r, shedMessage, rt.answerPredict)
 }
@@ -552,45 +595,48 @@ func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int
 // without a parse; only a miss pays for canonical, and probes again when the
 // canonical print is a different text. Either way the item counts as one
 // store hit or one miss.
-func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]api.SuggestResult, int) {
+//
+// A result is relayed as the replica rendered it: the router neither
+// decodes nor re-renders a verdict on this path, and stores the bytes it
+// relayed.
+func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]json.RawMessage, int) {
 	tr := obs.TraceFrom(ctx)
-	results := make([]api.SuggestResult, len(codes))
+	results := make([]json.RawMessage, len(codes))
 	canon := make([]bool, len(codes)) // request text IS the canonical print
 	keys := make([]string, len(codes))
 	store := rt.pinStore() // before anything is routed
-	get := func(h string) (*scan.Suggestion, bool) {
+	get := func(h string) (*verdict, bool) {
 		defer tr.Start("store.get")()
 		return store.probe(h)
 	}
 	shed := fanOut(ctx, rt, "/suggest", codes, nil, results, func(i int) (string, bool) {
 		h := scan.HashSnippet(codes[i])
-		s, hit := get(h)
+		v, hit := get(h)
 		if !hit {
 			// An unparseable snippet still routes, by its raw-text hash.
 			if snip, ch, ok := canonical(codes[i]); ok {
 				if canon[i] = snip == codes[i]; !canon[i] {
 					h = ch
-					s, hit = get(h)
+					v, hit = get(h)
 				}
 			}
 		}
 		store.count(hit)
 		if hit {
-			results[i].Suggestion = *s
+			results[i] = v.wireBytes()
 			return "", false
 		}
 		keys[i] = h
 		return h, true
-	}, setSuggestErr, func(indices []int, got []api.SuggestResult) {
+	}, setRelayErr, func(indices []int, got []json.RawMessage) {
 		// Only canonical-form requests populate the store, so a formatting
-		// variant can never poison the canonical loop's verdict slot. The
-		// store owns what it is given: a copy of the verdict, whose slices it
-		// shares with the answer, not a pointer into the reply's array.
+		// variant can never poison the canonical loop's verdict slot, and an
+		// error item is never stored. The store shares the relayed bytes with
+		// the answer; neither writes to them.
 		defer tr.Start("store.put")()
 		for k, i := range indices {
-			if k < len(got) && canon[i] && got[k].Error == "" {
-				s := got[k].Suggestion
-				store.Put(keys[i], &s)
+			if k < len(got) && canon[i] && !isErrorItem(got[k]) {
+				store.putWire(keys[i], got[k])
 			}
 		}
 	})

@@ -19,39 +19,6 @@ import (
 // report bytes match a single replica's /scan output; the handler body
 // itself is api.ServeScan, the same one a replica runs.
 
-// pinnedStore is the router's store as one /suggest or /scan request sees
-// it: reads count into the fleet-wide hit/miss tallies, and puts are pinned
-// to the generation read when the request started (before anything was
-// routed), so a verdict whose forward straddled a reload is dropped
-// instead of being filed under the new bundle's generation.
-type pinnedStore struct {
-	rt  *Router
-	gen uint64
-}
-
-func (rt *Router) pinStore() pinnedStore { return pinnedStore{rt: rt, gen: rt.store.Gen()} }
-
-func (s pinnedStore) Get(hash string) (*scan.Suggestion, bool) {
-	v, ok := s.probe(hash)
-	s.count(ok)
-	return v, ok
-}
-
-// probe and count are Get in two steps for answerSuggest, where an item may
-// take two probes (its text's hash, then its canonical print's) and counts
-// as one hit or one miss.
-func (s pinnedStore) probe(hash string) (*scan.Suggestion, bool) { return s.rt.store.Get(hash) }
-
-func (s pinnedStore) count(hit bool) {
-	if hit {
-		s.rt.storeHits.Inc()
-	} else {
-		s.rt.storeMisses.Inc()
-	}
-}
-
-func (s pinnedStore) Put(hash string, v *scan.Suggestion) { s.rt.store.PutAt(s.gen, hash, v) }
-
 // tierSuggester drives the scan pipeline's inference stage over the
 // fleet: each chunk of canonical snippets is routed by content hash and
 // forwarded as one /suggest per replica. It implements
