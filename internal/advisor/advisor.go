@@ -328,7 +328,7 @@ func (m *Models) Suggest(code string) (*Suggestion, error) {
 
 // SuggestBatch runs the pipeline over a batch of snippets. Tokenization
 // failures surface as per-item errors; the returned error is non-nil only
-// when the Models themselves are unusable. Each classifier runs once over
+// when the Models themselves are unusable. The classifier runs once over
 // the whole batch, so the per-call model overhead is amortized across
 // snippets; results are identical to calling Suggest per snippet.
 func (m *Models) SuggestBatch(codes []string) ([]BatchItem, error) {

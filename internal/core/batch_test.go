@@ -157,7 +157,7 @@ func TestPredictBatchRaggedEdges(t *testing.T) {
 // TestPredictBatchAllocs is the allocation gate for the pooled forward
 // path: the 16-sequence benchmark workload must not regress toward
 // per-call matmul allocations (seed level was 13 allocs/op; the pooled
-// kernels run at 6).
+// kernels, run on the calling goroutine, make 4).
 func TestPredictBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state pools")
@@ -169,8 +169,8 @@ func TestPredictBatchAllocs(t *testing.T) {
 	batch := raggedIDs(rand.New(rand.NewSource(3)), 16, 12, 64, m.Cfg.Vocab)
 	m.PredictBatch(batch) // prime the pools
 	allocs := testing.AllocsPerRun(20, func() { m.PredictBatch(batch) })
-	if allocs > 12 {
-		t.Errorf("PredictBatch allocates %.1f objects/op, want <= 12 (pool regression)", allocs)
+	if allocs > 4 {
+		t.Errorf("PredictBatch allocates %.1f objects/op, want <= 4 (pool regression)", allocs)
 	}
 }
 

@@ -25,10 +25,7 @@ import (
 // Ragged layout: B sequences of lengths T_0..T_{B-1} are stacked into a
 // (ΣT_i)×D matrix; offs has length B+1 and sequence i owns rows
 // [offs[i], offs[i+1]). Row-local ops (projections, layer norm, ReLU)
-// ignore the boundaries; attention mixes rows only within a sequence. One
-// MatMul over ΣT rows also crosses tensor's parallel threshold where B
-// separate T-row products would not, so batches fan out across the worker
-// pool on multi-core hosts.
+// ignore the boundaries; attention mixes rows only within a sequence.
 
 // Projection is one weight matmul with its bias, in whatever format the
 // weights are stored. Both methods fully assign dst, which must not alias x.

@@ -29,31 +29,15 @@ func AttnScoresInto(scores, q, k *Matrix, heads int, scale float64) {
 		return
 	}
 	dh := q.Cols / heads
-	// Capture raw fields, not the *Matrix headers, and build the parallel
-	// closure only when actually fanning out: callers construct the operand
-	// headers on the stack per sequence, and a header captured by an
-	// escaping closure would heap-allocate on every call.
-	sData, qData, kData := scores.Data, q.Data, k.Data
-	qCols, kCols := q.Cols, k.Cols
-	if heads*Tq*Tk >= parallelThreshold {
-		ParallelFor(heads*Tq, func(lo, hi int) {
-			attnScoreRows(sData, qData, kData, qCols, kCols, dh, Tq, Tk, scale, lo, hi)
-		})
-	} else {
-		attnScoreRows(sData, qData, kData, qCols, kCols, dh, Tq, Tk, scale, 0, heads*Tq)
-	}
-}
-
-func attnScoreRows(sData, qData, kData []float64, qCols, kCols, dh, Tq, Tk int, scale float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	for r := 0; r < heads*Tq; r++ {
 		h, i := r/Tq, r%Tq
-		srow := sData[r*Tk : (r+1)*Tk]
+		srow := scores.Data[r*Tk : (r+1)*Tk]
 		if dh == 0 {
 			clear(srow)
 			continue
 		}
-		qh := qData[i*qCols+h*dh : i*qCols+(h+1)*dh]
-		f64DotRows(srow, qh, kData, h*dh, kCols, dh, Tk)
+		qh := q.Data[i*q.Cols+h*dh : i*q.Cols+(h+1)*dh]
+		f64DotRows(srow, qh, k.Data, h*dh, k.Cols, dh, Tk)
 		for j := range srow {
 			srow[j] *= scale
 		}
@@ -78,30 +62,16 @@ func AttnMixInto(out, attn, v *Matrix, heads int) {
 	}
 	Tq, Tk := out.Rows, v.Rows
 	dh := v.Cols / heads
-	// As in AttnScoresInto: field captures plus a branch-local closure keep
-	// caller-stack headers from escaping.
-	oData, aData, vData := out.Data, attn.Data, v.Data
-	oCols := out.Cols
-	if Tq*oCols >= parallelThreshold {
-		ParallelFor(Tq, func(lo, hi int) {
-			attnMixRows(oData, aData, vData, oCols, dh, heads, Tq, Tk, lo, hi)
-		})
-	} else {
-		attnMixRows(oData, aData, vData, oCols, dh, heads, Tq, Tk, 0, Tq)
-	}
-}
-
-func attnMixRows(oData, aData, vData []float64, oCols, dh, heads, Tq, Tk int, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := oData[i*oCols : (i+1)*oCols]
+	for i := 0; i < Tq; i++ {
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 		for h := 0; h < heads; h++ {
 			dst := orow[h*dh : (h+1)*dh]
 			if Tk == 0 {
 				clear(dst)
 				continue
 			}
-			arow := aData[(h*Tq+i)*Tk : (h*Tq+i+1)*Tk]
-			f64GemmRow(dst, arow, 1, vData[h*dh:], oCols, nil, Tk, dh, false)
+			arow := attn.Data[(h*Tq+i)*Tk : (h*Tq+i+1)*Tk]
+			f64GemmRow(dst, arow, 1, v.Data[h*dh:], out.Cols, nil, Tk, dh, false)
 		}
 	}
 }

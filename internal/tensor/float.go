@@ -133,8 +133,7 @@ func f64DotRows(orow, arow, b []float64, bOff, strideB, K, n int) {
 }
 
 // matMulEpilogue is the shared implementation of MatMulInto and the fused
-// bias/ReLU variants: out = act(a·b + bias), row-parallel above the
-// threshold.
+// bias/ReLU variants: out = act(a·b + bias).
 func matMulEpilogue(out, a, b *Matrix, bias []float64, relu bool) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: MatMulInto shape mismatch")
@@ -143,23 +142,8 @@ func matMulEpilogue(out, a, b *Matrix, bias []float64, relu bool) {
 		panic("tensor: MatMulInto bias shorter than output width")
 	}
 	K, N := a.Cols, b.Cols
-	// Closure construction stays inside the parallel branch (and captures
-	// raw fields, not the *Matrix headers): ParallelFor leaks its func, so
-	// an unconditional closure would heap-allocate on every small serial
-	// matmul and caller-stack operand headers would escape with it.
-	oData, aData, bData := out.Data, a.Data, b.Data
-	if a.Rows*N >= parallelThreshold {
-		ParallelFor(a.Rows, func(lo, hi int) {
-			matMulRows(oData, aData, bData, bias, K, N, relu, lo, hi)
-		})
-	} else {
-		matMulRows(oData, aData, bData, bias, K, N, relu, 0, a.Rows)
-	}
-}
-
-func matMulRows(oData, aData, bData, bias []float64, K, N int, relu bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		f64GemmRow(oData[i*N:(i+1)*N], aData[i*K:], 1, bData, N, bias, K, N, relu)
+	for i := 0; i < a.Rows; i++ {
+		f64GemmRow(out.Data[i*N:(i+1)*N], a.Data[i*K:], 1, b.Data, N, bias, K, N, relu)
 	}
 }
 
@@ -184,24 +168,13 @@ func MatMulBTInto(out, a, b *Matrix) {
 		panic("tensor: MatMulBTInto shape mismatch")
 	}
 	K, N := a.Cols, b.Rows
-	oData, aData, bData := out.Data, a.Data, b.Data
-	if a.Rows*N >= parallelThreshold {
-		ParallelFor(a.Rows, func(lo, hi int) {
-			matMulBTRows(oData, aData, bData, K, N, lo, hi)
-		})
-	} else {
-		matMulBTRows(oData, aData, bData, K, N, 0, a.Rows)
-	}
-}
-
-func matMulBTRows(oData, aData, bData []float64, K, N, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := oData[i*N : (i+1)*N]
+	for i := 0; i < a.Rows; i++ {
+		orow := out.Data[i*N : (i+1)*N]
 		if K == 0 {
 			clear(orow)
 			continue
 		}
-		f64DotRows(orow, aData[i*K:i*K+K], bData, 0, K, K, N)
+		f64DotRows(orow, a.Data[i*K:i*K+K], b.Data, 0, K, K, N)
 	}
 }
 

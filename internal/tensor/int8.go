@@ -115,7 +115,7 @@ var int8RowKernel func(o []float64, arow []int8, s float32, b *Int8Matrix, K, N 
 // transposed, one output channel per row with its per-channel scale). The
 // inner product accumulates in int32 and is dequantized with the float32
 // scale product, then widened into the float64 out (M×N), which is fully
-// assigned. Rows split across the worker pool above the parallel threshold.
+// assigned.
 func MatMulInt8BTInto(out *Matrix, a, b *Int8Matrix) {
 	int8MatMulEpilogue(out, a, b, nil, false)
 }
@@ -141,36 +141,22 @@ func int8MatMulEpilogue(out *Matrix, a, b *Int8Matrix, bias []float64, relu bool
 		panic("tensor: MatMulInt8BTInto bias shorter than output width")
 	}
 	K, N := a.Cols, b.Rows
-	// The closure is only built on the parallel branch: ParallelFor leaks
-	// its func into the worker channel, so an unconditionally constructed
-	// closure heap-allocates even for the small serial matmuls that dominate
-	// per-sequence inference.
-	if a.Rows*N >= parallelThreshold {
-		ParallelFor(a.Rows, func(lo, hi int) {
-			int8MatMulRows(out, a, b, bias, K, N, relu, lo, hi)
-		})
-	} else {
-		int8MatMulRows(out, a, b, bias, K, N, relu, 0, a.Rows)
-	}
-}
-
-func int8MatMulRows(out *Matrix, a, b *Int8Matrix, bias []float64, K, N int, relu bool, lo, hi int) {
 	if kern := int8RowKernel; kern != nil { // non-nil when the platform installed a SIMD kernel
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			orow := out.Row(i)
 			kern(orow, a.Row(i), a.Scales[i], b, K, N)
 			int8BiasReLU(orow, bias, relu)
 		}
 		return
 	}
-	i := lo
-	for ; i+2 <= hi; i += 2 {
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
 		int8DotRows2(out.Row(i), out.Row(i+1), a.Row(i), a.Row(i+1),
 			a.Scales[i], a.Scales[i+1], b, K, N)
 		int8BiasReLU(out.Row(i), bias, relu)
 		int8BiasReLU(out.Row(i+1), bias, relu)
 	}
-	for ; i < hi; i++ {
+	for ; i < a.Rows; i++ {
 		int8DotRows1(out.Row(i), a.Row(i), a.Scales[i], b, K, N)
 		int8BiasReLU(out.Row(i), bias, relu)
 	}

@@ -38,7 +38,7 @@ func randInt8(rng *rand.Rand, rows, cols int) *Int8Matrix {
 }
 
 // TestMatMulInt8BTMatchesReference exercises shapes around the blocking
-// factor and the parallel threshold.
+// factor and one larger one.
 func TestMatMulInt8BTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sh := range [][3]int{{1, 1, 1}, {3, 5, 2}, {4, 8, 4}, {7, 9, 6}, {16, 32, 33}, {70, 64, 70}} {

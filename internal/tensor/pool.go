@@ -3,73 +3,11 @@ package tensor
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
-// This file holds the two pools behind the hot kernels:
-//
-//   - a persistent goroutine worker pool that executes ParallelFor chunks,
-//     replacing the per-call goroutine spawning the package started with
-//     (one training step issues hundreds of parallel matmuls, so spawn
-//     overhead was paid hundreds of times per step), and
-//   - []float64 buffer pools, by size class, that back scratch matrices
-//     and softmax outputs in the matmul/backprop hot path.
-//
-// The worker pool is lazily started on the first parallel call and sized by
-// GOMAXPROCS at that moment; later calls grow it if GOMAXPROCS was raised.
-// Workers never exit — they block on the task channel between calls, which
-// is the entire point: steady-state parallel sections cost one channel send
-// per chunk instead of one goroutine spawn per chunk.
-
-// poolTask is one contiguous chunk of a ParallelFor body.
-type poolTask struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-// poolCh is deliberately unbuffered: a non-blocking send succeeds only
-// while an idle worker is parked on the receive, so a chunk is either
-// handed straight to a free worker or run inline by the submitter. Nothing
-// ever queues behind busy workers, which is what makes nested or heavily
-// contended ParallelFor calls (a pool worker's body itself calling
-// ParallelFor) deadlock-free by construction. The channel itself is cheap,
-// so it exists from init; only the worker goroutines start lazily.
-var (
-	poolCh   = make(chan poolTask)
-	poolSize atomic.Int64
-	poolMu   sync.Mutex // serializes worker spawning only
-)
-
-// ensurePool guarantees at least want resident workers and returns the
-// shared task channel. The steady-state path is a single atomic load; the
-// mutex is taken only while the pool still needs to grow.
-func ensurePool(want int) chan poolTask {
-	if poolSize.Load() >= int64(want) {
-		return poolCh
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	for poolSize.Load() < int64(want) {
-		go poolWorker(poolCh)
-		poolSize.Add(1)
-	}
-	return poolCh
-}
-
-func poolWorker(ch chan poolTask) {
-	for t := range ch {
-		t.fn(t.lo, t.hi)
-		t.wg.Done()
-	}
-}
-
-// PoolWorkers reports how many resident workers the pool has started.
-func PoolWorkers() int { return int(poolSize.Load()) }
-
-// ---------------------------------------------------------------------------
-// []float64 buffer pools
-// ---------------------------------------------------------------------------
+// This file holds the []float64 and *Matrix buffer pools, by size class,
+// that back scratch matrices and softmax outputs in the matmul/backprop hot
+// path.
 
 // The buffer pools are split by power-of-two size class: class k holds
 // buffers whose capacity is at least 1<<k. A Get looks only in the class of

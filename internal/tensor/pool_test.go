@@ -3,12 +3,11 @@ package tensor
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 )
 
-// withGOMAXPROCS runs fn with GOMAXPROCS raised to n so the pool engages
-// even on single-core runners, restoring the old value afterwards.
+// withGOMAXPROCS runs fn with GOMAXPROCS set to n, restoring the old value
+// afterwards.
 func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
@@ -16,83 +15,8 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-// TestParallelForConcurrentStress hammers the shared worker pool from many
-// goroutines at once (the shape of data-parallel training: W trainers each
-// issuing parallel matmuls) and checks every result. Run under -race this
-// is the PR's pool soundness test.
-func TestParallelForConcurrentStress(t *testing.T) {
-	withGOMAXPROCS(t, 4, func() {
-		const (
-			callers = 8
-			iters   = 200
-			n       = 512
-		)
-		var wg sync.WaitGroup
-		errs := make(chan string, callers)
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				out := make([]int, n)
-				for it := 0; it < iters; it++ {
-					for i := range out {
-						out[i] = 0
-					}
-					ParallelFor(n, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							out[i] = c + i*i
-						}
-					})
-					for i := range out {
-						if out[i] != c+i*i {
-							errs <- "wrong element after ParallelFor"
-							return
-						}
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Fatal(e)
-		}
-		if PoolWorkers() == 0 {
-			t.Fatal("worker pool never started under GOMAXPROCS=4")
-		}
-	})
-}
-
-// TestParallelForNested: a parallel body that itself calls ParallelFor must
-// complete (overflow chunks run inline on the caller, so the pool cannot
-// deadlock on itself).
-func TestParallelForNested(t *testing.T) {
-	withGOMAXPROCS(t, 4, func() {
-		const n = 64
-		out := make([][]int, n)
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := make([]int, n)
-				ParallelFor(n, func(jlo, jhi int) {
-					for j := jlo; j < jhi; j++ {
-						row[j] = i + j
-					}
-				})
-				out[i] = row
-			}
-		})
-		for i := range out {
-			for j := range out[i] {
-				if out[i][j] != i+j {
-					t.Fatalf("out[%d][%d] = %d", i, j, out[i][j])
-				}
-			}
-		}
-	})
-}
-
-// TestMatMulDeterministicAcrossGOMAXPROCS: chunked results must be
-// bit-identical whether the pool runs wide, narrow, or not at all.
+// TestMatMulDeterministicAcrossGOMAXPROCS: results must be bit-identical
+// whatever GOMAXPROCS the process runs at.
 func TestMatMulDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(130, 70).Randn(rng, 1)
@@ -271,20 +195,5 @@ func TestMatMulATIntoReusesDirtyOutput(t *testing.T) {
 		if dirty.Data[i] != want.Data[i] {
 			t.Fatalf("element %d: %g vs %g", i, dirty.Data[i], want.Data[i])
 		}
-	}
-}
-
-// BenchmarkMatMulParallel measures the pooled parallel matmul on a
-// transformer-shaped product; compare across -cpu settings for the
-// worker-pool speedup.
-func BenchmarkMatMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := New(256, 256).Randn(rng, 1)
-	y := New(256, 256).Randn(rng, 1)
-	out := New(256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
 	}
 }

@@ -1,18 +1,16 @@
 // Package tensor provides the dense float64 matrix kernels behind the
-// transformer implementation: allocation, seeded random init, (parallel)
-// matrix products in the three orientations backpropagation needs, row-wise
-// softmax, and elementwise helpers. Parallel loops split rows across a
-// persistent GOMAXPROCS-sized worker pool (pool.go) with disjoint output
-// ranges, so results are exactly deterministic regardless of scheduling,
-// and a []float64 buffer pool recycles hot-path scratch storage.
+// transformer implementation: allocation, seeded random init, matrix
+// products in the three orientations backpropagation needs, row-wise
+// softmax, and elementwise helpers. Every kernel runs on the calling
+// goroutine; parallelism lives with the callers that batch whole sequences
+// or examples. A []float64 buffer pool (pool.go) recycles hot-path scratch
+// storage.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -89,47 +87,6 @@ func checkSame(a, b *Matrix) {
 	}
 }
 
-// parallelThreshold is the minimum row*col product before MatMul fans out
-// to goroutines; below it, the scheduling overhead dominates.
-const parallelThreshold = 64 * 64
-
-// ParallelFor runs fn over [0, n) split into contiguous chunks across
-// GOMAXPROCS workers. Chunks are disjoint, so writes to per-index state are
-// race-free and the result is schedule-independent. Chunks beyond the first
-// are handed to idle workers of the persistent pool (see pool.go); the
-// caller runs the first chunk itself, and any chunk no worker is free to
-// take immediately (nested or heavily contended parallel sections) runs
-// inline on the caller, so the call always makes progress and can never
-// deadlock.
-func ParallelFor(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < 2 {
-		fn(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	ch := ensurePool(workers - 1)
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		select {
-		case ch <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}:
-		default:
-			fn(lo, hi)
-			wg.Done()
-		}
-	}
-	fn(0, chunk)
-	wg.Wait()
-}
-
 // MatMul computes out = a·b, allocating out. a is m×k, b is k×n.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
@@ -161,20 +118,13 @@ func MatMulATInto(out, a, b *Matrix) {
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	K, N := a.Rows, b.Cols
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if K == 0 {
-				clear(out.Row(i))
-				continue
-			}
-			// Column i of a is a strided vector: elements a.Data[i+k*a.Cols].
-			f64GemmRow(out.Row(i), a.Data[i:], a.Cols, b.Data, b.Cols, nil, K, N, false)
+	for i := 0; i < out.Rows; i++ {
+		if K == 0 {
+			clear(out.Row(i))
+			continue
 		}
-	}
-	if out.Rows*out.Cols >= parallelThreshold {
-		ParallelFor(out.Rows, body)
-	} else {
-		body(0, out.Rows)
+		// Column i of a is a strided vector: elements a.Data[i+k*a.Cols].
+		f64GemmRow(out.Row(i), a.Data[i:], a.Cols, b.Data, b.Cols, nil, K, N, false)
 	}
 }
 

@@ -71,19 +71,6 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestParallelForSingleElement(t *testing.T) {
-	calls := 0
-	ParallelFor(1, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 1 {
-			t.Errorf("range [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("calls = %d", calls)
-	}
-}
-
 func TestMatMulZeroDimensions(t *testing.T) {
 	// Degenerate shapes must not panic.
 	a := New(0, 3)

@@ -104,8 +104,8 @@ func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelDeterministic exercises the goroutine path (above the
-// threshold) and checks it matches a serial reference exactly.
+// TestMatMulParallelDeterministic checks an 80×70 product against a serial
+// reference computing the same FMA chains, bit for bit.
 func TestMatMulParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(80, 90).Randn(rng, 1)
@@ -132,25 +132,6 @@ func TestMatMulParallelDeterministic(t *testing.T) {
 			t.Fatal("repeated MatMul not bit-identical")
 		}
 	}
-}
-
-func TestParallelForCoversAll(t *testing.T) {
-	seen := make([]int, 1000)
-	ParallelFor(1000, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("index %d visited %d times", i, n)
-		}
-	}
-	ParallelFor(0, func(lo, hi int) {
-		if lo != hi {
-			t.Error("nonempty range for n=0")
-		}
-	})
 }
 
 func TestRowSoftmax(t *testing.T) {
