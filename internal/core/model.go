@@ -185,26 +185,35 @@ type encCache struct {
 	ids    []int
 	blocks []*nn.BlockCache
 	lnc    *nn.LayerNormCache
-	hidden *tensor.Matrix // post-final-LN activations (T×D)
+	hidden *tensor.Matrix // post-final-LN activations of the first nq rows (nq×D)
 }
 
-// encode runs the encoder over ids.
-func (m *PragFormer) encode(ids []int, train bool) *encCache {
+// encode runs the encoder over ids. Every block but the last computes all
+// T rows, since the next block's attention reads them all; the last
+// computes only its first nq (nn.EncoderBlock.Forward) — 1 when the [CLS]
+// row is all the caller reads.
+func (m *PragFormer) encode(ids []int, nq int, train bool) *encCache {
 	if len(ids) > m.Cfg.MaxLen {
 		ids = ids[:m.Cfg.MaxLen]
 	}
 	c := &encCache{ids: ids}
 	x := m.Emb.Forward(ids)
-	for _, b := range m.Blocks {
+	last := len(m.Blocks) - 1
+	for l, b := range m.Blocks {
+		rows := x.Rows
+		if l == last {
+			rows = nq
+		}
 		var bc *nn.BlockCache
-		x, bc = b.Forward(x, train, m.rng)
+		x, bc = b.Forward(x, rows, train, m.rng)
 		c.blocks = append(c.blocks, bc)
 	}
 	c.hidden, c.lnc = m.FinalLN.Forward(x)
 	return c
 }
 
-// encodeBackward propagates dHidden through the encoder.
+// encodeBackward propagates dHidden, the gradient of c.hidden's rows,
+// through the encoder.
 func (m *PragFormer) encodeBackward(c *encCache, dHidden *tensor.Matrix) {
 	dx := m.FinalLN.Backward(c.lnc, dHidden)
 	for l := len(m.Blocks) - 1; l >= 0; l-- {
@@ -225,10 +234,11 @@ type clsCache struct {
 
 // forwardCls runs encoder + head, returning class probabilities: the
 // training forward, and the reference the batch parity tests hold the
-// inference forward (batch.go) to.
+// inference forward (batch.go) to. The head reads the [CLS] row alone, so
+// the last block computes that row only.
 func (m *PragFormer) forwardCls(ids []int, train bool) *clsCache {
-	c := &clsCache{enc: m.encode(ids, train)}
-	cls := tensor.FromSlice(1, m.Cfg.D, c.enc.hidden.Row(0)) // [CLS] pooling
+	c := &clsCache{enc: m.encode(ids, 1, train)}
+	cls := c.enc.hidden // [CLS] pooling: the one row computed
 	h, c1 := m.FC1.Forward(cls)
 	c.c1 = c1
 	a, cr := nn.ReLU(h)
@@ -262,10 +272,7 @@ func (m *PragFormer) LossAndBackward(ids []int, label bool) float64 {
 	da = nn.DropoutBackward(c.cd, da)
 	dh := nn.ReLUBackward(c.cr, da)
 	dCls := m.FC1.Backward(c.c1, dh)
-
-	dHidden := tensor.New(len(c.enc.ids), m.Cfg.D)
-	copy(dHidden.Row(0), dCls.Row(0))
-	m.encodeBackward(c.enc, dHidden)
+	m.encodeBackward(c.enc, dCls)
 	return loss
 }
 
@@ -312,7 +319,7 @@ func (m *PragFormer) MLMLossAndBackward(head *nn.Linear, ids []int, rng *rand.Ra
 		return 0, 0
 	}
 
-	c := m.encode(masked, true)
+	c := m.encode(masked, len(masked), true)
 	logits, lc := head.Forward(c.hidden)
 	dLogits := tensor.New(logits.Rows, logits.Cols)
 	total := 0.0

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"pragformer/internal/nn"
+	"pragformer/internal/tensor"
 	"pragformer/internal/tokenize"
 	"pragformer/internal/train"
 )
@@ -291,6 +294,116 @@ func TestDropoutModelStillInRange(t *testing.T) {
 	}
 }
 
+// fullRowsLossAndBackward is LossAndBackward with the last block run over
+// every row: the head reads row 0 of the T-row hidden state and the
+// backward starts from a T-row dHidden that is zero past row 0.
+func fullRowsLossAndBackward(m *PragFormer, ids []int, label bool) float64 {
+	if len(ids) > m.Cfg.MaxLen {
+		ids = ids[:m.Cfg.MaxLen]
+	}
+	x := m.Emb.Forward(ids)
+	caches := make([]*nn.BlockCache, len(m.Blocks))
+	for l, b := range m.Blocks {
+		x, caches[l] = b.Forward(x, x.Rows, true, m.rng)
+	}
+	hidden, lnc := m.FinalLN.Forward(x)
+	h, c1 := m.FC1.Forward(tensor.FromSlice(1, m.Cfg.D, hidden.Row(0)))
+	a, cr := nn.ReLU(h)
+	a, cd := nn.Dropout(a, m.Cfg.Dropout, true, m.rng)
+	logits, c2 := m.FC2.Forward(a)
+	var p [2]float64
+	tensor.SoftmaxVecInto(p[:], logits.Row(0))
+	y := 0
+	if label {
+		y = 1
+	}
+	dLogits := tensor.FromSlice(1, 2, []float64{p[0], p[1]})
+	dLogits.Data[y] -= 1
+	da := nn.DropoutBackward(cd, m.FC2.Backward(c2, dLogits))
+	dCls := m.FC1.Backward(c1, nn.ReLUBackward(cr, da))
+	dHidden := tensor.New(len(ids), m.Cfg.D)
+	copy(dHidden.Row(0), dCls.Row(0))
+	dx := m.FinalLN.Backward(lnc, dHidden)
+	for l := len(m.Blocks) - 1; l >= 0; l-- {
+		dx = m.Blocks[l].Backward(caches[l], dx)
+	}
+	m.Emb.Backward(ids, dx)
+	return -math.Log(math.Max(p[y], 1e-12))
+}
+
+// TestLossAndBackwardMatchesFullRows holds the [CLS]-row training step to
+// the one that runs the last block over every row: the same losses, the
+// same parameter gradients bit for bit and the same dropout stream
+// position, at depths 1 to 3 with dropout off and on.
+func TestLossAndBackwardMatchesFullRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	// A lone [CLS], ragged lengths, and one past MaxLen 16 (truncated).
+	seqs := append(raggedIDs(rng, 6, 2, 16, 50), []int{tokenize.CLS}, raggedIDs(rng, 1, 20, 20, 50)[0])
+	for layers := 1; layers <= 3; layers++ {
+		for _, drop := range []float64{0, 0.1} {
+			cfg := tinyConfig()
+			cfg.Layers, cfg.Dropout = layers, drop
+			got, want := mustNew(t, cfg, 22), mustNew(t, cfg, 22)
+			for i, ids := range seqs {
+				label := i%2 == 0
+				if lg, lw := got.LossAndBackward(ids, label), fullRowsLossAndBackward(want, ids, label); lg != lw {
+					t.Fatalf("layers %d drop %g seq %d: loss %v, full rows %v", layers, drop, i, lg, lw)
+				}
+			}
+			if got.RNGState() != want.RNGState() {
+				t.Errorf("layers %d drop %g: dropout stream at %x, full rows leave it at %x",
+					layers, drop, got.RNGState(), want.RNGState())
+			}
+			wp := want.Params()
+			for k, p := range got.Params() {
+				for j, g := range p.Grad.Data {
+					if math.Float64bits(g) != math.Float64bits(wp[k].Grad.Data[j]) {
+						t.Fatalf("layers %d drop %g: %s grad[%d] = %v, full rows %v",
+							layers, drop, p.Name, j, g, wp[k].Grad.Data[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// demoShapeModel is the demo classifier's shape (advisor.TrainDemo) with
+// one input at the paper's 110-token cap.
+func demoShapeModel(tb testing.TB) (*PragFormer, []int) {
+	m, err := New(Config{Vocab: 3000, D: 32, Heads: 4, Layers: 1}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]int, DefaultMaxLen)
+	ids[0] = tokenize.CLS
+	for i := 1; i < len(ids); i++ {
+		ids[i] = 4 + i
+	}
+	return m, ids
+}
+
+// TestLossAndBackwardBytes bounds one training step at the demo shape.
+// Running the last block over all 110 rows allocated about 1.35 MB a step;
+// computing only the [CLS] row measures about 250 KB, so 30 % of the
+// full-rows figure, 409 KB, is the line.
+func TestLossAndBackwardBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes escape analysis")
+	}
+	m, ids := demoShapeModel(t)
+	m.LossAndBackward(ids, true) // gradients allocated, pools warm
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		m.LossAndBackward(ids, i%2 == 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := (after.TotalAlloc-before.TotalAlloc)/rounds, uint64(1364236*30/100); got > limit {
+		t.Errorf("LossAndBackward at the demo shape allocated %d B per step, limit %d", got, limit)
+	}
+}
+
 func BenchmarkPredict(b *testing.B) {
 	cfg := Config{Vocab: 3000, MaxLen: 110, D: 64, Heads: 4, Layers: 2}
 	m, err := New(cfg, 1)
@@ -319,6 +432,14 @@ func BenchmarkLossAndBackward(b *testing.B) {
 	for i := 1; i < len(ids); i++ {
 		ids[i] = 4 + i
 	}
+	b.Run("layers=2,T=34", func(b *testing.B) { benchLossAndBackward(b, m, ids) })
+	b.Run("demo,T=110", func(b *testing.B) {
+		m, ids := demoShapeModel(b)
+		benchLossAndBackward(b, m, ids)
+	})
+}
+
+func benchLossAndBackward(b *testing.B, m *PragFormer, ids []int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.LossAndBackward(ids, i%2 == 0)

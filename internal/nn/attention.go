@@ -41,16 +41,16 @@ func (m *MultiHeadAttention) Params() []*Param {
 
 // AttnCache stores per-head activations for backprop and explainability.
 type AttnCache struct {
-	q, k, v      *tensor.Matrix
-	cq, ck, cv   *LinearCache
-	co           *LinearCache
-	attn         []*tensor.Matrix // per head T×T post-softmax
-	concat       *tensor.Matrix
-	requireCache bool
+	q, k, v    *tensor.Matrix
+	cq, ck, cv *LinearCache
+	co         *LinearCache
+	attn       []*tensor.Matrix // per head nq×T post-softmax
+	concat     *tensor.Matrix
 }
 
-// Attention returns the post-softmax attention matrices per head (for the
-// explainability study).
+// Attention returns the post-softmax attention matrices per head, each
+// nq×T: query row i's weights over every key (for the explainability
+// study).
 func (c *AttnCache) Attention() []*tensor.Matrix { return c.attn }
 
 // head returns the column sub-slice view [h*dh, (h+1)*dh) of row i.
@@ -59,31 +59,43 @@ func headSlice(m *tensor.Matrix, i, h, dh int) []float64 {
 	return row[h*dh : (h+1)*dh]
 }
 
-// Forward computes self-attention over x (T×D). All heads run as one
-// strided batched GEMM per product: QKᵀ scores land in a single
-// (H·T)×T matrix (head h at rows [h·T, (h+1)·T)), softmax runs over all
-// H·T rows in one call, and the value mix writes every head's column band
-// of concat in one pass (tensor.AttnScoresInto / AttnMixInto) — the same
-// helpers the inference paths use, keeping training and serving forwards
-// bit-identical.
-func (m *MultiHeadAttention) Forward(x *tensor.Matrix) (*tensor.Matrix, *AttnCache) {
+// rowsView returns the first n rows of m, sharing its storage. A literal
+// rather than tensor.FromSlice, which does not inline: a view that does not
+// outlive its statement then stays on the stack.
+func rowsView(m *tensor.Matrix, n int) *tensor.Matrix {
+	return &tensor.Matrix{Rows: n, Cols: m.Cols, Data: m.Data[:n*m.Cols]}
+}
+
+// Forward computes self-attention for the first nq rows of x (T×D) over
+// the keys and values of all T rows, returning nq×D. Keys and values span
+// every row, so their projections stay full-width; queries, scores,
+// softmax, mix and the output projection run on nq rows alone. Each kept
+// row is the same row-independent kernel chain it is at nq = T, so the
+// result is bit-identical to the first nq rows of the full forward. All
+// heads run as one strided batched GEMM per product: QKᵀ scores land in a
+// single (H·nq)×T matrix (head h at rows [h·nq, (h+1)·nq)), softmax runs
+// over all H·nq rows in one call, and the value mix writes every head's
+// column band of concat in one pass (tensor.AttnScoresInto / AttnMixInto)
+// — the same helpers the inference paths use, keeping training and
+// serving forwards bit-identical.
+func (m *MultiHeadAttention) Forward(x *tensor.Matrix, nq int) (*tensor.Matrix, *AttnCache) {
 	T := x.Rows
 	dh := m.D / m.Heads
 	c := &AttnCache{}
-	c.q, c.cq = m.WQ.Forward(x)
+	c.q, c.cq = m.WQ.Forward(rowsView(x, nq))
 	c.k, c.ck = m.WK.Forward(x)
 	c.v, c.cv = m.WV.Forward(x)
-	c.concat = tensor.New(T, m.D)
+	c.concat = tensor.New(nq, m.D)
 	scale := 1 / math.Sqrt(float64(dh))
 
-	scores := tensor.New(m.Heads*T, T)
+	scores := tensor.New(m.Heads*nq, T)
 	tensor.AttnScoresInto(scores, c.q, c.k, m.Heads, scale)
 	tensor.RowSoftmax(scores)
 	c.attn = make([]*tensor.Matrix, m.Heads)
 	for h := 0; h < m.Heads; h++ {
-		// Per-head T×T views share the batched buffer; Backward and the
+		// Per-head nq×T views share the batched buffer; Backward and the
 		// explainability study read them in the pre-batching layout.
-		c.attn[h] = tensor.FromSlice(T, T, scores.Data[h*T*T:(h+1)*T*T])
+		c.attn[h] = tensor.FromSlice(nq, T, scores.Data[h*nq*T:(h+1)*nq*T])
 	}
 	tensor.AttnMixInto(c.concat, scores, c.v, m.Heads)
 
@@ -92,23 +104,27 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix) (*tensor.Matrix, *AttnCac
 	return out, c
 }
 
-// Backward propagates through the attention block, returning dX.
+// Backward propagates the nq-row dOut through the attention block,
+// returning the T-row dX. Rows past nq carried no gradient, so every sum
+// they would have entered gains only ±0 terms: the parameter gradients are
+// bit-identical, and dX value-identical, to a full-width backward whose
+// dOut is zero past row nq.
 func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor.Matrix {
-	T := dOut.Rows
+	nq, T := dOut.Rows, c.k.Rows
 	dh := m.D / m.Heads
 	scale := 1 / math.Sqrt(float64(dh))
 
 	dConcat := m.WO.Backward(c.co, dOut)
-	dQ := tensor.GetMatrix(T, m.D)
+	dQ := tensor.GetMatrix(nq, m.D)
 	dK := tensor.GetMatrix(T, m.D)
 	dV := tensor.GetMatrix(T, m.D)
-	dAttn := tensor.GetMatrixDirty(T, T)
+	dAttn := tensor.GetMatrixDirty(nq, T)
 
 	for h := 0; h < m.Heads; h++ {
 		attn := c.attn[h]
 		// dV and dAttn from dConcat. Every dAttn element is assigned below
 		// before it is read, so the buffer can be reused dirty across heads.
-		for i := 0; i < T; i++ {
+		for i := 0; i < nq; i++ {
 			dcRow := headSlice(dConcat, i, h, dh)
 			arow := attn.Row(i)
 			daRow := dAttn.Row(i)
@@ -120,7 +136,7 @@ func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor
 			}
 		}
 		// Softmax backward per row: dS = A ⊙ (dA - Σ_j dA_j A_j).
-		for i := 0; i < T; i++ {
+		for i := 0; i < nq; i++ {
 			arow := attn.Row(i)
 			daRow := dAttn.Row(i)
 			dot := tensor.Dot(daRow, arow)
@@ -129,7 +145,7 @@ func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor
 			}
 		}
 		// dQ, dK from dScores (still in dAttn, scaled).
-		for i := 0; i < T; i++ {
+		for i := 0; i < nq; i++ {
 			daRow := dAttn.Row(i)
 			dqRow := headSlice(dQ, i, h, dh)
 			for j := 0; j < T; j++ {
@@ -143,8 +159,10 @@ func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor
 		}
 	}
 
-	dx := m.WQ.Backward(c.cq, dQ)
-	dx.AddInPlace(m.WK.Backward(c.ck, dK))
+	// dX = (dXq + dXk) + dXv, the query term present on the first nq rows
+	// only; addition commutes, so those rows keep the full-width bits.
+	dx := m.WK.Backward(c.ck, dK)
+	rowsView(dx, nq).AddInPlace(m.WQ.Backward(c.cq, dQ))
 	dx.AddInPlace(m.WV.Backward(c.cv, dV))
 	tensor.PutMatrix(dAttn)
 	tensor.PutMatrix(dQ)
@@ -239,28 +257,45 @@ type BlockCache struct {
 	cd2 *DropoutCache
 }
 
-// Forward runs the block; train enables dropout using rng.
-func (b *EncoderBlock) Forward(x *tensor.Matrix, train bool, rng *RNG) (*tensor.Matrix, *BlockCache) {
+// Forward runs the block for the first nq rows of x (T×D), returning
+// nq×D: attention reads the keys and values of every row, so LN1 and the
+// K/V projections stay full-width, while everything after them — the
+// queries, scores, mix, output projection, residual, LN2, FFN and both
+// dropouts — runs on nq rows. nq = T is the full block; a classifier's last
+// block needs only the [CLS] row, nq = 1. train enables dropout using rng.
+func (b *EncoderBlock) Forward(x *tensor.Matrix, nq int, train bool, rng *RNG) (*tensor.Matrix, *BlockCache) {
 	c := &BlockCache{}
 	n1, cn1 := b.LN1.Forward(x)
 	c.cn1 = cn1
-	a, ca := b.Attn.Forward(n1)
+	a, ca := b.Attn.Forward(n1, nq)
 	c.ca = ca
-	a, c.cd1 = Dropout(a, b.Drop, train, rng)
-	h := x.Clone()
+	a, c.cd1 = b.dropout(a, x.Rows, train, rng)
+	h := rowsView(x, nq).Clone()
 	h.AddInPlace(a)
 
 	n2, cn2 := b.LN2.Forward(h)
 	c.cn2 = cn2
 	f, cf := b.FF.Forward(n2)
 	c.cf = cf
-	f, c.cd2 = Dropout(f, b.Drop, train, rng)
+	f, c.cd2 = b.dropout(f, x.Rows, train, rng)
 	out := h.Clone()
 	out.AddInPlace(f)
 	return out, c
 }
 
-// Backward returns dX.
+// dropout applies the block's dropout to x, the first rows of a T-row
+// activation, then advances rng past the draws the remaining T − x.Rows
+// rows would have taken: the noise stream, and so every run trained with
+// dropout, is the same whatever rows a block computes.
+func (b *EncoderBlock) dropout(x *tensor.Matrix, T int, train bool, rng *RNG) (*tensor.Matrix, *DropoutCache) {
+	y, c := Dropout(x, b.Drop, train, rng)
+	if c.mask != nil {
+		rng.Skip((T - x.Rows) * x.Cols)
+	}
+	return y, c
+}
+
+// Backward takes the nq-row dOut of Forward and returns the T-row dX.
 func (b *EncoderBlock) Backward(c *BlockCache, dOut *tensor.Matrix) *tensor.Matrix {
 	dF := DropoutBackward(c.cd2, dOut)
 	dN2 := b.FF.Backward(c.cf, dF)
@@ -270,6 +305,6 @@ func (b *EncoderBlock) Backward(c *BlockCache, dOut *tensor.Matrix) *tensor.Matr
 	dA := DropoutBackward(c.cd1, dH)
 	dN1 := b.Attn.Backward(c.ca, dA)
 	dX := b.LN1.Backward(c.cn1, dN1)
-	dX.AddInPlace(dH) // residual
+	rowsView(dX, dH.Rows).AddInPlace(dH) // residual, on the rows computed
 	return dX
 }

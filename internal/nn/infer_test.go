@@ -65,8 +65,8 @@ func TestInferBatchParity(t *testing.T) {
 	copy(stacked.Data[5*d:], xb.Data)
 	offs := []int{0, 5, 14}
 
-	wantA, _ := blk.Forward(xa, false, nil)
-	wantB, _ := blk.Forward(xb, false, nil)
+	wantA, _ := blk.Forward(xa, xa.Rows, false, nil)
+	wantB, _ := blk.Forward(xb, xb.Rows, false, nil)
 
 	out := blk.InferView().InferBatch(stacked, offs)
 	defer tensor.PutMatrix(out)

@@ -90,10 +90,10 @@ func TestAttentionGradients(t *testing.T) {
 	r := tensor.New(5, 8).Randn(rng, 1)
 
 	forward := func() float64 {
-		y, _ := m.Forward(x)
+		y, _ := m.Forward(x, x.Rows)
 		return lossOf(y, r)
 	}
-	_, c := m.Forward(x)
+	_, c := m.Forward(x, x.Rows)
 	dx := m.Backward(c, r)
 
 	checkGrad(t, "attn.wq", m.WQ.W.W, m.WQ.W.Grad, forward)
@@ -128,16 +128,76 @@ func TestEncoderBlockGradients(t *testing.T) {
 	r := tensor.New(4, 8).Randn(rng, 1)
 
 	forward := func() float64 {
-		y, _ := b.Forward(x, false, nil)
+		y, _ := b.Forward(x, x.Rows, false, nil)
 		return lossOf(y, r)
 	}
-	_, c := b.Forward(x, false, nil)
+	_, c := b.Forward(x, x.Rows, false, nil)
 	dx := b.Backward(c, r)
 
 	checkGrad(t, "block.x", x, dx, forward)
 	checkGrad(t, "block.attn.wv", b.Attn.WV.W.W, b.Attn.WV.W.Grad, forward)
 	checkGrad(t, "block.ffn.l1", b.FF.L1.W.W, b.FF.L1.W.Grad, forward)
 	checkGrad(t, "block.ln1.gamma", b.LN1.Gamma.W, b.LN1.Gamma.Grad, forward)
+}
+
+// TestBlockForwardRowsMatchFullRows holds a block run on its first nq rows
+// to the full-width block: the output is the full output's first nq rows
+// bit for bit, the dropout stream ends where the full forward leaves it,
+// and a backward from the nq-row gradient equals one from the full gradient
+// zeroed past row nq — dX in value, every parameter gradient in bits.
+func TestBlockForwardRowsMatchFullRows(t *testing.T) {
+	const T, d, heads, ff = 7, 8, 2, 16
+	for _, drop := range []float64{0, 0.2} {
+		for _, nq := range []int{1, 3, T} {
+			build := func() *EncoderBlock {
+				return NewEncoderBlock("t", d, heads, ff, drop, rand.New(rand.NewSource(13)))
+			}
+			full, part := build(), build()
+			rng := rand.New(rand.NewSource(14))
+			x := tensor.New(T, d).Randn(rng, 1)
+			dOut := tensor.New(nq, d).Randn(rng, 1)
+			dFull := tensor.New(T, d)
+			copy(dFull.Data, dOut.Data)
+
+			rngFull, rngPart := NewRNG(15), NewRNG(15)
+			yFull, cFull := full.Forward(x, T, true, rngFull)
+			yPart, cPart := part.Forward(x, nq, true, rngPart)
+			if yPart.Rows != nq || !sameBits(yPart.Data, yFull.Data[:nq*d]) {
+				t.Fatalf("drop %g nq %d: output differs from the full forward's first rows", drop, nq)
+			}
+			if rngPart.State() != rngFull.State() {
+				t.Fatalf("drop %g nq %d: dropout stream at %x, full forward leaves it at %x",
+					drop, nq, rngPart.State(), rngFull.State())
+			}
+
+			dxFull := full.Backward(cFull, dFull)
+			dxPart := part.Backward(cPart, dOut)
+			for i := range dxFull.Data {
+				if dxPart.Data[i] != dxFull.Data[i] {
+					t.Fatalf("drop %g nq %d: dX[%d] = %v, full %v", drop, nq, i, dxPart.Data[i], dxFull.Data[i])
+				}
+			}
+			fp := full.Params()
+			for k, p := range part.Params() {
+				if !sameBits(p.Grad.Data, fp[k].Grad.Data) {
+					t.Errorf("drop %g nq %d: %s gradient differs from the full backward's", drop, nq, p.Name)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEmbeddingForwardBackward(t *testing.T) {
@@ -248,7 +308,7 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := NewMultiHeadAttention("t", 8, 4, rng)
 	x := tensor.New(6, 8).Randn(rng, 1)
-	_, c := m.Forward(x)
+	_, c := m.Forward(x, x.Rows)
 	if len(c.Attention()) != 4 {
 		t.Fatalf("heads = %d", len(c.Attention()))
 	}
@@ -306,7 +366,7 @@ func BenchmarkEncoderBlockForward(b *testing.B) {
 	x := tensor.New(33, 64).Randn(rng, 1) // avg snippet length (Table 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk.Forward(x, false, nil)
+		blk.Forward(x, x.Rows, false, nil)
 	}
 }
 
@@ -315,7 +375,7 @@ func BenchmarkEncoderBlockBackward(b *testing.B) {
 	blk := NewEncoderBlock("t", 64, 4, 128, 0, rng)
 	x := tensor.New(33, 64).Randn(rng, 1)
 	r := tensor.New(33, 64).Randn(rng, 1)
-	out, c := blk.Forward(x, false, nil)
+	out, c := blk.Forward(x, x.Rows, false, nil)
 	_ = out
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

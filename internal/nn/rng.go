@@ -29,6 +29,13 @@ func (r *RNG) Uint64() uint64 {
 	return r.state * 0x2545f4914f6cdd1d
 }
 
+// Skip advances the stream past n draws without using them.
+func (r *RNG) Skip(n int) {
+	for ; n > 0; n-- {
+		r.Uint64()
+	}
+}
+
 // Float64 returns a uniform sample in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
