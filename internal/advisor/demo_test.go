@@ -32,14 +32,37 @@ func directiveOf(t *testing.T, m *Models) *core.PragFormer {
 // they equal that classifier's share of the bundle digests recorded while
 // the demo also fitted the two clause classifiers.
 func TestTrainDemoWeightsPinned(t *testing.T) {
+	checkDemoDigests(t, DemoConfig{Seed: 1, Total: 120, Epochs: 1}, map[int]string{
+		1: "6e0c1b2a8c92bd9c8d6ae804aa03369f9e526931b1173c65c3471d79811e064c",
+		2: "0d9411c3dc4e163baddadc13e80268594b1928d988a9f3b22dfd483cef52a317",
+	})
+}
+
+// TestTrainDemoHarnessWeightsPinned pins the program the benchmark harness
+// trains, TrainDemo{Seed 1, Total 600, Epochs 3}, at widths 1 and 2: about
+// ninety optimizer steps over the full 299,234-parameter classifier, where
+// the short pin above takes a handful. The digests were recorded before the
+// optimizer step became one fused sweep per parameter.
+func TestTrainDemoHarnessWeightsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits the harness demo twice (about 1.3 s)")
+	}
+	checkDemoDigests(t, DemoConfig{Seed: 1, Total: 600, Epochs: 3}, map[int]string{
+		1: "c6d584225cb5053c9550aa9f53f66a272cc0ab58d90f13e76274324e6bffdbf6",
+		2: "44d2a107f9d028cf8819b95210d29ce6e647dcc63d3510f70a8ab18ee7aacf29",
+	})
+}
+
+// checkDemoDigests fits cfg at each width in want and compares the sha-256
+// of the directive classifier's parameter names, shapes and weight bits.
+func checkDemoDigests(t *testing.T, cfg DemoConfig, want map[int]string) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other compilers may fuse multiply-adds")
 	}
-	for workers, want := range map[int]string{
-		1: "6e0c1b2a8c92bd9c8d6ae804aa03369f9e526931b1173c65c3471d79811e064c",
-		2: "0d9411c3dc4e163baddadc13e80268594b1928d988a9f3b22dfd483cef52a317",
-	} {
-		models, err := TrainDemo(DemoConfig{Seed: 1, Total: 120, Epochs: 1, Workers: workers})
+	for workers, digest := range want {
+		cfg.Workers = workers
+		models, err := TrainDemo(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +75,8 @@ func TestTrainDemoWeightsPinned(t *testing.T) {
 				h.Write(b[:])
 			}
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("Workers=%d: fitted demo weights digest %s, want %s", workers, got, want)
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("Workers=%d: fitted demo weights digest %s, want %s", workers, got, digest)
 		}
 	}
 }

@@ -77,6 +77,7 @@ func installSIMD(enabled bool) {
 		f64AbsMaxKernel = f64AbsMaxAVX2
 		f64QuantRowKernel = f64QuantRowAVX2
 		f64NormScaleKernel = f64NormScaleAVX2
+		f64AdamWKernel = f64AdamWAVX2
 		return
 	}
 	int8RowKernel = nil
@@ -85,6 +86,7 @@ func installSIMD(enabled bool) {
 	f64AbsMaxKernel = nil
 	f64QuantRowKernel = nil
 	f64NormScaleKernel = nil
+	f64AdamWKernel = nil
 }
 
 func init() {

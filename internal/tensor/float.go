@@ -205,3 +205,62 @@ func NormScaleInto(dst, src []float64, mean, inv float64, gamma, beta []float64)
 		dst[j] = xh*gamma[j] + beta[j]
 	}
 }
+
+// AdamWStep is the scalar half of one AdamW step, shared by every
+// parameter the step updates.
+type AdamWStep struct {
+	// Inv and Scale multiply each gradient, in that order and rounded after
+	// each: the 1/batch average, then the clip factor (1 when the norm is
+	// under the bound, and x·1 == x exactly).
+	Inv, Scale   float64
+	Beta1, Beta2 float64
+	// BC1 and BC2 are the bias corrections 1−Beta1ᵗ and 1−Beta2ᵗ.
+	BC1, BC2    float64
+	Eps         float64
+	WeightDecay float64
+	LR          float64
+}
+
+// f64AdamWKernel, when non-nil, is the asm AdamW update over a 4-aligned
+// prefix of n4 elements (see AdamWUpdate). Every element is an independent
+// chain of correctly rounded operations — VMULPD, VADDPD, VSUBPD, VDIVPD,
+// VSQRTPD, no FMA — so lanes reassociate nothing and the asm is
+// bit-identical to the scalar loop.
+var f64AdamWKernel func(w, grad, m, v *float64, n4 int, decay bool, s AdamWStep)
+
+// AdamWUpdate applies one AdamW step to w from its accumulated gradient g,
+// updating the moments m and v, and leaves g zeroed. Each element runs
+//
+//	g ← (g·Inv)·Scale
+//	m ← Beta1·m + (1−Beta1)·g
+//	v ← Beta2·v + ((1−Beta2)·g)·g
+//	u ← (m/BC1) / (√(v/BC2) + Eps)  (+ WeightDecay·w when decay)
+//	w ← w − LR·u
+//
+// rounding after every operation: the explicit conversions below keep the
+// compiler from contracting a multiply and an add into an FMA, which the
+// asm backend never does. g, m and v must have at least len(w) elements.
+func AdamWUpdate(w, g, m, v []float64, s AdamWStep, decay bool) {
+	n := len(w)
+	g, m, v = g[:n], m[:n], v[:n]
+	i := 0
+	if kern := f64AdamWKernel; kern != nil {
+		if n4 := n &^ 3; n4 > 0 {
+			kern(&w[0], &g[0], &m[0], &v[0], n4, decay, s)
+			i = n4
+		}
+	}
+	omb1, omb2 := 1-s.Beta1, 1-s.Beta2
+	for ; i < n; i++ {
+		gi := (g[i] * s.Inv) * s.Scale
+		mi := float64(s.Beta1*m[i]) + float64(omb1*gi)
+		vi := float64(s.Beta2*v[i]) + float64(omb2*gi*gi)
+		m[i], v[i] = mi, vi
+		upd := (mi / s.BC1) / (math.Sqrt(vi/s.BC2) + s.Eps)
+		if decay {
+			upd += float64(s.WeightDecay * w[i])
+		}
+		w[i] -= float64(s.LR * upd)
+		g[i] = 0
+	}
+}

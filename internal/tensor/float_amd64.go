@@ -36,3 +36,10 @@ func f64DotBT4AVX2(a, b *float64, strideB, k int, out *float64)
 //
 //go:noescape
 func f64NormScaleAVX2(dst, src *float64, mean, inv float64, gamma, beta *float64, n4 int)
+
+// f64AdamWAVX2 applies one AdamW step to the first n4 elements (a nonzero
+// multiple of 4) of w, grad, m and v — the scalar AdamWUpdate loop's exact
+// operation sequence per lane, with no FMA, so results are bit-identical.
+//
+//go:noescape
+func f64AdamWAVX2(w, grad, m, v *float64, n4 int, decay bool, s AdamWStep)

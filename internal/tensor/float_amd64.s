@@ -321,3 +321,71 @@ normloop:
 
 	VZEROUPPER
 	RET
+
+// func f64AdamWAVX2(w, grad, m, v *float64, n4 int, decay bool, s AdamWStep)
+//
+// One AdamW step over j < n4, a nonzero multiple of 4. Each lane performs
+// the scalar AdamWUpdate loop's exact operation sequence — every multiply,
+// add, divide and square root rounded on its own (VMULPD, VADDPD, VSUBPD,
+// VDIVPD, VSQRTPD, never an FMA) — and lanes are distinct elements, so the
+// kernel is bit-identical to the fallback. The eleven step constants live
+// in Y4–Y14; Y0–Y3 carry one 4-element chunk. The decay branch depends on
+// the call alone, so it is always predicted.
+TEXT ·f64AdamWAVX2(SB), NOSPLIT, $0-120
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n4+32(FP), CX
+	MOVBQZX      decay+40(FP), DX
+	VBROADCASTSD s_Inv+48(FP), Y4
+	VBROADCASTSD s_Scale+56(FP), Y5
+	VBROADCASTSD s_Beta1+64(FP), Y6
+	VBROADCASTSD s_Beta2+72(FP), Y8
+	VBROADCASTSD s_BC1+80(FP), Y10
+	VBROADCASTSD s_BC2+88(FP), Y11
+	VBROADCASTSD s_Eps+96(FP), Y12
+	VBROADCASTSD s_WeightDecay+104(FP), Y13
+	VBROADCASTSD s_LR+112(FP), Y14
+	MOVQ         $0x3FF0000000000000, AX // 1.0
+	MOVQ         AX, X0
+	VBROADCASTSD X0, Y0
+	VSUBPD       Y6, Y0, Y7 // 1 − Beta1
+	VSUBPD       Y8, Y0, Y9 // 1 − Beta2
+	XORQ         AX, AX
+
+adamloop:
+	VMULPD  (SI)(AX*8), Y4, Y0 // g·Inv
+	VMULPD  Y5, Y0, Y0         // ·Scale
+	VMULPD  (R8)(AX*8), Y6, Y1 // Beta1·m
+	VMULPD  Y7, Y0, Y2         // (1−Beta1)·g
+	VADDPD  Y2, Y1, Y1         // m
+	VMOVUPD Y1, (R8)(AX*8)
+	VMULPD  Y9, Y0, Y2         // (1−Beta2)·g
+	VMULPD  Y0, Y2, Y2         // ·g
+	VMULPD  (R9)(AX*8), Y8, Y3 // Beta2·v
+	VADDPD  Y2, Y3, Y2         // v
+	VMOVUPD Y2, (R9)(AX*8)
+	VDIVPD  Y10, Y1, Y1        // m/BC1
+	VDIVPD  Y11, Y2, Y2        // v/BC2
+	VSQRTPD Y2, Y2
+	VADDPD  Y12, Y2, Y2        // √· + Eps
+	VDIVPD  Y2, Y1, Y1         // update
+	TESTQ   DX, DX
+	JZ      adamstep
+	VMULPD  (DI)(AX*8), Y13, Y2 // WeightDecay·w
+	VADDPD  Y2, Y1, Y1
+
+adamstep:
+	VMULPD  Y14, Y1, Y1        // LR·update
+	VMOVUPD (DI)(AX*8), Y3
+	VSUBPD  Y1, Y3, Y3         // w − LR·update
+	VMOVUPD Y3, (DI)(AX*8)
+	VXORPD  Y0, Y0, Y0
+	VMOVUPD Y0, (SI)(AX*8)     // g ← 0
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     adamloop
+
+	VZEROUPPER
+	RET

@@ -12,9 +12,11 @@ import (
 
 	"pragformer/internal/ckpt"
 	"pragformer/internal/nn"
+	"pragformer/internal/tensor"
 )
 
-// AdamW is the decoupled-weight-decay Adam optimizer.
+// AdamW is the decoupled-weight-decay Adam optimizer: its hyperparameters
+// and the moments it keeps between steps. OptStep applies it.
 type AdamW struct {
 	LR          float64
 	Beta1       float64
@@ -33,38 +35,6 @@ func NewAdamW(lr float64) *AdamW {
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.01,
 		m: map[*nn.Param][]float64{},
 		v: map[*nn.Param][]float64{},
-	}
-}
-
-// Step applies one update to params from their accumulated gradients,
-// then leaves gradients untouched (callers zero them per batch). lrScale
-// multiplies the base LR (warmup schedules).
-func (o *AdamW) Step(params []*nn.Param, lrScale float64) {
-	o.step++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.step))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.step))
-	lr := o.LR * lrScale
-	for _, p := range params {
-		m := o.m[p]
-		if m == nil {
-			m = make([]float64, len(p.W.Data))
-			o.m[p] = m
-			o.v[p] = make([]float64, len(p.W.Data))
-		}
-		v := o.v[p]
-		w := p.W.Data
-		g := p.Gradient().Data
-		for i := range w {
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g[i]
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g[i]*g[i]
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			upd := mhat / (math.Sqrt(vhat) + o.Eps)
-			if !p.NoDecay {
-				upd += o.WeightDecay * w[i]
-			}
-			w[i] -= lr * upd
-		}
 	}
 }
 
@@ -110,25 +80,6 @@ func (o *AdamW) SetState(params []*nn.Param, step int, m, v [][]float64) error {
 		o.v[p] = append([]float64(nil), v[i]...)
 	}
 	return nil
-}
-
-// ClipGradNorm scales gradients so their global L2 norm is at most maxNorm.
-// Returns the pre-clip norm.
-func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
-	total := 0.0
-	for _, p := range params {
-		for _, g := range p.Gradient().Data {
-			total += g * g
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
-		}
-	}
-	return norm
 }
 
 // ZeroGrads clears all gradient accumulators.
@@ -415,17 +366,51 @@ func finishEpoch(h *History, bestLoss *float64, cfg Config, stats EpochStats, wo
 
 // OptStep is one optimizer step over gradients accumulated from batch
 // examples: average them, clip to clipNorm (0 disables clipping), step at
-// lrScale times the base rate, and clear the gradients.
+// lrScale times the base rate, and clear the gradients. It reads every
+// gradient once for the clip norm (only when clipping) and then makes one
+// fused sweep per parameter — tensor.AdamWUpdate — that averages, clips,
+// updates the moments and the weight, and zeroes the gradient, each
+// element rounded exactly as separate passes would round it.
 func OptStep(opt *AdamW, params []*nn.Param, batch int, clipNorm, lrScale float64) {
 	inv := 1 / float64(batch)
-	for _, p := range params {
-		p.Gradient().ScaleInPlace(inv)
-	}
+	scale := 1.0
 	if clipNorm > 0 {
-		ClipGradNorm(params, clipNorm)
+		_, scale = clipScale(params, inv, clipNorm)
 	}
-	opt.Step(params, lrScale)
-	ZeroGrads(params)
+	opt.step++
+	s := tensor.AdamWStep{
+		Inv: inv, Scale: scale, Beta1: opt.Beta1, Beta2: opt.Beta2,
+		BC1: 1 - math.Pow(opt.Beta1, float64(opt.step)), BC2: 1 - math.Pow(opt.Beta2, float64(opt.step)),
+		Eps: opt.Eps, WeightDecay: opt.WeightDecay, LR: opt.LR * lrScale,
+	}
+	for _, p := range params {
+		m := opt.m[p]
+		if m == nil {
+			m = make([]float64, len(p.W.Data))
+			opt.m[p] = m
+			opt.v[p] = make([]float64, len(p.W.Data))
+		}
+		tensor.AdamWUpdate(p.W.Data, p.Gradient().Data, m, opt.v[p], s, !p.NoDecay)
+	}
+}
+
+// clipScale returns the global L2 norm of the averaged gradients g·inv,
+// summed parameter by parameter and element by element without storing
+// them, and the factor that brings it down to maxNorm (1 when it is
+// already within).
+func clipScale(params []*nn.Param, inv, maxNorm float64) (norm, scale float64) {
+	total := 0.0
+	for _, p := range params {
+		for _, g := range p.Gradient().Data {
+			g *= inv
+			total += g * g
+		}
+	}
+	norm = math.Sqrt(total)
+	if norm > maxNorm && norm > 0 {
+		return norm, maxNorm / norm
+	}
+	return norm, 1
 }
 
 // evalChunk bounds how many examples one batched forward stacks, keeping

@@ -41,7 +41,7 @@ func TestAdamWConverges(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ZeroGrads(q.Params())
 		q.LossAndBackward(nil, false)
-		opt.Step(q.Params(), 1)
+		OptStep(opt, q.Params(), 1, 0, 1)
 	}
 	if math.Abs(q.w.W.Data[0]-3) > 0.05 {
 		t.Fatalf("w = %g, want ≈ 3", q.w.W.Data[0])
@@ -53,7 +53,7 @@ func TestWeightDecayPullsTowardZero(t *testing.T) {
 	p := &nn.Param{Name: "w", W: tensor.FromSlice(1, 1, []float64{5}), Grad: tensor.New(1, 1)}
 	opt := NewAdamW(0.01)
 	for i := 0; i < 200; i++ {
-		opt.Step([]*nn.Param{p}, 1)
+		OptStep(opt, []*nn.Param{p}, 1, 0, 1)
 	}
 	if math.Abs(p.W.Data[0]) >= 5 {
 		t.Fatalf("decay did not shrink weight: %g", p.W.Data[0])
@@ -61,7 +61,7 @@ func TestWeightDecayPullsTowardZero(t *testing.T) {
 	// NoDecay params stay put under zero gradient.
 	p2 := &nn.Param{Name: "b", W: tensor.FromSlice(1, 1, []float64{5}), Grad: tensor.New(1, 1), NoDecay: true}
 	opt2 := NewAdamW(0.01)
-	opt2.Step([]*nn.Param{p2}, 1)
+	OptStep(opt2, []*nn.Param{p2}, 1, 0, 1)
 	if p2.W.Data[0] != 5 {
 		t.Fatalf("NoDecay param moved: %g", p2.W.Data[0])
 	}
@@ -69,17 +69,18 @@ func TestWeightDecayPullsTowardZero(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := &nn.Param{Name: "w", W: tensor.New(1, 2), Grad: tensor.FromSlice(1, 2, []float64{3, 4})}
-	norm := ClipGradNorm([]*nn.Param{p}, 1)
+	norm, scale := clipScale([]*nn.Param{p}, 1, 1)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Errorf("pre-clip norm = %g", norm)
 	}
-	got := math.Hypot(p.Grad.Data[0], p.Grad.Data[1])
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("post-clip norm = %g", got)
+	if got := norm * scale; math.Abs(got-1) > 1e-12 || scale != 0.2 {
+		t.Errorf("clip scale = %g, post-clip norm %g", scale, got)
 	}
 	// Below the threshold, gradients are untouched.
 	p2 := &nn.Param{Name: "w", W: tensor.New(1, 1), Grad: tensor.FromSlice(1, 1, []float64{0.5})}
-	ClipGradNorm([]*nn.Param{p2}, 1)
+	if _, scale := clipScale([]*nn.Param{p2}, 1, 1); scale != 1 {
+		t.Errorf("small gradient scaled by %g", scale)
+	}
 	if p2.Grad.Data[0] != 0.5 {
 		t.Error("small gradient was modified")
 	}
