@@ -5,7 +5,6 @@
 //	pragformer train -corpus open_omp.jsonl -task directive -model model.gob
 //	pragformer eval  -corpus open_omp.jsonl -task directive -model model.gob
 //	pragformer predict -model model.gob -vocab vocab.txt file.c
-//	pragformer quantize -model model.gob -out model.pfq
 //	pragformer scan -dir src/ -model model.gob -vocab vocab.txt -format sarif
 //
 // Scan walks a C source tree, extracts every for-loop, dedupes by content
@@ -13,10 +12,9 @@
 // analysis (which supplies every clause), and emits
 // a JSON or SARIF 2.1.0 report (see internal/scan and DESIGN.md).
 //
-// Quantize converts a trained float artifact into the int8 inference
-// backend (per-channel symmetric post-training quantization, PFQNT framed
-// format); `serve` loads either format and `-backend int8` quantizes float
-// artifacts on the fly.
+// The float model file train writes is the only model artifact: `scan` and
+// `serve` at -backend int8 quantize it at load time (per-channel symmetric
+// post-training quantization, internal/quant).
 //
 // Train writes both the model weights and the vocabulary (one token per
 // line) so predict can re-encode inputs identically; both artifacts are
@@ -36,8 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
@@ -57,8 +53,6 @@ func main() {
 		cmdEval(os.Args[2:])
 	case "predict":
 		cmdPredict(os.Args[2:])
-	case "quantize":
-		cmdQuantize(os.Args[2:])
 	case "scan":
 		cmdScan(os.Args[2:])
 	default:
@@ -67,7 +61,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pragformer {train|eval|predict|quantize|scan} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pragformer {train|eval|predict|scan} [flags]")
 	os.Exit(2)
 }
 
@@ -265,39 +259,6 @@ func cmdEval(args []string) {
 	testSet := encodeAll(split.Test, v, m.Cfg.MaxLen)
 	loss, acc := train.EvaluateParallel(m, testSet, *workers)
 	fmt.Printf("test: %d examples, loss %.4f, accuracy %.3f\n", len(testSet), loss, acc)
-}
-
-func cmdQuantize(args []string) {
-	fs := flag.NewFlagSet("quantize", flag.ExitOnError)
-	var (
-		modelPath = fs.String("model", "pragformer.gob", "input float model (pragformer train artifact)")
-		outPath   = fs.String("out", "", "output PFQNT artifact path (default: input with a .pfq extension)")
-	)
-	_ = fs.Parse(args)
-	if *outPath == "" {
-		*outPath = strings.TrimSuffix(*modelPath, filepath.Ext(*modelPath)) + ".pfq"
-	}
-	m, err := core.LoadFile(*modelPath)
-	if err != nil {
-		fatal(err)
-	}
-	q, err := core.Quantize(m)
-	if err != nil {
-		fatal(err)
-	}
-	if err := q.SaveFile(*outPath); err != nil {
-		fatal(err)
-	}
-	in, err := os.Stat(*modelPath)
-	if err != nil {
-		fatal(err)
-	}
-	out, err := os.Stat(*outPath)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("quantized %s (%d bytes) -> %s (%d bytes, %.1fx smaller)\n",
-		*modelPath, in.Size(), *outPath, out.Size(), float64(in.Size())/float64(out.Size()))
 }
 
 func cmdPredict(args []string) {

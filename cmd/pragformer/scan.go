@@ -36,7 +36,7 @@ func cmdScan(args []string) {
 		outPath    = fs.String("out", "", "write the report here (default stdout)")
 		modelPath  = fs.String("model", "", "directive model path (empty: self-train the demo classifier)")
 		vocabPath  = fs.String("vocab", "", "vocabulary path (required with -model)")
-		backend    = fs.String("backend", "", "compute backend: float64|int8 (empty serves artifacts as loaded)")
+		backend    = fs.String("backend", "", "compute backend: float64|int8 (empty serves float64)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel parse workers")
 		batch      = fs.Int("batch", 16, "inference batch size")
 		cachePath  = fs.String("cache", "", "persistent loop-hash cache file (incremental re-scans)")
@@ -154,8 +154,8 @@ func scanModelID(model, vocab string, seed int64, total, epochs int) (string, er
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)[:8]), nil
 }
 
-// scanModels loads the classifier artifacts (PFQNT sniffed like cmd/serve),
-// or trains the demo bundle when no directive model is given.
+// scanModels loads the classifier artifacts, or trains the demo bundle when
+// no directive model is given.
 func scanModels(model, vocab string, seed int64, total, epochs int) (*advisor.Models, error) {
 	if model == "" {
 		fmt.Fprintf(os.Stderr, "no -model given; training the demo classifier (corpus %d, %d epochs, seed %d)\n",

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pragformer/internal/advisor"
+	"pragformer/internal/core"
 	"pragformer/internal/scan"
 )
 
@@ -111,5 +113,45 @@ func TestScanCLISARIF(t *testing.T) {
 	}
 	if log.Version != "2.1.0" || log.Schema == "" || len(log.Runs) != 1 {
 		t.Errorf("sarif header = %q %q, runs %d", log.Schema, log.Version, len(log.Runs))
+	}
+}
+
+// TestScanCLIModelArtifact covers the one artifact path end to end: the
+// demo classifier trained at demoArgs' settings, saved as the float model
+// and vocabulary files `pragformer train` writes and scanned through
+// -model/-vocab, gives the demo-mode scan's stable report byte for byte on
+// both backends. At -backend int8 the int8 model is derived from the float
+// file at load time.
+func TestScanCLIModelArtifact(t *testing.T) {
+	models, err := advisor.TrainDemo(advisor.DemoConfig{Seed: 1, Total: 150, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	modelPath, vocabPath := filepath.Join(dir, "directive.gob"), filepath.Join(dir, "vocab.txt")
+	if err := models.Directive.(*core.PragFormer).SaveFile(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := models.Vocab.SaveFile(vocabPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{core.BackendInt8, core.BackendFloat64} {
+		demoOut := filepath.Join(dir, "demo-"+backend+".json")
+		fileOut := filepath.Join(dir, "file-"+backend+".json")
+		cmdScan(demoArgs("-stable", "-backend", backend, "-out", demoOut))
+		cmdScan([]string{"-dir", scanFixture, "-model", modelPath, "-vocab", vocabPath,
+			"-workers", "4", "-stable", "-backend", backend, "-out", fileOut})
+		want, err := os.ReadFile(demoOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(fileOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: scan of the saved artifact differs from the demo-mode scan:\n--- artifact ---\n%s\n--- demo ---\n%s",
+				backend, got, want)
+		}
 	}
 }

@@ -1,17 +1,16 @@
 // Command serve runs the PragFormer advisor as an HTTP JSON service over
 // the micro-batching inference engine in internal/serve.
 //
-// The directive classifier is either loaded from files written by
-// `pragformer train` or `pragformer quantize` (-directive plus -vocab;
-// PFQNT artifacts are detected by magic) or, when -directive is empty,
-// trained at startup on a generated Open-OMP corpus — the zero-setup demo
-// mode. Clauses come from the dependence analysis, so no clause classifier
-// is served.
+// The directive classifier is either loaded from the float model and
+// vocabulary files written by `pragformer train` (-directive plus -vocab)
+// or, when -directive is empty, trained at startup on a generated Open-OMP
+// corpus — the zero-setup demo mode. Clauses come from the dependence
+// analysis, so no clause classifier is served.
 //
 // -backend selects the compute backend: float64 (the training-grade
-// reference), int8 (quantizes float artifacts at load time and on every
-// hot reload), or empty to serve each artifact as loaded. The active
-// backend and model generation are reported by GET /healthz.
+// reference, and what empty means) or int8 (quantizes the float model at
+// load time and on every hot reload). The active backend and model
+// generation are reported by GET /healthz.
 //
 // When models come from files, a retrained artifact can be shipped to the
 // running server with zero downtime: POST /reload (or send SIGHUP) re-reads
@@ -59,7 +58,7 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 16, "max coalesced batch size")
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time a batch keeps growing while every worker is busy")
 		replicas  = flag.Int("replicas", 1, "model replicas (concurrent batches in flight)")
-		backend   = flag.String("backend", "", "compute backend: float64|int8 (empty serves artifacts as loaded; int8 quantizes float artifacts at load and on every reload)")
+		backend   = flag.String("backend", "", "compute backend: float64|int8 (empty serves float64; int8 quantizes the float model at load and on every reload)")
 		cacheSize = flag.Int("cache", 1024, "LRU result cache entries (negative disables)")
 		queueLen  = flag.Int("queue", 0, "batcher queue depth (0 = max-batch * replicas)")
 		shed      = flag.Bool("shed", false, "shed load with 429 + Retry-After when the queue saturates instead of blocking")

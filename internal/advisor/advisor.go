@@ -87,16 +87,16 @@ func (m *Models) EffectiveMaxLen() int {
 	return core.DefaultMaxLen
 }
 
-// LoadModels reads a bundle from artifacts written by `pragformer train`
-// or `pragformer quantize` (PFQNT files are detected by magic): the
-// vocabulary and the directive classifier.
+// LoadModels reads a bundle from the artifacts `pragformer train` writes:
+// the vocabulary and the float directive classifier. WithBackend derives
+// the int8 classifier from it.
 func LoadModels(directive, vocab string) (*Models, error) {
 	v, err := tokenize.LoadVocabFile(vocab)
 	if err != nil {
 		return nil, err
 	}
 	m := &Models{Vocab: v}
-	if m.Directive, err = core.LoadClassifierFile(directive); err != nil {
+	if m.Directive, err = core.LoadFile(directive); err != nil {
 		return nil, err
 	}
 	m.MaxLen = m.Directive.MaxSeqLen()
@@ -105,7 +105,7 @@ func LoadModels(directive, vocab string) (*Models, error) {
 
 // WithBackend returns a bundle whose classifier runs on the named compute
 // backend. The empty name keeps the bundle as loaded. core.BackendFloat64
-// requires the classifier to already be float64 (an int8 artifact cannot be
+// requires the classifier to already be float64 (an int8 classifier cannot be
 // dequantized back into a training-grade model). core.BackendInt8 quantizes
 // a float classifier in place of deep conversion — an already-quantized one
 // passes through. The receiver is never mutated; the converted bundle

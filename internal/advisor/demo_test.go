@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pragformer/internal/core"
@@ -142,5 +144,23 @@ func TestBundleFootprint(t *testing.T) {
 	}
 	if reloaded > budget {
 		t.Errorf("loaded demo bundle keeps %d bytes live, budget %d", reloaded, budget)
+	}
+}
+
+// TestLoadModelsRejectsPFQNT points LoadModels at an int8 artifact in the
+// PFQNT format an older `pragformer quantize` wrote: the bundle load fails
+// with core.LoadFile's error naming the format, as cmd/serve's -directive
+// and `pragformer scan -model` report it.
+func TestLoadModelsRejectsPFQNT(t *testing.T) {
+	vocabPath := filepath.Join(t.TempDir(), "vocab.txt")
+	if err := os.WriteFile(vocabPath, []byte("[PAD]\n[UNK]\n[CLS]\n[MASK]\nfor\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	models, err := LoadModels("../core/testdata/quant_l2_v1.pfq", vocabPath)
+	if err == nil {
+		t.Fatalf("LoadModels accepted a PFQNT artifact: %+v", models)
+	}
+	if !strings.Contains(err.Error(), "PFQNT") || !strings.Contains(err.Error(), "-backend int8") {
+		t.Errorf("error %q does not name the format and the replacement", err)
 	}
 }

@@ -79,7 +79,7 @@ func (s *Snapshot) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
 		return fmt.Errorf("ckpt: encode snapshot: %w", err)
 	}
-	return WriteFramed(w, magic, FormatVersion, payload.Bytes())
+	return writeFramed(w, payload.Bytes())
 }
 
 // SaveFile writes the snapshot to path atomically.
@@ -90,7 +90,7 @@ func (s *Snapshot) SaveFile(path string) error {
 // Load reads a snapshot written by Save, verifying magic, version, length,
 // and CRC before decoding.
 func Load(r io.Reader) (*Snapshot, error) {
-	payload, err := ReadFramed(r, magic, FormatVersion, "checkpoint")
+	payload, err := readFramed(r)
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,9 @@ import (
 	"io"
 )
 
-// Generic framed-payload wire format, shared by every binary artifact in
-// the repo (PFCKPT training snapshots here, PFQNT quantized models in
-// internal/quant):
+// Framed-payload wire format of a PFCKPT training snapshot:
 //
-//	magic   [m]byte  artifact type tag
+//	magic   [6]byte  "PFCKPT"
 //	version uint32   little-endian format version
 //	length  uint64   little-endian payload byte count
 //	crc     uint32   little-endian CRC-32C (Castagnoli) of the payload
@@ -25,17 +23,17 @@ import (
 // maxPayloadBytes caps the header's length field. The field is untrusted
 // input: a bit-flipped length with an intact magic must produce the same
 // descriptive error as any other corruption, not a multi-exabyte
-// allocation. 4 GiB is orders of magnitude above any artifact this repo's
+// allocation. 4 GiB is orders of magnitude above any snapshot this repo's
 // CPU-scale models can produce.
 const maxPayloadBytes = 4 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFramed writes payload to w under a magic/version/length/CRC header.
-func WriteFramed(w io.Writer, magic []byte, version uint32, payload []byte) error {
+// writeFramed writes payload to w under a magic/version/length/CRC header.
+func writeFramed(w io.Writer, payload []byte) error {
 	hdr := make([]byte, len(magic)+16)
 	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
+	binary.LittleEndian.PutUint32(hdr[len(magic):], FormatVersion)
 	binary.LittleEndian.PutUint64(hdr[len(magic)+4:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[len(magic)+12:], crc32.Checksum(payload, crcTable))
 	if _, err := w.Write(hdr); err != nil {
@@ -45,21 +43,20 @@ func WriteFramed(w io.Writer, magic []byte, version uint32, payload []byte) erro
 	return err
 }
 
-// ReadFramed reads a frame written by WriteFramed, verifying magic,
-// version, length, and CRC before returning the payload. kind names the
-// artifact in errors ("checkpoint", "quantized model").
-func ReadFramed(r io.Reader, magic []byte, maxVersion uint32, kind string) ([]byte, error) {
+// readFramed reads a frame written by writeFramed, verifying magic,
+// version, length, and CRC before returning the payload.
+func readFramed(r io.Reader) ([]byte, error) {
 	hdr := make([]byte, len(magic)+16)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("ckpt: truncated header: %w", err)
 	}
 	if !bytes.Equal(hdr[:len(magic)], magic) {
-		return nil, fmt.Errorf("ckpt: bad magic %q — not a %s file", hdr[:len(magic)], kind)
+		return nil, fmt.Errorf("ckpt: bad magic %q — not a checkpoint file", hdr[:len(magic)])
 	}
 	version := binary.LittleEndian.Uint32(hdr[len(magic):])
-	if version > maxVersion {
-		return nil, fmt.Errorf("ckpt: %s file written by a newer format (version %d, this build reads <= %d)",
-			kind, version, maxVersion)
+	if version > FormatVersion {
+		return nil, fmt.Errorf("ckpt: checkpoint file written by a newer format (version %d, this build reads <= %d)",
+			version, FormatVersion)
 	}
 	length := binary.LittleEndian.Uint64(hdr[len(magic)+4:])
 	wantCRC := binary.LittleEndian.Uint32(hdr[len(magic)+12:])

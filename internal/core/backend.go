@@ -71,21 +71,6 @@ func WeightBytes(b Backend) int {
 	return n
 }
 
-// LoadClassifierFile reads one classifier artifact, sniffing the format: a
-// PFQNT file (written by `pragformer quantize`) loads as the int8 backend,
-// anything else as a float64 `pragformer train` artifact. The shared
-// loader behind `cmd/serve` and `pragformer scan`.
-func LoadClassifierFile(path string) (Backend, error) {
-	isQuant, err := quant.SniffFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if isQuant {
-		return quant.LoadFile(path)
-	}
-	return LoadFile(path)
-}
-
 // BackendName identifies the float64 reference backend (Backend).
 func (m *PragFormer) BackendName() string { return BackendFloat64 }
 
@@ -105,7 +90,7 @@ func (m *PragFormer) MaxSeqLen() int { return m.Cfg.MaxLen }
 // a demo-scale classifier — read-only, as /predict replicas share one set
 // of weights. A fit of m after Quantize therefore moves what the bundle
 // embeds while its int8 weights stay as calibrated: quantize again after
-// training m further. A bundle read back from a .pfq file owns its tables.
+// training m further.
 func Quantize(m *PragFormer) (*quant.Model, error) {
 	q, err := quant.FromNN(quant.Config{
 		Vocab: m.Cfg.Vocab, MaxLen: m.Cfg.MaxLen, D: m.Cfg.D, Heads: m.Cfg.Heads,

@@ -142,3 +142,22 @@ func TestLoadVersionZeroCompat(t *testing.T) {
 		t.Fatal("version-0 load changed predictions")
 	}
 }
+
+// TestLoadRejectsPFQNT loads testdata/quant_l2_v1.pfq, an int8 artifact in
+// the PFQNT format an older `pragformer quantize` wrote: it must fail with
+// an error that names the format and says what to load instead, not with a
+// gob decode error.
+func TestLoadRejectsPFQNT(t *testing.T) {
+	_, err := LoadFile("testdata/quant_l2_v1.pfq")
+	if err == nil {
+		t.Fatal("a PFQNT artifact loaded as a float model")
+	}
+	for _, want := range []string{"PFQNT", "float model", "-backend int8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "decode") {
+		t.Errorf("error %q is a decode error", err)
+	}
+}

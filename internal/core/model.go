@@ -8,6 +8,7 @@
 package core
 
 import (
+	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -388,9 +389,18 @@ func (m *PragFormer) SaveFile(path string) error {
 // tensors have not vouched for: the model is assembled shape-first, each
 // parameter is checked against its manifest entry, and the decoded slice
 // then becomes its storage — no second copy.
+//
+// The float file is the only model artifact: a file that starts with
+// "PFQNT", the int8 format an older `pragformer quantize` wrote, is refused
+// with an error that says what to load instead.
 func Load(r io.Reader) (*PragFormer, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(5); string(head) == "PFQNT" {
+		return nil, fmt.Errorf("core: this is a PFQNT int8 artifact, a format no longer read: " +
+			"load the float model file it was quantized from, with -backend int8 to serve it as int8")
+	}
 	var mf modelFile
-	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
+	if err := gob.NewDecoder(br).Decode(&mf); err != nil {
 		return nil, fmt.Errorf("core: decode model file: %w", err)
 	}
 	if mf.Version > modelFormatVersion {

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
-
-	"pragformer/internal/quant"
 )
 
 // quantPins holds the hex-float PredictBatchProbs (p[0], p[1] per sequence)
@@ -74,31 +72,20 @@ var quantPins = []struct {
 	}},
 }
 
-// TestQuantPredictPinned checks the int8 backend against quantPins, both
-// freshly quantized and loaded from testdata/quant_l2_v1.pfq — the PFQNT
-// (FormatVersion 1) artifact that same commit wrote for the two-layer model.
+// TestQuantPredictPinned checks the int8 backend Quantize derives against
+// quantPins.
 func TestQuantPredictPinned(t *testing.T) {
-	loaded, err := quant.LoadFile("testdata/quant_l2_v1.pfq")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, pin := range quantPins {
 		q, err := Quantize(batchTestModel(t, pin.layers, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends := map[string]*quant.Model{"quantized": q}
-		if pin.layers == 2 {
-			backends["loaded"] = loaded
-		}
 		batch := raggedIDs(rand.New(rand.NewSource(int64(100*pin.layers+pin.B))), pin.B, 1, 64, q.Cfg.Vocab)
-		for name, b := range backends {
-			for i, p := range b.Classifier().PredictBatchProbs(batch) {
-				for c := 0; c < 2; c++ {
-					if got := strconv.FormatFloat(p[c], 'x', -1, 64); got != pin.want[2*i+c] {
-						t.Errorf("%s layers=%d B=%d seq %d class %d: %s, pinned %s",
-							name, pin.layers, pin.B, i, c, got, pin.want[2*i+c])
-					}
+		for i, p := range q.Classifier().PredictBatchProbs(batch) {
+			for c := 0; c < 2; c++ {
+				if got := strconv.FormatFloat(p[c], 'x', -1, 64); got != pin.want[2*i+c] {
+					t.Errorf("quantized layers=%d B=%d seq %d class %d: %s, pinned %s",
+						pin.layers, pin.B, i, c, got, pin.want[2*i+c])
 				}
 			}
 		}

@@ -2,10 +2,13 @@
 // per-channel symmetric quantization of PragFormer's linear and attention
 // weight matrices, the int8 projections that plug those weights into the one
 // inference forward in nn/infer.go (Linear is an nn.Projection, Attention an
-// nn.QKVProjection), and a framed PFQNT artifact format for persisting
-// quantized bundles (artifact.go). The package holds no forward pass of its
-// own: the float64 and int8 backends run the same program over two weight
-// formats, which is what the per-layer parity tests in core compare.
+// nn.QKVProjection). The package holds no forward pass of its own: the
+// float64 and int8 backends run the same program over two weight formats,
+// which is what the per-layer parity tests in core compare.
+//
+// It has no file format either. The float artifact `pragformer train` writes
+// is the one model file; an int8 model is derived from it in memory by
+// core.Quantize whenever a bundle is served at -backend int8.
 //
 // Scheme: each weight matrix is stored transposed (one output channel per
 // row) with one float32 scale per channel, scale_c = max_k |W[k][c]| / 127,
@@ -44,7 +47,7 @@ type Config struct {
 	FCHidden int
 }
 
-// validate rejects configs no artifact or quantizer should ever produce.
+// validate rejects configs no quantizer should ever produce.
 func (c Config) validate() error {
 	if c.Vocab <= 0 || c.MaxLen <= 0 || c.D <= 0 || c.Heads <= 0 ||
 		c.Layers <= 0 || c.FFHidden <= 0 || c.FCHidden <= 0 {
