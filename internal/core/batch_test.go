@@ -34,6 +34,15 @@ func raggedIDs(rng *rand.Rand, n, minLen, maxLen, vocab int) [][]int {
 // predictOne asks b about one sequence: a batch of one.
 func predictOne(b Backend, ids []int) float64 { return b.PredictBatch([][]int{ids})[0] }
 
+// singleProbs runs the training forward, forwardCls, in eval mode over one
+// sequence and returns what it borrowed before handing back the
+// probabilities.
+func singleProbs(m *PragFormer, ids []int) [2]float64 {
+	p := m.forwardCls(ids, false).prob
+	m.borrows.Release()
+	return p
+}
+
 // TestPredictBatchParity asserts bit-exact agreement between PredictBatch
 // and the training forward, forwardCls, looped per sequence, across batch
 // sizes, ragged lengths, and layer counts.
@@ -49,7 +58,7 @@ func TestPredictBatchParity(t *testing.T) {
 				t.Fatalf("layers=%d B=%d: got %d results", layers, B, len(got))
 			}
 			for i, ids := range batch {
-				want := m.forwardCls(ids, false).prob[1]
+				want := singleProbs(m, ids)[1]
 				if got[i] != want {
 					t.Errorf("layers=%d B=%d seq %d (len %d): batch %v != single %v",
 						layers, B, i, len(ids), got[i], want)
@@ -71,9 +80,8 @@ func TestPredictBatchProbsLoss(t *testing.T) {
 	batch := raggedIDs(rng, 5, 2, 40, m.Cfg.Vocab)
 	probs := m.PredictBatchProbs(batch)
 	for i, ids := range batch {
-		c := m.forwardCls(ids, false)
-		if probs[i] != c.prob {
-			t.Errorf("seq %d: batch probs %v != single %v", i, probs[i], c.prob)
+		if p := singleProbs(m, ids); probs[i] != p {
+			t.Errorf("seq %d: batch probs %v != single %v", i, probs[i], p)
 		}
 	}
 }
@@ -88,7 +96,7 @@ func TestPredictBatchTruncation(t *testing.T) {
 		long[i] = 4 + i%100
 	}
 	got := m.PredictBatch([][]int{long})
-	if want := m.forwardCls(long, false).prob[1]; got[0] != want {
+	if want := singleProbs(m, long)[1]; got[0] != want {
 		t.Errorf("truncated batch %v != single %v", got[0], want)
 	}
 }
@@ -136,7 +144,7 @@ func TestPredictBatchRaggedEdges(t *testing.T) {
 	}
 	for name, batch := range batches {
 		single := map[Backend]func([]int) float64{
-			m: func(ids []int) float64 { return m.forwardCls(ids, false).prob[1] },
+			m: func(ids []int) float64 { return singleProbs(m, ids)[1] },
 			q: func(ids []int) float64 { return predictOne(q, ids) },
 		}
 		for backend, want := range single {
@@ -217,7 +225,7 @@ func BenchmarkPredictSequential16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, ids := range batch {
-			m.forwardCls(ids, false)
+			singleProbs(m, ids)
 		}
 	}
 }

@@ -75,6 +75,10 @@ type PragFormer struct {
 	FC2     *nn.Linear
 
 	rng *nn.RNG // dropout randomness (training only); serializable for resume
+	// borrows holds every matrix the example in flight took from the
+	// tensor pool; LossAndBackward and MLMLossAndBackward release it
+	// before they return.
+	borrows nn.Borrows
 }
 
 // New builds a PragFormer with seeded initialization.
@@ -198,7 +202,7 @@ func (m *PragFormer) encode(ids []int, nq int, train bool) *encCache {
 		ids = ids[:m.Cfg.MaxLen]
 	}
 	c := &encCache{ids: ids}
-	x := m.Emb.Forward(ids)
+	x := m.Emb.Forward(ids, &m.borrows)
 	last := len(m.Blocks) - 1
 	for l, b := range m.Blocks {
 		rows := x.Rows
@@ -206,19 +210,19 @@ func (m *PragFormer) encode(ids []int, nq int, train bool) *encCache {
 			rows = nq
 		}
 		var bc *nn.BlockCache
-		x, bc = b.Forward(x, rows, train, m.rng)
+		x, bc = b.Forward(x, rows, train, m.rng, &m.borrows)
 		c.blocks = append(c.blocks, bc)
 	}
-	c.hidden, c.lnc = m.FinalLN.Forward(x)
+	c.hidden, c.lnc = m.FinalLN.Forward(x, &m.borrows)
 	return c
 }
 
 // encodeBackward propagates dHidden, the gradient of c.hidden's rows,
 // through the encoder.
 func (m *PragFormer) encodeBackward(c *encCache, dHidden *tensor.Matrix) {
-	dx := m.FinalLN.Backward(c.lnc, dHidden)
+	dx := m.FinalLN.Backward(c.lnc, dHidden, &m.borrows)
 	for l := len(m.Blocks) - 1; l >= 0; l-- {
-		dx = m.Blocks[l].Backward(c.blocks[l], dx)
+		dx = m.Blocks[l].Backward(c.blocks[l], dx, &m.borrows)
 	}
 	m.Emb.Backward(c.ids, dx)
 }
@@ -236,16 +240,18 @@ type clsCache struct {
 // forwardCls runs encoder + head, returning class probabilities: the
 // training forward, and the reference the batch parity tests hold the
 // inference forward (batch.go) to. The head reads the [CLS] row alone, so
-// the last block computes that row only.
+// the last block computes that row only. Its matrices are borrowed into
+// m.borrows, which the caller releases.
 func (m *PragFormer) forwardCls(ids []int, train bool) *clsCache {
+	bw := &m.borrows
 	c := &clsCache{enc: m.encode(ids, 1, train)}
 	cls := c.enc.hidden // [CLS] pooling: the one row computed
-	h, c1 := m.FC1.Forward(cls)
+	h, c1 := m.FC1.Forward(cls, bw)
 	c.c1 = c1
-	a, cr := nn.ReLU(h)
+	a, cr := nn.ReLU(h, bw)
 	c.cr = cr
-	a, c.cd = nn.Dropout(a, m.Cfg.Dropout, train, m.rng)
-	logits, c2 := m.FC2.Forward(a)
+	a, c.cd = nn.Dropout(a, m.Cfg.Dropout, train, m.rng, bw)
+	logits, c2 := m.FC2.Forward(a, bw)
 	c.c2 = c2
 	var p [2]float64
 	tensor.SoftmaxVecInto(p[:], logits.Row(0))
@@ -254,8 +260,11 @@ func (m *PragFormer) forwardCls(ids []int, train bool) *clsCache {
 }
 
 // LossAndBackward computes the binary cross-entropy loss (Eq. 1) for one
-// example and accumulates gradients for all classifier parameters.
+// example and accumulates gradients for all classifier parameters. Every
+// activation and backward temporary of the example is borrowed from the
+// tensor pool and is back in it when this returns.
 func (m *PragFormer) LossAndBackward(ids []int, label bool) float64 {
+	bw := &m.borrows
 	c := m.forwardCls(ids, true)
 	y := 0
 	if label {
@@ -264,16 +273,17 @@ func (m *PragFormer) LossAndBackward(ids []int, label bool) float64 {
 	loss := -math.Log(math.Max(c.prob[y], 1e-12))
 
 	// Softmax+CE gradient: dlogits = p - onehot(y).
-	dLogits := tensor.New(1, 2)
+	dLogits := bw.BorrowDirty(1, 2)
 	dLogits.Set(0, 0, c.prob[0])
 	dLogits.Set(0, 1, c.prob[1])
 	dLogits.Data[y] -= 1
 
-	da := m.FC2.Backward(c.c2, dLogits)
-	da = nn.DropoutBackward(c.cd, da)
-	dh := nn.ReLUBackward(c.cr, da)
-	dCls := m.FC1.Backward(c.c1, dh)
+	da := m.FC2.Backward(c.c2, dLogits, bw)
+	da = nn.DropoutBackward(c.cd, da, bw)
+	dh := nn.ReLUBackward(c.cr, da, bw)
+	dCls := m.FC1.Backward(c.c1, dh, bw)
 	m.encodeBackward(c.enc, dCls)
+	bw.Release()
 	return loss
 }
 
@@ -296,7 +306,9 @@ func (m *PragFormer) MLMParams(head *nn.Linear) []*nn.Param {
 // MLMLossAndBackward applies the BERT-style masking recipe (15% of
 // positions: 80% [MASK], 10% random, 10% kept) and accumulates encoder and
 // head gradients. Returns the mean masked-token cross-entropy and the
-// number of masked positions.
+// number of masked positions. Like LossAndBackward it returns every matrix
+// it borrowed — the T×Vocab logits and their gradient the largest — to the
+// tensor pool before it returns.
 func (m *PragFormer) MLMLossAndBackward(head *nn.Linear, ids []int, rng *rand.Rand) (float64, int) {
 	if len(ids) > m.Cfg.MaxLen {
 		ids = ids[:m.Cfg.MaxLen]
@@ -320,9 +332,10 @@ func (m *PragFormer) MLMLossAndBackward(head *nn.Linear, ids []int, rng *rand.Ra
 		return 0, 0
 	}
 
+	bw := &m.borrows
 	c := m.encode(masked, len(masked), true)
-	logits, lc := head.Forward(c.hidden)
-	dLogits := tensor.New(logits.Rows, logits.Cols)
+	logits, lc := head.Forward(c.hidden, bw)
+	dLogits := bw.Borrow(logits.Rows, logits.Cols) // only target rows are written
 	total := 0.0
 	inv := 1 / float64(len(targets))
 	p := tensor.GetVecDirty(logits.Cols) // SoftmaxVecInto fully assigns it
@@ -338,8 +351,9 @@ func (m *PragFormer) MLMLossAndBackward(head *nn.Linear, ids []int, rng *rand.Ra
 			drow[j] *= inv
 		}
 	}
-	dHidden := head.Backward(lc, dLogits)
+	dHidden := head.Backward(lc, dLogits, bw)
 	m.encodeBackward(c, dHidden)
+	bw.Release()
 	return total * inv, len(targets)
 }
 

@@ -2,10 +2,12 @@
 // as a `go vet -vettool` (cmd/pflint). Three checks, all purely syntactic so
 // the tool needs no type information or export data:
 //
-//   - poolbalance: a function that takes buffers from the tensor pool
-//     (GetVec/GetMatrix/GetInt8Matrix and their Dirty variants) but neither
-//     returns them (PutVec/PutMatrix/PutInt8Matrix) nor hands them off — by
-//     returning the buffer or storing it in a field/global — leaks pool
+//   - poolbalance: a function that takes buffers from a pool — the tensor
+//     pool (GetVec/GetMatrix/GetInt8Matrix and their Dirty variants), a
+//     borrow list (Borrow/BorrowDirty/BorrowClone: clex's token buffers
+//     and nn.Borrows, a training step's matrices) — but neither returns
+//     them (PutVec/PutMatrix/PutInt8Matrix, Release) nor hands them off —
+//     by returning the buffer or storing it in a field/global — leaks pool
 //     capacity: the pool never shrinks a hot path back to steady state.
 //
 //   - determinism: the inference packages (nn, quant, lime, dep) promise
@@ -50,12 +52,14 @@ var obsFreePkgs = map[string]bool{
 // obsImportPath is the telemetry package kernels must not depend on.
 const obsImportPath = "pragformer/internal/obs"
 
-// poolFamilies maps each pool Get entry point to its family; a family's
-// buffers come back via Put<family>.
+// poolFamilies maps each pool acquire entry point to the call that gives
+// its buffers back.
 var poolFamilies = map[string]string{
-	"GetVec": "Vec", "GetVecDirty": "Vec",
-	"GetMatrix": "Matrix", "GetMatrixDirty": "Matrix",
-	"GetInt8Matrix": "Int8Matrix",
+	"GetVec": "PutVec", "GetVecDirty": "PutVec",
+	"GetMatrix": "PutMatrix", "GetMatrixDirty": "PutMatrix",
+	"GetInt8Matrix": "PutInt8Matrix",
+	// Borrow lists: clex's token buffers and nn.Borrows.
+	"Borrow": "Release", "BorrowDirty": "Release", "BorrowClone": "Release",
 }
 
 // CheckFile runs every check over one parsed file and returns its findings
@@ -79,8 +83,8 @@ func CheckFile(fset *token.FileSet, file *ast.File, pkgName string) []Finding {
 	return out
 }
 
-// checkPoolBalance flags functions that acquire pool buffers of a family
-// without any same-family Put and without a way to transfer ownership:
+// checkPoolBalance flags functions that acquire pool buffers without any
+// call to the matching release and without a way to transfer ownership:
 // returning a reference-shaped value (slice/pointer/interface — the buffer
 // may be handed to the caller, whose own balance is checked separately) or
 // storing into a struct field / global both count as transfers.
@@ -91,21 +95,19 @@ func checkPoolBalance(fset *token.FileSet, file *ast.File) []Finding {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		gets := map[string]token.Pos{} // family -> first Get position
-		puts := map[string]bool{}
+		gets := map[string]token.Pos{} // release call -> first acquire position
+		calls := map[string]bool{}
 		escapes := returnsReference(fn)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.CallExpr:
 				name := calleeName(v)
-				if fam, ok := poolFamilies[name]; ok {
-					if _, seen := gets[fam]; !seen {
-						gets[fam] = v.Pos()
+				if rel, ok := poolFamilies[name]; ok {
+					if _, seen := gets[rel]; !seen {
+						gets[rel] = v.Pos()
 					}
 				}
-				if strings.HasPrefix(name, "Put") {
-					puts[strings.TrimPrefix(name, "Put")] = true
-				}
+				calls[name] = true
 			case *ast.AssignStmt:
 				for _, lhs := range v.Lhs {
 					if _, ok := lhs.(*ast.SelectorExpr); ok {
@@ -118,18 +120,18 @@ func checkPoolBalance(fset *token.FileSet, file *ast.File) []Finding {
 		if escapes {
 			continue
 		}
-		fams := make([]string, 0, len(gets))
-		for fam := range gets {
-			if !puts[fam] {
-				fams = append(fams, fam)
+		rels := make([]string, 0, len(gets))
+		for rel := range gets {
+			if !calls[rel] {
+				rels = append(rels, rel)
 			}
 		}
-		sort.Strings(fams)
-		for _, fam := range fams {
+		sort.Strings(rels)
+		for _, rel := range rels {
 			out = append(out, Finding{
-				Pos: fset.Position(gets[fam]),
-				Msg: fmt.Sprintf("%s acquires a pool %s buffer but never calls Put%s (pool leak)",
-					fn.Name.Name, fam, fam),
+				Pos: fset.Position(gets[rel]),
+				Msg: fmt.Sprintf("%s acquires a pooled buffer but never calls %s (pool leak)",
+					fn.Name.Name, rel),
 			})
 		}
 	}

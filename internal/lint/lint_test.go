@@ -83,6 +83,35 @@ func mixed(n int) {
 	}
 }
 
+func TestBorrowWithoutReleaseFlagged(t *testing.T) {
+	// A training step that borrows from its list and returns a scalar must
+	// release the list: nothing else can give the matrices back.
+	fs := check(t, `package core
+import "pragformer/internal/nn"
+func step(bw *nn.Borrows) float64 {
+	d := bw.BorrowDirty(1, 2)
+	d.Data[0] = 1
+	return d.Data[0]
+}`)
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "Release") {
+		t.Fatalf("findings = %+v, want one Release leak", fs)
+	}
+}
+
+func TestBorrowReleasedIsClean(t *testing.T) {
+	fs := check(t, `package core
+import "pragformer/internal/nn"
+func step(bw *nn.Borrows) float64 {
+	d := bw.BorrowClone(bw.Borrow(1, 2))
+	loss := d.Data[0]
+	bw.Release()
+	return loss
+}`)
+	if len(fs) != 0 {
+		t.Fatalf("findings = %+v, want none", fs)
+	}
+}
+
 func TestDeterminismTimeNow(t *testing.T) {
 	fs := check(t, `package dep
 import "time"

@@ -44,14 +44,21 @@ type AttnCache struct {
 	q, k, v    *tensor.Matrix
 	cq, ck, cv *LinearCache
 	co         *LinearCache
-	attn       []*tensor.Matrix // per head nq×T post-softmax
-	concat     *tensor.Matrix
+	heads      int
+	attn       *tensor.Matrix // post-softmax, (H·nq)×T: head h at rows [h·nq, (h+1)·nq)
 }
 
 // Attention returns the post-softmax attention matrices per head, each
 // nq×T: query row i's weights over every key (for the explainability
-// study).
-func (c *AttnCache) Attention() []*tensor.Matrix { return c.attn }
+// study). They are views of the cache's one batched buffer.
+func (c *AttnCache) Attention() []*tensor.Matrix {
+	nq, T := c.attn.Rows/c.heads, c.attn.Cols
+	out := make([]*tensor.Matrix, c.heads)
+	for h := range out {
+		out[h] = tensor.FromSlice(nq, T, c.attn.Data[h*nq*T:(h+1)*nq*T])
+	}
+	return out
+}
 
 // head returns the column sub-slice view [h*dh, (h+1)*dh) of row i.
 func headSlice(m *tensor.Matrix, i, h, dh int) []float64 {
@@ -78,28 +85,22 @@ func rowsView(m *tensor.Matrix, n int) *tensor.Matrix {
 // column band of concat in one pass (tensor.AttnScoresInto / AttnMixInto)
 // — the same helpers the inference paths use, keeping training and
 // serving forwards bit-identical.
-func (m *MultiHeadAttention) Forward(x *tensor.Matrix, nq int) (*tensor.Matrix, *AttnCache) {
+func (m *MultiHeadAttention) Forward(x *tensor.Matrix, nq int, bw *Borrows) (*tensor.Matrix, *AttnCache) {
 	T := x.Rows
 	dh := m.D / m.Heads
-	c := &AttnCache{}
-	c.q, c.cq = m.WQ.Forward(rowsView(x, nq))
-	c.k, c.ck = m.WK.Forward(x)
-	c.v, c.cv = m.WV.Forward(x)
-	c.concat = tensor.New(nq, m.D)
+	c := &AttnCache{heads: m.Heads}
+	c.q, c.cq = m.WQ.Forward(rowsView(x, nq), bw)
+	c.k, c.ck = m.WK.Forward(x, bw)
+	c.v, c.cv = m.WV.Forward(x, bw)
+	concat := bw.Borrow(nq, m.D)
 	scale := 1 / math.Sqrt(float64(dh))
 
-	scores := tensor.New(m.Heads*nq, T)
-	tensor.AttnScoresInto(scores, c.q, c.k, m.Heads, scale)
-	tensor.RowSoftmax(scores)
-	c.attn = make([]*tensor.Matrix, m.Heads)
-	for h := 0; h < m.Heads; h++ {
-		// Per-head nq×T views share the batched buffer; Backward and the
-		// explainability study read them in the pre-batching layout.
-		c.attn[h] = tensor.FromSlice(nq, T, scores.Data[h*nq*T:(h+1)*nq*T])
-	}
-	tensor.AttnMixInto(c.concat, scores, c.v, m.Heads)
+	c.attn = bw.Borrow(m.Heads*nq, T)
+	tensor.AttnScoresInto(c.attn, c.q, c.k, m.Heads, scale)
+	tensor.RowSoftmax(c.attn)
+	tensor.AttnMixInto(concat, c.attn, c.v, m.Heads)
 
-	out, co := m.WO.Forward(c.concat)
+	out, co := m.WO.Forward(concat, bw)
 	c.co = co
 	return out, c
 }
@@ -109,24 +110,23 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, nq int) (*tensor.Matrix, 
 // they would have entered gains only ±0 terms: the parameter gradients are
 // bit-identical, and dX value-identical, to a full-width backward whose
 // dOut is zero past row nq.
-func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor.Matrix {
+func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
 	nq, T := dOut.Rows, c.k.Rows
 	dh := m.D / m.Heads
 	scale := 1 / math.Sqrt(float64(dh))
 
-	dConcat := m.WO.Backward(c.co, dOut)
+	dConcat := m.WO.Backward(c.co, dOut, bw)
 	dQ := tensor.GetMatrix(nq, m.D)
 	dK := tensor.GetMatrix(T, m.D)
 	dV := tensor.GetMatrix(T, m.D)
 	dAttn := tensor.GetMatrixDirty(nq, T)
 
 	for h := 0; h < m.Heads; h++ {
-		attn := c.attn[h]
 		// dV and dAttn from dConcat. Every dAttn element is assigned below
 		// before it is read, so the buffer can be reused dirty across heads.
 		for i := 0; i < nq; i++ {
 			dcRow := headSlice(dConcat, i, h, dh)
-			arow := attn.Row(i)
+			arow := c.attn.Row(h*nq + i)
 			daRow := dAttn.Row(i)
 			for j := 0; j < T; j++ {
 				// dV[j] += attn[i][j] * dConcat[i]
@@ -137,7 +137,7 @@ func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor
 		}
 		// Softmax backward per row: dS = A ⊙ (dA - Σ_j dA_j A_j).
 		for i := 0; i < nq; i++ {
-			arow := attn.Row(i)
+			arow := c.attn.Row(h*nq + i)
 			daRow := dAttn.Row(i)
 			dot := tensor.Dot(daRow, arow)
 			for j := 0; j < T; j++ {
@@ -161,9 +161,9 @@ func (m *MultiHeadAttention) Backward(c *AttnCache, dOut *tensor.Matrix) *tensor
 
 	// dX = (dXq + dXk) + dXv, the query term present on the first nq rows
 	// only; addition commutes, so those rows keep the full-width bits.
-	dx := m.WK.Backward(c.ck, dK)
-	rowsView(dx, nq).AddInPlace(m.WQ.Backward(c.cq, dQ))
-	dx.AddInPlace(m.WV.Backward(c.cv, dV))
+	dx := m.WK.Backward(c.ck, dK, bw)
+	rowsView(dx, nq).AddInPlace(m.WQ.Backward(c.cq, dQ, bw))
+	dx.AddInPlace(m.WV.Backward(c.cv, dV, bw))
 	tensor.PutMatrix(dAttn)
 	tensor.PutMatrix(dQ)
 	tensor.PutMatrix(dK)
@@ -199,18 +199,18 @@ type FFNCache struct {
 }
 
 // Forward applies L2(ReLU(L1(x))).
-func (f *FFN) Forward(x *tensor.Matrix) (*tensor.Matrix, *FFNCache) {
-	h, c1 := f.L1.Forward(x)
-	a, cr := ReLU(h)
-	y, c2 := f.L2.Forward(a)
+func (f *FFN) Forward(x *tensor.Matrix, bw *Borrows) (*tensor.Matrix, *FFNCache) {
+	h, c1 := f.L1.Forward(x, bw)
+	a, cr := ReLU(h, bw)
+	y, c2 := f.L2.Forward(a, bw)
 	return y, &FFNCache{c1: c1, cr: cr, c2: c2}
 }
 
 // Backward returns dX.
-func (f *FFN) Backward(c *FFNCache, dOut *tensor.Matrix) *tensor.Matrix {
-	da := f.L2.Backward(c.c2, dOut)
-	dh := ReLUBackward(c.cr, da)
-	return f.L1.Backward(c.c1, dh)
+func (f *FFN) Backward(c *FFNCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
+	da := f.L2.Backward(c.c2, dOut, bw)
+	dh := ReLUBackward(c.cr, da, bw)
+	return f.L1.Backward(c.c1, dh, bw)
 }
 
 // ---------------------------------------------------------------------------
@@ -263,22 +263,22 @@ type BlockCache struct {
 // queries, scores, mix, output projection, residual, LN2, FFN and both
 // dropouts — runs on nq rows. nq = T is the full block; a classifier's last
 // block needs only the [CLS] row, nq = 1. train enables dropout using rng.
-func (b *EncoderBlock) Forward(x *tensor.Matrix, nq int, train bool, rng *RNG) (*tensor.Matrix, *BlockCache) {
+func (b *EncoderBlock) Forward(x *tensor.Matrix, nq int, train bool, rng *RNG, bw *Borrows) (*tensor.Matrix, *BlockCache) {
 	c := &BlockCache{}
-	n1, cn1 := b.LN1.Forward(x)
+	n1, cn1 := b.LN1.Forward(x, bw)
 	c.cn1 = cn1
-	a, ca := b.Attn.Forward(n1, nq)
+	a, ca := b.Attn.Forward(n1, nq, bw)
 	c.ca = ca
-	a, c.cd1 = b.dropout(a, x.Rows, train, rng)
-	h := rowsView(x, nq).Clone()
+	a, c.cd1 = b.dropout(a, x.Rows, train, rng, bw)
+	h := bw.BorrowClone(rowsView(x, nq))
 	h.AddInPlace(a)
 
-	n2, cn2 := b.LN2.Forward(h)
+	n2, cn2 := b.LN2.Forward(h, bw)
 	c.cn2 = cn2
-	f, cf := b.FF.Forward(n2)
+	f, cf := b.FF.Forward(n2, bw)
 	c.cf = cf
-	f, c.cd2 = b.dropout(f, x.Rows, train, rng)
-	out := h.Clone()
+	f, c.cd2 = b.dropout(f, x.Rows, train, rng, bw)
+	out := bw.BorrowClone(h)
 	out.AddInPlace(f)
 	return out, c
 }
@@ -287,8 +287,8 @@ func (b *EncoderBlock) Forward(x *tensor.Matrix, nq int, train bool, rng *RNG) (
 // activation, then advances rng past the draws the remaining T − x.Rows
 // rows would have taken: the noise stream, and so every run trained with
 // dropout, is the same whatever rows a block computes.
-func (b *EncoderBlock) dropout(x *tensor.Matrix, T int, train bool, rng *RNG) (*tensor.Matrix, *DropoutCache) {
-	y, c := Dropout(x, b.Drop, train, rng)
+func (b *EncoderBlock) dropout(x *tensor.Matrix, T int, train bool, rng *RNG, bw *Borrows) (*tensor.Matrix, *DropoutCache) {
+	y, c := Dropout(x, b.Drop, train, rng, bw)
 	if c.mask != nil {
 		rng.Skip((T - x.Rows) * x.Cols)
 	}
@@ -296,15 +296,15 @@ func (b *EncoderBlock) dropout(x *tensor.Matrix, T int, train bool, rng *RNG) (*
 }
 
 // Backward takes the nq-row dOut of Forward and returns the T-row dX.
-func (b *EncoderBlock) Backward(c *BlockCache, dOut *tensor.Matrix) *tensor.Matrix {
-	dF := DropoutBackward(c.cd2, dOut)
-	dN2 := b.FF.Backward(c.cf, dF)
-	dH := b.LN2.Backward(c.cn2, dN2)
+func (b *EncoderBlock) Backward(c *BlockCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
+	dF := DropoutBackward(c.cd2, dOut, bw)
+	dN2 := b.FF.Backward(c.cf, dF, bw)
+	dH := b.LN2.Backward(c.cn2, dN2, bw)
 	dH.AddInPlace(dOut) // residual
 
-	dA := DropoutBackward(c.cd1, dH)
-	dN1 := b.Attn.Backward(c.ca, dA)
-	dX := b.LN1.Backward(c.cn1, dN1)
+	dA := DropoutBackward(c.cd1, dH, bw)
+	dN1 := b.Attn.Backward(c.ca, dA, bw)
+	dX := b.LN1.Backward(c.cn1, dN1, bw)
 	rowsView(dX, dH.Rows).AddInPlace(dH) // residual, on the rows computed
 	return dX
 }

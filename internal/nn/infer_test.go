@@ -30,8 +30,9 @@ func TestApplyIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randMat(rng, 7, 16)
 
+	bw := new(Borrows)
 	l := NewLinear("l", 16, 12, rng)
-	want, _ := l.Forward(x)
+	want, _ := l.Forward(x, bw)
 	got := tensor.New(7, 12)
 	l.ApplyInto(got, x)
 	sameData(t, "Linear.ApplyInto", got, want)
@@ -39,12 +40,12 @@ func TestApplyIntoParity(t *testing.T) {
 	ln := NewLayerNorm("ln", 16)
 	ln.Gamma.W.Randn(rng, 1)
 	ln.Beta.W.Randn(rng, 1)
-	wantLN, _ := ln.Forward(x)
+	wantLN, _ := ln.Forward(x, bw)
 	gotLN := tensor.New(7, 16)
 	ln.InferView().ApplyInto(gotLN, x)
 	sameData(t, "Norm.ApplyInto", gotLN, wantLN)
 
-	wantR, _ := ReLU(want)
+	wantR, _ := ReLU(want, bw)
 	gotR := tensor.New(7, 12)
 	l.ApplyReLUInto(gotR, x)
 	sameData(t, "Linear.ApplyReLUInto", gotR, wantR)
@@ -65,8 +66,9 @@ func TestInferBatchParity(t *testing.T) {
 	copy(stacked.Data[5*d:], xb.Data)
 	offs := []int{0, 5, 14}
 
-	wantA, _ := blk.Forward(xa, xa.Rows, false, nil)
-	wantB, _ := blk.Forward(xb, xb.Rows, false, nil)
+	bw := new(Borrows)
+	wantA, _ := blk.Forward(xa, xa.Rows, false, nil, bw)
+	wantB, _ := blk.Forward(xb, xb.Rows, false, nil, bw)
 
 	out := blk.InferView().InferBatch(stacked, offs)
 	defer tensor.PutMatrix(out)

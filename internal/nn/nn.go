@@ -4,7 +4,10 @@
 // position-wise feed-forward network, dropout, and the composed transformer
 // encoder block (pre-norm residual form). Every layer returns a cache from
 // Forward that its Backward consumes, and gradients accumulate into Param
-// buffers consumed by the optimizer in internal/train.
+// buffers consumed by the optimizer in internal/train. Every matrix a
+// training Forward or Backward makes is borrowed from the tensor pool
+// through the caller's Borrows list, and goes back when the caller releases
+// it after the example's backward.
 package nn
 
 import (
@@ -84,8 +87,8 @@ func NewEmbedding(vocab, maxLen, d int, rng *rand.Rand) *Embedding {
 func (e *Embedding) Params() []*Param { return []*Param{e.Tok, e.Pos} }
 
 // Forward embeds ids into a T×d matrix.
-func (e *Embedding) Forward(ids []int) *tensor.Matrix {
-	out := tensor.New(len(ids), e.D)
+func (e *Embedding) Forward(ids []int, bw *Borrows) *tensor.Matrix {
+	out := bw.BorrowDirty(len(ids), e.D) // each row is copied in whole
 	for t, idx := range ids {
 		row := out.Row(t)
 		copy(row, e.Tok.W.Row(idx))
@@ -132,14 +135,14 @@ type LinearCache struct{ x *tensor.Matrix }
 // Forward computes y = x·W + b in one fused kernel pass: the bias seeds
 // each output accumulator (see tensor.MatMulBiasInto), which is also what
 // the inference ApplyInto runs, keeping the two paths bit-identical.
-func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, *LinearCache) {
-	y := tensor.New(x.Rows, l.W.W.Cols)
+func (l *Linear) Forward(x *tensor.Matrix, bw *Borrows) (*tensor.Matrix, *LinearCache) {
+	y := bw.BorrowDirty(x.Rows, l.W.W.Cols)
 	tensor.MatMulBiasInto(y, x, l.W.W, l.B.W.Row(0))
 	return y, &LinearCache{x: x}
 }
 
 // Backward accumulates dW, db and returns dX.
-func (l *Linear) Backward(c *LinearCache, dOut *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Backward(c *LinearCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
 	dw := tensor.GetMatrixDirty(c.x.Cols, dOut.Cols) // MatMulATInto zeroes it
 	tensor.MatMulATInto(dw, c.x, dOut)
 	l.W.Gradient().AddInPlace(dw)
@@ -148,7 +151,9 @@ func (l *Linear) Backward(c *LinearCache, dOut *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < dOut.Rows; i++ {
 		tensor.Axpy(1, dOut.Row(i), bg)
 	}
-	return tensor.MatMulBT(dOut, l.W.W)
+	dx := bw.BorrowDirty(dOut.Rows, l.W.W.Rows)
+	tensor.MatMulBTInto(dx, dOut, l.W.W)
+	return dx
 }
 
 // ---------------------------------------------------------------------------
@@ -179,17 +184,18 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 // Params lists trainable parameters.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
-// LayerNormCache stores normalized activations and per-row inverse stddev.
+// LayerNormCache stores normalized activations and per-row inverse stddev
+// (a rows×1 matrix).
 type LayerNormCache struct {
 	xhat   *tensor.Matrix
-	invStd []float64
+	invStd *tensor.Matrix
 }
 
 // Forward normalizes x row-wise.
-func (ln *LayerNorm) Forward(x *tensor.Matrix) (*tensor.Matrix, *LayerNormCache) {
+func (ln *LayerNorm) Forward(x *tensor.Matrix, bw *Borrows) (*tensor.Matrix, *LayerNormCache) {
 	d := x.Cols
-	out := tensor.New(x.Rows, d)
-	cache := &LayerNormCache{xhat: tensor.New(x.Rows, d), invStd: make([]float64, x.Rows)}
+	out := bw.BorrowDirty(x.Rows, d) // the row loop writes every element
+	cache := &LayerNormCache{xhat: bw.BorrowDirty(x.Rows, d), invStd: bw.BorrowDirty(x.Rows, 1)}
 	g := ln.Gamma.W.Row(0)
 	b := ln.Beta.W.Row(0)
 	for i := 0; i < x.Rows; i++ {
@@ -206,7 +212,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) (*tensor.Matrix, *LayerNormCache)
 		}
 		vr /= float64(d)
 		inv := 1 / math.Sqrt(vr+ln.Eps)
-		cache.invStd[i] = inv
+		cache.invStd.Data[i] = inv
 		xh := cache.xhat.Row(i)
 		or := out.Row(i)
 		for j, v := range row {
@@ -218,33 +224,33 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) (*tensor.Matrix, *LayerNormCache)
 }
 
 // Backward returns dX and accumulates dGamma, dBeta.
-func (ln *LayerNorm) Backward(c *LayerNormCache, dOut *tensor.Matrix) *tensor.Matrix {
+func (ln *LayerNorm) Backward(c *LayerNormCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
 	d := dOut.Cols
-	dx := tensor.New(dOut.Rows, d)
+	dx := bw.BorrowDirty(dOut.Rows, d) // the row loop writes every element
 	g := ln.Gamma.W.Row(0)
 	gg := ln.Gamma.Gradient().Row(0)
 	bg := ln.Beta.Gradient().Row(0)
 	for i := 0; i < dOut.Rows; i++ {
-		drow := dOut.Row(i)
-		xh := c.xhat.Row(i)
-		// Accumulate parameter grads.
-		for j := 0; j < d; j++ {
+		drow := dOut.Row(i)[:d]
+		xh := c.xhat.Row(i)[:d]
+		// One pass accumulates the parameter grads and, with dxhat = dOut *
+		// gamma, the two row sums of the standard layer-norm backward; each
+		// accumulator adds in element order.
+		sumD, sumDX := 0.0, 0.0
+		for j := range d {
 			gg[j] += drow[j] * xh[j]
 			bg[j] += drow[j]
-		}
-		// dxhat = dOut * gamma; dx via the standard layer-norm backward.
-		sumD, sumDX := 0.0, 0.0
-		for j := 0; j < d; j++ {
 			dxh := drow[j] * g[j]
 			sumD += dxh
 			sumDX += dxh * xh[j]
 		}
-		inv := c.invStd[i]
+		inv := c.invStd.Data[i]
 		n := float64(d)
-		dxr := dx.Row(i)
-		for j := 0; j < d; j++ {
+		meanD := sumD / n
+		dxr := dx.Row(i)[:d]
+		for j := range d {
 			dxh := drow[j] * g[j]
-			dxr[j] = (dxh - sumD/n - xh[j]*sumDX/n) * inv
+			dxr[j] = (dxh - meanD - xh[j]*sumDX/n) * inv
 		}
 	}
 	return dx
@@ -254,28 +260,26 @@ func (ln *LayerNorm) Backward(c *LayerNormCache, dOut *tensor.Matrix) *tensor.Ma
 // ReLU and dropout
 // ---------------------------------------------------------------------------
 
-// ReLUCache records the activation mask.
-type ReLUCache struct{ mask []bool }
+// ReLUCache holds the activation, which is its own mask: an element passed
+// the gradient exactly when its output is > 0.
+type ReLUCache struct{ out *tensor.Matrix }
 
 // ReLU applies max(0, x) elementwise, returning a new matrix.
-func ReLU(x *tensor.Matrix) (*tensor.Matrix, *ReLUCache) {
-	out := x.Clone()
-	c := &ReLUCache{mask: make([]bool, len(x.Data))}
+func ReLU(x *tensor.Matrix, bw *Borrows) (*tensor.Matrix, *ReLUCache) {
+	out := bw.BorrowClone(x)
 	for i, v := range out.Data {
-		if v > 0 {
-			c.mask[i] = true
-		} else {
+		if !(v > 0) { // not v <= 0: a NaN becomes 0 too
 			out.Data[i] = 0
 		}
 	}
-	return out, c
+	return out, &ReLUCache{out: out}
 }
 
 // ReLUBackward masks the upstream gradient.
-func ReLUBackward(c *ReLUCache, dOut *tensor.Matrix) *tensor.Matrix {
-	dx := dOut.Clone()
-	for i := range dx.Data {
-		if !c.mask[i] {
+func ReLUBackward(c *ReLUCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
+	dx := bw.BorrowClone(dOut)
+	for i, v := range c.out.Data {
+		if !(v > 0) {
 			dx.Data[i] = 0
 		}
 	}
@@ -292,11 +296,11 @@ type DropoutCache struct {
 // (inverted dropout). In eval mode (train=false) it is the identity. The
 // noise source is the serializable RNG so training runs can checkpoint and
 // resume the exact noise stream.
-func Dropout(x *tensor.Matrix, p float64, train bool, rng *RNG) (*tensor.Matrix, *DropoutCache) {
+func Dropout(x *tensor.Matrix, p float64, train bool, rng *RNG, bw *Borrows) (*tensor.Matrix, *DropoutCache) {
 	if !train || p <= 0 {
 		return x, &DropoutCache{scale: 1}
 	}
-	out := x.Clone()
+	out := bw.BorrowClone(x)
 	c := &DropoutCache{mask: make([]bool, len(x.Data)), scale: 1 / (1 - p)}
 	for i := range out.Data {
 		if rng.Float64() < p {
@@ -310,11 +314,11 @@ func Dropout(x *tensor.Matrix, p float64, train bool, rng *RNG) (*tensor.Matrix,
 }
 
 // DropoutBackward propagates gradients through the kept elements.
-func DropoutBackward(c *DropoutCache, dOut *tensor.Matrix) *tensor.Matrix {
+func DropoutBackward(c *DropoutCache, dOut *tensor.Matrix, bw *Borrows) *tensor.Matrix {
 	if c.mask == nil {
 		return dOut
 	}
-	dx := dOut.Clone()
+	dx := bw.BorrowClone(dOut)
 	for i := range dx.Data {
 		if c.mask[i] {
 			dx.Data[i] *= c.scale

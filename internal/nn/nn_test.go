@@ -46,14 +46,15 @@ func TestLinearGradients(t *testing.T) {
 	l := NewLinear("t", 4, 3, rng)
 	x := tensor.New(5, 4).Randn(rng, 1)
 	r := tensor.New(5, 3).Randn(rng, 1)
+	bw, fw := new(Borrows), new(Borrows) // fw: each finite-difference forward's
 
 	forward := func() float64 {
-		y, _ := l.Forward(x)
+		defer fw.Release()
+		y, _ := l.Forward(x, fw)
 		return lossOf(y, r)
 	}
-	y, c := l.Forward(x)
-	_ = y
-	dx := l.Backward(c, r)
+	_, c := l.Forward(x, bw)
+	dx := l.Backward(c, r, bw)
 
 	checkGrad(t, "linear.W", l.W.W, l.W.Grad, forward)
 	checkGrad(t, "linear.b", l.B.W, l.B.Grad, forward)
@@ -70,13 +71,15 @@ func TestLayerNormGradients(t *testing.T) {
 	ln.Beta.W.Randn(rng, 0.5)
 	x := tensor.New(3, 6).Randn(rng, 1)
 	r := tensor.New(3, 6).Randn(rng, 1)
+	bw, fw := new(Borrows), new(Borrows) // fw: each finite-difference forward's
 
 	forward := func() float64 {
-		y, _ := ln.Forward(x)
+		defer fw.Release()
+		y, _ := ln.Forward(x, fw)
 		return lossOf(y, r)
 	}
-	_, c := ln.Forward(x)
-	dx := ln.Backward(c, r)
+	_, c := ln.Forward(x, bw)
+	dx := ln.Backward(c, r, bw)
 
 	checkGrad(t, "ln.gamma", ln.Gamma.W, ln.Gamma.Grad, forward)
 	checkGrad(t, "ln.beta", ln.Beta.W, ln.Beta.Grad, forward)
@@ -88,13 +91,15 @@ func TestAttentionGradients(t *testing.T) {
 	m := NewMultiHeadAttention("t", 8, 2, rng)
 	x := tensor.New(5, 8).Randn(rng, 1)
 	r := tensor.New(5, 8).Randn(rng, 1)
+	bw, fw := new(Borrows), new(Borrows) // fw: each finite-difference forward's
 
 	forward := func() float64 {
-		y, _ := m.Forward(x, x.Rows)
+		defer fw.Release()
+		y, _ := m.Forward(x, x.Rows, fw)
 		return lossOf(y, r)
 	}
-	_, c := m.Forward(x, x.Rows)
-	dx := m.Backward(c, r)
+	_, c := m.Forward(x, x.Rows, bw)
+	dx := m.Backward(c, r, bw)
 
 	checkGrad(t, "attn.wq", m.WQ.W.W, m.WQ.W.Grad, forward)
 	checkGrad(t, "attn.wk", m.WK.W.W, m.WK.W.Grad, forward)
@@ -108,13 +113,15 @@ func TestFFNGradients(t *testing.T) {
 	f := NewFFN("t", 6, 12, rng)
 	x := tensor.New(4, 6).Randn(rng, 1)
 	r := tensor.New(4, 6).Randn(rng, 1)
+	bw, fw := new(Borrows), new(Borrows) // fw: each finite-difference forward's
 
 	forward := func() float64 {
-		y, _ := f.Forward(x)
+		defer fw.Release()
+		y, _ := f.Forward(x, fw)
 		return lossOf(y, r)
 	}
-	_, c := f.Forward(x)
-	dx := f.Backward(c, r)
+	_, c := f.Forward(x, bw)
+	dx := f.Backward(c, r, bw)
 
 	checkGrad(t, "ffn.l1", f.L1.W.W, f.L1.W.Grad, forward)
 	checkGrad(t, "ffn.l2", f.L2.W.W, f.L2.W.Grad, forward)
@@ -126,13 +133,15 @@ func TestEncoderBlockGradients(t *testing.T) {
 	b := NewEncoderBlock("t", 8, 2, 16, 0, rng)
 	x := tensor.New(4, 8).Randn(rng, 1)
 	r := tensor.New(4, 8).Randn(rng, 1)
+	bw, fw := new(Borrows), new(Borrows) // fw: each finite-difference forward's
 
 	forward := func() float64 {
-		y, _ := b.Forward(x, x.Rows, false, nil)
+		defer fw.Release()
+		y, _ := b.Forward(x, x.Rows, false, nil, fw)
 		return lossOf(y, r)
 	}
-	_, c := b.Forward(x, x.Rows, false, nil)
-	dx := b.Backward(c, r)
+	_, c := b.Forward(x, x.Rows, false, nil, bw)
+	dx := b.Backward(c, r, bw)
 
 	checkGrad(t, "block.x", x, dx, forward)
 	checkGrad(t, "block.attn.wv", b.Attn.WV.W.W, b.Attn.WV.W.Grad, forward)
@@ -160,8 +169,9 @@ func TestBlockForwardRowsMatchFullRows(t *testing.T) {
 			copy(dFull.Data, dOut.Data)
 
 			rngFull, rngPart := NewRNG(15), NewRNG(15)
-			yFull, cFull := full.Forward(x, T, true, rngFull)
-			yPart, cPart := part.Forward(x, nq, true, rngPart)
+			bw := new(Borrows)
+			yFull, cFull := full.Forward(x, T, true, rngFull, bw)
+			yPart, cPart := part.Forward(x, nq, true, rngPart, bw)
 			if yPart.Rows != nq || !sameBits(yPart.Data, yFull.Data[:nq*d]) {
 				t.Fatalf("drop %g nq %d: output differs from the full forward's first rows", drop, nq)
 			}
@@ -170,8 +180,8 @@ func TestBlockForwardRowsMatchFullRows(t *testing.T) {
 					drop, nq, rngPart.State(), rngFull.State())
 			}
 
-			dxFull := full.Backward(cFull, dFull)
-			dxPart := part.Backward(cPart, dOut)
+			dxFull := full.Backward(cFull, dFull, bw)
+			dxPart := part.Backward(cPart, dOut, bw)
 			for i := range dxFull.Data {
 				if dxPart.Data[i] != dxFull.Data[i] {
 					t.Fatalf("drop %g nq %d: dX[%d] = %v, full %v", drop, nq, i, dxPart.Data[i], dxFull.Data[i])
@@ -183,6 +193,7 @@ func TestBlockForwardRowsMatchFullRows(t *testing.T) {
 					t.Errorf("drop %g nq %d: %s gradient differs from the full backward's", drop, nq, p.Name)
 				}
 			}
+			bw.Release()
 		}
 	}
 }
@@ -204,7 +215,7 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e := NewEmbedding(10, 8, 4, rng)
 	ids := []int{2, 5, 5, 1}
-	out := e.Forward(ids)
+	out := e.Forward(ids, new(Borrows))
 	if out.Rows != 4 || out.Cols != 4 {
 		t.Fatalf("out shape %dx%d", out.Rows, out.Cols)
 	}
@@ -234,7 +245,8 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	x := tensor.FromSlice(1, 4, []float64{-1, 0, 2, -3})
-	y, c := ReLU(x)
+	bw := new(Borrows)
+	y, c := ReLU(x, bw)
 	want := []float64{0, 0, 2, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -242,7 +254,7 @@ func TestReLU(t *testing.T) {
 		}
 	}
 	d := tensor.FromSlice(1, 4, []float64{1, 1, 1, 1})
-	dx := ReLUBackward(c, d)
+	dx := ReLUBackward(c, d, bw)
 	wantDx := []float64{0, 0, 1, 0}
 	for i := range wantDx {
 		if dx.Data[i] != wantDx[i] {
@@ -257,13 +269,14 @@ func TestDropoutTrainEval(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	yEval, _ := Dropout(x, 0.5, false, rng)
+	bw := new(Borrows)
+	yEval, _ := Dropout(x, 0.5, false, rng, bw)
 	for i := range yEval.Data {
 		if yEval.Data[i] != 1 {
 			t.Fatal("eval-mode dropout must be identity")
 		}
 	}
-	yTrain, c := Dropout(x, 0.5, true, rng)
+	yTrain, c := Dropout(x, 0.5, true, rng, bw)
 	zeros, twos := 0, 0
 	for _, v := range yTrain.Data {
 		switch v {
@@ -279,7 +292,7 @@ func TestDropoutTrainEval(t *testing.T) {
 		t.Error("dropout did not both drop and keep")
 	}
 	d := x.Clone()
-	dx := DropoutBackward(c, d)
+	dx := DropoutBackward(c, d, bw)
 	for i := range dx.Data {
 		if (yTrain.Data[i] == 0) != (dx.Data[i] == 0) {
 			t.Fatal("dropout backward mask inconsistent")
@@ -293,7 +306,7 @@ func TestDropoutExpectationPreserved(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	y, _ := Dropout(x, 0.3, true, rng)
+	y, _ := Dropout(x, 0.3, true, rng, new(Borrows))
 	mean := 0.0
 	for _, v := range y.Data {
 		mean += v
@@ -308,7 +321,7 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := NewMultiHeadAttention("t", 8, 4, rng)
 	x := tensor.New(6, 8).Randn(rng, 1)
-	_, c := m.Forward(x, x.Rows)
+	_, c := m.Forward(x, x.Rows, new(Borrows))
 	if len(c.Attention()) != 4 {
 		t.Fatalf("heads = %d", len(c.Attention()))
 	}
@@ -364,9 +377,11 @@ func BenchmarkEncoderBlockForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	blk := NewEncoderBlock("t", 64, 4, 128, 0, rng)
 	x := tensor.New(33, 64).Randn(rng, 1) // avg snippet length (Table 7)
+	bw := new(Borrows)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk.Forward(x, x.Rows, false, nil)
+		blk.Forward(x, x.Rows, false, nil, bw)
+		bw.Release()
 	}
 }
 
@@ -375,10 +390,11 @@ func BenchmarkEncoderBlockBackward(b *testing.B) {
 	blk := NewEncoderBlock("t", 64, 4, 128, 0, rng)
 	x := tensor.New(33, 64).Randn(rng, 1)
 	r := tensor.New(33, 64).Randn(rng, 1)
-	out, c := blk.Forward(x, x.Rows, false, nil)
-	_ = out
+	_, c := blk.Forward(x, x.Rows, false, nil, new(Borrows))
+	bw := new(Borrows) // the backward's own borrows, released each round
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk.Backward(c, r)
+		blk.Backward(c, r, bw)
+		bw.Release()
 	}
 }

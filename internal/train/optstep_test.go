@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -165,6 +166,71 @@ func TestOptStepMatchesFivePass(t *testing.T) {
 	if fired == 0 || fired == 50 {
 		t.Fatalf("clip fired on %d of 50 steps; the test needs both cases", fired)
 	}
+}
+
+// TestClipScaleSkipsZeroBlocksExactly holds clipScale, which skips aligned
+// all-+0 blocks of 8 gradient elements, to the dense loop that squares and
+// adds every element: the norm and the scale must be the same bits. The
+// gradients are random mixes, at every density from empty to full, of +0,
+// −0, subnormals and normal values, with a NaN in some trials, over
+// parameters whose lengths leave ragged tails after the last full block.
+func TestClipScaleSkipsZeroBlocksExactly(t *testing.T) {
+	dense := func(ps []*nn.Param, inv, maxNorm float64) (norm, scale float64) {
+		total := 0.0
+		for _, p := range ps {
+			for _, g := range p.Gradient().Data {
+				g *= inv
+				total += g * g
+			}
+		}
+		norm = math.Sqrt(total)
+		if norm > maxNorm && norm > 0 {
+			return norm, maxNorm / norm
+		}
+		return norm, 1
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	rng := rand.New(rand.NewSource(5))
+	shapes := [][2]int{{1, 1}, {1, 7}, {1, 8}, {1, 9}, {3, 5}, {2, 8}, {10, 17}, {40, 32}, {1, 63}}
+	trials := 0
+	for _, density := range []float64{0, 0.001, 0.02, 0.2, 0.7, 1} {
+		for trial := 0; trial < 40; trial++ {
+			ps := make([]*nn.Param, len(shapes))
+			for i, sh := range shapes {
+				ps[i] = nn.NewParam(fmt.Sprintf("p%d", i), sh[0], sh[1], nil, 0)
+				g := ps[i].Gradient()
+				for j := range g.Data {
+					if rng.Float64() >= density {
+						continue
+					}
+					switch r := rng.Intn(4); r {
+					case 0:
+						g.Data[j] = math.Copysign(0, -1)
+					case 1:
+						g.Data[j] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000)) * float64(1-2*rng.Intn(2))
+					default:
+						g.Data[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+					}
+				}
+				if trial%10 == 9 {
+					g.Data[rng.Intn(len(g.Data))] = math.NaN()
+				}
+			}
+			for _, batch := range []int{1, 3, 16} {
+				inv := 1 / float64(batch)
+				gotN, gotS := clipScale(ps, inv, 1)
+				wantN, wantS := dense(ps, inv, 1)
+				if !same(gotN, wantN) || !same(gotS, wantS) {
+					t.Fatalf("density %g trial %d batch %d: clipScale = (%v, %v), dense loop (%v, %v)",
+						density, trial, batch, gotN, gotS, wantN, wantS)
+				}
+				trials++
+			}
+		}
+	}
+	t.Logf("%d gradient sets bit-equal", trials)
 }
 
 // TestOptStepAllocs: once the first step has allocated the moments, an

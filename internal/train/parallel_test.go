@@ -17,6 +17,7 @@ import (
 type mlp struct {
 	d      int
 	l1, l2 *nn.Linear
+	bw     nn.Borrows
 }
 
 func newMLP(d, hidden int, seed int64) *mlp {
@@ -41,32 +42,35 @@ func (m *mlp) features(ids []int) *tensor.Matrix {
 	return x
 }
 
-func (m *mlp) forward(ids []int) (p []float64, c1, c2 *nn.LinearCache, cr *nn.ReLUCache) {
-	h, c1 := m.l1.Forward(m.features(ids))
-	a, cr := nn.ReLU(h)
-	logits, c2 := m.l2.Forward(a)
+func (m *mlp) forward(ids []int, bw *nn.Borrows) (p []float64, c1, c2 *nn.LinearCache, cr *nn.ReLUCache) {
+	h, c1 := m.l1.Forward(m.features(ids), bw)
+	a, cr := nn.ReLU(h, bw)
+	logits, c2 := m.l2.Forward(a, bw)
 	return tensor.SoftmaxVec(logits.Row(0)), c1, c2, cr
 }
 
 func (m *mlp) LossAndBackward(ids []int, label bool) float64 {
-	p, c1, c2, cr := m.forward(ids)
+	p, c1, c2, cr := m.forward(ids, &m.bw)
 	y := 0
 	if label {
 		y = 1
 	}
 	dLogits := tensor.FromSlice(1, 2, []float64{p[0], p[1]})
 	dLogits.Data[y]--
-	da := m.l2.Backward(c2, dLogits)
-	dh := nn.ReLUBackward(cr, da)
-	m.l1.Backward(c1, dh)
+	da := m.l2.Backward(c2, dLogits, &m.bw)
+	dh := nn.ReLUBackward(cr, da, &m.bw)
+	m.l1.Backward(c1, dh, &m.bw)
+	m.bw.Release()
 	return -math.Log(math.Max(p[y], 1e-12))
 }
 
 func (m *mlp) PredictBatchProbs(batch [][]int) [][2]float64 {
 	out := make([][2]float64, len(batch))
+	var bw nn.Borrows // callers may evaluate one model concurrently
 	for i, ids := range batch {
-		p, _, _, _ := m.forward(ids)
+		p, _, _, _ := m.forward(ids, &bw)
 		out[i] = [2]float64{p[0], p[1]}
+		bw.Release()
 	}
 	return out
 }

@@ -401,16 +401,40 @@ func OptStep(opt *AdamW, params []*nn.Param, batch int, clipNorm, lrScale float6
 func clipScale(params []*nn.Param, inv, maxNorm float64) (norm, scale float64) {
 	total := 0.0
 	for _, p := range params {
-		for _, g := range p.Gradient().Data {
-			g *= inv
-			total += g * g
-		}
+		total = addSquares(total, p.Gradient().Data, inv)
 	}
 	norm = math.Sqrt(total)
 	if norm > maxNorm && norm > 0 {
 		return norm, maxNorm / norm
 	}
 	return norm, 1
+}
+
+// addSquares returns total plus (g·inv)² for each g of gs, added in order,
+// skipping every aligned block of 8 elements that are all +0 — most of a
+// step's gradient: the token-embedding rows its batch did not touch. The
+// skip is exact: with inv finite and positive (1/batch) a +0 element adds
+// +0, and adding +0 to a total that is never −0 (it starts at +0 and only
+// grows by squares) leaves its bits as they were. A −0, subnormal or NaN
+// element sets a bit, so its block is summed.
+func addSquares(total float64, gs []float64, inv float64) float64 {
+	i := 0
+	for ; i+8 <= len(gs); i += 8 {
+		b := gs[i : i+8 : i+8]
+		if math.Float64bits(b[0])|math.Float64bits(b[1])|math.Float64bits(b[2])|math.Float64bits(b[3])|
+			math.Float64bits(b[4])|math.Float64bits(b[5])|math.Float64bits(b[6])|math.Float64bits(b[7]) == 0 {
+			continue
+		}
+		for _, g := range b {
+			g *= inv
+			total += g * g
+		}
+	}
+	for _, g := range gs[i:] {
+		g *= inv
+		total += g * g
+	}
+	return total
 }
 
 // evalChunk bounds how many examples one batched forward stacks, keeping
