@@ -1,10 +1,10 @@
 // Package pragformer_test holds the benchmark harness that regenerates
-// every table and figure of the paper's evaluation (see DESIGN.md for the
-// experiment index). Each benchmark drives the corresponding experiment
-// through a shared pipeline, so models train once per `go test -bench` run;
-// per-iteration numbers after the first therefore measure the experiment's
-// evaluation cost. Paper-scale results are produced by
-// `go run ./cmd/experiments -mode full` and recorded in EXPERIMENTS.md.
+// every table and figure of the paper's evaluation. Each benchmark drives
+// the corresponding experiment through a shared pipeline, so models train
+// once per `go test -bench` run; per-iteration numbers after the first
+// therefore measure the experiment's evaluation cost. Paper-scale results
+// are produced by `go run ./cmd/experiments -mode full`; DESIGN.md's
+// "Experiment index" maps each experiment to its table or figure.
 package pragformer_test
 
 import (

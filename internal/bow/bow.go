@@ -122,40 +122,6 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) []float64 {
 	return losses
 }
 
-// TopWeights returns the k most positive and k most negative feature tokens
-// (diagnostics: what the linear baseline keys on).
-func (m *Model) TopWeights(k int) (positive, negative []string) {
-	type wt struct {
-		id int
-		w  float64
-	}
-	var all []wt
-	for id, w := range m.Weights {
-		if w != 0 {
-			all = append(all, wt{id, w})
-		}
-	}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[j].w > all[i].w {
-				all[i], all[j] = all[j], all[i]
-			}
-		}
-	}
-	for i := 0; i < k && i < len(all); i++ {
-		if all[i].w > 0 {
-			positive = append(positive, m.Vocab.Token(all[i].id))
-		}
-	}
-	for i := 0; i < k && i < len(all); i++ {
-		j := len(all) - 1 - i
-		if j >= 0 && all[j].w < 0 {
-			negative = append(negative, m.Vocab.Token(all[j].id))
-		}
-	}
-	return positive, negative
-}
-
 func sigmoid(x float64) float64 {
 	if x >= 0 {
 		return 1 / (1 + math.Exp(-x))

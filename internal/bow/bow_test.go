@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"pragformer/internal/tokenize"
@@ -154,21 +153,6 @@ func TestL2ShrinksWeights(t *testing.T) {
 	}
 }
 
-func TestTopWeights(t *testing.T) {
-	v := vocabFor([][]string{{"good", "bad", "meh"}})
-	m := New(v)
-	m.Weights[v.ID("good")] = 2
-	m.Weights[v.ID("bad")] = -2
-	m.Weights[v.ID("meh")] = 0.1
-	pos, neg := m.TopWeights(2)
-	if len(pos) == 0 || pos[0] != "good" {
-		t.Errorf("pos = %v", pos)
-	}
-	if len(neg) == 0 || neg[0] != "bad" {
-		t.Errorf("neg = %v", neg)
-	}
-}
-
 func TestSigmoidStable(t *testing.T) {
 	for _, x := range []float64{-1000, -10, 0, 10, 1000} {
 		s := sigmoid(x)
@@ -189,16 +173,5 @@ func TestTrainEmptySafe(t *testing.T) {
 	losses := m.Train(nil, TrainConfig{Epochs: 2})
 	if len(losses) != 2 {
 		t.Fatalf("losses = %v", losses)
-	}
-}
-
-func TestTopWeightsNamesReadable(t *testing.T) {
-	v := vocabFor([][]string{{"fprintf", "sum"}})
-	m := New(v)
-	m.Weights[v.ID("sum")] = 1
-	m.Weights[v.ID("fprintf")] = -1
-	pos, neg := m.TopWeights(1)
-	if strings.Join(pos, "") != "sum" || strings.Join(neg, "") != "fprintf" {
-		t.Errorf("pos=%v neg=%v", pos, neg)
 	}
 }

@@ -172,45 +172,6 @@ func TestRenameIdempotentClasses(t *testing.T) {
 	}
 }
 
-func TestCloneCoversAllNodeKinds(t *testing.T) {
-	nodes := []Node{
-		&File{Items: []Node{&Empty{}}},
-		&FuncDef{ReturnType: &TypeSpec{Names: []string{"int"}}, Name: "f", Body: &Block{}},
-		&Decl{Type: &TypeSpec{Names: []string{"int"}}, Name: "x", Init: &IntLit{Text: "1"}},
-		&Block{}, &ExprStmt{X: &Ident{Name: "x"}},
-		&DeclStmt{Decls: []*Decl{{Type: &TypeSpec{Names: []string{"int"}}, Name: "y"}}},
-		loopAST(),
-		&While{Cond: &Ident{Name: "p"}, Body: &Empty{}},
-		&DoWhile{Body: &Empty{}, Cond: &Ident{Name: "q"}},
-		&If{Cond: &Ident{Name: "c"}, Then: &Empty{}, Else: &Empty{}},
-		&Return{X: &IntLit{Text: "0"}}, &Break{}, &Continue{}, &Empty{},
-		&PragmaStmt{Text: "pragma omp parallel for", Stmt: &Empty{}},
-		&Ident{Name: "v"}, &IntLit{Text: "3"}, &FloatLit{Text: "1.5"},
-		&CharLit{Text: "'c'"}, &StrLit{Text: `"s"`},
-		&BinaryOp{Op: "+", L: &IntLit{Text: "1"}, R: &IntLit{Text: "2"}},
-		&Assign{Op: "=", L: &Ident{Name: "x"}, R: &IntLit{Text: "1"}},
-		&UnaryOp{Op: "!", X: &Ident{Name: "b"}},
-		&ArrayRef{Arr: &Ident{Name: "a"}, Index: &IntLit{Text: "0"}},
-		&FuncCall{Fun: &Ident{Name: "g"}, Args: []Expr{&IntLit{Text: "1"}}},
-		&Member{X: &Ident{Name: "s"}, Field: "f"},
-		&Ternary{Cond: &Ident{Name: "c"}, Then: &IntLit{Text: "1"}, Else: &IntLit{Text: "2"}},
-		&Cast{Type: &TypeSpec{Names: []string{"int"}}, X: &Ident{Name: "x"}},
-		&Sizeof{Type: &TypeSpec{Names: []string{"double"}}},
-		&Comma{L: &Ident{Name: "a"}, R: &Ident{Name: "b"}},
-		&InitList{Elems: []Expr{&IntLit{Text: "1"}}},
-	}
-	for _, n := range nodes {
-		c := Clone(n)
-		if c == nil {
-			t.Errorf("Clone(%T) = nil", n)
-			continue
-		}
-		if Serialize(c) != Serialize(n) {
-			t.Errorf("Clone(%T) serialization differs", n)
-		}
-	}
-}
-
 func TestIsLibraryName(t *testing.T) {
 	if !IsLibraryName("fprintf") || !IsLibraryName("stderr") {
 		t.Error("fprintf/stderr should be library names")

@@ -1,9 +1,6 @@
 package cast
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RenameResult maps original identifiers to their canonical replacements.
 type RenameResult struct {
@@ -138,155 +135,3 @@ func rootIdent(e Expr) string {
 // RootIdent is the exported form of rootIdent for use by the dependence
 // analyzer and the S2S compilers.
 func RootIdent(e Expr) string { return rootIdent(e) }
-
-// Clone returns a deep copy of the AST rooted at n. Rename mutates in
-// place, so callers that need both original and replaced representations
-// clone first.
-func Clone(n Node) Node {
-	switch v := n.(type) {
-	case nil:
-		return nil
-	case *File:
-		c := &File{}
-		for _, it := range v.Items {
-			c.Items = append(c.Items, Clone(it))
-		}
-		return c
-	case *FuncDef:
-		c := &FuncDef{ReturnType: cloneType(v.ReturnType), Name: v.Name}
-		for _, p := range v.Params {
-			c.Params = append(c.Params, Clone(p).(*Decl))
-		}
-		c.Body = Clone(v.Body).(*Block)
-		return c
-	case *Decl:
-		c := &Decl{Type: cloneType(v.Type), Name: v.Name, IsTypedef: v.IsTypedef}
-		for _, d := range v.ArrayDims {
-			c.ArrayDims = append(c.ArrayDims, cloneExpr(d))
-		}
-		c.Init = cloneExpr(v.Init)
-		return c
-	case *Block:
-		c := &Block{}
-		for _, s := range v.Stmts {
-			c.Stmts = append(c.Stmts, Clone(s).(Stmt))
-		}
-		return c
-	case *ExprStmt:
-		return &ExprStmt{X: cloneExpr(v.X)}
-	case *DeclStmt:
-		c := &DeclStmt{}
-		for _, d := range v.Decls {
-			c.Decls = append(c.Decls, Clone(d).(*Decl))
-		}
-		return c
-	case *For:
-		c := &For{Cond: cloneExpr(v.Cond), Post: cloneExpr(v.Post)}
-		if v.Init != nil {
-			c.Init = Clone(v.Init).(Stmt)
-		}
-		if v.Body != nil {
-			c.Body = Clone(v.Body).(Stmt)
-		}
-		return c
-	case *While:
-		return &While{Cond: cloneExpr(v.Cond), Body: Clone(v.Body).(Stmt)}
-	case *DoWhile:
-		return &DoWhile{Body: Clone(v.Body).(Stmt), Cond: cloneExpr(v.Cond)}
-	case *If:
-		c := &If{Cond: cloneExpr(v.Cond), Then: Clone(v.Then).(Stmt)}
-		if v.Else != nil {
-			c.Else = Clone(v.Else).(Stmt)
-		}
-		return c
-	case *Return:
-		return &Return{X: cloneExpr(v.X)}
-	case *Break:
-		return &Break{}
-	case *Continue:
-		return &Continue{}
-	case *Empty:
-		return &Empty{}
-	case *PragmaStmt:
-		c := &PragmaStmt{Text: v.Text}
-		if v.Stmt != nil {
-			c.Stmt = Clone(v.Stmt).(Stmt)
-		}
-		return c
-	case *Ident:
-		return &Ident{Name: v.Name}
-	case *IntLit:
-		return &IntLit{Text: v.Text}
-	case *FloatLit:
-		return &FloatLit{Text: v.Text}
-	case *CharLit:
-		return &CharLit{Text: v.Text}
-	case *StrLit:
-		return &StrLit{Text: v.Text}
-	case *BinaryOp:
-		return &BinaryOp{Op: v.Op, L: cloneExpr(v.L), R: cloneExpr(v.R)}
-	case *Assign:
-		return &Assign{Op: v.Op, L: cloneExpr(v.L), R: cloneExpr(v.R)}
-	case *UnaryOp:
-		return &UnaryOp{Op: v.Op, X: cloneExpr(v.X), Postfix: v.Postfix}
-	case *ArrayRef:
-		return &ArrayRef{Arr: cloneExpr(v.Arr), Index: cloneExpr(v.Index)}
-	case *FuncCall:
-		c := &FuncCall{Fun: cloneExpr(v.Fun)}
-		for _, a := range v.Args {
-			c.Args = append(c.Args, cloneExpr(a))
-		}
-		return c
-	case *Member:
-		return &Member{X: cloneExpr(v.X), Field: v.Field, Arrow: v.Arrow}
-	case *Ternary:
-		return &Ternary{Cond: cloneExpr(v.Cond), Then: cloneExpr(v.Then), Else: cloneExpr(v.Else)}
-	case *Cast:
-		return &Cast{Type: cloneType(v.Type), X: cloneExpr(v.X)}
-	case *Sizeof:
-		return &Sizeof{Type: cloneType(v.Type), X: cloneExpr(v.X)}
-	case *Comma:
-		return &Comma{L: cloneExpr(v.L), R: cloneExpr(v.R)}
-	case *InitList:
-		c := &InitList{}
-		for _, e := range v.Elems {
-			c.Elems = append(c.Elems, cloneExpr(e))
-		}
-		return c
-	}
-	return nil
-}
-
-func cloneExpr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	return Clone(e).(Expr)
-}
-
-func cloneType(t *TypeSpec) *TypeSpec {
-	if t == nil {
-		return nil
-	}
-	c := &TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}
-	c.Quals = append(c.Quals, t.Quals...)
-	c.Names = append(c.Names, t.Names...)
-	return c
-}
-
-// CollectIdents returns the sorted set of identifier names appearing in n.
-func CollectIdents(n Node) []string {
-	set := map[string]bool{}
-	Walk(n, func(nd Node) bool {
-		if id, ok := nd.(*Ident); ok {
-			set[id.Name] = true
-		}
-		return true
-	})
-	names := make([]string, 0, len(set))
-	for name := range set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}

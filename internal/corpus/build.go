@@ -39,10 +39,6 @@ func inc(v string) *cast.UnaryOp {
 	return &cast.UnaryOp{Op: "++", X: id(v), Postfix: true}
 }
 
-func dec(v string) *cast.UnaryOp {
-	return &cast.UnaryOp{Op: "--", X: id(v), Postfix: true}
-}
-
 func es(e cast.Expr) *cast.ExprStmt { return &cast.ExprStmt{X: e} }
 
 func block(stmts ...cast.Stmt) *cast.Block { return &cast.Block{Stmts: stmts} }

@@ -417,17 +417,6 @@ func (c *Corpus) Positives() []*Record {
 	return out
 }
 
-// Negatives returns the records without directives.
-func (c *Corpus) Negatives() []*Record {
-	var out []*Record
-	for _, r := range c.Records {
-		if !r.HasOMP() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // String summarizes the corpus.
 func (c *Corpus) String() string {
 	s := c.Stats()

@@ -183,18 +183,19 @@ func TestDomainDistributionShape(t *testing.T) {
 }
 
 func TestPositivesNegativesPartition(t *testing.T) {
-	pos, neg := testCorpus.Positives(), testCorpus.Negatives()
-	if len(pos)+len(neg) != len(testCorpus.Records) {
-		t.Fatal("positives + negatives != total")
-	}
-	for _, r := range pos {
-		if r.Directive == nil {
-			t.Fatal("positive without directive")
+	var want []*Record
+	for _, r := range testCorpus.Records {
+		if r.Directive != nil {
+			want = append(want, r)
 		}
 	}
-	for _, r := range neg {
-		if r.Directive != nil {
-			t.Fatal("negative with directive")
+	pos := testCorpus.Positives()
+	if len(pos) != len(want) {
+		t.Fatalf("positives = %d, records with a directive = %d", len(pos), len(want))
+	}
+	for k, r := range pos {
+		if r != want[k] {
+			t.Fatalf("positives[%d] is not the %d-th record with a directive", k, k)
 		}
 	}
 }

@@ -401,33 +401,6 @@ func TestRenameConsistency(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := mustParse(t, "for (i = 0; i < n; i++) a[i] = i;")
-	c := cast.Clone(f)
-	before := cast.Serialize(f)
-	cast.Rename(c)
-	if cast.Serialize(f) != before {
-		t.Error("renaming the clone mutated the original")
-	}
-	if cast.Serialize(c) == before {
-		t.Error("clone was not renamed")
-	}
-}
-
-func TestCollectIdents(t *testing.T) {
-	f := mustParse(t, "for (i = 0; i < n; i++) a[i] = b[i] + c;")
-	ids := cast.CollectIdents(f)
-	want := []string{"a", "b", "c", "i", "n"}
-	if len(ids) != len(want) {
-		t.Fatalf("idents = %v", ids)
-	}
-	for k, id := range ids {
-		if id != want[k] {
-			t.Errorf("idents[%d] = %q want %q", k, id, want[k])
-		}
-	}
-}
-
 func TestDeepNesting(t *testing.T) {
 	src := "for (i = 0; i < n; i++) { for (j = 0; j < n; j++) { for (k = 0; k < n; k++) { c[i][j] += a[i][k] * b[k][j]; } } }"
 	f := mustParse(t, src)

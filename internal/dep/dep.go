@@ -145,12 +145,6 @@ var ioFuncs = map[string]bool{
 	"strcat": true, "strcpy": true, "strncpy": true, "gets": true,
 }
 
-// IsPureFunc reports whether name is a known side-effect-free function.
-func IsPureFunc(name string) bool { return pureFuncs[name] }
-
-// IsIOFunc reports whether name performs I/O or global mutation.
-func IsIOFunc(name string) bool { return ioFuncs[name] }
-
 // access records one scalar or array access inside a loop body.
 type access struct {
 	name  string

@@ -189,12 +189,23 @@ func TestEffectsPureAccessor(t *testing.T) {
 	}
 }
 
+// TestIsPureAndIOFunc: a call to a known pure function (sqrt, cos) leaves a
+// loop parallel, and a call to an I/O or global-state one (printf, malloc)
+// marks it HasIO and serial.
 func TestIsPureAndIOFunc(t *testing.T) {
-	if !IsPureFunc("sqrt") || IsPureFunc("printf") {
-		t.Error("IsPureFunc wrong")
-	}
-	if !IsIOFunc("malloc") || IsIOFunc("cos") {
-		t.Error("IsIOFunc wrong")
+	for _, c := range []struct {
+		call string
+		io   bool
+	}{
+		{"y[i] = sqrt(x[i]);", false},
+		{"y[i] = cos(x[i]);", false},
+		{`printf("%d", i);`, true},
+		{"p[i] = malloc(n);", true},
+	} {
+		a := analyze(t, "for (i = 0; i < n; i++) "+c.call)
+		if a.HasIO != c.io || a.Parallelizable == c.io {
+			t.Errorf("%s: HasIO %v, Parallelizable %v; want HasIO %v", c.call, a.HasIO, a.Parallelizable, c.io)
+		}
 	}
 }
 

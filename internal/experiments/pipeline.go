@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"pragformer/internal/bow"
 	"pragformer/internal/core"
@@ -40,7 +39,7 @@ type Config struct {
 	Mode Mode
 	Seed int64
 	// Workers is the data-parallel training width handed to train.Fit;
-	// <=1 trains sequentially. The speedup experiment overrides it per row.
+	// <=1 trains sequentially.
 	Workers int
 	// CheckpointDir, when set, makes the pipeline durable: every
 	// PragFormer training run checkpoints to
@@ -245,11 +244,6 @@ func (p *Pipeline) ids(r *corpus.Record, repr tokenize.Representation, maxLen in
 		}
 	}
 	return v.Encode(p.Tokens(r, repr), maxLen)
-}
-
-// Examples encodes instances for the trainer.
-func (p *Pipeline) Examples(ins []dataset.Instance, repr tokenize.Representation) []train.Example {
-	return p.examplesWithLen(ins, repr, p.P.MaxLen)
 }
 
 // examplesWithLen encodes instances with an explicit length cap (the seqlen
@@ -499,11 +493,4 @@ func InstancesOf(c *corpus.Corpus, task dataset.Task) []dataset.Instance {
 		out = append(out, dataset.Instance{Rec: r, Label: label})
 	}
 	return out
-}
-
-// sortedReprs returns the four representations in paper order.
-func sortedReprs() []tokenize.Representation {
-	rs := append([]tokenize.Representation{}, tokenize.Representations...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	return rs
 }

@@ -13,7 +13,7 @@ var Names = []string{
 	"table3", "table4", "figure3", "table5", "table6", "table7",
 	"table8", "figure7", "table9", "table10", "table11", "table12",
 	"figures456", "ablation-pretrain", "ablation-heads", "ablation-seqlen",
-	"speedup", "quant", "agreement",
+	"quant", "agreement",
 }
 
 // Run executes one named experiment and prints it to w. Unknown names
@@ -52,8 +52,6 @@ func (p *Pipeline) Run(name string, w io.Writer) error {
 		p.RunAblationHeads().Print(w)
 	case "ablation-seqlen":
 		p.RunAblationSeqLen().Print(w)
-	case "speedup":
-		p.RunSpeedup().Print(w)
 	case "quant":
 		p.RunQuant().Print(w)
 	case "agreement":

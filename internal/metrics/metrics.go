@@ -4,8 +4,6 @@
 // F1 are macro-averaged over the two classes and accuracy is overall.
 package metrics
 
-import "fmt"
-
 // Confusion is a binary confusion matrix.
 type Confusion struct {
 	TP, FP, TN, FN int
@@ -64,11 +62,6 @@ func (c Confusion) F1() float64 {
 		f1(c.NegativePrecision(), c.NegativeRecall())) / 2
 }
 
-// PositiveF1 is the F1 of the positive class alone.
-func (c Confusion) PositiveF1() float64 {
-	return f1(c.PositivePrecision(), c.PositiveRecall())
-}
-
 // Report is one evaluation row (a table line in the paper).
 type Report struct {
 	Precision, Recall, F1, Accuracy float64
@@ -77,11 +70,6 @@ type Report struct {
 // Report summarizes the confusion matrix.
 func (c Confusion) Report() Report {
 	return Report{Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(), Accuracy: c.Accuracy()}
-}
-
-// String renders a report like the paper's tables.
-func (r Report) String() string {
-	return fmt.Sprintf("P=%.2f R=%.2f F1=%.2f Acc=%.2f", r.Precision, r.Recall, r.F1, r.Accuracy)
 }
 
 func f1(p, r float64) float64 {

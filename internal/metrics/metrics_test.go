@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,10 +53,6 @@ func TestKnownMatrix(t *testing.T) {
 	if math.Abs(c.PositiveRecall()-40.0/55) > 1e-12 {
 		t.Errorf("posR = %g", c.PositiveRecall())
 	}
-	wantF1 := 2 * 0.8 * (40.0 / 55) / (0.8 + 40.0/55)
-	if math.Abs(c.PositiveF1()-wantF1) > 1e-12 {
-		t.Errorf("posF1 = %g want %g", c.PositiveF1(), wantF1)
-	}
 }
 
 func TestEmptyMatrixSafe(t *testing.T) {
@@ -65,14 +60,6 @@ func TestEmptyMatrixSafe(t *testing.T) {
 	r := c.Report()
 	if r.Accuracy != 0 || r.Precision != 0 || r.Recall != 0 || r.F1 != 0 {
 		t.Fatalf("r = %+v", r)
-	}
-}
-
-func TestReportString(t *testing.T) {
-	c := Confusion{TP: 1, TN: 1}
-	s := c.Report().String()
-	if !strings.Contains(s, "Acc=1.00") {
-		t.Errorf("s = %q", s)
 	}
 }
 

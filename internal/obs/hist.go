@@ -40,10 +40,6 @@ func newHistogram(buckets []float64) *Histogram {
 	return h
 }
 
-// NewHistogram builds an unregistered histogram (nil buckets =
-// DefBuckets) — tests and ad-hoc measurement.
-func NewHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
-
 // Observe records one value in seconds. Bucket membership is v <= upper
 // bound, matching Prometheus' cumulative `le` semantics exactly at the
 // boundaries.

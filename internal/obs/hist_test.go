@@ -11,7 +11,7 @@ import (
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(nil)
 	if got := h.Quantile(0.99); got != 0 {
 		t.Fatalf("empty Quantile = %v, want 0", got)
 	}
@@ -25,7 +25,7 @@ func TestHistogramEmpty(t *testing.T) {
 // highest quantile of boundary-valued observations is reported exactly
 // (interpolation reaches the bound, the max clamp keeps it there).
 func TestHistogramBucketBoundary(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	h.Observe(2.0)
 	if got := h.counts[1].Load(); got != 1 {
 		t.Fatalf("boundary value 2.0 landed outside the le=2 bucket: counts=%v",
@@ -34,7 +34,7 @@ func TestHistogramBucketBoundary(t *testing.T) {
 	if got := h.Quantile(1); got != 2.0 {
 		t.Fatalf("Quantile(1) = %v, want exactly 2.0", got)
 	}
-	h2 := NewHistogram([]float64{1, 2, 4})
+	h2 := newHistogram([]float64{1, 2, 4})
 	h2.Observe(1.0)
 	if got := h2.counts[0].Load(); got != 1 {
 		t.Fatalf("boundary value 1.0 landed outside the le=1 bucket")
@@ -45,7 +45,7 @@ func TestHistogramBucketBoundary(t *testing.T) {
 }
 
 func TestHistogramQuantileInterpolation(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
+	h := newHistogram([]float64{1, 2, 4, 8})
 	// 10 observations in (2,4]: the median interpolates inside that bucket.
 	for i := 0; i < 10; i++ {
 		h.Observe(3.0)
@@ -64,7 +64,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	h := NewHistogram([]float64{1})
+	h := newHistogram([]float64{1})
 	h.Observe(50)
 	if got := h.Quantile(0.99); got != 50.0 {
 		t.Fatalf("overflow-bucket quantile = %v, want the observed max 50", got)
@@ -74,7 +74,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 // TestHistogramConcurrentObserve hammers Observe from many goroutines; run
 // under -race in CI, and the totals must balance exactly.
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(nil)
 	const goroutines, per = 8, 10000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -77,9 +77,6 @@ var validReductionOps = map[string]bool{
 	"&&": true, "||": true, "max": true, "min": true,
 }
 
-// IsReductionOp reports whether op may appear in a reduction clause.
-func IsReductionOp(op string) bool { return validReductionOps[op] }
-
 // String prints the directive as a canonical pragma line, with clause order
 // and variable order normalized so equal directives print identically.
 func (d *Directive) String() string {

@@ -215,14 +215,17 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestIsReductionOp: a reduction clause parses with exactly the operators
+// OpenMP accepts, two-character ones included.
 func TestIsReductionOp(t *testing.T) {
 	for _, op := range []string{"+", "*", "-", "&", "|", "^", "&&", "||", "max", "min"} {
-		if !IsReductionOp(op) {
-			t.Errorf("%q should be valid", op)
+		d, err := Parse("#pragma omp parallel for reduction(" + op + ":x)")
+		if err != nil || len(d.Reductions) != 1 || d.Reductions[0].Op != op {
+			t.Errorf("%q should be valid: %+v, %v", op, d, err)
 		}
 	}
 	for _, op := range []string{"/", "%", "<<", "foo"} {
-		if IsReductionOp(op) {
+		if _, err := Parse("#pragma omp parallel for reduction(" + op + ":x)"); err == nil {
 			t.Errorf("%q should be invalid", op)
 		}
 	}

@@ -98,21 +98,6 @@ func QuantizeLinear(l *nn.Linear) *Linear {
 	return q
 }
 
-// Dequantize reconstructs the float weight matrix (in×out) the quantized
-// layer represents — the reference the parity tests diff against.
-func (l *Linear) Dequantize() *tensor.Matrix {
-	out, in := l.Wq.Rows, l.Wq.Cols
-	w := tensor.New(in, out)
-	for c := 0; c < out; c++ {
-		s := float64(l.Wq.Scales[c])
-		qrow := l.Wq.Row(c)
-		for k := 0; k < in; k++ {
-			w.Set(k, c, float64(qrow[k])*s)
-		}
-	}
-	return w
-}
-
 // ApplyInto computes dst = x·W + b with x dynamically quantized per row
 // (nn.Projection). The bias add rides in the kernel's fused epilogue
 // (tensor.MatMulInt8BTFusedInto) instead of a separate output sweep. dst

@@ -340,9 +340,6 @@ func (e *Engine) Reload(models *advisor.Models) error {
 // before the HTTP server's graceful shutdown begins.
 func (e *Engine) SetDraining(v bool) { e.draining.Store(v) }
 
-// Draining reports whether SetDraining(true) is in effect.
-func (e *Engine) Draining() bool { return e.draining.Load() }
-
 // ReloadFromSource reloads from cfg.Source — the POST /reload and SIGHUP
 // entry point.
 func (e *Engine) ReloadFromSource() error {

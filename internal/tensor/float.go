@@ -10,7 +10,7 @@ import "math"
 //   - the axpy/outer-product kernel (f64GemmRow*): out[j] = epilogue(
 //     init_j + Σ_k a[k]·b[k][j]), used by MatMul/MatMulAT where the output
 //     row is register-tiled and b streams row-wise, and
-//   - the dot kernel (f64DotBT4*/dotLanes), used by MatMulBT and the
+//   - the dot kernel (f64DotBT4*/dotLanes), used by MatMulBTInto and the
 //     attention score GEMM, where both operands stream contiguously.
 //
 // Bit-identity contract: the scalar fallbacks compute the exact FMA chains

@@ -128,16 +128,6 @@ func MatMulATInto(out, a, b *Matrix) {
 	}
 }
 
-// MatMulBT computes out = a·bᵀ, allocating out. a is m×k, b is n×k, out m×n.
-func MatMulBT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBT inner dims %d vs %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	MatMulBTInto(out, a, b)
-	return out
-}
-
 // RowSoftmax applies softmax to each row in place, numerically stabilized.
 // Degenerate rows (all -Inf) become all-zero rather than NaN.
 func RowSoftmax(m *Matrix) {

@@ -21,7 +21,7 @@ func TestShapePanics(t *testing.T) {
 	b := New(2, 3)
 	expectPanic(t, "MatMulInto", func() { MatMulInto(New(2, 2), a, b) })
 	expectPanic(t, "MatMulAT", func() { MatMulAT(New(3, 2), New(2, 2)) })
-	expectPanic(t, "MatMulBT", func() { MatMulBT(New(2, 3), New(2, 4)) })
+	expectPanic(t, "MatMulBTInto", func() { MatMulBTInto(New(2, 2), New(2, 3), New(2, 4)) })
 	expectPanic(t, "AddInPlace", func() { a.AddInPlace(New(3, 2)) })
 	expectPanic(t, "Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	expectPanic(t, "Axpy", func() { Axpy(1, []float64{1}, []float64{1, 2}) })

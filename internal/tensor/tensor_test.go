@@ -89,7 +89,8 @@ func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(3, 7).Randn(rng, 1)
 	b := New(5, 7).Randn(rng, 1)
-	got := MatMulBT(a, b)
+	got := New(3, 5)
+	MatMulBTInto(got, a, b)
 	bt := New(7, 5)
 	for i := 0; i < b.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
@@ -99,7 +100,7 @@ func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 	want := MatMul(a, bt)
 	for i := range want.Data {
 		if !almost(got.Data[i], want.Data[i]) {
-			t.Fatalf("MatMulBT mismatch at %d", i)
+			t.Fatalf("MatMulBTInto mismatch at %d", i)
 		}
 	}
 }

@@ -184,11 +184,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Metrics exposes the router's telemetry registry (the one GET /metrics
-// renders). Every router has its own, so embedded routers and tests never
-// cross-wire series.
-func (rt *Router) Metrics() *obs.Registry { return rt.reg }
-
 // registerMetrics creates the router counters in the registry and wires
 // the store and per-replica gauges into it.
 func (rt *Router) registerMetrics() {

@@ -131,16 +131,6 @@ func (h History) Best() EpochStats {
 	return h.Epochs[h.BestEpoch]
 }
 
-// String renders the curve compactly.
-func (h History) String() string {
-	s := ""
-	for _, e := range h.Epochs {
-		s += fmt.Sprintf("epoch %d: train %.4f valid %.4f acc %.3f\n",
-			e.Epoch, e.TrainLoss, e.ValidLoss, e.ValidAccuracy)
-	}
-	return s
-}
-
 // Example is one training instance: encoded ids and a binary label.
 type Example struct {
 	IDs   []int

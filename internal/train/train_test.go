@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pragformer/internal/nn"
@@ -210,9 +209,9 @@ func TestBestEpochSelection(t *testing.T) {
 }
 
 func TestHistoryString(t *testing.T) {
-	h := History{Epochs: []EpochStats{{Epoch: 0, TrainLoss: 1, ValidLoss: 2, ValidAccuracy: 0.5}}}
-	if !strings.Contains(h.String(), "epoch 0") {
-		t.Errorf("s = %q", h.String())
+	h := History{Epochs: []EpochStats{{Epoch: 0, ValidLoss: 2}, {Epoch: 1, ValidLoss: 1}}, BestEpoch: 1}
+	if h.Best() != h.Epochs[1] {
+		t.Errorf("Best = %+v, want epoch 1", h.Best())
 	}
 	var empty History
 	if empty.Best() != (EpochStats{}) {
