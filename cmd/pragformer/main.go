@@ -70,6 +70,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// must returns v, exiting on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
+	}
+	return v
+}
+
 // checkpointFailure extracts the non-interrupt component of a (possibly
 // joined) Run/Resume error: the checkpoint write failure that rode along
 // with ErrInterrupted, or nil if the interrupt was clean.
@@ -108,18 +116,6 @@ func splitFor(c *corpus.Corpus, task dataset.Task, seed int64) dataset.Split {
 	return dataset.Clause(c, task, dataset.Options{Seed: seed, Balance: true})
 }
 
-func encodeAll(ins []dataset.Instance, v *tokenize.Vocab, maxLen int) []train.Example {
-	out := make([]train.Example, len(ins))
-	for i, in := range ins {
-		ids, err := v.EncodeText(in.Rec.Code, maxLen)
-		if err != nil {
-			fatal(err)
-		}
-		out[i] = train.Example{IDs: ids, Label: in.Label}
-	}
-	return out
-}
-
 func cmdTrain(args []string) {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	var (
@@ -151,18 +147,9 @@ func cmdTrain(args []string) {
 	task := taskFromName(*taskName)
 	split := splitFor(c, task, *seed)
 
-	var seqs [][]string
-	for _, in := range split.Train {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
-		if err != nil {
-			fatal(err)
-		}
-		seqs = append(seqs, toks)
-	}
-	v := tokenize.BuildVocab(seqs, 1)
-
-	trainSet := encodeAll(split.Train, v, core.DefaultMaxLen)
-	validSet := encodeAll(split.Valid, v, core.DefaultMaxLen)
+	v := must(split.Vocab())
+	trainSet := must(dataset.Examples(split.Train, v, core.DefaultMaxLen))
+	validSet := must(dataset.Examples(split.Valid, v, core.DefaultMaxLen))
 	if *maxTrain > 0 && len(trainSet) > *maxTrain {
 		trainSet = trainSet[:*maxTrain]
 	}
@@ -256,7 +243,7 @@ func cmdEval(args []string) {
 		fatal(err)
 	}
 	split := splitFor(c, taskFromName(*taskName), *seed)
-	testSet := encodeAll(split.Test, v, m.Cfg.MaxLen)
+	testSet := must(dataset.Examples(split.Test, v, m.Cfg.MaxLen))
 	loss, acc := train.EvaluateParallel(m, testSet, *workers)
 	fmt.Printf("test: %d examples, loss %.4f, accuracy %.3f\n", len(testSet), loss, acc)
 }

@@ -62,7 +62,10 @@ func TestTrainWritesBestEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	validSet := encodeAll(splitFor(c, dataset.TaskDirective, seed).Valid, v, core.DefaultMaxLen)
+	validSet, err := dataset.Examples(splitFor(c, dataset.TaskDirective, seed).Valid, v, core.DefaultMaxLen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if loss, _ := train.Evaluate(m, validSet); loss != snap.Epochs[snap.BestEpoch].ValidLoss {
 		t.Errorf("written model scores valid loss %v; best epoch %d had %v, last epoch %v",
 			loss, snap.BestEpoch+1, snap.Epochs[snap.BestEpoch].ValidLoss, snap.Epochs[len(snap.Epochs)-1].ValidLoss)

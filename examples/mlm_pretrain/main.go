@@ -12,7 +12,6 @@ import (
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
 	"pragformer/internal/dataset"
-	"pragformer/internal/tokenize"
 	"pragformer/internal/train"
 )
 
@@ -20,22 +19,16 @@ func main() {
 	c := corpus.Generate(corpus.Config{Seed: 4, Total: 700})
 	split := dataset.Directive(c, dataset.Options{Seed: 4})
 
-	var seqs [][]string
-	for _, in := range split.Train {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+	vocab, err := split.Vocab()
+	if err != nil {
+		panic(err)
+	}
+	encode := func(ins []dataset.Instance) []train.Example {
+		examples, err := dataset.Examples(ins, vocab, 64)
 		if err != nil {
 			panic(err)
 		}
-		seqs = append(seqs, toks)
-	}
-	vocab := tokenize.BuildVocab(seqs, 1)
-	encode := func(ins []dataset.Instance) []train.Example {
-		out := make([]train.Example, len(ins))
-		for i, in := range ins {
-			toks, _ := tokenize.Extract(in.Rec.Code, tokenize.Text)
-			out[i] = train.Example{IDs: vocab.Encode(toks, 64), Label: in.Label}
-		}
-		return out
+		return examples
 	}
 	trainSet := encode(split.Train)
 	validSet := encode(split.Valid)

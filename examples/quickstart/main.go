@@ -24,25 +24,16 @@ func main() {
 	fmt.Printf("dataset: %d train / %d valid / %d test\n", tr, va, te)
 
 	// 3. Tokenize with the raw-text representation (the paper's best).
-	var seqs [][]string
-	for _, in := range split.Train {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+	vocab, err := split.Vocab()
+	if err != nil {
+		panic(err)
+	}
+	encode := func(ins []dataset.Instance) []train.Example {
+		examples, err := dataset.Examples(ins, vocab, 64)
 		if err != nil {
 			panic(err)
 		}
-		seqs = append(seqs, toks)
-	}
-	vocab := tokenize.BuildVocab(seqs, 1)
-	encode := func(ins []dataset.Instance) []train.Example {
-		out := make([]train.Example, len(ins))
-		for i, in := range ins {
-			toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
-			if err != nil {
-				panic(err)
-			}
-			out[i] = train.Example{IDs: vocab.Encode(toks, 64), Label: in.Label}
-		}
-		return out
+		return examples
 	}
 
 	// 4. Train a small transformer classifier.

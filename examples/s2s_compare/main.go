@@ -97,22 +97,16 @@ func agreementMatrix(model *core.PragFormer, vocab *tokenize.Vocab, records []*c
 func trainDirectiveModel() (*core.PragFormer, *tokenize.Vocab, []*corpus.Record) {
 	c := corpus.Generate(corpus.Config{Seed: 3, Total: 900})
 	split := dataset.Directive(c, dataset.Options{Seed: 3})
-	var seqs [][]string
-	for _, in := range split.Train {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+	vocab, err := split.Vocab()
+	if err != nil {
+		panic(err)
+	}
+	encode := func(ins []dataset.Instance) []train.Example {
+		examples, err := dataset.Examples(ins, vocab, 64)
 		if err != nil {
 			panic(err)
 		}
-		seqs = append(seqs, toks)
-	}
-	vocab := tokenize.BuildVocab(seqs, 1)
-	encode := func(ins []dataset.Instance) []train.Example {
-		out := make([]train.Example, len(ins))
-		for i, in := range ins {
-			toks, _ := tokenize.Extract(in.Rec.Code, tokenize.Text)
-			out[i] = train.Example{IDs: vocab.Encode(toks, 64), Label: in.Label}
-		}
-		return out
+		return examples
 	}
 	model, err := core.New(core.Config{Vocab: vocab.Size(), MaxLen: 64, D: 32, Heads: 4, Layers: 1}, 3)
 	if err != nil {

@@ -143,10 +143,9 @@ func (m *Models) WithBackend(name string) (*Models, error) {
 }
 
 // Suggester is the batch-suggestion capability consumers program against:
-// the repo scanner drives it with chunked batches of unique loop snippets,
-// and the serving engine's /scan endpoint substitutes its micro-batching
-// pipeline for the direct model path. Models is the canonical in-process
-// implementation.
+// scan.Dir drives it with chunked batches of unique loop snippets. Models
+// is the canonical in-process implementation; the serving stack's /scan
+// hands scan.Files a verdict function instead.
 type Suggester interface {
 	SuggestBatch(codes []string) ([]BatchItem, error)
 }

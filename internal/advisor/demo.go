@@ -6,7 +6,6 @@ import (
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
 	"pragformer/internal/dataset"
-	"pragformer/internal/tokenize"
 	"pragformer/internal/train"
 )
 
@@ -63,26 +62,9 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	c := corpus.Generate(corpus.Config{Seed: cfg.Seed, Total: cfg.Total})
 	split := dataset.Directive(c, dataset.Options{Seed: cfg.Seed})
 
-	var seqs [][]string
-	for _, in := range split.Train {
-		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
-		if err != nil {
-			return nil, err
-		}
-		seqs = append(seqs, toks)
-	}
-	v := tokenize.BuildVocab(seqs, 1)
-
-	encode := func(ins []dataset.Instance) ([]train.Example, error) {
-		out := make([]train.Example, len(ins))
-		for i, in := range ins {
-			ids, err := v.EncodeText(in.Rec.Code, core.DefaultMaxLen)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = train.Example{IDs: ids, Label: in.Label}
-		}
-		return out, nil
+	v, err := split.Vocab()
+	if err != nil {
+		return nil, err
 	}
 	seed := cfg.Seed + 10
 	m, err := core.New(core.Config{
@@ -91,11 +73,11 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainSet, err := encode(split.Train)
+	trainSet, err := dataset.Examples(split.Train, v, core.DefaultMaxLen)
 	if err != nil {
 		return nil, err
 	}
-	validSet, err := encode(split.Valid)
+	validSet, err := dataset.Examples(split.Valid, v, core.DefaultMaxLen)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"sync"
 
-	"pragformer/internal/advisor"
 	"pragformer/internal/obs"
 	"pragformer/internal/scan"
 )
@@ -250,10 +249,10 @@ func respond[T any](w http.ResponseWriter, r *http.Request, shedMsg string, resu
 // ServeScan is POST /scan on both binaries: decode, enforce the limits,
 // run the scan pipeline, render JSON or SARIF. The caller supplies what
 // differs per side — base carries its batch size, backend label and verdict
-// store (parse workers take scan's default), sg its inference path (the
-// engine's suggest batcher on a replica, the fleet fan-out on the router).
-// A trace is never attached: scan bytes are golden-compared.
-func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, sg advisor.Suggester) {
+// store (parse workers take scan's default), suggest its inference path
+// (the engine's suggest batcher on a replica, the fleet fan-out on the
+// router). A trace is never attached: scan bytes are golden-compared.
+func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, suggest func(codes []string) []scan.Verdict) {
 	var req ScanRequest
 	if !DecodeBody(w, r, &req) {
 		return
@@ -289,7 +288,7 @@ func ServeScan(w http.ResponseWriter, r *http.Request, base scan.Config, sg advi
 	cfg := base
 	cfg.IncludeAnnotated = req.IncludeAnnotated
 
-	rep, err := scan.Files(r.Context(), srcs, cfg, sg)
+	rep, err := scan.Files(r.Context(), srcs, cfg, suggest)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if r.Context().Err() != nil {

@@ -87,9 +87,6 @@ var keywords = map[string]bool{
 	"volatile": true, "while": true,
 }
 
-// IsKeyword reports whether s is a reserved C keyword.
-func IsKeyword(s string) bool { return keywords[s] }
-
 // Lexer scans C source text into tokens.
 type Lexer struct {
 	src  string

@@ -247,15 +247,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("register") {
-		t.Error("register should be a keyword")
-	}
-	if IsKeyword("ssize_t") {
-		t.Error("ssize_t is not a keyword")
-	}
-}
-
 // TestLexNeverPanicsOnPrintableInput is a property test: the lexer must
 // terminate with either tokens or an error on arbitrary printable input,
 // and every returned token stream must end with EOF.

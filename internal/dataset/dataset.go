@@ -10,6 +10,8 @@ import (
 	"math/rand"
 
 	"pragformer/internal/corpus"
+	"pragformer/internal/tokenize"
+	"pragformer/internal/train"
 )
 
 // Task selects which classification label an instance carries.
@@ -50,6 +52,34 @@ type Split struct {
 // Sizes returns the three split sizes (Table 5 rows).
 func (s Split) Sizes() (train, valid, test int) {
 	return len(s.Train), len(s.Valid), len(s.Test)
+}
+
+// Vocab indexes every raw-text token of the training split (minimum
+// frequency 1): the vocabulary a classifier trained on the split reads.
+func (s Split) Vocab() (*tokenize.Vocab, error) {
+	seqs := make([][]string, len(s.Train))
+	for i, in := range s.Train {
+		toks, err := tokenize.Extract(in.Rec.Code, tokenize.Text)
+		if err != nil {
+			return nil, err
+		}
+		seqs[i] = toks
+	}
+	return tokenize.BuildVocab(seqs, 1), nil
+}
+
+// Examples encodes instances as model input: the raw-text ids under v,
+// truncated to maxLen, with each instance's label.
+func Examples(ins []Instance, v *tokenize.Vocab, maxLen int) ([]train.Example, error) {
+	out := make([]train.Example, len(ins))
+	for i, in := range ins {
+		ids, err := v.EncodeText(in.Rec.Code, maxLen)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = train.Example{IDs: ids, Label: in.Label}
+	}
+	return out, nil
 }
 
 // label computes an instance label for a record under a task.

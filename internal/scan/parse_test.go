@@ -69,7 +69,7 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 		parity bool // the scan includes parityFiles
 	}{
 		{"Files", func(cfg Config, sg advisor.Suggester) (*Report, error) {
-			return Files(context.Background(), srcs, cfg, sg)
+			return scanFiles(context.Background(), srcs, cfg, adviseWith(sg))
 		}, func(file string) string { return inMemory[file] }, 11 + len(parityFiles), true},
 		{"Dir fixture", func(cfg Config, sg advisor.Suggester) (*Report, error) {
 			return Dir(context.Background(), fixtureTree, cfg, sg)
@@ -131,7 +131,7 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 // bytes (the parse workers' hash) and the hex sha-256 — for every fixture
 // loop, and for all of them end to end, a text that spans several chunks.
 func TestHashSnippetAllocs(t *testing.T) {
-	rep, err := Files(context.Background(), fixtureSources(t), Config{}, &stubSuggester{})
+	rep, err := scanFiles(context.Background(), fixtureSources(t), Config{}, adviseWith(&stubSuggester{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestMaxFileBytesBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inMemory, err := Files(context.Background(),
-		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "small.c", Data: []byte(small)}}, cfg, &stubSuggester{})
+	inMemory, err := scanFiles(context.Background(),
+		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "small.c", Data: []byte(small)}}, cfg, adviseWith(&stubSuggester{}))
 	if err != nil {
 		t.Fatal(err)
 	}

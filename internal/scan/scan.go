@@ -1,9 +1,10 @@
 // Package scan is the repo-scale front end of the advisor: it walks a
 // directory tree of C sources (or an in-memory file set), parses each file
 // with cparse, extracts every for-loop with file:line provenance through
-// cast.ExtractLoops, dedupes loops by normalized content hash, and drives
-// an advisor.Suggester — the in-process Models bundle or the serving
-// engine's micro-batchers — with chunked batches of unique snippets.
+// cast.ExtractLoops, dedupes loops by normalized content hash, and hands
+// chunked batches of unique snippets to a suggester: Dir takes an
+// advisor.Suggester (the in-process Models bundle), Files a function from
+// snippets to report-form verdicts (the serving engine and the tier router).
 //
 // The pipeline is a bounded producer→parser→inference stream: one producer
 // feeds Config.Workers parallel parse workers, a collector dedupes their
@@ -237,6 +238,9 @@ type Report struct {
 // skipped and counted; the returned error is reserved for setup problems
 // (bad root, cache I/O) and context cancellation.
 func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*Report, error) {
+	if sg == nil {
+		return nil, errNoSuggester
+	}
 	cfg.fillDefaults()
 	if _, err := os.Stat(root); err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
@@ -280,7 +284,7 @@ func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*R
 			}
 		})
 	}
-	rep, err := run(ctx, cfg, sg, produce, rel)
+	rep, err := run(ctx, cfg, adviseWith(sg), produce, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -293,9 +297,29 @@ func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*R
 	return rep, nil
 }
 
-// Files scans an in-memory file set — the POST /scan payload path. Sources
-// without Data are read from disk.
-func Files(ctx context.Context, files []Source, cfg Config, sg advisor.Suggester) (*Report, error) {
+// Files scans an in-memory file set — the POST /scan payload path — with
+// suggest giving one verdict per snippet, in order. Sources without Data
+// are read from disk.
+func Files(ctx context.Context, files []Source, cfg Config, suggest func(codes []string) []Verdict) (*Report, error) {
+	if suggest == nil {
+		return nil, errNoSuggester
+	}
+	return scanFiles(ctx, files, cfg, func(chunk []*Loop) error {
+		verdicts := suggest(snippets(chunk))
+		for i, l := range chunk {
+			if verdicts[i].Err != nil {
+				l.Error = verdicts[i].Err.Error()
+				continue
+			}
+			l.Suggestion = verdicts[i].Suggestion
+		}
+		return nil
+	})
+}
+
+// scanFiles runs the pipeline over an in-memory file set with advise
+// settling each chunk; Files wraps it with the verdict adapter.
+func scanFiles(ctx context.Context, files []Source, cfg Config, advise func(chunk []*Loop) error) (*Report, error) {
 	cfg.fillDefaults()
 	produce := func(ctx context.Context, srcs chan<- Source) error {
 		for _, f := range files {
@@ -307,8 +331,10 @@ func Files(ctx context.Context, files []Source, cfg Config, sg advisor.Suggester
 		}
 		return nil
 	}
-	return run(ctx, cfg, sg, produce, filepath.ToSlash)
+	return run(ctx, cfg, advise, produce, filepath.ToSlash)
 }
+
+var errNoSuggester = errors.New("scan: a suggester is required")
 
 // fileOut is one parse worker's result for one file. A file can be both
 // partially parsed and carry skips: the recovering parser reports one
@@ -366,15 +392,13 @@ type parseScratch struct {
 var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
 
 // run wires the bounded pipeline: produce → parse workers → collector,
-// with a side inference goroutine consuming chunks of unique snippets.
+// with a side inference goroutine handing chunks of unique loops to advise,
+// which settles each loop's Suggestion/Error and returns a chunk-wide error.
 func run(
-	ctx context.Context, cfg Config, sg advisor.Suggester,
+	ctx context.Context, cfg Config, advise func(chunk []*Loop) error,
 	produce func(context.Context, chan<- Source) error,
 	rel func(string) string,
 ) (*Report, error) {
-	if sg == nil {
-		return nil, fmt.Errorf("scan: a suggester is required")
-	}
 	// Stage tracing rides the context (nil when untraced — every recording
 	// call below is then a no-op, and the untraced path stays byte- and
 	// behavior-identical; timing never reaches the report or the store).
@@ -448,7 +472,7 @@ func run(
 			}
 			inferred += len(chunk)
 			endAdvise := tr.Start("advise")
-			err := suggestChunk(sg, chunk)
+			err := advise(chunk)
 			endAdvise()
 			for _, l := range chunk {
 				// The verdict has landed, whichever suggester gave it.
@@ -599,73 +623,49 @@ collect:
 	return rep, nil
 }
 
-// Verdict is one snippet's outcome from a VerdictSuggester: either a
-// pre-flattened suggestion or a per-snippet error.
+// Verdict is one snippet's outcome in the report form: a suggestion or a
+// per-snippet error.
 type Verdict struct {
 	Suggestion *Suggestion
 	Err        error
 }
 
-// VerdictSuggester is the serving tier's entry point into the scan
-// pipeline: a suggester that returns verdicts already in the report form
-// (the /suggest wire item the tier router decodes IS that form —
-// reconstructing advisor.Suggestion from the wire would be lossy).
-// suggestChunk prefers it over the advisor-native interfaces.
-type VerdictSuggester interface {
-	SuggestVerdicts(codes []string) ([]Verdict, error)
-}
-
-// suggestChunk hands one chunk of unique loops to the suggester and
-// settles each loop's Suggestion/Error, threading the already-parsed loop
-// ASTs when the suggester can take them (the in-process Models path);
-// string-only suggesters (the serving engine's batcher) re-parse inside
-// corroboration instead, and VerdictSuggesters (the tier router) return
-// flattened verdicts directly. The returned error is chunk-wide.
-func suggestChunk(sg advisor.Suggester, chunk []*Loop) error {
-	if vs, ok := sg.(VerdictSuggester); ok {
-		codes := make([]string, len(chunk))
-		for i, l := range chunk {
-			codes[i] = l.Snippet
+// adviseWith settles chunks through an advisor.Suggester, threading the
+// already-parsed loop ASTs when it can take them (the in-process Models
+// path); a string-only suggester re-parses inside corroboration instead.
+func adviseWith(sg advisor.Suggester) func(chunk []*Loop) error {
+	return func(chunk []*Loop) error {
+		var items []advisor.BatchItem
+		var err error
+		if ss, ok := sg.(advisor.SnippetSuggester); ok {
+			snips := make([]advisor.Snippet, len(chunk))
+			for i, l := range chunk {
+				snips[i] = advisor.Snippet{Code: l.Snippet, Loop: l.ast}
+			}
+			items, err = ss.SuggestSnippets(snips)
+		} else {
+			items, err = sg.SuggestBatch(snippets(chunk))
 		}
-		verdicts, err := vs.SuggestVerdicts(codes)
 		if err != nil {
 			return err
 		}
 		for i, l := range chunk {
-			if verdicts[i].Err != nil {
-				l.Error = verdicts[i].Err.Error()
+			if items[i].Err != nil {
+				l.Error = items[i].Err.Error()
 				continue
 			}
-			l.Suggestion = verdicts[i].Suggestion
+			l.Suggestion = FromAdvisor(items[i].Suggestion)
 		}
 		return nil
 	}
-	var items []advisor.BatchItem
-	var err error
-	if ss, ok := sg.(advisor.SnippetSuggester); ok {
-		snippets := make([]advisor.Snippet, len(chunk))
-		for i, l := range chunk {
-			snippets[i] = advisor.Snippet{Code: l.Snippet, Loop: l.ast}
-		}
-		items, err = ss.SuggestSnippets(snippets)
-	} else {
-		codes := make([]string, len(chunk))
-		for i, l := range chunk {
-			codes[i] = l.Snippet
-		}
-		items, err = sg.SuggestBatch(codes)
-	}
-	if err != nil {
-		return err
-	}
+}
+
+func snippets(chunk []*Loop) []string {
+	codes := make([]string, len(chunk))
 	for i, l := range chunk {
-		if items[i].Err != nil {
-			l.Error = items[i].Err.Error()
-			continue
-		}
-		l.Suggestion = FromAdvisor(items[i].Suggestion)
+		codes[i] = l.Snippet
 	}
-	return nil
+	return codes
 }
 
 // parseSource reads (if needed) and parses one file, extracting its loops.

@@ -120,6 +120,18 @@ func TestScanDirGolden(t *testing.T) {
 	}
 }
 
+// TestScanRequiresSuggester: either entry point refuses a scan with no
+// suggester before any file is read, instead of panicking at the first chunk.
+func TestScanRequiresSuggester(t *testing.T) {
+	if rep, err := Dir(context.Background(), fixtureTree, Config{}, nil); rep != nil || !errors.Is(err, errNoSuggester) {
+		t.Errorf("Dir without a suggester: report %v, error %v", rep, err)
+	}
+	srcs := []Source{{Path: "a.c", Data: []byte("void f(int *a, int n) { for (int i = 0; i < n; i++) a[i] += i; }\n")}}
+	if rep, err := Files(context.Background(), srcs, Config{}, nil); rep != nil || !errors.Is(err, errNoSuggester) {
+		t.Errorf("Files without a suggester: report %v, error %v", rep, err)
+	}
+}
+
 func TestScanCountersAndDedupe(t *testing.T) {
 	rep := scanFixture(t, Config{Workers: 4}, &stubSuggester{})
 	c := rep.Counters
@@ -396,7 +408,7 @@ func TestScanFilesInMemory(t *testing.T) {
 		{Path: "a.c", Data: []byte("void f(double *x, int n) {\n    int i;\n    for (i = 0; i < n; i++) x[i] += 1.0;\n}\n")},
 		{Path: "b.c", Data: []byte("int broken(\n")},
 	}
-	rep, err := Files(context.Background(), files, Config{}, &stubSuggester{})
+	rep, err := scanFiles(context.Background(), files, Config{}, adviseWith(&stubSuggester{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +608,7 @@ func TestScanReleasesTreesAfterVerdicts(t *testing.T) {
 	}
 	for _, batch := range []int{1, 16} {
 		sg := &printCheckSuggester{}
-		rep, err := Files(context.Background(), srcs, Config{Workers: 4, BatchSize: batch}, sg)
+		rep, err := scanFiles(context.Background(), srcs, Config{Workers: 4, BatchSize: batch}, adviseWith(sg))
 		if err != nil {
 			t.Fatal(err)
 		}

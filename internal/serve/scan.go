@@ -2,31 +2,12 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sync"
 
-	"pragformer/internal/advisor"
 	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
-
-// engineSuggester is the scanner's suggester for one /scan request: a
-// scan.VerdictSuggester over the engine's suggest batcher.
-type engineSuggester struct {
-	e   *Engine
-	ctx context.Context
-}
-
-// SuggestBatch satisfies advisor.Suggester's method set; the scan
-// pipeline never calls it on a VerdictSuggester.
-func (s engineSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
-	return nil, errors.New("serve: SuggestBatch is not used; scan goes through SuggestVerdicts")
-}
-
-func (s engineSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
-	return s.e.suggestAll(s.ctx, codes), nil
-}
 
 // suggestAll fans snippets out through the suggest batcher concurrently:
 // the dispatcher coalesces them (together with any other in-flight
@@ -61,5 +42,5 @@ func (e *Engine) handleScan(w http.ResponseWriter, r *http.Request) {
 	api.ServeScan(w, r, scan.Config{
 		BatchSize: e.cfg.MaxBatch,
 		Backend:   e.Stats().Backend,
-	}, engineSuggester{e: e, ctx: r.Context()})
+	}, func(codes []string) []scan.Verdict { return e.suggestAll(r.Context(), codes) })
 }

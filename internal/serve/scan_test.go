@@ -118,6 +118,37 @@ func TestHTTPScanParity(t *testing.T) {
 	}
 }
 
+// TestHTTPScanNeverReadsDisk: a posted file's bytes are its source, even
+// when the source is empty and the path names a C file on the server's disk
+// with loops in it — scan.Source reads Path only when Data is nil.
+func TestHTTPScanNeverReadsDisk(t *testing.T) {
+	path, err := filepath.Abs("../../examples/scantree/private.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), "for (") {
+		t.Fatalf("fixture %s has no loop to leak (err %v)", path, err)
+	}
+	e, err := New(testModels(t), Config{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	body, _ := json.Marshal(api.ScanRequest{Files: []api.ScanFile{{Path: path, Source: ""}}})
+	w := scanOnce(t, e, string(body))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var rep scan.Report
+	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters.Loops != 0 || len(rep.Loops) != 0 {
+		t.Fatalf("an empty posted source scanned %d loops from the server's %s", rep.Counters.Loops, path)
+	}
+}
+
 func TestHTTPScanSARIF(t *testing.T) {
 	models := testModels(t)
 	e, err := New(models, Config{})
@@ -187,7 +218,7 @@ func TestHTTPScanRejects(t *testing.T) {
 // TestScanVerdictParityAcrossEntryPoints pins the corroboration evidence
 // (tier, dep witness, S2S verdicts, LIME attributions) to a single source
 // of truth: the advisor. The same carried-dependence snippet scanned via
-// HTTP /scan, via scan.Files with the models object directly, and via a
+// HTTP /scan, via scan.Files over the models object's batch directly, and via a
 // bare advisor batch must agree on every evidence field — and a
 // warm-cache re-scan must replay the evidence byte-identically.
 func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
@@ -216,7 +247,17 @@ func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 	}
 
 	direct, err := scan.Files(context.Background(),
-		[]scan.Source{{Path: "recur.c", Data: []byte(src)}}, scan.Config{}, models)
+		[]scan.Source{{Path: "recur.c", Data: []byte(src)}}, scan.Config{}, func(codes []string) []scan.Verdict {
+			items, err := models.SuggestBatch(codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts := make([]scan.Verdict, len(items))
+			for i, it := range items {
+				verdicts[i] = scan.Verdict{Suggestion: scan.FromAdvisor(it.Suggestion), Err: it.Err}
+			}
+			return verdicts
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 	"unsafe"
 
-	"pragformer/internal/advisor"
 	"pragformer/internal/api"
 	"pragformer/internal/dep"
 	"pragformer/internal/scan"
@@ -747,7 +746,7 @@ func TestRouterScanReadThroughParity(t *testing.T) {
 	// Parity oracle: the same sources through scan.Files directly with the
 	// same verdict function must render byte-identical stable JSON.
 	direct, err := scan.Files(context.Background(), []scan.Source{{Path: "x.c", Data: []byte(src)}},
-		scan.Config{Workers: 2, Backend: "fake"}, oracleSuggester{})
+		scan.Config{Workers: 2, Backend: "fake"}, oracleVerdicts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -819,22 +818,15 @@ func TestTierScanForwardsConcurrently(t *testing.T) {
 	}
 }
 
-// oracleSuggester drives scan.Files directly with the fake fleet's
-// verdict function (via the same VerdictSuggester entry point the tier
-// uses).
-type oracleSuggester struct{}
-
-func (oracleSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
-	panic("oracle: SuggestBatch should not be called")
-}
-
-func (oracleSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
+// oracleVerdicts drives scan.Files directly with the fake fleet's verdict
+// function, through the same entry point the tier uses.
+func oracleVerdicts(codes []string) []scan.Verdict {
 	out := make([]scan.Verdict, len(codes))
 	for i, c := range codes {
 		r := fakeVerdict(c)
 		out[i] = scan.Verdict{Suggestion: &r.Suggestion}
 	}
-	return out, nil
+	return out
 }
 
 // The router is an untrusted-input boundary of its own: a malformed body

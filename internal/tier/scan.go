@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 
-	"pragformer/internal/advisor"
 	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
@@ -15,32 +14,19 @@ import (
 // store, and fans only the cold unique loops across the fleet by their
 // content hash — the same key the replicas' own LRUs use. The scan
 // pipeline is reused wholesale via scan.Config.Store (the shared store
-// read-through) and scan.VerdictSuggester (the HTTP fan-out), so the
-// report bytes match a single replica's /scan output; the handler body
-// itself is api.ServeScan, the same one a replica runs.
+// read-through) and scanVerdicts (the HTTP fan-out), so the report bytes
+// match a single replica's /scan output; the handler body itself is
+// api.ServeScan, the same one a replica runs.
 
-// tierSuggester drives the scan pipeline's inference stage over the
-// fleet: each chunk of canonical snippets is routed by content hash and
-// forwarded as one /suggest per replica. It implements
-// scan.VerdictSuggester — the /suggest wire item is the report form, so
+// scanVerdicts is the scan pipeline's inference stage over the fleet: each
+// chunk of canonical snippets is routed by content hash and forwarded as
+// one /suggest per replica. The /suggest wire item is the report form, so
 // decoded replica results are handed to the pipeline as they are.
-type tierSuggester struct {
-	rt  *Router
-	ctx context.Context
-}
-
-// SuggestBatch satisfies advisor.Suggester's method set; the scan
-// pipeline never calls it on a VerdictSuggester.
-func (t tierSuggester) SuggestBatch([]string) ([]advisor.BatchItem, error) {
-	return nil, errors.New("tier: SuggestBatch is not used; scan goes through SuggestVerdicts")
-}
-
-func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
-	// Settled exactly as a /suggest is, then handed over in report form.
-	// Scan snippets are already canonical prints; their hash is the routing
-	// key AND the store key.
+func (rt *Router) scanVerdicts(ctx context.Context, codes []string) []scan.Verdict {
+	// Settled exactly as a /suggest is. Scan snippets are already canonical
+	// prints; their hash is the routing key AND the store key.
 	results := make([]api.SuggestResult, len(codes))
-	fanOut(t.ctx, t.rt, "/suggest", codes, nil, results,
+	fanOut(ctx, rt, "/suggest", codes, nil, results,
 		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr, nil)
 	verdicts := make([]scan.Verdict, len(codes))
 	for i := range results {
@@ -50,12 +36,12 @@ func (t tierSuggester) SuggestVerdicts(codes []string) ([]scan.Verdict, error) {
 			verdicts[i].Suggestion = &results[i].Suggestion
 		}
 	}
-	return verdicts, nil
+	return verdicts
 }
 
 func (rt *Router) handleScan(w http.ResponseWriter, r *http.Request) {
 	api.ServeScan(w, r, scan.Config{
 		Backend: rt.backendLabel(),
 		Store:   rt.pinStore(),
-	}, tierSuggester{rt: rt, ctx: r.Context()})
+	}, func(codes []string) []scan.Verdict { return rt.scanVerdicts(r.Context(), codes) })
 }
