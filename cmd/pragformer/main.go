@@ -7,6 +7,10 @@
 //	pragformer predict -model model.gob -vocab vocab.txt file.c
 //	pragformer scan -dir src/ -model model.gob -vocab vocab.txt -format sarif
 //
+// Predict runs one file through the advisor (the directive classifier plus
+// the dependence analysis, which supplies every clause) and prints the
+// probability, the directive and its corroboration tier.
+//
 // Scan walks a C source tree, extracts every for-loop, dedupes by content
 // hash, batch-advises through the directive classifier and the dependence
 // analysis (which supplies every clause), and emits
@@ -35,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 
+	"pragformer/internal/advisor"
 	"pragformer/internal/core"
 	"pragformer/internal/corpus"
 	"pragformer/internal/dataset"
@@ -262,22 +267,17 @@ func cmdPredict(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := core.LoadFile(*modelPath)
+	models, err := advisor.LoadModels(*modelPath, *vocabPath)
 	if err != nil {
 		fatal(err)
 	}
-	v, err := tokenize.LoadVocabFile(*vocabPath)
+	s, err := models.Suggest(string(src))
 	if err != nil {
 		fatal(err)
 	}
-	ids, err := v.EncodeText(string(src), m.Cfg.MaxLen)
-	if err != nil {
-		fatal(err)
-	}
-	p := m.PredictBatch([][]int{ids})[0]
 	verdict := "no OpenMP directive needed"
-	if p > 0.5 {
-		verdict = "suggest #pragma omp parallel for"
+	if s.Parallelize {
+		verdict = fmt.Sprintf("%s [%s]", s.Directive, s.Tier())
 	}
-	fmt.Printf("p(parallelizable) = %.3f → %s\n", p, verdict)
+	fmt.Printf("p(parallelizable) = %.3f → %s\n", s.Probability, verdict)
 }

@@ -56,11 +56,10 @@ func main() {
 		directive = flag.String("directive", "", "directive model path (empty: self-train a demo model)")
 		vocabPath = flag.String("vocab", "", "vocabulary path (required with -directive)")
 		maxBatch  = flag.Int("max-batch", 16, "max coalesced batch size")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time a batch keeps growing while every worker is busy")
 		replicas  = flag.Int("replicas", 1, "model replicas (concurrent batches in flight)")
 		backend   = flag.String("backend", "", "compute backend: float64|int8 (empty serves float64; int8 quantizes the float model at load and on every reload)")
 		cacheSize = flag.Int("cache", 1024, "LRU result cache entries (negative disables)")
-		queueLen  = flag.Int("queue", 0, "batcher queue depth (0 = max-batch * replicas)")
+		queueLen  = flag.Int("queue", 0, "requests that may wait while every replica is busy; each takes up to max-batch of them when it frees up (0 = max-batch * replicas)")
 		shed      = flag.Bool("shed", false, "shed load with 429 + Retry-After when the queue saturates instead of blocking")
 		drainTO   = flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown deadline for in-flight requests")
 		noCompar  = flag.Bool("no-compar", false, "skip S2S corroboration in /suggest")
@@ -100,7 +99,7 @@ func main() {
 		logger = slog.Default()
 	}
 	engine, err := serve.New(models, serve.Config{
-		MaxBatch: *maxBatch, MaxWait: *maxWait, Replicas: *replicas,
+		MaxBatch: *maxBatch, Replicas: *replicas,
 		CacheSize: *cacheSize, QueueDepth: *queueLen, Shed: *shed,
 		Source: source, Backend: *backend, Logger: logger,
 	})
@@ -117,8 +116,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("serving on %s (backend %s, max-batch %d, max-wait %s, replicas %d, cache %d)\n",
-		*addr, engine.Stats().Backend, *maxBatch, *maxWait, *replicas, *cacheSize)
+	fmt.Printf("serving on %s (backend %s, max-batch %d, replicas %d, cache %d)\n",
+		*addr, engine.Stats().Backend, *maxBatch, *replicas, *cacheSize)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)

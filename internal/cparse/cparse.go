@@ -276,22 +276,6 @@ func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
 	return f, err
 }
 
-// ParseStmt parses a single statement (e.g. one loop snippet).
-func ParseStmt(src string) (cast.Stmt, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range f.Items {
-		if s, ok := it.(cast.Stmt); ok {
-			return s, nil
-		}
-	}
-	// Structured like every other parse failure, so batch consumers get a
-	// position instead of scraping message text.
-	return nil, &Error{Line: 1, Col: 1, Msg: "no statement in input"}
-}
-
 // ParseRecover parses as much of src as possible. When a top-level item
 // fails, the error is recorded with its position and the parser
 // resynchronizes at the next statement boundary (';' or a balanced '}' at

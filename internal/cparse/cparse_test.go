@@ -308,19 +308,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseStmt(t *testing.T) {
-	s, err := ParseStmt("for (i = 0; i < n; i++) a[i] = 0;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*cast.For); !ok {
-		t.Fatalf("got %T", s)
-	}
-	if _, err := ParseStmt(""); err == nil {
-		t.Error("expected error on empty input")
-	}
-}
-
 // TestPrintParseRoundTrip is the key integration property: printing an AST
 // and reparsing it yields an identical serialization. The corpus generator
 // depends on this.

@@ -8,7 +8,7 @@ import (
 )
 
 // Error is a parse error carrying its 1-based source position. Every error
-// returned by Parse / ParseStmt is (or wraps) either a *cparse.Error or a
+// returned by Parse is (or wraps) either a *cparse.Error or a
 // *clex.Error, so batch consumers — the repo scanner's skip reports — can
 // attribute failures to file:line:col without scraping message text.
 type Error struct {

@@ -56,7 +56,7 @@ func FuzzParse(f *testing.F) {
 			}
 			for _, li := range cast.ExtractLoops(file) {
 				printed := cast.Print(li.Loop)
-				if _, err := ParseStmt(printed); err != nil {
+				if _, err := Parse(printed); err != nil {
 					t.Errorf("canonical print does not re-parse: %v\n%s", err, printed)
 				}
 			}

@@ -1,7 +1,6 @@
 package cparse
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -94,20 +93,6 @@ func TestParseRecoverTerminates(t *testing.T) {
 	// openers, EOF mid-statement.
 	for _, src := range []string{"}", "{", "(", ";", "for (", "int", "a b c d"} {
 		ParseRecover(src) // must not hang or panic
-	}
-}
-
-func TestParseStmtErrorHasPosition(t *testing.T) {
-	_, err := ParseStmt("")
-	if err == nil {
-		t.Fatal("empty input parsed")
-	}
-	var pe *Error
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T, want *Error with a position", err)
-	}
-	if pe.Line != 1 || pe.Col != 1 {
-		t.Errorf("position = %d:%d, want 1:1", pe.Line, pe.Col)
 	}
 }
 

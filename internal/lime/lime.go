@@ -29,21 +29,24 @@ type Attribution struct {
 	Weight float64 `json:"weight,omitempty"` // surrogate coefficient; positive pushes toward class 1
 }
 
+const (
+	// KernelWidth scales the exponential locality kernel.
+	KernelWidth = 0.75
+	// Ridge is the L2 regularizer of the surrogate fit.
+	Ridge = 1e-3
+)
+
 // Explainer configures the LIME procedure.
 type Explainer struct {
 	// Samples is the number of perturbed inputs (default 300).
 	Samples int
-	// KernelWidth scales the exponential locality kernel (default 0.75).
-	KernelWidth float64
-	// Ridge is the L2 regularizer of the surrogate fit (default 1e-3).
-	Ridge float64
 	// Seed drives the perturbation sampling.
 	Seed int64
 }
 
 // New returns an Explainer with defaults.
 func New(seed int64) *Explainer {
-	return &Explainer{Samples: 300, KernelWidth: 0.75, Ridge: 1e-3, Seed: seed}
+	return &Explainer{Samples: 300, Seed: seed}
 }
 
 // Variants is the perturbation set of one explanation in index form:
@@ -107,17 +110,13 @@ func (e *Explainer) ExplainVariants(tokens []string, predict func(v Variants, y 
 	if nSamples <= 0 {
 		nSamples = 300
 	}
-	kw := e.KernelWidth
-	if kw <= 0 {
-		kw = 0.75
-	}
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 
-	v := ws.sample(T, nSamples, kw, e.Seed)
+	v := ws.sample(T, nSamples, e.Seed)
 	ws.y = resize(ws.y, v.Len())
 	predict(v, ws.y)
-	beta := ws.fit(v, T, e.Ridge)
+	beta := ws.fit(v, T, Ridge)
 
 	attrs := make([]Attribution, T)
 	for i := 0; i < T; i++ {

@@ -178,10 +178,6 @@ func explainReference(e *Explainer, tokens []string, predict func([][]string) []
 	if nSamples <= 0 {
 		nSamples = 300
 	}
-	kw := e.KernelWidth
-	if kw <= 0 {
-		kw = 0.75
-	}
 	rng := rand.New(rand.NewSource(e.Seed))
 
 	// Design matrix with intercept column 0.
@@ -223,11 +219,11 @@ func explainReference(e *Explainer, tokens []string, predict func([][]string) []
 		X = append(X, mask)
 		variants = append(variants, variant)
 		d := 1 - math.Sqrt(float64(kept)/float64(T))
-		w = append(w, math.Exp(-(d*d)/(kw*kw)))
+		w = append(w, math.Exp(-(d*d)/(KernelWidth*KernelWidth)))
 	}
 
 	y := predict(variants)
-	beta := weightedRidgeReference(X, y, w, e.Ridge)
+	beta := weightedRidgeReference(X, y, w, Ridge)
 	attrs := make([]Attribution, T)
 	for i := 0; i < T; i++ {
 		attrs[i] = Attribution{Index: i, Token: tokens[i], Weight: beta[i+1]}

@@ -41,7 +41,7 @@ func resize[T any](s []T, n int) []T {
 // input, then up to nSamples variants that each remove a uniformly sized,
 // uniformly placed subset. Re-seeding the pooled generator restores the
 // exact sequence a fresh rand.NewSource(seed) would give.
-func (ws *workspace) sample(T, nSamples int, kw float64, seed int64) Variants {
+func (ws *workspace) sample(T, nSamples int, seed int64) Variants {
 	ws.rng.Seed(seed)
 	ws.removed = resize(ws.removed, T)
 	ws.kept, ws.off, ws.w = ws.kept[:0], append(ws.off[:0], 0), ws.w[:0]
@@ -76,7 +76,7 @@ func (ws *workspace) sample(T, nSamples int, kw float64, seed int64) Variants {
 		// Cosine distance between the 0/1 mask and the all-ones vector is
 		// 1 - sqrt(kept/T); the kernel turns it into a locality weight.
 		d := 1 - math.Sqrt(float64(kept)/float64(T))
-		ws.w = append(ws.w, math.Exp(-(d*d)/(kw*kw)))
+		ws.w = append(ws.w, math.Exp(-(d*d)/(KernelWidth*KernelWidth)))
 	}
 	return Variants{kept: ws.kept, off: ws.off}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,15 +94,17 @@ func TestHTTPStatzShape(t *testing.T) {
 }
 
 // With Shed on and the queue saturated, Predict returns ErrSaturated
-// instead of blocking, and a fully-shed HTTP request maps to 429 +
-// Retry-After.
+// instead of blocking. The gated backend holds the first request in the one
+// worker's forward, so behind it the path has room for QueueDepth (1) more
+// and every other request of the flood is shed — on every run, whatever the
+// scheduler does.
 func TestEngineShedsWhenSaturated(t *testing.T) {
 	models := testModels(t)
 	models.NoCorroborate = true
-	// One replica, one-deep queue, long batching window: easy to saturate
-	// deterministically by filling the queue faster than the batcher drains.
+	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
+	models.Directive = gate
 	e, err := New(models, Config{
-		MaxBatch: 1, MaxWait: 50 * time.Millisecond, Replicas: 1,
+		MaxBatch: 1, Replicas: 1,
 		QueueDepth: 1, Shed: true, CacheSize: -1,
 	})
 	if err != nil {
@@ -115,31 +116,45 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flood: many more concurrent requests than queue + batch can hold.
-	// When the scheduler happens to run the flood on one thread, callers
-	// and batcher take turns and nothing saturates; flood again.
 	const n = 32
-	shed, total := 0, 0
-	for round := 0; round < 20 && shed == 0; round++ {
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, errs[i] = e.Predict(context.Background(), ids)
-			}(i)
-		}
-		wg.Wait()
-		total += n
-		for _, err := range errs {
-			if errors.Is(err, ErrSaturated) {
-				shed++
-			} else if err != nil {
-				t.Fatalf("unexpected error: %v", err)
+	answers := make(chan error, 1+n)
+	predict := func() {
+		_, err := e.Predict(context.Background(), ids)
+		answers <- err
+	}
+	go predict()
+	<-gate.entered // the first request is in the forward and stays there
+	// Flood: many more concurrent requests than the queue can hold.
+	for i := 0; i < n; i++ {
+		go predict()
+	}
+
+	shed, total := 0, 1+n
+	// Only a shed request can be answered while the gate is shut.
+	for i := 0; i < n-1; i++ {
+		select {
+		case err := <-answers:
+			if !errors.Is(err, ErrSaturated) {
+				t.Fatalf("a request was answered while the forward was held, and not with ErrSaturated: %v", err)
 			}
+			shed++
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d requests shed with the path full, want %d: %+v", shed, n-1, e.Stats().Predict)
 		}
 	}
+
+	// Open the gate: every admitted request is answered.
+	close(gate.release)
+	go func() {
+		for range gate.entered {
+		}
+	}()
+	for i := n - 1; i < total; i++ {
+		if err := <-answers; err != nil {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	}
+	close(gate.entered)
 	if shed == 0 {
 		t.Fatal("no request was shed at saturation")
 	}
@@ -169,16 +184,16 @@ func (g gatedBackend) PredictBatch(idsBatch [][]int) []float64 {
 // TestHTTPShedIs429: a request that finds the predict path full is answered
 // 429 with Retry-After. The gated backend holds the first request in the one
 // worker's forward, so nothing admitted after it can be answered before the
-// gate opens; behind the worker the path has room for two more (the batch in
-// the dispatcher's hand and QueueDepth 1), so of any three further requests
-// at least one is shed — on every run, whatever the scheduler does.
+// gate opens; behind the worker the path has room for QueueDepth (1) more
+// alone, so of any three further requests at least one is shed — on every
+// run, whatever the scheduler does.
 func TestHTTPShedIs429(t *testing.T) {
 	models := testModels(t)
 	models.NoCorroborate = true
 	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
 	models.Directive = gate
 	e, err := New(models, Config{
-		MaxBatch: 1, MaxWait: time.Millisecond, Replicas: 1,
+		MaxBatch: 1, Replicas: 1,
 		QueueDepth: 1, Shed: true, CacheSize: -1,
 	})
 	if err != nil {

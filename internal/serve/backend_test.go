@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pragformer/internal/core"
 )
@@ -31,7 +30,7 @@ func TestEngineInt8Backend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := New(models, Config{MaxBatch: 8, MaxWait: time.Millisecond, Replicas: 2, Backend: core.BackendInt8})
+	e, err := New(models, Config{MaxBatch: 8, Replicas: 2, Backend: core.BackendInt8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestReloadKeepsBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := New(old, Config{MaxWait: time.Millisecond, Backend: core.BackendInt8})
+	e, err := New(old, Config{Backend: core.BackendInt8})
 	if err != nil {
 		t.Fatal(err)
 	}

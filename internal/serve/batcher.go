@@ -11,12 +11,11 @@ import (
 	"pragformer/internal/obs"
 )
 
-// The batcher is the engine's composable coalescing unit: one dispatcher
-// goroutine collects calls of one kind into batches, Replicas workers
-// execute them with the current run function, and an LRU short-circuits
-// repeats. The serving tier's router composes the same signals the batcher
-// exports — queue depth, in-flight count, shed counter — into fleet-wide
-// admission control.
+// The batcher is the engine's composable coalescing unit: Replicas workers
+// take calls of one kind off one queue in batches and execute them with the
+// current run function, and an LRU short-circuits repeats. The serving
+// tier's router composes the same signals the batcher exports — queue
+// depth, in-flight count, shed counter — into fleet-wide admission control.
 
 // call is one queued request. ctx and enqueued let the worker shed calls
 // whose deadline expired while they sat in the queue — an expired call's
@@ -43,11 +42,9 @@ type runFunc[P any, R any] func([]P) ([]R, []obs.Stage)
 // batcher coalesces calls of one kind and fans batches across workers.
 type batcher[P any, R any] struct {
 	queue    chan *call[P, R]
-	work     chan []*call[P, R]
 	cache    *lru.Cache[R]
 	run      atomic.Pointer[runFunc[P, R]]
 	maxBatch int
-	maxWait  time.Duration
 	shed     bool
 	done     chan struct{}
 	wg       *sync.WaitGroup
@@ -65,11 +62,11 @@ type batcher[P any, R any] struct {
 	deadline  *obs.Counter   // pf_deadline_exceeded_total
 }
 
-// newBatcher starts one dispatcher plus cfg.Replicas workers over run; all
-// goroutines exit when done closes. cfg must have its defaults filled. Its
-// series are registered in reg under the label path. cfg.QueueDepth caps
-// the request queue — the backpressure point: with cfg.Shed, a full queue
-// fails fast with ErrSaturated instead of blocking the caller.
+// newBatcher starts cfg.Replicas workers over run; they exit when done
+// closes. cfg must have its defaults filled. Its series are registered in
+// reg under the label path. cfg.QueueDepth caps the request queue — the
+// backpressure point: with cfg.Shed, a full queue fails fast with
+// ErrSaturated instead of blocking the caller.
 func newBatcher[P any, R any](reg *obs.Registry, path string, cfg Config,
 	run runFunc[P, R], done chan struct{}, wg *sync.WaitGroup) *batcher[P, R] {
 	queueDepth := cfg.QueueDepth
@@ -79,10 +76,8 @@ func newBatcher[P any, R any](reg *obs.Registry, path string, cfg Config,
 	l := obs.Labels{"path": path}
 	b := &batcher[P, R]{
 		queue:    make(chan *call[P, R], queueDepth),
-		work:     make(chan []*call[P, R]),
 		cache:    lru.New[R](cfg.CacheSize),
 		maxBatch: cfg.MaxBatch,
-		maxWait:  cfg.MaxWait,
 		shed:     cfg.Shed,
 		done:     done,
 		wg:       wg,
@@ -103,8 +98,7 @@ func newBatcher[P any, R any](reg *obs.Registry, path string, cfg Config,
 	reg.GaugeFunc("pf_in_flight", "Admitted requests not yet answered.", l,
 		func() float64 { return float64(b.inflight.Load()) })
 	b.run.Store(&run)
-	wg.Add(1 + cfg.Replicas)
-	go b.dispatch()
+	wg.Add(cfg.Replicas)
 	for range cfg.Replicas {
 		go b.worker()
 	}
@@ -119,21 +113,30 @@ func (b *batcher[P, R]) setRun(run runFunc[P, R]) {
 	b.cache.Roll()
 }
 
-// dispatch coalesces queued calls into batches. A call that finds a worker
-// idle leaves at once, with whatever else is already queued, so an idle
-// engine arms no timer. Only while every worker is busy does the batch grow
-// behind them: it leaves with the first worker to free up, and stops
-// growing at MaxBatch calls or MaxWait after it opened, whichever first.
-func (b *batcher[P, R]) dispatch() {
+// worker receives the first queued call itself, drains whatever else is
+// already queued (up to MaxBatch) without blocking, and runs that batch. A
+// call that finds a worker idle thus leaves at once, and calls that queue
+// behind busy workers leave together with the first worker to free up. The
+// batch slice is reused and cleared after delivery, so a finished batch
+// keeps no call, payload or context alive.
+//
+// The cache generation is read before the run is loaded, once per batch,
+// and results are cached under it: a batch that raced a reload either ran
+// on the old run and is dropped by the roll, or read the new generation and
+// so ran on the new run. Calls whose context died in the queue are dropped
+// before the forward — their callers already returned, so computing for
+// them is pure waste; a deadline expiry is counted separately from other
+// cancellations.
+func (b *batcher[P, R]) worker() {
 	defer b.wg.Done()
+	batch := make([]*call[P, R], 0, b.maxBatch)
 	for {
-		var first *call[P, R]
 		select {
-		case first = <-b.queue:
+		case c := <-b.queue:
+			batch = append(batch, c)
 		case <-b.done:
 			return
 		}
-		batch := append(make([]*call[P, R], 0, b.maxBatch), first)
 	queued:
 		for len(batch) < b.maxBatch {
 			select {
@@ -143,71 +146,20 @@ func (b *batcher[P, R]) dispatch() {
 				break queued
 			}
 		}
-		select {
-		case b.work <- batch:
-			continue
-		default:
-		}
-		if !b.await(batch) {
-			return
-		}
-	}
-}
-
-// await holds a batch while every worker is busy, adding calls as they
-// arrive until the window closes, and hands it to the first worker to free
-// up. It reports false when the engine closed first.
-func (b *batcher[P, R]) await(batch []*call[P, R]) bool {
-	timer := time.NewTimer(b.maxWait)
-	defer timer.Stop()
-	queue, window := b.queue, timer.C
-	for {
-		if len(batch) == b.maxBatch {
-			queue = nil
-		}
-		select {
-		case b.work <- batch:
-			return true
-		case c := <-queue:
-			batch = append(batch, c)
-		case <-window:
-			queue, window = nil, nil
-		case <-b.done:
-			return false
-		}
-	}
-}
-
-// worker executes batches with the current run function and delivers
-// per-call results. The cache generation is read before the run is loaded,
-// once per batch, and results are cached under it: a batch that raced a
-// reload either ran on the old run and is dropped by the roll, or read the
-// new generation and so ran on the new run.
-//
-// Calls whose context died in the queue are dropped before the forward —
-// their callers already returned, so computing for them is pure waste; a
-// deadline expiry is counted separately from other cancellations.
-func (b *batcher[P, R]) worker() {
-	defer b.wg.Done()
-	for {
-		select {
-		case batch := <-b.work:
-			live := batch[:0]
-			for _, c := range batch {
-				if err := c.ctx.Err(); err != nil {
-					if errors.Is(err, context.DeadlineExceeded) {
-						b.deadline.Inc()
-					}
-					continue
+		live := batch[:0]
+		for _, c := range batch {
+			if err := c.ctx.Err(); err != nil {
+				if errors.Is(err, context.DeadlineExceeded) {
+					b.deadline.Inc()
 				}
-				qw := time.Since(c.enqueued)
-				b.queueWait.Observe(qw.Seconds())
-				c.tr.Add("queue-wait", c.enqueued, qw)
-				live = append(live, c)
-			}
-			if len(live) == 0 {
 				continue
 			}
+			qw := time.Since(c.enqueued)
+			b.queueWait.Observe(qw.Seconds())
+			c.tr.Add("queue-wait", c.enqueued, qw)
+			live = append(live, c)
+		}
+		if len(live) > 0 {
 			gen := b.cache.Gen()
 			run := *b.run.Load()
 			payloads := make([]P, len(live))
@@ -228,9 +180,9 @@ func (b *batcher[P, R]) worker() {
 				b.cache.PutAt(gen, c.key, results[i])
 				c.res <- results[i]
 			}
-		case <-b.done:
-			return
 		}
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 

@@ -2,16 +2,17 @@
 // over the batch-first advisor/core forward paths, plus the HTTP JSON API
 // in http.go that cmd/serve exposes.
 //
-// Concurrent callers enqueue requests; a dispatcher goroutine per request
-// kind hands them to a replica worker at once when one is idle, and
-// otherwise coalesces up to MaxBatch of them (or whatever arrived within
-// MaxWait of the first) into one batch behind the busy workers, so N
-// near-simultaneous callers cost one batched forward instead of N single
-// ones. Batches in flight fan out across Replicas workers that
-// share one set of weights: inference only reads them (the core.Backend
-// contract), so a replica is a goroutine, not a copy. An LRU cache keyed by
-// the encoded id sequence (predictions) or the raw snippet (suggestions)
-// short-circuits repeats before they reach the queue.
+// Concurrent callers enqueue requests on one queue per request kind, and
+// Replicas workers drain it: a worker takes the first queued request
+// itself, plus whatever else is already queued, up to MaxBatch, without
+// waiting for more. A request that finds a worker idle thus leaves at once,
+// while requests that queue behind busy workers leave together as one
+// batch, so N near-simultaneous callers cost one batched forward instead of
+// N single ones. The workers share one set of weights: inference only
+// reads them (the core.Backend contract), so a replica is a goroutine, not
+// a copy. An LRU cache keyed by the encoded id sequence (predictions) or
+// the raw snippet (suggestions) short-circuits repeats before they reach
+// the queue.
 //
 // The engine also supports hot model reload (Reload / POST /reload /
 // SIGHUP in cmd/serve): a freshly loaded artifact's run functions are built
@@ -53,10 +54,6 @@ var ErrSaturated = errors.New("serve: queue saturated")
 type Config struct {
 	// MaxBatch is the largest coalesced batch (default 16).
 	MaxBatch int
-	// MaxWait caps how long a batch keeps growing behind busy workers
-	// (default 2ms): under load, the longest the first request of a batch
-	// waits for company. A request that finds a worker idle never waits.
-	MaxWait time.Duration
 	// Replicas is how many workers batches fan out across, i.e. how many
 	// batches can be in flight at once (default 1). All of them read the
 	// caller's model; none copies it.
@@ -65,8 +62,10 @@ type Config struct {
 	// negative disables caching).
 	CacheSize int
 	// QueueDepth caps each batcher's request queue (default
-	// MaxBatch*Replicas). With Shed set it is the admission-control knob:
-	// requests past the cap fail fast instead of stacking up.
+	// MaxBatch*Replicas): the requests that may wait while every worker is
+	// busy, each worker taking up to MaxBatch of them when it frees up. With
+	// Shed set it is the admission-control knob: requests past the cap fail
+	// fast instead of stacking up.
 	QueueDepth int
 	// Shed makes a full queue return ErrSaturated instead of blocking the
 	// caller — load shedding for the HTTP layer (429 + Retry-After) and
@@ -95,9 +94,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
@@ -411,7 +407,7 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Close stops the dispatchers and workers and waits for them to exit.
+// Close stops the workers and waits for them to exit.
 // Pending calls return ErrClosed; Close is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })

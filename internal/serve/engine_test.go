@@ -52,7 +52,7 @@ func predictOne(b core.Backend, ids []int) float64 { return b.PredictBatch([][]i
 // checks every answer bit-exactly against the direct single-model path.
 func TestEnginePredictParity(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond, Replicas: 2, CacheSize: 64})
+	e, err := New(models, Config{MaxBatch: 8, Replicas: 2, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEnginePredictParity(t *testing.T) {
 // they share batches.
 func TestEngineCoalesces(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxBatch: 16, MaxWait: 200 * time.Millisecond, CacheSize: -1})
+	e, err := New(models, Config{MaxBatch: 16, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,7 @@ func holdPredict(e *Engine) (release chan struct{}, started chan int) {
 
 // waitQueued waits until n predict requests are in flight, then a moment
 // longer: a request counts as in flight just before do sends it to the
-// queue, and the dispatcher takes it from there into the waiting batch.
-// Neither step is observable from outside the batcher.
+// queue, and the send itself is not observable from outside the batcher.
 func waitQueued(t *testing.T, e *Engine, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -170,10 +169,10 @@ func waitQueued(t *testing.T, e *Engine, n int) {
 }
 
 // TestIdleDispatchDoesNotWait: a request that finds the worker idle is
-// forwarded at once, however wide the batching window.
+// forwarded at once; the worker waits for no company.
 func TestIdleDispatchDoesNotWait(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxWait: 10 * time.Second, CacheSize: -1})
+	e, err := New(models, Config{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestBusyWorkerCoalesces(t *testing.T) {
 		{maxBatch: 8, queued: 5, want: []int{1, 5}},
 		{maxBatch: 4, queued: 10, want: []int{1, 4, 4, 2}},
 	} {
-		e, err := New(models, Config{MaxBatch: tc.maxBatch, MaxWait: 10 * time.Second, CacheSize: -1})
+		e, err := New(models, Config{MaxBatch: tc.maxBatch, CacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +239,7 @@ func TestBusyWorkerCoalesces(t *testing.T) {
 // TestEngineCache checks the LRU short-circuits repeats.
 func TestEngineCache(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxWait: time.Millisecond})
+	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestEngineCache(t *testing.T) {
 func TestEngineSuggest(t *testing.T) {
 	models := testModels(t)
 	models.NoCorroborate = true // keep the test focused on the engine
-	e, err := New(models, Config{MaxWait: time.Millisecond})
+	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +335,11 @@ func TestEnginePredictEmptyIDs(t *testing.T) {
 	}
 }
 
-// TestEngineContextCancel checks a caller can abandon a request stuck in a
-// long batching window behind a busy worker.
+// TestEngineContextCancel checks a caller can abandon a request stuck in
+// the queue behind a busy worker.
 func TestEngineContextCancel(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxBatch: 64, MaxWait: 10 * time.Second})
+	e, err := New(models, Config{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,7 @@ func TestEngineContextCancel(t *testing.T) {
 // and reports the mean batch those clients coalesced into.
 func BenchmarkServeThroughput(b *testing.B) {
 	models := testModels(b)
-	e, err := New(models, Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheSize: -1})
+	e, err := New(models, Config{MaxBatch: 16, CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -398,7 +397,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // proof that concurrent forwards only read.
 func TestReplicasShareWeights(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxBatch: 2, MaxWait: time.Millisecond, Replicas: 4, CacheSize: -1})
+	e, err := New(models, Config{MaxBatch: 2, Replicas: 4, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

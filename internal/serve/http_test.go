@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"pragformer/internal/api"
 )
@@ -16,7 +15,7 @@ func httpEngine(t *testing.T) (*Engine, *httptest.Server) {
 	t.Helper()
 	models := testModels(t)
 	models.NoCorroborate = true
-	e, err := New(models, Config{MaxWait: time.Millisecond})
+	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // dropped at admission — before any batch runs — and counted.
 func TestDeadlineShedBeforeInference(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxWait: time.Millisecond})
+	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestTraceSpansInResponse(t *testing.T) {
 // reload keeps observing into the same series.
 func TestStageHistogramsResolvedAtBuild(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxWait: time.Millisecond})
+	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

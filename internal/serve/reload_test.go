@@ -34,7 +34,7 @@ func testModelsSeed(t testing.TB, seed int64) *advisor.Models {
 func TestReloadDropsNoRequests(t *testing.T) {
 	old := testModelsSeed(t, 5)
 	fresh := testModelsSeed(t, 6)
-	e, err := New(old, Config{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 2, CacheSize: 64})
+	e, err := New(old, Config{MaxBatch: 4, Replicas: 2, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReloadDropsNoRequests(t *testing.T) {
 func TestReloadInvalidatesCache(t *testing.T) {
 	old := testModelsSeed(t, 5)
 	fresh := testModelsSeed(t, 6)
-	e, err := New(old, Config{MaxBatch: 4, MaxWait: time.Microsecond, Replicas: 1, CacheSize: 64})
+	e, err := New(old, Config{MaxBatch: 4, Replicas: 1, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // suggestAll fans snippets out through the suggest batcher concurrently:
-// the dispatcher coalesces them (together with any other in-flight
-// callers) into batched forwards, so one multi-item /suggest — or a repo
+// the workers coalesce them (together with any other in-flight callers)
+// into batched forwards, so one multi-item /suggest — or a repo
 // scan riding the engine — shares batches with live traffic instead of
 // bypassing it. Engine-level failures (saturation, cancellation, close)
 // surface per item. A single snippet is answered on the caller's goroutine.

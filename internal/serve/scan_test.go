@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pragformer/internal/api"
 	"pragformer/internal/scan"
@@ -37,7 +36,7 @@ func postOnce(t *testing.T, e *Engine, path, body string) *httptest.ResponseReco
 // report out, with the inference riding the engine's suggest batcher.
 func TestHTTPScan(t *testing.T) {
 	models := testModels(t)
-	e, err := New(models, Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond})
+	e, err := New(models, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 	models := testModels(t)
 	const src = "void f(double *s, int n) {\n    int i;\n    for (i = 1; i < n; i++) {\n        s[i] += s[i - 1];\n    }\n}\n"
 
-	e, err := New(models, Config{MaxBatch: 4, MaxWait: 2 * time.Millisecond})
+	e, err := New(models, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/api"
@@ -36,7 +35,7 @@ func benchBundle(b *testing.B) *advisor.Models {
 func benchEngine(b *testing.B, models *advisor.Models) *httptest.Server {
 	b.Helper()
 	e, err := serve.New(models, serve.Config{
-		MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheSize: -1,
+		MaxBatch: 16, CacheSize: -1,
 	})
 	if err != nil {
 		b.Fatal(err)

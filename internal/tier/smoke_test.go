@@ -51,7 +51,7 @@ func TestTierScanGolden(t *testing.T) {
 			var urls []string
 			for i := 0; i < 2; i++ {
 				e, err := serve.New(models, serve.Config{
-					MaxBatch: 8, MaxWait: time.Millisecond, Backend: backend,
+					MaxBatch: 8, Backend: backend,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -125,8 +125,8 @@ func TestTierRollingReloadLive(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
 		e, err := serve.New(models, serve.Config{
-			MaxBatch: 4, MaxWait: time.Millisecond,
-			Source: func() (*advisor.Models, error) { return models, nil },
+			MaxBatch: 4,
+			Source:   func() (*advisor.Models, error) { return models, nil },
 		})
 		if err != nil {
 			t.Fatal(err)
