@@ -42,7 +42,6 @@ func cmdScan(args []string) {
 		cachePath  = fs.String("cache", "", "persistent loop-hash cache file (incremental re-scans)")
 		stable     = fs.Bool("stable", false, "omit run-dependent fields for golden comparisons")
 		annotated  = fs.Bool("include-annotated", false, "also advise loops that already carry a pragma")
-		noCompar   = fs.Bool("no-compar", false, "skip S2S corroboration")
 		seed       = fs.Int64("seed", 1, "demo training seed")
 		demoTotal  = fs.Int("train-total", 1000, "demo mode: generated corpus size")
 		demoEpochs = fs.Int("train-epochs", 5, "demo mode: training epochs")
@@ -61,7 +60,6 @@ func cmdScan(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	models.NoCorroborate = *noCompar
 	if models, err = models.WithBackend(*backend); err != nil {
 		fatal(err)
 	}
@@ -71,15 +69,14 @@ func cmdScan(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// -v traces the whole run: the pipeline records walk/parse/dedupe
-	// spans through the context, and the advisor reports its
-	// infer/corroborate splits through the stage hook. Tracing never
-	// touches the report, so goldens are -v-invariant.
+	// -v traces the whole run through the context: the pipeline records
+	// its walk/parse/dedupe spans and the advisor's infer/corroborate
+	// splits there. Tracing never touches the report, so goldens are
+	// -v-invariant.
 	var tr *obs.Trace
 	if *verbose {
 		tr = obs.NewTrace("")
 		ctx = obs.WithTrace(ctx, tr)
-		models.OnStage = func(stage string, d time.Duration) { tr.Observe(stage, d) }
 	}
 
 	cfg := scan.Config{

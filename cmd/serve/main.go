@@ -62,7 +62,6 @@ func main() {
 		queueLen  = flag.Int("queue", 0, "requests that may wait while every replica is busy; each takes up to max-batch of them when it frees up (0 = max-batch * replicas)")
 		shed      = flag.Bool("shed", false, "shed load with 429 + Retry-After when the queue saturates instead of blocking")
 		drainTO   = flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown deadline for in-flight requests")
-		noCompar  = flag.Bool("no-compar", false, "skip S2S corroboration in /suggest")
 		seed      = flag.Int64("seed", 1, "seed for demo training and replica cloning")
 		total     = flag.Int("train-total", 1000, "demo mode: generated corpus size")
 		epochs    = flag.Int("train-epochs", 5, "demo mode: training epochs")
@@ -77,21 +76,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	models.NoCorroborate = *noCompar
 
 	// File-backed models can be hot-reloaded (POST /reload, SIGHUP) by
 	// re-reading the same paths; demo-trained models have no source to
 	// reload from.
 	var source func() (*advisor.Models, error)
 	if *directive != "" {
-		source = func() (*advisor.Models, error) {
-			ms, err := buildModels(*directive, *vocabPath, *seed, *total, *epochs, *workers)
-			if err != nil {
-				return nil, err
-			}
-			ms.NoCorroborate = *noCompar
-			return ms, nil
-		}
+		source = func() (*advisor.Models, error) { return advisor.LoadModels(*directive, *vocabPath) }
 	}
 
 	var logger *slog.Logger

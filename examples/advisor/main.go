@@ -70,7 +70,7 @@ func main() {
 		logits := func(batch [][]string) []float64 {
 			ids := make([][]int, len(batch))
 			for i, tokens := range batch {
-				ids[i] = models.Vocab.Encode(tokens, models.MaxLen)
+				ids[i] = models.Vocab.Encode(tokens, models.EffectiveMaxLen())
 			}
 			out := models.Directive.PredictBatch(ids)
 			for i, pr := range out {
@@ -113,5 +113,5 @@ func trainAdvisor() *advisor.Models {
 		Epochs: 6, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1, Seed: 2,
 	})
 	fmt.Printf("advisor ready (valid accuracy %.3f)\n\n", hist.Best().ValidAccuracy)
-	return &advisor.Models{Directive: model, Vocab: vocab, MaxLen: 64}
+	return &advisor.Models{Directive: model, Vocab: vocab}
 }

@@ -69,5 +69,5 @@ func buildModels() *advisor.Models {
 		Epochs: 4, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
 	})
 	fmt.Printf("  directive classifier: valid accuracy %.3f\n", h.Best().ValidAccuracy)
-	return &advisor.Models{Directive: model, Vocab: vocab, MaxLen: 64}
+	return &advisor.Models{Directive: model, Vocab: vocab}
 }

@@ -30,62 +30,38 @@ import (
 	"pragformer/internal/tokenize"
 )
 
-// Models bundles the directive classifier with its vocabulary. The
-// classifier is a core.Backend, so a bundle can run on the float64
-// reference backend or the int8 quantized backend — WithBackend converts
-// it. The paper's private and reduction classifiers are not part of a
-// bundle: the analysis names every clause, so they are trained and scored
-// in the experiments (Tables 9–10) only. The zero MaxLen means
-// core.DefaultMaxLen. Models is safe for concurrent use by multiple
-// goroutines once constructed: suggestions only read the classifier.
+// Models bundles the directive classifier with its vocabulary, and holds
+// nothing else that changes a verdict: a verdict depends on the snippet and
+// the classifier alone, which is what lets every verdict store key it by
+// the snippet's hash under a (backend, model) namespace. The classifier is
+// a core.Backend, so a bundle can run on the float64 reference backend or
+// the int8 quantized backend — WithBackend converts it. The paper's private
+// and reduction classifiers are not part of a bundle: the analysis names
+// every clause, so they are trained and scored in the experiments (Tables
+// 9–10) only. Models is safe for concurrent use by multiple goroutines once
+// constructed: suggestions only read the classifier.
 type Models struct {
 	Directive core.Backend
 	Vocab     *tokenize.Vocab
-	MaxLen    int
-
-	// ComPar is the S2S compiler consulted to corroborate positive
-	// suggestions. Nil wires the default s2s.NewComPar trio on first use —
-	// once per Models, not once per call.
-	ComPar s2s.Compiler
-	// NoCorroborate skips the S2S corroboration entirely; the tier then
-	// never reaches TierCorroborated and Corroboration.S2S stays empty.
-	// Serving paths that cannot afford the member-compiler passes set this.
-	NoCorroborate bool
 	// NoExplain skips the LIME attribution on disagreements (the
 	// perturbation forwards dominate a disagreement's cost). Attributions
-	// are then always empty.
+	// are then always empty. Only corpus-wide studies set it; no serving or
+	// scan path does, so its verdicts never reach a store.
 	NoExplain bool
 
-	// OnStage, when set, receives the coarse per-batch stage timings after
-	// every suggest call: "infer" (the batched classifier forwards) and
-	// "corroborate" (dependence analysis, S2S compiles, LIME attribution).
-	// Timing never influences verdicts — outputs stay byte-identical with
-	// or without a hook. The staged call variants take an explicit hook
-	// that overrides this field per call.
-	OnStage func(stage string, d time.Duration)
-
-	comparOnce sync.Once
+	// compar is the S2S compiler consulted to corroborate positive
+	// suggestions; nil means the default trio. Only tests set it.
+	compar s2s.Compiler
 }
 
-// comparator returns the corroborating compiler, wiring the default lazily.
-func (m *Models) comparator() s2s.Compiler {
-	m.comparOnce.Do(func() {
-		if m.ComPar == nil {
-			m.ComPar = s2s.NewComPar()
-		}
-	})
-	return m.ComPar
-}
+// defaultComPar is the corroborating compiler. ComPar and its members hold
+// no state, so every bundle shares one.
+var defaultComPar = s2s.NewComPar()
 
-// EffectiveMaxLen returns the sequence cap suggestions encode with: MaxLen
-// when set, core.DefaultMaxLen otherwise. Serving layers that encode
-// snippets themselves must use the same cap.
-func (m *Models) EffectiveMaxLen() int {
-	if m.MaxLen > 0 {
-		return m.MaxLen
-	}
-	return core.DefaultMaxLen
-}
+// EffectiveMaxLen returns the sequence cap suggestions encode with: the
+// classifier's own input budget. Serving layers that encode snippets
+// themselves must use the same cap.
+func (m *Models) EffectiveMaxLen() int { return m.Directive.MaxSeqLen() }
 
 // LoadModels reads a bundle from the artifacts `pragformer train` writes:
 // the vocabulary and the float directive classifier. WithBackend derives
@@ -99,7 +75,6 @@ func LoadModels(directive, vocab string) (*Models, error) {
 	if m.Directive, err = core.LoadFile(directive); err != nil {
 		return nil, err
 	}
-	m.MaxLen = m.Directive.MaxSeqLen()
 	return m, nil
 }
 
@@ -109,7 +84,7 @@ func LoadModels(directive, vocab string) (*Models, error) {
 // dequantized back into a training-grade model). core.BackendInt8 quantizes
 // a float classifier in place of deep conversion — an already-quantized one
 // passes through. The receiver is never mutated; the converted bundle
-// shares the vocabulary and corroboration settings.
+// shares everything but the classifier.
 func (m *Models) WithBackend(name string) (*Models, error) {
 	if name == "" {
 		return m, nil
@@ -135,11 +110,9 @@ func (m *Models) WithBackend(name string) (*Models, error) {
 				name, core.BackendFloat64, core.BackendInt8)
 		}
 	}
-	return &Models{
-		Directive: d, Vocab: m.Vocab, MaxLen: m.MaxLen,
-		ComPar: m.ComPar, NoCorroborate: m.NoCorroborate,
-		NoExplain: m.NoExplain, OnStage: m.OnStage,
-	}, nil
+	out := *m
+	out.Directive = d
+	return &out, nil
 }
 
 // Suggester is the batch-suggestion capability consumers program against:
@@ -152,11 +125,11 @@ type Suggester interface {
 
 // SnippetSuggester is the AST-threading extension of Suggester: callers
 // that already parsed a snippet (the scanner holds every loop's *cast.For)
-// hand the loop over so corroboration does not parse it a second time.
-// Models implements it; the serving engine's string-keyed batcher does not
-// and falls back to SuggestBatch.
+// hand the loop over so corroboration does not parse it a second time, and
+// a per-call stage hook with it. Models implements it; a suggester without
+// it gets text through SuggestBatch.
 type SnippetSuggester interface {
-	SuggestSnippets(snippets []Snippet) ([]BatchItem, error)
+	SuggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error)
 }
 
 var (
@@ -223,7 +196,7 @@ func ParseTier(s string) Tier {
 // item (scan.S2SVerdict), its fields in key order.
 type CompilerVerdict struct {
 	// Compiler is the member name (Par4All, AutoPar, Cetus — or the
-	// combined compiler's name when Models.ComPar is not a *s2s.ComPar).
+	// name of a stub compiler a test corroborates with).
 	Compiler string `json:"compiler"`
 	// Compiled is false when the compiler's frontend rejected the snippet.
 	Compiled     bool `json:"compiled"`
@@ -257,8 +230,8 @@ type Corroboration struct {
 	// via privatization or reduction recognition — loops that would have
 	// been disagreements under the one-level engine.
 	Converted []string
-	// S2S holds the per-compiler corroboration verdicts (empty under
-	// NoCorroborate).
+	// S2S holds the per-compiler corroboration verdicts of a positive
+	// (empty on a negative).
 	S2S []CompilerVerdict
 }
 
@@ -331,29 +304,27 @@ func (m *Models) Suggest(code string) (*Suggestion, error) {
 // the whole batch, so the per-call model overhead is amortized across
 // snippets; results are identical to calling Suggest per snippet.
 func (m *Models) SuggestBatch(codes []string) ([]BatchItem, error) {
-	return m.SuggestBatchStaged(codes, m.OnStage)
+	return m.SuggestBatchStaged(codes, nil)
 }
 
-// SuggestBatchStaged is SuggestBatch with a per-call stage-timing hook
-// (overriding Models.OnStage; nil disables). The serving engine threads
-// its per-batch hook through here so infer/corroborate splits land in the
-// request trace without sharing mutable Models state across batches.
+// SuggestBatchStaged is SuggestBatch with a per-call stage-timing hook (nil
+// disables). The serving engine threads its per-batch hook through here so
+// infer/corroborate splits land in the request trace.
 func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Duration)) ([]BatchItem, error) {
 	snippets := make([]Snippet, len(codes))
 	for i, code := range codes {
 		snippets[i] = Snippet{Code: code}
 	}
-	return m.suggestSnippets(snippets, onStage)
+	return m.SuggestSnippets(snippets, onStage)
 }
 
-// SuggestSnippets is SuggestBatch over snippets that may carry their parsed
-// loop. Verdicts are identical either way — a threaded loop only skips the
-// snippet's one parse.
-func (m *Models) SuggestSnippets(snippets []Snippet) ([]BatchItem, error) {
-	return m.suggestSnippets(snippets, m.OnStage)
-}
-
-func (m *Models) suggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error) {
+// SuggestSnippets is SuggestBatchStaged over snippets that may carry their
+// parsed loop. Verdicts are identical either way — a threaded loop only
+// skips the snippet's one parse. onStage, when set, receives the call's
+// stage timings: "infer" (the batched classifier forwards) and
+// "corroborate" (dependence analysis, S2S compiles, LIME attribution).
+// Timing never influences verdicts.
+func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error) {
 	if m.Directive == nil || m.Vocab == nil {
 		return nil, fmt.Errorf("advisor: directive model and vocabulary are required")
 	}
@@ -430,14 +401,12 @@ func (m *Models) finish(s *Suggestion, sn Snippet) {
 	default:
 		cor.Tier, s.Directive = TierModelOnly, &pragma.Directive{ParallelFor: true}
 	}
-	if !m.NoCorroborate {
-		cor.S2S = m.compileEach(unit, sn.Code)
-		if cor.Tier == TierAnalysisAgrees {
-			for _, v := range cor.S2S {
-				if v.Parallelized {
-					cor.Tier = TierCorroborated
-					break
-				}
+	cor.S2S = m.compileEach(unit, sn.Code)
+	if cor.Tier == TierAnalysisAgrees {
+		for _, v := range cor.S2S {
+			if v.Parallelized {
+				cor.Tier = TierCorroborated
+				break
 			}
 		}
 	}
@@ -446,9 +415,9 @@ func (m *Models) finish(s *Suggestion, sn Snippet) {
 	}
 }
 
-// compileEach collects the per-compiler corroboration evidence. A ComPar
-// comparator is unwrapped into its member verdicts; any other Compiler
-// yields a single verdict under its own name.
+// compileEach collects the per-compiler corroboration evidence: the
+// default ComPar's member verdicts, or a test's stub compiler's single
+// verdict under its own name.
 func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
 	flatten := func(name string, res s2s.Result, err error) CompilerVerdict {
 		v := CompilerVerdict{Compiler: name}
@@ -465,17 +434,16 @@ func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
 		}
 		return v
 	}
-	comp := m.comparator()
-	if cp, ok := comp.(*s2s.ComPar); ok {
-		vs := cp.CompileUnit(unit)
-		out := make([]CompilerVerdict, len(vs))
-		for i, v := range vs {
-			out[i] = flatten(v.Compiler, v.Result, v.Err)
-		}
-		return out
+	if m.compar != nil {
+		res, err := m.compar.Compile(code)
+		return []CompilerVerdict{flatten(m.compar.Name(), res, err)}
 	}
-	res, err := comp.Compile(code)
-	return []CompilerVerdict{flatten(comp.Name(), res, err)}
+	vs := defaultComPar.CompileUnit(unit)
+	out := make([]CompilerVerdict, len(vs))
+	for i, v := range vs {
+		out[i] = flatten(v.Compiler, v.Result, v.Err)
+	}
+	return out
 }
 
 // explainDisagreement runs LIME over the directive classifier's HARD label

@@ -68,7 +68,7 @@ func models(t *testing.T) *Models {
 		seqs = append(seqs, toks)
 	}
 	v := tokenize.BuildVocab(seqs, 1)
-	sharedModels = &Models{Directive: trainDirective(t, c, v), Vocab: v, MaxLen: 64}
+	sharedModels = &Models{Directive: trainDirective(t, c, v), Vocab: v}
 	return sharedModels
 }
 
@@ -205,35 +205,6 @@ func TestSuggestBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestNoCorroborate asserts the S2S pass can be disabled: the tier stays
-// below TierCorroborated and the stub comparator is never consulted.
-func TestNoCorroborate(t *testing.T) {
-	base := models(t)
-	m := &Models{
-		Directive: base.Directive, Vocab: base.Vocab, MaxLen: base.MaxLen,
-		NoCorroborate: true,
-		ComPar:        panicCompiler{},
-	}
-	s, err := m.Suggest("for (i = 0; i < n; i++) sum += a[i] * b[i];")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Corroboration.Tier == TierCorroborated {
-		t.Error("corroboration ran despite NoCorroborate")
-	}
-	if len(s.Corroboration.S2S) != 0 {
-		t.Errorf("S2S evidence %v recorded despite NoCorroborate", s.Corroboration.S2S)
-	}
-}
-
-// panicCompiler fails the test if the advisor consults it.
-type panicCompiler struct{}
-
-func (panicCompiler) Name() string { return "panic" }
-func (panicCompiler) Compile(string) (s2s.Result, error) {
-	panic("advisor consulted the comparator with NoCorroborate set")
-}
-
 func TestTierString(t *testing.T) {
 	names := map[string]bool{}
 	for _, tier := range []Tier{TierDisagree, TierModelOnly, TierAnalysisAgrees, TierCorroborated} {
@@ -297,7 +268,7 @@ func stubModels(t *testing.T, comp s2s.Compiler) *Models {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Models{Directive: yesBackend{}, Vocab: tokenize.BuildVocab([][]string{toks}, 1), MaxLen: 64, ComPar: comp}
+	return &Models{Directive: yesBackend{}, Vocab: tokenize.BuildVocab([][]string{toks}, 1), compar: comp}
 }
 
 // TestDisagreementIsTerminal is the confidence-ladder regression: before
@@ -340,6 +311,40 @@ func TestDisagreementIsTerminal(t *testing.T) {
 	}
 }
 
+// TestExplainCapIsTheClassifiers: a disagreement's attributions cover what
+// the classifier reads — its own input budget — and not a default cap a
+// bundle might carry beside it. A 64-position classifier explains at most
+// 64 tokens of a longer loop.
+func TestExplainCapIsTheClassifiers(t *testing.T) {
+	code := "for (i = 1; i < n; i++) {"
+	for k := 0; k < 12; k++ {
+		code += " s[i] += s[i-1] * w[i];"
+	}
+	code += " }"
+	toks, err := tokenize.Extract(code, tokenize.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) < core.DefaultMaxLen {
+		t.Fatalf("loop has %d tokens, want at least %d", len(toks), core.DefaultMaxLen)
+	}
+	m := &Models{Directive: yesBackend{}, Vocab: tokenize.BuildVocab([][]string{toks}, 1)}
+	limit := m.Directive.MaxSeqLen()
+	if got := m.EffectiveMaxLen(); got != limit {
+		t.Errorf("EffectiveMaxLen() = %d, want the classifier's %d", got, limit)
+	}
+	s, err := m.Suggest(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Tier() != TierDisagree {
+		t.Fatalf("tier = %v, want %v", s.Tier(), TierDisagree)
+	}
+	if n := len(s.Attributions); n == 0 || n > limit {
+		t.Errorf("%d attributions for a %d-position classifier", n, limit)
+	}
+}
+
 // TestTierLadder covers the remaining grades: analysis agreement upgrades
 // to TierCorroborated only through an S2S parallelization, and a snippet
 // the analysis cannot run on stays TierModelOnly even when S2S compiles.
@@ -357,7 +362,7 @@ func TestTierLadder(t *testing.T) {
 		t.Errorf("agreeing verdict has attributions %v (LIME is disagreement-only)", s.Attributions)
 	}
 
-	m = stubModels(t, s2s.NewComPar())
+	m = stubModels(t, nil) // nil wires the real ComPar trio
 	if s, err = m.Suggest(agreeing); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +476,7 @@ func TestEvidenceIsTheAnalysis(t *testing.T) {
 	}
 	m := stubModels(t, nil) // nil wires the real ComPar trio
 	m.NoExplain = true
-	items, err := m.SuggestSnippets(snippets)
+	items, err := m.SuggestSnippets(snippets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +528,7 @@ func TestSnippetThreadingParity(t *testing.T) {
 		if loop == nil {
 			t.Fatalf("no loop in %q", code)
 		}
-		threaded, err := m.SuggestSnippets([]Snippet{{Code: code, Loop: loop}})
+		threaded, err := m.SuggestSnippets([]Snippet{{Code: code, Loop: loop}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,5 +87,5 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	})
 	// The demo keeps the last epoch's weights: report their accuracy.
 	progress(fmt.Sprintf("%s: valid accuracy %.3f", dataset.TaskDirective, hist.Epochs[len(hist.Epochs)-1].ValidAccuracy))
-	return &Models{Directive: m, Vocab: v, MaxLen: core.DefaultMaxLen}, nil
+	return &Models{Directive: m, Vocab: v}, nil
 }

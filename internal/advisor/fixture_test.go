@@ -69,7 +69,7 @@ func TestSuggestBytesBudget(t *testing.T) {
 	}
 	m := stubModels(t, nil)
 	snippets := fixtureSnippets(t)
-	perLoop := bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets) })
+	perLoop := bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets, nil) })
 	t.Logf("%.0f bytes per advised loop", perLoop)
 	const budget = 5200
 	if perLoop > budget {
@@ -98,7 +98,7 @@ func TestTextPathBytesBudget(t *testing.T) {
 	// mid-measure lifts one reading by about as much as the margin.
 	threaded, text := math.Inf(1), math.Inf(1)
 	for range 3 {
-		threaded = min(threaded, bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets) }))
+		threaded = min(threaded, bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets, nil) }))
 		text = min(text, bytesPerLoop(t, len(codes), func() ([]BatchItem, error) { return m.SuggestBatchStaged(codes, nil) }))
 	}
 	t.Logf("%.0f bytes per loop advised as text, %.0f threaded", text, threaded)
@@ -145,7 +145,7 @@ func TestDisagreementAttributionsPinned(t *testing.T) {
 	want := map[int]string{2: "64 357d920fefca0a95", 12: "27 789b3eff684c944d"}
 	m := models(t)
 	snippets := fixtureSnippets(t)
-	items, err := m.SuggestSnippets(snippets)
+	items, err := m.SuggestSnippets(snippets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

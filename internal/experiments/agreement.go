@@ -62,7 +62,6 @@ func (p *Pipeline) AdvisorModels() *advisor.Models {
 	return &advisor.Models{
 		Directive: t.Model,
 		Vocab:     p.Vocab(tokenize.Text),
-		MaxLen:    p.P.MaxLen,
 		NoExplain: true,
 	}
 }

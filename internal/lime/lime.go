@@ -38,7 +38,7 @@ const (
 
 // Explainer configures the LIME procedure.
 type Explainer struct {
-	// Samples is the number of perturbed inputs (default 300).
+	// Samples is the number of perturbed inputs (New sets 300).
 	Samples int
 	// Seed drives the perturbation sampling.
 	Seed int64
@@ -106,14 +106,10 @@ func (e *Explainer) ExplainVariants(tokens []string, predict func(v Variants, y 
 	if T == 0 {
 		return nil
 	}
-	nSamples := e.Samples
-	if nSamples <= 0 {
-		nSamples = 300
-	}
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 
-	v := ws.sample(T, nSamples, e.Seed)
+	v := ws.sample(T, e.Samples, e.Seed)
 	ws.y = resize(ws.y, v.Len())
 	predict(v, ws.y)
 	beta := ws.fit(v, T, Ridge)

@@ -175,9 +175,6 @@ func explainReference(e *Explainer, tokens []string, predict func([][]string) []
 		return nil
 	}
 	nSamples := e.Samples
-	if nSamples <= 0 {
-		nSamples = 300
-	}
 	rng := rand.New(rand.NewSource(e.Seed))
 
 	// Design matrix with intercept column 0.

@@ -70,11 +70,11 @@ func benchModels(tb testing.TB) *advisor.Models {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// NoCorroborate+NoExplain: the bench measures the scan pipeline
-	// (walk/parse/dedupe/batch inference), not the evidence passes — an
-	// untrained model's arbitrary disagreements would otherwise swamp the
-	// metric with LIME perturbation forwards.
-	return &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: true, NoExplain: true}
+	// NoExplain: the bench measures the scan pipeline (walk, parse, dedupe,
+	// batch inference and corroboration), not LIME — an untrained model's
+	// arbitrary disagreements would otherwise swamp the metric with
+	// perturbation forwards.
+	return &advisor.Models{Directive: m, Vocab: v, NoExplain: true}
 }
 
 // BenchmarkScanThroughput measures the full pipeline — walk, parse,

@@ -69,7 +69,7 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 		parity bool // the scan includes parityFiles
 	}{
 		{"Files", func(cfg Config, sg advisor.Suggester) (*Report, error) {
-			return scanFiles(context.Background(), srcs, cfg, adviseWith(sg))
+			return scanFiles(context.Background(), srcs, cfg, adviseWith(sg, nil))
 		}, func(file string) string { return inMemory[file] }, 11 + len(parityFiles), true},
 		{"Dir fixture", func(cfg Config, sg advisor.Suggester) (*Report, error) {
 			return Dir(context.Background(), fixtureTree, cfg, sg)
@@ -131,7 +131,7 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 // bytes (the parse workers' hash) and the hex sha-256 — for every fixture
 // loop, and for all of them end to end, a text that spans several chunks.
 func TestHashSnippetAllocs(t *testing.T) {
-	rep, err := scanFiles(context.Background(), fixtureSources(t), Config{}, adviseWith(&stubSuggester{}))
+	rep, err := scanFiles(context.Background(), fixtureSources(t), Config{}, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMaxFileBytesBothPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	inMemory, err := scanFiles(context.Background(),
-		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "small.c", Data: []byte(small)}}, cfg, adviseWith(&stubSuggester{}))
+		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "small.c", Data: []byte(small)}}, cfg, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

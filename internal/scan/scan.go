@@ -284,7 +284,13 @@ func Dir(ctx context.Context, root string, cfg Config, sg advisor.Suggester) (*R
 			}
 		})
 	}
-	rep, err := run(ctx, cfg, adviseWith(sg), produce, rel)
+	// A traced scan records the advisor's infer/corroborate splits beside
+	// its own stages.
+	var onStage func(string, time.Duration)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		onStage = tr.Observe
+	}
+	rep, err := run(ctx, cfg, adviseWith(sg, onStage), produce, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -631,9 +637,10 @@ type Verdict struct {
 }
 
 // adviseWith settles chunks through an advisor.Suggester, threading the
-// already-parsed loop ASTs when it can take them (the in-process Models
-// path); a string-only suggester re-parses inside corroboration instead.
-func adviseWith(sg advisor.Suggester) func(chunk []*Loop) error {
+// already-parsed loop ASTs and the stage hook when it can take them (the
+// in-process Models path); a string-only suggester re-parses inside
+// corroboration instead.
+func adviseWith(sg advisor.Suggester, onStage func(string, time.Duration)) func(chunk []*Loop) error {
 	return func(chunk []*Loop) error {
 		var items []advisor.BatchItem
 		var err error
@@ -642,7 +649,7 @@ func adviseWith(sg advisor.Suggester) func(chunk []*Loop) error {
 			for i, l := range chunk {
 				snips[i] = advisor.Snippet{Code: l.Snippet, Loop: l.ast}
 			}
-			items, err = ss.SuggestSnippets(snips)
+			items, err = ss.SuggestSnippets(snips, onStage)
 		} else {
 			items, err = sg.SuggestBatch(snippets(chunk))
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pragformer/internal/advisor"
 	"pragformer/internal/cast"
@@ -19,6 +20,7 @@ import (
 	"pragformer/internal/cparse"
 	"pragformer/internal/dep"
 	"pragformer/internal/lime"
+	"pragformer/internal/obs"
 	"pragformer/internal/pragma"
 	"pragformer/internal/tokenize"
 )
@@ -408,7 +410,7 @@ func TestScanFilesInMemory(t *testing.T) {
 		{Path: "a.c", Data: []byte("void f(double *x, int n) {\n    int i;\n    for (i = 0; i < n; i++) x[i] += 1.0;\n}\n")},
 		{Path: "b.c", Data: []byte("int broken(\n")},
 	}
-	rep, err := scanFiles(context.Background(), files, Config{}, adviseWith(&stubSuggester{}))
+	rep, err := scanFiles(context.Background(), files, Config{}, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +439,7 @@ func TestScanMatchesDirectAdvisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: true}
+	models := &advisor.Models{Directive: m, Vocab: v}
 
 	rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
 	for _, l := range rep.Loops {
@@ -509,49 +511,75 @@ func TestScanCacheVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestScanTracesAdvisorStages: a scan under a traced context records the
+// advisor's infer and corroborate splits beside its own stages, one of
+// each per advised chunk, with no hook set on the bundle.
+func TestScanTracesAdvisorStages(t *testing.T) {
+	v := tokenize.BuildVocab([][]string{{"for", "(", ";", ")", "i", "n", "s", "=", "+="}}, 1)
+	m, err := core.New(core.Config{Vocab: v.Size() + 16, MaxLen: 64, D: 16, Heads: 2, Layers: 1}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("")
+	rep, err := Dir(obs.WithTrace(context.Background(), tr), fixtureTree, Config{BatchSize: 2}, &advisor.Models{Directive: m, Vocab: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, st := range tr.Summary() {
+		counts[st.Name] = st.Count
+	}
+	chunks := counts["advise"]
+	if chunks == 0 || rep.Counters.Inferred == 0 {
+		t.Fatalf("stages %v, counters %+v: the scan advised nothing", counts, rep.Counters)
+	}
+	for _, stage := range []string{"infer", "corroborate"} {
+		if counts[stage] != chunks {
+			t.Errorf("%d %s spans over %d advised chunks, want one per chunk (stages %v)", counts[stage], stage, chunks, counts)
+		}
+	}
+}
+
 // TestScanParsesOncePerFile is the no-reparse gate: the scanner threads
 // each loop's parsed AST into the advisor, so a whole scan performs exactly
-// one cparse.Parse per input file, with corroboration on or off — the S2S
-// trio reads the threaded loop too — and one dependence-engine pass per
-// advised loop, which serves the advisor's converted view and the trio's
-// plain one. It is also the no-pinning gate: a finished report holds no
-// loop AST.
+// one cparse.Parse per input file — the S2S trio reads the threaded loop
+// too — and one dependence-engine pass per advised loop, which serves the
+// advisor's converted view and the trio's plain one. It is also the
+// no-pinning gate: a finished report holds no loop AST.
 func TestScanParsesOncePerFile(t *testing.T) {
 	v := tokenize.BuildVocab([][]string{{"for", "(", ";", ")", "i", "n", "s", "=", "+="}}, 1)
 	m, err := core.New(core.Config{Vocab: v.Size() + 16, MaxLen: 64, D: 16, Heads: 2, Layers: 1}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noCorroborate := range []bool{true, false} {
-		models := &advisor.Models{Directive: m, Vocab: v, MaxLen: 64, NoCorroborate: noCorroborate}
-		parses, passes := cparse.Parses(), dep.Passes()
-		rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
-		parses, passes = cparse.Parses()-parses, dep.Passes()-passes
-		advised, positives := 0, 0
-		for i := range rep.Loops {
-			l := &rep.Loops[i]
-			if l.ast != nil {
-				t.Errorf("finished report pins the AST of loop %s", l.Hash[:8])
-			}
-			if l.Suggestion != nil {
-				advised++
-				if l.Suggestion.Parallelize {
-					positives++
-				}
+	models := &advisor.Models{Directive: m, Vocab: v}
+	parses, passes := cparse.Parses(), dep.Passes()
+	rep := scanFixture(t, Config{Workers: 4, BatchSize: 2}, models)
+	parses, passes = cparse.Parses()-parses, dep.Passes()-passes
+	advised, positives := 0, 0
+	for i := range rep.Loops {
+		l := &rep.Loops[i]
+		if l.ast != nil {
+			t.Errorf("finished report pins the AST of loop %s", l.Hash[:8])
+		}
+		if l.Suggestion != nil {
+			advised++
+			if l.Suggestion.Parallelize {
+				positives++
 			}
 		}
-		if !noCorroborate && positives == 0 {
-			t.Fatal("fixture scan has no positive loop; the corroboration leg checks nothing")
-		}
-		// Every file is parsed exactly once, including the broken one (its
-		// parse fails but still counts as a call).
-		if want := int64(rep.Counters.Files + rep.Counters.Skipped); parses != want {
-			t.Errorf("NoCorroborate=%v: scan performed %d parses, want %d (one per file)", noCorroborate, parses, want)
-		}
-		if passes != int64(advised) {
-			t.Errorf("NoCorroborate=%v: scan ran %d dependence passes, want %d (one per advised loop, %d of them positive)",
-				noCorroborate, passes, advised, positives)
-		}
+	}
+	if positives == 0 {
+		t.Fatal("fixture scan has no positive loop; the corroboration path checks nothing")
+	}
+	// Every file is parsed exactly once, including the broken one (its
+	// parse fails but still counts as a call).
+	if want := int64(rep.Counters.Files + rep.Counters.Skipped); parses != want {
+		t.Errorf("scan performed %d parses, want %d (one per file)", parses, want)
+	}
+	if passes != int64(advised) {
+		t.Errorf("scan ran %d dependence passes, want %d (one per advised loop, %d of them positive)",
+			passes, advised, positives)
 	}
 	// A suggester that takes no AST must leave none behind either.
 	for _, l := range scanFixture(t, Config{}, &stubSuggester{}).Loops {
@@ -572,7 +600,7 @@ type printCheckSuggester struct {
 	stale    []string
 }
 
-func (s *printCheckSuggester) SuggestSnippets(snippets []advisor.Snippet) ([]advisor.BatchItem, error) {
+func (s *printCheckSuggester) SuggestSnippets(snippets []advisor.Snippet, _ func(string, time.Duration)) ([]advisor.BatchItem, error) {
 	codes := make([]string, len(snippets))
 	for i, sn := range snippets {
 		codes[i] = sn.Code
@@ -608,7 +636,7 @@ func TestScanReleasesTreesAfterVerdicts(t *testing.T) {
 	}
 	for _, batch := range []int{1, 16} {
 		sg := &printCheckSuggester{}
-		rep, err := scanFiles(context.Background(), srcs, Config{Workers: 4, BatchSize: batch}, adviseWith(sg))
+		rep, err := scanFiles(context.Background(), srcs, Config{Workers: 4, BatchSize: batch}, adviseWith(sg, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

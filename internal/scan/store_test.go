@@ -147,7 +147,7 @@ func TestFileStoreParentFormat(t *testing.T) {
 func TestScanWithoutStoreTouchesNone(t *testing.T) {
 	tr := obs.NewTrace("")
 	rep, err := scanFiles(obs.WithTrace(context.Background(), tr), []Source{{Path: "a.c", Data: []byte(
-		"void f(int *a, int n) { for (int i = 0; i < n; i++) a[i] += i; }\n")}}, Config{}, adviseWith(&stubSuggester{}))
+		"void f(int *a, int n) { for (int i = 0; i < n; i++) a[i] += i; }\n")}}, Config{}, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestScanConfigStoreInjection(t *testing.T) {
 		// unwritable to prove no file I/O happens.
 		CachePath: filepath.Join(t.TempDir(), "no", "such", "dir", "cache.json"),
 	}
-	rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&stubSuggester{}))
+	rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestScanConfigStoreInjection(t *testing.T) {
 	}
 
 	// Second scan through the same store: pure replay, marked FromCache.
-	rep2, err := scanFiles(context.Background(), srcs, cfg, adviseWith(failingSuggester{}))
+	rep2, err := scanFiles(context.Background(), srcs, cfg, adviseWith(failingSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,14 @@ func TestWarmHitIsShared(t *testing.T) {
 	srcs := fixtureSources(t)
 	// Filled with the annotated loop advised too, so the plain warm scan
 	// below finds a stored verdict it has to strip.
-	fill, err := scanFiles(context.Background(), srcs, Config{Store: store, IncludeAnnotated: true}, adviseWith(&stubSuggester{}))
+	fill, err := scanFiles(context.Background(), srcs, Config{Store: store, IncludeAnnotated: true}, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != fill.Counters.Unique {
 		t.Fatalf("store holds %d verdicts after the fill, want %d", store.Len(), fill.Counters.Unique)
 	}
-	warm, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}))
+	warm, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestWarmHitIsShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}))
+			rep, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}, nil))
 			if err != nil {
 				t.Error(err)
 				return
@@ -356,12 +356,12 @@ func TestWarmScanAllocs(t *testing.T) {
 	store := NewMemStore()
 	srcs := fixtureSources(t)
 	cfg := Config{Workers: 1, Store: store}
-	fill, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&stubSuggester{}))
+	fill, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(50, func() {
-		rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(failingSuggester{}))
+		rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(failingSuggester{}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func storedJSON(t *testing.T, store *MemStore) map[string]string {
 func TestStoredVerdictsStayPut(t *testing.T) {
 	store := NewMemStore()
 	srcs := fixtureSources(t)
-	cold, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(&evidenceSuggester{}))
+	cold, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(&evidenceSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestStoredVerdictsStayPut(t *testing.T) {
 	if len(before) != cold.Counters.Unique-cold.Counters.Annotated || unranked == 0 {
 		t.Fatalf("%d stored verdicts (%d unranked attribution lists): the fixture no longer covers the shared evidence", len(before), unranked)
 	}
-	warm, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}))
+	warm, err := scanFiles(context.Background(), srcs, Config{Store: store}, adviseWith(failingSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestColdScanAllocs(t *testing.T) {
 	var unique int
 	n := testing.AllocsPerRun(50, func() {
 		cfg.Store = NewMemStore()
-		rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&evidenceSuggester{}))
+		rep, err := scanFiles(context.Background(), srcs, cfg, adviseWith(&evidenceSuggester{}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

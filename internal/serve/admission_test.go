@@ -100,7 +100,6 @@ func TestHTTPStatzShape(t *testing.T) {
 // scheduler does.
 func TestEngineShedsWhenSaturated(t *testing.T) {
 	models := testModels(t)
-	models.NoCorroborate = true
 	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
 	models.Directive = gate
 	e, err := New(models, Config{
@@ -189,7 +188,6 @@ func (g gatedBackend) PredictBatch(idsBatch [][]int) []float64 {
 // run, whatever the scheduler does.
 func TestHTTPShedIs429(t *testing.T) {
 	models := testModels(t)
-	models.NoCorroborate = true
 	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
 	models.Directive = gate
 	e, err := New(models, Config{

@@ -25,7 +25,7 @@ func testModels(t testing.TB) *advisor.Models {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &advisor.Models{Directive: m, Vocab: v, MaxLen: 64}
+	return &advisor.Models{Directive: m, Vocab: v}
 }
 
 // randIDs builds n id sequences like tokenize.Vocab.Encode would: [CLS]
@@ -266,7 +266,6 @@ func TestEngineCache(t *testing.T) {
 // the per-item error contract.
 func TestEngineSuggest(t *testing.T) {
 	models := testModels(t)
-	models.NoCorroborate = true // keep the test focused on the engine
 	e, err := New(models, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,7 @@ import (
 // httpEngine spins up an engine plus httptest server around its Handler.
 func httpEngine(t *testing.T) (*Engine, *httptest.Server) {
 	t.Helper()
-	models := testModels(t)
-	models.NoCorroborate = true
-	e, err := New(models, Config{})
+	e, err := New(testModels(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func testModelsSeed(t testing.TB, seed int64) *advisor.Models {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &advisor.Models{Directive: m, Vocab: v, MaxLen: 64}
+	return &advisor.Models{Directive: m, Vocab: v}
 }
 
 func TestReloadDropsNoRequests(t *testing.T) {

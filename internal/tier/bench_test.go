@@ -29,7 +29,7 @@ func benchBundle(b *testing.B) *advisor.Models {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &advisor.Models{Directive: m, Vocab: v, MaxLen: 64}
+	return &advisor.Models{Directive: m, Vocab: v}
 }
 
 func benchEngine(b *testing.B, models *advisor.Models) *httptest.Server {

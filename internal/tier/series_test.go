@@ -43,7 +43,7 @@ func TestMetricsSeriesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := serve.New(&advisor.Models{Directive: m, Vocab: v, MaxLen: 16}, serve.Config{})
+	e, err := serve.New(&advisor.Models{Directive: m, Vocab: v}, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
