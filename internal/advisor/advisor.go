@@ -343,10 +343,8 @@ func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.D
 	items := make([]BatchItem, len(snippets))
 
 	// Encode everything up front; the encodable snippets form the batch.
-	var (
-		idsBatch [][]int // encoded id sequences, one per encodable snippet
-		at       []int   // items index of each batch position
-	)
+	idsBatch := make([][]int, 0, len(snippets)) // encoded id sequences, one per encodable snippet
+	at := make([]int, 0, len(snippets))         // items index of each batch position
 	for i, sn := range snippets {
 		ids, err := m.Vocab.EncodeText(sn.Code, maxLen)
 		if err != nil {

@@ -1,6 +1,8 @@
 package dep
 
 import (
+	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -9,73 +11,104 @@ import (
 
 // Affine represents a subscript expression in the canonical form
 //
-//	Coef*loopVar + Const + Σ SymCoefs[s]*s
+//	Coef*loopVar + Const + Σ K*Name over SymCoefs
 //
 // over a designated loop variable, with all other identifiers kept as
 // symbolic terms. Affine forms drive the ZIV/SIV/GCD dependence tests the
 // way Banerjee-style tests do inside Cetus and AutoPar.
 type Affine struct {
-	Coef     int64            // coefficient of the loop variable
-	Const    int64            // integer constant part
-	SymCoefs map[string]int64 // coefficients of other identifiers
-	OK       bool             // false when the expression is not affine
+	Coef     int64     // coefficient of the loop variable
+	Const    int64     // integer constant part
+	SymCoefs []SymCoef // other identifiers, sorted by name, no zero K; nil when none
+	OK       bool      // false when the expression is not affine
 }
 
-// affineZero returns an affine form representing 0.
-func affineZero() Affine {
-	return Affine{SymCoefs: map[string]int64{}, OK: true}
+// SymCoef is one symbolic term of an affine form: K times the identifier
+// (or opaque call/member print) Name.
+type SymCoef struct {
+	Name string
+	K    int64
 }
+
+// MarshalJSON prints the form as it printed when SymCoefs was a map: an
+// object keyed by name, {} for an affine form without symbols and null for
+// a non-affine one.
+func (a Affine) MarshalJSON() ([]byte, error) {
+	var syms map[string]int64
+	if a.OK {
+		syms = make(map[string]int64, len(a.SymCoefs))
+		for _, s := range a.SymCoefs {
+			syms[s.Name] = s.K
+		}
+	}
+	return json.Marshal(struct {
+		Coef, Const int64
+		SymCoefs    map[string]int64
+		OK          bool
+	}{a.Coef, a.Const, syms, a.OK})
+}
+
+// The operations below build forms bottom-up for ToAffine, which hands each
+// operand to exactly one operation and never looks at it again. So an
+// operation consumes its operands: the result may share an operand's
+// SymCoefs, and neg and scale rewrite it in place. A form without symbols
+// allocates nothing, and only a sum of two forms that both have symbols
+// allocates a merged slice.
 
 func (a Affine) add(b Affine) Affine {
 	if !a.OK || !b.OK {
 		return Affine{}
 	}
-	r := affineZero()
-	r.Coef = a.Coef + b.Coef
-	r.Const = a.Const + b.Const
-	for k, v := range a.SymCoefs {
-		r.SymCoefs[k] += v
+	r := Affine{Coef: a.Coef + b.Coef, Const: a.Const + b.Const, OK: true}
+	switch {
+	case len(b.SymCoefs) == 0:
+		r.SymCoefs = a.SymCoefs
+	case len(a.SymCoefs) == 0:
+		r.SymCoefs = b.SymCoefs
+	default:
+		r.SymCoefs = mergeSyms(a.SymCoefs, b.SymCoefs)
 	}
-	for k, v := range b.SymCoefs {
-		r.SymCoefs[k] += v
-	}
-	r.normalize()
 	return r
 }
 
-func (a Affine) neg() Affine {
-	if !a.OK {
-		return Affine{}
+// mergeSyms sums two sorted term lists into a new one, dropping the terms
+// that cancel.
+func mergeSyms(x, y []SymCoef) []SymCoef {
+	out := make([]SymCoef, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		switch c := strings.Compare(x[0].Name, y[0].Name); {
+		case c < 0:
+			out, x = append(out, x[0]), x[1:]
+		case c > 0:
+			out, y = append(out, y[0]), y[1:]
+		default:
+			if k := x[0].K + y[0].K; k != 0 {
+				out = append(out, SymCoef{x[0].Name, k})
+			}
+			x, y = x[1:], y[1:]
+		}
 	}
-	r := affineZero()
-	r.Coef = -a.Coef
-	r.Const = -a.Const
-	for k, v := range a.SymCoefs {
-		r.SymCoefs[k] = -v
+	out = append(append(out, x...), y...)
+	if len(out) == 0 {
+		return nil
 	}
-	return r
+	return out
 }
+
+func (a Affine) neg() Affine { return a.scale(-1) }
 
 func (a Affine) scale(c int64) Affine {
 	if !a.OK {
 		return Affine{}
 	}
-	r := affineZero()
-	r.Coef = a.Coef * c
-	r.Const = a.Const * c
-	for k, v := range a.SymCoefs {
-		r.SymCoefs[k] = v * c
+	syms := a.SymCoefs
+	for i := range syms {
+		syms[i].K *= c
 	}
-	r.normalize()
-	return r
-}
-
-func (a *Affine) normalize() {
-	for k, v := range a.SymCoefs {
-		if v == 0 {
-			delete(a.SymCoefs, k)
-		}
+	if syms = slices.DeleteFunc(syms, func(s SymCoef) bool { return s.K == 0 }); len(syms) == 0 {
+		syms = nil
 	}
+	return Affine{Coef: a.Coef * c, Const: a.Const * c, SymCoefs: syms, OK: true}
 }
 
 // constOnly reports whether the form has no loop-variable and no symbols.
@@ -83,16 +116,11 @@ func (a Affine) constOnly() bool { return a.OK && a.Coef == 0 && len(a.SymCoefs)
 
 // sameSymbols reports whether two forms have identical symbolic parts, a
 // precondition for exact distance computation.
-func (a Affine) sameSymbols(b Affine) bool {
-	if len(a.SymCoefs) != len(b.SymCoefs) {
-		return false
-	}
-	for k, v := range a.SymCoefs {
-		if b.SymCoefs[k] != v {
-			return false
-		}
-	}
-	return true
+func (a Affine) sameSymbols(b Affine) bool { return slices.Equal(a.SymCoefs, b.SymCoefs) }
+
+// symbol is the form 1·name.
+func symbol(name string) Affine {
+	return Affine{SymCoefs: []SymCoef{{Name: name, K: 1}}, OK: true}
 }
 
 // parseIntLit reads a C integer literal, with or without a u/l suffix.
@@ -111,17 +139,12 @@ func ToAffine(e cast.Expr, loopVar string) Affine {
 		if err != nil {
 			return Affine{}
 		}
-		a := affineZero()
-		a.Const = n
-		return a
+		return Affine{Const: n, OK: true}
 	case *cast.Ident:
-		a := affineZero()
 		if v.Name == loopVar {
-			a.Coef = 1
-		} else {
-			a.SymCoefs[v.Name] = 1
+			return Affine{Coef: 1, OK: true}
 		}
-		return a
+		return symbol(v.Name)
 	case *cast.BinaryOp:
 		l := ToAffine(v.L, loopVar)
 		r := ToAffine(v.R, loopVar)
@@ -155,16 +178,12 @@ func ToAffine(e cast.Expr, loopVar string) Affine {
 		// loop-invariant symbols keyed by their printed form, so identical
 		// bounds compare equal in dependence tests.
 		if fn, ok := v.Fun.(*cast.Ident); ok && pureFuncs[fn.Name] {
-			a := affineZero()
-			a.SymCoefs["call:"+cast.PrintExpr(v)] = 1
-			return a
+			return symbol("call:" + cast.PrintExpr(v))
 		}
 		return Affine{}
 	case *cast.Member:
 		// Loop-invariant struct reads (image->colors) as opaque symbols.
-		a := affineZero()
-		a.SymCoefs["member:"+cast.PrintExpr(v)] = 1
-		return a
+		return symbol("member:" + cast.PrintExpr(v))
 	}
 	return Affine{}
 }

@@ -42,19 +42,19 @@ func sampleLoops(tb testing.TB, n int) []sampleLoop {
 func byLines(a, b sampleLoop) int { return cmp.Compare(a.lines, b.lines) }
 
 // TestAnalyzeAllocs gates what one analysis allocates once its workspace is
-// warm: the sample mean against the count measured before the workspace
-// kept its name tables, scalar table and nest headers (a map per body-local
-// set, nest and varying set, a struct and a map per scalar, a printed
-// signature per inner header), and the longest loop against a flat ceiling.
-// Before the engine had a workspace at all the mean was 337.7 and the
-// longest loop 3875 (761ea3b), because the count grew with writes ×
-// accesses.
+// warm: the sample mean against the count measured while the loop header's
+// affine forms kept their symbols in a map (one map per intermediate form
+// of every bound), and the longest loop against a flat ceiling. Before that
+// the mean was 14.1 (be4c77d), when the workspace did not yet keep its name
+// tables, scalar table and nest headers, and before the engine had a
+// workspace at all it was 337.7 and the longest loop 3875 (761ea3b),
+// because the count grew with writes × accesses.
 func TestAnalyzeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	const (
-		parentMean     = 14.1 // at be4c77d over this sample (longest loop: 24)
+		parentMean     = 8.1 // at fa35194 over this sample (longest loop: 20)
 		longestCeiling = 30
 	)
 	allocs := func(s sampleLoop) float64 {
@@ -67,8 +67,8 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	mean, long := total/float64(len(sample)), allocs(slices.MaxFunc(sample, byLines))
 	t.Logf("mean %.1f allocations per analysis (parent %.1f), longest loop %.0f", mean, parentMean, long)
-	if mean > 0.70*parentMean {
-		t.Errorf("mean allocations per analysis = %.1f, want at most 70%% of %.1f", mean, parentMean)
+	if mean > 0.75*parentMean {
+		t.Errorf("mean allocations per analysis = %.1f, want at most 75%% of %.1f", mean, parentMean)
 	}
 	if long > longestCeiling {
 		t.Errorf("longest sample loop allocates %.0f times, want at most %d", long, longestCeiling)

@@ -1,6 +1,7 @@
 package dep
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -114,28 +115,37 @@ func TestMemberBoundSymbolic(t *testing.T) {
 }
 
 func TestAffineOpsAlgebra(t *testing.T) {
-	a := affineZero()
-	a.Coef, a.Const = 2, 3
-	b := affineZero()
-	b.Coef, b.Const = 1, -1
-	b.SymCoefs["n"] = 2
+	// The operations consume their operands, so each one gets a fresh b.
+	a := Affine{Coef: 2, Const: 3, OK: true}
+	b := func() Affine {
+		return Affine{Coef: 1, Const: -1, SymCoefs: []SymCoef{{Name: "n", K: 2}}, OK: true}
+	}
+	n2 := []SymCoef{{Name: "n", K: 2}}
 
-	sum := a.add(b)
-	if sum.Coef != 3 || sum.Const != 2 || sum.SymCoefs["n"] != 2 {
+	sum := a.add(b())
+	if sum.Coef != 3 || sum.Const != 2 || !slices.Equal(sum.SymCoefs, n2) {
 		t.Errorf("sum = %+v", sum)
 	}
-	neg := b.neg()
-	if neg.Coef != -1 || neg.SymCoefs["n"] != -2 {
+	neg := b().neg()
+	if neg.Coef != -1 || !slices.Equal(neg.SymCoefs, []SymCoef{{Name: "n", K: -2}}) {
 		t.Errorf("neg = %+v", neg)
 	}
-	sc := b.scale(3)
-	if sc.Coef != 3 || sc.SymCoefs["n"] != 6 {
+	sc := b().scale(3)
+	if sc.Coef != 3 || !slices.Equal(sc.SymCoefs, []SymCoef{{Name: "n", K: 6}}) {
 		t.Errorf("scale = %+v", sc)
 	}
 	// Symbol cancellation removes zero coefficients.
-	z := b.add(b.neg())
-	if len(z.SymCoefs) != 0 {
+	if z := b().add(b().neg()); z.SymCoefs != nil {
 		t.Errorf("cancellation left %+v", z.SymCoefs)
+	}
+	if z := b().scale(0); z.SymCoefs != nil {
+		t.Errorf("scaling by 0 left %+v", z.SymCoefs)
+	}
+	// A sum of two symbolic forms merges them in name order.
+	m := Affine{SymCoefs: []SymCoef{{Name: "m", K: 1}, {Name: "p", K: 4}}, OK: true}
+	want := []SymCoef{{Name: "m", K: 1}, {Name: "n", K: 2}, {Name: "p", K: 4}}
+	if mb := m.add(b()); !slices.Equal(mb.SymCoefs, want) {
+		t.Errorf("merge = %+v, want %+v", mb.SymCoefs, want)
 	}
 	// Propagation of non-affine.
 	bad := Affine{}

@@ -499,7 +499,7 @@ func (ns *nestSpace) delinearize(w, r nAffine, vars []int, delta int64) dimRel {
 		return freeDim()
 	}
 	up := h.Upper
-	if !up.OK || up.Coef != 0 || up.Const != 0 || len(up.SymCoefs) != 1 || up.SymCoefs[cs.Sym] != 1 {
+	if !up.OK || up.Coef != 0 || up.Const != 0 || len(up.SymCoefs) != 1 || up.SymCoefs[0] != (SymCoef{Name: cs.Sym, K: 1}) {
 		return freeDim()
 	}
 	return dimRel{n: 2, slot: [2]int{slow, fast}}

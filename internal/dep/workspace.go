@@ -10,14 +10,15 @@ import (
 // distance vector, the scalar table and the name tables (body-local names,
 // unknown callees seen, inner headers by variable, iteration-varying names,
 // scalar index) all live here, so an analysis of any length allocates for
-// its result, the affine forms of its loop headers and the print that
-// anchors its witnesses. Workspaces are pooled;
-// release clears every table and keeps it for the next analysis.
+// its result, the symbol terms of its loop headers' affine forms and the
+// print that anchors its witnesses. Workspaces are pooled; release clears
+// every table and keeps it for the next analysis.
 //
 // Ownership rule: nothing reachable from a returned *Analysis points into a
 // workspace. Reasons, Witnesses (sites and vectors), Private, Reductions,
-// UnknownCalls and Converted are built fresh, and so is the Header, whose
-// map-backed Affine bounds are part of the result.
+// UnknownCalls and Converted are built fresh, and so is the Header: its
+// Affine bounds hold their symbol terms in slices of their own (nil for a
+// bound without symbols), which are part of the result.
 type workspace struct {
 	ctx     collector
 	ns      nestSpace

@@ -303,13 +303,14 @@ type Classifier[B interface{ InferView() BlockView }] struct {
 	FCHidden int // FC1's output width
 }
 
-// EmbedBatchInto embeds the ragged batch seqs into dst, which must have
-// ΣT_i rows. Positional embeddings restart at 0 for each sequence. dst is
-// fully assigned.
+// EmbedBatchInto embeds the ragged batch seqs into dst, each sequence
+// truncated to the positional table, so dst must have Σ min(T_i, maxLen)
+// rows. Positional embeddings restart at 0 for each sequence. dst is fully
+// assigned.
 func (c Classifier[B]) EmbedBatchInto(dst *tensor.Matrix, seqs [][]int) {
 	r := 0
 	for _, ids := range seqs {
-		for t, idx := range ids {
+		for t, idx := range ids[:min(len(ids), c.Pos.Rows)] {
 			row := dst.Row(r)
 			copy(row, c.Tok.Row(idx))
 			tensor.Axpy(1, c.Pos.Row(t), row)
@@ -318,34 +319,37 @@ func (c Classifier[B]) EmbedBatchInto(dst *tensor.Matrix, seqs [][]int) {
 	}
 }
 
-// PredictBatchProbs returns both class probabilities for every sequence:
-// sequences longer than the positional table are truncated to it, all
-// blocks but the last run full-width, and only the [CLS] row of the last
-// block, final layer norm and head is ever computed — the rows that cannot
-// influence the output are skipped. It panics on an empty sequence, which
-// has no [CLS] row to classify; callers fed from outside validate first.
-func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
+// maxStackBatch is the largest batch whose row offsets the forward keeps in
+// a stack array; a larger one allocates them.
+const maxStackBatch = 32
+
+// forward is the one forward both prediction methods share: sequences
+// longer than the positional table are truncated to it, all blocks but the
+// last run full-width, and only the [CLS] row of the last block, final
+// layer norm and head is ever computed — the rows that cannot influence
+// the output are skipped. It hands each sequence's class probabilities to
+// emit, in batch order. It panics on an empty sequence, which has no [CLS]
+// row to classify; callers fed from outside validate first.
+func (c Classifier[B]) forward(idsBatch [][]int, emit func(i int, probs [2]float64)) {
 	n := len(idsBatch)
-	out := make([][2]float64, n)
 	if n == 0 {
-		return out
+		return
 	}
-	maxLen, d := c.Pos.Rows, c.Tok.Cols
-	seqs := make([][]int, n)
-	offs := make([]int, n+1)
+	var stack [maxStackBatch + 1]int
+	offs := stack[:]
+	if n > maxStackBatch {
+		offs = make([]int, n+1)
+	}
+	offs = offs[:n+1]
 	for i, ids := range idsBatch {
 		if len(ids) == 0 {
 			panic("nn: PredictBatch on empty id sequence")
 		}
-		if len(ids) > maxLen {
-			ids = ids[:maxLen]
-		}
-		seqs[i] = ids
-		offs[i+1] = offs[i] + len(ids)
+		offs[i+1] = offs[i] + min(len(ids), c.Pos.Rows)
 	}
 
-	x := tensor.GetMatrixDirty(offs[n], d)
-	c.EmbedBatchInto(x, seqs)
+	x := tensor.GetMatrixDirty(offs[n], c.Tok.Cols)
+	c.EmbedBatchInto(x, idsBatch)
 	last := len(c.Blocks) - 1
 	for _, b := range c.Blocks[:last] {
 		next := b.InferView().InferBatch(x, offs)
@@ -355,7 +359,7 @@ func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
 	cls := c.Blocks[last].InferView().InferCLS(x, offs)
 	tensor.PutMatrix(x)
 
-	hidden := tensor.GetMatrixDirty(n, d)
+	hidden := tensor.GetMatrixDirty(n, c.Tok.Cols)
 	c.FinalLN.ApplyInto(hidden, cls)
 	tensor.PutMatrix(cls)
 	h := tensor.GetMatrixDirty(n, c.FCHidden)
@@ -365,18 +369,26 @@ func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
 	c.FC2.ApplyInto(logits, h)
 	tensor.PutMatrix(h)
 	for i := 0; i < n; i++ {
-		tensor.SoftmaxVecInto(out[i][:], logits.Row(i))
+		var p [2]float64
+		tensor.SoftmaxVecInto(p[:], logits.Row(i))
+		emit(i, p)
 	}
 	tensor.PutMatrix(logits)
+}
+
+// PredictBatchProbs returns both class probabilities for every sequence.
+// For a batch of up to maxStackBatch sequences the result is the call's
+// only allocation.
+func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
+	out := make([][2]float64, len(idsBatch))
+	c.forward(idsBatch, func(i int, p [2]float64) { out[i] = p })
 	return out
 }
 
-// PredictBatch returns the positive-class probability for every sequence.
+// PredictBatch returns the positive-class probability for every sequence,
+// allocating as PredictBatchProbs does.
 func (c Classifier[B]) PredictBatch(idsBatch [][]int) []float64 {
-	probs := c.PredictBatchProbs(idsBatch)
-	out := make([]float64, len(probs))
-	for i, p := range probs {
-		out[i] = p[1]
-	}
+	out := make([]float64, len(idsBatch))
+	c.forward(idsBatch, func(i int, p [2]float64) { out[i] = p[1] })
 	return out
 }

@@ -3,6 +3,7 @@ package tier
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -88,23 +89,21 @@ func (r *ring) owner(key string) string {
 	return r.points[i].name
 }
 
-// walk returns every replica name in ring order starting at the key's
-// position, each exactly once: the primary first, then the bounded-load
-// and failure spill sequence.
-func (r *ring) walk(key string) []string {
+// walk appends to dst every replica name in ring order starting at the
+// key's position, each exactly once: the primary first, then the
+// bounded-load and failure spill sequence. A fleet is a handful of
+// replicas, so a linear scan of what is already appended dedupes.
+func (r *ring) walk(dst []string, key string) []string {
 	if len(r.points) == 0 {
-		return nil
+		return dst
 	}
 	h := keyPoint(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	out := make([]string, 0, len(r.names))
-	seen := make(map[string]bool, len(r.names))
-	for i := 0; i < len(r.points) && len(out) < len(r.names); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.name] {
-			seen[p.name] = true
-			out = append(out, p.name)
+	base := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-base < len(r.names); i++ {
+		if name := r.points[(start+i)%len(r.points)].name; !slices.Contains(dst[base:], name) {
+			dst = append(dst, name)
 		}
 	}
-	return out
+	return dst
 }

@@ -70,7 +70,7 @@ func TestRingWalk(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
 	r := newRing(names, 32)
 	for _, k := range ringKeys(100) {
-		w := r.walk(k)
+		w := r.walk(nil, k)
 		if len(w) != len(names) {
 			t.Fatalf("walk returned %d names, want %d", len(w), len(names))
 		}

@@ -283,8 +283,11 @@ func (rt *Router) admitted(h http.HandlerFunc) http.HandlerFunc {
 // every routable replica is at the MaxInFlight hard cap — true saturation
 // — or when nothing is routable at all.
 func (rt *Router) pick(key string) *replica {
-	walk := rt.ring.walk(key)
-	routable := make([]*replica, 0, len(walk))
+	// Fleets of up to 8 replicas keep the walk on the stack.
+	var names [8]string
+	var reps [8]*replica
+	walk := rt.ring.walk(names[:0], key)
+	routable := reps[:0]
 	var total int64
 	for _, name := range walk {
 		r := rt.reps[name]
