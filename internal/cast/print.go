@@ -3,7 +3,6 @@ package cast
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -136,14 +135,22 @@ func (p *printer) node(n Node) {
 			p.node(it)
 		}
 	case *FuncDef:
-		params := make([]string, len(v.Params))
+		p.begin()
+		p.typ(v.ReturnType)
+		p.ws(" ")
+		p.ws(v.Name)
+		p.ws("(")
 		for i, d := range v.Params {
-			params[i] = declString(d)
+			if i > 0 {
+				p.ws(", ")
+			}
+			p.decl(d)
 		}
-		if len(params) == 0 {
-			params = []string{"void"}
+		if len(v.Params) == 0 {
+			p.ws("void")
 		}
-		p.line(fmt.Sprintf("%s %s(%s) {", typeString(v.ReturnType), v.Name, strings.Join(params, ", ")))
+		p.ws(") {")
+		p.nl()
 		p.indent++
 		for _, s := range v.Body.Stmts {
 			p.stmt(s)
@@ -167,46 +174,56 @@ func (p *printer) node(n Node) {
 	}
 }
 
-func typeString(t *TypeSpec) string {
+// typ writes a type: its qualifiers, struct or union tag and names, one
+// space apart, then a space and its pointer stars.
+func (p *printer) typ(t *TypeSpec) {
 	if t == nil {
-		return "int"
+		p.ws("int")
+		return
 	}
-	var parts []string
-	parts = append(parts, t.Quals...)
+	sep := ""
+	for _, q := range t.Quals {
+		p.ws(sep)
+		p.ws(q)
+		sep = " "
+	}
 	if t.Struct != "" {
+		p.ws(sep)
 		if t.Union {
-			parts = append(parts, "union "+t.Struct)
+			p.ws("union ")
 		} else {
-			parts = append(parts, "struct "+t.Struct)
+			p.ws("struct ")
+		}
+		p.ws(t.Struct)
+		sep = " "
+	}
+	for _, n := range t.Names {
+		p.ws(sep)
+		p.ws(n)
+		sep = " "
+	}
+	if t.Ptr > 0 {
+		p.ws(" ")
+		for range t.Ptr {
+			p.b.WriteByte('*')
 		}
 	}
-	parts = append(parts, t.Names...)
-	s := strings.Join(parts, " ")
-	if t.Ptr > 0 {
-		s += " " + strings.Repeat("*", t.Ptr)
-	}
-	return s
-}
-
-func declString(d *Decl) string {
-	p := newPrinter()
-	p.decl(d)
-	return p.text(false)
 }
 
 // decl streams a declarator so expressions inside dims and initializers can
-// be position-marked.
+// be position-marked. The name follows a type ending in '*' directly.
 func (p *printer) decl(d *Decl) {
-	s := typeString(d.Type)
 	if d.IsTypedef {
-		s = "typedef " + s
+		p.ws("typedef ")
 	}
-	p.ws(s)
+	start := p.b.Len()
+	p.typ(d.Type)
 	if d.Name != "" {
-		if strings.HasSuffix(s, "*") {
+		if out := p.b.Bytes(); len(out) > start && out[len(out)-1] == '*' {
 			p.ws(d.Name)
 		} else {
-			p.ws(" " + d.Name)
+			p.ws(" ")
+			p.ws(d.Name)
 		}
 	}
 	for _, dim := range d.ArrayDims {
@@ -472,14 +489,18 @@ func (p *printer) expr(e Expr, parent int) {
 		if open {
 			p.b.WriteByte('(')
 		}
-		p.b.WriteString("(" + typeString(v.Type) + ") ")
+		p.b.WriteByte('(')
+		p.typ(v.Type)
+		p.b.WriteString(") ")
 		p.expr(v.X, precUnary)
 		if open {
 			p.b.WriteByte(')')
 		}
 	case *Sizeof:
 		if v.Type != nil {
-			p.b.WriteString("sizeof(" + typeString(v.Type) + ")")
+			p.b.WriteString("sizeof(")
+			p.typ(v.Type)
+			p.b.WriteByte(')')
 		} else {
 			p.b.WriteString("sizeof(")
 			p.expr(v.X, precLowest)

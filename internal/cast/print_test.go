@@ -66,6 +66,58 @@ func TestPrintUnsizedArrayDim(t *testing.T) {
 	}
 }
 
+// declString prints a declarator alone.
+func declString(d *Decl) string {
+	p := newPrinter()
+	p.decl(d)
+	return p.text(false)
+}
+
+// typeString prints a type alone.
+func typeString(ts *TypeSpec) string {
+	p := newPrinter()
+	p.typ(ts)
+	return p.text(false)
+}
+
+// TestTypeMatchesJoin: a type streamed to the printer is the text the
+// printer built before by joining its words, with every part present or
+// missing, and a declarator's name follows it as it did.
+func TestTypeMatchesJoin(t *testing.T) {
+	join := func(ts *TypeSpec) string {
+		parts := append([]string(nil), ts.Quals...)
+		if ts.Struct != "" {
+			parts = append(parts, map[bool]string{false: "struct ", true: "union "}[ts.Union]+ts.Struct)
+		}
+		s := strings.Join(append(parts, ts.Names...), " ")
+		if ts.Ptr > 0 {
+			s += " " + strings.Repeat("*", ts.Ptr)
+		}
+		return s
+	}
+	for _, quals := range [][]string{nil, {"const"}, {"static", "volatile"}} {
+		for _, tag := range []string{"", "node"} {
+			for _, names := range [][]string{nil, {"int"}, {"unsigned", "long"}} {
+				for ptr := 0; ptr < 3; ptr++ {
+					ts := &TypeSpec{Quals: quals, Struct: tag, Union: ptr == 1, Names: names, Ptr: ptr}
+					want := join(ts)
+					if got := typeString(ts); got != want {
+						t.Errorf("%+v prints %q, want %q", ts, got, want)
+					}
+					d := &Decl{Type: ts, Name: "x", IsTypedef: tag == ""}
+					want = map[bool]string{false: "", true: "typedef "}[d.IsTypedef] + want
+					if !strings.HasSuffix(want, "*") {
+						want += " "
+					}
+					if got := declString(d); got != want+"x" {
+						t.Errorf("%+v declares %q, want %q", ts, got, want+"x")
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTypeStringUnion(t *testing.T) {
 	ts := &TypeSpec{Struct: "u", Union: true, Ptr: 2}
 	if got := typeString(ts); got != "union u **" {

@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,11 +60,44 @@ func scantree(tb testing.TB) (names, srcs []string) {
 	return names, srcs
 }
 
+// slabKinds are sources with the slabbed node kinds the scantree fixtures
+// lack: calls with arguments, nested and empty, `if` with and without
+// `else`, string literals, members through '.' and '->', and qualified
+// types, cloned into a second declarator. The second source breaks inside a
+// call's argument list, so the recovering parse leaves arguments stacked.
+var slabKinds = []string{
+	`void kernel(struct grid *g, const double *in, int n) {
+    register int i;
+    static const int lo = 1, hi = 4;
+    for (i = 0; i < n; i++) {
+        if (g->mask[i] && in[i] > g->cut.lo)
+            g->out[i] = fmax(in[i], sqrt(fabs(g->cut.hi - in[i])));
+        else
+            printf("skip %d of %s\n", i, "kernel");
+        if (i > hi) tick();
+    }
+}
+`,
+	`void f(int *a, int n) {
+    for (int i = 0; i < n; i++) a[i] = g(a[i], h(1, "x";
+}
+void k(double *b, struct s q, int n) {
+    for (int i = 0; i < n; i++) b[i] = pow(b[i], 2.0) + q.x;
+}
+`,
+}
+
 // TestTreeReuse: a parse into slabs a released tree handed back is the parse
 // into fresh ones, for every ordered pair of fixtures, whether the first
 // tree is released before the second parse or while the second is held.
 func TestTreeReuse(t *testing.T) {
 	names, srcs := scantree(t)
+	if _, errs := ParseRecover(slabKinds[0]); len(errs) > 0 {
+		t.Fatalf("slabKinds[0] does not parse: %v", errs[0])
+	}
+	for i, src := range slabKinds {
+		names, srcs = append(names, fmt.Sprintf("slabKinds[%d]", i)), append(srcs, src)
+	}
 	for i, srcA := range srcs {
 		for j, srcB := range srcs {
 			a, b := names[i], names[j]
@@ -92,7 +126,8 @@ func TestTreeReuse(t *testing.T) {
 // stacks is zero up to its capacity: a pooled parser pins no source text.
 func pinsNothing(p *Parser) bool {
 	s := reflect.ValueOf(&p.slabs).Elem()
-	bufs := []reflect.Value{reflect.ValueOf(p.buf), reflect.ValueOf(p.stmts), reflect.ValueOf(p.items), reflect.ValueOf(p.decls)}
+	bufs := []reflect.Value{reflect.ValueOf(p.buf), reflect.ValueOf(p.stmts), reflect.ValueOf(p.items), reflect.ValueOf(p.decls),
+		reflect.ValueOf(p.args)}
 	for i := 0; i < s.NumField(); i++ {
 		bufs = append(bufs, s.Field(i).Field(0))
 	}

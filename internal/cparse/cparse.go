@@ -7,7 +7,6 @@
 package cparse
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -43,11 +42,13 @@ type Parser struct {
 	// (substrings of the source), never tokens.
 	buf []clex.Token
 	// stmts stacks the statements of the blocks being parsed, innermost
-	// last, items the file's, and decls the declarators or parameters of the
-	// list being parsed, so that a finished list is carved at its exact size.
+	// last, items the file's, decls the declarators or parameters of the
+	// list being parsed and args the arguments of the calls being parsed, so
+	// that a finished list is carved at its exact size.
 	stmts []cast.Stmt
 	items []cast.Node
 	decls []*cast.Decl
+	args  []cast.Expr
 
 	// tree is what ParseTree lends out, so that a tree costs no allocation.
 	tree Tree
@@ -75,7 +76,8 @@ func (p *Parser) release(keep bool) {
 	} else {
 		p.size(bounds{})
 	}
-	*p = Parser{slabs: p.slabs, buf: empty(p.buf), stmts: empty(p.stmts), items: empty(p.items), decls: empty(p.decls)}
+	*p = Parser{slabs: p.slabs, buf: empty(p.buf), stmts: empty(p.stmts), items: empty(p.items), decls: empty(p.decls),
+		args: empty(p.args)}
 	parsers.Put(p)
 }
 
@@ -108,17 +110,23 @@ type slabs struct {
 	declStmts slab[cast.DeclStmt]
 	declNodes slab[cast.Decl]
 	declLists slab[*cast.Decl]
+	calls     slab[cast.FuncCall]
+	argLists  slab[cast.Expr]
+	ifs       slab[cast.If]
+	strs      slab[cast.StrLit]
+	members   slab[cast.Member]
 }
 
 // bounds holds one count per slab, in the order of the slabs fields.
-type bounds [18]int
+type bounds [23]int
 
 // size zeroes the slots the last parse used in every slab and makes room
 // for b's counts.
 func (s *slabs) size(b bounds) {
 	for i, k := range [...]interface{ size(int) }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
 		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
-		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists} {
+		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists, &s.calls, &s.argLists, &s.ifs,
+		&s.strs, &s.members} {
 		k.size(b[i])
 	}
 }
@@ -178,11 +186,17 @@ func pop[T any](s *slab[T], stack *[]T, mark int) []T {
 // an expression statement. A listed statement or item ends on its own ';'
 // outside a for header, '}' or pragma. A declaration, parameter, cast or
 // sizeof starts a run of type words, a ',' outside parentheses may start
-// another declarator, and a function definition has a body.
+// another declarator, and a function definition has a body. A call is a
+// '(' after an operand other than the name a type declares, and its
+// arguments number one more than its ','; an `if` makes at most one
+// statement and a '.' or '->' one member.
 func (p *Parser) start(toks []clex.Token) {
 	var kinds [clex.Pragma + 1]int
 	var fors, semis, blocks, arrays, assigns, binarys, unarys, runs, commas, parens int
-	operand, inType := false, false // the previous token ended an operand, was a type word
+	var calls, inner, ifs, members int
+	// The previous token ended an operand, was a type word, was a name right
+	// after a type word.
+	operand, inType, declared := false, false, false
 	for _, t := range toks {
 		kinds[t.Kind]++
 		ends := t.Kind != clex.Punct && t.Kind != clex.Keyword
@@ -190,10 +204,15 @@ func (p *Parser) start(toks []clex.Token) {
 		if typeWord && !inType {
 			runs++
 		}
+		named := t.Kind == clex.Ident && inType
 		inType = typeWord
 		switch t.Text {
 		case "for":
 			fors++
+		case "if":
+			ifs++
+		case ".", "->":
+			members++
 		case ";":
 			semis++
 		case "{":
@@ -202,9 +221,14 @@ func (p *Parser) start(toks []clex.Token) {
 			arrays++
 		case "(":
 			parens++
+			if operand && !declared {
+				calls++
+			}
 		case ",":
 			if parens == 0 {
 				commas++
+			} else {
+				inner++
 			}
 		case ")":
 			parens = max(parens-1, 0)
@@ -229,12 +253,17 @@ func (p *Parser) start(toks []clex.Token) {
 				binarys++
 			}
 		}
-		operand = ends
+		operand, declared = ends, named
 	}
 	listed := max(semis-2*fors, 0) + blocks + kinds[clex.Pragma]
+	args := 0
+	if calls > 0 {
+		args = calls + inner
+	}
 	p.toks = toks
 	p.size(bounds{kinds[clex.Ident], kinds[clex.IntLit], kinds[clex.FloatLit], binarys, assigns, unarys, arrays,
-		max(semis-fors, 0), blocks, fors, 1, listed, listed, runs + commas, min(runs, blocks), runs, runs + commas, runs + commas})
+		max(semis-fors, 0), blocks, fors, 1, listed, listed, runs + commas, min(runs, blocks), runs, runs + commas, runs + commas,
+		calls, args, ifs, kinds[clex.StringLit], members})
 }
 
 // parses counts Parse calls process-wide; see Parses.
@@ -324,16 +353,6 @@ func (p *Parser) parseRecover(src string) (*cast.File, []*Error) {
 	p.start(p.buf)
 	f, errs, _ := p.parseFile(false)
 	return f, errs
-}
-
-// errMessage strips the rendered position prefix from a structured error so
-// recovery does not double-report it next to the Line/Col fields.
-func errMessage(err error) string {
-	var pe *Error
-	if errors.As(err, &pe) {
-		return pe.Msg
-	}
-	return err.Error()
 }
 
 // resync skips tokens until a statement boundary at nesting depth zero: the
@@ -436,10 +455,11 @@ func (p *Parser) parseFile(strict bool) (*cast.File, []*Error, error) {
 		if strict {
 			return nil, nil, err
 		}
-		e := &Error{Msg: err.Error()}
-		if line, col, ok := Position(err); ok {
-			e.Line, e.Col = line, col
-			e.Msg = errMessage(err)
+		// The grammar's errors are *Error already, positioned where the
+		// region failed; anything else keeps its text.
+		e, ok := err.(*Error)
+		if !ok {
+			e = &Error{Msg: err.Error()}
 		}
 		errs = append(errs, e)
 		if p.pos == start {
@@ -588,7 +608,7 @@ func (p *Parser) parseTypeSpec() (*cast.TypeSpec, error) {
 		if t.Kind == clex.Keyword {
 			switch t.Text {
 			case "const", "volatile", "static", "extern", "register", "auto", "inline", "restrict":
-				ts.Quals = append(ts.Quals, t.Text)
+				b.addQual(t.Text)
 				p.next()
 				continue
 			case "struct", "union":
@@ -710,7 +730,9 @@ func (p *Parser) parseInitializer() (cast.Expr, error) {
 
 func (p *Parser) cloneTypeSpec(t *cast.TypeSpec) *cast.TypeSpec {
 	b := put(&p.typeSpecs, typeSpecBuf{TypeSpec: cast.TypeSpec{Struct: t.Struct, Union: t.Union, Ptr: t.Ptr}})
-	b.Quals = append(b.Quals, t.Quals...)
+	for _, q := range t.Quals {
+		b.addQual(q)
+	}
 	for _, n := range t.Names {
 		b.addName(n)
 	}
@@ -718,17 +740,23 @@ func (p *Parser) cloneTypeSpec(t *cast.TypeSpec) *cast.TypeSpec {
 }
 
 // typeSpecBuf is a TypeSpec allocated together with room for the one or two
-// words nearly every type name has.
+// words nearly every type name has and the one qualifier nearly every
+// qualified type has.
 type typeSpecBuf struct {
 	cast.TypeSpec
 	names [2]string
+	quals [1]string
 }
 
-func (b *typeSpecBuf) addName(word string) {
-	if b.Names == nil {
-		b.Names = b.names[:0]
+func (b *typeSpecBuf) addName(word string) { b.Names = addWord(b.Names, b.names[:0], word) }
+func (b *typeSpecBuf) addQual(word string) { b.Quals = addWord(b.Quals, b.quals[:0], word) }
+
+// addWord appends word to list, which starts out in room.
+func addWord(list, room []string, word string) []string {
+	if list == nil {
+		list = room
 	}
-	b.Names = append(b.Names, word)
+	return append(list, word)
 }
 
 // ---------------------------------------------------------------------------
@@ -936,7 +964,7 @@ func (p *Parser) parseIf() (cast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &cast.If{Cond: cond, Then: then}
+	st := put(&p.ifs, cast.If{Cond: cond, Then: then})
 	if p.accept("else") {
 		els, err := p.parseStatement()
 		if err != nil {

@@ -213,14 +213,14 @@ func (p *Parser) parsePostfix() (cast.Expr, error) {
 			x = put(&p.arrays, cast.ArrayRef{Arr: x, Index: idx})
 		case "(":
 			p.next()
-			call := &cast.FuncCall{Fun: x}
+			mark := len(p.args)
 			if p.cur().Text != ")" {
 				for {
 					a, err := p.parseExpr(precAssign)
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					p.args = append(p.args, a)
 					if !p.accept(",") {
 						break
 					}
@@ -229,13 +229,13 @@ func (p *Parser) parsePostfix() (cast.Expr, error) {
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			x = call
+			x = put(&p.calls, cast.FuncCall{Fun: x, Args: pop(&p.argLists, &p.args, mark)})
 		case ".", "->":
 			p.next()
 			if p.cur().Kind != clex.Ident {
 				return nil, p.errorf("expected member name after %q", t.Text)
 			}
-			x = &cast.Member{X: x, Field: p.next().Text, Arrow: t.Text == "->"}
+			x = put(&p.members, cast.Member{X: x, Field: p.next().Text, Arrow: t.Text == "->"})
 		case "++", "--":
 			p.next()
 			x = put(&p.unarys, cast.UnaryOp{Op: t.Text, X: x, Postfix: true})
@@ -265,7 +265,7 @@ func (p *Parser) parsePrimary() (cast.Expr, error) {
 		return &cast.CharLit{Text: t.Text}, nil
 	case clex.StringLit:
 		p.next()
-		return &cast.StrLit{Text: t.Text}, nil
+		return put(&p.strs, cast.StrLit{Text: t.Text}), nil
 	case clex.Punct:
 		if t.Text == "(" {
 			p.next()

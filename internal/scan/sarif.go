@@ -3,8 +3,7 @@ package scan
 import (
 	"cmp"
 	"math"
-	"slices"
-	"strings"
+	"sync"
 
 	"pragformer/internal/dep"
 )
@@ -47,15 +46,15 @@ const (
 )
 
 type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
+	Schema  string      `json:"$schema"`
+	Version string      `json:"version"`
+	Runs    [1]sarifRun `json:"runs"`
 }
 
 type sarifRun struct {
-	Tool        sarifTool         `json:"tool"`
-	Invocations []sarifInvocation `json:"invocations"`
-	Results     []sarifResult     `json:"results"`
+	Tool        sarifTool          `json:"tool"`
+	Invocations [1]sarifInvocation `json:"invocations"`
+	Results     []sarifResult      `json:"results"`
 }
 
 type sarifTool struct {
@@ -82,10 +81,13 @@ type sarifNotification struct {
 	Level     string           `json:"level"`
 	Message   sarifMessage     `json:"message"`
 	Locations [1]sarifLocation `json:"locations"`
+	span      textSpan
 }
 
 // sarifResult holds everything by value — one location, typed fingerprints
-// and properties — so a result costs its message string and nothing else.
+// and properties — and its message is a substring of the one string that
+// holds every message of the log, so a result costs nothing of its own.
+// span is where that message lies while the log is being written.
 type sarifResult struct {
 	RuleID              string            `json:"ruleId"`
 	Level               string            `json:"level"`
@@ -93,6 +95,7 @@ type sarifResult struct {
 	Locations           [1]sarifLocation  `json:"locations"`
 	PartialFingerprints sarifFingerprints `json:"partialFingerprints"`
 	Properties          sarifProperties   `json:"properties,omitzero"`
+	span                textSpan
 }
 
 type sarifFingerprints struct {
@@ -138,71 +141,148 @@ type sarifRegion struct {
 // attribution weights — identical across backends whenever the backends
 // agree on every perturbation label (the hard-label fit), which the
 // cross-backend gate diffs Stable JSON, not SARIF, to avoid assuming.
+//
+// A log costs its slices and one string for all of its messages, however
+// many loops it reports: the results and the PF1003 attributions are sized
+// by a first pass over the loops, and every message is written into one
+// pooled buffer that becomes that string.
 func (r *Report) SARIF() ([]byte, error) {
-	run := sarifRun{
-		Tool: sarifTool{Driver: sarifDriver{
-			Name: "pragformer",
-			Rules: []sarifRule{
-				{ID: RuleParallelize, ShortDescription: sarifMessage{
-					Text: "Loop is a candidate for an OpenMP parallel-for directive"}},
-				{ID: RuleAnnotated, ShortDescription: sarifMessage{
-					Text: "Loop already carries an OpenMP pragma"}},
-				{ID: RuleDisagree, ShortDescription: sarifMessage{
-					Text: "review: model and dependence analysis disagree"}},
-				{ID: RuleRace, ShortDescription: sarifMessage{
-					Text: "potential loop-carried race found by the dependence analysis"}},
-			},
-		}},
-		Results: []sarifResult{},
-	}
-	inv := sarifInvocation{ExecutionSuccessful: true}
-	for _, skip := range r.Skips {
-		inv.Notifications = append(inv.Notifications, sarifNotification{
-			Level:     "warning",
-			Message:   sarifMessage{Text: "file skipped: " + skip.Reason},
-			Locations: location(skip.File, skip.Line, skip.Col),
-		})
-	}
-	run.Invocations = []sarifInvocation{inv}
+	results, attrs := r.sarifSizes()
+	buf := sarifTexts.Get().(*[]byte)
+	w := sarifWriter{results: make([]sarifResult, 0, results), text: (*buf)[:0]}
 
+	inv := sarifInvocation{ExecutionSuccessful: true}
+	if len(r.Skips) > 0 {
+		inv.Notifications = make([]sarifNotification, len(r.Skips))
+	}
+	for i, skip := range r.Skips {
+		from := len(w.text)
+		w.write("file skipped: ", skip.Reason)
+		inv.Notifications[i] = sarifNotification{Level: "warning", Locations: location(skip.File, skip.Line, skip.Col),
+			span: textSpan{from, len(w.text)}}
+	}
+
+	tops := make([]Attribution, 0, attrs)
 	for i := range r.Loops {
 		l := &r.Loops[i]
 		s := l.Suggestion
-		switch {
-		case s != nil && s.Parallelize && s.Tier == "disagree":
-			top := topAttributions(s.Attributions, 3)
-			msg := "review: model suggests `" + s.Directive + "` but the dependence analysis disagrees"
-			if w := witnessSummary(s.Witness); w != "" {
-				msg += " (" + w + ")"
+		switch verdictRule(l) {
+		case RuleDisagree:
+			var top []Attribution
+			tops, top = appendTop(tops, s.Attributions, topAttributions)
+			head := len(w.text)
+			w.write("review: model suggests `", s.Directive, "` but the dependence analysis disagrees")
+			if wit := witnessSummary(s.Witness); wit != "" {
+				w.write(" (", wit, ")")
 			}
 			if v := raceVector(s.Races); v != "" {
-				msg += "; distance vector " + v
+				w.write("; distance vector ", v)
 			}
 			for k, a := range top {
 				if k == 0 {
-					msg += "; influential tokens:"
+					w.write("; influential tokens:")
 				}
-				msg += " `" + a.Token + "`"
+				w.write(" `", a.Token, "`")
 			}
-			run.add(l, RuleDisagree, "warning", sarifProperties{
-				Attributions: top, Races: s.Races, Tier: s.Tier, Witness: s.Witness}, msg)
-		case s != nil && s.Parallelize:
-			run.add(l, RuleParallelize, "note", sarifProperties{}, "suggest `", s.Directive, "` (", s.Tier, ")")
-		case l.Annotated:
+			w.add(l, RuleDisagree, "warning", sarifProperties{
+				Attributions: top, Races: s.Races, Tier: s.Tier, Witness: s.Witness}, head)
+		case RuleParallelize:
+			head := len(w.text)
+			w.write("suggest `", s.Directive, "` (", s.Tier, ")")
+			w.add(l, RuleParallelize, "note", sarifProperties{}, head)
+		case RuleAnnotated:
 			for _, occ := range l.Occurrences {
-				run.Results = append(run.Results, l.result(occ, RuleAnnotated, "none",
-					"loop already annotated: `#"+occ.Pragma+"`", sarifProperties{}))
+				from := len(w.text)
+				w.write("loop already annotated: `#", occ.Pragma, "`")
+				w.results = append(w.results, l.result(occ, RuleAnnotated, "none", textSpan{from, len(w.text)}, sarifProperties{}))
 			}
 		}
 		// Race witnesses are a property of the code, not of the model's
 		// verdict: every dep-refuted loop additionally surfaces as PF1004,
 		// whatever tier the suggestion landed on.
 		if s != nil && len(s.Races) > 0 {
-			run.add(l, RuleRace, "warning", sarifProperties{Races: s.Races, Witness: s.Witness}, raceMessage(s.Races))
+			head := len(w.text)
+			w.writeRaces(s.Races)
+			w.add(l, RuleRace, "warning", sarifProperties{Races: s.Races, Witness: s.Witness}, head)
 		}
 	}
 
-	return encodeIndented(sarifLog{Schema: sarifSchema, Version: sarifVersion, Runs: []sarifRun{run}})
+	text := string(w.text)
+	if cap(w.text) <= maxPooledText {
+		*buf = w.text[:0]
+		sarifTexts.Put(buf)
+	}
+	for i := range inv.Notifications {
+		n := &inv.Notifications[i]
+		n.Message.Text = text[n.span.from:n.span.to]
+	}
+	for i := range w.results {
+		res := &w.results[i]
+		res.Message.Text = text[res.span.from:res.span.to]
+	}
+	run := sarifRun{
+		Tool:        sarifTool{Driver: sarifDriver{Name: "pragformer", Rules: sarifRules}},
+		Invocations: [1]sarifInvocation{inv},
+		Results:     w.results,
+	}
+	return encodeIndented(sarifLog{Schema: sarifSchema, Version: sarifVersion, Runs: [1]sarifRun{run}})
+}
+
+// sarifRules are the rules every log declares.
+var sarifRules = []sarifRule{
+	{ID: RuleParallelize, ShortDescription: sarifMessage{
+		Text: "Loop is a candidate for an OpenMP parallel-for directive"}},
+	{ID: RuleAnnotated, ShortDescription: sarifMessage{
+		Text: "Loop already carries an OpenMP pragma"}},
+	{ID: RuleDisagree, ShortDescription: sarifMessage{
+		Text: "review: model and dependence analysis disagree"}},
+	{ID: RuleRace, ShortDescription: sarifMessage{
+		Text: "potential loop-carried race found by the dependence analysis"}},
+}
+
+// topAttributions is how many attributions, by |weight|, a PF1003 result
+// carries as evidence.
+const topAttributions = 3
+
+// sarifTexts lends SARIF its message buffer. As with api's encodeBufs, a
+// buffer grown past maxPooledText is left to the collector rather than
+// kept by the pool.
+var sarifTexts = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledText = 1 << 20
+
+// verdictRule is the rule a loop's occurrences surface under for its
+// verdict, "" for none (PF1004 is added on top, by its witnesses).
+func verdictRule(l *Loop) string {
+	s := l.Suggestion
+	switch {
+	case s != nil && s.Parallelize && s.Tier == "disagree":
+		return RuleDisagree
+	case s != nil && s.Parallelize:
+		return RuleParallelize
+	case l.Annotated:
+		return RuleAnnotated
+	}
+	return ""
+}
+
+// sarifSizes counts the results SARIF appends and the attributions their
+// PF1003 evidence carries.
+func (r *Report) sarifSizes() (results, attrs int) {
+	for i := range r.Loops {
+		l := &r.Loops[i]
+		switch verdictRule(l) {
+		case RuleDisagree:
+			attrs += min(len(l.Suggestion.Attributions), topAttributions)
+			fallthrough
+		case RuleParallelize, RuleAnnotated:
+			results += len(l.Occurrences)
+		}
+		if l.Suggestion != nil && len(l.Suggestion.Races) > 0 {
+			results += len(l.Occurrences)
+		}
+	}
+	return results, attrs
 }
 
 // raceVector picks the first concrete witness' distance vector for the
@@ -216,30 +296,19 @@ func raceVector(races []dep.Witness) string {
 	return ""
 }
 
-// raceMessage summarizes the witnesses for a PF1004 result, each as
-// dep.Witness.String renders it, in one allocation.
-func raceMessage(races []dep.Witness) string {
-	const head, between, on, colon, arrow, distance = "potential loop-carried race: ", "; ", " dependence on ", ": ", " -> ", " distance "
-	n := len(head)
-	for _, w := range races {
-		n += len(between+on+colon+arrow+distance) + len(w.Kind) + len(w.Array) + len(w.Source.Expr) + len(w.Sink.Expr) + len(w.Distance)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(head)
-	for i, w := range races {
+// writeRaces writes the PF1004 message: every witness as dep.Witness.String
+// renders it.
+func (w *sarifWriter) writeRaces(races []dep.Witness) {
+	w.write("potential loop-carried race: ")
+	for i, wit := range races {
 		if i > 0 {
-			b.WriteString(between)
+			w.write("; ")
 		}
-		for _, s := range [...]string{w.Kind, on, w.Array, colon, w.Source.Expr, arrow, w.Sink.Expr} {
-			b.WriteString(s)
-		}
-		if w.Distance != "" {
-			b.WriteString(distance)
-			b.WriteString(w.Distance)
+		w.write(wit.Kind, " dependence on ", wit.Array, ": ", wit.Source.Expr, " -> ", wit.Sink.Expr)
+		if wit.Distance != "" {
+			w.write(" distance ", wit.Distance)
 		}
 	}
-	return b.String()
 }
 
 // witnessSummary picks the decisive dependence reason for the PF1003
@@ -251,74 +320,76 @@ func witnessSummary(witness []string) string {
 	return witness[len(witness)-1]
 }
 
-// topAttributions returns the topK attributions by |weight| (ties broken
-// by token order) — the evidence subset PF1003 results carry.
-func topAttributions(attrs []Attribution, topK int) []Attribution {
-	if len(attrs) == 0 {
-		return nil
+// appendTop appends to dst the topK of attrs by |weight|, ties kept in
+// token order, and returns dst and what it appended — the evidence subset
+// PF1003 results carry, ranked by insertion into at most topK slots.
+func appendTop(dst, attrs []Attribution, topK int) ([]Attribution, []Attribution) {
+	base := len(dst)
+	for _, a := range attrs {
+		top := dst[base:]
+		j := len(top)
+		for j > 0 && cmp.Less(math.Abs(top[j-1].Weight), math.Abs(a.Weight)) {
+			j--
+		}
+		if j == topK {
+			continue
+		}
+		if len(top) < topK {
+			dst = append(dst, a)
+			top = dst[base:]
+		}
+		copy(top[j+1:], top[j:len(top)-1])
+		top[j] = a
 	}
-	top := slices.Clone(attrs)
-	slices.SortStableFunc(top, func(a, b Attribution) int {
-		return cmp.Compare(math.Abs(b.Weight), math.Abs(a.Weight))
-	})
-	if topK > 0 && topK < len(top) {
-		top = top[:topK]
+	return dst, dst[base:len(dst):len(dst)]
+}
+
+// sarifWriter collects a log's results and writes their messages one after
+// another into text; a result holds its message's span of text until the
+// whole buffer becomes one string.
+type sarifWriter struct {
+	results []sarifResult
+	text    []byte
+}
+
+// textSpan is where a message lies in a sarifWriter's text.
+type textSpan struct{ from, to int }
+
+func (w *sarifWriter) write(parts ...string) {
+	for _, s := range parts {
+		w.text = append(w.text, s...)
 	}
-	return top
 }
 
 // add appends one result per occurrence of l, with props shared by all of
-// them. The message is msg's parts joined, plus the enclosing function where
-// there is one; each text is built in one allocation, and the text without
-// a function once per loop.
-func (run *sarifRun) add(l *Loop, rule, level string, props sarifProperties, msg ...string) {
-	var bare string
+// them. The message is the head written last, from text[head:], plus the
+// enclosing function where there is one: occurrences without a function
+// share the head's span, and one with a function copies the head unless
+// it is still the last thing written.
+func (w *sarifWriter) add(l *Loop, rule, level string, props sarifProperties, head int) {
+	end := len(w.text)
 	for _, occ := range l.Occurrences {
-		text := bare
+		span := textSpan{head, end}
 		if occ.Function != "" {
-			text = message(msg, occ.Function)
-		} else if text == "" {
-			text = message(msg, "")
-			bare = text
+			if len(w.text) != end {
+				span.from = len(w.text)
+				w.text = append(w.text, w.text[head:end]...)
+			}
+			w.write(" in function ", occ.Function)
+			span.to = len(w.text)
 		}
-		run.Results = append(run.Results, l.result(occ, rule, level, text, props))
+		w.results = append(w.results, l.result(occ, rule, level, span, props))
 	}
 }
 
-// message joins parts and, when fn is set, " in function " fn. A lone part
-// without a function is returned as it is.
-func message(parts []string, fn string) string {
-	const in = " in function "
-	if len(parts) == 1 && fn == "" {
-		return parts[0]
-	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if fn != "" {
-		n += len(in) + len(fn)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, p := range parts {
-		b.WriteString(p)
-	}
-	if fn != "" {
-		b.WriteString(in)
-		b.WriteString(fn)
-	}
-	return b.String()
-}
-
-func (l *Loop) result(occ Occurrence, rule, level, text string, props sarifProperties) sarifResult {
+func (l *Loop) result(occ Occurrence, rule, level string, span textSpan, props sarifProperties) sarifResult {
 	return sarifResult{
 		RuleID:              rule,
 		Level:               level,
-		Message:             sarifMessage{Text: text},
 		Locations:           location(occ.File, occ.Line, occ.Col),
 		PartialFingerprints: sarifFingerprints{LoopHash: l.Hash},
 		Properties:          props,
+		span:                span,
 	}
 }
 

@@ -361,16 +361,40 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 }
 
-// TestRaceMessageAllocs: a PF1004 message with several witnesses is built in
-// one allocation (TestEncodersMatchReference holds its bytes).
-func TestRaceMessageAllocs(t *testing.T) {
+// TestSARIFAllocs: a log allocates per log, not per loop. Every message of
+// it is one string, the results and the PF1003 attributions one slice
+// each, so a report whose loops (every rule, functions, skips) are repeated
+// 4× renders in at most 2 allocations more than the original, and the
+// bytes of the repeated report stay the reference renderer's
+// (TestEncodersMatchReference holds the original's).
+func TestSARIFAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
+		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	races := encoderReports()["all rules"].Loops[1].Suggestion.Races
-	races = append(races, races...)
-	if n := testing.AllocsPerRun(20, func() { raceMessage(races) }); n != 1 {
-		t.Errorf("raceMessage over %d witnesses allocates %.0f times, want 1", len(races), n)
+	one := encoderReports()["all rules"]
+	four := *one
+	four.Loops = nil
+	for range 4 {
+		four.Loops = append(four.Loops, one.Loops...)
+	}
+	want, err := sarifReference(&four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := four.SARIF(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the repeated report's SARIF differs from the reference (err %v)", err)
+	}
+	allocs := func(r *Report) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := r.SARIF(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	n1, n4 := allocs(one), allocs(&four)
+	t.Logf("SARIF: %.0f allocations for %d loops, %.0f for %d", n1, len(one.Loops), n4, len(four.Loops))
+	if n4 > n1+2 {
+		t.Errorf("SARIF allocates %.0f times for %d loops and %.0f for %d, want at most 2 more", n1, len(one.Loops), n4, len(four.Loops))
 	}
 }
 

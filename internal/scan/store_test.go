@@ -336,18 +336,20 @@ func TestWarmHitIsShared(t *testing.T) {
 }
 
 // warmScanAllocBudget bounds the allocations of a warm scan.Files plus both
-// encodes, per unique loop of the fixture tree: 9.1 once a parse worker
-// printed and hashed a file's loops into one snippet string and one hash
-// string and the collector carved loops and occurrences from chunks, plus
-// 15 %; 14.1 before that, once a file's parse tree went back to the parser
-// pool after its last loop; 38.2 before that, 47 before store hits were
-// shared and the SARIF values typed.
+// encodes, per unique loop of the fixture tree: 7.2 once SARIF wrote every
+// message of a log into one string and the parser's calls, arguments,
+// `if`s, string literals, members and qualifiers came from its slabs, plus
+// 15 %; 9.1 before that, once a parse worker printed and hashed a file's
+// loops into one snippet string and one hash string and the collector
+// carved loops and occurrences from chunks; 14.1 before that, once a file's
+// parse tree went back to the parser pool after its last loop; 38.2 before
+// that, 47 before store hits were shared and the SARIF values typed.
 // The fixture's loops sit one or two to a file and its stub verdicts are
 // nearly empty, so per-file costs (parse, goroutines, channels) weigh far
 // more here, and a verdict's copy far less, than on a real tree — scan_warm
 // in the harness is the number of record; the budget only has to tell the
 // commits apart.
-const warmScanAllocBudget = 10.5
+const warmScanAllocBudget = 8.3
 
 func TestWarmScanAllocs(t *testing.T) {
 	if raceEnabled {
@@ -470,11 +472,12 @@ func TestStoredVerdictsStayPut(t *testing.T) {
 // coldScanAllocBudget bounds the allocations of a cold scan.Files into a
 // fresh store plus both encodes, per unique loop of the fixture tree, with
 // evidenceSuggester's verdicts (the stub's own allocations included). The
-// reading is 14.6 since a store took ownership of what is put into it and
-// FromAdvisor shared the advisor's evidence slices; with Put cloning again
-// it reads 16.4. The budget is the reading plus TestWarmScanAllocs' margin,
-// 1.4 per loop.
-const coldScanAllocBudget = 15.9
+// reading is 12.3 since SARIF wrote every message of a log into one string
+// and the parser slabbed its last per-node allocations; 14.6 before that,
+// since a store took ownership of what is put into it and FromAdvisor
+// shared the advisor's evidence slices; with Put cloning again it reads
+// 16.4. The budget is the reading plus 15 %, TestWarmScanAllocs' margin.
+const coldScanAllocBudget = 14.2
 
 func TestColdScanAllocs(t *testing.T) {
 	if raceEnabled {

@@ -76,19 +76,6 @@ func keyPoint(key string) uint64 {
 	return hashString(key)
 }
 
-// owner returns the key's primary replica name ("" on an empty ring).
-func (r *ring) owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := keyPoint(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].name
-}
-
 // walk appends to dst every replica name in ring order starting at the
 // key's position, each exactly once: the primary first, then the
 // bounded-load and failure spill sequence. A fleet is a handful of

@@ -26,7 +26,7 @@ func TestRingRemovalMovesOnlyRemovedKeys(t *testing.T) {
 	keys := ringKeys(2000)
 	moved := 0
 	for _, k := range keys {
-		was, is := before.owner(k), after.owner(k)
+		was, is := before.walk(nil, k)[0], after.walk(nil, k)[0]
 		if was == "http://c" {
 			moved++
 			continue // must move somewhere — c is gone
@@ -48,7 +48,7 @@ func TestRingAdditionBounded(t *testing.T) {
 	keys := ringKeys(4000)
 	moved := 0
 	for _, k := range keys {
-		was, is := before.owner(k), after.owner(k)
+		was, is := before.walk(nil, k)[0], after.walk(nil, k)[0]
 		if was == is {
 			continue
 		}
@@ -74,8 +74,8 @@ func TestRingWalk(t *testing.T) {
 		if len(w) != len(names) {
 			t.Fatalf("walk returned %d names, want %d", len(w), len(names))
 		}
-		if w[0] != r.owner(k) {
-			t.Fatalf("walk starts at %s, owner is %s", w[0], r.owner(k))
+		if owner := firstClockwise(r, k); w[0] != owner {
+			t.Fatalf("walk starts at %s, owner is %s", w[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, n := range w {
@@ -87,12 +87,24 @@ func TestRingWalk(t *testing.T) {
 	}
 }
 
+// firstClockwise is the name of the first point at or after the key's
+// position, wrapping to the lowest, found by a linear scan.
+func firstClockwise(r *ring, key string) string {
+	h := keyPoint(key)
+	for _, p := range r.points {
+		if p.h >= h {
+			return p.name
+		}
+	}
+	return r.points[0].name
+}
+
 // Ring placement is deterministic across instances (routers must agree).
 func TestRingDeterministic(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
 	r1, r2 := newRing(names, 64), newRing(names, 64)
 	for _, k := range ringKeys(500) {
-		if r1.owner(k) != r2.owner(k) {
+		if r1.walk(nil, k)[0] != r2.walk(nil, k)[0] {
 			t.Fatalf("rings disagree on %s", k)
 		}
 	}
@@ -106,7 +118,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := ringKeys(4000)
 	for _, k := range keys {
-		counts[r.owner(k)]++
+		counts[r.walk(nil, k)[0]]++
 	}
 	for _, n := range names {
 		if counts[n] == 0 {

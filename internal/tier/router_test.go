@@ -290,7 +290,7 @@ func TestRouterSpillsBeforeShedding(t *testing.T) {
 	rt := newTestRouter(t, Config{MaxInFlight: 4}, a, b)
 
 	key := routeKey("for (i = 0; i < n; i++) a[i] = i;")
-	owner := rt.ring.owner(key)
+	owner := rt.ring.walk(nil, key)[0]
 	// Saturate only the owner: the key must spill to the other replica,
 	// not shed.
 	rt.reps[owner].inflight.Store(4)
