@@ -7,6 +7,12 @@
 // except /suggest results, which it relays as the replica's bytes — so a
 // field added here reaches both sides or neither.
 //
+// Bodies are read whole and decoded by json.Unmarshal, except the /suggest
+// request both binaries decode many times a second, which a strict reader
+// decodes without reflection, handing json.Unmarshal every body it does not
+// match exactly; an untraced reply of relayed items is written without
+// re-encoding them (wire.go).
+//
 // The flat verdict itself is scan.Suggestion — already the report, cache
 // and store form — so a /suggest item IS a report verdict plus an error
 // slot, and the router's /scan stores what it decoded without a
@@ -120,13 +126,21 @@ type encodeBuf struct {
 	enc *json.Encoder
 }
 
-// encodeBufs lends WriteJSON its encoders. As with readBufs, a buffer grown
-// past maxPooledRead goes to the collector.
+// encodeBufs lends WriteJSON and writeResults their buffers. As with
+// readBufs, a buffer grown past maxPooledRead goes to the collector.
 var encodeBufs = sync.Pool{New: func() any {
 	b := new(encodeBuf)
 	b.enc = json.NewEncoder(&b.Buffer)
 	return b
 }}
+
+// release empties b and returns it to the pool.
+func (b *encodeBuf) release() {
+	if b.Cap() <= maxPooledRead {
+		b.Reset()
+		encodeBufs.Put(b)
+	}
+}
 
 // WriteJSON answers with status and v as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
@@ -138,10 +152,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	if b.enc.Encode(v) == nil {
 		_, _ = w.Write(b.Bytes())
 	}
-	if b.Cap() <= maxPooledRead {
-		b.Reset()
-		encodeBufs.Put(b)
-	}
+	b.release()
 }
 
 // Error answers with status and {"error": msg}.
@@ -163,10 +174,12 @@ var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledRead = 1 << 20
 
-// ReadJSON reads r to its end into a pooled buffer and unmarshals the whole
-// of it into v: an empty body, a truncated value and bytes after the value
-// are all errors. The buffer goes back to the pool on return; v keeps
-// nothing of it, because json.Unmarshal copies every string it stores.
+// ReadJSON reads r to its end into a pooled buffer and decodes the whole of
+// it into v: an empty body, a truncated value and bytes after the value are
+// all errors. A /suggest request is read without reflection (readStrict);
+// every other body, and any error, is json.Unmarshal's. The buffer goes
+// back to the pool on return; v keeps nothing of it, because both decoders
+// copy every string they store.
 func ReadJSON(r io.Reader, v any) error {
 	buf := readBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -177,6 +190,9 @@ func ReadJSON(r io.Reader, v any) error {
 	}()
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err
+	}
+	if readStrict(buf.Bytes(), v) {
+		return nil
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }
@@ -223,27 +239,46 @@ func ServePredict(w http.ResponseWriter, r *http.Request, shedMsg string,
 // the replica's rendered bytes of one on the router.
 func ServeSuggest[T any](w http.ResponseWriter, r *http.Request, shedMsg string,
 	answer func(ctx context.Context, codes []string) (results []T, shed int)) {
-	var req SuggestRequest
-	if !DecodeBody(w, r, &req) {
+	d := new(struct {
+		req  SuggestRequest
+		slot [1]string
+	})
+	if !DecodeBody(w, r, &d.req) {
 		return
 	}
-	codes := req.Codes
-	if req.Code != "" {
-		codes = append(codes, req.Code)
-	}
-	results, shed := answer(r.Context(), codes)
+	results, shed := answer(r.Context(), withCode(d.req.Codes, d.req.Code, &d.slot))
 	respond(w, r, shedMsg, results, shed)
+}
+
+// withCode is a request's items in reply order, codes then code. A request
+// of one code answers it from slot, allocated with the decoded request,
+// instead of a slice of its own.
+func withCode(codes []string, code string, slot *[1]string) []string {
+	switch {
+	case code == "":
+		return codes
+	case len(codes) == 0:
+		slot[0] = code
+		return slot[:]
+	}
+	return append(codes, code)
 }
 
 // respond renders an answered request. Only a request every item of which
 // was shed turns into a whole-request 429; mixed outcomes keep the inline
-// per-item error contract.
+// per-item error contract. Relayed items of an untraced reply are written
+// as they are (writeResults).
 func respond[T any](w http.ResponseWriter, r *http.Request, shedMsg string, results []T, shed int) {
 	if len(results) > 0 && shed == len(results) {
 		Shed(w, shedMsg)
 		return
 	}
-	WriteJSON(w, http.StatusOK, Response[T]{Results: results, Trace: obs.TraceFrom(r.Context()).Wire()})
+	trace := obs.TraceFrom(r.Context()).Wire()
+	if items, ok := any(results).([]json.RawMessage); ok && items != nil && trace == nil {
+		writeResults(w, items)
+		return
+	}
+	WriteJSON(w, http.StatusOK, Response[T]{Results: results, Trace: trace})
 }
 
 // ServeScan is POST /scan on both binaries: decode, enforce the limits,

@@ -92,12 +92,15 @@ void k(double *b, struct s q, int n) {
 // tree is released before the second parse or while the second is held.
 func TestTreeReuse(t *testing.T) {
 	names, srcs := scantree(t)
-	if _, errs := ParseRecover(slabKinds[0]); len(errs) > 0 {
-		t.Fatalf("slabKinds[0] does not parse: %v", errs[0])
+	for name, src := range map[string]string{"slabKinds[0]": slabKinds[0], "statementKinds": statementKinds} {
+		if _, errs := ParseRecover(src); len(errs) > 0 {
+			t.Fatalf("%s does not parse: %v", name, errs[0])
+		}
 	}
 	for i, src := range slabKinds {
 		names, srcs = append(names, fmt.Sprintf("slabKinds[%d]", i)), append(srcs, src)
 	}
+	names, srcs = append(names, "statementKinds"), append(srcs, statementKinds)
 	for i, srcA := range srcs {
 		for j, srcB := range srcs {
 			a, b := names[i], names[j]
@@ -142,17 +145,40 @@ func pinsNothing(p *Parser) bool {
 	return true
 }
 
+// statementKinds carries the statement kinds the fixtures hold few of:
+// `#pragma` lines at file and block level, `while` and `return`.
+const statementKinds = `int count(const int *a, int n) {
+    int i = 0, c = 0;
+#pragma omp simd
+    while (i < n) {
+        if (a[i] > 0) c++;
+        i++;
+    }
+    return c;
+}
+#pragma omp parallel for
+for (i = 0; i < n; i++) a[i] = count(b[i], m);
+`
+
 // TestParseTreeAllocs: in steady state a released tree's parser and slabs
-// serve the next parse, which then allocates next to nothing.
+// serve the next parse, which then allocates next to nothing, on a
+// declaration-heavy fixture, a hand-annotated one and statementKinds alike.
+// While `#pragma`, `while` and `return` statements were allocated one by
+// one, the last two read 1 and 4.
 func TestParseTreeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	src := readFixture(t, "stencil.c")
-	got := testing.AllocsPerRun(200, func() { ParseTree(src).Release() })
-	t.Logf("ParseTree(stencil.c)+Release: %.0f allocs", got)
-	if got > 3 {
-		t.Errorf("ParseTree(stencil.c)+Release allocates %.0f times, want at most 3", got)
+	for _, tc := range []struct{ name, src string }{
+		{"stencil.c", readFixture(t, "stencil.c")},
+		{"annotated.c", readFixture(t, "annotated.c")},
+		{"statementKinds", statementKinds},
+	} {
+		got := testing.AllocsPerRun(200, func() { ParseTree(tc.src).Release() })
+		t.Logf("ParseTree(%s)+Release: %.0f allocs", tc.name, got)
+		if got > 3 {
+			t.Errorf("ParseTree(%s)+Release allocates %.0f times, want at most 3", tc.name, got)
+		}
 	}
 }
 

@@ -115,10 +115,13 @@ type slabs struct {
 	ifs       slab[cast.If]
 	strs      slab[cast.StrLit]
 	members   slab[cast.Member]
+	pragmas   slab[cast.PragmaStmt]
+	returns   slab[cast.Return]
+	whiles    slab[cast.While]
 }
 
 // bounds holds one count per slab, in the order of the slabs fields.
-type bounds [23]int
+type bounds [26]int
 
 // size zeroes the slots the last parse used in every slab and makes room
 // for b's counts.
@@ -126,7 +129,7 @@ func (s *slabs) size(b bounds) {
 	for i, k := range [...]interface{ size(int) }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
 		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
 		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists, &s.calls, &s.argLists, &s.ifs,
-		&s.strs, &s.members} {
+		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles} {
 		k.size(b[i])
 	}
 }
@@ -188,12 +191,13 @@ func pop[T any](s *slab[T], stack *[]T, mark int) []T {
 // sizeof starts a run of type words, a ',' outside parentheses may start
 // another declarator, and a function definition has a body. A call is a
 // '(' after an operand other than the name a type declares, and its
-// arguments number one more than its ','; an `if` makes at most one
-// statement and a '.' or '->' one member.
+// arguments number one more than its ','; an `if`, `return` or `while`
+// and a `#pragma` line make at most one statement each, and a '.' or '->'
+// one member.
 func (p *Parser) start(toks []clex.Token) {
 	var kinds [clex.Pragma + 1]int
 	var fors, semis, blocks, arrays, assigns, binarys, unarys, runs, commas, parens int
-	var calls, inner, ifs, members int
+	var calls, inner, ifs, members, returns, whiles int
 	// The previous token ended an operand, was a type word, was a name right
 	// after a type word.
 	operand, inType, declared := false, false, false
@@ -211,6 +215,10 @@ func (p *Parser) start(toks []clex.Token) {
 			fors++
 		case "if":
 			ifs++
+		case "return":
+			returns++
+		case "while":
+			whiles++
 		case ".", "->":
 			members++
 		case ";":
@@ -263,7 +271,7 @@ func (p *Parser) start(toks []clex.Token) {
 	p.toks = toks
 	p.size(bounds{kinds[clex.Ident], kinds[clex.IntLit], kinds[clex.FloatLit], binarys, assigns, unarys, arrays,
 		max(semis-fors, 0), blocks, fors, 1, listed, listed, runs + commas, min(runs, blocks), runs, runs + commas, runs + commas,
-		calls, args, ifs, kinds[clex.StringLit], members})
+		calls, args, ifs, kinds[clex.StringLit], members, kinds[clex.Pragma], returns, whiles})
 }
 
 // parses counts Parse calls process-wide; see Parses.
@@ -786,7 +794,7 @@ func (p *Parser) parseStatement() (cast.Stmt, error) {
 	t := p.cur()
 	if t.Kind == clex.Pragma {
 		p.next()
-		ps := &cast.PragmaStmt{Text: t.Text}
+		ps := put(&p.pragmas, cast.PragmaStmt{Text: t.Text})
 		if p.cur().Kind != clex.EOF && p.cur().Text != "}" {
 			s, err := p.parseStatement()
 			if err != nil {
@@ -812,7 +820,7 @@ func (p *Parser) parseStatement() (cast.Stmt, error) {
 		return p.parseIf()
 	case "return":
 		p.next()
-		r := &cast.Return{}
+		r := put(&p.returns, cast.Return{})
 		if p.cur().Text != ";" {
 			e, err := p.parseExpr(precLowest)
 			if err != nil {
@@ -920,7 +928,7 @@ func (p *Parser) parseWhile() (cast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cast.While{Cond: cond, Body: body}, nil
+	return put(&p.whiles, cast.While{Cond: cond, Body: body}), nil
 }
 
 func (p *Parser) parseDoWhile() (cast.Stmt, error) {

@@ -93,7 +93,8 @@ func (l *limiter) evictStale(now time.Time) {
 
 // clientKey identifies the caller for rate limiting.
 func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
+	// The key in its canonical form: Get would build that form anew per call.
+	if id := r.Header.Get("X-Client-Id"); id != "" {
 		return id
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {

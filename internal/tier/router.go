@@ -481,11 +481,10 @@ func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []g
 // is routed by key(i) unless that says it needs no replica, each replica's
 // share is forwarded to path concurrently, and its reply (or the share-wide
 // error) is settled into results in request order. A replica's trace is
-// merged into the request's; each, when set, then sees the share that
-// replica answered. The last share is forwarded on the caller's goroutine.
-// Returns how many items were shed for want of a replica.
+// merged into the request's. The last share is forwarded on the caller's
+// goroutine. Returns how many items were shed for want of a replica.
 func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string, ids [][]int, results []R,
-	key func(i int) (k string, routed bool), setErr func(*R, string), each func(indices []int, got []R)) int {
+	key func(i int) (k string, routed bool), setErr func(*R, string)) int {
 	tr := obs.TraceFrom(ctx)
 	endRoute := tr.Start("route")
 	groups := rt.groupByKey(len(results), key)
@@ -511,12 +510,8 @@ func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string,
 			err = rt.forward(ctx, g.rep, path, sub, &resp)
 		}
 		settleGroup(g, results, resp.Results, err, setErr, &shed, rt.sheds)
-		if err != nil {
-			return
-		}
-		tr.Merge(resp.Trace)
-		if each != nil {
-			each(g.indices, resp.Results)
+		if err == nil {
+			tr.Merge(resp.Trace)
 		}
 	}
 	for k := range groups {
@@ -580,7 +575,7 @@ func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int
 			return routeKey(codes[i]), true
 		}
 		return idsKey(ids[i-len(codes)]), true
-	}, setPredictErr, nil)
+	}, setPredictErr)
 	return results, shed
 }
 
@@ -600,8 +595,11 @@ func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int
 func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]json.RawMessage, int) {
 	tr := obs.TraceFrom(ctx)
 	results := make([]json.RawMessage, len(codes))
-	canon := make([]bool, len(codes)) // request text IS the canonical print
-	keys := make([]string, len(codes))
+	// puts[i] is the key item i's answer is stored under, set only for an
+	// item whose request text is its canonical print: a formatting variant
+	// can never poison the canonical loop's verdict slot. A request every
+	// item of which hits allocates none.
+	var puts []string
 	store := rt.pinStore() // before anything is routed
 	get := func(h string) (*verdict, bool) {
 		defer tr.Start("store.get")()
@@ -610,10 +608,11 @@ func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]json.Raw
 	shed := fanOut(ctx, rt, "/suggest", codes, nil, results, func(i int) (string, bool) {
 		h := scan.HashSnippet(codes[i])
 		v, hit := get(h)
+		canon := false
 		if !hit {
 			// An unparseable snippet still routes, by its raw-text hash.
 			if snip, ch, ok := canonical(codes[i]); ok {
-				if canon[i] = snip == codes[i]; !canon[i] {
+				if canon = snip == codes[i]; !canon {
 					h = ch
 					v, hit = get(h)
 				}
@@ -624,19 +623,24 @@ func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]json.Raw
 			results[i] = v.wireBytes()
 			return "", false
 		}
-		keys[i] = h
+		if canon {
+			if puts == nil {
+				puts = make([]string, len(codes))
+			}
+			puts[i] = h
+		}
 		return h, true
-	}, setRelayErr, func(indices []int, got []json.RawMessage) {
-		// Only canonical-form requests populate the store, so a formatting
-		// variant can never poison the canonical loop's verdict slot, and an
-		// error item is never stored. The store shares the relayed bytes with
-		// the answer; neither writes to them.
+	}, setRelayErr)
+	if puts != nil {
+		// An error item — a failed forward's, or the replica's — is never
+		// stored. The store shares the relayed bytes with the answer; neither
+		// writes to them.
 		defer tr.Start("store.put")()
-		for k, i := range indices {
-			if k < len(got) && canon[i] && !isErrorItem(got[k]) {
-				store.putWire(keys[i], got[k])
+		for i, h := range puts {
+			if h != "" && !isErrorItem(results[i]) {
+				store.putWire(h, results[i])
 			}
 		}
-	})
+	}
 	return results, shed
 }

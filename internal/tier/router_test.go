@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -456,7 +457,7 @@ func loopOfStatements(t *testing.T, n int) string {
 // 40-statement loop costs what a 1-statement loop costs, under a small
 // ceiling; a formatting variant of the same loops must parse and still hit,
 // through the canonical hash. Each item counts one hit however many probes
-// it took.
+// it took. The last leg gates the whole handler on a stored canonical text.
 func TestRouterSuggestHitAllocs(t *testing.T) {
 	a := newFakeReplica(t)
 	rt := newTestRouter(t, Config{Backend: "fake"}, a)
@@ -491,7 +492,7 @@ func TestRouterSuggestHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const ceiling = 5
+	const ceiling = 2 // the results and the text's hash; 5 while the scratch was allocated up front
 	allocs := func(code string) float64 {
 		codes := []string{code}
 		return testing.AllocsPerRun(20, func() { rt.answerSuggest(ctx, codes) })
@@ -508,6 +509,36 @@ func TestRouterSuggestHitAllocs(t *testing.T) {
 	}
 	if got := a.suggests.Load(); got != cold {
 		t.Fatalf("warm requests forwarded (%d -> %d)", cold, got)
+	}
+
+	// The whole handler on the same canonical text: middleware, admission,
+	// decode, store and respond. The request and recorder are reused, so
+	// what is counted is the handler's own: the body limit, the decoded
+	// request and its code, the results and the text's hash. It read 16
+	// while json.Unmarshal decoded the body, WriteJSON re-encoded the
+	// stored item, answerSuggest allocated its scratch up front, a lone
+	// code got a slice of its own and the client key was canonicalized per
+	// request.
+	const handlerCeiling = 5
+	quoted, _ := json.Marshal(long)
+	reqBody := []byte(`{"code":` + string(quoted) + `}`)
+	body := new(rewindBody)
+	req := httptest.NewRequest(http.MethodPost, "/suggest", body)
+	rec := httptest.NewRecorder()
+	h := rt.Handler()
+	atHandler := testing.AllocsPerRun(20, func() {
+		body.Reset(reqBody)
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+	})
+	stored, _ := json.Marshal(fakeVerdict(long))
+	want := `{"results":[` + string(stored) + "]}\n"
+	if rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Fatalf("handler answered %d %s, want the stored verdict %s", rec.Code, rec.Body, want)
+	}
+	t.Logf("allocations per warm /suggest through the handler: %.0f", atHandler)
+	if atHandler > handlerCeiling {
+		t.Errorf("a warm /suggest through the handler allocates %.0f times, want at most %d", atHandler, handlerCeiling)
 	}
 
 	// A reload empties the store: the next identical request forwards again.
@@ -858,6 +889,11 @@ func TestRouterRejects(t *testing.T) {
 	}
 }
 
+// rewindBody is a request body a test reads again after Reset.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
 // TestRouterForwardAllocs gates the cold path of answerSuggest: one
 // canonical snippet the store does not hold, forwarded to fakeReplica and
 // stored on the way back. The count covers the whole process, the fake
@@ -884,6 +920,48 @@ func TestRouterForwardAllocs(t *testing.T) {
 	}
 	if rt.store.Len() != 1 {
 		t.Fatalf("%d verdicts resident after a cold answer, want 1", rt.store.Len())
+	}
+}
+
+// TestStoredItemOwnsItsBytes: a verdict stored from a mixed reply keeps
+// only its own bytes alive, not the reply's other items. One canonical loop
+// rides in a batch with thousands of formatting variants, which are relayed
+// but never stored; once the answers are dropped, the heap must hold about
+// one verdict more than before, not the whole reply.
+func TestStoredItemOwnsItsBytes(t *testing.T) {
+	a := newFakeReplica(t)
+	rt := newTestRouter(t, Config{Backend: "fake"}, a)
+	ctx := context.Background()
+	const variants = 4000
+	codes := make([]string, 0, variants+1)
+	for k := range variants {
+		codes = append(codes, fmt.Sprintf("for (i=0; i<n; i++) a[i] = %d;", k))
+	}
+	snip, hash, _ := canonical("for (i = 0; i < n; i++) a[i] = b[i];")
+	codes = append(codes, snip)
+	rt.answerSuggest(ctx, codes[:1]) // opens the connection; a variant is not stored
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	replied := func() (n int64) {
+		results, _ := rt.answerSuggest(ctx, codes)
+		for _, r := range results {
+			n += int64(len(r))
+		}
+		return n
+	}()
+	kept := heap() - before
+	if _, ok := rt.store.Get(hash); !ok || rt.store.Len() != 1 {
+		t.Fatalf("stored %d verdicts (the canonical one: %v), want the canonical one alone", rt.store.Len(), ok)
+	}
+	t.Logf("a %d-byte reply left %d bytes live", replied, kept)
+	if kept > replied/8 {
+		t.Errorf("storing one verdict of a %d-byte reply kept %d bytes live", replied, kept)
 	}
 }
 

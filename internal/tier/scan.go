@@ -27,7 +27,7 @@ func (rt *Router) scanVerdicts(ctx context.Context, codes []string) []scan.Verdi
 	// prints; their hash is the routing key AND the store key.
 	results := make([]api.SuggestResult, len(codes))
 	fanOut(ctx, rt, "/suggest", codes, nil, results,
-		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr, nil)
+		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr)
 	verdicts := make([]scan.Verdict, len(codes))
 	for i := range results {
 		if e := results[i].Error; e != "" {
