@@ -8,10 +8,11 @@
 // field added here reaches both sides or neither.
 //
 // Bodies are read whole and decoded by json.Unmarshal, except the /suggest
-// request both binaries decode many times a second, which a strict reader
-// decodes without reflection, handing json.Unmarshal every body it does not
-// match exactly; an untraced reply of relayed items is written without
-// re-encoding them (wire.go).
+// request both binaries decode many times a second and the reply of relayed
+// items the router reads from a replica, which strict readers decode without
+// reflection, handing json.Unmarshal every body they do not match exactly;
+// an untraced reply of relayed items is written without re-encoding them
+// (wire.go).
 //
 // The flat verdict itself is scan.Suggestion — already the report, cache
 // and store form — so a /suggest item IS a report verdict plus an error
@@ -176,10 +177,11 @@ const maxPooledRead = 1 << 20
 
 // ReadJSON reads r to its end into a pooled buffer and decodes the whole of
 // it into v: an empty body, a truncated value and bytes after the value are
-// all errors. A /suggest request is read without reflection (readStrict);
-// every other body, and any error, is json.Unmarshal's. The buffer goes
-// back to the pool on return; v keeps nothing of it, because both decoders
-// copy every string they store.
+// all errors. A /suggest request and a reply of relayed items are read
+// without reflection (readStrict); every other body, and any error, is
+// json.Unmarshal's. The buffer goes back to the pool on return; v keeps
+// nothing of it, because every decoder copies each string and item it
+// stores.
 func ReadJSON(r io.Reader, v any) error {
 	buf := readBufs.Get().(*bytes.Buffer)
 	defer func() {

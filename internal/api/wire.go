@@ -11,28 +11,35 @@ import (
 
 // The /suggest hop carries a request {"code": …, "codes": […]} many times a
 // second, which both binaries decode, and the router answers it with a
-// reply {"results": […]} of relayed items. readStrict decodes exactly that
-// request shape without reflection, and writeResults writes the reply
-// without re-encoding its items. Everything else is json.Unmarshal's and
-// json.Encoder's: readStrict declines, leaving the target as fresh as it
-// found it, any body that is not valid JSON (so every error text is
-// json.Unmarshal's), any key that is not byte-equal to a field's tag, a
-// null, a non-string item, a \u escape of a surrogate, and invalid UTF-8 —
+// reply {"results": […]} of relayed items, which it first reads from a
+// replica. readStrict decodes exactly those two shapes without reflection,
+// and writeResults writes the reply without re-encoding its items.
+// Everything else is json.Unmarshal's and json.Encoder's: readStrict
+// declines, leaving the target as fresh as it found it, any body that is
+// not valid JSON (so every error text is json.Unmarshal's), any key that is
+// not byte-equal to a field's tag, a null, a request item that is not a
+// string, a \u escape of a surrogate, and invalid UTF-8 in a request —
 // whatever json.Unmarshal decodes its own way. FuzzReadSuggest holds the
 // two to the same values and errors.
 
 // readStrict decodes data into v when v is a fresh *SuggestRequest and data
-// is the request shape above, and reports whether it did.
+// is the request shape above, or a fresh *Response[json.RawMessage] and
+// data the reply shape, and reports whether it did.
 func readStrict(data []byte, v any) bool {
-	req, ok := v.(*SuggestRequest)
-	if !ok || req == nil || req.Code != "" || req.Codes != nil || !json.Valid(data) {
-		return false
+	switch t := v.(type) {
+	case *SuggestRequest:
+		if t == nil || t.Code != "" || t.Codes != nil || !json.Valid(data) {
+			return false
+		}
+		if !readSuggest(data, t) {
+			*t = SuggestRequest{}
+			return false
+		}
+		return true
+	case *Response[json.RawMessage]:
+		return t != nil && t.Results == nil && t.Trace == nil && json.Valid(data) && readReply(data, t)
 	}
-	if !readSuggest(data, req) {
-		*req = SuggestRequest{}
-		return false
-	}
-	return true
+	return false
 }
 
 // readSuggest walks a request object, key by key; the last of duplicate
@@ -46,13 +53,8 @@ func readSuggest(data []byte, v *SuggestRequest) bool {
 		return true
 	}
 	for {
-		w.peek()
-		start := w.i + 1
-		w.i = stringEnd(w.b, w.i)
-		key := w.b[start : w.i-1]
-		w.accept(':')
 		ok := false
-		switch string(key) {
+		switch string(w.key()) {
 		case "code":
 			v.Code, ok = w.str()
 		case "codes":
@@ -65,6 +67,44 @@ func readSuggest(data []byte, v *SuggestRequest) bool {
 			return w.accept('}')
 		}
 	}
+}
+
+// readReply reads a reply of relayed items, {"results":[value…]} and
+// nothing more: it declines a null list or item, and any key but results
+// (so any trace). It writes v only once the whole body matched. Each item
+// is a copy of its own of exactly the bytes json.Unmarshal would give its
+// RawMessage, never a sub-slice of a shared copy: a stored item keeps only
+// its own bytes alive.
+func readReply(data []byte, v *Response[json.RawMessage]) bool {
+	w := wire{b: data}
+	if !w.accept('{') || string(w.key()) != "results" || !w.accept('[') {
+		return false
+	}
+	save, n := w.i, 0
+	for w.peek() != ']' {
+		if w.b[w.i] == 'n' { // null
+			return false
+		}
+		w.i = valueEnd(w.b, w.i)
+		n++
+		w.accept(',')
+	}
+	w.i++
+	if !w.accept('}') {
+		return false
+	}
+	w.i = save
+	list := make([]json.RawMessage, n)
+	for k := range list {
+		w.peek()
+		start := w.i
+		w.i = valueEnd(w.b, w.i)
+		list[k] = make(json.RawMessage, w.i-start)
+		copy(list[k], w.b[start:w.i])
+		w.accept(',')
+	}
+	v.Results = list
+	return true
 }
 
 // wire walks a body json.Valid accepted, so it checks shapes, not syntax.
@@ -121,6 +161,49 @@ func (w *wire) strs() ([]string, bool) {
 		w.accept(',')
 	}
 	return list, w.accept(']')
+}
+
+// key reads an object key and the colon after it, and is nil when the next
+// byte starts no key.
+func (w *wire) key() []byte {
+	if w.peek() != '"' {
+		return nil
+	}
+	start := w.i + 1
+	w.i = stringEnd(w.b, w.i)
+	k := w.b[start : w.i-1]
+	w.accept(':')
+	return k
+}
+
+// valueEnd is the index just past the value that starts at i.
+func valueEnd(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		return stringEnd(b, i)
+	case '{', '[':
+		depth := 0
+		for ; ; i++ {
+			switch b[i] {
+			case '"':
+				i = stringEnd(b, i) - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+	}
+	for i < len(b) { // a number, true or false
+		switch b[i] {
+		case ',', ']', '}', ' ', '\t', '\n', '\r':
+			return i
+		}
+		i++
+	}
+	return i
 }
 
 // stringEnd is the index just past the string whose opening quote is at i.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"pragformer/internal/dep"
 	"pragformer/internal/scan"
@@ -31,14 +32,27 @@ var readSuggestSeeds = []string{
 	`{"codes":[]}`, `{"codes":["a"],"trace":{"id":"cafe","spans":[]}}`,
 	// Invalid UTF-8, raw and in a key.
 	"{\"code\":\"\xff\"}", "{\"codes\":[\"a\xc3\"]}", "{\"\xff\":1}",
-	// Reply-shaped bodies, which a request decode ignores or refuses.
+	// Reply-shaped bodies, which a request decode ignores or refuses, and a
+	// reply read takes or hands to json.Unmarshal: whitespace inside and
+	// between items, nested arrays, strings holding ']', '}' and '\"',
+	// numbers and literals, null items, duplicate keys, a trace, a key
+	// json.Unmarshal matches by case, and truncated bodies.
 	`{"results":[{"parallelize":true,"directive":"#pragma omp parallel for"},{"parallelize":false,"error":"x"}]}`,
 	`{"results":[]}`, `{"results":null}`, `{"results":[1],"results":[2,3]}`, `{"results":[1,]}`,
+	"{\"results\":[{\"parallelize\":true}]}\n", " {\n\t\"results\" :\r[ { \"a\" : [ 1 , [ ] ] } ,\n 2 ] } ",
+	`{"results":[[[1,[2]],[]],{"w":["]","}","\"]}","\\"]}]}`, `{"results":["]}\"",-0.5e+3,true,false,{}]}`,
+	`{"results":[null]}`, `{"results":[{"a":1},null]}`, `{"results":["abc"],"results":[1]}`,
+	`{"results":[{"parallelize":true}],"trace":{"id":"cafe","spans":[]}}`, `{"trace":null,"results":[1]}`,
+	`{"Results":[1]}`, `{"res\u0075lts":[1]}`, `{"results":{}}`, `{"results":[{"a":"\u003c\u2028"}]}`,
+	`{"results":[{"parallelize":tr`, `{"results":[1,2`, `{"results":[1]`, `{"results":`,
 }
 
-// FuzzReadSuggest: for any body, ReadJSON into a fresh SuggestRequest — by
-// the strict reader or its hand-off — gives json.Unmarshal's values and
-// json.Unmarshal's error text.
+// FuzzReadSuggest: for any body, ReadJSON into a fresh SuggestRequest, and
+// into a fresh Response[json.RawMessage] — by the strict readers or their
+// hand-off — gives json.Unmarshal's values and json.Unmarshal's error text.
+// Every reply item owns its bytes: no item shares a backing array with
+// another or with the body, and an item the strict reader copied is
+// exactly as long as its array (json.Unmarshal's may have room to spare).
 func FuzzReadSuggest(f *testing.F) {
 	for _, s := range readSuggestSeeds {
 		f.Add([]byte(s))
@@ -52,7 +66,37 @@ func FuzzReadSuggest(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: decoded %#v, json.Unmarshal %#v", body, got, want)
 		}
+
+		var gotReply, wantReply Response[json.RawMessage]
+		gotErr, wantErr = ReadJSON(bytes.NewReader(body), &gotReply), json.Unmarshal(body, &wantReply)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: reply error %v, json.Unmarshal's %v", body, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(gotReply, wantReply) {
+			t.Fatalf("%q: reply decoded %#v, json.Unmarshal %#v", body, gotReply, wantReply)
+		}
+		strict := readStrict(body, new(Response[json.RawMessage]))
+		spans := [][2]uintptr{span(body)}
+		for k, item := range gotReply.Results {
+			if strict && cap(item) != len(item) {
+				t.Fatalf("%q: item %d has cap %d, len %d", body, k, cap(item), len(item))
+			}
+			s := span(item)
+			for _, o := range spans {
+				if s[0] < o[1] && o[0] < s[1] {
+					t.Fatalf("%q: item %d shares its backing array", body, k)
+				}
+			}
+			spans = append(spans, s)
+		}
 	})
+}
+
+// span is the address range of b's backing array from b's first byte to its
+// capacity.
+func span(b []byte) [2]uintptr {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return [2]uintptr{p, p + uintptr(cap(b))}
 }
 
 // TestReadStrictShapes: the strict reader takes the requests the /suggest
@@ -90,13 +134,54 @@ func TestReadStrictShapes(t *testing.T) {
 	if readStrict([]byte(`{}`), (*SuggestRequest)(nil)) {
 		t.Error("decoded strictly into a nil pointer")
 	}
-	if readStrict([]byte(`{"results":[]}`), new(Response[json.RawMessage])) {
-		t.Error("decoded a reply strictly")
-	}
 	// A request that is not fresh is json.Unmarshal's to merge into.
 	used := SuggestRequest{Code: "x"}
 	if readStrict([]byte(`{"codes":["a"]}`), &used) {
 		t.Error("decoded strictly into a request that already held a code")
+	}
+
+	// A reply of relayed items is read strictly, each item the value's
+	// bytes as they stand. A null list or item, a key that is not byte-equal
+	// to results (a trace, a duplicate, another case, an escape) and any
+	// other shape are json.Unmarshal's.
+	for _, tc := range []struct {
+		body   string
+		strict bool
+		items  []string
+	}{
+		{`{"results":[]}`, true, []string{}},
+		{`{"results":[{"parallelize":true},{"parallelize":false,"error":"x"}]}` + "\n", true,
+			[]string{`{"parallelize":true}`, `{"parallelize":false,"error":"x"}`}},
+		{" { \"results\" : [ {\"a\" : [1, \"]}\\\"\"]} ,\n 2.5e3 , \"x\" , true ] } ", true,
+			[]string{`{"a" : [1, "]}\""]}`, `2.5e3`, `"x"`, `true`}},
+		{`{"results":null}`, false, nil},
+		{`{"results":[{"a":1},null]}`, false, nil},
+		{`{"results":[1],"results":[2,3]}`, false, nil},
+		{`{"results":[1],"trace":{"id":"cafe","spans":[]}}`, false, nil},
+		{`{"Results":[1]}`, false, nil},
+		{`{"res\u0075lts":[1]}`, false, nil},
+		{`{"results":{}}`, false, nil},
+		{`{}`, false, nil},
+		{`{"results":[1]`, false, nil},
+	} {
+		var resp Response[json.RawMessage]
+		if got := readStrict([]byte(tc.body), &resp); got != tc.strict {
+			t.Errorf("reply %q: strict %v, want %v", tc.body, got, tc.strict)
+		}
+		var items []string
+		if resp.Results != nil {
+			items = []string{}
+		}
+		for _, item := range resp.Results {
+			items = append(items, string(item))
+		}
+		if !reflect.DeepEqual(items, tc.items) || resp.Trace != nil {
+			t.Errorf("reply %q: items %q and trace %v, want %q", tc.body, items, resp.Trace, tc.items)
+		}
+	}
+	// A reply that is not fresh is json.Unmarshal's to merge into.
+	if readStrict([]byte(`{"results":[1]}`), &Response[json.RawMessage]{Results: []json.RawMessage{}}) {
+		t.Error("decoded strictly into a reply that already held results")
 	}
 }
 

@@ -482,6 +482,9 @@ func (p *Parser) parseFile(strict bool) (*cast.File, []*Error, error) {
 // statement. Corpus snippets are usually loose statements (a bare for-loop).
 func (p *Parser) parseTopLevel() (cast.Node, error) {
 	if p.cur().Kind == clex.Pragma {
+		if fd := p.pragmasBeforeFunc(); fd != nil {
+			return fd, nil
+		}
 		return p.parseStatement()
 	}
 	if p.startsDecl() {
@@ -503,6 +506,30 @@ func (p *Parser) parseTopLevel() (cast.Node, error) {
 		return ds, nil
 	}
 	return p.parseStatement()
+}
+
+// pragmasBeforeFunc parses a run of pragmas followed by a function
+// definition (`#pragma omp declare simd`, `declare target`): each pragma
+// becomes a bodiless top-level PragmaStmt and the definition is returned.
+// Before anything else it consumes nothing and returns nil, and the pragma
+// annotates the statement or declaration that follows.
+func (p *Parser) pragmasBeforeFunc() *cast.FuncDef {
+	save := p.pos
+	for p.cur().Kind == clex.Pragma {
+		p.next()
+	}
+	if p.startsDecl() {
+		decls := len(p.decls)
+		if fd, isFunc, err := p.tryFuncDef(); err == nil && isFunc {
+			for k := save; k < p.pos && p.toks[k].Kind == clex.Pragma; k++ {
+				p.items = append(p.items, put(&p.pragmas, cast.PragmaStmt{Text: p.toks[k].Text}))
+			}
+			return fd
+		}
+		p.decls = p.decls[:decls]
+	}
+	p.pos = save
+	return nil
 }
 
 // isTypedef reports whether name is a builtin or source-declared typedef.

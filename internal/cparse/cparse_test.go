@@ -1,6 +1,8 @@
 package cparse
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,6 +82,47 @@ func TestPragmaAttachment(t *testing.T) {
 	}
 	if _, ok := ps.Stmt.(*cast.For); !ok {
 		t.Fatalf("pragma stmt is %T", ps.Stmt)
+	}
+}
+
+// TestPragmaBeforeFunction: a file-level pragma before a function
+// definition (declare simd, declare target) stands alone, bodiless, ahead
+// of the definition; one before a declaration or a loop still wraps it.
+func TestPragmaBeforeFunction(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []string // the file's items: a pragma's text, else the node type
+	}{
+		{"#pragma omp declare simd\nint twice(int x) { return 2 * x; }",
+			[]string{"pragma omp declare simd", "*cast.FuncDef"}},
+		{"#pragma omp declare target\n#pragma omp declare simd uniform(n)\nvoid f(int n);\n#pragma omp end declare target\n",
+			[]string{"pragma omp declare target", "pragma omp declare simd uniform(n)", "*cast.FuncDef", "pragma omp end declare target"}},
+		{"#pragma omp threadprivate(x)\nint x;", []string{"pragma omp threadprivate(x) *cast.DeclStmt"}},
+		{"#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = 0;", []string{"pragma omp parallel for *cast.For"}},
+	} {
+		f, errs := ParseRecover(tc.src)
+		if len(errs) > 0 {
+			t.Errorf("%q: %v", tc.src, errs)
+			continue
+		}
+		var got []string
+		for _, it := range f.Items {
+			if ps, ok := it.(*cast.PragmaStmt); !ok {
+				got = append(got, fmt.Sprintf("%T", it))
+			} else if ps.Stmt == nil {
+				got = append(got, ps.Text)
+			} else {
+				got = append(got, fmt.Sprintf("%s %T", ps.Text, ps.Stmt))
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%q: items %q, want %q", tc.src, got, tc.want)
+		}
+	}
+	// The function after a declare simd is the one written.
+	f := mustParse(t, "#pragma omp declare simd\nint twice(int x) { return 2 * x; }")
+	if fd := f.Items[1].(*cast.FuncDef); fd.Name != "twice" || len(fd.Params) != 1 {
+		t.Errorf("function %q with %d params", fd.Name, len(fd.Params))
 	}
 }
 

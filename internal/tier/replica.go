@@ -34,6 +34,11 @@ type replica struct {
 	name  string // base URL, also the ring identity
 	state atomic.Int32
 
+	// forwards holds one template request per forwarded path, its URL
+	// parsed once: a forward is a shallow copy of it. The URL and header
+	// are shared read-only, as a RoundTripper does not modify a request.
+	forwards map[string]*http.Request
+
 	// inflight counts requests the router has forwarded here and not yet
 	// seen answered — the bounded-load accounting.
 	inflight atomic.Int64
@@ -51,12 +56,26 @@ type replica struct {
 	ready      atomic.Bool
 }
 
-func newReplica(name string) *replica {
-	r := &replica{name: name}
+// forwardPaths are the replica routes the router forwards to: /predict,
+// and /suggest, which also carries the router's /scan chunks.
+var forwardPaths = [...]string{"/predict", "/suggest"}
+
+// newReplica is the view of the replica at base URL name; a name that does
+// not parse as a URL is an error.
+func newReplica(name string) (*replica, error) {
+	r := &replica{name: name, forwards: make(map[string]*http.Request, len(forwardPaths))}
+	for _, path := range forwardPaths {
+		req, err := http.NewRequest(http.MethodPost, name+path, nil)
+		if err != nil {
+			return nil, fmt.Errorf("tier: replica %q: %w", name, err)
+		}
+		req.Header = forwardHeader
+		r.forwards[path] = req
+	}
 	empty := ""
 	r.backend.Store(&empty)
 	r.ready.Store(true) // optimistic until the first probe says otherwise
-	return r
+	return r, nil
 }
 
 func (r *replica) getState() replicaState  { return replicaState(r.state.Load()) }

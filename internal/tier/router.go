@@ -69,8 +69,9 @@ type Config struct {
 	Backend string
 	ModelID string
 	// Client is the HTTP client for forwards and probes (nil = a client
-	// with a 30s timeout). A forward goes straight through its Transport,
-	// bounded by its Timeout.
+	// with a 30s timeout over a router-owned transport: no gzip, and up to
+	// MaxInFlight idle connections kept per replica). A forward goes
+	// straight through its Transport, bounded by its Timeout.
 	Client *http.Client
 	// Logger, when set, makes the router trace every request, not just those
 	// carrying the X-PF-Trace header, and receives one structured line per
@@ -79,7 +80,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c *Config) fillDefaults() {
+// fillDefaults fills the zero fields. For a nil Client it returns the
+// transport it built the client on, which the router owns.
+func (c *Config) fillDefaults() *http.Transport {
 	if c.VNodes <= 0 {
 		c.VNodes = 64
 	}
@@ -98,9 +101,17 @@ func (c *Config) fillDefaults() {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
+	if c.Client != nil {
+		return nil
 	}
+	// A replica never answers with gzip, so asking for it is a header map
+	// per forward for nothing. A forward beyond the idle pool dials a
+	// connection and closes it after its reply.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableCompression = true
+	tr.MaxIdleConnsPerHost = c.MaxInFlight
+	c.Client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
+	return tr
 }
 
 // errNoReplica reports that no routable replica could accept a request —
@@ -123,7 +134,10 @@ type Router struct {
 	client  *http.Client
 	// transport is client's Transport: what every forward goes through.
 	transport http.RoundTripper
-	reg       *obs.Registry
+	// owned is the transport fillDefaults built, whose idle connections
+	// Close closes; nil for a caller's client.
+	owned *http.Transport
+	reg   *obs.Registry
 
 	backend atomic.Pointer[string] // adopted verdict-namespace backend
 
@@ -151,7 +165,7 @@ type Router struct {
 // New builds a router over the configured replicas and starts its health
 // prober. Close releases the prober.
 func New(cfg Config) (*Router, error) {
-	cfg.fillDefaults()
+	owned := cfg.fillDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("tier: no replicas configured")
 	}
@@ -164,6 +178,7 @@ func New(cfg Config) (*Router, error) {
 		limiter:   newLimiter(cfg.RatePerSec, cfg.Burst),
 		client:    cfg.Client,
 		transport: cfg.Client.Transport,
+		owned:     owned,
 		reg:       obs.NewRegistry(),
 		done:      make(chan struct{}),
 	}
@@ -176,7 +191,11 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := rt.reps[name]; dup {
 			return nil, fmt.Errorf("tier: duplicate replica %q", name)
 		}
-		rt.reps[name] = newReplica(name)
+		rep, err := newReplica(name)
+		if err != nil {
+			return nil, err
+		}
+		rt.reps[name] = rep
 	}
 	rt.registerMetrics()
 	rt.wg.Add(1)
@@ -218,10 +237,14 @@ func (rt *Router) registerMetrics() {
 	}
 }
 
-// Close stops the background prober.
+// Close stops the background prober and closes the idle connections of a
+// router-owned transport.
 func (rt *Router) Close() {
 	close(rt.done)
 	rt.wg.Wait()
+	if rt.owned != nil {
+		rt.owned.CloseIdleConnections()
+	}
 }
 
 // Handler returns the router's HTTP API — the same surface as one
@@ -321,13 +344,31 @@ func (rt *Router) pick(key string) *replica {
 // the request.
 var forwardHeader = http.Header{"Content-Type": {"application/json"}}
 
+// forwardReqs lends fanOut the request of each share, whose slices are
+// reused from share to share. One grown past maxPooledItems items (a large
+// batch) goes to the collector instead, so the pool never pins one.
+var forwardReqs = sync.Pool{New: func() any { return new(api.PredictRequest) }}
+
+const maxPooledItems = 1 << 12
+
+// releaseRequest drops req's strings and ids, so the pool pins no request
+// text, and returns it to the pool.
+func releaseRequest(req *api.PredictRequest) {
+	clear(req.Codes)
+	clear(req.IDs)
+	req.Codes, req.IDs = req.Codes[:0], req.IDs[:0]
+	if cap(req.Codes)+cap(req.IDs) <= maxPooledItems {
+		forwardReqs.Put(req)
+	}
+}
+
 // forward POSTs body to rep and decodes the reply into out, carrying the
 // bounded-load in-flight accounting and the ejection failure counting.
 // A replica-side 429 propagates as serve.ErrSaturated-alike shedding but
 // does NOT count toward ejection — a saturated replica is healthy. The
-// request goes straight to the client's Transport, under the client's
-// Timeout.
-func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, out any) error {
+// request is a copy of rep's template for path and goes straight to the
+// client's Transport, under the client's Timeout.
+func (rt *Router) forward(ctx context.Context, rep *replica, path string, body *api.PredictRequest, out any) error {
 	// A budget that expired while the request sat in admission or an
 	// earlier group's shadow is shed here, before marshal and transport.
 	if err := ctx.Err(); err != nil {
@@ -345,25 +386,25 @@ func (rt *Router) forward(ctx context.Context, rep *replica, path string, body, 
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	rt.forwards.Inc()
-	header := forwardHeader
-	if _, hasDeadline := ctx.Deadline(); tr != nil || hasDeadline {
-		header = forwardHeader.Clone()
-		if tr != nil {
-			header.Set(obs.TraceHeader, tr.ID)
-		}
-		obs.SetDeadlineHeader(ctx, header)
-	}
 	sendCtx := ctx
 	if rt.client.Timeout > 0 {
 		var cancel context.CancelFunc
 		sendCtx, cancel = context.WithTimeout(ctx, rt.client.Timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(sendCtx, http.MethodPost, rep.name+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
+	req := rep.forwards[path].WithContext(sendCtx)
+	if _, hasDeadline := ctx.Deadline(); tr != nil || hasDeadline {
+		req.Header = forwardHeader.Clone()
+		if tr != nil {
+			req.Header.Set(obs.TraceHeader, tr.ID)
+		}
+		obs.SetDeadlineHeader(ctx, req.Header)
 	}
-	req.Header = header
+	// The body is a reader net/http knows to be in memory: it writes the
+	// headers and body of such a request at once, and flushes the headers
+	// on their own before any other body.
+	req.ContentLength = int64(len(buf))
+	req.Body = io.NopCloser(bytes.NewReader(buf))
 	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		// Transport failure: connection refused, timeout — the ejection
@@ -492,41 +533,56 @@ func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string,
 	if len(groups) == 0 {
 		return 0
 	}
-	var wg sync.WaitGroup
-	var shed atomic.Int64
-	share := func(g *group) {
-		var resp api.Response[R]
-		err := errNoReplica
-		if g.rep != nil {
-			// A /suggest share is the same body without ids.
-			var sub api.PredictRequest
-			for _, i := range g.indices {
-				if i < len(codes) {
-					sub.Codes = append(sub.Codes, codes[i])
-				} else {
-					sub.IDs = append(sub.IDs, ids[i-len(codes)])
-				}
-			}
-			err = rt.forward(ctx, g.rep, path, sub, &resp)
-		}
-		settleGroup(g, results, resp.Results, err, setErr, &shed, rt.sheds)
-		if err == nil {
-			tr.Merge(resp.Trace)
-		}
-	}
-	for k := range groups {
-		if k == len(groups)-1 {
-			share(&groups[k])
-			break
-		}
-		wg.Add(1)
+	s := &fanState[R]{rt: rt, ctx: ctx, tr: tr, path: path, codes: codes, ids: ids, results: results, setErr: setErr}
+	last := len(groups) - 1
+	for k := range groups[:last] {
+		s.wg.Add(1)
 		go func(g *group) {
-			defer wg.Done()
-			share(g)
+			defer s.wg.Done()
+			s.share(g)
 		}(&groups[k])
 	}
-	wg.Wait()
-	return int(shed.Load())
+	s.share(&groups[last])
+	s.wg.Wait()
+	return int(s.shed.Load())
+}
+
+// fanState is what one fanOut call's shares have in common, one allocation
+// for the call.
+type fanState[R any] struct {
+	rt      *Router
+	ctx     context.Context
+	tr      *obs.Trace
+	path    string
+	codes   []string
+	ids     [][]int
+	results []R
+	setErr  func(*R, string)
+	wg      sync.WaitGroup
+	shed    atomic.Int64
+}
+
+// share forwards one replica's share of the items and settles its reply.
+func (s *fanState[R]) share(g *group) {
+	var resp api.Response[R]
+	err := errNoReplica
+	if g.rep != nil {
+		// A /suggest share is the same body without ids.
+		body := forwardReqs.Get().(*api.PredictRequest)
+		for _, i := range g.indices {
+			if i < len(s.codes) {
+				body.Codes = append(body.Codes, s.codes[i])
+			} else {
+				body.IDs = append(body.IDs, s.ids[i-len(s.codes)])
+			}
+		}
+		err = s.rt.forward(s.ctx, g.rep, s.path, body, &resp)
+		releaseRequest(body)
+	}
+	settleGroup(g, s.results, resp.Results, err, s.setErr, &s.shed, s.rt.sheds)
+	if err == nil {
+		s.tr.Merge(resp.Trace)
+	}
 }
 
 // settleGroup copies one replica's results back into request order, or

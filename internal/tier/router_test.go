@@ -897,14 +897,17 @@ func (*rewindBody) Close() error { return nil }
 // TestRouterForwardAllocs gates the cold path of answerSuggest: one
 // canonical snippet the store does not hold, forwarded to fakeReplica and
 // stored on the way back. The count covers the whole process, the fake
-// replica's handler included. decodedForwardAllocs is what the same call
-// allocated when the forward went through http.Client.Do and the reply was
-// decoded into verdict structs and re-rendered; the gate is 80 % of it.
+// replica's handler included. It read 169 when the forward went through
+// http.Client.Do and the reply was decoded into verdict structs and
+// re-rendered, and 128 when each forward parsed its URL, marshalled a fresh
+// request, asked for gzip and had json.Unmarshal read the reply. The gate
+// is what a template request, a pooled share request and the strict reply
+// reader leave (109), with 4 to spare.
 func TestRouterForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const decodedForwardAllocs = 169
+	const maxForwardAllocs = 113
 	a := newFakeReplica(t)
 	rt := newTestRouter(t, Config{Backend: "fake", ProbeInterval: time.Hour}, a)
 	ctx := context.Background()
@@ -914,9 +917,9 @@ func TestRouterForwardAllocs(t *testing.T) {
 		rt.store.Roll()
 		rt.answerSuggest(ctx, codes)
 	})
-	t.Logf("allocations per cold single-item answerSuggest: %.1f (%d when decoded)", got, decodedForwardAllocs)
-	if limit := 0.8 * decodedForwardAllocs; got > limit {
-		t.Errorf("a cold answerSuggest allocates %.1f times, want at most %.1f (80%% of %d)", got, limit, decodedForwardAllocs)
+	t.Logf("allocations per cold single-item answerSuggest: %.1f (was 128)", got)
+	if got > maxForwardAllocs {
+		t.Errorf("a cold answerSuggest allocates %.1f times, want at most %d", got, maxForwardAllocs)
 	}
 	if rt.store.Len() != 1 {
 		t.Fatalf("%d verdicts resident after a cold answer, want 1", rt.store.Len())
