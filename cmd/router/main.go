@@ -8,9 +8,9 @@
 // replicas instead of queueing. Admission is layered: per-client token
 // buckets first, then per-replica in-flight caps; saturation answers 429
 // with Retry-After rather than queueing without bound. /suggest and /scan
-// verdicts fill a shared read-through store keyed by
-// backend|model|generation|hash, so a loop any replica has judged is
-// answered by the router itself, fleet-wide.
+// verdicts fill a shared read-through store keyed by the loop's content
+// hash within the current model generation, so a loop any replica has
+// judged is answered by the router itself, fleet-wide.
 //
 // POST /reload rolls the fleet one replica at a time: drain (the ring
 // stops routing there, in-flight requests finish), reload, health-gate on
@@ -51,8 +51,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs (required)")
-		vnodes   = flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
-		loadFac  = flag.Float64("load-factor", 1.25, "bounded-load spill factor (>1)")
 		maxInfl  = flag.Int("max-inflight", 64, "hard per-replica in-flight cap before shedding")
 		rate     = flag.Float64("rate", 0, "per-client requests/sec admitted (0 disables rate limiting)")
 		burst    = flag.Int("burst", 16, "per-client token-bucket burst")
@@ -77,8 +75,7 @@ func main() {
 		logger = slog.Default()
 	}
 	rt, err := tier.New(tier.Config{
-		Replicas: names, VNodes: *vnodes, LoadFactor: *loadFac,
-		MaxInFlight: *maxInfl, FailThreshold: *failThr,
+		Replicas: names, MaxInFlight: *maxInfl, FailThreshold: *failThr,
 		ProbeInterval: *probeInt, DrainTimeout: *drainTO,
 		RatePerSec: *rate, Burst: *burst,
 		Backend: *backend, ModelID: *modelID, Logger: logger,
@@ -96,8 +93,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("routing on %s over %d replicas (vnodes %d, load factor %.2f, max in-flight %d)\n",
-		*addr, len(names), *vnodes, *loadFac, *maxInfl)
+	fmt.Printf("routing on %s over %d replicas (max in-flight %d)\n", *addr, len(names), *maxInfl)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)

@@ -59,19 +59,17 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "model replicas (concurrent batches in flight)")
 		backend   = flag.String("backend", "", "compute backend: float64|int8 (empty serves float64; int8 quantizes the float model at load and on every reload)")
 		cacheSize = flag.Int("cache", 1024, "LRU result cache entries (negative disables)")
-		queueLen  = flag.Int("queue", 0, "requests that may wait while every replica is busy; each takes up to max-batch of them when it frees up (0 = max-batch * replicas)")
 		shed      = flag.Bool("shed", false, "shed load with 429 + Retry-After when the queue saturates instead of blocking")
 		drainTO   = flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown deadline for in-flight requests")
-		seed      = flag.Int64("seed", 1, "seed for demo training and replica cloning")
+		seed      = flag.Int64("seed", 1, "demo mode: seed for corpus generation, splits and model init")
 		total     = flag.Int("train-total", 1000, "demo mode: generated corpus size")
 		epochs    = flag.Int("train-epochs", 5, "demo mode: training epochs")
-		workers   = flag.Int("train-workers", 1, "demo mode: data-parallel training workers")
 		trace     = flag.Bool("trace", false, "trace every request (spans in responses + one structured log line each); without it only requests carrying X-PF-Trace are traced")
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints (off by default)")
 	)
 	flag.Parse()
 
-	models, err := buildModels(*directive, *vocabPath, *seed, *total, *epochs, *workers)
+	models, err := buildModels(*directive, *vocabPath, *seed, *total, *epochs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
@@ -91,7 +89,7 @@ func main() {
 	}
 	engine, err := serve.New(models, serve.Config{
 		MaxBatch: *maxBatch, Replicas: *replicas,
-		CacheSize: *cacheSize, QueueDepth: *queueLen, Shed: *shed,
+		CacheSize: *cacheSize, Shed: *shed,
 		Source: source, Backend: *backend, Logger: logger,
 	})
 	if err != nil {
@@ -151,9 +149,9 @@ loop:
 
 // buildModels loads the classifier files, or trains the demo model when no
 // directive path is given.
-func buildModels(directive, vocabPath string, seed int64, total, epochs, workers int) (*advisor.Models, error) {
+func buildModels(directive, vocabPath string, seed int64, total, epochs int) (*advisor.Models, error) {
 	if directive == "" {
-		return trainDemo(seed, total, epochs, workers)
+		return trainDemo(seed, total, epochs)
 	}
 	if vocabPath == "" {
 		return nil, fmt.Errorf("-vocab is required with -directive")
@@ -164,10 +162,10 @@ func buildModels(directive, vocabPath string, seed int64, total, epochs, workers
 // trainDemo fits the directive classifier on a generated corpus through
 // the shared advisor.TrainDemo recipe (also behind `pragformer scan`'s demo
 // mode).
-func trainDemo(seed int64, total, epochs, workers int) (*advisor.Models, error) {
+func trainDemo(seed int64, total, epochs int) (*advisor.Models, error) {
 	fmt.Printf("no -directive model given; training the demo classifier (corpus %d, %d epochs)\n", total, epochs)
 	return advisor.TrainDemo(advisor.DemoConfig{
-		Seed: seed, Total: total, Epochs: epochs, Workers: workers,
+		Seed: seed, Total: total, Epochs: epochs,
 		Progress: func(s string) { fmt.Println(" ", s) },
 	})
 }

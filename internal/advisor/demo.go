@@ -16,22 +16,19 @@ import (
 // settings — the scan CI smoke relies on that determinism.
 type DemoConfig struct {
 	// Seed drives corpus generation, splits, and model init. Runs with the
-	// same config are bit-identical (at Workers <= 1).
+	// same config are bit-identical.
 	Seed int64
 	// Total is the generated corpus size (default 1000).
 	Total int
 	// Epochs trains the classifier this long (default 5).
 	Epochs int
-	// Workers is the data-parallel training worker count. Note that worker
-	// counts change the all-reduce summation order, so only Workers <= 1 is
-	// bit-reproducible across machines.
-	Workers int
-	// D, Heads, Layers size the classifier (defaults 32, 4, 1 — the demo
-	// scale served by cmd/serve since PR 2).
-	D, Heads, Layers int
 	// Progress receives the fitted classifier's line; nil discards.
 	Progress func(string)
 }
+
+// The demo classifier's width, heads and depth: small enough to train
+// at startup.
+const demoD, demoHeads, demoLayers = 32, 4, 1
 
 func (c *DemoConfig) fillDefaults() {
 	if c.Total <= 0 {
@@ -39,15 +36,6 @@ func (c *DemoConfig) fillDefaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 5
-	}
-	if c.D <= 0 {
-		c.D = 32
-	}
-	if c.Heads <= 0 {
-		c.Heads = 4
-	}
-	if c.Layers <= 0 {
-		c.Layers = 1
 	}
 }
 
@@ -68,7 +56,7 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	}
 	seed := cfg.Seed + 10
 	m, err := core.New(core.Config{
-		Vocab: v.Size(), D: cfg.D, Heads: cfg.Heads, Layers: cfg.Layers,
+		Vocab: v.Size(), D: demoD, Heads: demoHeads, Layers: demoLayers,
 	}, seed)
 	if err != nil {
 		return nil, err
@@ -83,7 +71,7 @@ func TrainDemo(cfg DemoConfig) (*Models, error) {
 	}
 	hist := train.Fit(m, trainSet, validSet, train.Config{
 		Epochs: cfg.Epochs, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
-		Seed: seed, Workers: cfg.Workers,
+		Seed: seed,
 	})
 	// The demo keeps the last epoch's weights: report their accuracy.
 	progress(fmt.Sprintf("%s: valid accuracy %.3f", dataset.TaskDirective, hist.Epochs[len(hist.Epochs)-1].ValidAccuracy))

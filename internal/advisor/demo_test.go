@@ -14,7 +14,10 @@ import (
 	"testing"
 
 	"pragformer/internal/core"
+	"pragformer/internal/corpus"
+	"pragformer/internal/dataset"
 	"pragformer/internal/tokenize"
+	"pragformer/internal/train"
 )
 
 // directiveOf returns a float64 bundle's classifier.
@@ -55,32 +58,73 @@ func TestTrainDemoHarnessWeightsPinned(t *testing.T) {
 	})
 }
 
-// checkDemoDigests fits cfg at each width in want and compares the sha-256
-// of the directive classifier's parameter names, shapes and weight bits.
+// checkDemoDigests compares the sha-256 of the directive classifier's
+// parameter names, shapes and weight bits, fitted on cfg at each trainer
+// width in want. TrainDemo trains at width 1 and must give want[1]; every
+// width, 1 included, is also fitted by demoAtWidth, TrainDemo's recipe with
+// the width as a parameter, so the wider pins hold the same program.
 func checkDemoDigests(t *testing.T, cfg DemoConfig, want map[int]string) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other compilers may fuse multiply-adds")
 	}
+	models, err := TrainDemo(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := weightsDigest(directiveOf(t, models)); got != want[1] {
+		t.Errorf("TrainDemo: fitted demo weights digest %s, want %s", got, want[1])
+	}
 	for workers, digest := range want {
-		cfg.Workers = workers
-		models, err := TrainDemo(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		var b [8]byte
-		for _, p := range directiveOf(t, models).Params() {
-			fmt.Fprintf(h, "%s %dx%d\n", p.Name, p.W.Rows, p.W.Cols)
-			for _, v := range p.W.Data {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+		if got := weightsDigest(demoAtWidth(t, cfg, workers)); got != digest {
 			t.Errorf("Workers=%d: fitted demo weights digest %s, want %s", workers, got, digest)
 		}
 	}
+}
+
+// demoAtWidth is TrainDemo's recipe fitted by the data-parallel trainer at
+// the given width.
+func demoAtWidth(t *testing.T, cfg DemoConfig, workers int) *core.PragFormer {
+	t.Helper()
+	cfg.fillDefaults()
+	split := dataset.Directive(corpus.Generate(corpus.Config{Seed: cfg.Seed, Total: cfg.Total}), dataset.Options{Seed: cfg.Seed})
+	v, err := split.Vocab()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := cfg.Seed + 10
+	m, err := core.New(core.Config{Vocab: v.Size(), D: demoD, Heads: demoHeads, Layers: demoLayers}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainSet, err := dataset.Examples(split.Train, v, core.DefaultMaxLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	validSet, err := dataset.Examples(split.Valid, v, core.DefaultMaxLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train.Fit(m, trainSet, validSet, train.Config{
+		Epochs: cfg.Epochs, BatchSize: 16, LR: 1.5e-3, ClipNorm: 1,
+		Seed: seed, Workers: workers,
+	})
+	return m
+}
+
+// weightsDigest is the hex sha-256 of a classifier's parameter names,
+// shapes and weight bits.
+func weightsDigest(pf *core.PragFormer) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, p := range pf.Params() {
+		fmt.Fprintf(h, "%s %dx%d\n", p.Name, p.W.Rows, p.W.Cols)
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // liveHeap is the heap still reachable after two forced collections (the

@@ -80,13 +80,14 @@ type Config struct {
 	Seed int64
 	// Total is the snippet count (the paper's raw database has 17,013).
 	Total int
-	// PositiveFraction is the share of records with directives; the paper's
-	// raw database has 7,630/17,013 ≈ 0.4485. Zero means the default.
-	PositiveFraction float64
 }
 
 // DefaultTotal matches the paper's corpus size (Table 3).
 const DefaultTotal = 17013
+
+// positiveFraction is the share of records with directives: the paper's
+// raw database has 7,630/17,013 ≈ 0.4485.
+const positiveFraction = 7630.0 / 17013.0
 
 // profitabilityTrip is the constant trip count below which a dependence-free
 // loop is still left serial by developers (RQ1 rationale in §2.1.1): the
@@ -160,12 +161,9 @@ func Generate(cfg Config) *Corpus {
 	if cfg.Total == 0 {
 		cfg.Total = DefaultTotal
 	}
-	if cfg.PositiveFraction == 0 {
-		cfg.PositiveFraction = 7630.0 / 17013.0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := &genCtx{}
-	targetPos := int(float64(cfg.Total)*cfg.PositiveFraction + 0.5)
+	targetPos := int(float64(cfg.Total)*positiveFraction + 0.5)
 
 	c := &Corpus{}
 	seen := map[string]bool{}

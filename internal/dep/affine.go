@@ -66,15 +66,17 @@ func (a Affine) add(b Affine) Affine {
 	case len(a.SymCoefs) == 0:
 		r.SymCoefs = b.SymCoefs
 	default:
-		r.SymCoefs = mergeSyms(a.SymCoefs, b.SymCoefs)
+		syms := mergeSyms(make([]SymCoef, 0, len(a.SymCoefs)+len(b.SymCoefs)), a.SymCoefs, b.SymCoefs)
+		if len(syms) > 0 {
+			r.SymCoefs = syms
+		}
 	}
 	return r
 }
 
-// mergeSyms sums two sorted term lists into a new one, dropping the terms
-// that cancel.
-func mergeSyms(x, y []SymCoef) []SymCoef {
-	out := make([]SymCoef, 0, len(x)+len(y))
+// mergeSyms appends to out the sum of two sorted term lists, dropping the
+// terms that cancel. out must have room for both lists.
+func mergeSyms(out, x, y []SymCoef) []SymCoef {
 	for len(x) > 0 && len(y) > 0 {
 		switch c := strings.Compare(x[0].Name, y[0].Name); {
 		case c < 0:
@@ -88,11 +90,7 @@ func mergeSyms(x, y []SymCoef) []SymCoef {
 			x, y = x[1:], y[1:]
 		}
 	}
-	out = append(append(out, x...), y...)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return append(append(out, x...), y...)
 }
 
 func (a Affine) neg() Affine { return a.scale(-1) }

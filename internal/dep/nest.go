@@ -30,7 +30,7 @@ type nestSpace struct {
 
 	// Slabs the forms of one analysis are carved from (see workspace).
 	coefs []nvCoef
-	syms  []symTerm
+	syms  []SymCoef
 	// Distance vector of the access pair under test, one entry per slot.
 	dist  []int64
 	known []bool
@@ -90,12 +90,6 @@ func coef(k int64, sym string) nvCoef {
 	return nvCoef{K: k, Sym: sym}
 }
 
-// symTerm is one symbolic addend K·Name of a subscript.
-type symTerm struct {
-	Name string
-	K    int64
-}
-
 // nAffine is a subscript over the whole nest:
 //
 //	Σ Coefs[slot]·var + Σ Syms[i].K·Syms[i].Name + Const
@@ -107,7 +101,7 @@ type symTerm struct {
 // iterations.
 type nAffine struct {
 	Coefs   []nvCoef
-	Syms    []symTerm
+	Syms    []SymCoef
 	Const   int64
 	Varying bool
 	OK      bool
@@ -121,7 +115,7 @@ func (ns *nestSpace) nZero() nAffine {
 func (ns *nestSpace) nSym(name string, varying bool) nAffine {
 	r := ns.nZero()
 	r.Syms = carve(&ns.syms, 1)
-	r.Syms[0] = symTerm{Name: name, K: 1}
+	r.Syms[0] = SymCoef{Name: name, K: 1}
 	r.Varying = varying
 	return r
 }
@@ -146,23 +140,7 @@ func (ns *nestSpace) nAdd(x, y nAffine) nAffine {
 			r.Coefs[s] = coef(p.K+c.K, c.Sym)
 		}
 	}
-	// Merge the two sorted term lists, dropping terms that cancel.
-	r.Syms = carve(&ns.syms, len(x.Syms)+len(y.Syms))[:0]
-	xs, ys := x.Syms, y.Syms
-	for len(xs) > 0 && len(ys) > 0 {
-		switch cmp := strings.Compare(xs[0].Name, ys[0].Name); {
-		case cmp < 0:
-			r.Syms, xs = append(r.Syms, xs[0]), xs[1:]
-		case cmp > 0:
-			r.Syms, ys = append(r.Syms, ys[0]), ys[1:]
-		default:
-			if k := xs[0].K + ys[0].K; k != 0 {
-				r.Syms = append(r.Syms, symTerm{Name: xs[0].Name, K: k})
-			}
-			xs, ys = xs[1:], ys[1:]
-		}
-	}
-	r.Syms = append(append(r.Syms, xs...), ys...)
+	r.Syms = mergeSyms(carve(&ns.syms, len(x.Syms)+len(y.Syms))[:0], x.Syms, y.Syms)
 	return r
 }
 
@@ -185,7 +163,7 @@ func (ns *nestSpace) nScale(x nAffine, c int64) nAffine {
 	r.Syms = carve(&ns.syms, len(x.Syms))[:0]
 	for _, t := range x.Syms {
 		if k := t.K * c; k != 0 {
-			r.Syms = append(r.Syms, symTerm{Name: t.Name, K: k})
+			r.Syms = append(r.Syms, SymCoef{Name: t.Name, K: k})
 		}
 	}
 	return r
@@ -222,13 +200,13 @@ func (ns *nestSpace) nMulSym(x nAffine, sym string, varying bool) nAffine {
 }
 
 // addSym adds k·name into a sorted term list within its capacity.
-func addSym(terms []symTerm, name string, k int64) []symTerm {
-	i, found := slices.BinarySearchFunc(terms, name, func(t symTerm, n string) int {
+func addSym(terms []SymCoef, name string, k int64) []SymCoef {
+	i, found := slices.BinarySearchFunc(terms, name, func(t SymCoef, n string) int {
 		return strings.Compare(t.Name, n)
 	})
 	switch {
 	case !found:
-		return slices.Insert(terms, i, symTerm{Name: name, K: k})
+		return slices.Insert(terms, i, SymCoef{Name: name, K: k})
 	case terms[i].K+k == 0:
 		return slices.Delete(terms, i, i+1)
 	}

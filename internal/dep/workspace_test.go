@@ -145,7 +145,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 		}
 	}
 	for i, s := range ws.ns.syms[:cap(ws.ns.syms)] {
-		if s != (symTerm{}) {
+		if s != (SymCoef{}) {
 			t.Fatalf("syms[%d] survives release: %+v", i, s)
 		}
 	}

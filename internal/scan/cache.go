@@ -36,11 +36,7 @@ type cacheData struct {
 
 // FileStore is a file-backed VerdictStore: an unbounded MemStore (the file
 // describes one tree, which sizes it) loaded at open, plus Flush, which
-// persists the union of loaded and freshly put verdicts. Its contract is
-// Get, Put, Len and Flush; the rest of what the embedding promotes (Roll,
-// Gen, PutAt, Range) belongs to the generation-tagged stores — a file
-// cache has one generation, fixed by its header, and a Roll before a Flush
-// would rewrite the file empty.
+// persists the union of loaded and freshly put verdicts.
 type FileStore struct {
 	*MemStore
 	path    string
@@ -78,7 +74,7 @@ func OpenFileStore(path, backend, modelID string) (*FileStore, error) {
 // Flush atomically rewrites the cache file with every resident verdict.
 func (fs *FileStore) Flush() error {
 	entries := make(map[string]*Suggestion, fs.Len())
-	fs.Range(func(h string, s *Suggestion) { entries[h] = s })
+	fs.cache.Range(func(h string, s *Suggestion) { entries[h] = s })
 	cf := cacheData{Version: cacheVersion, Backend: fs.backend, Model: fs.modelID, Entries: entries}
 	err := ckpt.WriteFileAtomic(fs.path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)

@@ -171,30 +171,30 @@ func printLoops(t *testing.T, src string) map[[2]int]string {
 	return out
 }
 
-// TestMaxFileBytesBothPaths: a file over Config.MaxFileBytes is skipped with
-// the same reason whether it is read from disk or handed over in memory,
-// and a file exactly at the limit beside it still scans.
+// TestMaxFileBytesBothPaths: a file one byte over maxFileBytes is skipped
+// with the same reason whether it is read from disk or handed over in
+// memory, and a file exactly at the limit beside it still scans.
 func TestMaxFileBytesBothPaths(t *testing.T) {
-	small := parityFiles["one.c"]
-	big := small + strings.Repeat("/* padding */\n", 8)
-	limit := int64(len(small))
+	one := parityFiles["one.c"]
+	limit := one + strings.Repeat("\n", maxFileBytes-len(one))
+	big := limit + "\n"
 	dir := t.TempDir()
-	for name, code := range map[string]string{"big.c": big, "small.c": small} {
+	for name, code := range map[string]string{"big.c": big, "limit.c": limit} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(code), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg := Config{Workers: 2, MaxFileBytes: limit}
+	cfg := Config{Workers: 2}
 	onDisk, err := Dir(context.Background(), dir, cfg, &stubSuggester{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inMemory, err := scanFiles(context.Background(),
-		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "small.c", Data: []byte(small)}}, cfg, adviseWith(&stubSuggester{}, nil))
+		[]Source{{Path: "big.c", Data: []byte(big)}, {Path: "limit.c", Data: []byte(limit)}}, cfg, adviseWith(&stubSuggester{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Skip{{File: "big.c", Reason: fmt.Sprintf("file too large (%d bytes > %d)", len(big), limit)}}
+	want := []Skip{{File: "big.c", Reason: fmt.Sprintf("file too large (%d bytes > %d)", len(big), maxFileBytes)}}
 	for path, rep := range map[string]*Report{"Dir": onDisk, "Files": inMemory} {
 		if !slices.Equal(rep.Skips, want) {
 			t.Errorf("%s: skips %+v, want %+v", path, rep.Skips, want)

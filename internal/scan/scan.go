@@ -72,8 +72,6 @@ type Config struct {
 	// never replayed against another — a stale cache costs a re-scan,
 	// never a wrong report.
 	ModelID string
-	// MaxFileBytes skips files larger than this (default 1 MiB).
-	MaxFileBytes int64
 	// IncludeAnnotated also advises loops every occurrence of which
 	// already carries a pragma; by default they are reported but not
 	// re-advised.
@@ -86,9 +84,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
-	}
-	if c.MaxFileBytes <= 0 {
-		c.MaxFileBytes = 1 << 20
 	}
 }
 
@@ -685,11 +680,11 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 	data := src.Data
 	if data == nil {
 		var err error
-		if data, err = readSource(src.Path, cfg.MaxFileBytes); err != nil {
+		if data, err = readSource(src.Path); err != nil {
 			return fileOut{failed: true, skips: []Skip{{File: name, Reason: err.Error()}}}
 		}
-	} else if size := int64(len(data)); size > cfg.MaxFileBytes {
-		return fileOut{failed: true, skips: []Skip{{File: name, Reason: tooLarge(size, cfg.MaxFileBytes)}}}
+	} else if size := int64(len(data)); size > maxFileBytes {
+		return fileOut{failed: true, skips: []Skip{{File: name, Reason: tooLarge(size)}}}
 	}
 	// The recovering parser keeps going past a broken region, so a file with
 	// one malformed function still contributes its other loops; each broken
@@ -744,9 +739,9 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 }
 
 // readSource reads the file at path. One open serves the size check and the
-// read, and the read stops one byte past limit, so a file that grew past
-// limit after the Stat is refused too, not read whole.
-func readSource(path string, limit int64) ([]byte, error) {
+// read, and the read stops one byte past maxFileBytes, so a file that grew
+// past it after the Stat is refused too, not read whole.
+func readSource(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -756,10 +751,10 @@ func readSource(path string, limit int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.Size() > limit {
-		return nil, errors.New(tooLarge(info.Size(), limit))
+	if info.Size() > maxFileBytes {
+		return nil, errors.New(tooLarge(info.Size()))
 	}
-	return readAtMost(f, info.Size(), limit)
+	return readAtMost(f, info.Size(), maxFileBytes)
 }
 
 // readAtMost reads r to its end into one buffer sized for size bytes plus
@@ -788,10 +783,13 @@ func readAtMost(r io.Reader, size, limit int64) ([]byte, error) {
 	}
 }
 
-// tooLarge is the skip reason of a file over Config.MaxFileBytes, on disk
-// or in memory.
-func tooLarge(size, limit int64) string {
-	return fmt.Sprintf("file too large (%d bytes > %d)", size, limit)
+// maxFileBytes is the largest file a scan parses; a larger one is skipped.
+const maxFileBytes = 1 << 20
+
+// tooLarge is the skip reason of a file over maxFileBytes, on disk or in
+// memory.
+func tooLarge(size int64) string {
+	return fmt.Sprintf("file too large (%d bytes > %d)", size, maxFileBytes)
 }
 
 // carve returns the next element of *chunk as a slice of length and

@@ -33,10 +33,9 @@ type VerdictStore interface {
 const memStoreCap = 1 << 16
 
 // MemStore is the in-memory VerdictStore: an lru.Cache of the verdicts put
-// into it, each held as it was put. Get, Len, Gen, Roll and Range are the
-// cache's own.
+// into it, each held as it was put.
 type MemStore struct {
-	*lru.Cache[*Suggestion]
+	cache *lru.Cache[*Suggestion]
 }
 
 // NewMemStore returns an empty store bounded at memStoreCap verdicts.
@@ -46,19 +45,16 @@ func newMemStore(capacity int) *MemStore {
 	return &MemStore{lru.New[*Suggestion](capacity)}
 }
 
+// Get returns the verdict stored under hash.
+func (s *MemStore) Get(hash string) (*Suggestion, bool) { return s.cache.Get(hash) }
+
 // Put stores the verdict, taking ownership of it. Nil suggestions are
 // ignored.
 func (s *MemStore) Put(hash string, v *Suggestion) {
 	if v != nil {
-		s.Cache.Put(hash, v)
+		s.cache.Put(hash, v)
 	}
 }
 
-// PutAt is Put for a verdict computed under generation gen (read with Gen
-// before the computation started); it is dropped if the store has rolled
-// since.
-func (s *MemStore) PutAt(gen uint64, hash string, v *Suggestion) {
-	if v != nil {
-		s.Cache.PutAt(gen, hash, v)
-	}
-}
+// Len is the number of verdicts held.
+func (s *MemStore) Len() int { return s.cache.Len() }

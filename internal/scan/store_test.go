@@ -44,21 +44,6 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatal("nil Put changed the store")
 	}
-	// Roll empties the store, and a verdict computed under the generation
-	// it closed is dropped.
-	gen := s.Gen()
-	s.Roll()
-	if s.Len() != 0 {
-		t.Fatal("Roll left verdicts behind")
-	}
-	s.PutAt(gen, "h1", v)
-	if _, ok := s.Get("h1"); ok {
-		t.Fatal("a verdict of the superseded generation was stored")
-	}
-	s.PutAt(s.Gen(), "h1", v)
-	if got, ok := s.Get("h1"); !ok || got != v {
-		t.Fatal("PutAt at the current generation must store the verdict")
-	}
 }
 
 // NewMemStore is bounded: one verdict past the capacity evicts the least
@@ -417,7 +402,7 @@ func (s *evidenceSuggester) SuggestBatch(codes []string) ([]advisor.BatchItem, e
 func storedJSON(t *testing.T, store *MemStore) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	store.Range(func(h string, s *Suggestion) {
+	store.cache.Range(func(h string, s *Suggestion) {
 		b, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
@@ -440,7 +425,7 @@ func TestStoredVerdictsStayPut(t *testing.T) {
 	}
 	before := storedJSON(t, store)
 	unranked := 0
-	store.Range(func(_ string, s *Suggestion) {
+	store.cache.Range(func(_ string, s *Suggestion) {
 		if !slices.IsSortedFunc(s.Attributions, func(a, b Attribution) int { return cmp.Compare(math.Abs(b.Weight), math.Abs(a.Weight)) }) {
 			unranked++
 		}

@@ -95,7 +95,7 @@ func TestHTTPStatzShape(t *testing.T) {
 
 // With Shed on and the queue saturated, Predict returns ErrSaturated
 // instead of blocking. The gated backend holds the first request in the one
-// worker's forward, so behind it the path has room for QueueDepth (1) more
+// worker's forward, so behind it the path has room for MaxBatch·Replicas (1) more
 // and every other request of the flood is shed — on every run, whatever the
 // scheduler does.
 func TestEngineShedsWhenSaturated(t *testing.T) {
@@ -103,8 +103,7 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
 	models.Directive = gate
 	e, err := New(models, Config{
-		MaxBatch: 1, Replicas: 1,
-		QueueDepth: 1, Shed: true, CacheSize: -1,
+		MaxBatch: 1, Replicas: 1, Shed: true, CacheSize: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func (g gatedBackend) PredictBatch(idsBatch [][]int) []float64 {
 // TestHTTPShedIs429: a request that finds the predict path full is answered
 // 429 with Retry-After. The gated backend holds the first request in the one
 // worker's forward, so nothing admitted after it can be answered before the
-// gate opens; behind the worker the path has room for QueueDepth (1) more
+// gate opens; behind the worker the path has room for MaxBatch·Replicas (1) more
 // alone, so of any three further requests at least one is shed — on every
 // run, whatever the scheduler does.
 func TestHTTPShedIs429(t *testing.T) {
@@ -191,8 +190,7 @@ func TestHTTPShedIs429(t *testing.T) {
 	gate := gatedBackend{Backend: models.Directive, entered: make(chan struct{}), release: make(chan struct{})}
 	models.Directive = gate
 	e, err := New(models, Config{
-		MaxBatch: 1, Replicas: 1,
-		QueueDepth: 1, Shed: true, CacheSize: -1,
+		MaxBatch: 1, Replicas: 1, Shed: true, CacheSize: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

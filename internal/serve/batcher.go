@@ -64,18 +64,16 @@ type batcher[P any, R any] struct {
 
 // newBatcher starts cfg.Replicas workers over run; they exit when done
 // closes. cfg must have its defaults filled. Its series are registered in
-// reg under the label path. cfg.QueueDepth caps the request queue — the
-// backpressure point: with cfg.Shed, a full queue fails fast with
-// ErrSaturated instead of blocking the caller.
+// reg under the label path. The request queue holds MaxBatch·Replicas
+// calls: what may wait while every worker is busy, each worker taking up to
+// MaxBatch of them when it frees up. It is the backpressure point: with
+// cfg.Shed, a full queue fails fast with ErrSaturated instead of blocking
+// the caller.
 func newBatcher[P any, R any](reg *obs.Registry, path string, cfg Config,
 	run runFunc[P, R], done chan struct{}, wg *sync.WaitGroup) *batcher[P, R] {
-	queueDepth := cfg.QueueDepth
-	if queueDepth <= 0 {
-		queueDepth = cfg.MaxBatch * cfg.Replicas
-	}
 	l := obs.Labels{"path": path}
 	b := &batcher[P, R]{
-		queue:    make(chan *call[P, R], queueDepth),
+		queue:    make(chan *call[P, R], cfg.MaxBatch*cfg.Replicas),
 		cache:    lru.New[R](cfg.CacheSize),
 		maxBatch: cfg.MaxBatch,
 		shed:     cfg.Shed,

@@ -61,12 +61,6 @@ type Config struct {
 	// CacheSize is the per-path LRU capacity in entries (default 1024;
 	// negative disables caching).
 	CacheSize int
-	// QueueDepth caps each batcher's request queue (default
-	// MaxBatch*Replicas): the requests that may wait while every worker is
-	// busy, each worker taking up to MaxBatch of them when it frees up. With
-	// Shed set it is the admission-control knob: requests past the cap fail
-	// fast instead of stacking up.
-	QueueDepth int
 	// Shed makes a full queue return ErrSaturated instead of blocking the
 	// caller — load shedding for the HTTP layer (429 + Retry-After) and
 	// the tier router's admission signal. Off by default: library callers

@@ -223,12 +223,3 @@ func AddInto(dst, a, b *Matrix) {
 		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
 }
-
-// Norm2 returns the Euclidean norm of the matrix elements.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}

@@ -61,16 +61,6 @@ func TestSoftmaxVecEmpty(t *testing.T) {
 	}
 }
 
-func TestNorm2(t *testing.T) {
-	m := FromSlice(1, 2, []float64{3, 4})
-	if m.Norm2() != 5 {
-		t.Errorf("norm = %g", m.Norm2())
-	}
-	if New(2, 2).Norm2() != 0 {
-		t.Error("zero matrix norm != 0")
-	}
-}
-
 func TestMatMulZeroDimensions(t *testing.T) {
 	// Degenerate shapes must not panic.
 	a := New(0, 3)

@@ -9,7 +9,7 @@ import (
 )
 
 // The consistent-hash ring maps loop content hashes to replicas. Each
-// replica owns VNodes points on a uint64 ring; a key routes to the first
+// replica owns vnodes points on a uint64 ring; a key routes to the first
 // point clockwise from its own position. The properties the tier needs:
 //
 //   - Stability: adding or removing one replica moves only the keys that
@@ -36,13 +36,13 @@ type ringPoint struct {
 	name string
 }
 
+// vnodes is the number of points each replica owns on the ring.
+const vnodes = 64
+
 // newRing places vnodes points per name. Placement hashes are sha-256 of
 // "name#i" — stable across processes, so every router instance agrees on
 // the mapping.
-func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+func newRing(names []string) *ring {
 	r := &ring{names: append([]string(nil), names...)}
 	for _, name := range r.names {
 		for i := 0; i < vnodes; i++ {

@@ -21,8 +21,8 @@ func ringKeys(n int) []string {
 // else's caches stay hot.
 func TestRingRemovalMovesOnlyRemovedKeys(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c", "http://d"}
-	before := newRing(names, 64)
-	after := newRing([]string{"http://a", "http://b", "http://d"}, 64)
+	before := newRing(names)
+	after := newRing([]string{"http://a", "http://b", "http://d"})
 	keys := ringKeys(2000)
 	moved := 0
 	for _, k := range keys {
@@ -43,8 +43,8 @@ func TestRingRemovalMovesOnlyRemovedKeys(t *testing.T) {
 // Adding a replica moves keys only TO the new replica, roughly 1/N of
 // them.
 func TestRingAdditionBounded(t *testing.T) {
-	before := newRing([]string{"http://a", "http://b", "http://c"}, 64)
-	after := newRing([]string{"http://a", "http://b", "http://c", "http://d"}, 64)
+	before := newRing([]string{"http://a", "http://b", "http://c"})
+	after := newRing([]string{"http://a", "http://b", "http://c", "http://d"})
 	keys := ringKeys(4000)
 	moved := 0
 	for _, k := range keys {
@@ -68,7 +68,7 @@ func TestRingAdditionBounded(t *testing.T) {
 // the spill order the bounded-load fallback relies on.
 func TestRingWalk(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
-	r := newRing(names, 32)
+	r := newRing(names)
 	for _, k := range ringKeys(100) {
 		w := r.walk(nil, k)
 		if len(w) != len(names) {
@@ -102,7 +102,7 @@ func firstClockwise(r *ring, key string) string {
 // Ring placement is deterministic across instances (routers must agree).
 func TestRingDeterministic(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
-	r1, r2 := newRing(names, 64), newRing(names, 64)
+	r1, r2 := newRing(names), newRing(names)
 	for _, k := range ringKeys(500) {
 		if r1.walk(nil, k)[0] != r2.walk(nil, k)[0] {
 			t.Fatalf("rings disagree on %s", k)
@@ -114,7 +114,7 @@ func TestRingDeterministic(t *testing.T) {
 // replica empty).
 func TestRingBalance(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := newRing(names, 64)
+	r := newRing(names)
 	counts := map[string]int{}
 	keys := ringKeys(4000)
 	for _, k := range keys {

@@ -40,12 +40,6 @@ import (
 type Config struct {
 	// Replicas lists the cmd/serve base URLs ("http://host:port").
 	Replicas []string
-	// VNodes is the virtual nodes per replica on the hash ring (0 = 64).
-	VNodes int
-	// LoadFactor bounds how far above the mean a replica's router-side
-	// in-flight count may sit before a key spills to the next replica in
-	// its walk order (0 = 1.25, the classic bounded-load setting).
-	LoadFactor float64
 	// MaxInFlight is the hard per-replica in-flight cap; with every
 	// routable replica at the cap the router sheds (429). 0 = 64.
 	MaxInFlight int
@@ -83,12 +77,6 @@ type Config struct {
 // fillDefaults fills the zero fields. For a nil Client it returns the
 // transport it built the client on, which the router owns.
 func (c *Config) fillDefaults() *http.Transport {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
 	}
@@ -171,7 +159,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:       cfg,
-		ring:      newRing(cfg.Replicas, cfg.VNodes),
+		ring:      newRing(cfg.Replicas),
 		reps:      make(map[string]*replica, len(cfg.Replicas)),
 		order:     append([]string(nil), cfg.Replicas...),
 		store:     lru.New[*verdict](storeCap),
@@ -299,9 +287,14 @@ func (rt *Router) admitted(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// loadFactor bounds how far above the mean a replica's router-side
+// in-flight count may sit before a key spills to the next replica in its
+// walk order: the classic bounded-load setting.
+const loadFactor = 1.25
+
 // pick selects the replica for a key: the first routable replica in the
 // key's walk order whose in-flight count sits under the bounded-load
-// threshold ceil(LoadFactor·(total+1)/healthy). At least one routable
+// threshold ceil(loadFactor·(total+1)/healthy). At least one routable
 // replica is always under that threshold, so pick only returns nil when
 // every routable replica is at the MaxInFlight hard cap — true saturation
 // — or when nothing is routable at all.
@@ -322,7 +315,7 @@ func (rt *Router) pick(key string) *replica {
 	if len(routable) == 0 {
 		return nil
 	}
-	threshold := int64(math.Ceil(rt.cfg.LoadFactor * float64(total+1) / float64(len(routable))))
+	threshold := int64(math.Ceil(loadFactor * float64(total+1) / float64(len(routable))))
 	var best *replica
 	for _, r := range routable {
 		load := r.inflight.Load()

@@ -930,10 +930,12 @@ func TestRouterForwardAllocs(t *testing.T) {
 // only its own bytes alive, not the reply's other items. One canonical loop
 // rides in a batch with thousands of formatting variants, which are relayed
 // but never stored; once the answers are dropped, the heap must hold about
-// one verdict more than before, not the whole reply.
+// one verdict more than before, not the whole reply. The prober is held
+// off: a /readyz answer between the two heap reads can put the fake's
+// encode buffer for the whole reply back into encoding/json's pool.
 func TestStoredItemOwnsItsBytes(t *testing.T) {
 	a := newFakeReplica(t)
-	rt := newTestRouter(t, Config{Backend: "fake"}, a)
+	rt := newTestRouter(t, Config{Backend: "fake", ProbeInterval: time.Hour}, a)
 	ctx := context.Background()
 	const variants = 4000
 	codes := make([]string, 0, variants+1)
