@@ -5,13 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/clex"
 )
 
-func readFixture(t *testing.T, name string) string {
+func readFixture(t testing.TB, name string) string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scantree", name))
 	if err != nil {
@@ -22,8 +23,8 @@ func readFixture(t *testing.T, name string) string {
 
 // TestParseAllocs gates the parser's allocation diet on a declaration-heavy
 // fixture, the shape slabbed expression nodes help least: pooled token
-// buffer, slabs sized from the token stream, type names stored with their
-// TypeSpec. parentAllocs is the count at the commit before the diet.
+// buffer, slabbed nodes, type names stored with their TypeSpec.
+// parentAllocs is the count at the commit before the diet.
 func TestParseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -90,9 +91,12 @@ void k(double *b, struct s q, int n) {
 // TestTreeReuse: a parse into slabs a released tree handed back is the parse
 // into fresh ones, for every ordered pair of fixtures, whether the first
 // tree is released before the second parse or while the second is held.
+// Pairs with grown parse into slabs that grow mid-parse, or into slabs a
+// larger parse grew.
 func TestTreeReuse(t *testing.T) {
 	names, srcs := scantree(t)
-	for name, src := range map[string]string{"slabKinds[0]": slabKinds[0], "statementKinds": statementKinds} {
+	for name, src := range map[string]string{"slabKinds[0]": slabKinds[0], "statementKinds": statementKinds,
+		"grown": grown} {
 		if _, errs := ParseRecover(src); len(errs) > 0 {
 			t.Fatalf("%s does not parse: %v", name, errs[0])
 		}
@@ -100,7 +104,7 @@ func TestTreeReuse(t *testing.T) {
 	for i, src := range slabKinds {
 		names, srcs = append(names, fmt.Sprintf("slabKinds[%d]", i)), append(srcs, src)
 	}
-	names, srcs = append(names, "statementKinds"), append(srcs, statementKinds)
+	names, srcs = append(names, "statementKinds", "grown"), append(srcs, statementKinds, grown)
 	for i, srcA := range srcs {
 		for j, srcB := range srcs {
 			a, b := names[i], names[j]
@@ -125,14 +129,15 @@ func TestTreeReuse(t *testing.T) {
 	}
 }
 
-// pinsNothing reports whether every slot of p's slabs, token buffer and list
-// stacks is zero up to its capacity: a pooled parser pins no source text.
+// pinsNothing reports whether every slot of p's slabs, their lists of
+// outgrown arrays, token buffer and list stacks is zero up to its capacity:
+// a pooled parser pins no source text.
 func pinsNothing(p *Parser) bool {
 	s := reflect.ValueOf(&p.slabs).Elem()
 	bufs := []reflect.Value{reflect.ValueOf(p.buf), reflect.ValueOf(p.stmts), reflect.ValueOf(p.items), reflect.ValueOf(p.decls),
 		reflect.ValueOf(p.args)}
 	for i := 0; i < s.NumField(); i++ {
-		bufs = append(bufs, s.Field(i).Field(0))
+		bufs = append(bufs, s.Field(i).FieldByName("buf"), s.Field(i).FieldByName("old"))
 	}
 	for _, b := range bufs {
 		b = b.Slice(0, b.Cap())
@@ -160,11 +165,23 @@ const statementKinds = `int count(const int *a, int n) {
 for (i = 0; i < n; i++) a[i] = count(b[i], m);
 `
 
+// grown is larger than any slab's first array: 400 statements with calls,
+// `if`, members and strings.
+var grown = func() string {
+	var b strings.Builder
+	b.WriteString("void big(struct grid *g, double *a, int n) {\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "    if (g->mask[%d] > g->cut.lo) a[%d] = f(a[%d], %d.5, \"s%d\");\n", i, i, i+1, i, i)
+	}
+	return b.String() + "}\n"
+}()
+
 // TestParseTreeAllocs: in steady state a released tree's parser and slabs
 // serve the next parse, which then allocates next to nothing, on a
 // declaration-heavy fixture, a hand-annotated one and statementKinds alike.
 // While `#pragma`, `while` and `return` statements were allocated one by
-// one, the last two read 1 and 4.
+// one, the last two read 1 and 4. grown runs after two warm-up parses have
+// grown the slabs to its size.
 func TestParseTreeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -173,7 +190,10 @@ func TestParseTreeAllocs(t *testing.T) {
 		{"stencil.c", readFixture(t, "stencil.c")},
 		{"annotated.c", readFixture(t, "annotated.c")},
 		{"statementKinds", statementKinds},
+		{"grown", grown},
 	} {
+		ParseTree(tc.src).Release()
+		ParseTree(tc.src).Release()
 		got := testing.AllocsPerRun(200, func() { ParseTree(tc.src).Release() })
 		t.Logf("ParseTree(%s)+Release: %.0f allocs", tc.name, got)
 		if got > 3 {
@@ -218,18 +238,31 @@ func TestPooledParserCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// TestPutPastTheBound: a slab whose bound fell short still hands out nodes,
-// fresh ones outside the slab, and sizing it for the next parse zeroes the
-// slots it handed out without touching those.
-func TestPutPastTheBound(t *testing.T) {
+// TestSlabGrows: a full slab hands out its next nodes from an array at
+// least twice as long, reset zeroes every slot it handed out, the outgrown
+// array's included, and the slab keeps the larger array.
+func TestSlabGrows(t *testing.T) {
 	var s slab[cast.Ident]
-	s.size(1)
-	a, b := put(&s, cast.Ident{Name: "a"}), put(&s, cast.Ident{Name: "b"})
-	if a.Name != "a" || b.Name != "b" || a != &s.buf[0] || b == &s.buf[0] {
-		t.Errorf("put returned %+v and %+v", a, b)
+	nodes := make([]*cast.Ident, minSlab+1)
+	for i := range nodes {
+		nodes[i] = put(&s, cast.Ident{Name: fmt.Sprint(i)})
 	}
-	s.size(1)
-	if a.Name != "" || b.Name != "b" || s.used != 0 {
-		t.Errorf("after size: slot %+v, past the bound %+v, %d used", a, b, s.used)
+	if len(s.buf) < 2*minSlab || nodes[0] == &s.buf[0] || nodes[minSlab] != &s.buf[0] {
+		t.Fatalf("after %d puts: array of %d, node %d not its first slot", len(nodes), len(s.buf), minSlab)
+	}
+	for i, n := range nodes {
+		if n.Name != fmt.Sprint(i) {
+			t.Fatalf("node %d reads %q after the slab grew", i, n.Name)
+		}
+	}
+	grown := &s.buf[0]
+	s.reset()
+	for i, n := range nodes {
+		if n.Name != "" {
+			t.Fatalf("node %d reads %q after reset", i, n.Name)
+		}
+	}
+	if len(s.old) != 0 || s.used != 0 || put(&s, cast.Ident{Name: "next"}) != grown {
+		t.Errorf("after reset: %d outgrown arrays, %d used, next node not in the larger array", len(s.old), s.used)
 	}
 }

@@ -74,7 +74,7 @@ func (p *Parser) release(keep bool) {
 	if keep {
 		p.slabs = p.spare
 	} else {
-		p.size(bounds{})
+		p.reset()
 	}
 	*p = Parser{slabs: p.slabs, buf: empty(p.buf), stmts: empty(p.stmts), items: empty(p.items), decls: empty(p.decls),
 		args: empty(p.args)}
@@ -88,9 +88,9 @@ func empty[T any](s []T) []T {
 
 // slabs backs the node kinds that make up most of a parse, and the lists
 // that hold them, with one array per kind instead of one allocation per
-// node. Each array is sized from the token stream (see start), so a small
-// snippet pays for what it holds and no more, and a pooled array is reused
-// for as long as it is big enough.
+// node. A slab grows when a parse needs it, and a pooled parser keeps each
+// kind's largest array for the next parse, so in steady state a parse
+// allocates no node.
 type slabs struct {
 	idents    slab[cast.Ident]
 	ints      slab[cast.IntLit]
@@ -120,41 +120,47 @@ type slabs struct {
 	whiles    slab[cast.While]
 }
 
-// bounds holds one count per slab, in the order of the slabs fields.
-type bounds [26]int
-
-// size zeroes the slots the last parse used in every slab and makes room
-// for b's counts.
-func (s *slabs) size(b bounds) {
-	for i, k := range [...]interface{ size(int) }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
+// reset zeroes every slot the last parse handed out, in every slab.
+func (s *slabs) reset() {
+	for _, k := range [...]interface{ reset() }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
 		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
 		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists, &s.calls, &s.argLists, &s.ifs,
 		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles} {
-		k.size(b[i])
+		k.reset()
 	}
 }
 
-// slab is one kind's array: a parse hands its slots out in order.
+// minSlab is the least length of a slab's first array.
+const minSlab = 32
+
+// slab is one kind's array: a parse hands its slots out in order. An array
+// the parse outgrew stays in old, holding the nodes it handed out, until
+// reset.
 type slab[T any] struct {
 	buf  []T
 	used int
+	old  [][]T
 }
 
-func (s *slab[T]) size(n int) {
+// reset zeroes the handed-out slots, outgrown arrays' included, and keeps
+// only buf, the largest array, for the next parse.
+func (s *slab[T]) reset() {
 	clear(s.buf[:s.used])
-	s.used = 0
-	if cap(s.buf) < n {
-		s.buf = make([]T, n)
+	for _, o := range s.old {
+		clear(o)
 	}
-	s.buf = s.buf[:n]
+	s.old, s.used = empty(s.old), 0
 }
 
 // carve hands out the slab's next k slots, capped so that an append through
-// the result cannot run into the next carve, or k fresh ones when the bound
-// that sized the slab fell short (a backtracked region is parsed twice).
+// the result cannot run into the next carve. When they do not fit, the slab
+// moves to a new array at least twice as long.
 func carve[T any](s *slab[T], k int) []T {
 	if s.used+k > len(s.buf) {
-		return make([]T, k)
+		if s.used > 0 {
+			s.old = append(s.old, s.buf[:s.used])
+		}
+		s.buf, s.used = make([]T, max(2*len(s.buf), minSlab, k)), 0
 	}
 	s.used += k
 	return s.buf[s.used-k : s.used : s.used]
@@ -180,98 +186,6 @@ func pop[T any](s *slab[T], stack *[]T, mark int) []T {
 	clear(list)
 	*stack = (*stack)[:mark]
 	return out
-}
-
-// start points p at toks, which end in EOF, and sizes the slabs by one pass
-// over them. Each count bounds its kind from above: a name or literal token
-// makes at most one node, `+ - * &` are binary after an operand and unary
-// otherwise, and of the two ';' in a for header at most one (the init) ends
-// an expression statement. A listed statement or item ends on its own ';'
-// outside a for header, '}' or pragma. A declaration, parameter, cast or
-// sizeof starts a run of type words, a ',' outside parentheses may start
-// another declarator, and a function definition has a body. A call is a
-// '(' after an operand other than the name a type declares, and its
-// arguments number one more than its ','; an `if`, `return` or `while`
-// and a `#pragma` line make at most one statement each, and a '.' or '->'
-// one member.
-func (p *Parser) start(toks []clex.Token) {
-	var kinds [clex.Pragma + 1]int
-	var fors, semis, blocks, arrays, assigns, binarys, unarys, runs, commas, parens int
-	var calls, inner, ifs, members, returns, whiles int
-	// The previous token ended an operand, was a type word, was a name right
-	// after a type word.
-	operand, inType, declared := false, false, false
-	for _, t := range toks {
-		kinds[t.Kind]++
-		ends := t.Kind != clex.Punct && t.Kind != clex.Keyword
-		typeWord := t.Kind == clex.Keyword && declWords[t.Text] || t.Kind == clex.Ident && builtinTypes[t.Text]
-		if typeWord && !inType {
-			runs++
-		}
-		named := t.Kind == clex.Ident && inType
-		inType = typeWord
-		switch t.Text {
-		case "for":
-			fors++
-		case "if":
-			ifs++
-		case "return":
-			returns++
-		case "while":
-			whiles++
-		case ".", "->":
-			members++
-		case ";":
-			semis++
-		case "{":
-			blocks++
-		case "[":
-			arrays++
-		case "(":
-			parens++
-			if operand && !declared {
-				calls++
-			}
-		case ",":
-			if parens == 0 {
-				commas++
-			} else {
-				inner++
-			}
-		case ")":
-			parens = max(parens-1, 0)
-			ends = true
-		case "]":
-			ends = true
-		case "++", "--":
-			unarys++
-			ends = operand // postfix leaves an operand behind, prefix does not
-		case "!", "~":
-			unarys++
-		case "+", "-", "*", "&":
-			if operand {
-				binarys++
-			} else {
-				unarys++
-			}
-		default:
-			if assignOps[t.Text] {
-				assigns++
-			} else if _, ok := binaryPrec[t.Text]; ok {
-				binarys++
-			}
-		}
-		operand, declared = ends, named
-	}
-	listed := max(semis-2*fors, 0) + blocks + kinds[clex.Pragma]
-	args := 0
-	if calls > 0 {
-		args = calls + inner
-	}
-	p.toks = toks
-	p.size(bounds{kinds[clex.Ident], kinds[clex.IntLit], kinds[clex.FloatLit], binarys, assigns, unarys, arrays,
-		max(semis-fors, 0), blocks, fors, 1, listed, listed, runs + commas, min(runs, blocks), runs, runs + commas, runs + commas,
-		calls, args, ifs, kinds[clex.StringLit], members, kinds[clex.Pragma], returns, whiles})
 }
 
 // parses counts Parse calls process-wide; see Parses.
@@ -308,7 +222,7 @@ func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
 	if len(toks) == 0 || toks[len(toks)-1].Kind != clex.EOF {
 		return nil, &Error{Line: 1, Col: 1, Msg: "token stream does not end in EOF"}
 	}
-	p.start(toks)
+	p.toks = toks
 	f, _, err := p.parseFile(true)
 	return f, err
 }
@@ -358,7 +272,7 @@ func (p *Parser) parseRecover(src string) (*cast.File, []*Error) {
 		}
 		return &cast.File{}, []*Error{e}
 	}
-	p.start(p.buf)
+	p.toks = p.buf
 	f, errs, _ := p.parseFile(false)
 	return f, errs
 }

@@ -446,12 +446,32 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
+// loops20 is twenty one-line loops, each with a call.
+var loops20 = strings.Repeat("for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + f(i); }\n", 20)
+
+// BenchmarkParse times the path whose tree the caller keeps, on fresh slabs.
 func BenchmarkParse(b *testing.B) {
-	src := strings.Repeat("for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + f(i); }\n", 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(src); err != nil {
+		if _, err := Parse(loops20); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParseTree times the pooled path every scan, advisor call and
+// router canonical print takes: a parse into the slabs the last released
+// tree handed back.
+func BenchmarkParseTree(b *testing.B) {
+	for _, bc := range []struct{ name, src string }{
+		{"kernel.c", readFixture(b, "nested/kernel.c")},
+		{"loops20", loops20},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ParseTree(bc.src).Release()
+			}
+		})
 	}
 }

@@ -60,6 +60,8 @@ var poolFamilies = map[string]string{
 	"GetInt8Matrix": "PutInt8Matrix",
 	// Borrow lists: clex's token buffers and nn.Borrows.
 	"Borrow": "Release", "BorrowDirty": "Release", "BorrowClone": "Release",
+	// A cparse tree lends the pooled parser's slabs until Tree.Release.
+	"ParseTree": "Release",
 }
 
 // CheckFile runs every check over one parsed file and returns its findings

@@ -112,6 +112,33 @@ func step(bw *nn.Borrows) float64 {
 	}
 }
 
+func TestParseTreeWithoutReleaseFlagged(t *testing.T) {
+	// A tree's nodes live in the pooled parser's slabs: a function that
+	// keeps nothing of the tree must hand them back.
+	fs := check(t, `package scan
+import "pragformer/internal/cparse"
+func parses(src string) bool {
+	t := cparse.ParseTree(src)
+	return len(t.Errs) == 0
+}`)
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "Release") {
+		t.Fatalf("findings = %+v, want one Release leak", fs)
+	}
+}
+
+func TestParseTreeReleasedIsClean(t *testing.T) {
+	fs := check(t, `package scan
+import "pragformer/internal/cparse"
+func parses(src string) bool {
+	t := cparse.ParseTree(src)
+	defer t.Release()
+	return len(t.Errs) == 0
+}`)
+	if len(fs) != 0 {
+		t.Fatalf("findings = %+v, want none", fs)
+	}
+}
+
 func TestDeterminismTimeNow(t *testing.T) {
 	fs := check(t, `package dep
 import "time"
