@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"pragformer/internal/cast"
 	"pragformer/internal/core"
 	"pragformer/internal/dep"
 	"pragformer/internal/lime"
@@ -123,18 +122,16 @@ type Suggester interface {
 	SuggestBatch(codes []string) ([]BatchItem, error)
 }
 
-// SnippetSuggester is the AST-threading extension of Suggester: callers
-// that already parsed a snippet (the scanner holds every loop's *cast.For)
-// hand the loop over so corroboration does not parse it a second time, and
-// a per-call stage hook with it. Models implements it; a suggester without
-// it gets text through SuggestBatch.
-type SnippetSuggester interface {
-	SuggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error)
+// StagedSuggester is a Suggester that also takes a per-call stage hook, so
+// a traced scan records the advisor's infer/corroborate splits beside its
+// own stages. Models implements it.
+type StagedSuggester interface {
+	SuggestBatchStaged(codes []string, onStage func(string, time.Duration)) ([]BatchItem, error)
 }
 
 var (
-	_ Suggester        = (*Models)(nil)
-	_ SnippetSuggester = (*Models)(nil)
+	_ Suggester       = (*Models)(nil)
+	_ StagedSuggester = (*Models)(nil)
 )
 
 // Tier grades how the model's positive verdict relates to the classical
@@ -280,15 +277,6 @@ type BatchItem struct {
 	Err        error
 }
 
-// Snippet is one unit of advice: the source text plus, optionally, its
-// already-parsed loop. A nil Loop means "parse Code on demand" — the
-// single-snippet and HTTP paths; the scanner threads the loop it extracted,
-// so neither the dependence analysis nor the S2S trio parses it again.
-type Snippet struct {
-	Code string
-	Loop *cast.For
-}
-
 // Suggest runs the full pipeline over a single code snippet.
 func (m *Models) Suggest(code string) (*Suggestion, error) {
 	items, err := m.SuggestBatch([]string{code})
@@ -308,23 +296,12 @@ func (m *Models) SuggestBatch(codes []string) ([]BatchItem, error) {
 }
 
 // SuggestBatchStaged is SuggestBatch with a per-call stage-timing hook (nil
-// disables). The serving engine threads its per-batch hook through here so
-// infer/corroborate splits land in the request trace.
+// disables): the serving engine and a traced scan thread theirs through
+// here so infer/corroborate splits land in the trace. onStage, when set,
+// receives the call's stage timings: "infer" (the batched classifier
+// forwards) and "corroborate" (dependence analysis, S2S compiles, LIME
+// attribution). Timing never influences verdicts.
 func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Duration)) ([]BatchItem, error) {
-	snippets := make([]Snippet, len(codes))
-	for i, code := range codes {
-		snippets[i] = Snippet{Code: code}
-	}
-	return m.SuggestSnippets(snippets, onStage)
-}
-
-// SuggestSnippets is SuggestBatchStaged over snippets that may carry their
-// parsed loop. Verdicts are identical either way — a threaded loop only
-// skips the snippet's one parse. onStage, when set, receives the call's
-// stage timings: "infer" (the batched classifier forwards) and
-// "corroborate" (dependence analysis, S2S compiles, LIME attribution).
-// Timing never influences verdicts.
-func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.Duration)) ([]BatchItem, error) {
 	if m.Directive == nil || m.Vocab == nil {
 		return nil, fmt.Errorf("advisor: directive model and vocabulary are required")
 	}
@@ -340,13 +317,13 @@ func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.D
 		}()
 	}
 	maxLen := m.EffectiveMaxLen()
-	items := make([]BatchItem, len(snippets))
+	items := make([]BatchItem, len(codes))
 
 	// Encode everything up front; the encodable snippets form the batch.
-	idsBatch := make([][]int, 0, len(snippets)) // encoded id sequences, one per encodable snippet
-	at := make([]int, 0, len(snippets))         // items index of each batch position
-	for i, sn := range snippets {
-		ids, err := m.Vocab.EncodeText(sn.Code, maxLen)
+	idsBatch := make([][]int, 0, len(codes)) // encoded id sequences, one per encodable snippet
+	at := make([]int, 0, len(codes))         // items index of each batch position
+	for i, code := range codes {
+		ids, err := m.Vocab.EncodeText(code, maxLen)
 		if err != nil {
 			items[i].Err = fmt.Errorf("advisor: %w", err)
 			continue
@@ -365,7 +342,7 @@ func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.D
 	for j, i := range at {
 		s := &Suggestion{Probability: probs[j], Parallelize: probs[j] > 0.5}
 		items[i].Suggestion = s
-		m.finish(s, snippets[i])
+		m.finish(s, codes[i])
 	}
 	dCorroborate = time.Since(t0)
 	return items, nil
@@ -376,8 +353,8 @@ func (m *Models) SuggestSnippets(snippets []Snippet, onStage func(string, time.D
 // are a property of the code, not of the model's answer, and the scan
 // report surfaces them. A positive also gets its directive and its
 // corroboration grade.
-func (m *Models) finish(s *Suggestion, sn Snippet) {
-	unit := s2s.NewUnit(sn.Code, sn.Loop)
+func (m *Models) finish(s *Suggestion, code string) {
+	unit := s2s.NewUnit(code)
 	defer unit.Release()
 	analysis := unit.Analysis() // nil when no loop parses
 	cor := &s.Corroboration
@@ -399,7 +376,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet) {
 	default:
 		cor.Tier, s.Directive = TierModelOnly, &pragma.Directive{ParallelFor: true}
 	}
-	cor.S2S = m.compileEach(unit, sn.Code)
+	cor.S2S = m.compileEach(unit, code)
 	if cor.Tier == TierAnalysisAgrees {
 		for _, v := range cor.S2S {
 			if v.Parallelized {
@@ -409,7 +386,7 @@ func (m *Models) finish(s *Suggestion, sn Snippet) {
 		}
 	}
 	if cor.Tier == TierDisagree && !m.NoExplain {
-		s.Attributions = m.explainDisagreement(sn.Code)
+		s.Attributions = m.explainDisagreement(code)
 	}
 }
 

@@ -223,7 +223,7 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code, nil).Analysis() }
+	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code).Analysis() }
 	if analyze("not c code {{{") != nil {
 		t.Error("analyze should be nil on parse failure")
 	}
@@ -440,7 +440,7 @@ func TestDirectiveIsTheAnalysis(t *testing.T) {
 				continue
 			}
 			agreeing++
-			unit := s2s.NewUnit(chunk[i], nil)
+			unit := s2s.NewUnit(chunk[i])
 			want := unit.Analysis().Directive().String()
 			unit.Release()
 			if got := it.Suggestion.Directive.String(); got != want {
@@ -461,22 +461,16 @@ func TestDirectiveIsTheAnalysis(t *testing.T) {
 // same unit after it is attached. Every verdict must still carry exactly
 // what a fresh analysis of its loop says, so a member that wrote into the
 // evidence it shares fails here. The classifier says yes to every loop, so
-// every member runs: the corpus at one seed and the scan fixture tree, loops
-// threaded as the scanner threads them.
+// every member runs: the corpus at one seed and the scan fixture tree's
+// canonical prints.
 func TestEvidenceIsTheAnalysis(t *testing.T) {
-	snippets := fixtureSnippets(t)
+	codes := fixtureSnippets(t)
 	for _, r := range corpus.Generate(corpus.Config{Seed: 1}).Records {
-		f, err := cparse.Parse(r.Code)
-		if err != nil {
-			continue
-		}
-		if loop := s2s.FirstLoop(f); loop != nil {
-			snippets = append(snippets, Snippet{Code: r.Code, Loop: loop})
-		}
+		codes = append(codes, r.Code)
 	}
 	m := stubModels(t, nil) // nil wires the real ComPar trio
 	m.NoExplain = true
-	items, err := m.SuggestSnippets(snippets, nil)
+	items, err := m.SuggestBatch(codes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,18 +481,20 @@ func TestEvidenceIsTheAnalysis(t *testing.T) {
 		}
 		cor := it.Suggestion.Corroboration
 		if len(cor.S2S) == 0 {
-			t.Fatalf("%q: no S2S verdict, so no member ran after the evidence was attached", snippets[i].Code)
+			t.Fatalf("%q: no S2S verdict, so no member ran after the evidence was attached", codes[i])
 		}
-		fresh := dep.AnalyzeLoop(snippets[i].Loop, nil).Convert()
-		if !fresh.Header.OK {
+		unit := s2s.NewUnit(codes[i])
+		fresh := unit.Analysis()
+		unit.Release()
+		if fresh == nil || !fresh.Header.OK {
 			if cor.DepRan || cor.DepWitness != nil || cor.Races != nil || cor.Converted != nil {
-				t.Errorf("%q: evidence %+v for a loop the analysis cannot run on", snippets[i].Code, cor)
+				t.Errorf("%q: evidence %+v for a loop the analysis cannot run on", codes[i], cor)
 			}
 			continue
 		}
 		if !reflect.DeepEqual(cor.DepWitness, fresh.Reasons) || !reflect.DeepEqual(cor.Races, fresh.Witnesses) ||
 			!reflect.DeepEqual(cor.Converted, fresh.Converted) {
-			t.Errorf("%q: evidence\n%q %+v %q\nis not the analysis'\n%q %+v %q", snippets[i].Code,
+			t.Errorf("%q: evidence\n%q %+v %q\nis not the analysis'\n%q %+v %q", codes[i],
 				cor.DepWitness, cor.Races, cor.Converted, fresh.Reasons, fresh.Witnesses, fresh.Converted)
 		}
 		witnessed += min(len(cor.Races), 1)
@@ -507,49 +503,7 @@ func TestEvidenceIsTheAnalysis(t *testing.T) {
 	if witnessed == 0 || converted == 0 {
 		t.Fatalf("%d verdicts with race witnesses, %d with conversions: the inputs no longer cover the evidence", witnessed, converted)
 	}
-	t.Logf("%d loops, %d witnessed, %d converted", len(snippets), witnessed, converted)
-}
-
-// TestSnippetThreadingParity pins SuggestSnippets with a pre-parsed loop to
-// the parse-on-demand path: threading the scanner's AST must not change a
-// single field of the verdict.
-func TestSnippetThreadingParity(t *testing.T) {
-	codes := []string{
-		"for (i = 1; i < n; i++) s[i] += s[i-1];",
-		"for (i = 0; i < n; i++) s[i] += a[i];",
-	}
-	m := stubModels(t, yesCompiler{})
-	for _, code := range codes {
-		f, err := cparse.Parse(code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loop := s2s.FirstLoop(f)
-		if loop == nil {
-			t.Fatalf("no loop in %q", code)
-		}
-		threaded, err := m.SuggestSnippets([]Snippet{{Code: code, Loop: loop}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := m.SuggestBatch([]string{code})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := threaded[0].Suggestion, parsed[0].Suggestion
-		if got.Corroboration.Tier != want.Corroboration.Tier ||
-			strings.Join(got.Corroboration.DepWitness, "|") != strings.Join(want.Corroboration.DepWitness, "|") {
-			t.Errorf("%q: threaded %+v != parsed %+v", code, got.Corroboration, want.Corroboration)
-		}
-		if len(got.Attributions) != len(want.Attributions) {
-			t.Fatalf("%q: attribution count %d != %d", code, len(got.Attributions), len(want.Attributions))
-		}
-		for i := range got.Attributions {
-			if got.Attributions[i] != want.Attributions[i] {
-				t.Errorf("%q: attribution %d differs: %+v != %+v", code, i, got.Attributions[i], want.Attributions[i])
-			}
-		}
-	}
+	t.Logf("%d loops, %d witnessed, %d converted", len(codes), witnessed, converted)
 }
 
 // TestTextPathParseBudget pins the front-end budget of a positive loop that

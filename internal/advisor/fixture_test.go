@@ -16,9 +16,9 @@ import (
 )
 
 // fixtureSnippets returns the unique loops of examples/scantree as the
-// scanner hands them over: canonical print plus the parsed loop, in WalkDir's
-// (lexical) file order and source order.
-func fixtureSnippets(t *testing.T) []Snippet {
+// scanner hands them over: canonical prints, in WalkDir's (lexical) file
+// order and source order.
+func fixtureSnippets(t *testing.T) []string {
 	t.Helper()
 	var paths []string
 	err := filepath.WalkDir(filepath.Join("..", "..", "examples", "scantree"), func(path string, d os.DirEntry, err error) error {
@@ -30,7 +30,7 @@ func fixtureSnippets(t *testing.T) []Snippet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Snippet
+	var out []string
 	seen := map[string]bool{}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
@@ -41,7 +41,7 @@ func fixtureSnippets(t *testing.T) []Snippet {
 		for _, li := range cast.ExtractLoops(f) {
 			if code := cast.Print(li.Loop); !seen[code] {
 				seen[code] = true
-				out = append(out, Snippet{Code: code, Loop: li.Loop})
+				out = append(out, code)
 			}
 		}
 	}
@@ -52,58 +52,30 @@ func fixtureSnippets(t *testing.T) []Snippet {
 }
 
 // TestSuggestBytesBudget gates what one advised loop allocates in bytes, on
-// the scanner's call shape: one SuggestSnippets batch of the fixture's 16
-// loops, ASTs threaded, the real S2S trio behind a classifier that likes
-// every loop — so tokenisation, dependence evidence, three member verdicts
-// and the LIME of every refuted loop are all in the figure, and no model
-// forward is. While every loop materialised its tokens, their strings and
-// the S2S unit's own copy, the batch read 11.1 KB per loop (11.6 when a
-// collection emptied the pools mid-measure); with ids streamed from the text
-// and the unit's buffer borrowed it read 6.3 (6.7). With the evidence taken
-// from the analysis uncopied, the members' annotated sources rendered only
-// on demand and LIME's label buffers pooled it reads 4.4 (4.5); the budget
-// is that plus TestWarmScanAllocs' 15 %.
+// the scanner's call shape: one SuggestBatchStaged batch of the fixture's 16
+// loops as text, the real S2S trio behind a classifier that likes every
+// loop — so tokenisation, the unit's parse, dependence evidence, three
+// member verdicts and the LIME of every refuted loop are all in the figure,
+// and no model forward is. While every loop materialised its tokens, their
+// strings and the S2S unit's own copy, the batch read 11.1 KB per loop
+// (11.6 when a collection emptied the pools mid-measure); with ids streamed
+// from the text and the unit's buffer borrowed it read 6.3 (6.7). With the
+// evidence taken from the analysis uncopied, the members' annotated sources
+// rendered only on demand and LIME's label buffers pooled it reads 4.4
+// (4.5); the budget is that plus TestWarmScanAllocs' 15 %. The unit's parse
+// goes back to the parser pool after the loop's advice and costs next to
+// nothing.
 func TestSuggestBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
 	m := stubModels(t, nil)
-	snippets := fixtureSnippets(t)
-	perLoop := bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets, nil) })
+	codes := fixtureSnippets(t)
+	perLoop := bytesPerLoop(t, len(codes), func() ([]BatchItem, error) { return m.SuggestBatchStaged(codes, nil) })
 	t.Logf("%.0f bytes per advised loop", perLoop)
 	const budget = 5200
 	if perLoop > budget {
 		t.Errorf("%.0f bytes per advised loop, budget %d", perLoop, budget)
-	}
-}
-
-// TestTextPathBytesBudget gates the posted snippet's path against the
-// scanner's: the fixture's 16 loops advised as text — each parsed by its S2S
-// unit, as a /suggest body is — cost at most 5 % more bytes per loop than
-// TestSuggestBytesBudget's threaded batch, which skips that parse. While
-// the unit kept its parse on fresh slabs the text path read 7.75 KB per
-// loop against 6.43 threaded; released to the parser pool at the end of
-// the loop's advice, the parse costs next to nothing.
-func TestTextPathBytesBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation sizes are not meaningful under the race detector")
-	}
-	m := stubModels(t, nil)
-	snippets := fixtureSnippets(t)
-	codes := make([]string, len(snippets))
-	for i, sn := range snippets {
-		codes[i] = sn.Code
-	}
-	// The best of three on each side: a collection that empties the pools
-	// mid-measure lifts one reading by about as much as the margin.
-	threaded, text := math.Inf(1), math.Inf(1)
-	for range 3 {
-		threaded = min(threaded, bytesPerLoop(t, len(snippets), func() ([]BatchItem, error) { return m.SuggestSnippets(snippets, nil) }))
-		text = min(text, bytesPerLoop(t, len(codes), func() ([]BatchItem, error) { return m.SuggestBatchStaged(codes, nil) }))
-	}
-	t.Logf("%.0f bytes per loop advised as text, %.0f threaded", text, threaded)
-	if text > 1.05*threaded {
-		t.Errorf("%.0f bytes per loop advised as text, over 1.05 x %.0f threaded", text, threaded)
 	}
 }
 
@@ -144,8 +116,7 @@ func TestDisagreementAttributionsPinned(t *testing.T) {
 	// of every (index, token, weight bits) triple in order.
 	want := map[int]string{2: "64 357d920fefca0a95", 12: "27 789b3eff684c944d"}
 	m := models(t)
-	snippets := fixtureSnippets(t)
-	items, err := m.SuggestSnippets(snippets, nil)
+	items, err := m.SuggestBatch(fixtureSnippets(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,11 +238,11 @@ func TestPooledParserCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// TestSlabGrows: a full slab hands out its next nodes from an array at
-// least twice as long, reset zeroes every slot it handed out, the outgrown
-// array's included, and the slab keeps the larger array.
+// TestSlabGrows: a full pooled slab hands out its next nodes from an array
+// at least twice as long, reset zeroes every slot it handed out, the
+// outgrown array's included, and the slab keeps the larger array.
 func TestSlabGrows(t *testing.T) {
-	var s slab[cast.Ident]
+	s := slab[cast.Ident]{pooled: true}
 	nodes := make([]*cast.Ident, minSlab+1)
 	for i := range nodes {
 		nodes[i] = put(&s, cast.Ident{Name: fmt.Sprint(i)})
@@ -264,5 +264,34 @@ func TestSlabGrows(t *testing.T) {
 	}
 	if len(s.old) != 0 || s.used != 0 || put(&s, cast.Ident{Name: "next"}) != grown {
 		t.Errorf("after reset: %d outgrown arrays, %d used, next node not in the larger array", len(s.old), s.used)
+	}
+}
+
+// TestKeptParseRecordsNoOutgrownArray: a parse whose tree the caller keeps
+// grows its fresh slabs without listing the arrays it outgrew, since nothing
+// resets those slabs, while a new pooled parser lists them, so that Release
+// zeroes the nodes in them; grown outgrows the first array of several kinds.
+func TestKeptParseRecordsNoOutgrownArray(t *testing.T) {
+	p := get(true)
+	defer p.release(true)
+	if _, errs := p.parseRecover(grown); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	s := reflect.ValueOf(&p.slabs).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		if old := s.Field(i).FieldByName("old"); old.Len() > 0 || old.Cap() > 0 {
+			t.Errorf("a kept parse's %s slab lists %d outgrown arrays", s.Type().Field(i).Name, old.Len())
+		}
+	}
+
+	pooled := parsers.New().(*Parser)
+	f, _ := pooled.parseRecover(grown)
+	first := f.Items[0].(*cast.FuncDef).Body.Stmts[0].(*cast.If) // carved before its slab grew
+	if &pooled.ifs.buf[0] == first {
+		t.Fatal("the first if is in the ifs slab's last array: grown did not outgrow it")
+	}
+	pooled.release(false)
+	if !reflect.ValueOf(*first).IsZero() {
+		t.Errorf("a released pooled parse left %+v in an outgrown array", *first)
 	}
 }

@@ -54,7 +54,13 @@ type Parser struct {
 	tree Tree
 }
 
-var parsers = sync.Pool{New: func() any { return new(Parser) }}
+var parsers = sync.Pool{New: func() any {
+	p := new(Parser)
+	for _, k := range p.kinds() {
+		k.pool()
+	}
+	return p
+}}
 
 // get takes a pooled parser. A parse whose tree the caller keeps runs on
 // fresh slabs, which leave with the tree; the pooled ones wait in spare.
@@ -120,12 +126,23 @@ type slabs struct {
 	whiles    slab[cast.While]
 }
 
-// reset zeroes every slot the last parse handed out, in every slab.
-func (s *slabs) reset() {
-	for _, k := range [...]interface{ reset() }{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
+// kind is one slab, of whatever node type.
+type kind interface {
+	reset()
+	pool()
+}
+
+// kinds lists every slab.
+func (s *slabs) kinds() [26]kind {
+	return [...]kind{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
 		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
 		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists, &s.calls, &s.argLists, &s.ifs,
-		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles} {
+		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles}
+}
+
+// reset zeroes every slot the last parse handed out, in every slab.
+func (s *slabs) reset() {
+	for _, k := range s.kinds() {
 		k.reset()
 	}
 }
@@ -133,14 +150,19 @@ func (s *slabs) reset() {
 // minSlab is the least length of a slab's first array.
 const minSlab = 32
 
-// slab is one kind's array: a parse hands its slots out in order. An array
-// the parse outgrew stays in old, holding the nodes it handed out, until
-// reset.
+// slab is one kind's array: a parse hands its slots out in order. In a
+// pooled parser's slab, an array the parse outgrew stays in old, holding the
+// nodes it handed out, until reset. A kept parse's slabs leave with its tree
+// and are never reset, so they record none.
 type slab[T any] struct {
-	buf  []T
-	used int
-	old  [][]T
+	buf    []T
+	used   int
+	pooled bool
+	old    [][]T
 }
+
+// pool marks the slab as a pooled parser's.
+func (s *slab[T]) pool() { s.pooled = true }
 
 // reset zeroes the handed-out slots, outgrown arrays' included, and keeps
 // only buf, the largest array, for the next parse.
@@ -157,7 +179,7 @@ func (s *slab[T]) reset() {
 // moves to a new array at least twice as long.
 func carve[T any](s *slab[T], k int) []T {
 	if s.used+k > len(s.buf) {
-		if s.used > 0 {
+		if s.used > 0 && s.pooled {
 			s.old = append(s.old, s.buf[:s.used])
 		}
 		s.buf, s.used = make([]T, max(2*len(s.buf), minSlab, k)), 0
@@ -192,9 +214,8 @@ func pop[T any](s *slab[T], stack *[]T, mark int) []T {
 var parses atomic.Int64
 
 // Parses reports the cumulative number of Parse calls in this process — a
-// testing hook for no-reparse guarantees (the scan pipeline promises each
-// file is parsed exactly once, with the loop AST threaded through to the
-// advisor's corroboration instead of being re-derived from text).
+// testing hook for parse budgets (a scan parses each file once and each
+// advised loop once more, from its text, for its corroboration).
 func Parses() int64 { return parses.Load() }
 
 // Parse parses C source text into an AST.

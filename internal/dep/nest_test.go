@@ -455,3 +455,43 @@ func TestConvertMixedLoop(t *testing.T) {
 		t.Errorf("buf and hist still carried in the plain analysis, yet parallelizable: %+v", one)
 	}
 }
+
+// TestSubscriptArms pins the verdicts of subscripts that go through the
+// cast, unary, member and pure-call arms of the nest-wide affine form, and
+// through the varying-name test of a symbol: a member or call over a name
+// the loop writes varies with the iteration, so its subscript is free.
+func TestSubscriptArms(t *testing.T) {
+	for _, tc := range []struct {
+		body, kind, distance string // kind "" means parallel
+	}{
+		{body: "a[(int)i] = b[i];"},
+		{body: "a[i] = a[-(-i) - 1];", kind: "flow", distance: "(1)"},
+		{body: "a[s.k + i] = a[s.k + i] + 1;"},
+		{body: "a[p->k + i] = b[i];"},
+		{body: "a[abs(k) + i] = a[abs(k) + i] * 2;"},
+		{body: "a[+i] = a[i] + 1;"},
+		{body: "{ s.k = i; a[s.k] = b[i]; }", kind: "output", distance: "(*)"},
+		{body: "{ k = i; a[abs(k)] = b[i]; }", kind: "output", distance: "(*)"},
+	} {
+		a := analyze(t, "for (i = 0; i < n; i++) "+tc.body)
+		if a.Parallelizable != (tc.kind == "") {
+			t.Errorf("%s: parallelizable %v: %q", tc.body, a.Parallelizable, a.Reasons)
+			continue
+		}
+		if tc.kind == "" {
+			continue
+		}
+		found := false
+		for _, w := range a.Witnesses {
+			if w.Array == "a" {
+				found = true
+				if w.Kind != tc.kind || w.Distance != tc.distance {
+					t.Errorf("%s: witness on a is %s %s, want %s %s", tc.body, w.Kind, w.Distance, tc.kind, tc.distance)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no witness on a among %+v", tc.body, a.Witnesses)
+		}
+	}
+}

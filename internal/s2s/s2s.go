@@ -59,14 +59,14 @@ var ErrParse = errors.New("s2s: compile failed")
 // Unit is the one front end of a snippet: the advisor's dependence evidence
 // and every member of one CompileUnit call read it. The members' token and
 // text checks run over the pragma-stripped text, lexed once; the target loop
-// comes from whoever parsed it first — the scanner's file parse or NewUnit's
-// parse of a posted snippet, else the unit's own parse of its tokens, when
-// the first member to get that far asks — and goes through the dependence
-// engine once, every view deriving from that plain pass. The token buffer is
-// borrowed from a pool for the span of one compile call — releaseTokens
-// hands it back — while the loop and its analysis stay with the unit; the
-// slabs of NewUnit's own parse are borrowed until Release. A unit serves
-// one snippet on one goroutine; ComPar itself holds no state.
+// comes from whoever parsed it first — NewUnit's parse of the advised
+// snippet, else the unit's own parse of its tokens, when the first member to
+// get that far asks — and goes through the dependence engine once, every view
+// deriving from that plain pass. The token buffer is borrowed from a pool for
+// the span of one compile call — releaseTokens hands it back — while the loop
+// and its analysis stay with the unit; the slabs of NewUnit's own parse are
+// borrowed until Release. A unit serves one snippet on one goroutine; ComPar
+// itself holds no state.
 type Unit struct {
 	code   string        // as given
 	src    string        // pragma-stripped
@@ -113,20 +113,15 @@ func compileText(c member, src string) (Result, error) {
 	return c.compile(u)
 }
 
-// NewUnit returns the unit of an advised snippet. loop is the snippet's
-// target loop when the caller already parsed it (the scanner threads each
-// file's loops); nil parses code as it stands, pragma lines included, so race
-// witnesses stay anchored to the canonical print of the text the caller
-// holds — a pragma is transparent to the analysis, so the members read the
-// same verdict. That parse lives in the pooled parser's slabs until Release.
-// When code holds no loop that parses, Analysis is nil and the members parse
-// their stripped tokens themselves, for their own error text.
-func NewUnit(code string, loop *cast.For) *Unit {
+// NewUnit returns the unit of an advised snippet. It parses code as it
+// stands, pragma lines included, so race witnesses stay anchored to the
+// canonical print of the text the caller holds — a pragma is transparent to
+// the analysis, so the members read the same verdict. That parse lives in
+// the pooled parser's slabs until Release. When code holds no loop that
+// parses, Analysis is nil and the members parse their stripped tokens
+// themselves, for their own error text.
+func NewUnit(code string) *Unit {
 	u := newUnit(code)
-	if loop != nil {
-		u.given, u.loop = true, loop // a threaded loop brings no bodies
-		return u
-	}
 	t := cparse.ParseTree(code)
 	if len(t.Errs) == 0 { // a recovering parse with no error is the strict parse
 		if loop, funcs := target(t.File); loop != nil {
@@ -141,7 +136,7 @@ func NewUnit(code string, loop *cast.For) *Unit {
 // Release hands the slabs of NewUnit's own parse back to the parser pool;
 // call it once, after the unit's last read. What the unit handed out —
 // analyses with their witnesses, member results — holds only strings and
-// stays valid. A threaded loop is its parser's to release, not the unit's.
+// stays valid.
 func (u *Unit) Release() {
 	if u.tree != nil {
 		u.tree.Release()
@@ -214,8 +209,7 @@ func parseSnippet(toks []clex.Token) (*cast.For, map[string]*cast.FuncDef, error
 }
 
 // target returns a parsed snippet's target loop (nil when it holds none) and
-// the function bodies in sight of it, nil when there are none — as a
-// threaded loop brings none.
+// the function bodies in sight of it, nil when there are none.
 func target(f *cast.File) (*cast.For, map[string]*cast.FuncDef) {
 	var funcs map[string]*cast.FuncDef
 	for _, it := range f.Items {

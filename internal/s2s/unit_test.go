@@ -108,17 +108,13 @@ func views(u *Unit) []*dep.Analysis {
 	return []*dep.Analysis{u.plainAnalysis(), u.Analysis()}
 }
 
-// sameAnalyses compares the dependence evidence two units hand the advisor
-// and the members, witness positions included — and, given the loop and
-// function table one of them was built over, with the engine run apart.
-func sameAnalyses(t *testing.T, src string, a, b *Unit) {
+// aloneAnalyses compares the dependence evidence a unit hands the advisor
+// and the members, witness positions included, with the engine run apart
+// over the loop and function table the unit found.
+func aloneAnalyses(t *testing.T, src string, u *Unit) {
 	t.Helper()
-	va, vb := views(a), views(b)
-	if !reflect.DeepEqual(va, vb) {
-		t.Errorf("on %q:\none unit   %+v\nthe other %+v", src, va, vb)
-	}
-	if va != nil {
-		plain := dep.AnalyzeLoop(a.loop, a.funcs)
+	if va := views(u); va != nil {
+		plain := dep.AnalyzeLoop(u.loop, u.funcs)
 		if alone := []*dep.Analysis{plain, plain.Convert()}; !reflect.DeepEqual(va, alone) {
 			t.Errorf("on %q:\nunit  %+v\nalone %+v", src, va, alone)
 		}
@@ -128,21 +124,21 @@ func sameAnalyses(t *testing.T, src string, a, b *Unit) {
 // TestCompileEachMatchesIndependentCompile is the equivalence the shared
 // front end rests on: whatever one lex, one parse and one engine pass give
 // the advisor and the three members is what each would have computed alone —
-// whether the unit was built from the text (CompileEach), over the advisor's
-// parse of the text with its pragmas (NewUnit with no loop) or over a loop
-// the scanner threads with its canonical print, error text included; also
-// when eight goroutines share one ComPar — and no member's Reasons alias
-// another's.
+// whether the unit was built from the text (CompileEach) or over the
+// advisor's parse of the text with its pragmas (NewUnit), of each input and
+// of the canonical print of each loop in it, as a scan advises it, error
+// text included; also when eight goroutines share one ComPar — and no
+// member's Reasons alias another's.
 func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
-	threaded := 0
+	printed := 0
 	for _, src := range srcs {
 		vs := c.CompileEach(src)
 		for i, v := range vs {
 			sameVerdict(t, src, v, c.Members[i])
 		}
-		advised := NewUnit(src, nil)
+		advised := NewUnit(src)
 		advised.Analysis() // as the advisor does, before the members run
 		for i, v := range c.CompileUnit(advised) {
 			sameVerdict(t, src, v, c.Members[i])
@@ -150,15 +146,13 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 		f, _ := cparse.ParseRecover(src)
 		for _, li := range cast.ExtractLoops(f) {
 			code := cast.Print(li.Loop)
-			text, given := NewUnit(code, nil), NewUnit(code, li.Loop)
-			sameAnalyses(t, code, text, given)
-			for i, v := range c.CompileUnit(given) {
-				sameVerdict(t, code, v, c.Members[i])
-			}
+			text := NewUnit(code)
+			aloneAnalyses(t, code, text)
 			for i, v := range c.CompileUnit(text) {
 				sameVerdict(t, code, v, c.Members[i])
 			}
-			threaded++
+			text.Release()
+			printed++
 		}
 		// Appending to one member's reasons must not show in another's.
 		before := make([][]string, len(vs))
@@ -178,8 +172,8 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 		}
 	}
 
-	if threaded < 100 {
-		t.Fatalf("only %d loops went through a threaded unit", threaded)
+	if printed < 100 {
+		t.Fatalf("only %d canonical prints went through a unit", printed)
 	}
 
 	var wg sync.WaitGroup
@@ -208,7 +202,7 @@ func TestUnitBorrowsTokens(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
 	for _, src := range srcs {
-		u := NewUnit(src, nil)
+		u := NewUnit(src)
 		u.tokens() // borrow now, to watch the buffer across the release
 		buf := u.buf
 		first := c.CompileUnit(u)
@@ -234,7 +228,7 @@ func TestUnitBorrowsTokens(t *testing.T) {
 			defer wg.Done()
 			for k := range srcs {
 				src := srcs[(k+g*5)%len(srcs)]
-				u := NewUnit(src, nil)
+				u := NewUnit(src)
 				for round := 0; round < 2; round++ {
 					for i, v := range c.CompileUnit(u) {
 						sameVerdict(t, src, v, c.Members[i])
@@ -270,7 +264,7 @@ func TestUnitReleaseReuse(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
 	check := func(src, next string) {
-		u := NewUnit(src, nil)
+		u := NewUnit(src)
 		analyses := views(u)
 		verdicts := c.CompileUnit(u)
 		u.Release()

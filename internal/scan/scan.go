@@ -30,7 +30,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pragformer/internal/advisor"
@@ -169,14 +168,6 @@ type Loop struct {
 	Annotated bool `json:"annotated,omitempty"`
 
 	queued bool // already handed to the inference stage
-	// ast is the loop as parsed by the scan worker, threaded to the advisor
-	// so corroboration skips the second parse, and tree the file's parse it
-	// lives in. The collector sets both when it queues the loop; the
-	// inference stage clears them, dropping the loop's hold on the tree, when
-	// the verdict lands: a store hit never has one and a finished Report
-	// holds none.
-	ast  *cast.For
-	tree *parsed
 }
 
 // Skip reports one file the scan could not use, with the parse position
@@ -346,36 +337,14 @@ type fileOut struct {
 	loops  []occLoop
 	skips  []Skip
 	failed bool
-	tree   *parsed // nil when failed
 }
 
-// parsed is one file's parse tree, counted per reader: the collector holds
-// it until it has finished the file, and each loop it queues until that
-// loop's verdict lands. The last to drop it hands the tree's slabs back to
-// the parser pool. Nothing but strings outlives that: occurrences, canonical
-// prints and verdicts never point into a tree. A canceled scan may leave a
-// tree held; it falls to the garbage collector.
-type parsed struct {
-	tree *cparse.Tree
-	refs atomic.Int32
-}
-
-func (t *parsed) hold() { t.refs.Add(1) }
-
-func (t *parsed) drop() {
-	if t.refs.Add(-1) == 0 {
-		t.tree.Release()
-	}
-}
-
-// occLoop is one extracted loop occurrence with its canonical snippet, its
-// content hash and its parsed form. The snippet is a substring of the one
-// string holding all of its file's prints, the hash of the one holding all
-// of their hashes.
+// occLoop is one extracted loop occurrence with its canonical snippet and
+// its content hash. The snippet is a substring of the one string holding all
+// of its file's prints, the hash of the one holding all of their hashes.
 type occLoop struct {
 	snippet string
 	hash    string
-	loop    *cast.For
 	occ     Occurrence
 }
 
@@ -475,11 +444,8 @@ func run(
 			endAdvise := tr.Start("advise")
 			err := advise(chunk)
 			endAdvise()
-			for _, l := range chunk {
-				// The verdict has landed, whichever suggester gave it.
-				l.tree.drop()
-				l.ast, l.tree = nil, nil
-				if err != nil {
+			if err != nil {
+				for _, l := range chunk {
 					l.Error = err.Error()
 				}
 			}
@@ -566,17 +532,12 @@ collect:
 				}
 				advisable := ol.occ.Pragma == "" || cfg.IncludeAnnotated
 				if !l.queued && advisable {
-					// Any occurrence's parse will do: equal hashes mean
-					// equal canonical prints, which is all the advisor reads.
-					l.ast, l.tree = ol.loop, fo.tree
-					fo.tree.hold()
 					if err := enqueue(l); err != nil {
 						collectErr = err
 						break collect
 					}
 				}
 			}
-			fo.tree.drop()
 		case <-ctx.Done():
 			collectErr = ctx.Err()
 			break collect
@@ -631,20 +592,15 @@ type Verdict struct {
 	Err        error
 }
 
-// adviseWith settles chunks through an advisor.Suggester, threading the
-// already-parsed loop ASTs and the stage hook when it can take them (the
-// in-process Models path); a string-only suggester re-parses inside
-// corroboration instead.
+// adviseWith settles chunks through an advisor.Suggester, handing it the
+// stage hook when it takes one (the in-process Models path). The suggester
+// sees each loop's canonical text alone, as every other entry point's does.
 func adviseWith(sg advisor.Suggester, onStage func(string, time.Duration)) func(chunk []*Loop) error {
 	return func(chunk []*Loop) error {
 		var items []advisor.BatchItem
 		var err error
-		if ss, ok := sg.(advisor.SnippetSuggester); ok {
-			snips := make([]advisor.Snippet, len(chunk))
-			for i, l := range chunk {
-				snips[i] = advisor.Snippet{Code: l.Snippet, Loop: l.ast}
-			}
-			items, err = ss.SuggestSnippets(snips, onStage)
+		if ss, ok := sg.(advisor.StagedSuggester); ok {
+			items, err = ss.SuggestBatchStaged(snippets(chunk), onStage)
 		} else {
 			items, err = sg.SuggestBatch(snippets(chunk))
 		}
@@ -690,20 +646,20 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 	// one malformed function still contributes its other loops; each broken
 	// region surfaces as a positioned skip. A file that yields nothing keeps
 	// the old whole-file-skip shape (first error only — the rest are usually
-	// cascade noise).
+	// cascade noise). Nothing but strings outlives the tree — occurrences,
+	// canonical prints and hashes never point into it — so its slabs go back
+	// to the parser pool when the file is done.
 	tree := cparse.ParseTree(string(data))
-	var skips []Skip
+	defer tree.Release()
 	if len(tree.File.Items) == 0 && len(tree.Errs) > 0 {
 		pe := tree.Errs[0]
-		tree.Release()
 		return fileOut{failed: true, skips: []Skip{
 			{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()}}}
 	}
+	var out fileOut
 	for _, pe := range tree.Errs {
-		skips = append(skips, Skip{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()})
+		out.skips = append(out.skips, Skip{File: name, Line: pe.Line, Col: pe.Col, Reason: pe.Error()})
 	}
-	out := fileOut{skips: skips, tree: &parsed{tree: tree}}
-	out.tree.hold()
 	sc.infos = cast.AppendLoops(sc.infos[:0], tree.File)
 	defer clear(sc.infos) // the scratch keeps no node of a tree headed back to the parser pool
 	if len(sc.infos) == 0 {
@@ -727,7 +683,6 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 		out.loops[i] = occLoop{
 			snippet: text[start:end],
 			hash:    hashText[i*hashLen : (i+1)*hashLen],
-			loop:    li.Loop,
 			occ: Occurrence{
 				File: name, Line: li.Loop.Line, Col: li.Loop.Col,
 				Function: li.Function, Depth: li.Depth, Pragma: li.Pragma,

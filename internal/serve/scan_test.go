@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pragformer/internal/advisor"
 	"pragformer/internal/api"
 	"pragformer/internal/scan"
 )
@@ -216,22 +217,32 @@ func TestHTTPScanRejects(t *testing.T) {
 
 // TestScanVerdictParityAcrossEntryPoints pins the corroboration evidence
 // (tier, dep witness, S2S verdicts, LIME attributions) to a single source
-// of truth: the advisor. The same carried-dependence snippet scanned via
-// HTTP /scan, via scan.Files over the models object's batch directly, and via a
-// bare advisor batch must agree on every evidence field — and a
-// warm-cache re-scan must replay the evidence byte-identically.
+// of truth: the advisor over the snippet's text. The same snippet scanned
+// via HTTP /scan, via scan.Files over the models object's batch directly,
+// via scan.Dir, and via a bare advisor batch must agree on every evidence
+// field — and a warm-cache re-scan must replay the evidence
+// byte-identically. The inputs are a carried dependence, and a loop whose
+// file typedefs a type its snippet uses: the snippet alone does not parse,
+// so no entry point may judge it by what its file's parse knew.
 func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 	models := testModels(t)
-	const src = "void f(double *s, int n) {\n    int i;\n    for (i = 1; i < n; i++) {\n        s[i] += s[i - 1];\n    }\n}\n"
-
 	e, err := New(models, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	for _, in := range []struct{ file, src string }{
+		{"recur.c", "void f(double *s, int n) {\n    int i;\n    for (i = 1; i < n; i++) {\n        s[i] += s[i - 1];\n    }\n}\n"},
+		{"typedef.c", "typedef double real; void f(real *a, real *b, int n) { for (int i = 0; i < n; i++) { real t = a[i]; b[i] = t * t; } }\n"},
+	} {
+		t.Run(in.file, func(t *testing.T) { scanParity(t, e, models, in.file, in.src) })
+	}
+}
 
+// scanParity is TestScanVerdictParityAcrossEntryPoints over one file.
+func scanParity(t *testing.T, e *Engine, models *advisor.Models, file, src string) {
 	body, _ := json.Marshal(map[string]any{
-		"files": []map[string]string{{"path": "recur.c", "source": src}},
+		"files": []map[string]string{{"path": file, "source": src}},
 	})
 	w := scanOnce(t, e, string(body))
 	if w.Code != http.StatusOK {
@@ -246,7 +257,7 @@ func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 	}
 
 	direct, err := scan.Files(context.Background(),
-		[]scan.Source{{Path: "recur.c", Data: []byte(src)}}, scan.Config{}, func(codes []string) []scan.Verdict {
+		[]scan.Source{{Path: file, Data: []byte(src)}}, scan.Config{}, func(codes []string) []scan.Verdict {
 			items, err := models.SuggestBatch(codes)
 			if err != nil {
 				t.Fatal(err)
@@ -299,7 +310,7 @@ func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 
 	// Warm cache: the evidence must replay from disk bit-for-bit.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "recur.c"), []byte(src), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, file), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := scan.Config{CachePath: filepath.Join(dir, "scan.cache"), Backend: "test", ModelID: "test"}
@@ -319,6 +330,7 @@ func TestScanVerdictParityAcrossEntryPoints(t *testing.T) {
 			asJSON(cold.Loops[0].Suggestion), asJSON(warm.Loops[0].Suggestion))
 	}
 	if asJSON(cold.Loops[0].Suggestion) != asJSON(direct.Loops[0].Suggestion) {
-		t.Errorf("cached scan verdict differs from uncached scan.Files verdict")
+		t.Errorf("scan.Dir verdict differs from scan.Files:\ndir:   %s\nfiles: %s",
+			asJSON(cold.Loops[0].Suggestion), asJSON(direct.Loops[0].Suggestion))
 	}
 }
