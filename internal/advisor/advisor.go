@@ -188,21 +188,6 @@ func ParseTier(s string) Tier {
 	}
 }
 
-// CompilerVerdict is one S2S compiler's outcome on a snippet, kept as
-// corroboration evidence. It is also the scan report's and the wire's S2S
-// item (scan.S2SVerdict), its fields in key order.
-type CompilerVerdict struct {
-	// Compiler is the member name (Par4All, AutoPar, Cetus — or the
-	// name of a stub compiler a test corroborates with).
-	Compiler string `json:"compiler"`
-	// Compiled is false when the compiler's frontend rejected the snippet.
-	Compiled     bool `json:"compiled"`
-	Parallelized bool `json:"parallelized,omitempty"`
-	// Detail carries the compile error or the decisive reason the compiler
-	// declined to parallelize.
-	Detail string `json:"detail,omitempty"`
-}
-
 // Corroboration is the structured evidence behind a positive suggestion:
 // instead of a single ratcheting confidence grade, it records what each
 // analysis actually concluded so a disagreement is representable, not
@@ -229,14 +214,13 @@ type Corroboration struct {
 	Converted []string
 	// S2S holds the per-compiler corroboration verdicts of a positive
 	// (empty on a negative).
-	S2S []CompilerVerdict
+	S2S []s2s.MemberVerdict
 }
 
 // attach takes a dependence analysis' evidence into the corroboration. The
 // slices are the analysis' own, not copies: nothing writes to an analysis
-// once it is built (the S2S members append to a clipped copy of its
-// Reasons), and from here on the verdict, its report form and any store it
-// lands in share them read-only.
+// once it is built (the S2S members only read it), and from here on the
+// verdict, its report form and any store it lands in share them read-only.
 func (c *Corroboration) attach(analysis *dep.Analysis) {
 	if analysis == nil || !analysis.Header.OK {
 		return
@@ -319,30 +303,51 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 	maxLen := m.EffectiveMaxLen()
 	items := make([]BatchItem, len(codes))
 
-	// Encode everything up front; the encodable snippets form the batch.
-	idsBatch := make([][]int, 0, len(codes)) // encoded id sequences, one per encodable snippet
-	at := make([]int, 0, len(codes))         // items index of each batch position
+	// Encode everything up front into borrowed scratch; the encodable
+	// snippets form the batch, in items order. The scratch goes back as
+	// soon as the classifier has read it.
+	sc := idScratches.Get().(*idScratch)
+	flat, batch := sc.flat[:0], sc.batch[:0]
 	for i, code := range codes {
-		ids, err := m.Vocab.EncodeText(code, maxLen)
-		if err != nil {
+		n := len(flat)
+		var err error
+		if flat, err = m.Vocab.EncodeText(flat, code, maxLen); err != nil {
 			items[i].Err = fmt.Errorf("advisor: %w", err)
 			continue
 		}
-		idsBatch = append(idsBatch, ids)
-		at = append(at, i)
+		batch = append(batch, flat[n:])
 	}
-	if len(idsBatch) == 0 {
+	// flat may have moved as it grew: each sequence is re-cut from its
+	// final array.
+	n := 0
+	for k, seq := range batch {
+		batch[k] = flat[n : n+len(seq) : n+len(seq)]
+		n += len(seq)
+	}
+	var probs []float64
+	if len(batch) > 0 {
+		t0 := time.Now()
+		probs = m.Directive.PredictBatch(batch)
+		dInfer = time.Since(t0)
+	}
+	sc.flat, sc.batch = flat, batch
+	idScratches.Put(sc)
+	if len(probs) == 0 {
 		return items, nil
 	}
 
 	t0 := time.Now()
-	probs := m.Directive.PredictBatch(idsBatch)
-	dInfer = time.Since(t0)
-	t0 = time.Now()
-	for j, i := range at {
-		s := &Suggestion{Probability: probs[j], Parallelize: probs[j] > 0.5}
+	suggestions := make([]Suggestion, len(probs)) // one allocation for the batch
+	j := 0
+	for i := range items {
+		if items[i].Err != nil {
+			continue
+		}
+		s := &suggestions[j]
+		s.Probability, s.Parallelize = probs[j], probs[j] > 0.5
 		items[i].Suggestion = s
 		m.finish(s, codes[i])
+		j++
 	}
 	dCorroborate = time.Since(t0)
 	return items, nil
@@ -393,32 +398,12 @@ func (m *Models) finish(s *Suggestion, code string) {
 // compileEach collects the per-compiler corroboration evidence: the
 // default ComPar's member verdicts, or a test's stub compiler's single
 // verdict under its own name.
-func (m *Models) compileEach(unit *s2s.Unit, code string) []CompilerVerdict {
-	flatten := func(name string, res s2s.Result, err error) CompilerVerdict {
-		v := CompilerVerdict{Compiler: name}
-		if err != nil {
-			v.Detail = err.Error()
-			return v
-		}
-		v.Compiled = true
-		v.Parallelized = res.Directive != nil
-		if !v.Parallelized && len(res.Reasons) > 0 {
-			// The last reason is the decisive one (analyses append their
-			// verdict on exit).
-			v.Detail = res.Reasons[len(res.Reasons)-1]
-		}
-		return v
-	}
+func (m *Models) compileEach(unit *s2s.Unit, code string) []s2s.MemberVerdict {
 	if m.compar != nil {
 		res, err := m.compar.Compile(code)
-		return []CompilerVerdict{flatten(m.compar.Name(), res, err)}
+		return []s2s.MemberVerdict{s2s.Flatten(m.compar.Name(), res, err)}
 	}
-	vs := defaultComPar.CompileUnit(unit)
-	out := make([]CompilerVerdict, len(vs))
-	for i, v := range vs {
-		out[i] = flatten(v.Compiler, v.Result, v.Err)
-	}
-	return out
+	return defaultComPar.CompileUnit(unit)
 }
 
 // explainDisagreement runs LIME over the directive classifier's HARD label
@@ -468,16 +453,17 @@ const limeChunk = 16
 // over one tree explains a loop identically only at one setting.
 const limeSamples = 120
 
-// labelScratch is variantLabels' reusable memory: the once-encoded ids, the
-// gathered sequences of one chunk and the batch of them. Nothing in it
-// outlives the explanation it served — the classifier reads a batch and
-// keeps none of it.
-type labelScratch struct {
+// idScratch is the reusable memory of a batch of id sequences: one flat
+// backing and the batch of views into it — a SuggestBatchStaged batch, or
+// one chunk of variantLabels' variants, whose once-encoded ids go in ids.
+// Nothing in it outlives the call it served — the classifier reads a batch
+// and keeps none of it.
+type idScratch struct {
 	ids, flat []int
 	batch     [][]int
 }
 
-var labelScratches = sync.Pool{New: func() any { return new(labelScratch) }}
+var idScratches = sync.Pool{New: func() any { return new(idScratch) }}
 
 // variantLabels fills labels[i] with the directive classifier's hard label
 // on variant i of toks. The tokens are encoded once; each variant's ids —
@@ -486,8 +472,8 @@ var labelScratches = sync.Pool{New: func() any { return new(labelScratch) }}
 // chunk-sized backing. Both backends classify a sequence independently of
 // its batch, so the chunked labels are those of one whole-set forward.
 func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, labels []float64) {
-	sc := labelScratches.Get().(*labelScratch)
-	defer labelScratches.Put(sc)
+	sc := idScratches.Get().(*idScratch)
+	defer idScratches.Put(sc)
 	ids := append(sc.ids[:0], tokenize.CLS) // [CLS], then every token's id
 	for _, tok := range toks {
 		ids = append(ids, m.Vocab.ID(tok))

@@ -79,6 +79,35 @@ func TestSuggestBytesBudget(t *testing.T) {
 	}
 }
 
+// TestSuggestBatchAllocs gates what one advised loop allocates in objects,
+// on TestSuggestBytesBudget's call shape: every fixture loop is positive, so
+// all three S2S members run on each. It read 24.3 per loop while the members
+// built directives and reason lists only to flatten them away, each unit and
+// each suggestion was an allocation of its own, and the batch's ids were
+// fresh; with member verdicts written straight into the kept slice, a pooled
+// unit, one suggestion slab and borrowed ids it reads 16.25. The gate is
+// that plus 10 %.
+func TestSuggestBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	m := stubModels(t, nil)
+	codes := fixtureSnippets(t)
+	if _, err := m.SuggestBatchStaged(codes, nil); err != nil { // pools warm
+		t.Fatal(err)
+	}
+	perLoop := testing.AllocsPerRun(50, func() {
+		if _, err := m.SuggestBatchStaged(codes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(codes))
+	t.Logf("%.2f allocations per advised loop", perLoop)
+	const budget = 17.9
+	if perLoop > budget {
+		t.Errorf("%.2f allocations per advised loop, budget %.1f", perLoop, budget)
+	}
+}
+
 // bytesPerLoop is what one loop of a batch of n costs in bytes, over 20
 // rounds of advise after one to warm the pools; advise must answer every
 // loop.

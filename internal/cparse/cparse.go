@@ -283,6 +283,10 @@ func ParseTree(src string) *Tree {
 // pool. Call it once, after the last read of a node.
 func (t *Tree) Release() { t.p.release(false) }
 
+// Tokens returns the token stream the tree was parsed from, EOF last, when
+// its source lexed. It lives in the pooled parser until Release.
+func (t *Tree) Tokens() []clex.Token { return t.p.buf }
+
 func (p *Parser) parseRecover(src string) (*cast.File, []*Error) {
 	parses.Add(1)
 	var err error

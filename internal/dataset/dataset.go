@@ -73,7 +73,7 @@ func (s Split) Vocab() (*tokenize.Vocab, error) {
 func Examples(ins []Instance, v *tokenize.Vocab, maxLen int) ([]train.Example, error) {
 	out := make([]train.Example, len(ins))
 	for i, in := range ins {
-		ids, err := v.EncodeText(in.Rec.Code, maxLen)
+		ids, err := v.EncodeText(nil, in.Rec.Code, maxLen)
 		if err != nil {
 			return nil, err
 		}

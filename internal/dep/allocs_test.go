@@ -97,3 +97,35 @@ func BenchmarkAnalyzeLoop(b *testing.B) {
 		})
 	}
 }
+
+// TestAcceptedReasonsShared: an analysis nothing refuted and nothing else
+// explained carries the one shared "no loop-carried dependences detected"
+// Reasons, len == cap == 1, so accepting costs no allocation, and an append
+// to it copies, leaving every other analysis' Reasons as they were. A
+// converted analysis that explains its rescue keeps reasons of its own.
+func TestAcceptedReasonsShared(t *testing.T) {
+	const accepted = "no loop-carried dependences detected"
+	analyze := func(code string) *dep.Analysis {
+		u := parseUnit(t, code)
+		return dep.AnalyzeLoop(u.loops[0], u.funcs)
+	}
+	a := analyze("for (i = 0; i < n; i++) a[i] = b[i];")
+	b := analyze("for (j = 1; j < m; j++) { t = d[j]; c[j] = t * t; }")
+	for _, x := range []*dep.Analysis{a, b, a.Convert()} {
+		if !x.Parallelizable || len(x.Reasons) != 1 || cap(x.Reasons) != 1 || x.Reasons[0] != accepted {
+			t.Fatalf("accepted analysis Reasons %q (cap %d), want [%q] at cap 1", x.Reasons, cap(x.Reasons), accepted)
+		}
+	}
+	if &a.Reasons[0] != &b.Reasons[0] {
+		t.Error("two accepted analyses hold Reasons of their own, want one shared slice")
+	}
+	grown := append(a.Reasons, "appended")
+	if &grown[0] == &a.Reasons[0] || len(a.Reasons) != 1 || len(b.Reasons) != 1 || b.Reasons[0] != accepted {
+		t.Errorf("an append to the shared Reasons wrote through: now %q and %q", a.Reasons, b.Reasons)
+	}
+
+	c := analyze("for (i = 0; i < n; i++) { tmp[0] = a[i]; b[i] = tmp[0]; }").Convert()
+	if !c.Parallelizable || len(c.Reasons) < 2 || c.Reasons[len(c.Reasons)-1] != accepted {
+		t.Fatalf("converted Reasons %q, want the rescue then %q", c.Reasons, accepted)
+	}
+}

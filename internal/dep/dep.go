@@ -247,12 +247,21 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 	return a
 }
 
+// accepted is the Reasons of an analysis nothing refuted and nothing else
+// explained, one read-only slice every such analysis shares. Its len is its
+// cap, so an append to it copies, and nothing writes Reasons in place.
+var accepted = []string{"no loop-carried dependences detected"}
+
 // accept closes an analysis nothing refuted.
 func (a *Analysis) accept() {
 	slices.Sort(a.Private)
 	slices.SortFunc(a.Reductions, func(x, y pragma.Reduction) int { return strings.Compare(x.Vars[0], y.Vars[0]) })
 	a.Parallelizable = true
-	a.reason("no loop-carried dependences detected")
+	if len(a.Reasons) == 0 {
+		a.Reasons = accepted
+		return
+	}
+	a.Reasons = append(a.Reasons, accepted[0])
 }
 
 // ParseHeader normalizes a for-loop header.

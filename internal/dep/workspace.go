@@ -16,7 +16,9 @@ import (
 //
 // Ownership rule: nothing reachable from a returned *Analysis points into a
 // workspace. Reasons, Witnesses (sites and vectors), Private, Reductions,
-// UnknownCalls and Converted are built fresh, and so is the Header: its
+// UnknownCalls and Converted are built fresh — but for the read-only Reasons
+// every accepted analysis with nothing else to say shares — and so is the
+// Header: its
 // Affine bounds hold their symbol terms in slices of their own (nil for a
 // bound without symbols), which are part of the result.
 type workspace struct {

@@ -239,7 +239,7 @@ func (p *Pipeline) Vocab(repr tokenize.Representation) *tokenize.Vocab {
 func (p *Pipeline) ids(r *corpus.Record, repr tokenize.Representation, maxLen int) []int {
 	v := p.Vocab(repr)
 	if repr == tokenize.Text {
-		if ids, err := v.EncodeText(r.Code, maxLen); err == nil {
+		if ids, err := v.EncodeText(nil, r.Code, maxLen); err == nil {
 			return ids
 		}
 	}

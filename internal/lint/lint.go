@@ -5,9 +5,10 @@
 //   - poolbalance: a function that takes buffers from a pool — the tensor
 //     pool (GetVec/GetMatrix/GetInt8Matrix and their Dirty variants), a
 //     borrow list (Borrow/BorrowDirty/BorrowClone: clex's token buffers
-//     and nn.Borrows, a training step's matrices) — but neither returns
-//     them (PutVec/PutMatrix/PutInt8Matrix, Release) nor hands them off —
-//     by returning the buffer or storing it in a field/global — leaks pool
+//     and nn.Borrows, a training step's matrices), a parse tree or an S2S
+//     unit (ParseTree, NewUnit) — but neither returns them
+//     (PutVec/PutMatrix/PutInt8Matrix, Release) nor hands them off — by
+//     returning the buffer or storing it in a field/global — leaks pool
 //     capacity: the pool never shrinks a hot path back to steady state.
 //
 //   - determinism: the inference packages (nn, quant, lime, dep) promise
@@ -60,8 +61,9 @@ var poolFamilies = map[string]string{
 	"GetInt8Matrix": "PutInt8Matrix",
 	// Borrow lists: clex's token buffers and nn.Borrows.
 	"Borrow": "Release", "BorrowDirty": "Release", "BorrowClone": "Release",
-	// A cparse tree lends the pooled parser's slabs until Tree.Release.
-	"ParseTree": "Release",
+	// A cparse tree lends the pooled parser's slabs until Tree.Release, an
+	// S2S unit itself and the slabs of its parse until Unit.Release.
+	"ParseTree": "Release", "NewUnit": "Release", "newUnit": "Release",
 }
 
 // CheckFile runs every check over one parsed file and returns its findings
@@ -88,8 +90,10 @@ func CheckFile(fset *token.FileSet, file *ast.File, pkgName string) []Finding {
 // checkPoolBalance flags functions that acquire pool buffers without any
 // call to the matching release and without a way to transfer ownership:
 // returning a reference-shaped value (slice/pointer/interface — the buffer
-// may be handed to the caller, whose own balance is checked separately) or
-// storing into a struct field / global both count as transfers.
+// may be handed to the caller, whose own balance is checked separately)
+// counts as a transfer, and so does storing into a struct field / global
+// what is acquired: an acquire call itself, or a name one was assigned to.
+// Storing anything else into a field transfers nothing.
 func checkPoolBalance(fset *token.FileSet, file *ast.File) []Finding {
 	var out []Finding
 	for _, decl := range file.Decls {
@@ -99,6 +103,7 @@ func checkPoolBalance(fset *token.FileSet, file *ast.File) []Finding {
 		}
 		gets := map[string]token.Pos{} // release call -> first acquire position
 		calls := map[string]bool{}
+		acquired := map[string]bool{} // names assigned an acquired value
 		escapes := returnsReference(fn)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch v := n.(type) {
@@ -111,9 +116,15 @@ func checkPoolBalance(fset *token.FileSet, file *ast.File) []Finding {
 				}
 				calls[name] = true
 			case *ast.AssignStmt:
-				for _, lhs := range v.Lhs {
-					if _, ok := lhs.(*ast.SelectorExpr); ok {
-						escapes = true // stored into a field or package var
+				for i, lhs := range v.Lhs {
+					rhs := ast.Unparen(v.Rhs[min(i, len(v.Rhs)-1)]) // one call may give several results
+					id, _ := rhs.(*ast.Ident)
+					held := acquires(rhs) || id != nil && acquired[id.Name]
+					switch lhs := lhs.(type) {
+					case *ast.Ident:
+						acquired[lhs.Name] = acquired[lhs.Name] || held
+					case *ast.SelectorExpr:
+						escapes = escapes || held // stored into a field or package var
 					}
 				}
 			}
@@ -189,6 +200,16 @@ func checkObsImport(fset *token.FileSet, file *ast.File) []Finding {
 		}
 	}
 	return out
+}
+
+// acquires reports whether e is a call to a pool acquire entry point.
+func acquires(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	_, ok = poolFamilies[calleeName(call)]
+	return ok
 }
 
 // returnsReference reports whether fn can smuggle a buffer out through its

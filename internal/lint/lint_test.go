@@ -139,6 +139,47 @@ func parses(src string) bool {
 	}
 }
 
+func TestFieldStoreOfOtherValueIsNoTransfer(t *testing.T) {
+	// A function that writes its scratch's fields still has to release a
+	// tree it keeps nothing of: only storing the acquired value hands it off.
+	fs := check(t, `package scan
+import "pragformer/internal/cparse"
+func parseSource(src string, sc *scratch) int {
+	tree := cparse.ParseTree(src)
+	sc.text, sc.ends = sc.text[:0], sc.ends[:0]
+	sc.infos = appendLoops(sc.infos[:0], tree.File)
+	return len(sc.infos)
+}`)
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "parseSource") || !strings.Contains(fs[0].Msg, "Release") {
+		t.Fatalf("findings = %+v, want one Release leak in parseSource", fs)
+	}
+}
+
+func TestFieldStoreOfAcquiredValueIsTransfer(t *testing.T) {
+	// The unit keeps the tree until its own Release.
+	fs := check(t, `package s2s
+import "pragformer/internal/cparse"
+func (u *Unit) adopt(code string) {
+	t := cparse.ParseTree(code)
+	u.given, u.tree = true, t
+}`)
+	if len(fs) != 0 {
+		t.Fatalf("findings = %+v, want none (stored into a field)", fs)
+	}
+}
+
+func TestNewUnitWithoutReleaseFlagged(t *testing.T) {
+	fs := check(t, `package advisor
+import "pragformer/internal/s2s"
+func parallel(code string) bool {
+	u := s2s.NewUnit(code)
+	return u.Analysis() != nil
+}`)
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "Release") {
+		t.Fatalf("findings = %+v, want one Release leak", fs)
+	}
+}
+
 func TestDeterminismTimeNow(t *testing.T) {
 	fs := check(t, `package dep
 import "time"

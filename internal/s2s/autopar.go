@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -20,33 +21,34 @@ func (AutoPar) Name() string { return "AutoPar" }
 // Compile implements Compiler.
 func (c AutoPar) Compile(src string) (Result, error) { return compileText(c, src) }
 
-func (c AutoPar) compile(u *Unit) (Result, error) {
+func (c AutoPar) decide(u *Unit) (bool, string, error) {
 	src := u.src
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 	}, true, true); err != nil {
-		return Result{}, err
+		return false, "", err
 	}
 	if strings.Contains(src, "do") && strings.Contains(src, "while") && containsDoWhile(src) {
-		return Result{}, fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
+		return false, "", fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
 	}
 	if _, _, err := u.parse(); err != nil {
-		return Result{}, err
+		return false, "", err
 	}
-	a := u.analyze()
-	res := Result{Reasons: a.Reasons, src: src}
+	a := u.plainAnalysis()
 	if !a.Parallelizable {
-		return res, nil
+		return false, "", nil
 	}
 	if len(a.Reductions) > 0 {
-		res.Reasons = append(res.Reasons, "reduction idiom treated as carried dependence")
-		return res, nil
+		return false, "reduction idiom treated as carried dependence", nil
 	}
+	return true, "", nil
+}
+
+func (AutoPar) directive(a *dep.Analysis) *pragma.Directive {
 	d := &pragma.Directive{ParallelFor: true}
 	d.Private = append(d.Private, a.Header.Var)
 	d.Private = append(d.Private, a.Private...)
-	res.Directive = d
-	return res, nil
+	return d
 }
 
 // containsDoWhile performs a crude textual check for a do { ... } while.

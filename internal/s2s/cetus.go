@@ -3,6 +3,7 @@ package s2s
 import (
 	"strings"
 
+	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -33,44 +34,41 @@ const minCetusTrip = 4
 // Compile implements Compiler.
 func (c Cetus) Compile(src string) (Result, error) { return compileText(c, src) }
 
-func (c Cetus) compile(u *Unit) (Result, error) {
-	src := u.src
+func (c Cetus) decide(u *Unit) (bool, string, error) {
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "union": true,
 	}, false, true); err != nil {
-		return Result{}, err
+		return false, "", err
 	}
 	if _, _, err := u.parse(); err != nil {
-		return Result{}, err
+		return false, "", err
 	}
-	a := u.analyze()
-	res := Result{Reasons: a.Reasons, src: src}
+	a := u.plainAnalysis()
 	if !a.Parallelizable {
-		return res, nil
+		return false, "", nil
 	}
 	if tc := a.Header.TripCount(); tc >= 0 && tc < minCetusTrip {
-		res.Reasons = append(res.Reasons, "trip count below Cetus threshold")
-		return res, nil
+		return false, "trip count below Cetus threshold", nil
 	}
-	d := &pragma.Directive{ParallelFor: true}
-	// Pitfall: explicit private for the loop variable.
-	d.Private = append(d.Private, a.Header.Var)
-	d.Private = append(d.Private, a.Private...)
 	// Pitfall: only compound-assignment reductions survive Cetus's pattern
 	// matcher; others make the loop look serial, so Cetus declines.
 	for _, r := range a.Reductions {
-		if compoundReductionOnly(src, r) {
-			d.Reductions = append(d.Reductions, r)
-		} else {
-			res.Reasons = append(res.Reasons, "reduction form not recognized; loop left serial")
-			return res, nil
+		if !compoundReductionOnly(u.src, r) {
+			return false, "reduction form not recognized; loop left serial", nil
 		}
 	}
-	// Pitfall: no schedule(dynamic) for unbalanced loops; the default
-	// static schedule is kept (printed explicitly like Cetus does).
-	d.Schedule = pragma.ScheduleStatic
-	res.Directive = d
-	return res, nil
+	return true, "", nil
+}
+
+func (Cetus) directive(a *dep.Analysis) *pragma.Directive {
+	// Pitfall: explicit private for the loop variable. Pitfall: no
+	// schedule(dynamic) for unbalanced loops; the default static schedule
+	// is kept (printed explicitly like Cetus does).
+	d := &pragma.Directive{ParallelFor: true, Schedule: pragma.ScheduleStatic}
+	d.Private = append(d.Private, a.Header.Var)
+	d.Private = append(d.Private, a.Private...)
+	d.Reductions = append(d.Reductions, a.Reductions...)
+	return d
 }
 
 // compoundReductionOnly reports whether the reduction for r.Vars appears

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pragformer/internal/cast"
+	"pragformer/internal/dep"
 	"pragformer/internal/pragma"
 )
 
@@ -20,16 +21,16 @@ func (Par4All) Name() string { return "Par4All" }
 // Compile implements Compiler.
 func (c Par4All) Compile(src string) (Result, error) { return compileText(c, src) }
 
-func (c Par4All) compile(u *Unit) (Result, error) {
+func (c Par4All) decide(u *Unit) (bool, string, error) {
 	if err := rejectTokens(u, c.Name(), map[string]bool{
 		"register": true, "restrict": true, "typedef": true, "goto": true,
 		"switch": true, "do": true, "while": true, "static": true,
 	}, true, true); err != nil {
-		return Result{}, err
+		return false, "", err
 	}
 	loop, funcs, err := u.parse()
 	if err != nil {
-		return Result{}, err
+		return false, "", err
 	}
 	// Any call — even a math builtin — defeats Par4All's interprocedural
 	// phase on bare snippets.
@@ -42,21 +43,21 @@ func (c Par4All) compile(u *Unit) (Result, error) {
 		return true
 	})
 	if hasCall || len(funcs) > 0 {
-		return Result{}, fmt.Errorf("%w: Par4All: unresolved call in region", ErrParse)
+		return false, "", fmt.Errorf("%w: Par4All: unresolved call in region", ErrParse)
 	}
 	// No call and no function body in sight: the shared analysis, run with
 	// the snippet's (empty) function table, is the one Par4All would run.
-	a := u.analyze()
-	res := Result{Reasons: a.Reasons, src: u.src}
+	a := u.plainAnalysis()
 	if !a.Parallelizable {
-		return res, nil
+		return false, "", nil
 	}
 	if len(a.Reductions) > 0 || len(a.Private) > 0 {
 		// Par4All privatization on bare snippets is unreliable; it declines.
-		res.Reasons = append(res.Reasons, "privatization phase declined the loop")
-		return res, nil
+		return false, "privatization phase declined the loop", nil
 	}
-	d := &pragma.Directive{ParallelFor: true}
-	res.Directive = d
-	return res, nil
+	return true, "", nil
+}
+
+func (Par4All) directive(*dep.Analysis) *pragma.Directive {
+	return &pragma.Directive{ParallelFor: true}
 }

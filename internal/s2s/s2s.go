@@ -12,8 +12,8 @@ package s2s
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
+	"sync"
 
 	"pragformer/internal/cast"
 	"pragformer/internal/clex"
@@ -35,7 +35,7 @@ type Result struct {
 
 // Source returns the annotated source text: the directive line, when there
 // is one, above the pragma-stripped code. It is rendered on each call; the
-// advisor reads only the directive and the reasons.
+// advisor reads member verdicts, never a Result.
 func (r Result) Source() string {
 	if r.Directive == nil {
 		return r.src
@@ -58,15 +58,17 @@ var ErrParse = errors.New("s2s: compile failed")
 
 // Unit is the one front end of a snippet: the advisor's dependence evidence
 // and every member of one CompileUnit call read it. The members' token and
-// text checks run over the pragma-stripped text, lexed once; the target loop
-// comes from whoever parsed it first — NewUnit's parse of the advised
-// snippet, else the unit's own parse of its tokens, when the first member to
-// get that far asks — and goes through the dependence engine once, every view
-// deriving from that plain pass. The token buffer is borrowed from a pool for
-// the span of one compile call — releaseTokens hands it back — while the loop
-// and its analysis stay with the unit; the slabs of NewUnit's own parse are
-// borrowed until Release. A unit serves one snippet on one goroutine; ComPar
-// itself holds no state.
+// text checks run over the pragma-stripped text, lexed once: NewUnit's parse
+// already lexed it when the text holds no pragma, else the first member to
+// ask lexes it into a buffer borrowed from a pool for the span of one compile
+// call — releaseTokens hands it back. The target loop comes from whoever
+// parsed it first — NewUnit's parse of the advised snippet, else the unit's
+// own parse of its tokens, when the first member to get that far asks — and
+// goes through the dependence engine once, every view and every member's
+// decision deriving from that plain pass. Units are pooled: the slabs of
+// NewUnit's own parse and the unit itself are borrowed until Release, while
+// what the unit hands out holds only strings and stays valid. A unit serves
+// one snippet on one goroutine; ComPar itself holds no state.
 type Unit struct {
 	code   string        // as given
 	src    string        // pragma-stripped
@@ -82,12 +84,23 @@ type Unit struct {
 	plain *dep.Analysis
 }
 
-// newUnit is the text-built unit behind Compile(src) and CompileEach(src).
-func newUnit(code string) *Unit { return &Unit{code: code, src: stripPragmas(code)} }
+var units = sync.Pool{New: func() any { return new(Unit) }}
 
-// tokens lexes the stripped text into a borrowed buffer when the first
-// member of a compile call asks.
+// newUnit is the text-built unit behind Compile(src) and CompileEach(src),
+// borrowed until Release.
+func newUnit(code string) *Unit {
+	u := units.Get().(*Unit)
+	u.code, u.src = code, stripPragmas(code)
+	return u
+}
+
+// tokens returns the stripped text's tokens: those NewUnit's parse lexed
+// when the text is its own stripped form, else a lex into a borrowed buffer
+// when the first member of a compile call asks.
 func (u *Unit) tokens() ([]clex.Token, error) {
+	if u.tree != nil && u.src == u.code {
+		return u.tree.Tokens(), nil // the parse had no error, so neither had its lex
+	}
 	if u.buf == nil {
 		u.buf = clex.Borrow()
 		*u.buf, u.lexErr = clex.Append(*u.buf, u.src)
@@ -105,12 +118,12 @@ func (u *Unit) releaseTokens() {
 	}
 }
 
-// compileText is a member's Compile(src): compile over a unit of the text,
-// alive for that call.
-func compileText(c member, src string) (Result, error) {
+// compileText is a member's Compile(src): its decision over a unit of the
+// text, alive for that call, rendered.
+func compileText(m member, src string) (Result, error) {
 	u := newUnit(src)
-	defer u.releaseTokens()
-	return c.compile(u)
+	defer u.Release()
+	return render(m, u)
 }
 
 // NewUnit returns the unit of an advised snippet. It parses code as it
@@ -133,15 +146,17 @@ func NewUnit(code string) *Unit {
 	return u
 }
 
-// Release hands the slabs of NewUnit's own parse back to the parser pool;
-// call it once, after the unit's last read. What the unit handed out —
-// analyses with their witnesses, member results — holds only strings and
-// stays valid.
+// Release hands the slabs of NewUnit's own parse back to the parser pool,
+// and the unit, zeroed, to its own; call it once, after the unit's last
+// read. What the unit handed out — analyses with their witnesses, member
+// verdicts and results — holds only strings and stays valid.
 func (u *Unit) Release() {
+	u.releaseTokens()
 	if u.tree != nil {
 		u.tree.Release()
-		u.tree = nil
 	}
+	*u = Unit{}
+	units.Put(u)
 }
 
 // Analysis returns the converted dependence analysis of the loop NewUnit
@@ -159,26 +174,20 @@ func (u *Unit) Analysis() *dep.Analysis {
 // only see what is in the segment.
 func (u *Unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
 	if u.loop == nil && u.parseErr == nil {
-		u.loop, u.funcs, u.parseErr = parseSnippet(*u.buf) // lexed: rejectTokens ran
+		toks, _ := u.tokens() // lexed: rejectTokens ran
+		u.loop, u.funcs, u.parseErr = parseSnippet(toks)
 	}
 	return u.loop, u.funcs, u.parseErr
 }
 
-// plainAnalysis is the engine's one pass over the parsed loop.
+// plainAnalysis is the engine's one pass over the parsed loop. Nothing
+// writes to it: members read it, and Compile renders a clipped copy of its
+// reasons.
 func (u *Unit) plainAnalysis() *dep.Analysis {
 	if u.plain == nil {
 		u.plain = dep.AnalyzeLoop(u.loop, u.funcs)
 	}
 	return u.plain
-}
-
-// analyze returns the plain dependence analysis of the parsed loop: the
-// caller's own copy of the header, with Reasons clipped, because every
-// member appends its verdict to them.
-func (u *Unit) analyze() dep.Analysis {
-	a := *u.plainAnalysis()
-	a.Reasons = slices.Clip(a.Reasons)
-	return a
 }
 
 // stripPragmas removes existing pragma lines so compilers judge bare code.

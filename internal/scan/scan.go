@@ -38,6 +38,7 @@ import (
 	"pragformer/internal/dep"
 	"pragformer/internal/lime"
 	"pragformer/internal/obs"
+	"pragformer/internal/s2s"
 )
 
 // Config tunes a scan. Zero values take the documented defaults.
@@ -137,9 +138,9 @@ type Suggestion struct {
 	Attributions []Attribution `json:"attributions,omitempty"`
 }
 
-// S2SVerdict is one S2S compiler's corroboration outcome: the advisor's
-// own evidence item, which carries the wire's keys.
-type S2SVerdict = advisor.CompilerVerdict
+// S2SVerdict is one S2S compiler's corroboration outcome: the member
+// verdict the advisor keeps as evidence, which carries the wire's keys.
+type S2SVerdict = s2s.MemberVerdict
 
 // Attribution is one token's LIME weight toward the model's positive
 // verdict: the explainer's own item, which carries the wire's keys. Weight
@@ -477,6 +478,9 @@ func run(
 	}
 	enqueue := func(l *Loop) error {
 		l.queued = true
+		if pending == nil {
+			pending = make([]*Loop, 0, cfg.BatchSize)
+		}
 		pending = append(pending, l)
 		if len(pending) >= cfg.BatchSize {
 			return flush()

@@ -385,7 +385,7 @@ func (s *evidenceSuggester) SuggestBatch(codes []string) ([]advisor.BatchItem, e
 			continue
 		}
 		cor := &sg.Corroboration
-		cor.S2S = []advisor.CompilerVerdict{
+		cor.S2S = []S2SVerdict{
 			{Compiler: "Cetus", Compiled: true, Parallelized: true},
 			{Compiler: "AutoPar", Detail: "frontend rejected the snippet"},
 		}

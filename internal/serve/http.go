@@ -62,7 +62,7 @@ func (e *Engine) Handler() http.Handler {
 // bundle.
 func (e *Engine) encode(code string) ([]int, error) {
 	models := e.Models()
-	return models.Vocab.EncodeText(code, models.EffectiveMaxLen())
+	return models.Vocab.EncodeText(nil, code, models.EffectiveMaxLen())
 }
 
 // validateIDs rejects raw id sequences the model cannot embed — this is

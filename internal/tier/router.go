@@ -489,8 +489,20 @@ type group struct {
 // replica, preserving request order inside each bucket. An item whose key
 // comes back with routed false needs no replica (it is already answered);
 // unroutable indices land in the nil-replica bucket. There are at most as
-// many buckets as replicas, so a bucket is found by a scan.
-func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []group {
+// many buckets as replicas, so a bucket is found by a scan. The buckets come
+// in the call's fan-out state, nil when no item needs a replica; a one-item
+// request's bucket and index are held in the state itself.
+func groupByKey[R any](rt *Router, n int, key func(i int) (k string, routed bool)) *fanState[R] {
+	if n == 1 {
+		k, routed := key(0)
+		if !routed {
+			return nil
+		}
+		s := new(fanState[R])
+		s.one[0] = group{rep: rt.pick(k), indices: s.index[:]} // index[0] is item 0
+		s.groups = s.one[:]
+		return s
+	}
 	var groups []group
 	for i := 0; i < n; i++ {
 		k, routed := key(i)
@@ -507,7 +519,10 @@ func (rt *Router) groupByKey(n int, key func(i int) (k string, routed bool)) []g
 		}
 		groups[j].indices = append(groups[j].indices, i)
 	}
-	return groups
+	if len(groups) == 0 {
+		return nil
+	}
+	return &fanState[R]{groups: groups}
 }
 
 // fanOut is the router's one replica round, behind /predict, /suggest and
@@ -521,21 +536,21 @@ func fanOut[R any](ctx context.Context, rt *Router, path string, codes []string,
 	key func(i int) (k string, routed bool), setErr func(*R, string)) int {
 	tr := obs.TraceFrom(ctx)
 	endRoute := tr.Start("route")
-	groups := rt.groupByKey(len(results), key)
+	s := groupByKey[R](rt, len(results), key)
 	endRoute()
-	if len(groups) == 0 {
+	if s == nil {
 		return 0
 	}
-	s := &fanState[R]{rt: rt, ctx: ctx, tr: tr, path: path, codes: codes, ids: ids, results: results, setErr: setErr}
-	last := len(groups) - 1
-	for k := range groups[:last] {
+	s.rt, s.ctx, s.tr, s.path, s.codes, s.ids, s.results, s.setErr = rt, ctx, tr, path, codes, ids, results, setErr
+	last := len(s.groups) - 1
+	for k := range s.groups[:last] {
 		s.wg.Add(1)
 		go func(g *group) {
 			defer s.wg.Done()
 			s.share(g)
-		}(&groups[k])
+		}(&s.groups[k])
 	}
-	s.share(&groups[last])
+	s.share(&s.groups[last])
 	s.wg.Wait()
 	return int(s.shed.Load())
 }
@@ -553,6 +568,10 @@ type fanState[R any] struct {
 	setErr  func(*R, string)
 	wg      sync.WaitGroup
 	shed    atomic.Int64
+
+	groups []group
+	one    [1]group // a one-item request's groups
+	index  [1]int   // and its indices
 }
 
 // share forwards one replica's share of the items and settles its reply.

@@ -57,8 +57,10 @@ func encodeTextInputs(tb testing.TB) []string {
 	)
 }
 
-// sameEncoding holds EncodeText(code, maxLen) to Encode(Extract(code, Text),
-// maxLen): equal ids, or the same error.
+// sameEncoding holds EncodeText(nil, code, maxLen) to
+// Encode(Extract(code, Text), maxLen): equal ids, or the same error. Appended
+// to a dst that holds ids already, the ids follow them, and an error leaves
+// dst as it was.
 func sameEncoding(t *testing.T, v *Vocab, code string, maxLen int) {
 	t.Helper()
 	var want []int
@@ -66,13 +68,20 @@ func sameEncoding(t *testing.T, v *Vocab, code string, maxLen int) {
 	if wantErr == nil {
 		want = v.Encode(toks, maxLen)
 	}
-	got, err := v.EncodeText(code, maxLen)
+	got, err := v.EncodeText(nil, code, maxLen)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Errorf("maxLen %d on %q: streaming err %v, two-step err %v", maxLen, code, err, wantErr)
 		return
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("maxLen %d on %q:\nstreaming %v\ntwo-step  %v", maxLen, code, got, want)
+	}
+	prefix := []int{7, 8, 9}
+	if got, _ := v.EncodeText(prefix[:2:2], code, maxLen); !slices.Equal(got, append(prefix[:2:2], want...)) {
+		t.Errorf("maxLen %d on %q: appended %v, want [7 8] then %v", maxLen, code, got, want)
+	}
+	if prefix[2] != 9 {
+		t.Errorf("maxLen %d on %q: EncodeText wrote past the dst it was given", maxLen, code)
 	}
 }
 
@@ -103,7 +112,7 @@ func TestEncodeTextMatchesExtractEncode(t *testing.T) {
 	long := strings.Repeat("a[i] = b[i] + 1;\n", 20) // 240 tokens
 	for _, tail := range []string{"s = \"open;\n", "x = y @ z;", "c = 'q\n", "/* open"} {
 		src := long + tail
-		if _, err := v.EncodeText(src, 110); err == nil {
+		if _, err := v.EncodeText(nil, src, 110); err == nil {
 			t.Errorf("lex error after token 110 not reported: %q", tail)
 		}
 		sameEncoding(t, v, src, 110)
@@ -111,7 +120,8 @@ func TestEncodeTextMatchesExtractEncode(t *testing.T) {
 }
 
 // TestEncodeTextAllocs pins the point of the streaming pass: whatever the
-// snippet's length, the id slice is the one allocation.
+// snippet's length, the id slice is the one allocation, and a dst with room
+// for the ids takes them without any.
 func TestEncodeTextAllocs(t *testing.T) {
 	src := strings.Repeat("a[i] = b[i] + 1;\n", 25) // 300 tokens
 	toks, err := Extract(src, Text)
@@ -121,12 +131,21 @@ func TestEncodeTextAllocs(t *testing.T) {
 	v := BuildVocab([][]string{toks}, 1)
 	for _, maxLen := range []int{110, 400} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := v.EncodeText(src, maxLen); err != nil {
+			if _, err := v.EncodeText(nil, src, maxLen); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 1 {
 			t.Errorf("maxLen %d: %.1f allocations per EncodeText, want exactly 1", maxLen, allocs)
+		}
+		dst := make([]int, 0, 2*len(src))
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := v.EncodeText(dst[:5], src, maxLen); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("maxLen %d: %.1f allocations per EncodeText into a dst with room, want 0", maxLen, allocs)
 		}
 	}
 }
@@ -151,7 +170,7 @@ func BenchmarkEncodeText(b *testing.B) {
 	v := BuildVocab([][]string{toks}, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.EncodeText(src, 110); err != nil {
+		if _, err := v.EncodeText(nil, src, 110); err != nil {
 			b.Fatal(err)
 		}
 	}

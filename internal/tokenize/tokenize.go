@@ -202,28 +202,33 @@ func (v *Vocab) Encode(tokens []string, maxLen int) []int {
 	return ids
 }
 
-// EncodeText is Encode over Extract(code, Text) in one streaming pass: each
-// token's text goes straight to its id, so neither the tokens nor their
-// strings are materialised. Storing stops at maxLen; lexing runs on to the
-// end, so a lexical error anywhere in code still fails it as Extract would.
-func (v *Vocab) EncodeText(code string, maxLen int) ([]int, error) {
+// EncodeText appends Encode over Extract(code, Text) to dst in one
+// streaming pass: each token's text goes straight to its id, so neither the
+// tokens nor their strings are materialised. Storing stops at maxLen ids;
+// lexing runs on to the end, so a lexical error anywhere in code still fails
+// it as Extract would, and then dst comes back as it was. A dst without room
+// grows once, whatever the length.
+func (v *Vocab) EncodeText(dst []int, code string, maxLen int) ([]int, error) {
 	if maxLen < 1 {
 		maxLen = 1
 	}
+	n := len(dst)
 	// A token is at least one byte, so len(code)+1 bounds the sequence.
-	ids := make([]int, 1, min(len(code)+1, maxLen))
-	ids[0] = CLS
+	if need := min(len(code)+1, maxLen); cap(dst)-n < need {
+		dst = append(make([]int, 0, max(n+need, 2*cap(dst))), dst...)
+	}
+	dst = append(dst, CLS)
 	lx := clex.New(code)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return dst[:n], err
 		}
 		if t.Kind == clex.EOF {
-			return ids, nil
+			return dst, nil
 		}
-		if t.Kind != clex.Pragma && len(ids) < maxLen {
-			ids = append(ids, v.ID(t.Text))
+		if t.Kind != clex.Pragma && len(dst)-n < maxLen {
+			dst = append(dst, v.ID(t.Text))
 		}
 	}
 }
