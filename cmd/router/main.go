@@ -58,7 +58,7 @@ func main() {
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "per-replica drain/readiness deadline during rolling reload")
 		failThr  = flag.Int("fail-threshold", 3, "consecutive failures before ejecting a replica")
 		backend  = flag.String("backend", "", "verdict-store namespace backend (empty adopts the fleet's reported backend)")
-		modelID  = flag.String("model-id", "", "verdict-store namespace model id (set when replicas serve pinned artifacts)")
+		modelID  = flag.String("model-id", "", "model id that /healthz reports; a label only, the verdict store is keyed by snippet hash")
 		trace    = flag.Bool("trace", false, "trace every request (spans in responses + one structured log line each); without it only requests carrying X-PF-Trace are traced")
 		pprofOn  = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints (off by default)")
 	)

@@ -223,7 +223,11 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	analyze := func(code string) *dep.Analysis { return s2s.NewUnit(code).Analysis() }
+	analyze := func(code string) *dep.Analysis {
+		u := s2s.NewUnit(code)
+		defer u.Release()
+		return u.Analysis()
+	}
 	if analyze("not c code {{{") != nil {
 		t.Error("analyze should be nil on parse failure")
 	}

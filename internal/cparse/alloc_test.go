@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pragformer/internal/cast"
-	"pragformer/internal/clex"
 )
 
 func readFixture(t testing.TB, name string) string {
@@ -202,30 +201,6 @@ func TestParseTreeAllocs(t *testing.T) {
 	}
 }
 
-// TestParseTokensMatchesParse: parsing a caller-lexed stream is parsing the
-// text, and a stream that is not a whole Lex result is an error, not a
-// panic.
-func TestParseTokensMatchesParse(t *testing.T) {
-	for _, name := range []string{"stencil.c", "reduce.c", "private.c", "annotated.c", "histo.c", "broken.c"} {
-		src := readFixture(t, name)
-		toks, err := clex.Lex(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantErr := Parse(src)
-		got, gotErr := ParseTokens(toks)
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
-			t.Errorf("%s: ParseTokens = (%v, %v), Parse = (%v, %v)", name, got, gotErr, want, wantErr)
-		}
-		if _, err := ParseTokens(toks[:len(toks)-1]); err == nil {
-			t.Errorf("%s: stream without EOF parsed", name)
-		}
-	}
-	if _, err := ParseTokens(nil); err == nil {
-		t.Error("empty stream parsed")
-	}
-}
-
 // TestPooledParserCarriesNothingOver: a pooled parser starts each source
 // clean — a typedef from the last parse is not a type in the next.
 func TestPooledParserCarriesNothingOver(t *testing.T) {
@@ -238,11 +213,11 @@ func TestPooledParserCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// TestSlabGrows: a full pooled slab hands out its next nodes from an array
-// at least twice as long, reset zeroes every slot it handed out, the
-// outgrown array's included, and the slab keeps the larger array.
+// TestSlabGrows: a full slab hands out its next nodes from an array at
+// least twice as long, reset zeroes every slot it handed out, the outgrown
+// array's included, and the slab keeps the larger array.
 func TestSlabGrows(t *testing.T) {
-	s := slab[cast.Ident]{pooled: true}
+	var s slab[cast.Ident]
 	nodes := make([]*cast.Ident, minSlab+1)
 	for i := range nodes {
 		nodes[i] = put(&s, cast.Ident{Name: fmt.Sprint(i)})
@@ -264,34 +239,5 @@ func TestSlabGrows(t *testing.T) {
 	}
 	if len(s.old) != 0 || s.used != 0 || put(&s, cast.Ident{Name: "next"}) != grown {
 		t.Errorf("after reset: %d outgrown arrays, %d used, next node not in the larger array", len(s.old), s.used)
-	}
-}
-
-// TestKeptParseRecordsNoOutgrownArray: a parse whose tree the caller keeps
-// grows its fresh slabs without listing the arrays it outgrew, since nothing
-// resets those slabs, while a new pooled parser lists them, so that Release
-// zeroes the nodes in them; grown outgrows the first array of several kinds.
-func TestKeptParseRecordsNoOutgrownArray(t *testing.T) {
-	p := get(true)
-	defer p.release(true)
-	if _, errs := p.parseRecover(grown); len(errs) > 0 {
-		t.Fatal(errs[0])
-	}
-	s := reflect.ValueOf(&p.slabs).Elem()
-	for i := 0; i < s.NumField(); i++ {
-		if old := s.Field(i).FieldByName("old"); old.Len() > 0 || old.Cap() > 0 {
-			t.Errorf("a kept parse's %s slab lists %d outgrown arrays", s.Type().Field(i).Name, old.Len())
-		}
-	}
-
-	pooled := parsers.New().(*Parser)
-	f, _ := pooled.parseRecover(grown)
-	first := f.Items[0].(*cast.FuncDef).Body.Stmts[0].(*cast.If) // carved before its slab grew
-	if &pooled.ifs.buf[0] == first {
-		t.Fatal("the first if is in the ifs slab's last array: grown did not outgrow it")
-	}
-	pooled.release(false)
-	if !reflect.ValueOf(*first).IsZero() {
-		t.Errorf("a released pooled parse left %+v in an outgrown array", *first)
 	}
 }

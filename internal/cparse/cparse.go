@@ -34,12 +34,9 @@ type Parser struct {
 	pos      int
 	typedefs map[string]bool // names this source typedef'd; nil until the first
 	slabs
-	// spare holds the pooled slabs while a parse whose tree the caller keeps
-	// runs on fresh ones (see get).
-	spare slabs
 
-	// buf is what Parse and ParseRecover lex into: an AST keeps token texts
-	// (substrings of the source), never tokens.
+	// buf is what a parse lexes into: an AST keeps token texts (substrings
+	// of the source), never tokens.
 	buf []clex.Token
 	// stmts stacks the statements of the blocks being parsed, innermost
 	// last, items the file's, decls the declarators or parameters of the
@@ -54,34 +51,13 @@ type Parser struct {
 	tree Tree
 }
 
-var parsers = sync.Pool{New: func() any {
-	p := new(Parser)
-	for _, k := range p.kinds() {
-		k.pool()
-	}
-	return p
-}}
-
-// get takes a pooled parser. A parse whose tree the caller keeps runs on
-// fresh slabs, which leave with the tree; the pooled ones wait in spare.
-func get(keep bool) *Parser {
-	p := parsers.Get().(*Parser)
-	if keep {
-		p.spare, p.slabs = p.slabs, slabs{}
-	}
-	return p
-}
+var parsers = sync.Pool{New: func() any { return new(Parser) }}
 
 // release returns p to the pool holding nothing of the parse behind it:
-// neither a token text, which would pin the source, nor a node. A released
-// tree's slabs are zeroed where the parse used them; a kept tree's stay
-// with it.
-func (p *Parser) release(keep bool) {
-	if keep {
-		p.slabs = p.spare
-	} else {
-		p.reset()
-	}
+// neither a token text, which would pin the source, nor a node. The slabs
+// are zeroed where the parse used them.
+func (p *Parser) release() {
+	p.reset()
 	*p = Parser{slabs: p.slabs, buf: empty(p.buf), stmts: empty(p.stmts), items: empty(p.items), decls: empty(p.decls),
 		args: empty(p.args)}
 	parsers.Put(p)
@@ -127,10 +103,7 @@ type slabs struct {
 }
 
 // kind is one slab, of whatever node type.
-type kind interface {
-	reset()
-	pool()
-}
+type kind interface{ reset() }
 
 // kinds lists every slab.
 func (s *slabs) kinds() [26]kind {
@@ -150,19 +123,14 @@ func (s *slabs) reset() {
 // minSlab is the least length of a slab's first array.
 const minSlab = 32
 
-// slab is one kind's array: a parse hands its slots out in order. In a
-// pooled parser's slab, an array the parse outgrew stays in old, holding the
-// nodes it handed out, until reset. A kept parse's slabs leave with its tree
-// and are never reset, so they record none.
+// slab is one kind's array: a parse hands its slots out in order. An array
+// the parse outgrew stays in old, holding the nodes it handed out, until
+// reset.
 type slab[T any] struct {
-	buf    []T
-	used   int
-	pooled bool
-	old    [][]T
+	buf  []T
+	used int
+	old  [][]T
 }
-
-// pool marks the slab as a pooled parser's.
-func (s *slab[T]) pool() { s.pooled = true }
 
 // reset zeroes the handed-out slots, outgrown arrays' included, and keeps
 // only buf, the largest array, for the next parse.
@@ -179,7 +147,7 @@ func (s *slab[T]) reset() {
 // moves to a new array at least twice as long.
 func carve[T any](s *slab[T], k int) []T {
 	if s.used+k > len(s.buf) {
-		if s.used > 0 && s.pooled {
+		if s.used > 0 {
 			s.old = append(s.old, s.buf[:s.used])
 		}
 		s.buf, s.used = make([]T, max(2*len(s.buf), minSlab, k)), 0
@@ -218,32 +186,15 @@ var parses atomic.Int64
 // advised loop once more, from its text, for its corroboration).
 func Parses() int64 { return parses.Load() }
 
-// Parse parses C source text into an AST.
+// Parse parses C source text into an AST. It runs on a parser of its own,
+// whose slabs leave with the tree.
 func Parse(src string) (*cast.File, error) {
-	p := get(true)
-	defer p.release(true)
+	parses.Add(1)
+	p := new(Parser)
 	var err error
-	if p.buf, err = clex.Append(p.buf, src); err != nil {
-		parses.Add(1)
+	if p.toks, err = clex.Append(nil, src); err != nil {
 		return nil, err
 	}
-	return p.parse(p.buf)
-}
-
-// ParseTokens is Parse over a source the caller has already lexed: toks is a
-// complete clex.Lex result, read but not kept.
-func ParseTokens(toks []clex.Token) (*cast.File, error) {
-	p := get(true)
-	defer p.release(true)
-	return p.parse(toks)
-}
-
-func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
-	parses.Add(1)
-	if len(toks) == 0 || toks[len(toks)-1].Kind != clex.EOF {
-		return nil, &Error{Line: 1, Col: 1, Msg: "token stream does not end in EOF"}
-	}
-	p.toks = toks
 	f, _, err := p.parseFile(true)
 	return f, err
 }
@@ -253,11 +204,10 @@ func (p *Parser) parse(toks []clex.Token) (*cast.File, error) {
 // resynchronizes at the next statement boundary (';' or a balanced '}' at
 // nesting depth zero), so one broken function no longer suppresses every
 // other loop in the file. The returned file holds the items that did parse;
-// errs carries one structured error per failed region.
+// errs carries one structured error per failed region. Like Parse, it runs
+// on a parser of its own.
 func ParseRecover(src string) (*cast.File, []*Error) {
-	p := get(true)
-	defer p.release(true)
-	return p.parseRecover(src)
+	return new(Parser).parseRecover(src)
 }
 
 // Tree is a ParseRecover result whose nodes live in the slabs of the pooled
@@ -273,7 +223,7 @@ type Tree struct {
 // ParseTree is ParseRecover into the pooled parser's own slabs, so that a
 // parse in steady state allocates next to nothing.
 func ParseTree(src string) *Tree {
-	p := get(false)
+	p := parsers.Get().(*Parser)
 	p.tree.File, p.tree.Errs = p.parseRecover(src)
 	p.tree.p = p
 	return &p.tree
@@ -281,10 +231,11 @@ func ParseTree(src string) *Tree {
 
 // Release zeroes every slab slot the tree used and returns its parser to the
 // pool. Call it once, after the last read of a node.
-func (t *Tree) Release() { t.p.release(false) }
+func (t *Tree) Release() { t.p.release() }
 
-// Tokens returns the token stream the tree was parsed from, EOF last, when
-// its source lexed. It lives in the pooled parser until Release.
+// Tokens returns the token stream the tree was parsed from, EOF last. A
+// source that failed to lex stops short of EOF, and Errs[0].Msg is the lex
+// error's text. It lives in the pooled parser until Release.
 func (t *Tree) Tokens() []clex.Token { return t.p.buf }
 
 func (p *Parser) parseRecover(src string) (*cast.File, []*Error) {

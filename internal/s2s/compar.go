@@ -112,11 +112,10 @@ func (c *ComPar) CompileEach(src string) []MemberVerdict {
 
 // CompileUnit is the evidence form the advisor attaches to corroborated
 // suggestions, where "which compiler parallelized" matters, not just the
-// combined best. The members share the unit, so the snippet is lexed, parsed
-// and analyzed once, not per member — and not at all where the unit's maker
+// combined best. The members share the unit, so the snippet is parsed and
+// analyzed once, not per member — and not at all where the unit's maker
 // already did. Each member's verdict is written into the one slice returned.
 func (c *ComPar) CompileUnit(u *Unit) []MemberVerdict {
-	defer u.releaseTokens()
 	out := make([]MemberVerdict, len(c.Members))
 	for i, m := range c.Members {
 		out[i] = verdict(m, u)

@@ -57,29 +57,25 @@ type Compiler interface {
 var ErrParse = errors.New("s2s: compile failed")
 
 // Unit is the one front end of a snippet: the advisor's dependence evidence
-// and every member of one CompileUnit call read it. The members' token and
-// text checks run over the pragma-stripped text, lexed once: NewUnit's parse
-// already lexed it when the text holds no pragma, else the first member to
-// ask lexes it into a buffer borrowed from a pool for the span of one compile
-// call — releaseTokens hands it back. The target loop comes from whoever
-// parsed it first — NewUnit's parse of the advised snippet, else the unit's
-// own parse of its tokens, when the first member to get that far asks — and
-// goes through the dependence engine once, every view and every member's
-// decision deriving from that plain pass. Units are pooled: the slabs of
-// NewUnit's own parse and the unit itself are borrowed until Release, while
-// what the unit hands out holds only strings and stays valid. A unit serves
-// one snippet on one goroutine; ComPar itself holds no state.
+// and every member of one CompileUnit call read it. Its front end is pooled
+// parses, held until Release. NewUnit parses the text as given; the
+// members' token and text checks, and their loop when NewUnit found none,
+// read a parse of the pragma-stripped text, which is that same parse when
+// the text holds no pragma and is otherwise made when the first member asks.
+// The target loop goes through the dependence engine once, every view and
+// every member's decision deriving from that plain pass. The unit itself is
+// pooled too, while what it hands out holds only strings and stays valid. A
+// unit serves one snippet on one goroutine; ComPar itself holds no state.
 type Unit struct {
-	code   string        // as given
-	src    string        // pragma-stripped
-	buf    *[]clex.Token // src's tokens, borrowed; with lexErr, nil until a member asks
-	lexErr error
+	code  string       // as given
+	src   string       // pragma-stripped
+	tree  *cparse.Tree // NewUnit's parse of code; nil in a text-built unit
+	strip *cparse.Tree // the parse of src when tree is not it; nil until a member asks
 
 	given    bool      // NewUnit found the loop: Analysis has a subject
 	loop     *cast.For // with funcs and parseErr, nil until found or parsed
 	funcs    map[string]*cast.FuncDef
 	parseErr error
-	tree     *cparse.Tree // NewUnit's parse, whose slabs hold loop until Release
 
 	plain *dep.Analysis
 }
@@ -94,28 +90,16 @@ func newUnit(code string) *Unit {
 	return u
 }
 
-// tokens returns the stripped text's tokens: those NewUnit's parse lexed
-// when the text is its own stripped form, else a lex into a borrowed buffer
-// when the first member of a compile call asks.
-func (u *Unit) tokens() ([]clex.Token, error) {
+// stripped returns the parse of the pragma-stripped text: NewUnit's when the
+// text is its own stripped form, else one made on the first ask.
+func (u *Unit) stripped() *cparse.Tree {
 	if u.tree != nil && u.src == u.code {
-		return u.tree.Tokens(), nil // the parse had no error, so neither had its lex
+		return u.tree
 	}
-	if u.buf == nil {
-		u.buf = clex.Borrow()
-		*u.buf, u.lexErr = clex.Append(*u.buf, u.src)
+	if u.strip == nil {
+		u.strip = cparse.ParseTree(u.src)
 	}
-	return *u.buf, u.lexErr
-}
-
-// releaseTokens ends a compile call: the token buffer goes back cleared. A
-// parsed loop keeps token texts, never tokens, so what the unit found stays
-// valid.
-func (u *Unit) releaseTokens() {
-	if u.buf != nil {
-		clex.Release(u.buf)
-		u.buf, u.lexErr = nil, nil
-	}
+	return u.strip
 }
 
 // compileText is a member's Compile(src): its decision over a unit of the
@@ -129,31 +113,29 @@ func compileText(m member, src string) (Result, error) {
 // NewUnit returns the unit of an advised snippet. It parses code as it
 // stands, pragma lines included, so race witnesses stay anchored to the
 // canonical print of the text the caller holds — a pragma is transparent to
-// the analysis, so the members read the same verdict. That parse lives in
-// the pooled parser's slabs until Release. When code holds no loop that
-// parses, Analysis is nil and the members parse their stripped tokens
-// themselves, for their own error text.
+// the analysis, so the members read the same verdict. When code holds no
+// loop that parses, Analysis is nil and the members take their loop, or
+// their error text, from the parse of the stripped text.
 func NewUnit(code string) *Unit {
 	u := newUnit(code)
-	t := cparse.ParseTree(code)
-	if len(t.Errs) == 0 { // a recovering parse with no error is the strict parse
-		if loop, funcs := target(t.File); loop != nil {
-			u.given, u.loop, u.funcs, u.tree = true, loop, funcs, t
-			return u
+	u.tree = cparse.ParseTree(code)
+	if len(u.tree.Errs) == 0 { // a recovering parse with no error is the strict parse
+		if loop, funcs := target(u.tree.File); loop != nil {
+			u.given, u.loop, u.funcs = true, loop, funcs
 		}
 	}
-	t.Release()
 	return u
 }
 
-// Release hands the slabs of NewUnit's own parse back to the parser pool,
-// and the unit, zeroed, to its own; call it once, after the unit's last
-// read. What the unit handed out — analyses with their witnesses, member
-// verdicts and results — holds only strings and stays valid.
+// Release hands the unit's parses back to the parser pool, and the unit,
+// zeroed, to its own; call it once, after the unit's last read. What the
+// unit handed out — analyses with their witnesses, member verdicts and
+// results — holds only strings and stays valid.
 func (u *Unit) Release() {
-	u.releaseTokens()
-	if u.tree != nil {
-		u.tree.Release()
+	for _, t := range [...]*cparse.Tree{u.tree, u.strip} {
+		if t != nil {
+			t.Release()
+		}
 	}
 	*u = Unit{}
 	units.Put(u)
@@ -171,11 +153,16 @@ func (u *Unit) Analysis() *dep.Analysis {
 // parse extracts the first loop and any function bodies present in the
 // snippet text itself. The paper notes S2S compilers suffer from "the lack
 // of association of functions, macros, and structure definitions" — they
-// only see what is in the segment.
+// only see what is in the segment. The first error of the stripped text's
+// recovering parse is the error a strict parse stops at.
 func (u *Unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
 	if u.loop == nil && u.parseErr == nil {
-		toks, _ := u.tokens() // lexed: rejectTokens ran
-		u.loop, u.funcs, u.parseErr = parseSnippet(toks)
+		t := u.stripped() // lexed: rejectTokens ran
+		if len(t.Errs) > 0 {
+			u.parseErr = fmt.Errorf("%w: %v", ErrParse, t.Errs[0])
+		} else if u.loop, u.funcs = target(t.File); u.loop == nil {
+			u.parseErr = fmt.Errorf("%w: no for-loop in snippet", ErrParse)
+		}
 	}
 	return u.loop, u.funcs, u.parseErr
 }
@@ -203,18 +190,6 @@ func stripPragmas(src string) string {
 		out = append(out, line)
 	}
 	return strings.Join(out, "\n")
-}
-
-func parseSnippet(toks []clex.Token) (*cast.For, map[string]*cast.FuncDef, error) {
-	f, err := cparse.ParseTokens(toks)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrParse, err)
-	}
-	loop, funcs := target(f)
-	if loop == nil {
-		return nil, nil, fmt.Errorf("%w: no for-loop in snippet", ErrParse)
-	}
-	return loop, funcs, nil
 }
 
 // target returns a parsed snippet's target loop (nil when it holds none) and
@@ -268,9 +243,10 @@ func FirstLoop(f *cast.File) *cast.For {
 // rejectTokens scans the raw token stream for constructs a fragile frontend
 // chokes on and returns a hard error when one is found.
 func rejectTokens(u *Unit, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
-	toks, err := u.tokens()
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrParse, name, err)
+	tree := u.stripped()
+	toks := tree.Tokens()
+	if len(toks) == 0 || toks[len(toks)-1].Kind != clex.EOF { // the lex failed
+		return fmt.Errorf("%w: %s: %s", ErrParse, name, tree.Errs[0].Msg)
 	}
 	for i, t := range toks {
 		switch t.Kind {

@@ -1,9 +1,11 @@
 package s2s
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,13 +17,53 @@ import (
 	"pragformer/internal/dep"
 )
 
+// pinnedErrors are inputs every member rejects, with each member's Compile
+// error text, recorded while the members lexed into a borrowed token buffer
+// and strictly parsed those tokens: a lex error, a parse error, no loop, and
+// a `#pragma` line that closes a block comment, so that the stripped text
+// no longer lexes while the text as given parses. %s is the member's name.
+var pinnedErrors = []struct{ src, err string }{
+	{"for (i = 0; i < n; i++) a[i] = b[i] @ 2;",
+		"s2s: compile failed: %s: clex: line 1 col 37: unexpected character '@'"},
+	{"for (i = 0; i < n; i++) a[i] = (b[i] + ;",
+		`s2s: compile failed: cparse: line 1 col 40: unexpected token ";" in expression`},
+	{"a[0] = b[0] + 1;",
+		"s2s: compile failed: no for-loop in snippet"},
+	{"/* note\n#pragma omp parallel for */\nfor (i = 0; i < n; i++) a[i] = b[i];",
+		"s2s: compile failed: %s: clex: line 2 col 37: unterminated block comment"},
+}
+
+// TestMemberErrorTexts holds every member's error text on pinnedErrors to
+// the recorded one, compiled from the text and corroborating an advised unit.
+func TestMemberErrorTexts(t *testing.T) {
+	c := NewComPar()
+	for _, pin := range pinnedErrors {
+		u := NewUnit(pin.src)
+		vs := c.CompileUnit(u)
+		u.Release()
+		for i, m := range c.Members {
+			want := pin.err
+			if strings.Contains(want, "%s") {
+				want = fmt.Sprintf(want, m.Name())
+			}
+			if _, err := m.Compile(pin.src); err == nil || err.Error() != want {
+				t.Errorf("%s on %q: Compile error %v, want %q", m.Name(), pin.src, err, want)
+			}
+			if vs[i].Compiled || vs[i].Detail != want {
+				t.Errorf("%s on %q: verdict %+v, want the error %q", m.Name(), pin.src, vs[i], want)
+			}
+		}
+	}
+}
+
 // equivalenceInputs is the bounded instance set the shared front end earns
 // its trust on: every corpus template at two seeds, every loop of the scan
 // fixture tree (canonical print, as the scanner hands it over) plus the raw
 // files, the parser fuzzer's hand-picked seeds, and what separates the
 // advisor's view of a snippet from the members': pragma lines (which the
 // members strip and the advisor keeps) above the loop and inside its body,
-// function definitions beside the loop, and text that does not parse.
+// function definitions beside the loop, text that does not parse, and the
+// inputs whose error texts are pinned.
 func equivalenceInputs(t *testing.T) []string {
 	t.Helper()
 	var srcs []string
@@ -57,7 +99,7 @@ func equivalenceInputs(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(srcs,
+	srcs = append(srcs,
 		"for (i = 0; i < n; i++) a[i] = b[i];",
 		"void f() { for (;;) {} }",
 		"int x = ;",
@@ -82,6 +124,10 @@ func equivalenceInputs(t *testing.T) []string {
 		"for (i = 0; i < n; i++) {\n#pragma omp atomic\n    s += a[i]\n}",
 		"#pragma omp parallel for\nx = y;",
 	)
+	for _, pin := range pinnedErrors {
+		srcs = append(srcs, pin.src)
+	}
+	return srcs
 }
 
 // sameVerdict compares a shared-front-end verdict with the flattened
@@ -204,50 +250,40 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUnitBorrowsTokens holds the unit's tokens to what an owned clex.Lex
-// copy gave. A unit whose NewUnit parse kept the loop of a text without a
-// pragma reads that parse's tokens, which are clex.Lex's, and borrows no
-// buffer; any other unit borrows one. Every CompileUnit verdict is the
-// member's own Compile(src) verdict, from eight goroutines trading buffers
-// and units through the pools; a unit compiled a second time — its buffer
-// long returned — answers as it did the first; and a returned buffer holds
-// no token, over its whole capacity, so the pool pins no snippet.
-func TestUnitBorrowsTokens(t *testing.T) {
+// TestUnitFrontEnd holds a unit's front end to an owned clex.Lex of the
+// stripped text: the tokens its members check are clex.Lex's, and when the
+// lex fails, every member's error text carries clex's. A unit of a text
+// without a pragma parses once, and one with a pragma at most twice, however
+// often it is compiled. Every CompileUnit verdict is the member's own
+// Compile(src) verdict, a second CompileUnit answers as the first did, and
+// eight goroutines trade units and parsers through the pools.
+func TestUnitFrontEnd(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
-	fromTree := 0
 	for _, src := range srcs {
+		parses := cparse.Parses()
 		u := NewUnit(src)
-		toks, err := u.tokens() // borrow now, to watch the buffer across the release
-		buf := u.buf
-		if reads := u.tree != nil && u.src == u.code; reads != (buf == nil) {
-			t.Fatalf("%q: parse kept and pragma-free %v, borrowed buffer %v", src, reads, buf != nil)
-		} else if reads {
-			fromTree++
-			if want, lexErr := clex.Lex(src); err != nil || lexErr != nil || !reflect.DeepEqual(toks, want) {
-				t.Fatalf("%q: the parse's tokens are not clex.Lex's", src)
-			}
+		first, second := c.CompileUnit(u), c.CompileUnit(u)
+		toks := slices.Clone(u.stripped().Tokens())
+		u.Release()
+		got, limit := cparse.Parses()-parses, int64(1)
+		if stripPragmas(src) != src {
+			limit = 2
 		}
-		first := c.CompileUnit(u)
-		if u.buf != nil {
-			t.Fatalf("%q: unit still holds its token buffer after CompileUnit", src)
+		if got > limit {
+			t.Errorf("%q: the unit parsed %d times, want at most %d", src, got, limit)
 		}
-		if buf != nil {
-			for i, tok := range (*buf)[:cap(*buf)] {
-				if tok != (clex.Token{}) {
-					t.Fatalf("%q: released buffer still holds %v at %d of %d", src, tok, i, cap(*buf))
-				}
-			}
+		want, lexErr := clex.Lex(stripPragmas(src))
+		if !slices.Equal(toks, want) {
+			t.Errorf("%q: the unit's tokens are not clex.Lex's", src)
 		}
-		second := c.CompileUnit(u)
 		for i := range first {
+			if lexErr != nil && !strings.Contains(first[i].Detail, lexErr.Error()) {
+				t.Errorf("%q: %s reads %q, want clex's %q", src, first[i].Compiler, first[i].Detail, lexErr)
+			}
 			sameVerdict(t, src, first[i], c.Members[i])
 			sameVerdict(t, src, second[i], c.Members[i])
 		}
-		u.Release()
-	}
-	if fromTree < len(srcs)/2 {
-		t.Errorf("only %d of %d units read their parse's tokens", fromTree, len(srcs))
 	}
 
 	var wg sync.WaitGroup
@@ -329,13 +365,15 @@ func TestUnitReleaseReuse(t *testing.T) {
 
 // TestCompileEachAllocs gates the saving: one shared front end allocates
 // under half of what the three members allocate compiling on their own, and
-// at most 18 times at all. The ceiling is what holds the count: the leaner
+// at most 6 times at all. The ceiling is what holds the count: the leaner
 // the shared lex, parse and dependence analysis get, the less sharing them
 // saves in proportion (119 of 310 before the analysis had a workspace, 55 of
 // 118 with it), so a ratio alone would count a leaner front end as a loss.
 // It read 26 while each member built a directive and a reason list it then
 // flattened away and the unit was a fresh allocation; members that decide
-// into their verdict and a pooled unit read 18.
+// into their verdict and a pooled unit read 17, while the unit lexed into a
+// borrowed buffer and kept a strict parse of those tokens. With its front end
+// its pooled parses alone it reads 4.
 func TestCompileEachAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -355,8 +393,8 @@ func TestCompileEachAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("CompileEach %.0f allocs, three independent Compiles %.0f", shared, alone)
-	if shared > 0.5*alone || shared > 18 {
-		t.Errorf("CompileEach allocates %.0f, want under half of %.0f for three independent compiles and at most 18", shared, alone)
+	if shared > 0.5*alone || shared > 6 {
+		t.Errorf("CompileEach allocates %.0f, want under half of %.0f for three independent compiles and at most 6", shared, alone)
 	}
 }
 

@@ -55,11 +55,12 @@ type Config struct {
 	// (RatePerSec <= 0 disables client rate limiting).
 	RatePerSec float64
 	Burst      int
-	// Backend/ModelID name the one (backend, model) pair whose verdicts the
-	// store holds; both are reported by /healthz. Backend "" adopts the first
-	// backend a probe reports (rolling the store: what was stored before
-	// belonged to no named backend). ModelID never changes under a running
-	// router; a new bundle arrives by POST /reload, which rolls the store.
+	// Backend names the backend whose verdicts the store holds; "" adopts
+	// the first backend a probe reports (rolling the store: what was stored
+	// before belonged to no named backend). The store is keyed by a
+	// snippet's hash alone, and a new bundle arrives by POST /reload, which
+	// rolls it. ModelID is a label that /healthz echoes beside Backend: it
+	// keys nothing.
 	Backend string
 	ModelID string
 	// Client is the HTTP client for forwards and probes (nil = a client
