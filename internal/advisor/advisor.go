@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"pragformer/internal/clex"
 	"pragformer/internal/core"
 	"pragformer/internal/dep"
 	"pragformer/internal/lime"
@@ -391,7 +392,7 @@ func (m *Models) finish(s *Suggestion, code string) {
 		}
 	}
 	if cor.Tier == TierDisagree && !m.NoExplain {
-		s.Attributions = m.explainDisagreement(code)
+		s.Attributions = m.explainDisagreement(unit, code)
 	}
 }
 
@@ -420,17 +421,19 @@ func (m *Models) compileEach(unit *s2s.Unit, code string) []s2s.MemberVerdict {
 // Attributions are returned in token order covering every (truncated)
 // input token; consumers pick their own top-K by |weight|. This is the one
 // place an advised loop's token strings exist: the classifier reads ids
-// streamed from the text.
-func (m *Models) explainDisagreement(code string) []lime.Attribution {
-	toks, err := tokenize.Extract(code, tokenize.Text)
-	if err != nil {
-		return nil // unreachable: the snippet was encoded from the same text
-	}
+// streamed from the text, and LIME reads the texts of the unit's lex of
+// it. A disagreement's unit parsed the text without error, so those tokens
+// run to EOF; the pragmas among them are dropped, as the encoder drops
+// them, and the strings stop at the encode cap — the classifier never sees
+// past it, and the surrogate fit is cubic in token count.
+func (m *Models) explainDisagreement(unit *s2s.Unit, code string) []lime.Attribution {
 	maxLen := m.EffectiveMaxLen()
-	if len(toks) > maxLen {
-		// The classifier never sees past the encode cap, and the surrogate
-		// fit is cubic in token count — explain what the model reads.
-		toks = toks[:maxLen]
+	all := unit.Tokens()
+	toks := make([]string, 0, min(len(all), maxLen))
+	for _, t := range all {
+		if t.Kind != clex.Pragma && t.Kind != clex.EOF && len(toks) < maxLen {
+			toks = append(toks, t.Text)
+		}
 	}
 	ex := lime.New(limeSeed(code))
 	ex.Samples = limeSamples

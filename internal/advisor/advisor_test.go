@@ -1,10 +1,14 @@
 package advisor
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -320,11 +324,7 @@ func TestDisagreementIsTerminal(t *testing.T) {
 // bundle might carry beside it. A 64-position classifier explains at most
 // 64 tokens of a longer loop.
 func TestExplainCapIsTheClassifiers(t *testing.T) {
-	code := "for (i = 1; i < n; i++) {"
-	for k := 0; k < 12; k++ {
-		code += " s[i] += s[i-1] * w[i];"
-	}
-	code += " }"
+	code := longRefutedLoop()
 	toks, err := tokenize.Extract(code, tokenize.Text)
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +346,68 @@ func TestExplainCapIsTheClassifiers(t *testing.T) {
 	}
 	if n := len(s.Attributions); n == 0 || n > limit {
 		t.Errorf("%d attributions for a %d-position classifier", n, limit)
+	}
+}
+
+// longRefutedLoop is a loop with a carried dependence and more tokens than
+// a 64-position classifier reads.
+func longRefutedLoop() string {
+	code := "for (i = 1; i < n; i++) {"
+	for k := 0; k < 12; k++ {
+		code += " s[i] += s[i-1] * w[i];"
+	}
+	return code + " }"
+}
+
+// TestExplainReadsWhatTheModelReads: a disagreement's attribution tokens, in
+// index order, are the text's tokens the classifier reads — Extract's, its
+// pragmas dropped, cut at the classifier's input budget — for a refuted loop
+// with a pragma inside its body and for one longer than the budget, which is
+// explained at exactly the budget. The pragma loop's attributions are pinned
+// to the values LIME gave while it took its tokens from Extract.
+func TestExplainReadsWhatTheModelReads(t *testing.T) {
+	for _, c := range []struct {
+		name, code, digest string
+		models             func(*testing.T) *Models
+	}{
+		{"long", longRefutedLoop(), "", func(t *testing.T) *Models { return stubModels(t, nil) }},
+		{"pragma", "for (i = 1; i < n; i++)\n{\n#pragma omp critical\n    s[i] += s[i - 1];\n}\n", "27 3f4da4fc42e6158d", models},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.models(t)
+			s, err := m.Suggest(c.code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Tier() != TierDisagree {
+				t.Fatalf("tier = %v, want %v", s.Tier(), TierDisagree)
+			}
+			want, err := tokenize.Extract(c.code, tokenize.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = want[:min(len(want), m.EffectiveMaxLen())]
+			got := make([]string, len(s.Attributions))
+			for i, a := range s.Attributions {
+				if a.Index != i {
+					t.Fatalf("attribution %d has index %d", i, a.Index)
+				}
+				got[i] = a.Token
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("LIME explained %d tokens %q, want the %d the classifier reads %q", len(got), got, len(want), want)
+			}
+			if c.digest == "" {
+				return
+			}
+			h := sha256.New()
+			for _, a := range s.Attributions {
+				fmt.Fprintf(h, "%d %q %x\n", a.Index, a.Token, math.Float64bits(a.Weight))
+			}
+			if d := fmt.Sprintf("%d %x", len(s.Attributions), h.Sum(nil)[:8]); d != c.digest {
+				t.Errorf("attributions moved: %s, want %s", d, c.digest)
+			}
+		})
 	}
 }
 

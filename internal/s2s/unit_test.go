@@ -250,13 +250,14 @@ func TestCompileEachMatchesIndependentCompile(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUnitFrontEnd holds a unit's front end to an owned clex.Lex of the
-// stripped text: the tokens its members check are clex.Lex's, and when the
-// lex fails, every member's error text carries clex's. A unit of a text
-// without a pragma parses once, and one with a pragma at most twice, however
-// often it is compiled. Every CompileUnit verdict is the member's own
-// Compile(src) verdict, a second CompileUnit answers as the first did, and
-// eight goroutines trade units and parsers through the pools.
+// TestUnitFrontEnd holds a unit's front end to clex: the tokens it hands out
+// are clex.Append's of the text as given, the tokens its members check are
+// clex.Append's of the stripped text, and when the lex fails, every member's
+// error text carries clex's. A unit of a text without a pragma parses once,
+// and one with a pragma at most twice, however often it is compiled. Every
+// CompileUnit verdict is the member's own Compile(src) verdict, a second
+// CompileUnit answers as the first did, and eight goroutines trade units and
+// parsers through the pools.
 func TestUnitFrontEnd(t *testing.T) {
 	c := NewComPar()
 	srcs := equivalenceInputs(t)
@@ -264,7 +265,7 @@ func TestUnitFrontEnd(t *testing.T) {
 		parses := cparse.Parses()
 		u := NewUnit(src)
 		first, second := c.CompileUnit(u), c.CompileUnit(u)
-		toks := slices.Clone(u.stripped().Tokens())
+		given, toks := slices.Clone(u.Tokens()), slices.Clone(u.stripped().Tokens())
 		u.Release()
 		got, limit := cparse.Parses()-parses, int64(1)
 		if stripPragmas(src) != src {
@@ -273,9 +274,12 @@ func TestUnitFrontEnd(t *testing.T) {
 		if got > limit {
 			t.Errorf("%q: the unit parsed %d times, want at most %d", src, got, limit)
 		}
-		want, lexErr := clex.Lex(stripPragmas(src))
+		if want, _ := clex.Append(nil, src); !slices.Equal(given, want) {
+			t.Errorf("%q: the unit's tokens are not clex.Append's", src)
+		}
+		want, lexErr := clex.Append(nil, stripPragmas(src))
 		if !slices.Equal(toks, want) {
-			t.Errorf("%q: the unit's tokens are not clex.Lex's", src)
+			t.Errorf("%q: the members' tokens are not clex.Append's", src)
 		}
 		for i := range first {
 			if lexErr != nil && !strings.Contains(first[i].Detail, lexErr.Error()) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"pragformer/internal/advisor"
 	"pragformer/internal/dep"
 )
 
@@ -256,7 +257,7 @@ const maxPooledText = 1 << 20
 func verdictRule(l *Loop) string {
 	s := l.Suggestion
 	switch {
-	case s != nil && s.Parallelize && s.Tier == "disagree":
+	case s != nil && s.Parallelize && s.Tier == advisor.TierDisagree.String():
 		return RuleDisagree
 	case s != nil && s.Parallelize:
 		return RuleParallelize

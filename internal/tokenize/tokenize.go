@@ -98,22 +98,23 @@ func stripPragmaNodes(f *cast.File) {
 }
 
 // lexTokens returns the raw token texts, skipping pragmas (the label must
-// never leak into the model input). The tokens themselves are borrowed.
+// never leak into the model input), streamed from the lexer as EncodeText
+// streams its ids.
 func lexTokens(code string) ([]string, error) {
-	buf := clex.Borrow()
-	defer clex.Release(buf)
-	var err error
-	if *buf, err = clex.Append(*buf, code); err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(*buf))
-	for _, t := range *buf {
-		if t.Kind == clex.EOF || t.Kind == clex.Pragma {
-			continue
+	var out []string
+	lx := clex.New(code)
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, t.Text)
+		if t.Kind == clex.EOF {
+			return out, nil
+		}
+		if t.Kind != clex.Pragma {
+			out = append(out, t.Text)
+		}
 	}
-	return out, nil
 }
 
 // Special token ids, fixed across all vocabularies.
