@@ -15,9 +15,10 @@
 // (wire.go).
 //
 // The flat verdict itself is scan.Suggestion — already the report, cache
-// and store form — so a /suggest item IS a report verdict plus an error
-// slot, and the router's /scan stores what it decoded without a
-// conversion.
+// and store form — and a /suggest item is scan.Verdict, that verdict plus
+// an error slot: what a replica answers /suggest with is what its /scan
+// hands the scan pipeline, and the router's /scan decodes replica replies
+// straight into the items the pipeline reads.
 package api
 
 import (
@@ -80,11 +81,9 @@ type SuggestRequest struct {
 }
 
 // SuggestResult is one /suggest outcome: the flat verdict, or a per-item
-// error (unlexable snippet, shed, failed forward).
-type SuggestResult struct {
-	scan.Suggestion
-	Error string `json:"error,omitempty"`
-}
+// error (unlexable snippet, shed, failed forward). It is the scan
+// pipeline's own verdict item.
+type SuggestResult = scan.Verdict
 
 // SuggestResponse is the /suggest reply.
 type SuggestResponse = Response[SuggestResult]

@@ -300,11 +300,14 @@ func Files(ctx context.Context, files []Source, cfg Config, suggest func(codes [
 	return scanFiles(ctx, files, cfg, func(chunk []*Loop) error {
 		verdicts := suggest(snippets(chunk))
 		for i, l := range chunk {
-			if verdicts[i].Err != nil {
-				l.Error = verdicts[i].Err.Error()
+			if verdicts[i].Error != "" {
+				l.Error = verdicts[i].Error
 				continue
 			}
-			l.Suggestion = verdicts[i].Suggestion
+			// A copy of its own: a stored verdict never keeps its
+			// chunk-mates alive.
+			s := verdicts[i].Suggestion
+			l.Suggestion = &s
 		}
 		return nil
 	})
@@ -590,10 +593,13 @@ collect:
 }
 
 // Verdict is one snippet's outcome in the report form: a suggestion or a
-// per-snippet error.
+// per-snippet error (unlexable snippet, shed, failed forward). It is also
+// the /suggest wire item (api.SuggestResult): the serving engine answers a
+// /suggest with it, and the tier router decodes a replica's reply straight
+// into it.
 type Verdict struct {
-	Suggestion *Suggestion
-	Err        error
+	Suggestion
+	Error string `json:"error,omitempty"`
 }
 
 // adviseWith settles chunks through an advisor.Suggester, handing it the
@@ -616,7 +622,8 @@ func adviseWith(sg advisor.Suggester, onStage func(string, time.Duration)) func(
 				l.Error = items[i].Err.Error()
 				continue
 			}
-			l.Suggestion = FromAdvisor(items[i].Suggestion)
+			s := FromAdvisor(items[i].Suggestion)
+			l.Suggestion = &s
 		}
 		return nil
 	}
@@ -843,14 +850,11 @@ func sortSkips(skips []Skip) {
 
 // FromAdvisor flattens an advisor suggestion into the report form — the
 // one place a verdict changes shape. Scan reports, the verdict stores and
-// the /suggest wire item (api.SuggestResult) all carry its result. The
-// evidence slices are the suggestion's own: a verdict is built once and
-// only read after.
-func FromAdvisor(s *advisor.Suggestion) *Suggestion {
-	if s == nil {
-		return nil
-	}
-	out := &Suggestion{
+// the /suggest wire item (Verdict) all carry its result. The evidence
+// slices are the suggestion's own: a verdict is built once and only read
+// after.
+func FromAdvisor(s *advisor.Suggestion) Suggestion {
+	out := Suggestion{
 		Parallelize:  s.Parallelize,
 		Probability:  s.Probability,
 		Tier:         s.Corroboration.Tier.String(),

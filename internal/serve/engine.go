@@ -154,8 +154,8 @@ type Engine struct {
 	cfg     Config
 	reg     *obs.Registry
 	predict *batcher[[]int, float64]
-	// suggest carries the flat verdict — a suggestion or a per-snippet
-	// error; both are cached (errors are deterministic).
+	// suggest carries the /suggest wire item — a suggestion or a
+	// per-snippet error; both are cached (errors are deterministic).
 	suggest *batcher[string, scan.Verdict]
 
 	reloadMu sync.Mutex   // serializes Reload swaps
@@ -263,12 +263,16 @@ func (e *Engine) buildRuns(models *advisor.Models) (runFunc[[]int, float64], run
 		out := make([]scan.Verdict, len(codes))
 		if err != nil {
 			for i := range out {
-				out[i].Err = err
+				out[i].Error = err.Error()
 			}
 			return out, stages
 		}
 		for i, it := range items {
-			out[i] = scan.Verdict{Suggestion: scan.FromAdvisor(it.Suggestion), Err: it.Err}
+			if it.Err != nil {
+				out[i].Error = it.Err.Error()
+				continue
+			}
+			out[i].Suggestion = scan.FromAdvisor(it.Suggestion)
 		}
 		return out, stages
 	}
@@ -372,14 +376,18 @@ func (e *Engine) Predict(ctx context.Context, ids []int) (float64, error) {
 
 // Suggest runs the full advisor pipeline for one snippet, coalescing
 // concurrent callers into SuggestBatch calls, and returns the verdict in
-// its flat report form. The returned Suggestion may be shared with other
-// callers (cache hits) and must not be mutated.
+// its flat report form. The Suggestion is a copy of the one the engine
+// holds, but its evidence slices are shared with other callers (cache
+// hits) and must not be mutated.
 func (e *Engine) Suggest(ctx context.Context, code string) (*scan.Suggestion, error) {
 	v, err := e.suggest.do(ctx, code, code)
 	if err != nil {
 		return nil, err
 	}
-	return v.Suggestion, v.Err
+	if v.Error != "" {
+		return nil, errors.New(v.Error)
+	}
+	return &v.Suggestion, nil
 }
 
 // Models exposes the currently served bundle (the HTTP layer needs the

@@ -89,7 +89,7 @@ func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	api.ServeSuggest(w, r, shedMessage, e.answerSuggest)
+	api.ServeSuggest(w, r, shedMessage, e.suggestAll)
 }
 
 // answerPredict fans every item into the predict batcher at once; shed
@@ -129,22 +129,6 @@ func (e *Engine) answerPredict(ctx context.Context, codes []string, rawIDs [][]i
 	}
 	wg.Wait()
 	return results, int(sheds.Load())
-}
-
-func (e *Engine) answerSuggest(ctx context.Context, codes []string) ([]api.SuggestResult, int) {
-	results := make([]api.SuggestResult, len(codes))
-	sheds := 0
-	for i, v := range e.suggestAll(ctx, codes) {
-		if v.Err == nil {
-			results[i].Suggestion = *v.Suggestion
-			continue
-		}
-		if errors.Is(v.Err, ErrSaturated) {
-			sheds++
-		}
-		results[i].Error = v.Err.Error()
-	}
-	return results, sheds
 }
 
 // handleReload hot-swaps the served models from the configured source.

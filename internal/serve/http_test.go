@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -137,6 +138,36 @@ func TestHTTPSuggest(t *testing.T) {
 	}
 	if want.Directive != nil && got.Directive != want.Directive.String() {
 		t.Errorf("directive %q != %q", got.Directive, want.Directive)
+	}
+}
+
+// TestSuggestAllocs gates a replica's single-item /suggest answer: 15
+// allocations when every call runs the advisor (the cache off), 2 when the
+// cache answers. The counts are process-wide, the batch worker's included.
+func TestSuggestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	codes := []string{"for (i = 0; i < n; i++) a[i] = b[i] * 2;"}
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+		max       float64
+	}{{"uncached", -1, 15}, {"cached", 0, 2}} {
+		e, err := New(testModels(t), Config{CacheSize: tc.cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if res, _ := e.suggestAll(ctx, codes); res[0].Error != "" {
+			t.Fatalf("%s: %s", tc.name, res[0].Error)
+		}
+		got := testing.AllocsPerRun(50, func() { e.suggestAll(ctx, codes) })
+		e.Close()
+		t.Logf("allocations per %s single-item /suggest answer: %.1f", tc.name, got)
+		if got > tc.max {
+			t.Errorf("a %s single-item /suggest answer allocates %.1f times, want at most %.0f", tc.name, got, tc.max)
+		}
 	}
 }
 

@@ -264,7 +264,11 @@ func scanParity(t *testing.T, e *Engine, models *advisor.Models, file, src strin
 			}
 			verdicts := make([]scan.Verdict, len(items))
 			for i, it := range items {
-				verdicts[i] = scan.Verdict{Suggestion: scan.FromAdvisor(it.Suggestion), Err: it.Err}
+				if it.Err != nil {
+					verdicts[i].Error = it.Err.Error()
+					continue
+				}
+				verdicts[i].Suggestion = scan.FromAdvisor(it.Suggestion)
 			}
 			return verdicts
 		})

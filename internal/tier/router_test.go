@@ -854,8 +854,7 @@ func TestTierScanForwardsConcurrently(t *testing.T) {
 func oracleVerdicts(codes []string) []scan.Verdict {
 	out := make([]scan.Verdict, len(codes))
 	for i, c := range codes {
-		r := fakeVerdict(c)
-		out[i] = scan.Verdict{Suggestion: &r.Suggestion}
+		out[i] = fakeVerdict(c)
 	}
 	return out
 }
@@ -968,6 +967,79 @@ func TestStoredItemOwnsItsBytes(t *testing.T) {
 	t.Logf("a %d-byte reply left %d bytes live", replied, kept)
 	if kept > replied/8 {
 		t.Errorf("storing one verdict of a %d-byte reply kept %d bytes live", replied, kept)
+	}
+}
+
+// TestScanStoredVerdictOwnsItsMemory is the /scan twin of
+// TestStoredItemOwnsItsBytes: a verdict the router's /scan stored keeps
+// only its own memory alive, not the chunk of replies it was decoded with.
+// One-loop files are scanned in chunks of 16 through the router's fan-out
+// twice: once storing the first verdict of every chunk, once storing all
+// sixteen. Once the reports are dropped, the first must hold about a
+// sixteenth of what the second does, not nearly all of it.
+func TestScanStoredVerdictOwnsItsMemory(t *testing.T) {
+	const chunks, batch = 64, 16
+	files := make([]scan.Source, chunks*batch)
+	for k := range files {
+		src := fmt.Sprintf("void f(int *a, int n) {\n\tfor (int i = 0; i < n; i++)\n\t\ta[i] = %d;\n}\n", k)
+		files[k] = scan.Source{Path: fmt.Sprintf("f%d.c", k), Data: []byte(src)}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	kept := func(all bool) int64 {
+		a := newFakeReplica(t)
+		rt := newTestRouter(t, Config{Backend: "fake", ProbeInterval: time.Hour}, a)
+		ctx := context.Background()
+		rt.scanVerdicts(ctx, []string{"for (;;) ;"}) // opens the connection; stores nothing
+		before := heap()
+		func() {
+			store := keepStore{pinnedStore: rt.pinStore(), keep: map[string]bool{}}
+			cfg := scan.Config{Backend: "fake", BatchSize: batch, Store: store}
+			_, err := scan.Files(ctx, files, cfg, func(codes []string) []scan.Verdict {
+				for i, c := range codes {
+					if all || i == 0 {
+						store.keep[scan.HashSnippet(c)] = true
+					}
+				}
+				return rt.scanVerdicts(ctx, codes)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}()
+		live := heap() - before
+		want := chunks
+		if all {
+			want *= batch
+		}
+		if rt.store.Len() != want {
+			t.Fatalf("stored %d verdicts, want %d", rt.store.Len(), want)
+		}
+		return live
+	}
+	one, all := kept(false), kept(true)
+	t.Logf("%d stored verdicts, one per %d-loop chunk, left %d bytes live; all %d left %d",
+		chunks, batch, one, chunks*batch, all)
+	if one > all/4 {
+		t.Errorf("one verdict per chunk kept %d bytes live, a quarter or more of the %d all of them keep", one, all)
+	}
+}
+
+// keepStore is the router's store under a /scan that writes back only the
+// verdicts whose hashes keep holds.
+type keepStore struct {
+	pinnedStore
+	keep map[string]bool
+}
+
+func (s keepStore) Put(hash string, sg *scan.Suggestion) {
+	if s.keep[hash] {
+		s.pinnedStore.Put(hash, sg)
 	}
 }
 

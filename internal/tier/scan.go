@@ -2,7 +2,6 @@ package tier
 
 import (
 	"context"
-	"errors"
 	"net/http"
 
 	"pragformer/internal/api"
@@ -20,22 +19,15 @@ import (
 
 // scanVerdicts is the scan pipeline's inference stage over the fleet: each
 // chunk of canonical snippets is routed by content hash and forwarded as
-// one /suggest per replica. The /suggest wire item is the report form, so
-// decoded replica results are handed to the pipeline as they are.
+// one /suggest per replica. The /suggest wire item is the pipeline's
+// verdict item, so replica results are decoded straight into what the
+// pipeline reads.
 func (rt *Router) scanVerdicts(ctx context.Context, codes []string) []scan.Verdict {
 	// Settled exactly as a /suggest is. Scan snippets are already canonical
 	// prints; their hash is the routing key AND the store key.
-	results := make([]api.SuggestResult, len(codes))
-	fanOut(ctx, rt, "/suggest", codes, nil, results,
-		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr)
 	verdicts := make([]scan.Verdict, len(codes))
-	for i := range results {
-		if e := results[i].Error; e != "" {
-			verdicts[i].Err = errors.New(e)
-		} else {
-			verdicts[i].Suggestion = &results[i].Suggestion
-		}
-	}
+	fanOut(ctx, rt, "/suggest", codes, nil, verdicts,
+		func(i int) (string, bool) { return scan.HashSnippet(codes[i]), true }, setSuggestErr)
 	return verdicts
 }
 
