@@ -223,7 +223,7 @@ type Corroboration struct {
 // once it is built (the S2S members only read it), and from here on the
 // verdict, its report form and any store it lands in share them read-only.
 func (c *Corroboration) attach(analysis *dep.Analysis) {
-	if analysis == nil || !analysis.Header.OK {
+	if !analysis.Header.OK {
 		return
 	}
 	c.DepRan = true
@@ -239,7 +239,8 @@ type Suggestion struct {
 	Probability float64
 	// Directive is the generated pragma (nil when Parallelize is false):
 	// the agreeing analysis' own directive, or the bare `parallel for` when
-	// no analysis supports one.
+	// no analysis supports one. It lives in its batch's one directive slab,
+	// its clauses the analysis' own, and like the evidence is only read.
 	Directive *pragma.Directive
 	// Corroboration is the evidence behind a positive verdict.
 	Corroboration Corroboration
@@ -338,7 +339,16 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 	}
 
 	t0 := time.Now()
-	suggestions := make([]Suggestion, len(probs)) // one allocation for the batch
+	// One allocation for the batch's suggestions, and one for the
+	// directives of its positives, none when there are none.
+	positives := 0
+	for _, p := range probs {
+		if p > 0.5 {
+			positives++
+		}
+	}
+	suggestions := make([]Suggestion, len(probs))
+	directives := make([]pragma.Directive, 0, positives)
 	j := 0
 	for i := range items {
 		if items[i].Err != nil {
@@ -347,6 +357,10 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 		s := &suggestions[j]
 		s.Probability, s.Parallelize = probs[j], probs[j] > 0.5
 		items[i].Suggestion = s
+		if s.Parallelize {
+			directives = directives[:len(directives)+1]
+			s.Directive = &directives[len(directives)-1]
+		}
 		m.finish(s, codes[i])
 		j++
 	}
@@ -357,14 +371,14 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 // finish completes a suggestion over the snippet's one s2s.Unit. Every
 // verdict carries the dependence evidence: a refuted loop's race witnesses
 // are a property of the code, not of the model's answer, and the scan
-// report surfaces them. A positive also gets its directive and its
-// corroboration grade.
+// report surfaces them. A positive also gets its directive, written into
+// the slot s.Directive already points at, and its corroboration grade.
 func (m *Models) finish(s *Suggestion, code string) {
 	unit := s2s.NewUnit(code)
 	defer unit.Release()
-	analysis := unit.Analysis() // nil when no loop parses
+	analysis := unit.Analysis() // no header when no loop parses
 	cor := &s.Corroboration
-	cor.attach(analysis)
+	cor.attach(&analysis)
 	if !s.Parallelize {
 		return
 	}
@@ -376,11 +390,11 @@ func (m *Models) finish(s *Suggestion, code string) {
 	// disagreement the paper mines.
 	switch {
 	case cor.DepRan && cor.DepAgrees:
-		cor.Tier, s.Directive = TierAnalysisAgrees, analysis.Directive()
+		cor.Tier, *s.Directive = TierAnalysisAgrees, *analysis.Directive()
 	case cor.DepRan:
-		cor.Tier, s.Directive = TierDisagree, &pragma.Directive{ParallelFor: true}
+		cor.Tier, *s.Directive = TierDisagree, pragma.Directive{ParallelFor: true}
 	default:
-		cor.Tier, s.Directive = TierModelOnly, &pragma.Directive{ParallelFor: true}
+		cor.Tier, *s.Directive = TierModelOnly, pragma.Directive{ParallelFor: true}
 	}
 	cor.S2S = m.compileEach(unit, code)
 	if cor.Tier == TierAnalysisAgrees {

@@ -227,19 +227,19 @@ func TestTierString(t *testing.T) {
 }
 
 func TestAnalyzeHelper(t *testing.T) {
-	analyze := func(code string) *dep.Analysis {
+	analyze := func(code string) dep.Analysis {
 		u := s2s.NewUnit(code)
 		defer u.Release()
 		return u.Analysis()
 	}
-	if analyze("not c code {{{") != nil {
-		t.Error("analyze should be nil on parse failure")
+	if analyze("not c code {{{").Header.OK {
+		t.Error("analyze should have no header on parse failure")
 	}
-	if analyze("x = 1;") != nil {
-		t.Error("analyze should be nil without a loop")
+	if analyze("x = 1;").Header.OK {
+		t.Error("analyze should have no header without a loop")
 	}
 	a := analyze("for (i = 0; i < n; i++) a[i] = 0;")
-	if a == nil || !a.Parallelizable {
+	if !a.Header.OK || !a.Parallelizable {
 		t.Error("simple loop should analyze parallelizable")
 	}
 }
@@ -507,8 +507,9 @@ func TestDirectiveIsTheAnalysis(t *testing.T) {
 			}
 			agreeing++
 			unit := s2s.NewUnit(chunk[i])
-			want := unit.Analysis().Directive().String()
+			analysis := unit.Analysis()
 			unit.Release()
+			want := analysis.Directive().String()
 			if got := it.Suggestion.Directive.String(); got != want {
 				if failing++; failing <= 10 {
 					t.Errorf("%q: emitted %q, the analysis supports %q", chunk[i], got, want)
@@ -552,7 +553,7 @@ func TestEvidenceIsTheAnalysis(t *testing.T) {
 		unit := s2s.NewUnit(codes[i])
 		fresh := unit.Analysis()
 		unit.Release()
-		if fresh == nil || !fresh.Header.OK {
+		if !fresh.Header.OK {
 			if cor.DepRan || cor.DepWitness != nil || cor.Races != nil || cor.Converted != nil {
 				t.Errorf("%q: evidence %+v for a loop the analysis cannot run on", codes[i], cor)
 			}

@@ -37,23 +37,45 @@ type Pos struct {
 	Line, Col int
 }
 
-// PrintPositions renders n exactly like Print and additionally reports the
-// position at which each target node's text begins in the rendering. Targets
-// not reached during printing are absent from the map. The dependence
-// analyzer uses this to anchor race-witness access sites inside the
-// canonical snippet, so positions agree across scan and serve entry points
-// regardless of where the loop sat in its original file.
-func PrintPositions(n Node, targets []Node) (string, map[Node]Pos) {
-	p := newPrinter()
-	p.want, p.marks = map[Node]bool{}, map[Node]Pos{}
-	for _, t := range targets {
-		if t != nil {
-			p.want[t] = true
+// Positions renders n as Print does and writes to pos[k] the position at
+// which targets[k]'s text begins in that rendering; len(pos) must be
+// len(targets). A nil target, or one the walk never reaches, gets Pos{}; a
+// target printed twice gets its first occurrence, and so does every slot
+// that lists it. The rendering goes back to the printer pool unread and the
+// targets are indexed in a pooled map, so a warm call allocates nothing and
+// a printed node costs one lookup however many targets there are. The
+// dependence analyzer uses this to anchor race-witness access sites inside
+// the canonical snippet, so positions agree across scan and serve entry
+// points regardless of where the loop sat in its original file.
+func Positions(n Node, targets []Node, pos []Pos) {
+	clear(pos)
+	first := targetIndexes.Get().(map[Node]int)
+	for k, t := range targets {
+		if _, dup := first[t]; t != nil && !dup {
+			first[t] = k
 		}
 	}
+	p := newPrinter()
+	p.first, p.pos = first, pos
 	p.node(n)
-	return p.text(true), p.marks
+	p.release()
+	for k, t := range targets {
+		if j, ok := first[t]; ok && j != k {
+			pos[k] = pos[j]
+		}
+	}
+	clear(first)
+	if len(targets) <= maxPooledTargets {
+		targetIndexes.Put(first)
+	}
 }
+
+// targetIndexes holds Positions' maps from a target to its first slot.
+// A map keeps its capacity when cleared, so one indexed past
+// maxPooledTargets is dropped rather than pinned by the pool.
+var targetIndexes = sync.Pool{New: func() any { return map[Node]int{} }}
+
+const maxPooledTargets = 1 << 12
 
 // printer renders into a pooled buffer, so a rendering costs one allocation
 // — the returned string, at its final size — however long it grows.
@@ -61,9 +83,9 @@ type printer struct {
 	b      *bytes.Buffer
 	indent int
 
-	// Position tracking for PrintPositions; nil maps on plain Print.
-	want      map[Node]bool
-	marks     map[Node]Pos
+	// Position tracking for Positions; nil on plain Print.
+	first     map[Node]int // each target's first slot in pos
+	pos       []Pos
 	newlines  int // '\n' bytes written so far
 	lineStart int // builder length just after the last newline
 }
@@ -117,15 +139,15 @@ func (p *printer) line(s string) {
 	p.nl()
 }
 
-// mark records the current output position for a requested target node.
+// mark records the current output position for a target the walk meets
+// for the first time.
 func (p *printer) mark(n Node) {
-	if p.want == nil || !p.want[n] {
+	if p.first == nil {
 		return
 	}
-	if _, done := p.marks[n]; done {
-		return
+	if k, ok := p.first[n]; ok && p.pos[k] == (Pos{}) {
+		p.pos[k] = Pos{Line: p.newlines + 1, Col: p.b.Len() - p.lineStart + 1}
 	}
-	p.marks[n] = Pos{Line: p.newlines + 1, Col: p.b.Len() - p.lineStart + 1}
 }
 
 func (p *printer) node(n Node) {

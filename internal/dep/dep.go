@@ -108,14 +108,20 @@ func (a *Analysis) reason(format string, args ...any) {
 // the loop is not parallelizable: every private and reduction clause the
 // parallel verdict depends on, plus schedule(dynamic) for an unbalanced
 // body. It is the one builder of a directive from an analysis — the corpus
-// labels and the advisor's suggestions both print it.
+// labels and the advisor's suggestions both print it. Its clause slices are
+// the analysis' own, capped at their length as accepted's Reasons are, so an
+// append to them copies; nothing writes a clause in place.
 func (a *Analysis) Directive() *pragma.Directive {
 	if !a.Parallelizable {
 		return nil
 	}
 	d := &pragma.Directive{ParallelFor: true}
-	d.Private = append(d.Private, a.Private...)
-	d.Reductions = append(d.Reductions, a.Reductions...)
+	if len(a.Private) > 0 {
+		d.Private = slices.Clip(a.Private)
+	}
+	if len(a.Reductions) > 0 {
+		d.Reductions = slices.Clip(a.Reductions)
+	}
 	if a.Unbalanced {
 		d.Schedule = pragma.ScheduleDynamic
 	}
@@ -183,19 +189,27 @@ func Passes() int64 { return passes.Load() }
 // §3.1); callers with no bodies pass nil and unknown calls are treated
 // conservatively.
 func AnalyzeLoop(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
-	ws := workspaces.Get().(*workspace)
-	defer ws.release()
-	return ws.analyze(loop, funcs)
+	a := new(Analysis)
+	AnalyzeLoopInto(a, loop, funcs)
+	return a
 }
 
-// analyze is AnalyzeLoop on this workspace, which must be clean.
-func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *Analysis {
+// AnalyzeLoopInto is AnalyzeLoop writing its result over *a, storage the
+// caller holds, so a caller that keeps its analysis in a pooled value does
+// not allocate one per loop.
+func AnalyzeLoopInto(a *Analysis, loop *cast.For, funcs map[string]*cast.FuncDef) {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	ws.analyze(a, loop, funcs)
+}
+
+// analyze is AnalyzeLoopInto on this workspace, which must be clean.
+func (ws *workspace) analyze(a *Analysis, loop *cast.For, funcs map[string]*cast.FuncDef) {
 	passes.Add(1)
-	a := &Analysis{}
-	a.Header = ParseHeader(loop)
+	*a = Analysis{Header: ParseHeader(loop)}
 	if !a.Header.OK {
 		a.reason("loop header is not a normalized affine for-loop")
-		return a
+		return
 	}
 
 	ctx := &ws.ctx
@@ -204,26 +218,26 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 
 	if ctx.hasBreak {
 		a.reason("loop contains break/early exit")
-		return a
+		return
 	}
 	if ctx.badWrite {
 		a.reason("write through pointer or unanalyzable lvalue")
-		return a
+		return
 	}
 	a.HasIO = ctx.hasIO
 	a.UnknownCalls = ctx.unknownCalls
 	a.Unbalanced = ctx.unbalanced
 	if ctx.hasIO {
 		a.reason("body performs I/O or order-pinned library calls")
-		return a
+		return
 	}
 	if len(ctx.unknownCalls) > 0 {
 		a.reason("calls functions with unknown bodies: %s", strings.Join(ctx.unknownCalls, ", "))
-		return a
+		return
 	}
 	if ctx.impureCall != "" {
 		a.reason("calls function %s with global side effects", ctx.impureCall)
-		return a
+		return
 	}
 
 	// The nest iteration space covers the analyzed loop plus every
@@ -234,17 +248,16 @@ func (ws *workspace) analyze(loop *cast.For, funcs map[string]*cast.FuncDef) *An
 	// Scalar classification.
 	okScalars := a.classifyScalars(ctx, &ws.scalars)
 	if !okScalars {
-		a.fillWitnessPositions(loop)
-		return a
+		a.fillWitnessPositions(loop, ws)
+		return
 	}
 	// Array dependence tests over the nest.
 	if !a.testArraysNest(ws) {
-		a.fillWitnessPositions(loop)
-		return a
+		a.fillWitnessPositions(loop, ws)
+		return
 	}
 
 	a.accept()
-	return a
 }
 
 // accepted is the Reasons of an analysis nothing refuted and nothing else

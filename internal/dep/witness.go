@@ -1,6 +1,7 @@
 package dep
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -195,31 +196,26 @@ func (a *Analysis) scalarWitness(ctx *collector, name string) Witness {
 	return w
 }
 
-// fillWitnessPositions renders the loop once and anchors every witness site
-// to its line/column in the canonical snippet text.
-func (a *Analysis) fillWitnessPositions(loop *cast.For) {
+// fillWitnessPositions walks the loop's print once and anchors every witness
+// site to its line/column in the canonical snippet text. The walk's targets,
+// each witness' source and sink nodes in turn, and the positions it writes
+// are workspace slabs: only the positions copied into the witnesses outlive
+// it.
+func (a *Analysis) fillWitnessPositions(loop *cast.For, ws *workspace) {
 	if len(a.Witnesses) == 0 {
 		return
 	}
-	var targets []cast.Node
-	for i := range a.Witnesses {
-		if n := a.Witnesses[i].srcNode; n != nil {
-			targets = append(targets, n)
-		}
-		if n := a.Witnesses[i].dstNode; n != nil {
-			targets = append(targets, n)
-		}
+	for _, w := range a.Witnesses {
+		ws.targets = append(ws.targets, w.srcNode, w.dstNode)
 	}
-	if len(targets) == 0 {
-		return
-	}
-	_, marks := cast.PrintPositions(loop, targets)
+	ws.pos = slices.Grow(ws.pos, len(ws.targets))[:len(ws.targets)]
+	cast.Positions(loop, ws.targets, ws.pos)
 	for i := range a.Witnesses {
 		w := &a.Witnesses[i]
-		if p, ok := marks[w.srcNode]; ok && w.srcNode != nil {
+		if p := ws.pos[2*i]; p != (cast.Pos{}) {
 			w.Source.Line, w.Source.Col = p.Line, p.Col
 		}
-		if p, ok := marks[w.dstNode]; ok && w.dstNode != nil {
+		if p := ws.pos[2*i+1]; p != (cast.Pos{}) {
 			w.Sink.Line, w.Sink.Col = p.Line, p.Col
 		}
 		// A witness outlives the analysis (reports and verdict stores keep

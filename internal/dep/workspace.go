@@ -3,30 +3,36 @@ package dep
 import (
 	"slices"
 	"sync"
+
+	"pragformer/internal/cast"
 )
 
 // workspace is the scratch memory of one engine pass: the access
 // list, the subscript and form slabs, the nest tables, the pair-local
-// distance vector, the scalar table and the name tables (body-local names,
+// distance vector, the scalar table, the name tables (body-local names,
 // unknown callees seen, inner headers by variable, iteration-varying names,
-// scalar index) all live here, so an analysis of any length allocates for
-// its result, the symbol terms of its loop headers' affine forms and the
-// print that anchors its witnesses. Workspaces are pooled; release clears
-// every table and keeps it for the next analysis.
+// scalar index) and the witness-anchoring walk's targets and positions all
+// live here, so an analysis of any length allocates for what its result
+// keeps and the symbol terms of its loop headers' affine forms. Workspaces
+// are pooled; release clears every table and keeps it for the next analysis.
 //
-// Ownership rule: nothing reachable from a returned *Analysis points into a
+// Ownership rule: nothing reachable from an analysis points into a
 // workspace. Reasons, Witnesses (sites and vectors), Private, Reductions,
 // UnknownCalls and Converted are built fresh — but for the read-only Reasons
 // every accepted analysis with nothing else to say shares — and so is the
-// Header: its
-// Affine bounds hold their symbol terms in slices of their own (nil for a
-// bound without symbols), which are part of the result.
+// Header: its Affine bounds hold their symbol terms in slices of their own
+// (nil for a bound without symbols), which are part of the result. The
+// Analysis value itself lives where the caller put it: AnalyzeLoop allocates
+// one, and a pooled s2s.Unit holds its own and hands out copies, whose
+// slices stay valid after the unit is released and reused.
 type workspace struct {
 	ctx     collector
 	ns      nestSpace
 	scalars scalarTable
-	arrays  []*access // array accesses grouped by name, visit order within one
-	forms   []nAffine // subscript forms, carved per tested access
+	arrays  []*access   // array accesses grouped by name, visit order within one
+	forms   []nAffine   // subscript forms, carved per tested access
+	targets []cast.Node // witness source and sink nodes, for cast.Positions
+	pos     []cast.Pos  // where each target's text begins in the loop's print
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -47,6 +53,8 @@ func (ws *workspace) reset() {
 	ws.scalars.reset()
 	ws.arrays = zero(ws.arrays)
 	ws.forms = zero(ws.forms)
+	ws.targets = zero(ws.targets)
+	ws.pos = zero(ws.pos)
 }
 
 // zero clears the used part of a slab and empties it. Slots past len are

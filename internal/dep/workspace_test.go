@@ -109,11 +109,11 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	// capacity, not just to its length.
 	ws := new(workspace)
 	for _, l := range loops {
-		ws.analyze(l.loop, l.funcs)
+		ws.analyze(new(Analysis), l.loop, l.funcs)
 		ws.reset()
 	}
 	if cap(ws.ctx.accesses) == 0 || cap(ws.ctx.subs) == 0 || cap(ws.forms) == 0 || cap(ws.ns.coefs) == 0 || cap(ws.ns.syms) == 0 ||
-		cap(ws.scalars.infos) == 0 || cap(ws.ctx.nestOrder) == 0 {
+		cap(ws.scalars.infos) == 0 || cap(ws.ctx.nestOrder) == 0 || cap(ws.targets) == 0 || cap(ws.pos) == 0 {
 		t.Fatal("the test loops left a slab unused")
 	}
 	if ws.ctx.declared == nil || ws.ctx.unknownSeen == nil || ws.ctx.nestHeaders == nil || ws.ns.varying == nil || ws.scalars.at == nil {
@@ -132,6 +132,11 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	for i, acc := range ws.arrays[:cap(ws.arrays)] {
 		if acc != nil {
 			t.Fatalf("arrays[%d] survives release", i)
+		}
+	}
+	for i, n := range ws.targets[:cap(ws.targets)] {
+		if n != nil {
+			t.Fatalf("targets[%d] survives release", i)
 		}
 	}
 	for i, f := range ws.forms[:cap(ws.forms)] {
@@ -204,14 +209,19 @@ func TestWorkspaceReuseEqualsFresh(t *testing.T) {
 	views := func(a *Analysis) [2]string { return [2]string{analysisJSON(t, a), analysisJSON(t, a.Convert())} }
 	fresh := make([][2]string, len(loops))
 	for i, l := range loops {
-		fresh[i] = views(new(workspace).analyze(l.loop, l.funcs))
+		a := new(Analysis)
+		new(workspace).analyze(a, l.loop, l.funcs)
+		fresh[i] = views(a)
 	}
-	ws := new(workspace)
+	// One workspace and one held analysis serve every pair: the second pass
+	// overwrites all of the first's result, as a pooled unit's does.
+	ws, held := new(workspace), new(Analysis)
 	for _, a := range loops {
 		for j, b := range loops {
-			ws.analyze(a.loop, a.funcs)
+			ws.analyze(held, a.loop, a.funcs)
 			ws.reset()
-			got := views(ws.analyze(b.loop, b.funcs))
+			ws.analyze(held, b.loop, b.funcs)
+			got := views(held)
 			ws.reset()
 			for v, view := range []string{"plain", "converted"} {
 				if got[v] != fresh[j][v] {

@@ -173,7 +173,7 @@ func TestNewUnitWithoutReleaseFlagged(t *testing.T) {
 import "pragformer/internal/s2s"
 func parallel(code string) bool {
 	u := s2s.NewUnit(code)
-	return u.Analysis() != nil
+	return u.Analysis().Header.OK
 }`)
 	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "Release") {
 		t.Fatalf("findings = %+v, want one Release leak", fs)

@@ -38,7 +38,22 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.idx[key]
-	if !ok {
+	return c.use(i, ok)
+}
+
+// GetBytes is Get keyed by the bytes of the key: a lookup makes no string
+// of them.
+func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.idx[string(key)]
+	return c.use(i, ok)
+}
+
+// use returns entry i's value, found says whether there is one, and marks
+// it most recently used.
+func (c *Cache[V]) use(i int, found bool) (V, bool) {
+	if !found {
 		var zero V
 		return zero, false
 	}

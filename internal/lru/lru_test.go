@@ -50,6 +50,28 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// GetBytes finds what Get finds, refreshes its entry as Get does, and
+// makes no string of the key.
+func TestGetBytes(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.GetBytes([]byte("a")); !ok || v != 1 {
+		t.Fatalf("GetBytes(a) = %d, %v", v, ok)
+	}
+	if _, ok := c.GetBytes([]byte("z")); ok {
+		t.Fatal("GetBytes found a key never put")
+	}
+	c.Put("c", 3) // evicts b: the GetBytes made a the most recently used
+	if got := fmt.Sprint(resident(c)); got != "[c a]" {
+		t.Fatalf("resident after GetBytes and a put = %s, want [c a]", got)
+	}
+	key := []byte("a")
+	if n := testing.AllocsPerRun(100, func() { c.GetBytes(key) }); n != 0 {
+		t.Errorf("GetBytes allocates %.0f times", n)
+	}
+}
+
 func TestUnboundedNeverEvicts(t *testing.T) {
 	c := New[int](0)
 	for i := 0; i < 1000; i++ {

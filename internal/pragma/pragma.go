@@ -77,14 +77,18 @@ var validReductionOps = map[string]bool{
 	"&&": true, "||": true, "max": true, "min": true,
 }
 
+// bare is the line of a directive without a clause.
+const bare = "#pragma omp parallel for"
+
 // String prints the directive as a canonical pragma line, with clause order
-// and variable order normalized so equal directives print identically.
+// and variable order normalized so equal directives print identically. A
+// directive without a clause prints as the constant bare line, for free.
 func (d *Directive) String() string {
 	if d == nil {
 		return ""
 	}
 	var stack [128]byte // most directives fit: the string is the one allocation
-	b := append(stack[:0], "#pragma omp parallel for"...)
+	b := append(stack[:0], bare...)
 	if len(d.Private) > 0 {
 		b = appendVars(append(b, " private("...), d.Private)
 	}
@@ -119,6 +123,9 @@ func (d *Directive) String() string {
 	}
 	if d.NoWait {
 		b = append(b, " nowait"...)
+	}
+	if len(b) == len(bare) {
+		return bare
 	}
 	return string(b)
 }

@@ -114,13 +114,16 @@ func cloneDirective(d *Directive) *Directive {
 
 // TestStringAllocs gates the printer on the forms the advisor and the S2S
 // members print for nearly every positive loop: the string itself, plus a
-// sorted copy only when the variables arrive out of order.
+// sorted copy only when the variables arrive out of order, and nothing for
+// a directive without a clause, which prints as a constant.
 func TestStringAllocs(t *testing.T) {
 	for _, c := range []struct {
 		d      *Directive
 		budget float64
 	}{
-		{&Directive{ParallelFor: true}, 1},
+		{&Directive{ParallelFor: true}, 0},
+		{&Directive{}, 0},
+		{&Directive{ParallelFor: true, Chunk: 4}, 0},
 		{&Directive{ParallelFor: true, Private: []string{"i", "t"}}, 1},
 		{&Directive{ParallelFor: true, Private: []string{"t", "i"}}, 2},
 		{&Directive{ParallelFor: true, Private: []string{"i"}, Reductions: []Reduction{{Op: "+", Vars: []string{"s"}}}, Schedule: ScheduleStatic}, 1},

@@ -62,10 +62,12 @@ var ErrParse = errors.New("s2s: compile failed")
 // members' token and text checks, and their loop when NewUnit found none,
 // read a parse of the pragma-stripped text, which is that same parse when
 // the text holds no pragma and is otherwise made when the first member asks.
-// The target loop goes through the dependence engine once, every view and
-// every member's decision deriving from that plain pass. The unit itself is
-// pooled too, while what it hands out holds only strings and stays valid. A
-// unit serves one snippet on one goroutine; ComPar itself holds no state.
+// The target loop goes through the dependence engine once, into the unit's
+// own plain analysis, every view and every member's decision deriving from
+// that plain pass. The unit itself is pooled too, its analysis with it, while
+// what it hands out is values holding only strings and slices of their own,
+// which stay valid after Release. A unit serves one snippet on one
+// goroutine; ComPar itself holds no state.
 type Unit struct {
 	code  string       // as given
 	src   string       // pragma-stripped
@@ -77,7 +79,8 @@ type Unit struct {
 	funcs    map[string]*cast.FuncDef
 	parseErr error
 
-	plain *dep.Analysis
+	analyzed bool         // plain holds the engine's pass over loop
+	plain    dep.Analysis // the plain analysis members read
 }
 
 var units = sync.Pool{New: func() any { return new(Unit) }}
@@ -114,8 +117,9 @@ func compileText(m member, src string) (Result, error) {
 // stands, pragma lines included, so race witnesses stay anchored to the
 // canonical print of the text the caller holds — a pragma is transparent to
 // the analysis, so the members read the same verdict. When code holds no
-// loop that parses, Analysis is nil and the members take their loop, or
-// their error text, from the parse of the stripped text.
+// loop that parses, Analysis has no header (Header.OK is false) and the
+// members take their loop, or their error text, from the parse of the
+// stripped text.
 func NewUnit(code string) *Unit {
 	u := newUnit(code)
 	u.tree = cparse.ParseTree(code)
@@ -128,9 +132,10 @@ func NewUnit(code string) *Unit {
 }
 
 // Release hands the unit's parses back to the parser pool, and the unit,
-// zeroed, to its own; call it once, after the unit's last read. What the
-// unit handed out — analyses with their witnesses, member verdicts and
-// results — holds only strings and stays valid.
+// zeroed with its analysis, to its own; call it once, after the unit's last
+// read. What the unit handed out — analysis values with their witnesses,
+// member verdicts and results — holds only strings and slices of its own,
+// and stays valid.
 func (u *Unit) Release() {
 	for _, t := range [...]*cparse.Tree{u.tree, u.strip} {
 		if t != nil {
@@ -142,12 +147,13 @@ func (u *Unit) Release() {
 }
 
 // Analysis returns the converted dependence analysis of the loop NewUnit
-// found — the advisor's view; nil when it found none.
-func (u *Unit) Analysis() *dep.Analysis {
+// found — the advisor's view — as a value that outlives Release; its
+// Header.OK is false when NewUnit found no loop.
+func (u *Unit) Analysis() dep.Analysis {
 	if !u.given {
-		return nil
+		return dep.Analysis{}
 	}
-	return u.plainAnalysis().Convert()
+	return *u.plainAnalysis().Convert()
 }
 
 // Tokens returns NewUnit's lex of the text as given, pragmas included, EOF
@@ -172,14 +178,15 @@ func (u *Unit) parse() (*cast.For, map[string]*cast.FuncDef, error) {
 	return u.loop, u.funcs, u.parseErr
 }
 
-// plainAnalysis is the engine's one pass over the parsed loop. Nothing
-// writes to it: members read it, and Compile renders a clipped copy of its
-// reasons.
+// plainAnalysis is the engine's one pass over the parsed loop, held in the
+// unit until Release. Nothing writes to it: members read it, and Compile
+// renders a clipped copy of its reasons.
 func (u *Unit) plainAnalysis() *dep.Analysis {
-	if u.plain == nil {
-		u.plain = dep.AnalyzeLoop(u.loop, u.funcs)
+	if !u.analyzed {
+		dep.AnalyzeLoopInto(&u.plain, u.loop, u.funcs)
+		u.analyzed = true
 	}
-	return u.plain
+	return &u.plain
 }
 
 // stripPragmas removes existing pragma lines so compilers judge bare code.

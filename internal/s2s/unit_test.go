@@ -141,14 +141,14 @@ func sameVerdict(t *testing.T, src string, v MemberVerdict, m Compiler) {
 	}
 }
 
-// views is a unit's dependence evidence: the plain analysis the members
-// read and the converted one the advisor reads; nil when NewUnit found no
-// loop.
-func views(u *Unit) []*dep.Analysis {
+// views is a unit's dependence evidence, as values: the plain analysis the
+// members read and the converted one the advisor reads; nil when NewUnit
+// found no loop.
+func views(u *Unit) []dep.Analysis {
 	if !u.given {
 		return nil
 	}
-	return []*dep.Analysis{u.plainAnalysis(), u.Analysis()}
+	return []dep.Analysis{*u.plainAnalysis(), u.Analysis()}
 }
 
 // aloneAnalyses compares the dependence evidence a unit hands the advisor
@@ -158,7 +158,7 @@ func aloneAnalyses(t *testing.T, src string, u *Unit) {
 	t.Helper()
 	if va := views(u); va != nil {
 		plain := dep.AnalyzeLoop(u.loop, u.funcs)
-		if alone := []*dep.Analysis{plain, plain.Convert()}; !reflect.DeepEqual(va, alone) {
+		if alone := []dep.Analysis{*plain, *plain.Convert()}; !reflect.DeepEqual(va, alone) {
 			t.Errorf("on %q:\nunit  %+v\nalone %+v", src, va, alone)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -127,7 +129,7 @@ func TestLoopHashIsHashSnippet(t *testing.T) {
 }
 
 // TestHashSnippetAllocs: HashSnippet hashes a string through a stack chunk,
-// so its one allocation is the result, and it is digest over the same
+// so its one allocation is the result, and it is Digest over the same
 // bytes (the parse workers' hash) and the hex sha-256 — for every fixture
 // loop, and for all of them end to end, a text that spans several chunks.
 func TestHashSnippetAllocs(t *testing.T) {
@@ -143,7 +145,7 @@ func TestHashSnippetAllocs(t *testing.T) {
 	}
 	texts = append(texts, all.String())
 	for _, s := range texts {
-		d, want := digest([]byte(s)), fmt.Sprintf("%x", sha256.Sum256([]byte(s)))
+		d, want := Digest([]byte(s)), fmt.Sprintf("%x", sha256.Sum256([]byte(s)))
 		if got := HashSnippet(s); got != string(d[:]) || got != want {
 			t.Errorf("HashSnippet of a %d-byte text is %s, its digest %s, the hex sha-256 %s", len(s), got, d, want)
 		}
@@ -205,6 +207,11 @@ func TestMaxFileBytesBothPaths(t *testing.T) {
 	}
 }
 
+// readAtMost is the disk read's appendAtMost into a fresh buffer.
+func readAtMost(r io.Reader, size, limit int64) ([]byte, error) {
+	return appendAtMost(nil, r, size, limit)
+}
+
 // TestReadStopsPastTheLimit: the disk read takes its Stat's size as a buffer
 // hint only. A file that grew past the limit after the Stat is refused once
 // limit+1 bytes are in, never read whole; one that grew within the limit,
@@ -229,5 +236,56 @@ func TestReadStopsPastTheLimit(t *testing.T) {
 		if !c.ok && (err == nil || !strings.Contains(err.Error(), "file too large")) {
 			t.Errorf("%d bytes, Stat %d: err %v, want file too large", c.size, c.statSize, err)
 		}
+	}
+}
+
+// TestReadBufferKept: a parse worker reads a file from disk into the buffer
+// its scratch keeps, so a warm read allocates once fewer than a read into a
+// fresh buffer — the parser's string is the file's one copy — and a file
+// that grows the buffer past maxKeptSource does not leave it in the scratch.
+// Both files parse as they do from memory.
+func TestReadBufferKept(t *testing.T) {
+	dir := t.TempDir()
+	small, large := filepath.Join(dir, "small.c"), filepath.Join(dir, "large.c")
+	code := parityFiles["one.c"]
+	pad := strings.Repeat("\n", maxKeptSource)
+	for path, text := range map[string]string{small: code, large: code + pad} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel := func(p string) string { return filepath.Base(p) }
+	sc := new(parseScratch)
+	for _, path := range []string{small, large, small} {
+		disk := parseSource(Source{Path: path}, Config{}, rel, sc)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := parseSource(Source{Path: path, Data: data}, Config{}, rel, new(parseScratch))
+		if len(disk.loops) != 1 || !reflect.DeepEqual(disk, mem) {
+			t.Fatalf("%s from disk %+v, from memory %+v", rel(path), disk, mem)
+		}
+		if c := cap(sc.src); c == 0 || c > maxKeptSource {
+			t.Fatalf("after %s the scratch keeps a %d-byte read buffer, want one of at most %d", rel(path), c, maxKeptSource)
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	warm := testing.AllocsPerRun(20, func() {
+		if _, err := readSource(sc.src[:0], small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(20, func() {
+		if _, err := readSource(nil, small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a read from disk allocates %.0f times into the kept buffer, %.0f into a fresh one", warm, fresh)
+	if warm != fresh-1 {
+		t.Errorf("a read into the kept buffer allocates %.0f times, want one fewer than %.0f", warm, fresh)
 	}
 }

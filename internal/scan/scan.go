@@ -352,16 +352,23 @@ type occLoop struct {
 	occ     Occurrence
 }
 
-// parseScratch is one parse worker's reusable memory: a file's extracted
-// loops, and their canonical prints back to back with the offset each ends
-// at. Nothing in it outlives the file it served — the prints are copied out
-// into the file's snippet string, and the extracted loops, which point into
-// the file's tree, are cleared.
+// parseScratch is one parse worker's reusable memory: the bytes of a file
+// read from disk, a file's extracted loops, and their canonical prints back
+// to back with the offset each ends at. Nothing in it outlives the file it
+// served — the parser gets a string copy of the bytes, the prints are copied
+// out into the file's snippet string, and the extracted loops, which point
+// into the file's tree, are cleared.
 type parseScratch struct {
+	src   []byte
 	infos []cast.LoopInfo
 	text  []byte
 	ends  []int
 }
+
+// maxKeptSource is the largest read buffer a parse worker keeps for its next
+// file: one grown past it by a large file goes, so the scratch pool pins no
+// large file.
+const maxKeptSource = 64 << 10
 
 var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
 
@@ -647,8 +654,11 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 	data := src.Data
 	if data == nil {
 		var err error
-		if data, err = readSource(src.Path); err != nil {
+		if data, err = readSource(sc.src[:0], src.Path); err != nil {
 			return fileOut{failed: true, skips: []Skip{{File: name, Reason: err.Error()}}}
+		}
+		if cap(data) <= maxKeptSource {
+			sc.src = data[:0]
 		}
 	} else if size := int64(len(data)); size > maxFileBytes {
 		return fileOut{failed: true, skips: []Skip{{File: name, Reason: tooLarge(size)}}}
@@ -683,7 +693,7 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 		start := len(sc.text)
 		sc.text = cast.AppendPrint(sc.text, li.Loop)
 		sc.ends = append(sc.ends, len(sc.text))
-		d := digest(sc.text[start:])
+		d := Digest(sc.text[start:])
 		hashes.Write(d[:])
 	}
 	text, hashText := string(sc.text), hashes.String()
@@ -704,10 +714,11 @@ func parseSource(src Source, cfg Config, rel func(string) string, sc *parseScrat
 	return out
 }
 
-// readSource reads the file at path. One open serves the size check and the
-// read, and the read stops one byte past maxFileBytes, so a file that grew
-// past it after the Stat is refused too, not read whole.
-func readSource(path string) ([]byte, error) {
+// readSource reads the file at path into buf's array, or a larger one when
+// it does not fit. One open serves the size check and the read, and the read
+// stops one byte past maxFileBytes, so a file that grew past it after the
+// Stat is refused too, not read whole.
+func readSource(buf []byte, path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -720,13 +731,14 @@ func readSource(path string) ([]byte, error) {
 	if info.Size() > maxFileBytes {
 		return nil, errors.New(tooLarge(info.Size()))
 	}
-	return readAtMost(f, info.Size(), maxFileBytes)
+	return appendAtMost(buf, f, info.Size(), maxFileBytes)
 }
 
-// readAtMost reads r to its end into one buffer sized for size bytes plus
-// the one that shows EOF, and fails once it holds more than limit bytes.
-func readAtMost(r io.Reader, size, limit int64) ([]byte, error) {
-	data := make([]byte, 0, size+1)
+// appendAtMost reads r to its end onto data, growing it at most once to hold
+// size more bytes plus the one that shows EOF, and fails once it holds more
+// than limit bytes.
+func appendAtMost(data []byte, r io.Reader, size, limit int64) ([]byte, error) {
+	data = slices.Grow(data, int(size)+1)
 	for {
 		if len(data) == cap(data) {
 			data = append(data, 0)[:len(data)]
@@ -781,12 +793,13 @@ const hashLen = 2 * sha256.Size
 // replica's caches hot for the loops routed to it. The snippet is hashed
 // without a copy of it (advisor.SnippetSum): one allocation, the result.
 func HashSnippet(snippet string) string {
-	d := digest(snippet)
+	d := Digest(snippet)
 	return string(d[:])
 }
 
-// digest is HashSnippet before it is a string, also over a print's bytes.
-func digest[T string | []byte](text T) (digits [hashLen]byte) {
+// Digest is HashSnippet before it is a string, also over a print's bytes:
+// a lookup keyed by the bytes of it, on the caller's stack, makes no string.
+func Digest[T string | []byte](text T) (digits [hashLen]byte) {
 	sum := advisor.SnippetSum(text)
 	hex.Encode(digits[:], sum[:])
 	return digits

@@ -653,10 +653,10 @@ func (rt *Router) answerPredict(ctx context.Context, codes []string, ids [][]int
 // scan dedupe contract, fleet-wide — and what the replicas answer for the
 // rest is stored on the way back. Every stored key is the hash of a
 // canonical print and its verdict was computed for exactly that text, so
-// the request text's own hash is probed first and a hit there answers
-// without a parse; only a miss pays for canonical, and probes again when the
-// canonical print is a different text. Either way the item counts as one
-// store hit or one miss.
+// the request text's own digest is probed first, from the stack, and a hit
+// there answers without a parse or a string of the hash; only a miss pays
+// for canonical, and probes again when the canonical print is a different
+// text. Either way the item counts as one store hit or one miss.
 //
 // A result is relayed as the replica rendered it: the router neither
 // decodes nor re-renders a verdict on this path, and stores the bytes it
@@ -674,17 +674,23 @@ func (rt *Router) answerSuggest(ctx context.Context, codes []string) ([]json.Raw
 		defer tr.Start("store.get")()
 		return store.probe(h)
 	}
+	getDigest := func(digits []byte) (*verdict, bool) {
+		defer tr.Start("store.get")()
+		return store.probeDigest(digits)
+	}
 	shed := fanOut(ctx, rt, "/suggest", codes, nil, results, func(i int) (string, bool) {
-		h := scan.HashSnippet(codes[i])
-		v, hit := get(h)
-		canon := false
+		d := scan.Digest(codes[i])
+		v, hit := getDigest(d[:])
+		h, canon := "", false
 		if !hit {
-			// An unparseable snippet still routes, by its raw-text hash.
-			if snip, ch, ok := canonical(codes[i]); ok {
-				if canon = snip == codes[i]; !canon {
-					h = ch
-					v, hit = get(h)
-				}
+			switch snip, ch, ok := canonical(codes[i]); {
+			case !ok: // an unparseable snippet still routes, by its raw-text hash
+				h = string(d[:])
+			case snip == codes[i]:
+				h, canon = ch, true
+			default:
+				h = ch
+				v, hit = get(h)
 			}
 		}
 		store.count(hit)

@@ -79,10 +79,13 @@ func (s pinnedStore) Get(hash string) (*scan.Suggestion, bool) {
 	return v.suggestion(), true
 }
 
-// probe and count are Get in two steps for answerSuggest, where an item may
-// take two probes (its text's hash, then its canonical print's) and counts
-// as one hit or one miss.
+// probe, probeDigest and count are Get in steps for answerSuggest, where an
+// item may take two probes (its text's digest, then its canonical print's
+// hash) and counts as one hit or one miss. probeDigest reads the hex digits
+// in place, so a hit makes no string of them.
 func (s pinnedStore) probe(hash string) (*verdict, bool) { return s.rt.store.Get(hash) }
+
+func (s pinnedStore) probeDigest(digits []byte) (*verdict, bool) { return s.rt.store.GetBytes(digits) }
 
 func (s pinnedStore) count(hit bool) {
 	if hit {
