@@ -8,7 +8,7 @@
 //
 // The pipeline is batch-first: SuggestBatch tokenizes every snippet, then
 // runs the classifier exactly once over the whole batch through
-// core.PredictBatch (one batched forward instead of N single ones), while
+// core.PredictBatchInto (one batched forward instead of N single ones), while
 // the per-snippet dependence analysis and corroboration stay per-item.
 // Suggest is the single-snippet convenience wrapper.
 package advisor
@@ -306,8 +306,9 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 	items := make([]BatchItem, len(codes))
 
 	// Encode everything up front into borrowed scratch; the encodable
-	// snippets form the batch, in items order. The scratch goes back as
-	// soon as the classifier has read it.
+	// snippets form the batch, in items order, and the classifier writes
+	// their probabilities into the scratch too. It goes back as soon as the
+	// suggestions hold what they keep of it.
 	sc := idScratches.Get().(*idScratch)
 	flat, batch := sc.flat[:0], sc.batch[:0]
 	for i, code := range codes {
@@ -326,28 +327,29 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 		batch[k] = flat[n : n+len(seq) : n+len(seq)]
 		n += len(seq)
 	}
-	var probs []float64
+	probs := slices.Grow(sc.probs[:0], len(batch))[:len(batch)]
 	if len(batch) > 0 {
 		t0 := time.Now()
-		probs = m.Directive.PredictBatch(batch)
+		m.Directive.PredictBatchInto(probs, batch)
 		dInfer = time.Since(t0)
 	}
-	sc.flat, sc.batch = flat, batch
-	idScratches.Put(sc)
-	if len(probs) == 0 {
-		return items, nil
-	}
-
-	t0 := time.Now()
 	// One allocation for the batch's suggestions, and one for the
 	// directives of its positives, none when there are none.
+	suggestions := make([]Suggestion, len(probs))
 	positives := 0
-	for _, p := range probs {
+	for j, p := range probs {
+		suggestions[j].Probability, suggestions[j].Parallelize = p, p > 0.5
 		if p > 0.5 {
 			positives++
 		}
 	}
-	suggestions := make([]Suggestion, len(probs))
+	sc.flat, sc.batch, sc.probs = flat, batch, probs
+	idScratches.Put(sc)
+	if len(suggestions) == 0 {
+		return items, nil
+	}
+
+	t0 := time.Now()
 	directives := make([]pragma.Directive, 0, positives)
 	j := 0
 	for i := range items {
@@ -355,7 +357,6 @@ func (m *Models) SuggestBatchStaged(codes []string, onStage func(string, time.Du
 			continue
 		}
 		s := &suggestions[j]
-		s.Probability, s.Parallelize = probs[j], probs[j] > 0.5
 		items[i].Suggestion = s
 		if s.Parallelize {
 			directives = directives[:len(directives)+1]
@@ -442,9 +443,10 @@ func (m *Models) compileEach(unit *s2s.Unit, code string) []s2s.MemberVerdict {
 // past it, and the surrogate fit is cubic in token count.
 func (m *Models) explainDisagreement(unit *s2s.Unit, code string) []lime.Attribution {
 	maxLen := m.EffectiveMaxLen()
-	all := unit.Tokens()
-	toks := make([]string, 0, min(len(all), maxLen))
-	for _, t := range all {
+	sc := idScratches.Get().(*idScratch)
+	defer idScratches.Put(sc)
+	toks := sc.toks[:0]
+	for _, t := range unit.Tokens() {
 		if t.Kind != clex.Pragma && t.Kind != clex.EOF && len(toks) < maxLen {
 			toks = append(toks, t.Text)
 		}
@@ -452,9 +454,11 @@ func (m *Models) explainDisagreement(unit *s2s.Unit, code string) []lime.Attribu
 	ex := lime.New(limeSeed(code))
 	ex.Samples = limeSamples
 	attrs := ex.ExplainVariants(toks, func(v lime.Variants, labels []float64) {
-		m.variantLabels(toks, maxLen, v, labels)
+		m.variantLabels(sc, toks, maxLen, v, labels)
 	}, 0)
 	slices.SortFunc(attrs, func(a, b lime.Attribution) int { return a.Index - b.Index })
+	clear(toks) // the texts are the snippet's: a pooled scratch pins none
+	sc.toks = toks[:0]
 	return attrs
 }
 
@@ -471,26 +475,31 @@ const limeChunk = 16
 const limeSamples = 120
 
 // idScratch is the reusable memory of a batch of id sequences: one flat
-// backing and the batch of views into it — a SuggestBatchStaged batch, or
-// one chunk of variantLabels' variants, whose once-encoded ids go in ids.
-// Nothing in it outlives the call it served — the classifier reads a batch
-// and keeps none of it.
+// backing, the batch of views into it and the classifier's probabilities
+// for them — a SuggestBatchStaged batch, or a disagreement's explanation:
+// its token texts, their once-encoded ids and, one chunk of variants at a
+// time, the chunk's ids. Nothing in it outlives the call it served — the
+// classifier reads a batch and keeps none of it, and the texts are cleared
+// before the scratch goes back.
 type idScratch struct {
 	ids, flat []int
 	batch     [][]int
+	probs     []float64
+	toks      []string
 }
 
 var idScratches = sync.Pool{New: func() any { return new(idScratch) }}
 
 // variantLabels fills labels[i] with the directive classifier's hard label
-// on variant i of toks. The tokens are encoded once; each variant's ids —
-// [CLS] and the ids at its kept positions, cut at maxLen, which is what
-// Vocab.Encode returns for the variant's tokens — are gathered into one
-// chunk-sized backing. Both backends classify a sequence independently of
-// its batch, so the chunked labels are those of one whole-set forward.
-func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, labels []float64) {
-	sc := idScratches.Get().(*idScratch)
-	defer idScratches.Put(sc)
+// on variant i of toks, in the explanation's scratch sc. The tokens are
+// encoded once; each variant's ids — [CLS] and the ids at its kept
+// positions, cut at maxLen, which is what Vocab.Encode returns for the
+// variant's tokens — are gathered into one chunk-sized backing, and the
+// classifier writes the chunk's probabilities straight into its slots of
+// labels, where they are thresholded. Both backends classify a sequence
+// independently of its batch, so the chunked labels are those of one
+// whole-set forward.
+func (m *Models) variantLabels(sc *idScratch, toks []string, maxLen int, v lime.Variants, labels []float64) {
 	ids := append(sc.ids[:0], tokenize.CLS) // [CLS], then every token's id
 	for _, tok := range toks {
 		ids = append(ids, m.Vocab.ID(tok))
@@ -514,10 +523,12 @@ func (m *Models) variantLabels(toks []string, maxLen int, v lime.Variants, label
 			}
 			batch = append(batch, seq)
 		}
-		for i, p := range m.Directive.PredictBatch(batch) {
-			labels[lo+i] = 0
+		chunk := labels[lo:hi]
+		m.Directive.PredictBatchInto(chunk, batch)
+		for i, p := range chunk {
+			chunk[i] = 0
 			if p > 0.5 {
-				labels[lo+i] = 1
+				chunk[i] = 1
 			}
 		}
 	}

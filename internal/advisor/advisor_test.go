@@ -252,12 +252,15 @@ type yesBackend struct{}
 func (yesBackend) BackendName() string { return "stub" }
 func (yesBackend) VocabSize() int      { return 1 << 20 }
 func (yesBackend) MaxSeqLen() int      { return 64 }
-func (yesBackend) PredictBatch(idsBatch [][]int) []float64 {
+func (b yesBackend) PredictBatch(idsBatch [][]int) []float64 {
 	out := make([]float64, len(idsBatch))
-	for i := range out {
-		out[i] = 0.9
-	}
+	b.PredictBatchInto(out, idsBatch)
 	return out
+}
+func (yesBackend) PredictBatchInto(dst []float64, idsBatch [][]int) {
+	for i := range idsBatch {
+		dst[i] = 0.9
+	}
 }
 
 // yesCompiler is a stub S2S compiler that parallelizes everything.
@@ -661,7 +664,7 @@ func TestAttributionDeterminism(t *testing.T) {
 
 // TestVariantLabelsMatchWholeBatch: the attribution forward — tokens encoded
 // once, each variant's ids gathered from its kept positions, limeChunk
-// sequences per PredictBatch — labels every variant as re-encoding its
+// sequences per PredictBatchInto — labels every variant as re-encoding its
 // tokens and classifying the whole perturbation set in one batch does, on
 // float64 and on int8, for inputs below, at and beyond the encode cap.
 func TestVariantLabelsMatchWholeBatch(t *testing.T) {
@@ -692,7 +695,7 @@ func TestVariantLabelsMatchWholeBatch(t *testing.T) {
 			toks := toks[:min(len(toks), maxLen)]
 			ones := 0
 			lime.New(limeSeed(code)).ExplainVariants(toks, func(v lime.Variants, got []float64) {
-				m.variantLabels(toks, maxLen, v, got)
+				m.variantLabels(new(idScratch), toks, maxLen, v, got)
 				whole := make([][]int, v.Len())
 				for i := range whole {
 					var ts []string

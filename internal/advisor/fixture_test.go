@@ -94,8 +94,11 @@ func TestSuggestBytesBudget(t *testing.T) {
 // unit, one suggestion slab and borrowed ids it read 16.25. With witness
 // positions anchored without a rendering, the unit's analysis held in the
 // unit, directives sharing the analysis' clauses from one slab per batch and
-// a bare directive printed as a constant it reads 11.31. The gate is that
-// plus 10 %.
+// a bare directive printed as a constant it read 11.31. With the batch's
+// probabilities and every LIME chunk's labels written into the caller's
+// scratch (the stub classifier's too), constant and once-built S2S
+// rejections, and LIME's solution and token texts in pooled scratch it
+// reads 8.75. The gate is that plus 10 %.
 func TestSuggestBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -111,7 +114,7 @@ func TestSuggestBatchAllocs(t *testing.T) {
 		}
 	}) / float64(len(codes))
 	t.Logf("%.2f allocations per advised loop", perLoop)
-	const budget = 12.4
+	const budget = 9.6
 	if perLoop > budget {
 		t.Errorf("%.2f allocations per advised loop, budget %.1f", perLoop, budget)
 	}

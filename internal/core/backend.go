@@ -32,9 +32,15 @@ type Backend interface {
 	VocabSize() int
 	// MaxSeqLen is the input position budget; longer sequences truncate.
 	MaxSeqLen() int
-	// PredictBatch returns the positive-class probability of every sequence.
-	// It is the only way to ask a classifier: one sequence is a batch of one,
-	// and a verdict is the caller's threshold (the paper's is 0.5) over it.
+	// PredictBatchInto writes the positive-class probability of sequence i
+	// into dst[i]; dst must hold at least len(idsBatch) slots. One sequence
+	// is a batch of one, and a verdict is the caller's threshold (the
+	// paper's is 0.5) over it. A caller that keeps no result, as the advisor
+	// does with a batch's probabilities and LIME's labels, asks through it
+	// into its own scratch, and the forward allocates nothing.
+	PredictBatchInto(dst []float64, idsBatch [][]int)
+	// PredictBatch is PredictBatchInto into a slice of its own, the call's
+	// one allocation.
 	PredictBatch(idsBatch [][]int) []float64
 }
 

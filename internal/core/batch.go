@@ -2,12 +2,13 @@ package core
 
 import "pragformer/internal/nn"
 
-// Batch-first inference. PredictBatch and PredictBatchProbs run the one
-// inference forward of nn/infer.go over float64 projections: no backprop
-// caches, pooled intermediates, a [CLS]-pruned last block, sequences stacked
-// row-wise into one ragged matrix. The parity tests confirm it is
-// bit-identical to the training forward, forwardCls, per sequence. The int8
-// backend runs the same forward over quant's projections.
+// Batch-first inference. PredictBatchInto, PredictBatch and
+// PredictBatchProbs run the one inference forward of nn/infer.go over
+// float64 projections: no backprop caches, pooled intermediates, a
+// [CLS]-pruned last block, sequences stacked row-wise into one ragged
+// matrix. The parity tests confirm it is bit-identical to the training
+// forward, forwardCls, per sequence. The int8 backend runs the same forward
+// over quant's projections.
 //
 // Both methods are safe for concurrent use: the forward pass only reads the
 // weights.
@@ -24,6 +25,12 @@ func (m *PragFormer) classifier() nn.Classifier[*nn.EncoderBlock] {
 // what the trainer's validation pass (train.Model) scores losses from.
 func (m *PragFormer) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
 	return m.classifier().PredictBatchProbs(idsBatch)
+}
+
+// PredictBatchInto writes the positive-class probability of every sequence
+// into dst (Backend).
+func (m *PragFormer) PredictBatchInto(dst []float64, idsBatch [][]int) {
+	m.classifier().PredictBatchInto(dst, idsBatch)
 }
 
 // PredictBatch returns the positive-class probability for every sequence.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -129,5 +130,83 @@ func TestPredictBatchQuantAllocs(t *testing.T) {
 					b.BackendName(), c.layers, c.B, allocs, want)
 			}
 		}
+	}
+}
+
+// TestPredictBatchIntoAllocs is TestPredictBatchQuantAllocs into a caller's
+// slice: with the result's slice the caller's, a forward allocates nothing,
+// on every shape and either backend.
+func TestPredictBatchIntoAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state pools")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation changes escape analysis and inflates allocs/op")
+	}
+	const want = 0
+	for _, c := range []struct{ layers, B int }{{1, 1}, {1, 16}, {2, 16}} {
+		m := batchTestModel(t, c.layers, 64)
+		q, err := Quantize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := raggedIDs(rand.New(rand.NewSource(3)), c.B, 12, 64, m.Cfg.Vocab)
+		dst := make([]float64, c.B)
+		for _, b := range []Backend{m, q} {
+			allocs := want + 1.0
+			for round := 0; round < 5 && allocs > want; round++ {
+				runtime.GC() // twice: a sync.Pool survives one collection as the victim cache
+				runtime.GC()
+				b.PredictBatchInto(dst, batch) // prime the pools
+				allocs = testing.AllocsPerRun(20, func() { b.PredictBatchInto(dst, batch) })
+			}
+			if allocs > want {
+				t.Errorf("%s layers=%d B=%d: PredictBatchInto allocates %.1f objects/op, want %d",
+					b.BackendName(), c.layers, c.B, allocs, want)
+			}
+		}
+	}
+}
+
+// TestPredictBatchIntoParity: PredictBatchInto writes what PredictBatch
+// returns, bit for bit, on TestPredictBatchParity's inputs, float64 and
+// int8, into a dirty slice longer than the batch whose tail it leaves as it
+// was; into one shorter than the batch it panics.
+func TestPredictBatchIntoParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, layers := range []int{1, 2} {
+		m := batchTestModel(t, layers, 64)
+		q, err := Quantize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, B := range []int{1, 3, 16, 40} {
+			batch := raggedIDs(rng, B, 1, 64, m.Cfg.Vocab)
+			for _, b := range []Backend{m, q} {
+				want := b.PredictBatch(batch)
+				dst := make([]float64, B+1)
+				for i := range dst {
+					dst[i] = -1
+				}
+				b.PredictBatchInto(dst, batch)
+				for i, w := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(w) {
+						t.Errorf("%s layers=%d B=%d seq %d: PredictBatchInto %v, PredictBatch %v",
+							b.BackendName(), layers, B, i, dst[i], w)
+					}
+				}
+				if dst[B] != -1 {
+					t.Errorf("%s layers=%d B=%d: the slot past the batch was written: %v", b.BackendName(), layers, B, dst[B])
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("PredictBatchInto into a slice shorter than the batch should panic")
+				}
+			}()
+			m.PredictBatchInto(make([]float64, 1), raggedIDs(rng, 2, 1, 64, m.Cfg.Vocab))
+		}()
 	}
 }

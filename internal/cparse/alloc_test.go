@@ -150,7 +150,8 @@ func pinsNothing(p *Parser) bool {
 }
 
 // statementKinds carries the statement kinds the fixtures hold few of:
-// `#pragma` lines at file and block level, `while` and `return`.
+// `#pragma` lines at file and block level, `while` and `return`, and the
+// expression kinds they hold none of: casts and both forms of `sizeof`.
 const statementKinds = `int count(const int *a, int n) {
     int i = 0, c = 0;
 #pragma omp simd
@@ -162,6 +163,7 @@ const statementKinds = `int count(const int *a, int n) {
 }
 #pragma omp parallel for
 for (i = 0; i < n; i++) a[i] = count(b[i], m);
+for (i = 0; i < n; i++) w[i] = (double) a[i] / sizeof(double) + (long) sizeof a[i];
 `
 
 // grown is larger than any slab's first array: 400 statements with calls,
@@ -179,7 +181,8 @@ var grown = func() string {
 // serve the next parse, which then allocates next to nothing, on a
 // declaration-heavy fixture, a hand-annotated one and statementKinds alike.
 // While `#pragma`, `while` and `return` statements were allocated one by
-// one, the last two read 1 and 4. grown runs after two warm-up parses have
+// one, the last two read 1 and 4; while casts and `sizeof` were,
+// statementKinds read 4. grown runs after two warm-up parses have
 // grown the slabs to its size.
 func TestParseTreeAllocs(t *testing.T) {
 	if raceEnabled {

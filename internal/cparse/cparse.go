@@ -100,17 +100,19 @@ type slabs struct {
 	pragmas   slab[cast.PragmaStmt]
 	returns   slab[cast.Return]
 	whiles    slab[cast.While]
+	casts     slab[cast.Cast]
+	sizeofs   slab[cast.Sizeof]
 }
 
 // kind is one slab, of whatever node type.
 type kind interface{ reset() }
 
 // kinds lists every slab.
-func (s *slabs) kinds() [26]kind {
+func (s *slabs) kinds() [28]kind {
 	return [...]kind{&s.idents, &s.ints, &s.floats, &s.binarys, &s.assigns,
 		&s.unarys, &s.arrays, &s.exprStmts, &s.blocks, &s.fors, &s.files, &s.itemLists, &s.stmtLists,
 		&s.typeSpecs, &s.funcDefs, &s.declStmts, &s.declNodes, &s.declLists, &s.calls, &s.argLists, &s.ifs,
-		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles}
+		&s.strs, &s.members, &s.pragmas, &s.returns, &s.whiles, &s.casts, &s.sizeofs}
 }
 
 // reset zeroes every slot the last parse handed out, in every slab.

@@ -147,13 +147,13 @@ func (p *Parser) parseUnary() (cast.Expr, error) {
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			return &cast.Sizeof{Type: ts}, nil
+			return put(&p.sizeofs, cast.Sizeof{Type: ts}), nil
 		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &cast.Sizeof{X: x}, nil
+		return put(&p.sizeofs, cast.Sizeof{X: x}), nil
 	case t.Text == "(" && p.isTypeStart(1):
 		// Cast expression `(type) expr`.
 		p.next()
@@ -168,7 +168,7 @@ func (p *Parser) parseUnary() (cast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cast.Cast{Type: ts, X: x}, nil
+		return put(&p.casts, cast.Cast{Type: ts, X: x}), nil
 	}
 	return p.parsePostfix()
 }

@@ -133,8 +133,10 @@ func (e *Explainer) ExplainVariants(tokens []string, predict func(v Variants, y 
 	return attrs
 }
 
-// solve performs in-place Gaussian elimination with partial pivoting.
-func solve(A [][]float64, b []float64) []float64 {
+// solve performs in-place Gaussian elimination with partial pivoting and
+// writes the solution into x, which has len(b) slots; back-substitution
+// assigns every one.
+func solve(A [][]float64, b, x []float64) {
 	n := len(b)
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -162,7 +164,6 @@ func solve(A [][]float64, b []float64) []float64 {
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		if math.Abs(A[r][r]) < 1e-12 {
 			x[r] = 0
@@ -174,5 +175,4 @@ func solve(A [][]float64, b []float64) []float64 {
 		}
 		x[r] = s / A[r][r]
 	}
-	return x
 }

@@ -8,10 +8,10 @@ import (
 
 // workspace is the scratch memory of one explanation: the generator, the
 // sampled variants as kept-position lists, their locality weights, the
-// model's scores and the surrogate's normal equations. Workspaces are
-// pooled; one holds numbers only, so a pooled one pins nothing of the
-// input it last served, and only the attributions (and solve's result)
-// are allocated per explanation.
+// model's scores, the surrogate's normal equations and their solution.
+// Workspaces are pooled; one holds numbers only, so a pooled one pins
+// nothing of the input it last served, and only the attributions are
+// allocated per explanation.
 type workspace struct {
 	rng     *rand.Rand
 	removed []bool    // the sample being drawn
@@ -22,6 +22,7 @@ type workspace struct {
 	a       []float64 // (T+1)×(T+1) normal matrix, row-major
 	rows    [][]float64
 	b       []float64
+	x       []float64 // the surrogate's coefficients, intercept first
 }
 
 var workspaces = sync.Pool{New: func() any {
@@ -119,5 +120,7 @@ func (ws *workspace) fit(v Variants, T int, lambda float64) []float64 {
 	for i := 1; i < d; i++ { // skip intercept
 		A[i][i] += lambda
 	}
-	return solve(A, b)
+	ws.x = resize(ws.x, d)
+	solve(A, b, ws.x)
+	return ws.x
 }

@@ -385,10 +385,20 @@ func (c Classifier[B]) PredictBatchProbs(idsBatch [][]int) [][2]float64 {
 	return out
 }
 
-// PredictBatch returns the positive-class probability for every sequence,
-// allocating as PredictBatchProbs does.
+// PredictBatchInto writes the positive-class probability of sequence i into
+// dst[i]; dst must hold at least len(idsBatch) slots. For a batch of up to
+// maxStackBatch sequences it allocates nothing.
+func (c Classifier[B]) PredictBatchInto(dst []float64, idsBatch [][]int) {
+	if len(dst) < len(idsBatch) {
+		panic("nn: PredictBatchInto into a slice shorter than the batch")
+	}
+	c.forward(idsBatch, func(i int, p [2]float64) { dst[i] = p[1] })
+}
+
+// PredictBatch is PredictBatchInto into a slice of its own, allocating as
+// PredictBatchProbs does.
 func (c Classifier[B]) PredictBatch(idsBatch [][]int) []float64 {
 	out := make([]float64, len(idsBatch))
-	c.forward(idsBatch, func(i int, p [2]float64) { out[i] = p[1] })
+	c.PredictBatchInto(out, idsBatch)
 	return out
 }

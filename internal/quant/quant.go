@@ -223,12 +223,19 @@ func FromNN(cfg Config, emb *nn.Embedding, blocks []*nn.EncoderBlock,
 }
 
 // Classifier returns the model's inference view: the one forward of
-// nn/infer.go over int8 projections. PredictBatch delegates to it.
+// nn/infer.go over int8 projections. PredictBatchInto and PredictBatch
+// delegate to it.
 func (m *Model) Classifier() nn.Classifier[*Block] {
 	return nn.Classifier[*Block]{
 		Tok: m.Tok, Pos: m.Pos, Blocks: m.Blocks,
 		FinalLN: m.FinalLN, FC1: m.FC1, FC2: m.FC2, FCHidden: m.Cfg.FCHidden,
 	}
+}
+
+// PredictBatchInto writes the positive-class probability of every sequence
+// into dst (core.Backend).
+func (m *Model) PredictBatchInto(dst []float64, idsBatch [][]int) {
+	m.Classifier().PredictBatchInto(dst, idsBatch)
 }
 
 // PredictBatch returns the positive-class probability for every sequence

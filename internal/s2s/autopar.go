@@ -29,7 +29,7 @@ func (c AutoPar) decide(u *Unit) (bool, string, error) {
 		return false, "", err
 	}
 	if strings.Contains(src, "do") && strings.Contains(src, "while") && containsDoWhile(src) {
-		return false, "", fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
+		return false, "", errDoWhile
 	}
 	if _, _, err := u.parse(); err != nil {
 		return false, "", err
@@ -43,6 +43,10 @@ func (c AutoPar) decide(u *Unit) (bool, string, error) {
 	}
 	return true, "", nil
 }
+
+// errDoWhile is AutoPar's rejection of a do-while loop: one constant error,
+// as Par4All's errUnresolvedCall is.
+var errDoWhile = fmt.Errorf("%w: AutoPar: do-while not supported", ErrParse)
 
 func (AutoPar) directive(a *dep.Analysis) *pragma.Directive {
 	d := &pragma.Directive{ParallelFor: true}

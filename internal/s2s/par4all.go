@@ -43,7 +43,7 @@ func (c Par4All) decide(u *Unit) (bool, string, error) {
 		return true
 	})
 	if hasCall || len(funcs) > 0 {
-		return false, "", fmt.Errorf("%w: Par4All: unresolved call in region", ErrParse)
+		return false, "", errUnresolvedCall
 	}
 	// No call and no function body in sight: the shared analysis, run with
 	// the snippet's (empty) function table, is the one Par4All would run.
@@ -57,6 +57,11 @@ func (c Par4All) decide(u *Unit) (bool, string, error) {
 	}
 	return true, "", nil
 }
+
+// errUnresolvedCall is Par4All's rejection of a region with a call. Its
+// text never changes, so it is one error, and a verdict keeps its message
+// without building it.
+var errUnresolvedCall = fmt.Errorf("%w: Par4All: unresolved call in region", ErrParse)
 
 func (Par4All) directive(*dep.Analysis) *pragma.Directive {
 	return &pragma.Directive{ParallelFor: true}

@@ -12,6 +12,7 @@ package s2s
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -55,6 +56,30 @@ type Compiler interface {
 
 // ErrParse marks hard parse/compile failures.
 var ErrParse = errors.New("s2s: compile failed")
+
+// rejection is a frontend's rejection of a snippet. Its message is the
+// whole text a member verdict keeps as its Detail, built once, and it
+// wraps ErrParse.
+type rejection struct{ msg string }
+
+func (r *rejection) Error() string { return r.msg }
+func (r *rejection) Unwrap() error { return ErrParse }
+
+// rejected is the rejection "s2s: compile failed: name: what", with text
+// Go-quoted after it when there is one: the text
+// fmt.Errorf("%w: %s: %s %q", ErrParse, name, what, text) gives, built
+// straight into the message, which with the error is all it allocates.
+func rejected(name, what, text string) error {
+	var buf [128]byte
+	msg := buf[:0]
+	for _, part := range [...]string{ErrParse.Error(), ": ", name, ": ", what} {
+		msg = append(msg, part...)
+	}
+	if text != "" {
+		msg = strconv.AppendQuote(append(msg, ' '), text)
+	}
+	return &rejection{string(msg)}
+}
 
 // Unit is the one front end of a snippet: the advisor's dependence evidence
 // and every member of one CompileUnit call read it. Its front end is pooled
@@ -253,34 +278,35 @@ func FirstLoop(f *cast.File) *cast.For {
 }
 
 // rejectTokens scans the raw token stream for constructs a fragile frontend
-// chokes on and returns a hard error when one is found.
+// chokes on and returns a hard error when one is found: a rejection, whose
+// message is built once for the verdict that keeps it.
 func rejectTokens(u *Unit, name string, rejects map[string]bool, rejectStruct, rejectTypedefed bool) error {
 	tree := u.stripped()
 	toks := tree.Tokens()
 	if len(toks) == 0 || toks[len(toks)-1].Kind != clex.EOF { // the lex failed
-		return fmt.Errorf("%w: %s: %s", ErrParse, name, tree.Errs[0].Msg)
+		return rejected(name, tree.Errs[0].Msg, "")
 	}
 	for i, t := range toks {
 		switch t.Kind {
 		case clex.Keyword:
 			if rejects[t.Text] {
-				return fmt.Errorf("%w: %s: unrecognized keyword %q", ErrParse, name, t.Text)
+				return rejected(name, "unrecognized keyword", t.Text)
 			}
 			if rejectStruct && (t.Text == "struct" || t.Text == "union") {
-				return fmt.Errorf("%w: %s: unsupported construct %q", ErrParse, name, t.Text)
+				return rejected(name, "unsupported construct", t.Text)
 			}
 		case clex.Ident:
 			if rejectTypedefed && nonStandardTypes[t.Text] {
-				return fmt.Errorf("%w: %s: unknown type %q", ErrParse, name, t.Text)
+				return rejected(name, "unknown type", t.Text)
 			}
 			// Unexpanded function-like macros (POLYBENCH_LOOP_BOUND(...))
 			// defeat frontends that expect preprocessed input.
 			if looksLikeMacro(t.Text) && i+1 < len(toks) && toks[i+1].Text == "(" {
-				return fmt.Errorf("%w: %s: unexpanded macro %q", ErrParse, name, t.Text)
+				return rejected(name, "unexpanded macro", t.Text)
 			}
 		case clex.Punct:
 			if rejectStruct && (t.Text == "->" || t.Text == ".") {
-				return fmt.Errorf("%w: %s: unsupported member access", ErrParse, name)
+				return rejected(name, "unsupported member access", "")
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package s2s
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -410,5 +411,50 @@ func TestStripPragmasNoCopy(t *testing.T) {
 	}
 	if got := stripPragmas("  #pragma omp parallel for\nfor (;;) ;"); got != "for (;;) ;" {
 		t.Errorf("stripPragmas = %q", got)
+	}
+}
+
+// TestUnresolvedCallRejectionAllocs: Par4All's rejection of a region with a
+// call is one constant error, so deciding it over a unit that holds its
+// parse allocates nothing, and it is still an ErrParse with the text it
+// always had, as its verdict's detail too.
+func TestUnresolvedCallRejectionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const want = "s2s: compile failed: Par4All: unresolved call in region"
+	u := NewUnit("for (i = 0; i < n; i++) a[i] = f(b[i]);")
+	defer u.Release()
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { _, _, err = Par4All{}.decide(u) })
+	if !errors.Is(err, ErrParse) || err.Error() != want {
+		t.Fatalf("Par4All on a call: error %v, want an ErrParse reading %q", err, want)
+	}
+	if v := verdict(Par4All{}, u); v.Compiled || v.Detail != want {
+		t.Errorf("Par4All on a call: verdict %+v, want the error %q", v, want)
+	}
+	if allocs != 0 {
+		t.Errorf("Par4All's unresolved-call rejection allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestRejectedText: a frontend rejection reads as the fmt.Errorf it
+// replaced, quoting included, and is an ErrParse.
+func TestRejectedText(t *testing.T) {
+	for _, c := range []struct{ what, text, format string }{
+		{"unknown type", "ssize_t", "%w: %s: %s %q"},
+		{"unexpanded macro", "LOOP_BOUND", "%w: %s: %s %q"},
+		{"unrecognized keyword", "a\"\\\tbé\x01", "%w: %s: %s %q"},
+		{"unsupported member access", "", "%w: %s: %s"},
+		{"clex: line 1 col 37: unexpected character '@'", "", "%w: %s: %s"},
+	} {
+		args := []any{ErrParse, "Cetus", c.what}
+		if c.text != "" {
+			args = append(args, c.text)
+		}
+		want := fmt.Errorf(c.format, args...)
+		if got := rejected("Cetus", c.what, c.text); got.Error() != want.Error() || !errors.Is(got, ErrParse) {
+			t.Errorf("rejected(%q, %q) = %q, want the ErrParse %q", c.what, c.text, got, want)
+		}
 	}
 }

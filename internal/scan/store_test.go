@@ -371,6 +371,48 @@ func TestWarmScanAllocs(t *testing.T) {
 	}
 }
 
+// warmDiskScanAllocBudget bounds the allocations of a warm scan.Dir of the
+// fixture tree plus both encodes, per unique loop: TestWarmScanAllocs' scan
+// with the walk and the disk reads that scan.Dir, the CLI and the harness's
+// scans take. It reads 13.3 (213 for the tree's 16 loops); the budget is
+// that plus 5 %, under the 14.1 a parse worker reads when it keeps no read
+// buffer and reads each of the 12 files into a fresh one.
+const warmDiskScanAllocBudget = 14.0
+
+// TestWarmScanAllocsFromDisk is TestWarmScanAllocs through scan.Dir: the
+// fixture tree walked and each file read into the parse worker's kept
+// buffer, which a scan from memory (fixtureSources) never takes.
+func TestWarmScanAllocsFromDisk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cfg := Config{Workers: 1, Store: NewMemStore()}
+	fill, err := Dir(context.Background(), fixtureTree, cfg, &stubSuggester{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		rep, err := Dir(context.Background(), fixtureTree, cfg, failingSuggester{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counters.Inferred != 0 {
+			t.Fatal("the scan was not warm")
+		}
+		if _, err := rep.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.SARIF(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perLoop := n / float64(fill.Counters.Unique)
+	t.Logf("%.0f allocations per warm scan from disk and two encodes, %.1f per unique loop (%d loops)", n, perLoop, fill.Counters.Unique)
+	if perLoop > warmDiskScanAllocBudget {
+		t.Fatalf("a warm scan from disk allocates %.1f times per unique loop, budget %.1f", perLoop, warmDiskScanAllocBudget)
+	}
+}
+
 // evidenceSuggester is stubSuggester with the evidence slices a real
 // verdict carries: every positive has S2S verdicts and a conversion, and a
 // disagreement has a race witness and attributions out of |weight| order,

@@ -165,8 +165,8 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 }
 
 // gatedBackend is a directive classifier whose forward waits for the test:
-// every PredictBatch announces itself on entered, then blocks until release
-// is closed.
+// every PredictBatch and PredictBatchInto announces itself on entered, then
+// blocks until release is closed.
 type gatedBackend struct {
 	core.Backend
 	entered chan struct{}
@@ -177,6 +177,12 @@ func (g gatedBackend) PredictBatch(idsBatch [][]int) []float64 {
 	g.entered <- struct{}{}
 	<-g.release
 	return g.Backend.PredictBatch(idsBatch)
+}
+
+func (g gatedBackend) PredictBatchInto(dst []float64, idsBatch [][]int) {
+	g.entered <- struct{}{}
+	<-g.release
+	g.Backend.PredictBatchInto(dst, idsBatch)
 }
 
 // TestHTTPShedIs429: a request that finds the predict path full is answered
